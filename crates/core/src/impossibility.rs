@@ -9,12 +9,14 @@
 //! has already decided on its own unanimous input.
 //!
 //! This module reproduces those executions *with the actual consensus algorithm of
-//! this crate* (Algorithm 3) running on the delay engine of `uba-simnet`: under the
-//! synchronous delay model the algorithm reaches agreement, under the partitioned
-//! (semi-synchronous or asynchronous) models the two sides decide opposite values.
-//! Experiment E7 sweeps partition sizes and delay models over these constructions.
+//! this crate* (Algorithm 3) running on `uba-simnet`'s engine under timed delivery:
+//! with the synchronous link delay the algorithm reaches agreement, with the
+//! partitioned (semi-synchronous or asynchronous) delays the two sides decide
+//! opposite values. Experiment E7 sweeps partition sizes and delay models over
+//! these constructions.
 
-use uba_simnet::{DelayEngine, DelayModel, IdSpace, NodeId, PartitionSpec, SimError};
+use uba_simnet::adversary::SilentAdversary;
+use uba_simnet::{Engine, EventTiming, IdSpace, LinkDelay, NodeId, PartitionSpec, SimError};
 
 use crate::consensus::Consensus;
 
@@ -87,25 +89,32 @@ pub fn run_partition_experiment(
         .chain(b_ids.iter().map(|&id| Consensus::new(id, 0u64)))
         .collect();
 
-    let delay_model = match model {
-        TimingModel::Synchronous => DelayModel::Synchronous,
-        TimingModel::SemiSynchronous { cross_delay } => DelayModel::Partitioned {
-            spec: PartitionSpec::new()
-                .with_group(0, a_ids.iter().copied())
-                .with_group(1, b_ids.iter().copied()),
-            cross_delay: Some(cross_delay),
+    let partitioned = |cross: Option<u64>| LinkDelay::Partitioned {
+        spec: PartitionSpec::new()
+            .with_group(0, a_ids.iter().copied())
+            .with_group(1, b_ids.iter().copied()),
+        same: 1,
+        cross,
+    };
+    let delay = match model {
+        TimingModel::Synchronous => LinkDelay::Constant(1),
+        TimingModel::SemiSynchronous { cross_delay } => partitioned(Some(cross_delay)),
+        TimingModel::Asynchronous => partitioned(None),
+        TimingModel::PartialSynchrony { gst, bound } => LinkDelay::Gst {
+            gst,
+            bound: bound.max(1),
         },
-        TimingModel::Asynchronous => DelayModel::Partitioned {
-            spec: PartitionSpec::new()
-                .with_group(0, a_ids.iter().copied())
-                .with_group(1, b_ids.iter().copied()),
-            cross_delay: None,
-        },
-        TimingModel::PartialSynchrony { gst, bound } => DelayModel::Gst { gst, bound },
     };
 
-    let mut engine = DelayEngine::new(nodes, delay_model);
-    let ticks = engine.run_until_all_terminated(2_000)?;
+    // One time unit per tick, zero timer skew: every live node steps every
+    // tick, and the link delay alone decides when (or whether) each message
+    // arrives. All nodes are correct, so the adversary is silent.
+    let timing = EventTiming {
+        delay,
+        ..EventTiming::synchronous()
+    };
+    let mut engine = Engine::with_timing(nodes, SilentAdversary, Vec::new(), timing);
+    let ticks = engine.run_to_termination(2_000)?;
     let decisions: Vec<(NodeId, u64)> = engine
         .outputs()
         .into_iter()

@@ -1,20 +1,41 @@
-//! The synchronous, lock-step round engine.
+//! The round engine: one machine, two delivery policies.
 //!
-//! [`SyncEngine`] owns the correct nodes (any [`Protocol`] implementation) and one
-//! [`Adversary`]. Each call to [`SyncEngine::run_round`] performs one synchronous
-//! round of the id-only model, with the following phases and per-round costs (for
-//! `n` nodes, `m` compact traffic items produced this round, and `d` point-to-point
-//! deliveries to correct nodes):
+//! [`Engine`] owns the correct nodes (any [`Protocol`] implementation) and one
+//! [`Adversary`]. The paper proves its algorithms in the synchronous model and
+//! then shows (Section IX, Lemmas 14/15) that synchrony is *necessary*:
+//! semi-synchrony and asynchrony are the same system under a different
+//! message-timing rule. The engine is built the same way. Membership, churn,
+//! crash/restart, the write-ahead hooks, the adversary phase, traffic GC,
+//! tracing and metrics exist once; the only thing that varies is **when a
+//! produced message becomes an inbox entry**, and that one decision sits behind
+//! a delivery policy the engine holds as a value:
 //!
-//! 1. **Produce — O(n + m).** Every live correct node is handed the inbox
-//!    accumulated for it in the previous round and produces its outgoing messages.
+//! * **`NextRound`** ([`Engine::new`]) — the lock-step rounds of the id-only
+//!   model: everything sent in round `r` is in its recipient's inbox for round
+//!   `r + 1`. Every node steps every round.
+//! * **`Timed`** ([`Engine::with_timing`]) — a virtual clock, per-node round
+//!   timers and a deterministic queue of timestamped flights (see
+//!   [`event`](crate::event)): a message lands when its [`LinkDelay`] says so,
+//!   and a node steps when its own timer fires. Under
+//!   [`EventTiming::synchronous`] this is byte-identical to `NextRound`.
+//!
+//! [`Engine::run_round`] asks the policy exactly three questions — *which
+//! nodes are due, and under which round number*; *what to do when a node joins
+//! or leaves* (arm or disarm a timer); and *how to route the round's traffic
+//! into inboxes* — and does everything else itself. One call performs one
+//! round (one *batch* under `Timed`), with the following phases and per-round
+//! costs (for `n` nodes, `m` compact traffic items produced this round, and `d`
+//! point-to-point deliveries to correct nodes):
+//!
+//! 1. **Produce — O(n + m).** Every due, live correct node is handed the inbox
+//!    accumulated for it and produces its outgoing messages.
 //!    Broadcasts are *not* expanded: a broadcast is stored once as a compact
 //!    [`TrafficItem`](crate::traffic::TrafficItem) in the round's
 //!    [`RoundTraffic`], and its payload is wrapped into a [`Shared`] handle —
 //!    **the only payload allocation it will ever cost**, with the dedup digest
 //!    computed right there; inbox buffers are recycled across rounds instead of
 //!    reallocated. An opt-in parallel path
-//!    ([`SyncEngine::enable_parallel_stepping`]) fans the stepping out over
+//!    ([`Engine::enable_parallel_stepping`]) fans the stepping out over
 //!    `std::thread::scope` threads once the node count reaches
 //!    [`EngineConfig::parallel_node_threshold`], merging per-thread traffic in node
 //!    order so executions stay bit-for-bit deterministic.
@@ -24,25 +45,29 @@
 //!    engine) and injects arbitrary directed messages — forwarded honest traffic
 //!    rides on cloned handles, only fabricated payloads allocate; sender
 //!    identities are verified against an O(1) membership index.
-//! 3. **Deliver — O(d) expected, zero-copy.** The compact traffic is expanded
-//!    *only towards correct recipients* (messages to Byzantine identities never
-//!    materialise — the adversary already saw everything via its view), grouped
-//!    into next-round inboxes, and deduplicated per `(sender, payload)` pair
-//!    through a per-inbox `(sender, digest)` set. A delivery is a
+//! 3. **Route — O(d) expected, zero-copy.** The policy expands the compact
+//!    traffic *only towards correct recipients* (messages to Byzantine
+//!    identities never materialise — the adversary already saw everything via
+//!    its view) and lands it in inboxes, deduplicated per `(sender, payload)`
+//!    pair through a per-inbox `(sender, digest)` set. A delivery is a
 //!    reference-count bump plus a set insert of the payload's **cached** digest:
-//!    no payload clone and no payload hash, regardless of fan-out.
+//!    no payload clone and no payload hash, regardless of fan-out. `NextRound`
+//!    does this in one `deliver` phase over pre-staged slots; `Timed` stamps
+//!    arrival times (`schedule`) and pops the due flights (`dispatch`).
 //!
 //! The wall-clock cost of each phase is accumulated in [`PhaseTimings`]
-//! (`produce` / `adversary` / `deliver` / `step`, where *step* is the bookkeeping
-//! around the phases: churn, inbox staging and recycling, metrics); the scaling
-//! benchmark records the split so "delivery no longer dominates" is a measured
-//! statement.
+//! (`produce` / `adversary` / `deliver` or `schedule` + `dispatch` / `step`,
+//! where *step* is the bookkeeping around the phases: churn, inbox staging and
+//! recycling, metrics); the scaling benchmark records the split so "delivery no
+//! longer dominates" is a measured statement.
 //!
 //! The engine supports **dynamic membership** (nodes joining and leaving between
-//! rounds), which Section XI of the paper relies on, via [`SyncEngine::add_node`],
-//! [`SyncEngine::remove_node`], [`SyncEngine::add_byzantine_id`] and
-//! [`SyncEngine::remove_byzantine_id`]; the membership indices are maintained
+//! rounds), which Section XI of the paper relies on, via [`Engine::add_node`],
+//! [`Engine::remove_node`], [`Engine::add_byzantine_id`] and
+//! [`Engine::remove_byzantine_id`]; the membership indices are maintained
 //! incrementally, so none of these paths rescans the node vectors.
+//!
+//! [`LinkDelay`]: crate::event::LinkDelay
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -51,6 +76,8 @@ use std::time::Instant;
 use crate::adversary::{Adversary, AdversaryView};
 use crate::dynamic::{ChurnEvent, ChurnSchedule};
 use crate::error::SimError;
+use crate::event::timed::Timed;
+use crate::event::EventTiming;
 use crate::id::NodeId;
 use crate::message::{Destination, Directed, Envelope};
 use crate::metrics::{Metrics, RoundMetrics};
@@ -73,7 +100,7 @@ pub struct EngineConfig {
     /// Capacity of the trace log when tracing is enabled.
     pub trace_capacity: usize,
     /// Minimum node count at which the parallel node-step path kicks in. Only
-    /// consulted after [`SyncEngine::enable_parallel_stepping`] was called; below
+    /// consulted after [`Engine::enable_parallel_stepping`] was called; below
     /// the threshold stepping stays serial (the fan-out overhead would dominate).
     pub parallel_node_threshold: usize,
 }
@@ -139,15 +166,15 @@ impl RunOutcome {
 ///
 /// The schedule says *who* joins or leaves and *when*; the `joiner` callback says how
 /// to construct a correct node for a joining identifier (the engine cannot know how
-/// to initialise protocol state). Registered with [`SyncEngine::set_churn`].
-pub(crate) struct ChurnDriver<N> {
-    pub(crate) schedule: ChurnSchedule,
-    pub(crate) joiner: Box<dyn FnMut(NodeId) -> N>,
+/// to initialise protocol state). Registered with [`Engine::set_churn`].
+struct ChurnDriver<N> {
+    schedule: ChurnSchedule,
+    joiner: Box<dyn FnMut(NodeId) -> N>,
     /// Highest round whose events have been (at least partially) applied. Guards a
     /// retried `run_round` after a failed event from re-applying the round's earlier
     /// events (which would turn one inapplicable event into spurious DuplicateId
     /// errors for the events that did apply).
-    pub(crate) applied_upto: u64,
+    applied_upto: u64,
 }
 
 /// A deterministic, multiply-rotate hasher for the engine's *internal* maps
@@ -226,16 +253,16 @@ impl<P> Inbox<P> {
     }
 }
 
-/// Wall-clock time accumulated per named phase of an engine's round loop, in
-/// nanoseconds. The phase set is engine-specific: [`SyncEngine`] accumulates
-/// `produce` (phase 1, nodes consuming inboxes and producing traffic),
-/// `adversary` (phase 2), `deliver` (phase 3) and `step` (the per-round
-/// bookkeeping around them: churn application, inbox staging and recycling,
-/// membership maintenance, metrics); the event engine additionally reports
-/// `schedule` (clock advance plus delay-model expansion into the delivery
-/// queue) and `dispatch` (popping due deliveries into inboxes). Timings are
-/// measurement-only: they never influence execution, and reports never contain
-/// them, so runs stay bit-for-bit reproducible.
+/// Wall-clock time accumulated per named phase of the engine's round loop, in
+/// nanoseconds. The engine itself accumulates `produce` (phase 1, nodes
+/// consuming inboxes and producing traffic), `adversary` (phase 2) and `step`
+/// (the per-round bookkeeping around them: churn application, inbox staging
+/// and recycling, membership maintenance, metrics); the delivery policy names
+/// the rest — `deliver` under `NextRound`, `schedule` (clock advance plus
+/// delay-model expansion into the delivery queue) and `dispatch` (popping due
+/// deliveries into inboxes) under `Timed`. Timings are measurement-only: they
+/// never influence execution, and reports never contain them, so runs stay
+/// bit-for-bit reproducible.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// `(phase name, accumulated nanoseconds)`, in first-recorded order.
@@ -337,41 +364,52 @@ pub(crate) fn deliver<P: PartialEq>(
 /// `nodes`) and appends the produced traffic, returning the live-node count. Stored
 /// as a plain function pointer so the parallel variant — which needs `N: Send` —
 /// can be installed without putting that bound on the whole engine.
-pub(crate) type StepperFn<N> = fn(
+type StepperFn<N> = fn(
     &mut [N],
     &RoundContext,
     &mut [Option<Inbox<<N as Protocol>::Payload>>],
     &mut RoundTraffic<<N as Protocol>::Payload>,
 ) -> u64;
 
-pub(crate) fn step_serial<N: Protocol>(
+/// Steps one node over its staged inbox and appends what it sends.
+#[inline]
+fn step_node<N: Protocol>(
+    node: &mut N,
+    ctx: &RoundContext,
+    slot: &Option<Inbox<N::Payload>>,
+    traffic: &mut RoundTraffic<N::Payload>,
+) {
+    let id = node.id();
+    let empty: &[Envelope<N::Payload>] = &[];
+    let inbox = slot.as_ref().map_or(empty, |b| b.messages.as_slice());
+    for message in node.step(ctx, inbox) {
+        match message.dest {
+            Destination::Broadcast => traffic.push_broadcast(id, message.payload),
+            Destination::Unicast(to) => {
+                traffic.push_unicast(Directed::new(id, to, message.payload))
+            }
+        }
+    }
+}
+
+fn step_serial<N: Protocol>(
     nodes: &mut [N],
     ctx: &RoundContext,
     inboxes: &mut [Option<Inbox<N::Payload>>],
     traffic: &mut RoundTraffic<N::Payload>,
 ) -> u64 {
     let mut live = 0u64;
-    for (node, slot) in nodes.iter_mut().zip(inboxes.iter_mut()) {
+    for (node, slot) in nodes.iter_mut().zip(inboxes.iter()) {
         if node.terminated() {
             continue;
         }
         live += 1;
-        let id = node.id();
-        let empty: &[Envelope<N::Payload>] = &[];
-        let inbox = slot.as_ref().map_or(empty, |b| b.messages.as_slice());
-        for message in node.step(ctx, inbox) {
-            match message.dest {
-                Destination::Broadcast => traffic.push_broadcast(id, message.payload),
-                Destination::Unicast(to) => {
-                    traffic.push_unicast(Directed::new(id, to, message.payload))
-                }
-            }
-        }
+        step_node(node, ctx, slot, traffic);
     }
     live
 }
 
-pub(crate) fn step_parallel<N>(
+fn step_parallel<N>(
     nodes: &mut [N],
     ctx: &RoundContext,
     inboxes: &mut [Option<Inbox<N::Payload>>],
@@ -433,8 +471,178 @@ where
     live
 }
 
-/// The synchronous round engine (see module docs).
-pub struct SyncEngine<N: Protocol, A: Adversary<N::Payload>> {
+/// Steps a skewed partial batch: only the nodes with a `due` entry, each under
+/// its own local round number. Kept apart from [`step_serial`] so the
+/// full-batch path pays nothing for the mask; always serial — the due subset
+/// is typically small.
+fn step_due<N: Protocol>(
+    nodes: &mut [N],
+    due: &[Option<u64>],
+    inboxes: &[Option<Inbox<N::Payload>>],
+    traffic: &mut RoundTraffic<N::Payload>,
+) -> u64 {
+    let mut live = 0u64;
+    for ((node, slot), local_round) in nodes.iter_mut().zip(inboxes).zip(due) {
+        let Some(local_round) = *local_round else {
+            continue;
+        };
+        if node.terminated() {
+            continue;
+        }
+        live += 1;
+        step_node(node, &RoundContext::new(local_round), slot, traffic);
+    }
+    live
+}
+
+/// What a delivery policy sees of the engine while it routes one round's
+/// traffic into inboxes: the round's correct and Byzantine traffic, the
+/// membership indices, the inbox registry with its spare pool, and the trace,
+/// metrics and timings it reports into.
+pub(crate) struct Routing<'a, P> {
+    /// The sending round (deliveries are traced under `round + 1`).
+    pub(crate) round: u64,
+    /// The round's correct recipients, in membership order.
+    pub(crate) correct_ids: &'a [NodeId],
+    pub(crate) traffic: &'a RoundTraffic<P>,
+    pub(crate) byzantine_traffic: &'a [Directed<P>],
+    pub(crate) correct_index: &'a HashSet<NodeId>,
+    pub(crate) byzantine_index: &'a HashSet<NodeId>,
+    pub(crate) inboxes: &'a mut HashMap<NodeId, Inbox<P>, FastState>,
+    pub(crate) spare_inboxes: &'a mut Vec<Inbox<P>>,
+    pub(crate) trace: &'a mut Option<TraceLog<P>>,
+    pub(crate) metrics: &'a mut Metrics,
+    pub(crate) timings: &'a mut PhaseTimings,
+}
+
+/// The state of the `NextRound` delivery policy: everything sent in a round is
+/// fanned out into its recipients' next-round inboxes before the round ends.
+struct NextRound<P> {
+    /// Reusable delivery slots (aligned with the round's correct recipients), so
+    /// a broadcast's fan-out indexes straight into its targets instead of paying
+    /// a map lookup per delivery.
+    delivery_slots: Vec<Inbox<P>>,
+    /// Reusable `NodeId → delivery slot` index, rebuilt each round (one hash op
+    /// per *member* per round instead of one per *delivery*).
+    slot_index: HashMap<NodeId, usize, FastState>,
+}
+
+impl<P: PartialEq> NextRound<P> {
+    /// Builds next-round inboxes (`deliver`, returned still open so the
+    /// engine's GC sweep is charged to it). A broadcast reaches each *correct*
+    /// recipient as a reference-count bump of its one shared payload
+    /// allocation — messages to Byzantine identities are "delivered" to the
+    /// adversary, which already saw everything via the rushing view, so
+    /// nothing is stored (or cloned) for them.
+    fn route(&mut self, routing: Routing<'_, P>) -> (&'static str, Instant) {
+        let deliver_started = Instant::now();
+        let Routing {
+            round,
+            correct_ids,
+            traffic,
+            byzantine_traffic,
+            byzantine_index,
+            inboxes,
+            spare_inboxes,
+            trace,
+            metrics,
+            ..
+        } = routing;
+        let NextRound {
+            delivery_slots,
+            slot_index,
+        } = self;
+        let delivery_round = round + 1;
+        let mut deliveries = 0u64;
+        // Stage the correct recipients' inboxes into index-aligned slots (the
+        // round's recipient list leads with the correct nodes, in this exact
+        // order), so a broadcast's fan-out is a straight array walk and a
+        // unicast target costs one fast-map lookup — no per-delivery hashing of
+        // recipient ids.
+        slot_index.clear();
+        delivery_slots.clear();
+        for &id in correct_ids {
+            let inbox = inboxes
+                .remove(&id)
+                .unwrap_or_else(|| spare_inboxes.pop().unwrap_or_default());
+            slot_index.insert(id, delivery_slots.len());
+            delivery_slots.push(inbox);
+        }
+        for item in traffic.items() {
+            match item {
+                TrafficItem::Broadcast { from, payload } => {
+                    for (slot, &to) in delivery_slots.iter_mut().zip(correct_ids) {
+                        deliver(
+                            slot,
+                            trace,
+                            byzantine_index,
+                            delivery_round,
+                            *from,
+                            to,
+                            payload,
+                            &mut deliveries,
+                        );
+                    }
+                }
+                TrafficItem::Unicast(message) => {
+                    if let Some(&slot) = slot_index.get(&message.to) {
+                        deliver(
+                            &mut delivery_slots[slot],
+                            trace,
+                            byzantine_index,
+                            delivery_round,
+                            message.from,
+                            message.to,
+                            &message.payload,
+                            &mut deliveries,
+                        );
+                    }
+                }
+            }
+        }
+        for message in byzantine_traffic {
+            if let Some(&slot) = slot_index.get(&message.to) {
+                deliver(
+                    &mut delivery_slots[slot],
+                    trace,
+                    byzantine_index,
+                    delivery_round,
+                    message.from,
+                    message.to,
+                    &message.payload,
+                    &mut deliveries,
+                );
+            }
+        }
+        // Unstage: inboxes that accumulated state go back into the registry;
+        // untouched ones return to the spare pool (matching the old lazy
+        // behaviour, which materialised an inbox only on first delivery).
+        for (&id, inbox) in correct_ids.iter().zip(delivery_slots.drain(..)) {
+            if inbox.messages.is_empty() && inbox.seen.is_empty() {
+                spare_inboxes.push(inbox);
+            } else {
+                inboxes.insert(id, inbox);
+            }
+        }
+        metrics.credit_deliveries(round, deliveries);
+        ("deliver", deliver_started)
+    }
+}
+
+/// When a produced message becomes an inbox entry — the one decision an
+/// engine can legitimately vary (see module docs). [`Engine::run_round`],
+/// [`Engine::add_node`] and [`Engine::remove_node`] are the only places that
+/// look inside.
+enum Delivery<P> {
+    /// Lock-step rounds: sent in round `r`, consumed in round `r + 1`.
+    NextRound(NextRound<P>),
+    /// Virtual time: a message lands when its link delay says so, a node steps
+    /// when its own timer fires.
+    Timed(Timed<P>),
+}
+
+/// The round engine (see module docs).
+pub struct Engine<N: Protocol, A: Adversary<N::Payload>> {
     nodes: Vec<N>,
     adversary: A,
     byzantine_ids: Vec<NodeId>,
@@ -447,16 +655,11 @@ pub struct SyncEngine<N: Protocol, A: Adversary<N::Payload>> {
     spare_inboxes: Vec<Inbox<N::Payload>>,
     /// Reusable per-node inbox slots for the step phase (aligned with `nodes`).
     step_inboxes: Vec<Option<Inbox<N::Payload>>>,
-    /// Reusable delivery slots (aligned with the round's correct recipients), so
-    /// a broadcast's fan-out indexes straight into its targets instead of paying
-    /// a map lookup per delivery.
-    delivery_slots: Vec<Inbox<N::Payload>>,
-    /// Reusable `NodeId → delivery slot` index, rebuilt each round (one hash op
-    /// per *member* per round instead of one per *delivery*).
-    slot_index: HashMap<NodeId, usize, FastState>,
     /// Reusable compact traffic buffer for the current round.
     traffic: RoundTraffic<N::Payload>,
-    /// Installed by [`SyncEngine::enable_parallel_stepping`]; `None` means serial.
+    /// When a produced message becomes an inbox entry.
+    delivery: Delivery<N::Payload>,
+    /// Installed by [`Engine::enable_parallel_stepping`]; `None` means serial.
     parallel_stepper: Option<StepperFn<N>>,
     round: u64,
     metrics: Metrics,
@@ -464,14 +667,19 @@ pub struct SyncEngine<N: Protocol, A: Adversary<N::Payload>> {
     trace: Option<TraceLog<N::Payload>>,
     config: EngineConfig,
     churn: Option<ChurnDriver<N>>,
-    /// The crash-recovery subsystem; `None` until [`SyncEngine::enable_recovery`].
+    /// The crash-recovery subsystem; `None` until [`Engine::enable_recovery`].
     recovery: Option<RecoveryManager<N>>,
-    /// Retired-traffic GC; off until [`SyncEngine::enable_traffic_gc`].
+    /// Retired-traffic GC; off until [`Engine::enable_traffic_gc`].
     traffic_gc: bool,
 }
 
-impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
-    /// Creates an engine with the default [`EngineConfig`].
+/// The engine under its default `NextRound` policy — the name the protocol
+/// crates, baselines, benches and tests construct it by.
+pub type SyncEngine<N, A> = Engine<N, A>;
+
+impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
+    /// Creates a lock-step (`NextRound`) engine with the default
+    /// [`EngineConfig`].
     ///
     /// `byzantine_ids` are the identities controlled by `adversary`; they may overlap
     /// with nothing (a purely silent adversary may control zero identities).
@@ -479,19 +687,48 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
         Self::with_config(nodes, adversary, byzantine_ids, EngineConfig::default())
     }
 
-    /// Creates an engine with an explicit configuration.
+    /// Creates a lock-step (`NextRound`) engine with an explicit configuration.
     pub fn with_config(
         nodes: Vec<N>,
         adversary: A,
         byzantine_ids: Vec<NodeId>,
         config: EngineConfig,
     ) -> Self {
+        Self::assemble(nodes, adversary, byzantine_ids, config, None)
+    }
+
+    /// Creates a `Timed` engine: deliveries follow `timing`'s link delays and
+    /// nodes step on their own round timers (see [`event`](crate::event)).
+    pub fn with_timing(
+        nodes: Vec<N>,
+        adversary: A,
+        byzantine_ids: Vec<NodeId>,
+        timing: EventTiming,
+    ) -> Self {
+        let config = EngineConfig::default();
+        Self::assemble(nodes, adversary, byzantine_ids, config, Some(timing))
+    }
+
+    fn assemble(
+        nodes: Vec<N>,
+        adversary: A,
+        byzantine_ids: Vec<NodeId>,
+        config: EngineConfig,
+        timing: Option<EventTiming>,
+    ) -> Self {
         let trace = config
             .trace
             .then(|| TraceLog::with_capacity(config.trace_capacity));
         let correct_index = nodes.iter().map(|n| n.id()).collect();
         let byzantine_index = byzantine_ids.iter().copied().collect();
-        SyncEngine {
+        let delivery = match timing {
+            None => Delivery::NextRound(NextRound {
+                delivery_slots: Vec::new(),
+                slot_index: HashMap::default(),
+            }),
+            Some(timing) => Delivery::Timed(Timed::new(timing, nodes.iter().map(|n| n.id()))),
+        };
+        Engine {
             nodes,
             adversary,
             byzantine_ids,
@@ -500,9 +737,8 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
             inboxes: HashMap::default(),
             spare_inboxes: Vec::new(),
             step_inboxes: Vec::new(),
-            delivery_slots: Vec::new(),
-            slot_index: HashMap::default(),
             traffic: RoundTraffic::new(),
+            delivery,
             parallel_stepper: None,
             round: 0,
             metrics: Metrics::new(),
@@ -623,9 +859,26 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
         Ok(())
     }
 
-    /// The number of rounds executed so far.
+    /// The number of rounds (batches, under `Timed`) executed so far.
     pub fn round(&self) -> u64 {
         self.round
+    }
+
+    /// The current virtual time; under `NextRound` time is the round count.
+    pub fn now(&self) -> u64 {
+        match &self.delivery {
+            Delivery::NextRound(_) => self.round,
+            Delivery::Timed(timed) => timed.now(),
+        }
+    }
+
+    /// Number of messages still in flight (scheduled, not yet delivered) —
+    /// always 0 under `NextRound`, which lands everything within the round.
+    pub fn in_flight(&self) -> usize {
+        match &self.delivery {
+            Delivery::NextRound(_) => 0,
+            Delivery::Timed(timed) => timed.in_flight(),
+        }
     }
 
     /// The correct nodes, in insertion order.
@@ -709,11 +962,14 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
         self.recovery.is_some()
     }
 
-    /// Enables retired-traffic garbage collection. After each round's delivery
+    /// Enables retired-traffic garbage collection. After each round's routing
     /// the engine computes the minimum [`Protocol::retired_frontier`] over the
-    /// live nodes and prunes queued envelopes whose
+    /// live nodes and prunes queued *inbox* envelopes whose
     /// [`Protocol::instance_of`] tag lies below it — traffic no node will ever
-    /// read again (a decided instance neither sends nor consumes).
+    /// read again (a decided instance neither sends nor consumes). In-flight
+    /// messages (the `Timed` delivery queue) are never pruned — deliveries are
+    /// counted when a flight lands in an inbox, so dropping a flight would
+    /// change the metrics; an inbox entry's delivery is already on the books.
     ///
     /// GC is observationally silent on reports: deliveries are counted when a
     /// message enters an inbox, and a pruned message is by construction one
@@ -759,6 +1015,10 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
         if self.correct_index.contains(&id) || self.byzantine_index.contains(&id) {
             return Err(SimError::DuplicateId(id));
         }
+        // Policy question 2 — what happens when a node joins or leaves?
+        if let Delivery::Timed(timed) = &mut self.delivery {
+            timed.arm(id, self.round > 0);
+        }
         self.correct_index.insert(id);
         self.nodes.push(node);
         Ok(())
@@ -773,6 +1033,9 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
             .position(|n| n.id() == id)
             .ok_or(SimError::UnknownNode(id))?;
         self.correct_index.remove(&id);
+        if let Delivery::Timed(timed) = &mut self.delivery {
+            timed.disarm(id);
+        }
         if let Some(mut inbox) = self.inboxes.remove(&id) {
             inbox.recycle();
             self.spare_inboxes.push(inbox);
@@ -802,56 +1065,81 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
         Ok(())
     }
 
-    /// Executes one synchronous round. Returns an error only if the adversary tried
-    /// to forge a sender identity or a registered churn event was inapplicable.
+    /// Executes one round (one batch, under `Timed`). Returns an error only if
+    /// the adversary tried to forge a sender identity or a registered churn
+    /// event was inapplicable.
     pub fn run_round(&mut self) -> Result<(), SimError> {
+        // Policy question 1 — which nodes are due, and under which round
+        // number? `Timed` first advances its clock to the earliest due timer.
+        if let Delivery::Timed(timed) = &mut self.delivery {
+            let schedule_started = Instant::now();
+            timed.advance();
+            self.timings.add("schedule", elapsed_ns(schedule_started));
+        }
         let step_started = Instant::now();
         self.apply_churn(self.round + 1)?;
         self.round += 1;
-        let ctx = RoundContext::new(self.round);
         let correct_ids = self.correct_ids();
 
-        // Phase 1 (produce): correct nodes consume their inboxes and produce
-        // outgoing messages, kept compact (broadcasts unexpanded, payloads
-        // allocated once into shared handles) in the round traffic.
+        // Phase 1 (produce): the due correct nodes consume their inboxes and
+        // produce outgoing messages, kept compact (broadcasts unexpanded,
+        // payloads allocated once into shared handles) in the round traffic.
         self.traffic.begin_round(
             correct_ids
                 .iter()
                 .copied()
                 .chain(self.byzantine_ids.iter().copied()),
         );
+        // `None`: every node steps under the engine's round number (always,
+        // under `NextRound`); otherwise one `Some(local round)` per due node.
+        let due = match &mut self.delivery {
+            Delivery::NextRound(_) => None,
+            Delivery::Timed(timed) => timed.fire_due(&correct_ids),
+        };
+        // The round number node `index` steps under this batch, if it is due.
+        let round = self.round;
+        let round_of = |index: usize| due.as_ref().map_or(Some(round), |due| due[index]);
         self.step_inboxes.clear();
-        for node in &self.nodes {
-            self.step_inboxes.push(if node.terminated() {
-                None
-            } else {
-                self.inboxes.remove(&node.id())
-            });
+        for (index, node) in self.nodes.iter().enumerate() {
+            self.step_inboxes
+                .push(if round_of(index).is_some() && !node.terminated() {
+                    self.inboxes.remove(&node.id())
+                } else {
+                    None
+                });
         }
-        // Write-ahead: the inbox a node is about to consume is logged before
-        // the node steps, so a crash mid-round loses the step, never tears it.
+        // Write-ahead: the inbox a node is about to consume is logged, under
+        // the round number its step context will carry, before the node steps,
+        // so a crash mid-round loses the step, never tears it.
         if let Some(recovery) = &mut self.recovery {
-            for (node, slot) in self.nodes.iter().zip(&self.step_inboxes) {
-                if node.terminated() {
+            for (index, (node, slot)) in self.nodes.iter().zip(&self.step_inboxes).enumerate() {
+                let Some(node_round) = round_of(index).filter(|_| !node.terminated()) else {
                     continue;
-                }
+                };
                 let empty: &[Envelope<N::Payload>] = &[];
                 let inbox = slot.as_ref().map_or(empty, |b| b.messages.as_slice());
-                recovery.begin_step(node, self.round, inbox);
+                recovery.begin_step(node, node_round, inbox);
             }
         }
-        let stepper = match self.parallel_stepper {
-            Some(parallel) if self.nodes.len() >= self.config.parallel_node_threshold => parallel,
-            _ => step_serial::<N>,
-        };
         self.timings.add("step", elapsed_ns(step_started));
         let produce_started = Instant::now();
-        let live = stepper(
-            &mut self.nodes,
-            &ctx,
-            &mut self.step_inboxes,
-            &mut self.traffic,
-        );
+        let live = match &due {
+            None => {
+                let stepper = match self.parallel_stepper {
+                    Some(parallel) if self.nodes.len() >= self.config.parallel_node_threshold => {
+                        parallel
+                    }
+                    _ => step_serial::<N>,
+                };
+                stepper(
+                    &mut self.nodes,
+                    &RoundContext::new(self.round),
+                    &mut self.step_inboxes,
+                    &mut self.traffic,
+                )
+            }
+            Some(due) => step_due(&mut self.nodes, due, &self.step_inboxes, &mut self.traffic),
+        };
         self.timings.add("produce", elapsed_ns(produce_started));
         let step_started = Instant::now();
         for mut inbox in self.step_inboxes.drain(..).flatten() {
@@ -859,9 +1147,10 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
             self.spare_inboxes.push(inbox);
         }
 
-        // Inboxes left unconsumed belong to terminated nodes, whose dedup state
-        // must persist; any entry whose id is no longer a correct node is dropped
-        // (O(1) membership check per entry).
+        // Inboxes left unconsumed belong to nodes that did not step (terminated
+        // ones, whose dedup state must persist, or not yet due); any entry whose
+        // id is no longer a correct node is dropped (O(1) membership check per
+        // entry).
         let correct_index = &self.correct_index;
         self.inboxes.retain(|id, _| correct_index.contains(id));
         // Log the digests of every produced message and commit the round —
@@ -901,113 +1190,57 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
         }
         self.timings.add("adversary", elapsed_ns(adversary_started));
 
-        // Phase 3 (deliver): build next-round inboxes. A broadcast reaches each
-        // *correct* recipient as a reference-count bump of its one shared payload
-        // allocation — messages to Byzantine identities are "delivered" to the
-        // adversary, which already saw everything via the rushing view, so
-        // nothing is stored (or cloned) for them.
-        let deliver_started = Instant::now();
-        let correct_count = self.traffic.point_to_point_count();
-        let byz_count = byzantine_traffic.len() as u64;
-        let delivery_round = self.round + 1;
-        let mut deliveries = 0u64;
-        let do_gc = self.traffic_gc;
-        let SyncEngine {
-            nodes,
-            traffic,
-            inboxes,
-            spare_inboxes,
-            delivery_slots,
-            slot_index,
-            trace,
-            byzantine_index,
-            ..
-        } = self;
-        // Stage the correct recipients' inboxes into index-aligned slots (the
-        // round's recipient list leads with the correct nodes, in this exact
-        // order), so a broadcast's fan-out is a straight array walk and a
-        // unicast target costs one fast-map lookup — no per-delivery hashing of
-        // recipient ids.
-        slot_index.clear();
-        delivery_slots.clear();
-        for &id in &correct_ids {
-            let inbox = inboxes
-                .remove(&id)
-                .unwrap_or_else(|| spare_inboxes.pop().unwrap_or_default());
-            slot_index.insert(id, delivery_slots.len());
-            delivery_slots.push(inbox);
-        }
-        for item in traffic.items() {
-            match item {
-                TrafficItem::Broadcast { from, payload } => {
-                    for (slot, &to) in delivery_slots.iter_mut().zip(&correct_ids) {
-                        deliver(
-                            slot,
-                            trace,
-                            byzantine_index,
-                            delivery_round,
-                            *from,
-                            to,
-                            payload,
-                            &mut deliveries,
-                        );
-                    }
-                }
-                TrafficItem::Unicast(message) => {
-                    if let Some(&slot) = slot_index.get(&message.to) {
-                        deliver(
-                            &mut delivery_slots[slot],
-                            trace,
-                            byzantine_index,
-                            delivery_round,
-                            message.from,
-                            message.to,
-                            &message.payload,
-                            &mut deliveries,
-                        );
-                    }
-                }
-            }
-        }
-        for message in &byzantine_traffic {
-            if let Some(&slot) = slot_index.get(&message.to) {
-                deliver(
-                    &mut delivery_slots[slot],
-                    trace,
-                    byzantine_index,
-                    delivery_round,
-                    message.from,
-                    message.to,
-                    &message.payload,
-                    &mut deliveries,
-                );
-            }
-        }
-        // Unstage: inboxes that accumulated state go back into the registry;
-        // untouched ones return to the spare pool (matching the old lazy
-        // behaviour, which materialised an inbox only on first delivery).
-        for (&id, inbox) in correct_ids.iter().zip(delivery_slots.drain(..)) {
-            if inbox.messages.is_empty() && inbox.seen.is_empty() {
-                spare_inboxes.push(inbox);
-            } else {
-                inboxes.insert(id, inbox);
-            }
-        }
+        // The round's metrics row opens before routing so deliveries can be
+        // credited to the *sending* round as they land — within the round under
+        // `NextRound`, possibly batches later under `Timed`.
+        let step_started = Instant::now();
+        self.metrics.record_round(RoundMetrics {
+            round: self.round,
+            correct_messages: self.traffic.point_to_point_count(),
+            byzantine_messages: byzantine_traffic.len() as u64,
+            deliveries: 0,
+            live_correct_nodes: live,
+        });
+        self.timings.add("step", elapsed_ns(step_started));
 
-        // Retired-traffic GC (see [`SyncEngine::enable_traffic_gc`]): prune
+        // Phase 3, policy question 3 — how does the round's traffic reach
+        // inboxes? The policy lands what is due, credits it to the sending
+        // round's metrics row and records its own phase timings; it returns
+        // its last phase still open, so the GC sweep below is charged to it.
+        let routing = Routing {
+            round: self.round,
+            correct_ids: &correct_ids,
+            traffic: &self.traffic,
+            byzantine_traffic: &byzantine_traffic,
+            correct_index: &self.correct_index,
+            byzantine_index: &self.byzantine_index,
+            inboxes: &mut self.inboxes,
+            spare_inboxes: &mut self.spare_inboxes,
+            trace: &mut self.trace,
+            metrics: &mut self.metrics,
+            timings: &mut self.timings,
+        };
+        let (phase, phase_started) = match &mut self.delivery {
+            Delivery::NextRound(next_round) => next_round.route(routing),
+            Delivery::Timed(timed) => timed.route(routing),
+        };
+
+        // Retired-traffic GC (see [`Engine::enable_traffic_gc`]): prune
         // queued envelopes for instances below every live node's retired
         // frontier. Payload classification is payload-only, so any node can
-        // serve as the probe; the `seen` dedup sets are deliberately left
-        // alone (dedup state persists exactly as for terminated nodes).
-        if do_gc {
-            let frontier = nodes
+        // serve as the probe; flights and the `seen` dedup sets are
+        // deliberately left alone (dedup state persists exactly as for
+        // terminated nodes).
+        if self.traffic_gc {
+            let frontier = self
+                .nodes
                 .iter()
                 .map(|node| node.retired_frontier())
                 .min()
                 .unwrap_or(0);
             if frontier > 0 {
-                if let Some(probe) = nodes.first() {
-                    for inbox in inboxes.values_mut() {
+                if let Some(probe) = self.nodes.first() {
+                    for inbox in self.inboxes.values_mut() {
                         inbox.messages.retain(|envelope| {
                             match probe.instance_of(envelope.payload.get()) {
                                 Some(tag) => tag >= frontier,
@@ -1018,18 +1251,7 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
                 }
             }
         }
-
-        self.timings.add("deliver", elapsed_ns(deliver_started));
-
-        let step_started = Instant::now();
-        self.metrics.record_round(RoundMetrics {
-            round: self.round,
-            correct_messages: correct_count,
-            byzantine_messages: byz_count,
-            deliveries,
-            live_correct_nodes: live,
-        });
-        self.timings.add("step", elapsed_ns(step_started));
+        self.timings.add(phase, elapsed_ns(phase_started));
         Ok(())
     }
 
@@ -1111,7 +1333,7 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
     }
 }
 
-impl<N, A> SyncEngine<N, A>
+impl<N, A> Engine<N, A>
 where
     N: Protocol + Send,
     N::Payload: Send + Sync,
@@ -1123,7 +1345,8 @@ where
     /// produced traffic in node order. Executions are bit-for-bit identical to the
     /// serial path — protocols are independent deterministic state machines, and
     /// the merge preserves the serial traffic order — so this is purely a
-    /// wall-clock optimisation for large systems.
+    /// wall-clock optimisation for large systems. A skewed partial batch under
+    /// `Timed` always steps serially — the due subset is typically small.
     pub fn enable_parallel_stepping(&mut self) {
         self.parallel_stepper = Some(step_parallel::<N>);
     }
@@ -1133,10 +1356,11 @@ where
 mod tests {
     use super::*;
     use crate::adversary::{FnAdversary, SilentAdversary};
+    use crate::event::{DelaySpec, LinkDelay, TimingSpec};
     use crate::message::Outgoing;
 
-    /// A node that broadcasts its id's parity in round 1 and from round 2 on outputs
-    /// the number of distinct senders it has heard from.
+    /// A node that broadcasts its id until `decide_round`, when it outputs the
+    /// number of distinct senders it has heard from.
     #[derive(Clone, Debug)]
     struct Counter {
         id: NodeId,
@@ -1185,58 +1409,102 @@ mod tests {
             .collect()
     }
 
+    /// A default-configured engine: `NextRound` without a timing, `Timed` with.
+    fn engine<A: Adversary<u64>>(
+        timing: Option<EventTiming>,
+        nodes: Vec<Counter>,
+        adversary: A,
+        byzantine_ids: Vec<NodeId>,
+    ) -> Engine<Counter, A> {
+        let config = EngineConfig::default();
+        Engine::assemble(nodes, adversary, byzantine_ids, config, timing)
+    }
+
+    /// Runs `scenario` under both delivery policies — `NextRound`, and `Timed`
+    /// at [`EventTiming::synchronous`], the corner pinned identical to it — and
+    /// checks that the two observe exactly the same thing.
+    fn both<T: PartialEq + std::fmt::Debug>(scenario: impl Fn(Option<EventTiming>) -> T) -> T {
+        let next_round = scenario(None);
+        let timed = scenario(Some(EventTiming::synchronous()));
+        assert_eq!(next_round, timed, "Timed(synchronous) ≡ NextRound");
+        next_round
+    }
+
+    fn timed(n: usize, timing: EventTiming) -> Engine<Counter, SilentAdversary> {
+        Engine::with_timing(nodes(n), SilentAdversary, vec![], timing)
+    }
+
     #[test]
     fn all_nodes_hear_everyone_without_adversary() {
-        let mut engine = SyncEngine::new(nodes(5), SilentAdversary, vec![]);
-        engine.validate_ids().unwrap();
-        let outcome = engine.run_until_all_terminated(10).unwrap();
-        assert_eq!(outcome, RunOutcome::Completed { rounds: 3 });
-        for (_, out) in engine.outputs() {
+        let (metrics, outputs) = both(|timing| {
+            let mut engine = engine(timing, nodes(5), SilentAdversary, vec![]);
+            engine.validate_ids().unwrap();
+            let outcome = engine.run_until_all_terminated(10).unwrap();
+            assert_eq!(outcome, RunOutcome::Completed { rounds: 3 });
+            assert!(outcome.is_completed());
+            assert_eq!(outcome.rounds(), 3);
+            assert_eq!(outcome.expect_completed().unwrap(), 3);
+            assert_eq!(engine.round(), engine.metrics().rounds);
+            assert_eq!(engine.now(), 3, "one time unit per round");
+            assert_eq!(engine.in_flight(), 0, "synchronous flights land at once");
+            (engine.metrics().clone(), engine.outputs())
+        });
+        // Two broadcast rounds × 5 senders × 5 recipients.
+        assert_eq!(metrics.correct_messages, 50);
+        assert_eq!(metrics.deliveries, 50);
+        for (_, out) in outputs {
             assert_eq!(out, Some(5));
         }
     }
 
     #[test]
     fn byzantine_messages_reach_correct_nodes() {
-        let byz = NodeId::new(999);
-        let adv = FnAdversary::new(move |v: &AdversaryView<'_, u64>| {
-            v.correct_ids
-                .iter()
-                .map(|&to| Directed::new(byz, to, 4242))
-                .collect()
+        let (metrics, outputs) = both(|timing| {
+            let byz = NodeId::new(999);
+            let adv = FnAdversary::new(move |v: &AdversaryView<'_, u64>| {
+                v.correct_ids
+                    .iter()
+                    .map(|&to| Directed::new(byz, to, 4242))
+                    .collect()
+            });
+            let mut engine = engine(timing, nodes(4), adv, vec![byz]);
+            engine.run_to_termination(10).unwrap();
+            (engine.metrics().clone(), engine.outputs())
         });
-        let mut engine = SyncEngine::new(nodes(4), adv, vec![byz]);
-        engine.run_to_termination(10).unwrap();
-        for (_, out) in engine.outputs() {
+        for (_, out) in outputs {
             assert_eq!(out, Some(5)); // 4 correct + 1 byzantine sender seen
         }
-        assert!(engine.metrics().byzantine_messages > 0);
+        assert!(metrics.byzantine_messages > 0);
     }
 
     #[test]
     fn forged_sender_is_rejected() {
-        let adv = FnAdversary::new(|v: &AdversaryView<'_, u64>| {
-            // Claim to be a correct node — must be rejected.
-            vec![Directed::new(v.correct_ids[0], v.correct_ids[1], 1)]
+        both(|timing| {
+            let adv = FnAdversary::new(|v: &AdversaryView<'_, u64>| {
+                // Claim to be a correct node — must be rejected.
+                vec![Directed::new(v.correct_ids[0], v.correct_ids[1], 1)]
+            });
+            let mut engine = engine(timing, nodes(3), adv, vec![NodeId::new(999)]);
+            let err = engine.run_rounds(1).unwrap_err();
+            assert!(matches!(err, SimError::ForgedSender { .. }));
         });
-        let mut engine = SyncEngine::new(nodes(3), adv, vec![NodeId::new(999)]);
-        let err = engine.run_rounds(1).unwrap_err();
-        assert!(matches!(err, SimError::ForgedSender { .. }));
     }
 
     #[test]
     fn duplicate_payload_from_same_sender_is_deduplicated() {
-        let byz = NodeId::new(777);
-        let adv = FnAdversary::new(move |v: &AdversaryView<'_, u64>| {
-            // Send the same payload to the first correct node 5 times.
-            vec![Directed::new(byz, v.correct_ids[0], 1); 5]
+        let m = both(|timing| {
+            let byz = NodeId::new(777);
+            let adv = FnAdversary::new(move |v: &AdversaryView<'_, u64>| {
+                // Send the same payload to the first correct node 5 times.
+                vec![Directed::new(byz, v.correct_ids[0], 1); 5]
+            });
+            let mut engine = engine(timing, nodes(3), adv, vec![byz]);
+            engine.run_rounds(1).unwrap();
+            engine.metrics().clone()
         });
-        let mut engine = SyncEngine::new(nodes(3), adv, vec![byz]);
-        engine.run_rounds(1).unwrap();
         // 3 broadcasts × 4 recipients (3 correct + 1 byz) = 12 correct messages;
         // deliveries to correct nodes: each correct node gets 3 correct messages,
         // plus exactly ONE deduplicated byzantine delivery to the first node.
-        let m = engine.metrics();
         assert_eq!(m.correct_messages, 12);
         assert_eq!(m.byzantine_messages, 5);
         assert_eq!(m.deliveries, 9 + 1);
@@ -1249,38 +1517,39 @@ mod tests {
         // accumulated inbox of a terminated node is never consumed, so the pair
         // must be delivered exactly once across all rounds — the behaviour the
         // linear-scan dedup of the eager engine had.
-        let byz = NodeId::new(777);
-        let adv = FnAdversary::new(move |v: &AdversaryView<'_, u64>| {
-            vec![Directed::new(byz, v.correct_ids[0], 42)]
+        let m = both(|timing| {
+            let byz = NodeId::new(777);
+            let adv = FnAdversary::new(move |v: &AdversaryView<'_, u64>| {
+                vec![Directed::new(byz, v.correct_ids[0], 42)]
+            });
+            let ns: Vec<Counter> = (0..2).map(|i| Counter::new(NodeId::new(i), 1)).collect();
+            let mut engine = engine(timing, ns, adv, vec![byz]);
+            engine.run_rounds(4).unwrap();
+            engine.metrics().clone()
         });
-        let ns: Vec<Counter> = (0..2).map(|i| Counter::new(NodeId::new(i), 1)).collect();
-        let mut engine = SyncEngine::new(ns, adv, vec![byz]);
-        engine.run_rounds(4).unwrap();
-        assert_eq!(engine.metrics().byzantine_messages, 4);
-        assert_eq!(
-            engine.metrics().deliveries,
-            1,
-            "cross-round duplicate dropped"
-        );
+        assert_eq!(m.byzantine_messages, 4);
+        assert_eq!(m.deliveries, 1, "cross-round duplicate dropped");
     }
 
     #[test]
     fn membership_queries_are_maintained_incrementally() {
-        let mut engine = SyncEngine::new(nodes(3), SilentAdversary, vec![NodeId::new(900)]);
-        assert!(engine.is_correct(NodeId::new(10)));
-        assert!(!engine.is_byzantine(NodeId::new(10)));
-        assert!(engine.is_byzantine(NodeId::new(900)));
-        engine.remove_node(NodeId::new(10)).unwrap();
-        assert!(!engine.is_correct(NodeId::new(10)));
-        engine.add_node(Counter::new(NodeId::new(10), 3)).unwrap();
-        assert!(engine.is_correct(NodeId::new(10)));
-        engine.remove_byzantine_id(NodeId::new(900)).unwrap();
-        assert!(!engine.is_byzantine(NodeId::new(900)));
+        both(|timing| {
+            let mut engine = engine(timing, nodes(3), SilentAdversary, vec![NodeId::new(900)]);
+            assert!(engine.is_correct(NodeId::new(10)));
+            assert!(!engine.is_byzantine(NodeId::new(10)));
+            assert!(engine.is_byzantine(NodeId::new(900)));
+            engine.remove_node(NodeId::new(10)).unwrap();
+            assert!(!engine.is_correct(NodeId::new(10)));
+            engine.add_node(Counter::new(NodeId::new(10), 3)).unwrap();
+            assert!(engine.is_correct(NodeId::new(10)));
+            engine.remove_byzantine_id(NodeId::new(900)).unwrap();
+            assert!(!engine.is_byzantine(NodeId::new(900)));
+        });
     }
 
     #[test]
     fn parallel_stepping_matches_serial_execution() {
-        let run = |parallel: bool| {
+        let run = |timing: Option<EventTiming>, parallel: bool| {
             let byz = NodeId::new(999);
             let adv = FnAdversary::new(move |v: &AdversaryView<'_, u64>| {
                 v.correct_ids
@@ -1297,7 +1566,7 @@ mod tests {
             let ns: Vec<Counter> = (0..33)
                 .map(|i| Counter::new(NodeId::new(10 + 3 * i as u64), 4))
                 .collect();
-            let mut engine = SyncEngine::with_config(ns, adv, vec![byz], config);
+            let mut engine = Engine::assemble(ns, adv, vec![byz], config, timing);
             if parallel {
                 engine.enable_parallel_stepping();
             }
@@ -1308,164 +1577,178 @@ mod tests {
                 engine.trace().unwrap().events().to_vec(),
             )
         };
-        let (serial_metrics, serial_outputs, serial_trace) = run(false);
-        let (parallel_metrics, parallel_outputs, parallel_trace) = run(true);
-        assert_eq!(serial_metrics, parallel_metrics);
-        assert_eq!(
-            serial_outputs
-                .iter()
-                .map(|(id, out)| (*id, *out))
-                .collect::<Vec<_>>(),
-            parallel_outputs
-                .iter()
-                .map(|(id, out)| (*id, *out))
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(serial_trace, parallel_trace, "delivery order is identical");
+        both(|timing| {
+            let serial = run(timing.clone(), false);
+            assert_eq!(serial, run(timing, true), "delivery order is identical");
+            serial
+        });
     }
 
     #[test]
     fn phase_timings_accumulate_and_name_a_dominant_phase() {
-        let mut engine = SyncEngine::new(nodes(5), SilentAdversary, vec![]);
-        assert_eq!(engine.phase_timings(), PhaseTimings::default());
-        engine.run_rounds(3).unwrap();
-        let timings = engine.phase_timings();
-        assert!(timings.total_ns() > 0, "rounds take measurable time");
-        assert!(
-            timings.total_ns()
-                >= timings
-                    .get("produce")
-                    .max(timings.get("adversary"))
-                    .max(timings.get("deliver")),
-            "the total covers every phase"
-        );
-        assert!(["produce", "adversary", "deliver", "step"].contains(&timings.dominant()));
+        both(|timing| {
+            let routing_phases: &[_] = match timing {
+                None => &["deliver"],
+                Some(_) => &["schedule", "dispatch"],
+            };
+            let mut engine = engine(timing, nodes(5), SilentAdversary, vec![]);
+            assert_eq!(engine.phase_timings(), PhaseTimings::default());
+            engine.run_rounds(3).unwrap();
+            let timings = engine.phase_timings();
+            assert!(timings.total_ns() > 0, "rounds take measurable time");
+            let mut expected = vec!["step", "produce", "adversary"];
+            expected.extend(routing_phases);
+            let mut recorded: Vec<_> = timings.phases().iter().map(|(name, _)| *name).collect();
+            recorded.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(recorded, expected, "the policy names its own phases");
+            assert!(
+                timings.total_ns() >= expected.iter().map(|p| timings.get(p)).max().unwrap(),
+                "the total covers every phase"
+            );
+            assert!(expected.contains(&timings.dominant()));
+        });
     }
 
     #[test]
     fn duplicate_ids_are_detected() {
-        let mut ns = nodes(3);
-        ns.push(Counter::new(NodeId::new(10), 3));
-        let engine = SyncEngine::new(ns, SilentAdversary, vec![]);
-        assert_eq!(
-            engine.validate_ids().unwrap_err(),
-            SimError::DuplicateId(NodeId::new(10))
-        );
+        both(|timing| {
+            let mut ns = nodes(3);
+            ns.push(Counter::new(NodeId::new(10), 3));
+            let engine = engine(timing, ns, SilentAdversary, vec![]);
+            assert_eq!(
+                engine.validate_ids().unwrap_err(),
+                SimError::DuplicateId(NodeId::new(10))
+            );
+        });
     }
 
     #[test]
     fn run_until_respects_max_rounds() {
-        // Nodes decide at round 100, cap at 5 rounds.
-        let ns: Vec<Counter> = (0..3).map(|i| Counter::new(NodeId::new(i), 100)).collect();
-        let mut engine = SyncEngine::new(ns, SilentAdversary, vec![]);
-        let outcome = engine.run_until_all_terminated(5).unwrap();
-        assert_eq!(outcome, RunOutcome::MaxRoundsExceeded { limit: 5 });
-        assert!(!outcome.is_completed());
-        assert_eq!(outcome.rounds(), 5);
-        assert_eq!(
-            outcome.expect_completed().unwrap_err(),
-            SimError::MaxRoundsExceeded { limit: 5 }
-        );
-        assert_eq!(engine.round(), 5);
-    }
-
-    #[test]
-    fn completed_outcome_reports_rounds() {
-        let mut engine = SyncEngine::new(nodes(3), SilentAdversary, vec![]);
-        let outcome = engine.run_until_all_terminated(10).unwrap();
-        assert!(outcome.is_completed());
-        assert_eq!(outcome.rounds(), 3);
-        assert_eq!(outcome.expect_completed().unwrap(), 3);
+        both(|timing| {
+            // Nodes decide at round 100, cap at 5 rounds.
+            let ns: Vec<Counter> = (0..3).map(|i| Counter::new(NodeId::new(i), 100)).collect();
+            let mut engine = engine(timing, ns, SilentAdversary, vec![]);
+            let outcome = engine.run_until_all_terminated(5).unwrap();
+            assert_eq!(outcome, RunOutcome::MaxRoundsExceeded { limit: 5 });
+            assert!(!outcome.is_completed());
+            assert_eq!(outcome.rounds(), 5);
+            assert_eq!(
+                outcome.expect_completed().unwrap_err(),
+                SimError::MaxRoundsExceeded { limit: 5 }
+            );
+            assert_eq!(engine.round(), 5);
+        });
     }
 
     #[test]
     fn engine_applies_registered_churn() {
-        let mut engine = SyncEngine::new(nodes(3), SilentAdversary, vec![]);
-        let schedule = ChurnSchedule::empty()
-            .with(2, ChurnEvent::JoinCorrect(NodeId::new(500)))
-            .with(2, ChurnEvent::JoinByzantine(NodeId::new(600)))
-            .with(3, ChurnEvent::LeaveCorrect(NodeId::new(500)))
-            .with(3, ChurnEvent::LeaveByzantine(NodeId::new(600)));
-        engine.set_churn(schedule, |id| Counter::new(id, 100));
-        engine.run_rounds(1).unwrap();
-        assert_eq!(engine.correct_ids().len(), 3);
-        engine.run_rounds(1).unwrap();
-        assert_eq!(
-            engine.correct_ids().len(),
-            4,
-            "joiner arrives before round 2"
-        );
-        assert_eq!(engine.byzantine_ids().len(), 1);
-        engine.run_rounds(1).unwrap();
-        assert_eq!(
-            engine.correct_ids().len(),
-            3,
-            "leaver departs before round 3"
-        );
-        assert!(engine.byzantine_ids().is_empty());
+        both(|timing| {
+            let mut engine = engine(timing, nodes(3), SilentAdversary, vec![]);
+            let schedule = ChurnSchedule::empty()
+                .with(2, ChurnEvent::JoinCorrect(NodeId::new(500)))
+                .with(2, ChurnEvent::JoinByzantine(NodeId::new(600)))
+                .with(3, ChurnEvent::LeaveCorrect(NodeId::new(500)))
+                .with(3, ChurnEvent::LeaveByzantine(NodeId::new(600)));
+            engine.set_churn(schedule, |id| Counter::new(id, 100));
+            engine.run_rounds(1).unwrap();
+            assert_eq!(engine.correct_ids().len(), 3);
+            engine.run_rounds(1).unwrap();
+            assert_eq!(
+                engine.correct_ids().len(),
+                4,
+                "joiner arrives before round 2"
+            );
+            assert_eq!(engine.byzantine_ids().len(), 1);
+            assert_eq!(
+                engine.metrics().per_round[1].live_correct_nodes,
+                4,
+                "the joiner steps with the round that admitted it"
+            );
+            engine.run_rounds(1).unwrap();
+            assert_eq!(
+                engine.correct_ids().len(),
+                3,
+                "leaver departs before round 3"
+            );
+            assert!(engine.byzantine_ids().is_empty());
+            engine.metrics().clone()
+        });
     }
 
     #[test]
     fn inapplicable_churn_event_is_an_error() {
-        let mut engine = SyncEngine::new(nodes(3), SilentAdversary, vec![]);
-        let schedule =
-            ChurnSchedule::empty().with(1, ChurnEvent::LeaveCorrect(NodeId::new(424_242)));
-        engine.set_churn(schedule, |id| Counter::new(id, 100));
-        assert_eq!(
-            engine.run_rounds(1).unwrap_err(),
-            SimError::UnknownNode(NodeId::new(424_242))
-        );
+        both(|timing| {
+            let mut engine = engine(timing, nodes(3), SilentAdversary, vec![]);
+            let schedule =
+                ChurnSchedule::empty().with(1, ChurnEvent::LeaveCorrect(NodeId::new(424_242)));
+            engine.set_churn(schedule, |id| Counter::new(id, 100));
+            assert_eq!(
+                engine.run_rounds(1).unwrap_err(),
+                SimError::UnknownNode(NodeId::new(424_242))
+            );
+        });
     }
 
     #[test]
     fn dynamic_join_and_leave() {
-        let mut engine = SyncEngine::new(nodes(3), SilentAdversary, vec![]);
-        engine.run_rounds(1).unwrap();
-        engine.add_node(Counter::new(NodeId::new(500), 4)).unwrap();
-        assert_eq!(engine.correct_ids().len(), 4);
-        // Duplicate join is rejected.
-        assert!(engine.add_node(Counter::new(NodeId::new(500), 4)).is_err());
-        let removed = engine.remove_node(NodeId::new(500)).unwrap();
-        assert_eq!(removed.id(), NodeId::new(500));
-        assert!(engine.remove_node(NodeId::new(500)).is_err());
-        // Byzantine identity management.
-        engine.add_byzantine_id(NodeId::new(600)).unwrap();
-        assert!(engine.add_byzantine_id(NodeId::new(600)).is_err());
-        engine.remove_byzantine_id(NodeId::new(600)).unwrap();
-        assert!(engine.remove_byzantine_id(NodeId::new(600)).is_err());
+        both(|timing| {
+            let mut engine = engine(timing, nodes(3), SilentAdversary, vec![]);
+            engine.run_rounds(1).unwrap();
+            engine.add_node(Counter::new(NodeId::new(500), 4)).unwrap();
+            assert_eq!(engine.correct_ids().len(), 4);
+            // Duplicate join is rejected.
+            assert!(engine.add_node(Counter::new(NodeId::new(500), 4)).is_err());
+            let removed = engine.remove_node(NodeId::new(500)).unwrap();
+            assert_eq!(removed.id(), NodeId::new(500));
+            assert!(engine.remove_node(NodeId::new(500)).is_err());
+            // Byzantine identity management.
+            engine.add_byzantine_id(NodeId::new(600)).unwrap();
+            assert!(engine.add_byzantine_id(NodeId::new(600)).is_err());
+            engine.remove_byzantine_id(NodeId::new(600)).unwrap();
+            assert!(engine.remove_byzantine_id(NodeId::new(600)).is_err());
+        });
     }
 
     #[test]
     fn crash_without_recovery_is_an_error() {
-        let mut engine = SyncEngine::new(nodes(3), SilentAdversary, vec![]);
-        let schedule = ChurnSchedule::empty().with(1, ChurnEvent::Crash(NodeId::new(10)));
-        engine.set_churn(schedule, |id| Counter::new(id, 100));
-        assert_eq!(
-            engine.run_rounds(1).unwrap_err(),
-            SimError::RecoveryDisabled(NodeId::new(10))
-        );
+        both(|timing| {
+            let mut engine = engine(timing, nodes(3), SilentAdversary, vec![]);
+            let schedule = ChurnSchedule::empty().with(1, ChurnEvent::Crash(NodeId::new(10)));
+            engine.set_churn(schedule, |id| Counter::new(id, 100));
+            assert_eq!(
+                engine.run_rounds(1).unwrap_err(),
+                SimError::RecoveryDisabled(NodeId::new(10))
+            );
+        });
     }
 
     #[test]
     fn crash_and_restart_recover_a_correct_node_through_the_wal() {
         let crashed = NodeId::new(10);
-        let mut engine = SyncEngine::new(nodes(4), SilentAdversary, vec![]);
-        engine.enable_recovery(Box::new(Counter::clone));
-        let schedule = ChurnSchedule::empty()
-            .with(2, ChurnEvent::Crash(crashed))
-            .with(
-                3,
-                ChurnEvent::Restart {
-                    id: crashed,
-                    policy: RestartPolicy::Clean,
-                },
-            );
-        engine.set_churn(schedule, |id| Counter::new(id, 3));
-        engine.run_rounds(3).unwrap();
+        let (metrics, restarts, outputs) = both(|timing| {
+            let mut engine = engine(timing, nodes(4), SilentAdversary, vec![]);
+            engine.enable_recovery(Box::new(Counter::clone));
+            let schedule = ChurnSchedule::empty()
+                .with(2, ChurnEvent::Crash(crashed))
+                .with(
+                    3,
+                    ChurnEvent::Restart {
+                        id: crashed,
+                        policy: RestartPolicy::Clean,
+                    },
+                );
+            engine.set_churn(schedule, |id| Counter::new(id, 3));
+            engine.run_rounds(3).unwrap();
+            (
+                engine.metrics().clone(),
+                engine.recovery_restarts().to_vec(),
+                engine.outputs(),
+            )
+        });
         // Round 2 ran without the crashed node.
-        assert_eq!(engine.metrics().per_round[1].live_correct_nodes, 3);
+        assert_eq!(metrics.per_round[1].live_correct_nodes, 3);
         // The restart replayed the one committed pre-crash round faithfully.
-        let restarts = engine.recovery_restarts();
         assert_eq!(restarts.len(), 1);
         assert_eq!(restarts[0].node, crashed);
         assert_eq!(restarts[0].crash_round, 2);
@@ -1476,7 +1759,7 @@ mod tests {
         assert!(restarts[0].consumed_monotone);
         // The survivors heard all four senders; the crashed node lost the
         // deliveries addressed to it while it was down but still decided.
-        for (id, out) in engine.outputs() {
+        for (id, out) in outputs {
             if id == crashed {
                 assert_eq!(out, Some(0), "inboxes queued while down are dropped");
             } else {
@@ -1487,89 +1770,205 @@ mod tests {
 
     #[test]
     fn byzantine_crash_cycle_moves_the_identity_out_and_back() {
-        let byz = NodeId::new(900);
-        let mut engine = SyncEngine::new(nodes(3), SilentAdversary, vec![byz]);
-        engine.enable_recovery(Box::new(Counter::clone));
-        let schedule = ChurnSchedule::empty().with(1, ChurnEvent::Crash(byz)).with(
-            2,
-            ChurnEvent::Restart {
-                id: byz,
-                policy: RestartPolicy::Clean,
-            },
-        );
-        engine.set_churn(schedule, |id| Counter::new(id, 100));
-        engine.run_rounds(1).unwrap();
-        assert!(engine.byzantine_ids().is_empty(), "crashed before round 1");
-        engine.run_rounds(1).unwrap();
-        assert_eq!(engine.byzantine_ids(), &[byz], "restored before round 2");
-        assert!(
-            engine.recovery_restarts().is_empty(),
-            "a Byzantine cycle is membership bookkeeping, not a WAL replay"
-        );
+        both(|timing| {
+            let byz = NodeId::new(900);
+            let mut engine = engine(timing, nodes(3), SilentAdversary, vec![byz]);
+            engine.enable_recovery(Box::new(Counter::clone));
+            let schedule = ChurnSchedule::empty().with(1, ChurnEvent::Crash(byz)).with(
+                2,
+                ChurnEvent::Restart {
+                    id: byz,
+                    policy: RestartPolicy::Clean,
+                },
+            );
+            engine.set_churn(schedule, |id| Counter::new(id, 100));
+            engine.run_rounds(1).unwrap();
+            assert!(engine.byzantine_ids().is_empty(), "crashed before round 1");
+            engine.run_rounds(1).unwrap();
+            assert_eq!(engine.byzantine_ids(), &[byz], "restored before round 2");
+            assert!(
+                engine.recovery_restarts().is_empty(),
+                "a Byzantine cycle is membership bookkeeping, not a WAL replay"
+            );
+        });
     }
 
     #[test]
     fn restart_of_a_never_crashed_node_is_unknown() {
-        let mut engine = SyncEngine::new(nodes(3), SilentAdversary, vec![]);
-        engine.enable_recovery(Box::new(Counter::clone));
-        let schedule = ChurnSchedule::empty().with(
-            1,
-            ChurnEvent::Restart {
-                id: NodeId::new(77),
-                policy: RestartPolicy::Clean,
-            },
-        );
-        engine.set_churn(schedule, |id| Counter::new(id, 100));
-        assert_eq!(
-            engine.run_rounds(1).unwrap_err(),
-            SimError::UnknownNode(NodeId::new(77))
-        );
+        both(|timing| {
+            let mut engine = engine(timing, nodes(3), SilentAdversary, vec![]);
+            engine.enable_recovery(Box::new(Counter::clone));
+            let schedule = ChurnSchedule::empty().with(
+                1,
+                ChurnEvent::Restart {
+                    id: NodeId::new(77),
+                    policy: RestartPolicy::Clean,
+                },
+            );
+            engine.set_churn(schedule, |id| Counter::new(id, 100));
+            assert_eq!(
+                engine.run_rounds(1).unwrap_err(),
+                SimError::UnknownNode(NodeId::new(77))
+            );
+        });
     }
 
     #[test]
     fn recovery_on_a_crash_free_run_is_observationally_silent() {
-        let run = |recover: bool| {
-            let mut engine = SyncEngine::new(nodes(5), SilentAdversary, vec![]);
+        let run = |timing: Option<EventTiming>, recover: bool| {
+            let mut engine = engine(timing, nodes(5), SilentAdversary, vec![]);
             if recover {
                 engine.enable_recovery(Box::new(Counter::clone));
             }
             engine.run_to_termination(10).unwrap();
             (engine.metrics().clone(), engine.outputs())
         };
-        let (plain_metrics, plain_outputs) = run(false);
-        let (recovery_metrics, recovery_outputs) = run(true);
-        assert_eq!(plain_metrics, recovery_metrics);
-        assert_eq!(plain_outputs.len(), recovery_outputs.len());
-        for ((id_a, out_a), (id_b, out_b)) in plain_outputs.iter().zip(&recovery_outputs) {
-            assert_eq!(id_a, id_b);
-            assert_eq!(out_a, out_b);
-        }
+        both(|timing| {
+            let plain = run(timing.clone(), false);
+            assert_eq!(plain, run(timing, true));
+            plain
+        });
     }
 
     #[test]
     fn trace_records_deliveries_when_enabled() {
-        let config = EngineConfig {
-            trace: true,
-            trace_capacity: 1000,
-            ..Default::default()
-        };
-        let mut engine = SyncEngine::with_config(nodes(3), SilentAdversary, vec![], config);
-        engine.run_rounds(2).unwrap();
-        let trace = engine.trace().expect("tracing enabled");
-        assert!(!trace.events().is_empty());
+        let events = both(|timing| {
+            let config = EngineConfig {
+                trace: true,
+                trace_capacity: 1000,
+                ..Default::default()
+            };
+            let mut engine = Engine::assemble(nodes(3), SilentAdversary, vec![], config, timing);
+            engine.run_rounds(2).unwrap();
+            engine.trace().expect("tracing enabled").events().to_vec()
+        });
+        assert!(!events.is_empty());
         // All traced events are from correct nodes here.
-        assert!(trace.events().iter().all(|e| !e.byzantine));
+        assert!(events.iter().all(|e| !e.byzantine));
     }
 
     #[test]
     fn terminated_nodes_stop_sending() {
-        let mut engine = SyncEngine::new(nodes(3), SilentAdversary, vec![]);
-        engine.run_to_termination(10).unwrap();
-        let msgs_after_done = {
+        both(|timing| {
+            let mut engine = engine(timing, nodes(3), SilentAdversary, vec![]);
+            engine.run_to_termination(10).unwrap();
             let before = engine.metrics().correct_messages;
             engine.run_rounds(2).unwrap();
-            engine.metrics().correct_messages - before
+            assert_eq!(engine.metrics().correct_messages - before, 0);
+        });
+    }
+
+    // What only `Timed` can express: delays, partitions, GST, skew, reordering.
+
+    #[test]
+    fn constant_delay_postpones_hearing_from_peers() {
+        // With a 3-unit link delay and 1-unit rounds, round-1 broadcasts arrive
+        // for the round-4 step — after everyone decided in round 3 having heard
+        // nobody.
+        let timing = EventTiming {
+            delay: LinkDelay::Constant(3),
+            ..EventTiming::synchronous()
         };
-        assert_eq!(msgs_after_done, 0);
+        let mut engine = timed(4, timing);
+        assert!(engine.run_until_all_terminated(10).unwrap().is_completed());
+        for (_, output) in engine.outputs() {
+            assert_eq!(output, Some(0), "messages arrived only after deciding");
+        }
+    }
+
+    #[test]
+    fn gst_stalls_deliveries_until_stabilisation() {
+        let gst = |gst: u64| EventTiming {
+            delay: LinkDelay::Gst { gst, bound: 1 },
+            ..EventTiming::synchronous()
+        };
+        // With gst = 0 the model is synchronous-with-bound-1 from the start:
+        // everything arrives within its round.
+        let mut engine = timed(3, gst(0));
+        engine.run_rounds(2).unwrap();
+        assert_eq!(engine.in_flight(), 0);
+        assert_eq!(engine.metrics().deliveries, 2 * 3 * 3);
+
+        let mut engine = timed(3, gst(50));
+        engine.run_rounds(2).unwrap();
+        // Two broadcast rounds before deciding, 3 × 3 flights each.
+        assert_eq!(
+            engine.in_flight(),
+            2 * 3 * 3,
+            "pre-GST broadcasts stay queued"
+        );
+        assert_eq!(engine.metrics().deliveries, 0, "nothing arrives before GST");
+        engine.run_rounds(1).unwrap();
+        assert!(
+            engine.outputs().iter().all(|(_, out)| *out == Some(0)),
+            "nodes decide without hearing anybody"
+        );
+        // Long after GST the flights have landed — in inboxes nobody consumes
+        // any more, so each round-2 repeat of a round-1 payload is a duplicate.
+        engine.run_rounds(60).unwrap();
+        assert_eq!(engine.in_flight(), 0);
+        assert_eq!(engine.metrics().deliveries, 3 * 3);
+    }
+
+    #[test]
+    fn skewed_timers_still_terminate_and_stay_deterministic() {
+        let run = || {
+            let timing =
+                EventTiming::from_spec(&TimingSpec::synchronous().units(4).skew(3), 99, &[]);
+            let mut engine = timed(6, timing);
+            assert!(engine.run_until_all_terminated(50).unwrap().is_completed());
+            (engine.round(), engine.metrics().clone(), engine.outputs())
+        };
+        let first = run();
+        assert!(
+            first.0 > 3,
+            "skewed timers split the three rounds into partial batches"
+        );
+        assert_eq!(first, run());
+    }
+
+    #[test]
+    fn reordering_is_seeded_and_reproducible() {
+        let run = |seed: u64| {
+            let timing = EventTiming {
+                reorder_seed: Some(seed),
+                ..EventTiming::synchronous()
+            };
+            let mut engine = timed(5, timing);
+            assert!(engine.run_until_all_terminated(10).unwrap().is_completed());
+            engine.metrics().clone()
+        };
+        assert_eq!(run(7), run(7), "same seed, same execution");
+    }
+
+    fn partitioned_halves(cross: Option<u64>) -> Engine<Counter, SilentAdversary> {
+        let ids: Vec<NodeId> = nodes(4).iter().map(|n| n.id()).collect();
+        let timing = EventTiming::from_spec(
+            &TimingSpec::synchronous().with_delay(DelaySpec::PartitionHalves { cross }),
+            0,
+            &ids,
+        );
+        let mut engine = timed(4, timing);
+        assert!(engine.run_until_all_terminated(10).unwrap().is_completed());
+        for (_, output) in engine.outputs() {
+            assert_eq!(output, Some(2), "each half hears only its own two members");
+        }
+        engine
+    }
+
+    #[test]
+    fn delay_spec_none_cross_drops_messages_for_good() {
+        // The Lemma 14 construction: cross-partition messages never arrive.
+        let engine = partitioned_halves(None);
+        assert_eq!(engine.in_flight(), 0, "dropped flights are never queued");
+    }
+
+    #[test]
+    fn bounded_cross_partition_delay_is_delivered_but_too_late() {
+        // The Lemma 15 construction: the cross-partition messages exist but are
+        // still in flight when both halves have decided — a bounded delay,
+        // unknown to the nodes, is enough to split them.
+        let engine = partitioned_halves(Some(50));
+        assert!(engine.in_flight() > 0);
     }
 }

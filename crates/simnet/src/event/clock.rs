@@ -1,11 +1,11 @@
 //! Virtual time and per-node round timers.
 //!
-//! The event engine does not tick a global barrier: every node owns a
-//! [`NodeTimers`] entry that says when it next wakes up. The engine advances a
-//! [`VirtualClock`] to the earliest due timer, steps exactly the nodes whose
-//! timers fired, and re-arms them one period later. With zero skew every timer
-//! fires at the same instants — `period, 2·period, …` — and the schedule
-//! degenerates to the lock-step rounds of the synchronous engine; with a
+//! Under timed delivery the engine does not tick a global barrier: every node
+//! owns a [`NodeTimers`] entry that says when it next wakes up. The engine
+//! advances a [`VirtualClock`] to the earliest due timer, steps exactly the
+//! nodes whose timers fired, and re-arms them one period later. With zero skew
+//! every timer fires at the same instants — `period, 2·period, …` — and the
+//! schedule degenerates to lock-step rounds; with a
 //! non-zero skew budget each node is offset by a seeded, per-identifier phase,
 //! so "round `r`" becomes a purely local notion.
 
@@ -54,7 +54,7 @@ struct NodeTimer {
 /// Every registered node fires every `period` units, phase-shifted by a
 /// deterministic skew in `0..=max_skew` derived from `(skew_seed, id)`. A zero
 /// `max_skew` puts all nodes on the same schedule, which is what the
-/// zero-jitter equivalence with the synchronous engine relies on.
+/// zero-jitter equivalence with lock-step rounds relies on.
 #[derive(Debug)]
 pub struct NodeTimers {
     period: u64,

@@ -5,18 +5,19 @@
 //! * the **serde layer** — [`DelaySpec`], [`TimingSpec`] and [`EngineKind`] —
 //!   the declarative, replayable description stored on a
 //!   [`ScenarioSpec`](crate::sim::ScenarioSpec) and enumerated by sweep grids;
-//! * the **runtime layer** — [`LinkDelay`] and [`EventTiming`] — the resolved
-//!   form the [`EventEngine`](super::EventEngine) actually consults per
-//!   message, produced by [`EventTiming::from_spec`] once the scenario's node
-//!   set and seed are known (a partition spec needs concrete identifiers; a
-//!   jitter model needs a derived seed stream).
+//! * the **runtime layer** — [`LinkDelay`], [`PartitionSpec`] and
+//!   [`EventTiming`] — the resolved form the engine's `Timed` delivery policy
+//!   actually consults per message, produced by [`EventTiming::from_spec`]
+//!   once the scenario's node set and seed are known (a partition spec needs
+//!   concrete identifiers; a jitter model needs a derived seed stream).
 //!
 //! All models are pure functions of `(from, to, send time, sequence number)`,
 //! so executions stay bit-for-bit deterministic for a fixed scenario seed.
 
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 
-use crate::delay::PartitionSpec;
 use crate::id::NodeId;
 use crate::rng::derive_seed;
 
@@ -131,24 +132,62 @@ impl Default for TimingSpec {
     }
 }
 
-/// Which engine executes a scenario — the axis stored on
-/// [`ScenarioSpec`](crate::sim::ScenarioSpec). Serde-compatible with older
-/// recorded scenarios: an absent field deserialises as "sync" through the
-/// `Option<EngineKind>` the spec carries.
+/// Which delivery policy the [`Engine`](crate::Engine) executes a scenario
+/// under — the axis stored on [`ScenarioSpec`](crate::sim::ScenarioSpec).
+/// Serde-compatible with older recorded scenarios: an absent field
+/// deserialises as "sync" through the `Option<EngineKind>` the spec carries.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineKind {
-    /// The lock-step [`SyncEngine`](crate::SyncEngine).
+    /// The lock-step `NextRound` policy ([`Engine::new`](crate::Engine::new)).
     #[default]
     Sync,
-    /// The discrete-event [`EventEngine`](super::EventEngine) under the given
-    /// timing.
+    /// The `Timed` policy ([`Engine::with_timing`](crate::Engine::with_timing))
+    /// under the given timing — the queue runs even when the timing is
+    /// synchronous.
     Event(TimingSpec),
 }
 
 impl EngineKind {
-    /// The event engine under synchronous timing (the zero-jitter case).
+    /// The `Timed` policy under synchronous timing (the zero-jitter case).
     pub fn event() -> Self {
         EngineKind::Event(TimingSpec::synchronous())
+    }
+}
+
+/// Assignment of nodes to partition groups — the two sides `A` and `B` of the
+/// Lemma 14/15 constructions, generalised to any number of groups.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PartitionSpec {
+    groups: HashMap<NodeId, u32>,
+}
+
+impl PartitionSpec {
+    /// Creates an empty spec (every node defaults to group 0).
+    pub fn new() -> Self {
+        PartitionSpec::default()
+    }
+
+    /// Assigns a node to a group.
+    pub fn assign(&mut self, id: NodeId, group: u32) {
+        self.groups.insert(id, group);
+    }
+
+    /// Builder-style variant of [`PartitionSpec::assign`] for a whole group.
+    pub fn with_group(mut self, group: u32, ids: impl IntoIterator<Item = NodeId>) -> Self {
+        for id in ids {
+            self.assign(id, group);
+        }
+        self
+    }
+
+    /// The group of a node (0 if unassigned).
+    pub fn group_of(&self, id: NodeId) -> u32 {
+        self.groups.get(&id).copied().unwrap_or(0)
+    }
+
+    /// Whether two nodes are in the same group.
+    pub fn same_group(&self, a: NodeId, b: NodeId) -> bool {
+        self.group_of(a) == self.group_of(b)
     }
 }
 
@@ -215,7 +254,8 @@ impl LinkDelay {
     }
 }
 
-/// The fully resolved timing configuration of an [`EventEngine`](super::EventEngine).
+/// The fully resolved timing configuration of the engine's `Timed` delivery
+/// policy (see [`Engine::with_timing`](crate::Engine::with_timing)).
 #[derive(Clone, Debug)]
 pub struct EventTiming {
     /// Virtual units per node round (the timer period).
@@ -231,7 +271,8 @@ pub struct EventTiming {
 }
 
 impl EventTiming {
-    /// The zero-jitter timing equivalent to the synchronous engine.
+    /// The zero-jitter timing under which `Timed` is byte-identical to
+    /// `NextRound`.
     pub fn synchronous() -> Self {
         EventTiming {
             round_units: 1,
@@ -349,6 +390,13 @@ mod tests {
             .arrival(NodeId::new(1), NodeId::new(2), 150, 1)
             .unwrap();
         assert_eq!(post, 153, "post-GST messages respect the bound");
+    }
+
+    #[test]
+    fn partition_spec_defaults_to_group_zero() {
+        let spec = PartitionSpec::new();
+        assert_eq!(spec.group_of(NodeId::new(42)), 0);
+        assert!(spec.same_group(NodeId::new(1), NodeId::new(2)));
     }
 
     #[test]

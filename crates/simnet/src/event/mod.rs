@@ -1,6 +1,6 @@
-//! Discrete-event simulation: virtual time, per-link delays, reordering and
-//! partial synchrony behind the same `Simulation` plumbing as the synchronous
-//! engine.
+//! The `Timed` delivery policy of the [`Engine`](crate::Engine): virtual time,
+//! per-link delays, reordering and partial synchrony on the same engine — and
+//! behind the same `Simulation` plumbing — as lock-step rounds.
 //!
 //! The paper's hardest results are *about* timing: Section IX proves that
 //! agreement without knowledge of `n` and `f` is impossible in asynchronous
@@ -14,17 +14,18 @@
 //!   timestamped deliveries, ordered by `(arrival, reorder key, sequence)`;
 //! * [`DelaySpec`] / [`TimingSpec`] / [`EngineKind`] — the serialisable
 //!   timing axis carried by [`ScenarioSpec`](crate::sim::ScenarioSpec);
-//! * [`LinkDelay`] / [`EventTiming`] — the resolved runtime delay models
-//!   (constant, seeded jitter, partitioned, GST partial synchrony);
-//! * [`EventEngine`] — the engine itself, byte-identical to
-//!   [`SyncEngine`](crate::SyncEngine) under [`EventTiming::synchronous`].
+//! * [`LinkDelay`] / [`PartitionSpec`] / [`EventTiming`] — the resolved
+//!   runtime delay models (constant, seeded jitter, partitioned, GST partial
+//!   synchrony);
+//! * `timed` — the policy itself (schedule into the queue, dispatch what is
+//!   due), selected by [`Engine::with_timing`](crate::Engine::with_timing) and
+//!   byte-identical to lock-step rounds under [`EventTiming::synchronous`].
 
 pub mod clock;
 pub mod delay;
-pub mod engine;
 pub mod queue;
+pub(crate) mod timed;
 
 pub use clock::{NodeTimers, VirtualClock};
-pub use delay::{DelaySpec, EngineKind, EventTiming, LinkDelay, TimingSpec};
-pub use engine::EventEngine;
+pub use delay::{DelaySpec, EngineKind, EventTiming, LinkDelay, PartitionSpec, TimingSpec};
 pub use queue::{DeliveryQueue, Flight};

@@ -1,6 +1,6 @@
 //! # uba-simnet
 //!
-//! A deterministic, synchronous, round-based message-passing simulator for the
+//! A deterministic, round-based message-passing simulator for the
 //! *id-only* Byzantine model of Khanchandani & Wattenhofer (IPDPS 2021,
 //! "Byzantine Agreement with Unknown Participants and Failures").
 //!
@@ -24,12 +24,16 @@
 //! * [`Protocol`] — the state-machine interface a correct node implements;
 //! * [`Adversary`] — the interface through which Byzantine nodes inject traffic,
 //!   with a *rushing* view of the round's correct messages;
-//! * [`SyncEngine`] — the lock-step round scheduler (with dynamic membership);
-//! * [`DelayEngine`] — an engine with per-message delays used to reproduce the
-//!   semi-synchronous / asynchronous impossibility constructions of Section IX;
+//! * [`Engine`] — the one round scheduler (with dynamic membership). *When* a
+//!   produced message becomes an inbox entry is a delivery policy the engine
+//!   holds as a value: lock-step next-round delivery ([`Engine::new`], also
+//!   reachable under its historical name [`SyncEngine`]) or timed delivery
+//!   under an [`EventTiming`] ([`Engine::with_timing`]), whose per-link
+//!   [`LinkDelay`]s reproduce the semi-synchronous / asynchronous
+//!   impossibility constructions of Section IX;
 //! * [`Metrics`] and [`TraceLog`] — round, message and delivery accounting;
 //! * [`ChurnSchedule`] — declarative join/leave schedules for dynamic networks,
-//!   applied by the engine itself via [`SyncEngine::set_churn`];
+//!   applied by the engine itself via [`Engine::set_churn`];
 //! * [`attack`] — composable, serialisable [`AttackPlan`]s: round-windowed,
 //!   actor-scoped Byzantine behaviours generalising the scripted
 //!   [`AdversaryKind`] presets;
@@ -80,7 +84,6 @@
 
 pub mod adversary;
 pub mod attack;
-pub mod delay;
 pub mod dynamic;
 pub mod engine;
 pub mod error;
@@ -106,11 +109,10 @@ pub use attack::{
     ActorRange, AdaptiveStrategy, AttackBehavior, AttackPlan, AttackStep, PlanAdversary,
     SemanticStrategy,
 };
-pub use delay::{DelayEngine, DelayModel, PartitionSpec};
 pub use dynamic::{ChurnEvent, ChurnSchedule};
-pub use engine::{EngineConfig, PhaseTimings, RunOutcome, SyncEngine};
+pub use engine::{Engine, EngineConfig, PhaseTimings, RunOutcome, SyncEngine};
 pub use error::SimError;
-pub use event::{DelaySpec, EngineKind, EventEngine, EventTiming, LinkDelay, TimingSpec};
+pub use event::{DelaySpec, EngineKind, EventTiming, LinkDelay, PartitionSpec, TimingSpec};
 pub use faults::{
     Collusion, NoiseAdversary, RecordingAdversary, RoundWindow, StaggeredCrash, TamperAdversary,
 };

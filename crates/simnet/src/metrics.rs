@@ -53,6 +53,18 @@ impl Metrics {
         self.per_round.push(round);
     }
 
+    /// Credits `count` deliveries to the row of the round that *sent* them
+    /// (rows are recorded one per round, from round 1) and to the total.
+    pub(crate) fn credit_deliveries(&mut self, sent_round: u64, count: u64) {
+        self.deliveries += count;
+        if let Some(row) = self
+            .per_round
+            .get_mut(sent_round.saturating_sub(1) as usize)
+        {
+            row.deliveries += count;
+        }
+    }
+
     /// Total messages (correct + Byzantine) produced during the execution.
     pub fn total_messages(&self) -> u64 {
         self.correct_messages + self.byzantine_messages

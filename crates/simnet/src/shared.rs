@@ -36,6 +36,22 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide count of payload deallocations (see [`live_allocations`]).
 static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+#[cfg(test)]
+thread_local! {
+    /// Payload allocations made by the current thread (see
+    /// [`thread_allocations`]).
+    static THREAD_ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Payloads allocated by the *current thread* so far. Unit tests run on
+/// sibling threads of one process, so a test that diffs the process-wide
+/// [`allocations`] counts its siblings' payloads too; the exact-count tests
+/// diff this instead.
+#[cfg(test)]
+pub(crate) fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(std::cell::Cell::get)
+}
+
 /// The digest the dedup set keys on: identical to hashing the payload through
 /// `DefaultHasher` directly, so executions are bit-for-bit identical to the
 /// engine that hashed per delivery.
@@ -132,6 +148,8 @@ impl<P: Hash> Shared<P> {
     /// [`Shared::allocations`].
     pub fn new(value: P) -> Self {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        THREAD_ALLOCATIONS.with(|count| count.set(count.get() + 1));
         let digest = digest_of(&value);
         Shared(Repr::Owned(Arc::new(SharedInner { digest, value })))
     }
@@ -364,10 +382,14 @@ mod tests {
 
     #[test]
     fn clone_shares_the_allocation() {
-        let before = allocations();
+        let before = thread_allocations();
         let a = Shared::new(vec![1u32, 2, 3]);
         let b = a.clone();
-        assert_eq!(allocations() - before, 1, "one allocation, two handles");
+        assert_eq!(
+            thread_allocations() - before,
+            1,
+            "one allocation, two handles"
+        );
         assert!(Shared::ptr_eq(&a, &b));
         assert_eq!(a.token(), b.token());
         assert_eq!(a, b);
@@ -397,12 +419,12 @@ mod tests {
 
     #[test]
     fn modify_is_copy_on_write() {
-        let before = allocations();
+        let before = thread_allocations();
         let mut unique = Shared::new(10u64);
         unique.modify(|v| *v += 1);
         assert_eq!(*unique, 11);
         assert_eq!(
-            allocations() - before,
+            thread_allocations() - before,
             1,
             "a unique handle mutates in place"
         );
@@ -418,7 +440,11 @@ mod tests {
         assert_eq!(*shared, 11, "the original is untouched");
         assert_eq!(*tampered, 99);
         assert!(!Shared::ptr_eq(&shared, &tampered));
-        assert_eq!(allocations() - before, 2, "only the tamper paid a clone");
+        assert_eq!(
+            thread_allocations() - before,
+            2,
+            "only the tamper paid a clone"
+        );
     }
 
     #[test]
@@ -444,10 +470,14 @@ mod tests {
 
     #[test]
     fn projection_borrows_without_allocating() {
-        let before = allocations();
+        let before = thread_allocations();
         let tagged: Shared<(u64, Vec<u32>)> = Shared::new((7, vec![1, 2, 3]));
         let view = tagged.project_second();
-        assert_eq!(allocations() - before, 1, "the view is not an allocation");
+        assert_eq!(
+            thread_allocations() - before,
+            1,
+            "the view is not an allocation"
+        );
         // The view aliases the field inside the tuple allocation…
         assert_eq!(view.token(), &tagged.get().1 as *const Vec<u32> as usize);
         assert_eq!(*view, vec![1, 2, 3]);
@@ -493,12 +523,16 @@ mod tests {
             Tagged(u64, Vec<u32>),
         }
         let message = Shared::new(Wire::Tagged(3, vec![9, 9, 9]));
-        let before = allocations();
+        let before = thread_allocations();
         let view: Shared<Vec<u32>> = message.project(|m| {
             let Wire::Tagged(_, inner) = m;
             inner
         });
-        assert_eq!(allocations() - before, 0, "a view is not an allocation");
+        assert_eq!(
+            thread_allocations() - before,
+            0,
+            "a view is not an allocation"
+        );
         assert_eq!(*view, vec![9, 9, 9]);
         let Wire::Tagged(_, inner) = message.get();
         assert!(

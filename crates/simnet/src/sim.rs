@@ -10,7 +10,7 @@
 //! * [`Simulation::scenario`] → [`ScenarioBuilder`] — a fluent description of the
 //!   *system*: how many correct and Byzantine nodes, which [`IdSpace`], which seed,
 //!   the round budget, an [`AdversaryKind`] and an optional [`ChurnSchedule`]
-//!   (applied by the engine itself, see [`SyncEngine::set_churn`]);
+//!   (applied by the engine itself, see [`Engine::set_churn`]);
 //! * [`ProtocolFactory`] — how to turn that system description into protocol nodes,
 //!   a concrete adversary and per-protocol report sections. Implemented by all the
 //!   id-only algorithms in `uba-core` **and** by the known-`(n, f)` baselines in
@@ -41,11 +41,11 @@ use serde::{Deserialize, Serialize};
 use crate::adversary::{Adversary, ReplayAdversary};
 use crate::attack::{AttackBehavior, AttackPlan, CompiledStep, PlanAdversary};
 use crate::dynamic::ChurnSchedule;
-use crate::engine::{PhaseTimings, SyncEngine};
+use crate::engine::{Engine, PhaseTimings};
 use crate::error::SimError;
-use crate::event::{EngineKind, EventEngine, EventTiming};
+use crate::event::{EngineKind, EventTiming};
 use crate::id::{IdSpace, NodeId};
-use crate::metrics::{Metrics, RoundMetrics};
+use crate::metrics::RoundMetrics;
 use crate::node::Protocol;
 use crate::vocab::{PayloadVocab, VocabAdversary};
 use crate::wal::{RestartRecord, Snapshotter, WalConfig};
@@ -140,9 +140,10 @@ pub struct ScenarioSpec {
     /// Composed attack plan; when present it supersedes `adversary` (which is kept
     /// in sync for pure preset plans). Absent in pre-plan recorded reports.
     pub attack: Option<AttackPlan>,
-    /// Which engine executes the scenario. `None` (and absent in pre-event
-    /// recorded reports) means the synchronous engine; `Some(EngineKind::Event(_))`
-    /// selects the discrete-event engine under the given timing.
+    /// Which delivery policy the engine executes the scenario under. `None`
+    /// (and absent in pre-event recorded reports) means lock-step rounds;
+    /// `Some(EngineKind::Event(_))` selects timed delivery under the given
+    /// timing.
     pub engine: Option<EngineKind>,
 }
 
@@ -158,8 +159,8 @@ impl ScenarioSpec {
     }
 
     /// Whether the scenario's timing is within the paper's synchronous model:
-    /// either the synchronous engine, or the event engine under zero-jitter
-    /// timing (which is byte-identical to it). Delayed, skewed or reordered
+    /// either lock-step rounds, or timed delivery under zero-jitter timing
+    /// (which is byte-identical to them). Delayed, skewed or reordered
     /// timings reproduce the Section IX constructions, under which the
     /// theorems explicitly do *not* hold.
     pub fn timing_admissible(&self) -> bool {
@@ -282,9 +283,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Selects the engine that executes the scenario (see [`EngineKind`]).
-    /// [`EngineKind::event`] selects the discrete-event engine under
-    /// zero-jitter timing, which is byte-identical to the synchronous engine.
+    /// Selects the delivery policy the engine runs the scenario under (see
+    /// [`EngineKind`]). [`EngineKind::event`] selects timed delivery under
+    /// zero-jitter timing, which is byte-identical to lock-step rounds.
     pub fn engine(mut self, engine: EngineKind) -> Self {
         self.spec.engine = Some(engine);
         self
@@ -577,135 +578,18 @@ pub fn compile_attack_plan<F: ProtocolFactory + ?Sized>(
     }
 }
 
-/// The engine a [`Harness`] drives, selected by the scenario's [`EngineKind`].
-/// Both variants run the same nodes and boxed adversary; the host dispatches
-/// the handful of operations the harness needs, so the factory/report plumbing
-/// is engine-agnostic.
-enum EngineHost<F: ProtocolFactory> {
-    /// The lock-step synchronous engine (the default).
-    Sync(SyncEngine<F::Node, BoxedAdversary<<F::Node as Protocol>::Payload>>),
-    /// The discrete-event engine under a resolved timing.
-    Event(EventEngine<F::Node, BoxedAdversary<<F::Node as Protocol>::Payload>>),
-}
-
-impl<F: ProtocolFactory> EngineHost<F> {
-    fn round(&self) -> u64 {
-        match self {
-            EngineHost::Sync(engine) => engine.round(),
-            EngineHost::Event(engine) => engine.round(),
-        }
-    }
-
-    fn nodes(&self) -> &[F::Node] {
-        match self {
-            EngineHost::Sync(engine) => engine.nodes(),
-            EngineHost::Event(engine) => engine.nodes(),
-        }
-    }
-
-    fn nodes_mut(&mut self) -> &mut [F::Node] {
-        match self {
-            EngineHost::Sync(engine) => engine.nodes_mut(),
-            EngineHost::Event(engine) => engine.nodes_mut(),
-        }
-    }
-
-    fn metrics(&self) -> &Metrics {
-        match self {
-            EngineHost::Sync(engine) => engine.metrics(),
-            EngineHost::Event(engine) => engine.metrics(),
-        }
-    }
-
-    fn run_round(&mut self) -> Result<(), SimError> {
-        match self {
-            EngineHost::Sync(engine) => engine.run_round(),
-            EngineHost::Event(engine) => engine.run_round(),
-        }
-    }
-
-    fn phase_timings(&self) -> PhaseTimings {
-        match self {
-            EngineHost::Sync(engine) => engine.phase_timings(),
-            EngineHost::Event(engine) => engine.phase_timings(),
-        }
-    }
-
-    fn set_parallel_node_threshold(&mut self, threshold: usize) {
-        match self {
-            EngineHost::Sync(engine) => engine.set_parallel_node_threshold(threshold),
-            EngineHost::Event(engine) => engine.set_parallel_node_threshold(threshold),
-        }
-    }
-
-    fn set_churn(&mut self, schedule: ChurnSchedule, joiner: Box<dyn FnMut(NodeId) -> F::Node>) {
-        match self {
-            EngineHost::Sync(engine) => engine.set_churn(schedule, joiner),
-            EngineHost::Event(engine) => engine.set_churn(schedule, joiner),
-        }
-    }
-
-    fn enable_recovery(&mut self, snapshot: Snapshotter<F::Node>) {
-        match self {
-            EngineHost::Sync(engine) => engine.enable_recovery(snapshot),
-            EngineHost::Event(engine) => engine.enable_recovery(snapshot),
-        }
-    }
-
-    fn enable_recovery_with(&mut self, snapshot: Snapshotter<F::Node>, config: WalConfig) {
-        match self {
-            EngineHost::Sync(engine) => engine.enable_recovery_with(snapshot, config),
-            EngineHost::Event(engine) => engine.enable_recovery_with(snapshot, config),
-        }
-    }
-
-    fn recovery_restarts(&self) -> &[RestartRecord] {
-        match self {
-            EngineHost::Sync(engine) => engine.recovery_restarts(),
-            EngineHost::Event(engine) => engine.recovery_restarts(),
-        }
-    }
-
-    fn queued_envelopes(&self) -> usize {
-        match self {
-            EngineHost::Sync(engine) => engine.queued_envelopes(),
-            EngineHost::Event(engine) => engine.queued_envelopes(),
-        }
-    }
-
-    fn enable_traffic_gc(&mut self) {
-        match self {
-            EngineHost::Sync(engine) => engine.enable_traffic_gc(),
-            EngineHost::Event(engine) => engine.enable_traffic_gc(),
-        }
-    }
-
-    fn wal_entries(&self) -> usize {
-        match self {
-            EngineHost::Sync(engine) => engine.wal_entries(),
-            EngineHost::Event(engine) => engine.wal_entries(),
-        }
-    }
-}
-
-impl<F: ProtocolFactory> EngineHost<F>
-where
-    F::Node: Send,
-    <F::Node as Protocol>::Payload: Send + Sync,
-{
-    fn enable_parallel_stepping(&mut self) {
-        match self {
-            EngineHost::Sync(engine) => engine.enable_parallel_stepping(),
-            EngineHost::Event(engine) => engine.enable_parallel_stepping(),
-        }
-    }
-}
+/// The engine type a [`Harness`] drives: the factory's nodes against a boxed
+/// adversary.
+type HarnessEngine<F> = Engine<
+    <F as ProtocolFactory>::Node,
+    BoxedAdversary<<<F as ProtocolFactory>::Node as Protocol>::Payload>,
+>;
 
 /// A typed, runnable simulation: engine + factory + scenario context.
 pub struct Harness<F: ProtocolFactory> {
     factory: F,
     ctx: BuildContext,
-    engine: EngineHost<F>,
+    engine: HarnessEngine<F>,
     stop: StopCondition,
     adversary_name: String,
 }
@@ -718,16 +602,18 @@ impl<F: ProtocolFactory> Harness<F> {
         adversary_name: String,
     ) -> Self {
         let nodes = factory.build_nodes(&ctx);
+        // The scenario's engine axis picks the delivery policy — and nothing
+        // else: `Event` runs the timed queue even under synchronous timing.
         let mut engine = match &ctx.spec.engine {
             None | Some(EngineKind::Sync) => {
-                EngineHost::Sync(SyncEngine::new(nodes, adversary, ctx.byzantine_ids.clone()))
+                Engine::new(nodes, adversary, ctx.byzantine_ids.clone())
             }
-            Some(EngineKind::Event(timing)) => EngineHost::Event(EventEngine::new(
+            Some(EngineKind::Event(timing)) => Engine::with_timing(
                 nodes,
                 adversary,
                 ctx.byzantine_ids.clone(),
                 EventTiming::from_spec(timing, ctx.spec.seed, &ctx.correct_ids),
-            )),
+            ),
         };
         let stop = factory.stop_condition();
         if !ctx.spec.churn.is_empty() {
@@ -765,7 +651,7 @@ impl<F: ProtocolFactory> Harness<F> {
     }
 
     /// Opts in to the engine's parallel node-step path (see
-    /// [`SyncEngine::enable_parallel_stepping`]); a no-op below the engine's
+    /// [`Engine::enable_parallel_stepping`]); a no-op below the engine's
     /// configured node-count threshold. Executions stay bit-for-bit identical to
     /// the serial path, so reports remain comparable across modes.
     pub fn parallel_stepping(mut self) -> Self
@@ -800,7 +686,7 @@ impl<F: ProtocolFactory> Harness<F> {
     }
 
     /// Enables retired-traffic garbage collection on the engine (see
-    /// [`SyncEngine::enable_traffic_gc`]): queued envelopes addressed to
+    /// [`Engine::enable_traffic_gc`]): queued envelopes addressed to
     /// instances below every live node's retired frontier are pruned after
     /// delivery. Observationally silent — reports are byte-identical with it
     /// on or off; only wall-clock and the queued-envelope memory proxy move.
@@ -815,15 +701,8 @@ impl<F: ProtocolFactory> Harness<F> {
     ///
     /// # Panics
     /// Panics if the factory provides no [`ProtocolFactory::snapshotter`].
-    pub fn enable_recovery(mut self) -> Self {
-        let snapshot = self.factory.snapshotter().unwrap_or_else(|| {
-            panic!(
-                "protocol `{}` has no snapshotter; it cannot enable recovery",
-                self.factory.protocol_name()
-            )
-        });
-        self.engine.enable_recovery(snapshot);
-        self
+    pub fn enable_recovery(self) -> Self {
+        self.wal_config(WalConfig::default())
     }
 
     /// (Re-)enables crash-recovery under an explicit [`WalConfig`], replacing the
@@ -869,52 +748,14 @@ impl<F: ProtocolFactory> Harness<F> {
         &self.ctx
     }
 
-    /// The underlying synchronous engine (escape hatch for inspection beyond the
-    /// report).
-    ///
-    /// # Panics
-    /// Panics for a scenario that selected [`EngineKind::Event`]; event-engine
-    /// harnesses are driven through the engine-agnostic harness API
-    /// ([`Harness::run`], [`Harness::parallel_threshold`], …).
-    pub fn engine(&self) -> &SyncEngine<F::Node, BoxedAdversary<<F::Node as Protocol>::Payload>> {
-        match &self.engine {
-            EngineHost::Sync(engine) => engine,
-            EngineHost::Event(_) => {
-                panic!("Harness::engine is only available for sync-engine scenarios")
-            }
-        }
+    /// The underlying engine (escape hatch for inspection beyond the report).
+    pub fn engine(&self) -> &HarnessEngine<F> {
+        &self.engine
     }
 
-    /// Mutable access to the underlying synchronous engine.
-    ///
-    /// # Panics
-    /// Panics for a scenario that selected [`EngineKind::Event`] (see
-    /// [`Harness::engine`]).
-    pub fn engine_mut(
-        &mut self,
-    ) -> &mut SyncEngine<F::Node, BoxedAdversary<<F::Node as Protocol>::Payload>> {
-        match &mut self.engine {
-            EngineHost::Sync(engine) => engine,
-            EngineHost::Event(_) => {
-                panic!("Harness::engine_mut is only available for sync-engine scenarios")
-            }
-        }
-    }
-
-    /// The underlying event engine, for scenarios that selected
-    /// [`EngineKind::Event`] (the event-side counterpart of [`Harness::engine`]).
-    ///
-    /// # Panics
-    /// Panics for sync-engine scenarios.
-    pub fn event_engine(
-        &self,
-    ) -> &EventEngine<F::Node, BoxedAdversary<<F::Node as Protocol>::Payload>> {
-        match &self.engine {
-            EngineHost::Event(engine) => engine,
-            EngineHost::Sync(_) => {
-                panic!("Harness::event_engine is only available for event-engine scenarios")
-            }
-        }
+    /// Mutable access to the underlying engine.
+    pub fn engine_mut(&mut self) -> &mut HarnessEngine<F> {
+        &mut self.engine
     }
 
     /// The correct nodes (escape hatch for protocol-specific inspection).

@@ -553,7 +553,7 @@ pub struct StreamSection {
 mod tests {
     use super::*;
     use crate::message::Destination;
-    use crate::shared::allocations;
+    use crate::shared::thread_allocations;
 
     /// A toy protocol: broadcasts its input in round 1, outputs the smallest
     /// value heard in round 2, then terminates.
@@ -674,10 +674,10 @@ mod tests {
         let mut node = MuxNode::new(a, vec![slot(0, 1, a, 10)]);
         node.step(&RoundContext::new(1), &[]);
         let inbox = vec![Envelope::new(b, (0u64, 7u64))];
-        let before = allocations();
+        let before = thread_allocations();
         node.step(&RoundContext::new(2), &inbox);
         assert_eq!(
-            allocations() - before,
+            thread_allocations() - before,
             0,
             "demuxing a delivery must not allocate a payload copy"
         );
@@ -703,10 +703,10 @@ mod tests {
             Envelope::new(b, (0u64, 2u64)),
             Envelope::new(b, (9u64, 3u64)),
         ];
-        let before = allocations();
+        let before = thread_allocations();
         let out = node.step(&RoundContext::new(3), &inbox);
         assert!(out.is_empty());
-        assert_eq!(allocations() - before, 0, "dropping must not clone");
+        assert_eq!(thread_allocations() - before, 0, "dropping must not clone");
         assert_eq!(node.work().dropped_retired, 3);
         assert_eq!(node.work().envelopes_indexed, 3);
     }

@@ -466,9 +466,9 @@ mod tests {
             (SemanticStrategy::Garbage, 1),
         ] {
             let mut adv = VocabAdversary::semantic(Box::new(ToyVocab), mode, 0);
-            let before = shared::allocations();
+            let before = shared::thread_allocations();
             let out = adv.step(&view(5, &t));
-            let allocated = shared::allocations() - before;
+            let allocated = shared::thread_allocations() - before;
             assert_eq!(
                 allocated, expected,
                 "{mode:?}: one allocation per distinct payload"
@@ -480,9 +480,13 @@ mod tests {
         }
         // Noise enumerates all three classes once: 1 + 2 + 1 allocations.
         let mut adv = VocabAdversary::noise(Box::new(ToyVocab), 0);
-        let before = shared::allocations();
+        let before = shared::thread_allocations();
         let out = adv.step(&view(5, &t));
-        assert_eq!(shared::allocations() - before, 4, "noise = Σ class sizes");
+        assert_eq!(
+            shared::thread_allocations() - before,
+            4,
+            "noise = Σ class sizes"
+        );
         assert!(out.len() > 4, "noise fan-out forwards handles too");
     }
 

@@ -1,5 +1,5 @@
 //! Crash-recovery: a write-ahead log with durable-suffix semantics, injectable
-//! log faults, and the [`RecoveryManager`] both engines drive it through.
+//! log faults, and the [`RecoveryManager`] the engine drives it through.
 //!
 //! Every protocol-visible event of a correct node's round is logged *before* it
 //! becomes visible to the network: the inbox it consumed ([`WalRecord::Consumed`]),
@@ -451,8 +451,8 @@ pub type Snapshotter<N> = Box<dyn Fn(&N) -> N>;
 
 /// The engine-side recovery subsystem: one [`Wal`] and one base snapshot per
 /// logged node, the crashed-node parking lot, and the restart/replay path.
-/// Both [`SyncEngine`](crate::SyncEngine) and
-/// [`EventEngine`](crate::EventEngine) drive it through the same three hooks —
+/// The [`Engine`](crate::Engine) drives it, under either delivery policy,
+/// through three hooks —
 /// `begin_step` (before a node consumes its inbox), `log_sent` (per produced
 /// traffic item) and `commit_step` (after the round, before the adversary
 /// observes the traffic: a send becomes network-visible only once durable).

@@ -37,7 +37,7 @@ fn families() -> Vec<(&'static str, Build)> {
     let phase_king_inputs = inputs;
 
     // Applies the engine choice to a builder, then the step mode to the
-    // harness, without ever touching `engine_mut()` (which is sync-only).
+    // harness, through the engine-agnostic harness API alone.
     macro_rules! family {
         ($name:literal, |$scenario:ident| $harness:expr) => {
             ($name, {
