@@ -506,7 +506,6 @@ pub(crate) struct Routing<'a, P> {
     pub(crate) correct_ids: &'a [NodeId],
     pub(crate) traffic: &'a RoundTraffic<P>,
     pub(crate) byzantine_traffic: &'a [Directed<P>],
-    pub(crate) correct_index: &'a HashSet<NodeId>,
     pub(crate) byzantine_index: &'a HashSet<NodeId>,
     pub(crate) inboxes: &'a mut HashMap<NodeId, Inbox<P>, FastState>,
     pub(crate) spare_inboxes: &'a mut Vec<Inbox<P>>,
@@ -515,25 +514,159 @@ pub(crate) struct Routing<'a, P> {
     pub(crate) timings: &'a mut PhaseTimings,
 }
 
-/// The state of the `NextRound` delivery policy: everything sent in a round is
-/// fanned out into its recipients' next-round inboxes before the round ends.
-struct NextRound<P> {
+/// The staged-slot fan-out both delivery policies land messages through: the
+/// reusable state that survives between [`Staging::stage`] calls.
+pub(crate) struct Staging<P> {
     /// Reusable delivery slots (aligned with the round's correct recipients), so
     /// a broadcast's fan-out indexes straight into its targets instead of paying
     /// a map lookup per delivery.
-    delivery_slots: Vec<Inbox<P>>,
+    slots: Vec<Inbox<P>>,
     /// Reusable `NodeId → delivery slot` index, rebuilt each round (one hash op
     /// per *member* per round instead of one per *delivery*).
     slot_index: HashMap<NodeId, usize, FastState>,
 }
 
+impl<P> Default for Staging<P> {
+    fn default() -> Self {
+        Staging {
+            slots: Vec::new(),
+            slot_index: HashMap::default(),
+        }
+    }
+}
+
+impl<P: PartialEq> Staging<P> {
+    /// Stages the correct recipients' inboxes into index-aligned slots (the
+    /// round's recipient list leads with the correct nodes, in this exact
+    /// order), so a broadcast's fan-out is a straight array walk and a
+    /// unicast target costs one fast-map lookup — no per-delivery hashing of
+    /// recipient ids. Everything the returned [`FanOut`] lands is traced under
+    /// `delivery_round`.
+    pub(crate) fn stage<'a>(
+        &'a mut self,
+        correct_ids: &'a [NodeId],
+        inboxes: &mut HashMap<NodeId, Inbox<P>, FastState>,
+        spare_inboxes: &mut Vec<Inbox<P>>,
+        trace: &'a mut Option<TraceLog<P>>,
+        byzantine_index: &'a HashSet<NodeId>,
+        delivery_round: u64,
+    ) -> FanOut<'a, P> {
+        self.slot_index.clear();
+        self.slots.clear();
+        for &id in correct_ids {
+            let inbox = inboxes
+                .remove(&id)
+                .unwrap_or_else(|| spare_inboxes.pop().unwrap_or_default());
+            self.slot_index.insert(id, self.slots.len());
+            self.slots.push(inbox);
+        }
+        FanOut {
+            slots: &mut self.slots,
+            slot_index: &self.slot_index,
+            correct_ids,
+            trace,
+            byzantine_index,
+            delivery_round,
+        }
+    }
+
+    /// Unstages: inboxes that accumulated state go back into the registry;
+    /// untouched ones return to the spare pool (an inbox materialises in the
+    /// registry only on first delivery).
+    pub(crate) fn unstage(
+        &mut self,
+        correct_ids: &[NodeId],
+        inboxes: &mut HashMap<NodeId, Inbox<P>, FastState>,
+        spare_inboxes: &mut Vec<Inbox<P>>,
+    ) {
+        for (&id, inbox) in correct_ids.iter().zip(self.slots.drain(..)) {
+            if inbox.messages.is_empty() && inbox.seen.is_empty() {
+                spare_inboxes.push(inbox);
+            } else {
+                inboxes.insert(id, inbox);
+            }
+        }
+    }
+}
+
+/// One round's staged recipients (see [`Staging::stage`]): slot `i` is the
+/// inbox of the round's `i`-th correct node. A broadcast reaches each
+/// *correct* recipient as a reference-count bump of its one shared payload
+/// allocation — messages to Byzantine identities are "delivered" to the
+/// adversary, which already saw everything via the rushing view, so nothing is
+/// stored (or cloned) for them.
+pub(crate) struct FanOut<'a, P> {
+    slots: &'a mut [Inbox<P>],
+    slot_index: &'a HashMap<NodeId, usize, FastState>,
+    correct_ids: &'a [NodeId],
+    trace: &'a mut Option<TraceLog<P>>,
+    byzantine_index: &'a HashSet<NodeId>,
+    delivery_round: u64,
+}
+
+impl<P: PartialEq> FanOut<'_, P> {
+    /// The slot of a correct recipient, if `id` is one this round.
+    #[inline]
+    pub(crate) fn slot_of(&self, id: NodeId) -> Option<usize> {
+        self.slot_index.get(&id).copied()
+    }
+
+    /// Lands a payload in every staged inbox, in membership order.
+    #[inline]
+    pub(crate) fn land_all(&mut self, from: NodeId, payload: &Shared<P>, deliveries: &mut u64) {
+        for (slot, &to) in self.slots.iter_mut().zip(self.correct_ids) {
+            deliver(
+                slot,
+                self.trace,
+                self.byzantine_index,
+                self.delivery_round,
+                from,
+                to,
+                payload,
+                deliveries,
+            );
+        }
+    }
+
+    /// Lands a payload in one staged inbox.
+    #[inline]
+    pub(crate) fn land_slot(
+        &mut self,
+        slot: usize,
+        from: NodeId,
+        payload: &Shared<P>,
+        deliveries: &mut u64,
+    ) {
+        deliver(
+            &mut self.slots[slot],
+            self.trace,
+            self.byzantine_index,
+            self.delivery_round,
+            from,
+            self.correct_ids[slot],
+            payload,
+            deliveries,
+        );
+    }
+
+    /// Lands a point-to-point message, if its recipient is correct this round.
+    #[inline]
+    pub(crate) fn land_message(&mut self, message: &Directed<P>, deliveries: &mut u64) {
+        if let Some(slot) = self.slot_of(message.to) {
+            self.land_slot(slot, message.from, &message.payload, deliveries);
+        }
+    }
+}
+
+/// The state of the `NextRound` delivery policy: everything sent in a round is
+/// fanned out into its recipients' next-round inboxes before the round ends.
+struct NextRound<P> {
+    staging: Staging<P>,
+}
+
 impl<P: PartialEq> NextRound<P> {
     /// Builds next-round inboxes (`deliver`, returned still open so the
-    /// engine's GC sweep is charged to it). A broadcast reaches each *correct*
-    /// recipient as a reference-count bump of its one shared payload
-    /// allocation — messages to Byzantine identities are "delivered" to the
-    /// adversary, which already saw everything via the rushing view, so
-    /// nothing is stored (or cloned) for them.
+    /// engine's GC sweep is charged to it).
     fn route(&mut self, routing: Routing<'_, P>) -> (&'static str, Instant) {
         let deliver_started = Instant::now();
         let Routing {
@@ -548,82 +681,27 @@ impl<P: PartialEq> NextRound<P> {
             metrics,
             ..
         } = routing;
-        let NextRound {
-            delivery_slots,
-            slot_index,
-        } = self;
-        let delivery_round = round + 1;
         let mut deliveries = 0u64;
-        // Stage the correct recipients' inboxes into index-aligned slots (the
-        // round's recipient list leads with the correct nodes, in this exact
-        // order), so a broadcast's fan-out is a straight array walk and a
-        // unicast target costs one fast-map lookup — no per-delivery hashing of
-        // recipient ids.
-        slot_index.clear();
-        delivery_slots.clear();
-        for &id in correct_ids {
-            let inbox = inboxes
-                .remove(&id)
-                .unwrap_or_else(|| spare_inboxes.pop().unwrap_or_default());
-            slot_index.insert(id, delivery_slots.len());
-            delivery_slots.push(inbox);
-        }
+        let mut fan = self.staging.stage(
+            correct_ids,
+            inboxes,
+            spare_inboxes,
+            trace,
+            byzantine_index,
+            round + 1,
+        );
         for item in traffic.items() {
             match item {
                 TrafficItem::Broadcast { from, payload } => {
-                    for (slot, &to) in delivery_slots.iter_mut().zip(correct_ids) {
-                        deliver(
-                            slot,
-                            trace,
-                            byzantine_index,
-                            delivery_round,
-                            *from,
-                            to,
-                            payload,
-                            &mut deliveries,
-                        );
-                    }
+                    fan.land_all(*from, payload, &mut deliveries)
                 }
-                TrafficItem::Unicast(message) => {
-                    if let Some(&slot) = slot_index.get(&message.to) {
-                        deliver(
-                            &mut delivery_slots[slot],
-                            trace,
-                            byzantine_index,
-                            delivery_round,
-                            message.from,
-                            message.to,
-                            &message.payload,
-                            &mut deliveries,
-                        );
-                    }
-                }
+                TrafficItem::Unicast(message) => fan.land_message(message, &mut deliveries),
             }
         }
         for message in byzantine_traffic {
-            if let Some(&slot) = slot_index.get(&message.to) {
-                deliver(
-                    &mut delivery_slots[slot],
-                    trace,
-                    byzantine_index,
-                    delivery_round,
-                    message.from,
-                    message.to,
-                    &message.payload,
-                    &mut deliveries,
-                );
-            }
+            fan.land_message(message, &mut deliveries);
         }
-        // Unstage: inboxes that accumulated state go back into the registry;
-        // untouched ones return to the spare pool (matching the old lazy
-        // behaviour, which materialised an inbox only on first delivery).
-        for (&id, inbox) in correct_ids.iter().zip(delivery_slots.drain(..)) {
-            if inbox.messages.is_empty() && inbox.seen.is_empty() {
-                spare_inboxes.push(inbox);
-            } else {
-                inboxes.insert(id, inbox);
-            }
-        }
+        self.staging.unstage(correct_ids, inboxes, spare_inboxes);
         metrics.credit_deliveries(round, deliveries);
         ("deliver", deliver_started)
     }
@@ -638,7 +716,7 @@ enum Delivery<P> {
     NextRound(NextRound<P>),
     /// Virtual time: a message lands when its link delay says so, a node steps
     /// when its own timer fires.
-    Timed(Timed<P>),
+    Timed(Box<Timed<P>>),
 }
 
 /// The round engine (see module docs).
@@ -705,7 +783,23 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         byzantine_ids: Vec<NodeId>,
         timing: EventTiming,
     ) -> Self {
-        let config = EngineConfig::default();
+        Self::with_timing_config(
+            nodes,
+            adversary,
+            byzantine_ids,
+            timing,
+            EngineConfig::default(),
+        )
+    }
+
+    /// Creates a `Timed` engine with an explicit configuration.
+    pub fn with_timing_config(
+        nodes: Vec<N>,
+        adversary: A,
+        byzantine_ids: Vec<NodeId>,
+        timing: EventTiming,
+        config: EngineConfig,
+    ) -> Self {
         Self::assemble(nodes, adversary, byzantine_ids, config, Some(timing))
     }
 
@@ -723,10 +817,11 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         let byzantine_index = byzantine_ids.iter().copied().collect();
         let delivery = match timing {
             None => Delivery::NextRound(NextRound {
-                delivery_slots: Vec::new(),
-                slot_index: HashMap::default(),
+                staging: Staging::default(),
             }),
-            Some(timing) => Delivery::Timed(Timed::new(timing, nodes.iter().map(|n| n.id()))),
+            Some(timing) => {
+                Delivery::Timed(Box::new(Timed::new(timing, nodes.iter().map(|n| n.id()))))
+            }
         };
         Engine {
             nodes,
@@ -878,6 +973,18 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         match &self.delivery {
             Delivery::NextRound(_) => 0,
             Delivery::Timed(timed) => timed.in_flight(),
+        }
+    }
+
+    /// Entries pushed into the `Timed` policy's calendar so far — one per
+    /// sender × payload × arrival instant, however many recipients it fans out
+    /// to (compare [`Engine::in_flight`] and the delivery count, which are per
+    /// point-to-point message). Always 0 under `NextRound`. A deterministic
+    /// work counter: it gates the broadcast compaction of the flight store.
+    pub fn flight_entries(&self) -> u64 {
+        match &self.delivery {
+            Delivery::NextRound(_) => 0,
+            Delivery::Timed(timed) => timed.flight_entries(),
         }
     }
 
@@ -1212,7 +1319,6 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
             correct_ids: &correct_ids,
             traffic: &self.traffic,
             byzantine_traffic: &byzantine_traffic,
-            correct_index: &self.correct_index,
             byzantine_index: &self.byzantine_index,
             inboxes: &mut self.inboxes,
             spare_inboxes: &mut self.spare_inboxes,
@@ -1939,6 +2045,87 @@ mod tests {
             engine.metrics().clone()
         };
         assert_eq!(run(7), run(7), "same seed, same execution");
+    }
+
+    #[test]
+    fn a_flight_lands_iff_its_recipient_was_correct_at_send_and_is_at_arrival() {
+        // Two-unit links: what batch r sends lands at the end of batch r + 1.
+        let timing = EventTiming {
+            delay: LinkDelay::Constant(2),
+            ..EventTiming::synchronous()
+        };
+        let ns = (0..3).map(|i| Counter::new(NodeId::new(10 + i), 100));
+        let mut engine = Engine::with_timing(ns.collect(), SilentAdversary, vec![], timing);
+        let schedule = ChurnSchedule::empty()
+            .with(2, ChurnEvent::JoinCorrect(NodeId::new(500)))
+            .with(3, ChurnEvent::LeaveCorrect(NodeId::new(10)));
+        engine.set_churn(schedule, |id| Counter::new(id, 100));
+        engine.run_rounds(1).unwrap();
+        assert_eq!(engine.in_flight(), 3 * 3);
+        // The joiner was not a member when batch 1 sent: none of those nine
+        // flights is for it, though it is staged when they land.
+        engine.run_rounds(1).unwrap();
+        assert_eq!(engine.metrics().per_round[0].deliveries, 3 * 3);
+        assert_eq!(engine.in_flight(), 4 * 4, "batch 2 sent to the joiner too");
+        // The leaver is gone when batch 2's flights arrive: its four are
+        // discarded, the joiner's four land.
+        engine.run_rounds(1).unwrap();
+        assert_eq!(engine.metrics().per_round[1].deliveries, 4 * 3);
+        assert_eq!(engine.in_flight(), 3 * 3);
+        assert_eq!(engine.flight_entries(), 3 + 4 + 3, "one entry a broadcast");
+    }
+
+    #[test]
+    fn calendar_entries_count_traffic_items_not_deliveries() {
+        // Zero jitter: one entry per broadcast plus one per Byzantine message
+        // addressed to a correct node — however many recipients a broadcast
+        // fans out to.
+        let byz = NodeId::new(999);
+        let stranger = NodeId::new(31_337);
+        let run = |timing: Option<EventTiming>| {
+            let adv = FnAdversary::new(move |v: &AdversaryView<'_, u64>| {
+                let mut out: Vec<_> = v
+                    .correct_ids
+                    .iter()
+                    .map(|&to| Directed::new(byz, to, v.round))
+                    .collect();
+                out.push(Directed::new(byz, stranger, v.round));
+                out
+            });
+            let mut engine = engine(timing, nodes(6), adv, vec![byz]);
+            let mut entries = vec![];
+            for _ in 0..3 {
+                engine.run_rounds(1).unwrap();
+                assert_eq!(engine.in_flight(), 0);
+                entries.push(engine.flight_entries());
+            }
+            (engine.metrics().clone(), entries)
+        };
+        let (metrics, entries) = run(Some(EventTiming::synchronous()));
+        // Rounds 1 and 2: six broadcasts and six Byzantine messages to correct
+        // nodes; round 3 (everyone decides): the six Byzantine messages alone.
+        assert_eq!(entries, vec![12, 24, 30]);
+        assert_eq!(metrics.deliveries, 2 * (6 * 6 + 6) + 6);
+        let (sync_metrics, sync_entries) = run(None);
+        assert_eq!(sync_metrics, metrics);
+        assert_eq!(sync_entries, vec![0, 0, 0], "`NextRound` has no calendar");
+    }
+
+    #[test]
+    fn jittered_broadcasts_split_into_at_most_one_entry_per_arrival_instant() {
+        let jitter = TimingSpec::synchronous()
+            .units(8)
+            .with_delay(DelaySpec::Jitter { min: 1, max: 8 });
+        for spec in [jitter.clone(), jitter.reorder(5)] {
+            let mut engine = timed(24, EventTiming::from_spec(&spec, 3, &[]));
+            engine.run_rounds(2).unwrap();
+            let items = 2 * 24;
+            assert_eq!(engine.in_flight(), 0, "in-round jitter lands in its round");
+            assert_eq!(engine.metrics().deliveries, items * 24);
+            let entries = engine.flight_entries();
+            assert!(entries > items, "24 draws from 8 instants do split");
+            assert!(entries <= 8 * items, "{entries} entries for {items} items");
+        }
     }
 
     fn partitioned_halves(cross: Option<u64>) -> Engine<Counter, SilentAdversary> {

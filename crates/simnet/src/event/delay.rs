@@ -229,7 +229,7 @@ impl LinkDelay {
     /// sequence number `seq`, or `None` if the message is never delivered.
     pub fn arrival(&self, from: NodeId, to: NodeId, now: u64, seq: u64) -> Option<u64> {
         match self {
-            LinkDelay::Constant(units) => Some(now + units),
+            LinkDelay::Constant(_) | LinkDelay::Gst { .. } => self.broadcast_arrival(now),
             LinkDelay::Jitter { min, max, seed } => {
                 let span = max.saturating_sub(*min) + 1;
                 Some(now + min + derive_seed(*seed, seq) % span)
@@ -241,6 +241,16 @@ impl LinkDelay {
                     cross.map(|units| now + units)
                 }
             }
+        }
+    }
+
+    /// The one arrival time shared by every recipient of a broadcast sent at
+    /// `now` — for the models whose delay depends on neither the link nor the
+    /// sequence number (and which never drop); `None` for the per-message
+    /// models. This is what lets a broadcast stay one entry in flight.
+    pub(crate) fn broadcast_arrival(&self, now: u64) -> Option<u64> {
+        match self {
+            LinkDelay::Constant(units) => Some(now + units),
             LinkDelay::Gst { gst, bound } => {
                 // Worst-case partially-synchronous schedule: pre-GST messages
                 // are held until the stabilisation time plus the bound.
@@ -250,6 +260,7 @@ impl LinkDelay {
                     Some(gst + bound)
                 }
             }
+            LinkDelay::Jitter { .. } | LinkDelay::Partitioned { .. } => None,
         }
     }
 }

@@ -10,22 +10,23 @@
 //!
 //! * [`VirtualClock`] / [`NodeTimers`] — virtual time and seeded per-node
 //!   round timers (zero skew degenerates to lock-step rounds);
-//! * [`DeliveryQueue`] / [`Flight`] — a deterministic priority queue of
-//!   timestamped deliveries, ordered by `(arrival, reorder key, sequence)`;
+//! * `queue` — the calendar of arrival instants: messages in flight wait in
+//!   one bucket per instant, a broadcast as one entry, and land in
+//!   `(arrival, reorder key, sequence)` order;
 //! * [`DelaySpec`] / [`TimingSpec`] / [`EngineKind`] — the serialisable
 //!   timing axis carried by [`ScenarioSpec`](crate::sim::ScenarioSpec);
 //! * [`LinkDelay`] / [`PartitionSpec`] / [`EventTiming`] — the resolved
 //!   runtime delay models (constant, seeded jitter, partitioned, GST partial
 //!   synchrony);
-//! * `timed` — the policy itself (schedule into the queue, dispatch what is
-//!   due), selected by [`Engine::with_timing`](crate::Engine::with_timing) and
-//!   byte-identical to lock-step rounds under [`EventTiming::synchronous`].
+//! * `timed` — the policy itself (schedule into the calendar, dispatch what
+//!   is due through the engine's staged fan-out), selected by
+//!   [`Engine::with_timing`](crate::Engine::with_timing) and byte-identical to
+//!   lock-step rounds under [`EventTiming::synchronous`].
 
 pub mod clock;
 pub mod delay;
-pub mod queue;
+pub(crate) mod queue;
 pub(crate) mod timed;
 
 pub use clock::{NodeTimers, VirtualClock};
 pub use delay::{DelaySpec, EngineKind, EventTiming, LinkDelay, PartitionSpec, TimingSpec};
-pub use queue::{DeliveryQueue, Flight};

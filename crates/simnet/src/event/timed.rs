@@ -1,42 +1,56 @@
-//! The `Timed` delivery policy of the [`Engine`](crate::Engine): virtual time,
-//! per-node round timers and a deterministic queue of message flights.
+//! The `Timed` delivery policy of the [`Engine`](crate::Engine): the
+//! `NextRound` fan-out plus a time-indexed store — virtual time, per-node round
+//! timers and a [calendar](super::queue) of the arrival instants of the
+//! messages in flight.
 //!
 //! * **schedule** — before a batch, the [`VirtualClock`] advances to the
 //!   earliest due [`NodeTimers`] entry and the nodes whose timer fired are the
-//!   batch's due set; after the adversary phase, every point-to-point message
-//!   is assigned an arrival time by the [`LinkDelay`] model and pushed into the
-//!   [`DeliveryQueue`] as a [`Flight`] (a `None` arrival drops the message —
-//!   the asynchronous omission case);
-//! * **dispatch** — every flight due before the next timer batch is popped in
-//!   deterministic `(arrival, reorder key, sequence)` order and delivered into
-//!   the recipient's inbox through the engine's one dedup path.
+//!   batch's due set; after the adversary phase, every traffic item towards
+//!   correct recipients is entered in the calendar under the arrival times
+//!   the [`LinkDelay`] model assigns — one entry per item and arrival instant
+//!   (a `None` arrival drops the message — the asynchronous omission case).
+//!   The global sequence number still advances once per point-to-point
+//!   message, in `NextRound`'s delivery order: it feeds the jitter draw and
+//!   the reorder key;
+//! * **dispatch** — every instant due before the next timer batch is popped
+//!   and its messages land, in deterministic `(arrival, reorder key,
+//!   sequence)` order, through the engine's one staged fan-out and dedup
+//!   path. A message is delivered iff its recipient was correct when it was
+//!   sent *and* is correct when it arrives.
 //!
 //! With [`EventTiming::synchronous`] dispatch pops exactly the messages just
 //! scheduled, in scheduling order, so metrics, traces and reports are
 //! **byte-identical** to `NextRound`'s (pinned by `tests/event_equivalence.rs`).
-//! Every other timing opens scenario space the round barrier cannot express.
+//! Every other timing opens scenario space the round barrier cannot express;
+//! its order is pinned by `tests/event_order_pins.rs`.
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use crate::engine::{deliver, elapsed_ns, Routing};
+use crate::engine::{elapsed_ns, FanOut, Routing, Staging};
 use crate::id::NodeId;
-use crate::rng::derive_seed;
-use crate::shared::Shared;
+use crate::message::Directed;
 use crate::traffic::TrafficItem;
 
 use super::clock::{NodeTimers, VirtualClock};
 use super::delay::{EventTiming, LinkDelay};
-use super::queue::{DeliveryQueue, Flight};
+use super::queue::{Calendar, Run};
 
 /// The state of the `Timed` delivery policy (see module docs).
 pub(crate) struct Timed<P> {
-    queue: DeliveryQueue<P>,
+    calendar: Calendar<P>,
+    staging: Staging<P>,
+    /// The correct members of the latest batch, in membership order: what the
+    /// recipient positions of the runs it sent index. Replaced only when the
+    /// membership changes, so in a churn-free run every run in flight shares
+    /// it and lands without resolving a single recipient.
+    batch: Arc<[NodeId]>,
     clock: VirtualClock,
     timers: NodeTimers,
     delay: LinkDelay,
-    reorder_seed: Option<u64>,
     /// Global scheduling sequence number — the last deterministic tie-break of
-    /// the delivery queue and the stream index of the reorder key.
+    /// the landing order and the stream index of the jitter draw and the
+    /// reorder key.
     seq: u64,
 }
 
@@ -49,11 +63,12 @@ impl<P: PartialEq> Timed<P> {
             timers.register(id);
         }
         Timed {
-            queue: DeliveryQueue::new(),
+            calendar: Calendar::new(timing.reorder_seed),
+            staging: Staging::default(),
+            batch: Arc::from([]),
             clock: VirtualClock::new(),
             timers,
             delay: timing.delay,
-            reorder_seed: timing.reorder_seed,
             seq: 0,
         }
     }
@@ -65,7 +80,13 @@ impl<P: PartialEq> Timed<P> {
 
     /// Number of messages still in flight (scheduled, not yet delivered).
     pub(crate) fn in_flight(&self) -> usize {
-        self.queue.len()
+        self.calendar.in_flight()
+    }
+
+    /// Number of calendar entries pushed so far (one per traffic item and
+    /// arrival instant, not per recipient).
+    pub(crate) fn flight_entries(&self) -> u64 {
+        self.calendar.entries()
     }
 
     /// The earliest pending timer. With no timers left (every correct node
@@ -94,7 +115,13 @@ impl<P: PartialEq> Timed<P> {
     /// still running.
     pub(crate) fn fire_due(&mut self, members: &[NodeId]) -> Option<Vec<Option<u64>>> {
         let now = self.clock.now();
-        let due: Vec<Option<u64>> = members
+        if members.iter().all(|&id| self.timers.due_at(id, now)) {
+            for &id in members {
+                self.timers.fire(id);
+            }
+            return None;
+        }
+        let due = members
             .iter()
             .map(|&id| {
                 self.timers.due_at(id, now).then(|| {
@@ -103,7 +130,7 @@ impl<P: PartialEq> Timed<P> {
                 })
             })
             .collect();
-        due.iter().any(Option::is_none).then_some(due)
+        Some(due)
     }
 
     /// Arms a joining node's timer. Before the first batch the node joins the
@@ -125,8 +152,8 @@ impl<P: PartialEq> Timed<P> {
         self.timers.remove(id);
     }
 
-    /// Routes one batch's traffic: stamps every message into the queue
-    /// (`schedule`), then lands every flight due before the next batch
+    /// Routes one batch's traffic: enters every message in the calendar
+    /// (`schedule`), then lands every instant due before the next batch
     /// (`dispatch`, returned still open so the engine's GC sweep is charged to
     /// it).
     pub(crate) fn route(&mut self, routing: Routing<'_, P>) -> (&'static str, Instant) {
@@ -135,101 +162,123 @@ impl<P: PartialEq> Timed<P> {
             correct_ids,
             traffic,
             byzantine_traffic,
-            correct_index,
             byzantine_index,
             inboxes,
             spare_inboxes,
             trace,
             metrics,
             timings,
+            ..
         } = routing;
 
-        // Schedule: expand the compact traffic towards correct recipients and
-        // assign each point-to-point message an arrival time. The expansion
-        // order matches `NextRound`'s delivery order exactly (items in
-        // production order, broadcasts fanned over the correct nodes in
-        // membership order, Byzantine traffic last), so with equal arrival
-        // times and no reorder key the queue pops in the same order
-        // `NextRound` delivers.
+        // Schedule: expand the compact traffic towards correct recipients —
+        // the staged ones; a recipient's slot is its position in the batch —
+        // and assign each point-to-point message a sequence number and an
+        // arrival time. The expansion order matches `NextRound`'s delivery
+        // order exactly (items in production order, broadcasts fanned over the
+        // correct nodes in membership order, Byzantine traffic last), so with
+        // equal arrival times and no reorder key the calendar lands messages
+        // in the same order `NextRound` delivers them.
         let schedule_started = Instant::now();
         let now = self.clock.now();
-        {
-            let Timed {
-                queue,
-                delay,
-                reorder_seed,
-                seq,
-                ..
-            } = self;
-            let mut schedule = |from: NodeId, to: NodeId, payload: &Shared<P>| {
-                *seq += 1;
-                if let Some(when) = delay.arrival(from, to, now, *seq) {
-                    let key = reorder_seed.map_or(0, |s| derive_seed(s, *seq));
-                    queue.push(Flight {
-                        when,
-                        key,
-                        seq: *seq,
-                        sent_round: round,
-                        from,
-                        to,
-                        payload: payload.clone(),
-                    });
-                }
+        let horizon = self.next_batch();
+        let Timed {
+            calendar,
+            staging,
+            batch,
+            delay,
+            seq,
+            ..
+        } = self;
+        if **batch != *correct_ids {
+            *batch = Arc::from(correct_ids);
+        }
+        let batch = &*batch;
+        let mut fan = staging.stage(
+            correct_ids,
+            inboxes,
+            spare_inboxes,
+            trace,
+            byzantine_index,
+            round + 1,
+        );
+        let schedule_one = |calendar: &mut Calendar<P>,
+                            seq: &mut u64,
+                            fan: &FanOut<'_, P>,
+                            message: &Directed<P>| {
+            let Some(to) = fan.slot_of(message.to) else {
+                return;
             };
-            for item in traffic.items() {
-                match item {
-                    TrafficItem::Broadcast { from, payload } => {
-                        for &to in correct_ids {
-                            schedule(*from, to, payload);
-                        }
-                    }
-                    TrafficItem::Unicast(message) => {
-                        if correct_index.contains(&message.to) {
-                            schedule(message.from, message.to, &message.payload);
+            *seq += 1;
+            if let Some(when) = delay.arrival(message.from, message.to, now, *seq) {
+                calendar
+                    .item(message.from, &message.payload, round, batch)
+                    .leg(when, *seq, to as u32);
+            }
+        };
+        for item in traffic.items() {
+            match item {
+                TrafficItem::Broadcast { from, payload } => {
+                    let mut item = calendar.item(*from, payload, round, batch);
+                    if let Some(when) = delay.broadcast_arrival(now) {
+                        item.all(when, *seq + 1);
+                        *seq += correct_ids.len() as u64;
+                    } else {
+                        for (position, &to) in correct_ids.iter().enumerate() {
+                            *seq += 1;
+                            if let Some(when) = delay.arrival(*from, to, now, *seq) {
+                                item.leg(when, *seq, position as u32);
+                            }
                         }
                     }
                 }
+                TrafficItem::Unicast(message) => schedule_one(calendar, seq, &fan, message),
             }
-            for message in byzantine_traffic {
-                if correct_index.contains(&message.to) {
-                    schedule(message.from, message.to, &message.payload);
-                }
-            }
+        }
+        for message in byzantine_traffic {
+            schedule_one(calendar, seq, &fan, message);
         }
         timings.add("schedule", elapsed_ns(schedule_started));
 
-        // Dispatch: pop every flight due before the next timer batch into its
-        // recipient's inbox. Popping at the end of the sending batch is safe
-        // for any delay model — no node steps again before the horizon — and
-        // it is what makes the zero-jitter case byte-identical to `NextRound`,
-        // whose final round also delivers messages nobody will ever consume.
-        // Deliveries are attributed to the *sending* batch's metrics row,
-        // matching `NextRound`'s accounting.
+        // Dispatch: land every instant due before the next timer batch.
+        // Popping at the end of the sending batch is safe for any delay model
+        // — no node steps again before the horizon — and it is what makes the
+        // zero-jitter case byte-identical to `NextRound`, whose final round
+        // also delivers messages nobody will ever consume. A run sent by a
+        // batch with today's membership lands by position; any other resolves
+        // its recipients against the staged slots, and a recipient that is no
+        // longer correct is skipped. Deliveries are attributed to the
+        // *sending* batch's metrics row, matching `NextRound`'s accounting.
         let dispatch_started = Instant::now();
-        let horizon = self.next_batch();
-        while let Some(flight) = self.queue.pop_due(horizon) {
-            if !correct_index.contains(&flight.to) {
-                continue;
+        let land = |fan: &mut FanOut<'_, P>, run: &Run<P>, to: usize, delivered: &mut u64| {
+            let slot = if Arc::ptr_eq(&run.batch, batch) {
+                Some(to)
+            } else {
+                fan.slot_of(run.batch[to])
+            };
+            if let Some(slot) = slot {
+                fan.land_slot(slot, run.from, &run.payload, delivered);
             }
-            let mut inbox = inboxes
-                .remove(&flight.to)
-                .unwrap_or_else(|| spare_inboxes.pop().unwrap_or_default());
-            let mut delivered = 0u64;
-            deliver(
-                &mut inbox,
-                trace,
-                byzantine_index,
-                round + 1,
-                flight.from,
-                flight.to,
-                &flight.payload,
-                &mut delivered,
-            );
-            if delivered > 0 {
-                metrics.credit_deliveries(flight.sent_round, delivered);
-            }
-            inboxes.insert(flight.to, inbox);
+        };
+        while let Some((_, bucket)) = calendar.pop_due(horizon) {
+            bucket.for_each(|run, to| {
+                let mut delivered = 0u64;
+                match to {
+                    None if Arc::ptr_eq(&run.batch, batch) => {
+                        fan.land_all(run.from, &run.payload, &mut delivered)
+                    }
+                    None => {
+                        for to in 0..run.batch.len() {
+                            land(&mut fan, run, to, &mut delivered);
+                        }
+                    }
+                    Some(to) => land(&mut fan, run, to, &mut delivered),
+                }
+                metrics.credit_deliveries(run.sent_round, delivered);
+            });
+            calendar.recycle(bucket);
         }
+        staging.unstage(correct_ids, inboxes, spare_inboxes);
         ("dispatch", dispatch_started)
     }
 }
