@@ -78,12 +78,21 @@ enum Kind {
 }
 
 /// A vote for an instance: the sender either proposed an opinion (possibly `⊥`) or
-/// explicitly declared it has nothing to propose.
+/// explicitly declared it has nothing to propose. The opinion is **borrowed** from
+/// the message that carried it — collecting and tallying votes clones no value.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum InstanceVote<V> {
+pub enum InstanceVote<'a, V> {
     /// `m(x)` or `m(⊥)`.
-    Value(Option<V>),
+    Value(Option<&'a V>),
     /// `nopreference` / `nostrongpreference` — counts as "heard from" but carries no vote.
+    Abstain,
+}
+
+/// What this node itself sent for one message kind: the owned counterpart of
+/// [`InstanceVote`], kept for the substitution rule.
+#[derive(Clone, Debug)]
+enum SentVote<V> {
+    Value(Option<V>),
     Abstain,
 }
 
@@ -101,9 +110,10 @@ pub struct EarlyConsensus<V: Opinion> {
     /// was sent in (`None` = never sent). The substitution rule only ever uses the
     /// vote when it is from the *current* phase; a stale vote must not be replayed on
     /// behalf of members that have since decided and gone silent.
-    last_sent: [Option<(u64, InstanceVote<V>)>; 3],
-    /// Strong-prefer tally stashed in the rotor round, resolved one round later.
-    stashed_strong: VoteTally<Option<V>>,
+    last_sent: [Option<(u64, SentVote<V>)>; 3],
+    /// The plurality of the strong-prefer tally (value and support), stashed in the
+    /// rotor round and resolved one round later; `None` if the tally was empty.
+    stashed_strong: Option<(Option<V>, usize)>,
     /// The decision (`Some(None)` means "decided ⊥" — terminated with no output pair).
     decided: Option<Option<V>>,
     /// Phase in which the decision happened.
@@ -129,7 +139,7 @@ impl<V: Opinion> EarlyConsensus<V> {
             started_phase: phase.max(1),
             seen_in_phase1: [false; 3],
             last_sent: [None, None, None],
-            stashed_strong: VoteTally::new(),
+            stashed_strong: None,
             decided: None,
             decided_phase: None,
         }
@@ -177,13 +187,13 @@ impl<V: Opinion> EarlyConsensus<V> {
     ///   are read as `⊥`. Replaying a vote from an earlier phase would let a single
     ///   straggler manufacture a unanimous quorum out of its own stale vote once the
     ///   other members have decided and stopped talking — violating agreement.
-    fn tally(
-        &mut self,
+    fn tally<'a>(
+        &'a mut self,
         kind: Kind,
-        votes: &[(NodeId, InstanceVote<V>)],
+        votes: &[(NodeId, InstanceVote<'a, V>)],
         members: &SenderTracker,
         phase: u64,
-    ) -> VoteTally<Option<V>> {
+    ) -> VoteTally<Option<&'a V>> {
         let idx = kind as usize;
         let mut tally = VoteTally::new();
         let mut heard: BTreeSet<NodeId> = BTreeSet::new();
@@ -201,7 +211,7 @@ impl<V: Opinion> EarlyConsensus<V> {
         for (from, vote) in votes {
             heard.insert(*from);
             if let InstanceVote::Value(v) = vote {
-                tally.insert(*from, v.clone());
+                tally.insert(*from, *v);
             }
         }
 
@@ -213,23 +223,31 @@ impl<V: Opinion> EarlyConsensus<V> {
         }
 
         // Substitution for silent members: this node's own vote from the current
-        // phase if it cast one, otherwise `⊥`.
-        let substitute: Option<InstanceVote<V>> = match &self.last_sent[idx] {
-            Some((sent_phase, vote)) if *sent_phase == phase => Some(vote.clone()),
-            _ => Some(InstanceVote::Value(None)),
+        // phase if it cast one (an abstention substitutes nothing), otherwise `⊥`.
+        let substitute: Option<&V> = match &self.last_sent[idx] {
+            Some((sent_phase, SentVote::Abstain)) if *sent_phase == phase => return tally,
+            Some((sent_phase, SentVote::Value(value))) if *sent_phase == phase => value.as_ref(),
+            _ => None,
         };
-        if let Some(InstanceVote::Value(value)) = substitute {
-            for member in members.members() {
-                if !heard.contains(&member) {
-                    tally.insert(member, value.clone());
-                }
+        for member in members.members() {
+            if !heard.contains(&member) {
+                tally.insert(member, substitute);
             }
         }
         tally
     }
 
-    fn record_sent(&mut self, kind: Kind, phase: u64, vote: InstanceVote<V>) {
+    fn record_sent(&mut self, kind: Kind, phase: u64, vote: SentVote<V>) {
         self.last_sent[kind as usize] = Some((phase, vote));
+    }
+
+    /// The smallest value whose support meets `2n_v/3`, cloned out of the borrowed
+    /// tally (the caller keeps and sends it).
+    fn two_thirds_value(tally: &VoteTally<Option<&V>>, n_v: usize) -> Option<Option<V>> {
+        tally
+            .meeting_two_thirds(n_v)
+            .next()
+            .map(|(value, _)| value.cloned())
     }
 
     /// Phase step 1: the node broadcasts its input opinion if it has one (lines 4–6).
@@ -237,36 +255,29 @@ impl<V: Opinion> EarlyConsensus<V> {
         if self.decided.is_some() {
             return None;
         }
-        match self.opinion.clone() {
-            Some(value) => {
-                self.record_sent(Kind::Input, phase, InstanceVote::Value(Some(value.clone())));
-                Some(ParallelMessage::Input(self.instance, value))
-            }
-            None => None,
-        }
+        let value = self.opinion.clone()?;
+        self.record_sent(Kind::Input, phase, SentVote::Value(Some(value.clone())));
+        Some(ParallelMessage::Input(self.instance, value))
     }
 
     /// Phase step 2: evaluate the received `input` votes, answer with `prefer` or
     /// `nopreference` (lines 7–11).
     pub fn step_prefer(
         &mut self,
-        votes: &[(NodeId, InstanceVote<V>)],
+        votes: &[(NodeId, InstanceVote<'_, V>)],
         members: &SenderTracker,
         n_v: usize,
         phase: u64,
     ) -> ParallelMessage<V> {
-        let tally = self.tally(Kind::Input, votes, members, phase);
-        let preferred = tally
-            .iter()
-            .map(|(v, s)| (v.clone(), s.len()))
-            .find(|(_, count)| meets_two_thirds(*count, n_v));
+        let preferred =
+            Self::two_thirds_value(&self.tally(Kind::Input, votes, members, phase), n_v);
         match preferred {
-            Some((value, _)) => {
-                self.record_sent(Kind::Prefer, phase, InstanceVote::Value(value.clone()));
+            Some(value) => {
+                self.record_sent(Kind::Prefer, phase, SentVote::Value(value.clone()));
                 ParallelMessage::Prefer(self.instance, value)
             }
             None => {
-                self.record_sent(Kind::Prefer, phase, InstanceVote::Abstain);
+                self.record_sent(Kind::Prefer, phase, SentVote::Abstain);
                 ParallelMessage::NoPreference(self.instance)
             }
         }
@@ -276,73 +287,73 @@ impl<V: Opinion> EarlyConsensus<V> {
     /// support, answer with `strongprefer` or `nostrongpreference` (lines 12–19).
     pub fn step_strong(
         &mut self,
-        votes: &[(NodeId, InstanceVote<V>)],
+        votes: &[(NodeId, InstanceVote<'_, V>)],
         members: &SenderTracker,
         n_v: usize,
         phase: u64,
     ) -> ParallelMessage<V> {
-        let tally = self.tally(Kind::Prefer, votes, members, phase);
-        if let Some((value, count)) = tally.plurality() {
-            if meets_one_third(count, n_v) {
-                self.opinion = value.clone();
-            }
+        let (adopted, strong) = {
+            let tally = self.tally(Kind::Prefer, votes, members, phase);
+            let adopted = tally
+                .plurality()
+                .filter(|&(_, count)| meets_one_third(count, n_v))
+                .map(|(value, _)| value.cloned());
+            (adopted, Self::two_thirds_value(&tally, n_v))
+        };
+        if let Some(value) = adopted {
+            self.opinion = value;
         }
-        let strong = tally
-            .iter()
-            .map(|(v, s)| (v.clone(), s.len()))
-            .find(|(_, count)| meets_two_thirds(*count, n_v));
         match strong {
-            Some((value, _)) => {
-                self.record_sent(
-                    Kind::StrongPrefer,
-                    phase,
-                    InstanceVote::Value(value.clone()),
-                );
+            Some(value) => {
+                self.record_sent(Kind::StrongPrefer, phase, SentVote::Value(value.clone()));
                 ParallelMessage::StrongPrefer(self.instance, value)
             }
             None => {
-                self.record_sent(Kind::StrongPrefer, phase, InstanceVote::Abstain);
+                self.record_sent(Kind::StrongPrefer, phase, SentVote::Abstain);
                 ParallelMessage::NoStrongPreference(self.instance)
             }
         }
     }
 
-    /// Phase step 4 (rotor round): the `strongprefer` votes physically arrive now and
-    /// are stashed for the resolve step.
+    /// Phase step 4 (rotor round): the `strongprefer` votes physically arrive now;
+    /// the resolve step only ever reads their plurality, so that is what is kept.
     pub fn step_rotor_stash(
         &mut self,
-        votes: &[(NodeId, InstanceVote<V>)],
+        votes: &[(NodeId, InstanceVote<'_, V>)],
         members: &SenderTracker,
         phase: u64,
     ) {
-        self.stashed_strong = self.tally(Kind::StrongPrefer, votes, members, phase);
+        let strongest = self
+            .tally(Kind::StrongPrefer, votes, members, phase)
+            .plurality()
+            .map(|(value, count)| (value.cloned(), count));
+        self.stashed_strong = strongest;
     }
 
     /// Phase step 5: apply the strong-prefer rule, possibly adopting the coordinator's
     /// opinion or deciding (lines 20–27).
-    pub fn step_resolve(&mut self, coordinator_opinion: Option<Option<V>>, n_v: usize, phase: u64) {
+    pub fn step_resolve(
+        &mut self,
+        coordinator_opinion: Option<Option<&V>>,
+        n_v: usize,
+        phase: u64,
+    ) {
         if self.decided.is_some() {
             return;
         }
-        let strongest = self.stashed_strong.plurality().map(|(v, c)| (v.clone(), c));
-        match strongest {
+        match self.stashed_strong.take() {
             Some((value, count)) if meets_two_thirds(count, n_v) => {
                 self.decided = Some(value);
                 self.decided_phase = Some(phase);
             }
-            Some((_, count)) if !meets_one_third(count, n_v) => {
+            Some((_, count)) if meets_one_third(count, n_v) => {}
+            // Strong support below `n_v/3` (or none at all): follow the coordinator.
+            _ => {
                 if let Some(c) = coordinator_opinion {
-                    self.opinion = c;
+                    self.opinion = c.cloned();
                 }
             }
-            None => {
-                if let Some(c) = coordinator_opinion {
-                    self.opinion = c;
-                }
-            }
-            Some(_) => {}
         }
-        self.stashed_strong = VoteTally::new();
     }
 
     /// The output pair, if the instance decided a non-`⊥` value (line 26).
@@ -367,10 +378,10 @@ mod tests {
         tracker
     }
 
-    fn value_votes(pairs: &[(u64, Option<u32>)]) -> Vec<(NodeId, InstanceVote<u32>)> {
+    fn value_votes(pairs: &[(u64, Option<u32>)]) -> Vec<(NodeId, InstanceVote<'_, u32>)> {
         pairs
             .iter()
-            .map(|&(id, v)| (NodeId::new(id), InstanceVote::Value(v)))
+            .map(|(id, v)| (NodeId::new(*id), InstanceVote::Value(v.as_ref())))
             .collect()
     }
 
@@ -487,7 +498,7 @@ mod tests {
         inst.step_strong(&[], &m, 4, 1);
         // The rotor round shows explicit abstentions, so strong support stays below
         // n_v/3 and the node adopts the coordinator's ⊥ opinion.
-        let abstentions: Vec<(NodeId, InstanceVote<u32>)> = (2..=4)
+        let abstentions: Vec<(NodeId, InstanceVote<'_, u32>)> = (2..=4)
             .map(|id| (NodeId::new(id), InstanceVote::Abstain))
             .collect();
         inst.step_rotor_stash(&abstentions, &m, 1);
@@ -504,6 +515,71 @@ mod tests {
     }
 
     #[test]
+    fn a_sender_counts_once_per_value_but_may_support_two_values() {
+        let m = members(&[1, 2, 3, 4, 5, 6]);
+        let mut inst: EarlyConsensus<u32> = EarlyConsensus::without_input(4, 1);
+        // Node 1 votes 7 twice and 8 once; nodes 2–4 vote 7; 5 and 6 abstain (so
+        // nothing is substituted for them). 7 has four distinct supporters — the
+        // duplicate adds none — which is exactly 2n_v/3 at n_v = 6.
+        let mut votes = value_votes(&[
+            (1, Some(7)),
+            (1, Some(7)),
+            (1, Some(8)),
+            (2, Some(7)),
+            (3, Some(7)),
+            (4, Some(7)),
+        ]);
+        votes.push((NodeId::new(5), InstanceVote::Abstain));
+        votes.push((NodeId::new(6), InstanceVote::Abstain));
+        let tally = inst.tally(Kind::Input, &votes, &m, 1);
+        assert_eq!(tally.count(&Some(&7)), 4);
+        assert_eq!(tally.count(&Some(&8)), 1, "the same sender, a second value");
+        assert_eq!(tally.total(), 5);
+        assert_eq!(
+            inst.step_prefer(&votes[..votes.len() - 3], &m, 6, 1),
+            ParallelMessage::NoPreference(4),
+            "without node 4 the duplicate must not lift 7 to the quorum"
+        );
+    }
+
+    #[test]
+    fn the_smallest_value_wins_when_two_meet_two_thirds() {
+        // Only possible outside n > 3f: every member equivocates between 3 and 5,
+        // so both reach 2n_v/3. Preference, adoption and the stashed plurality all
+        // break towards the smaller value, and ⊥ orders below every value.
+        let m = members(&[1, 2, 3]);
+        let both = [
+            (1, Some(5)),
+            (1, Some(3)),
+            (2, Some(5)),
+            (2, Some(3)),
+            (3, Some(5)),
+            (3, Some(3)),
+        ];
+        let mut inst: EarlyConsensus<u32> = EarlyConsensus::without_input(2, 1);
+        assert_eq!(
+            inst.step_prefer(&value_votes(&both), &m, 3, 1),
+            ParallelMessage::Prefer(2, Some(3))
+        );
+        assert_eq!(
+            inst.step_strong(&value_votes(&both), &m, 3, 1),
+            ParallelMessage::StrongPrefer(2, Some(3))
+        );
+        assert_eq!(inst.opinion(), &Some(3));
+        let with_bottom = [
+            (1, Some(5)),
+            (1, None),
+            (2, Some(5)),
+            (2, None),
+            (3, Some(5)),
+            (3, None),
+        ];
+        inst.step_rotor_stash(&value_votes(&with_bottom), &m, 1);
+        inst.step_resolve(None, 3, 1);
+        assert_eq!(inst.decision(), Some(&None), "a three-all tie breaks to ⊥");
+    }
+
+    #[test]
     fn coordinator_opinion_is_adopted_when_strong_support_is_low() {
         let m = members(&[1, 2, 3, 4, 5, 6]);
         let mut inst = EarlyConsensus::with_input(2, 1u32, 1);
@@ -512,11 +588,11 @@ mod tests {
         inst.step_strong(&value_votes(&[(1, Some(1))]), &m, 6, 1);
         // Almost everyone explicitly reports "no strong preference", so fewer than
         // n_v/3 strong-prefer votes exist → adopt the coordinator's opinion.
-        let abstentions: Vec<(NodeId, InstanceVote<u32>)> = (2..=6)
+        let abstentions: Vec<(NodeId, InstanceVote<'_, u32>)> = (2..=6)
             .map(|id| (NodeId::new(id), InstanceVote::Abstain))
             .collect();
         inst.step_rotor_stash(&abstentions, &m, 1);
-        inst.step_resolve(Some(Some(5)), 6, 1);
+        inst.step_resolve(Some(Some(&5)), 6, 1);
         assert_eq!(inst.opinion(), &Some(5));
         assert!(inst.decision().is_none());
     }

@@ -17,6 +17,14 @@
 //!
 //! A pair submitted by only *some* correct nodes may or may not be output — but it is
 //! output consistently.
+//!
+//! The protocol is written once, over a **borrowed inbox**
+//! ([`ParallelConsensus::step_borrowed`]): it only ever reads who sent a message
+//! and what the message says, so it takes `(sender, &message)` pairs and lets the
+//! caller keep the messages wherever they arrived. [`Protocol::step`] adapts
+//! envelopes onto it; total order (Algorithm 6) feeds it borrows out of its own
+//! wire format. Votes and tallies borrow the opinions they count — a value is
+//! cloned only where the node keeps or sends it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -64,6 +72,9 @@ impl PhaseStep {
     }
 }
 
+/// One round's votes per instance, in arrival order.
+type InstanceVotes<'a, V> = BTreeMap<InstanceId, Vec<(NodeId, InstanceVote<'a, V>)>>;
+
 /// A node running the parallel consensus algorithm.
 #[derive(Clone, Debug)]
 pub struct ParallelConsensus<V: Opinion> {
@@ -72,7 +83,10 @@ pub struct ParallelConsensus<V: Opinion> {
     inputs: BTreeMap<InstanceId, V>,
     senders: SenderTracker,
     rotor: RotorState<u8>,
-    rotor_echo_buffer: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    /// `(candidate, voter)` for every `echo(candidate)` received from a member
+    /// since the last rotor round, in arrival order (duplicates included; the
+    /// rotor round sorts and dedups them once).
+    rotor_echo_buffer: Vec<(NodeId, NodeId)>,
     instances: BTreeMap<InstanceId, EarlyConsensus<V>>,
     phase: u64,
     phase_coordinator: Option<NodeId>,
@@ -87,7 +101,7 @@ impl<V: Opinion> ParallelConsensus<V> {
             inputs: inputs.into_iter().collect(),
             senders: SenderTracker::new(),
             rotor: RotorState::new(),
-            rotor_echo_buffer: BTreeMap::new(),
+            rotor_echo_buffer: Vec::new(),
             instances: BTreeMap::new(),
             phase: 0,
             phase_coordinator: None,
@@ -115,54 +129,52 @@ impl<V: Opinion> ParallelConsensus<V> {
         self.decision.as_ref()
     }
 
-    fn buffer_rotor_echoes(&mut self, inbox: &[Envelope<ParallelMessage<V>>]) {
-        for envelope in inbox {
-            if !self.senders.contains(envelope.from) {
-                continue;
-            }
-            if let ParallelMessage::Echo(candidate) = envelope.payload() {
-                self.rotor_echo_buffer
-                    .entry(*candidate)
-                    .or_default()
-                    .insert(envelope.from);
-            }
-        }
-    }
-
-    /// Groups this round's instance-scoped votes of the expected kind, spawning
-    /// instances for identifiers first heard now (first phase only).
-    fn collect_votes(
+    /// Sorts one round's inbox in a single pass, in arrival order: rotor echoes go
+    /// to the echo buffer, the coordinator's opinions (resolve step) and the votes of
+    /// the kind this phase step expects are grouped per instance — as **borrows**
+    /// of the messages that carry them — and instances for identifiers first heard
+    /// now are spawned (first phase only). Senders that did not count towards
+    /// `n_v` are skipped.
+    fn sort_inbox<'a>(
         &mut self,
-        inbox: &[&Envelope<ParallelMessage<V>>],
+        inbox: &[(NodeId, &'a ParallelMessage<V>)],
         step: PhaseStep,
-    ) -> BTreeMap<InstanceId, Vec<(NodeId, InstanceVote<V>)>> {
-        let mut votes: BTreeMap<InstanceId, Vec<(NodeId, InstanceVote<V>)>> = BTreeMap::new();
-        for envelope in inbox {
-            let vote = match (envelope.payload(), step) {
-                (ParallelMessage::Input(id, v), PhaseStep::Prefer) => {
-                    Some((*id, InstanceVote::Value(Some(v.clone())), true))
-                }
-                (ParallelMessage::Prefer(id, v), PhaseStep::StrongPrefer) => {
-                    Some((*id, InstanceVote::Value(v.clone()), true))
-                }
-                (ParallelMessage::NoPreference(id), PhaseStep::StrongPrefer) => {
-                    Some((*id, InstanceVote::Abstain, false))
-                }
-                (ParallelMessage::StrongPrefer(id, v), PhaseStep::Rotor) => {
-                    Some((*id, InstanceVote::Value(v.clone()), true))
-                }
-                (ParallelMessage::NoStrongPreference(id), PhaseStep::Rotor) => {
-                    Some((*id, InstanceVote::Abstain, false))
-                }
-                _ => None,
-            };
-            let Some((instance, vote, spawns)) = vote else {
+    ) -> (InstanceVotes<'a, V>, BTreeMap<InstanceId, Option<&'a V>>) {
+        let mut votes = InstanceVotes::new();
+        let mut opinions = BTreeMap::new();
+        for &(from, message) in inbox {
+            if !self.senders.contains(from) {
                 continue;
+            }
+            let (instance, vote) = match (message, step) {
+                (ParallelMessage::Echo(candidate), _) => {
+                    self.rotor_echo_buffer.push((*candidate, from));
+                    continue;
+                }
+                (ParallelMessage::Input(id, v), PhaseStep::Prefer) => {
+                    (*id, InstanceVote::Value(Some(v)))
+                }
+                (ParallelMessage::Prefer(id, v), PhaseStep::StrongPrefer)
+                | (ParallelMessage::StrongPrefer(id, v), PhaseStep::Rotor) => {
+                    (*id, InstanceVote::Value(v.as_ref()))
+                }
+                (ParallelMessage::NoPreference(id), PhaseStep::StrongPrefer)
+                | (ParallelMessage::NoStrongPreference(id), PhaseStep::Rotor) => {
+                    (*id, InstanceVote::Abstain)
+                }
+                (ParallelMessage::Opinion(id, v), PhaseStep::Resolve) => {
+                    // Last writer wins, as the coordinator's final word.
+                    if self.phase_coordinator == Some(from) {
+                        opinions.insert(*id, v.as_ref());
+                    }
+                    continue;
+                }
+                _ => continue,
             };
             // Lazy instance creation: only during the first phase, and only on a real
             // vote (abstentions never introduce a new identifier).
             if !self.instances.contains_key(&instance) {
-                if self.phase == 1 && spawns {
+                if self.phase == 1 && matches!(vote, InstanceVote::Value(_)) {
                     self.instances.insert(
                         instance,
                         EarlyConsensus::without_input(instance, self.phase),
@@ -171,12 +183,137 @@ impl<V: Opinion> ParallelConsensus<V> {
                     continue;
                 }
             }
-            votes
-                .entry(instance)
-                .or_default()
-                .push((envelope.from, vote));
+            votes.entry(instance).or_default().push((from, vote));
         }
-        votes
+        (votes, opinions)
+    }
+
+    /// One round of the algorithm over a **borrowed** inbox: `(sender, message)`
+    /// pairs in arrival order, the messages living wherever the caller received
+    /// them (an [`Envelope`], or the inside of a total-order `Instance` variant).
+    /// Returns the messages to broadcast. This is the whole protocol;
+    /// [`Protocol::step`] only adapts envelopes onto it.
+    pub fn step_borrowed(
+        &mut self,
+        round: u64,
+        inbox: &[(NodeId, &ParallelMessage<V>)],
+    ) -> Vec<ParallelMessage<V>> {
+        if self.decision.is_some() {
+            return Vec::new();
+        }
+        for &(from, _) in inbox {
+            self.senders.record(from);
+        }
+        match round {
+            1 => return vec![ParallelMessage::Init],
+            2 => {
+                return inbox
+                    .iter()
+                    .filter(|(_, message)| matches!(message, ParallelMessage::Init))
+                    .map(|&(from, _)| ParallelMessage::Echo(from))
+                    .collect()
+            }
+            3 => self.senders.freeze(),
+            _ => {}
+        }
+        let step = PhaseStep::from_round(round).expect("round ≥ 3");
+        let (votes, opinions) = self.sort_inbox(inbox, step);
+        let votes_of = |instance: &InstanceId| votes.get(instance).map_or(&[][..], Vec::as_slice);
+        let n_v = self.senders.n_v();
+        let phase = self.phase;
+
+        match step {
+            PhaseStep::Input => {
+                self.phase += 1;
+                self.phase_coordinator = None;
+                let phase = self.phase;
+                if phase == 1 {
+                    // Start an instance for every input pair.
+                    for (&instance, value) in &self.inputs {
+                        self.instances.insert(
+                            instance,
+                            EarlyConsensus::with_input(instance, value.clone(), phase),
+                        );
+                    }
+                }
+                self.instances
+                    .values_mut()
+                    .filter_map(|i| i.step_input(phase))
+                    .collect()
+            }
+            PhaseStep::Prefer => self
+                .instances
+                .iter_mut()
+                .filter(|(_, state)| !state.is_decided())
+                .map(|(id, state)| state.step_prefer(votes_of(id), &self.senders, n_v, phase))
+                .collect(),
+            PhaseStep::StrongPrefer => self
+                .instances
+                .iter_mut()
+                .filter(|(_, state)| !state.is_decided())
+                .map(|(id, state)| state.step_strong(votes_of(id), &self.senders, n_v, phase))
+                .collect(),
+            PhaseStep::Rotor => {
+                for (id, state) in self.instances.iter_mut() {
+                    if !state.is_decided() {
+                        state.step_rotor_stash(votes_of(id), &self.senders, phase);
+                    }
+                }
+                // One shared rotor round for all instances, over the distinct
+                // `(candidate, voter)` echoes buffered since the previous one.
+                let mut echoes = std::mem::take(&mut self.rotor_echo_buffer);
+                echoes.sort_unstable();
+                echoes.dedup();
+                let echo_votes: BTreeMap<NodeId, BTreeSet<NodeId>> = echoes
+                    .chunk_by(|a, b| a.0 == b.0)
+                    .map(|group| (group[0].0, group.iter().map(|&(_, voter)| voter).collect()))
+                    .collect();
+                let rotor_out =
+                    self.rotor
+                        .loop_round(self.id, &0, n_v, &echo_votes, &BTreeMap::new());
+                self.phase_coordinator = self.rotor.current_coordinator();
+                let mut out: Vec<ParallelMessage<V>> = rotor_out
+                    .into_iter()
+                    .filter_map(|m| match m {
+                        RotorMessage::Init => Some(ParallelMessage::Init),
+                        RotorMessage::Echo(p) => Some(ParallelMessage::Echo(p)),
+                        // The per-instance opinions below replace the scalar one.
+                        RotorMessage::Opinion(_) => None,
+                    })
+                    .collect();
+                // If this node is the coordinator, distribute its opinion for
+                // every live instance.
+                if self.phase_coordinator == Some(self.id) {
+                    for (instance, state) in &self.instances {
+                        if !state.is_decided() {
+                            out.push(ParallelMessage::Opinion(*instance, state.opinion().clone()));
+                        }
+                    }
+                }
+                out
+            }
+            PhaseStep::Resolve => {
+                for (instance, state) in self.instances.iter_mut() {
+                    state.step_resolve(opinions.get(instance).copied(), n_v, phase);
+                }
+                // The instance set is final after the first phase's rotor round,
+                // so the node may terminate at any resolve step at which every
+                // instance has decided.
+                if self.instances.values().all(|i| i.is_decided()) {
+                    let pairs = self
+                        .instances
+                        .values()
+                        .filter_map(|i| i.output_pair())
+                        .collect();
+                    self.decision = Some(ParallelDecision {
+                        pairs,
+                        phase,
+                        round,
+                    });
+                }
+                Vec::new()
+            }
+        }
     }
 }
 
@@ -199,162 +336,12 @@ impl<V: Opinion> Protocol for ParallelConsensus<V> {
         ctx: &RoundContext,
         inbox: &[Envelope<ParallelMessage<V>>],
     ) -> Vec<Outgoing<ParallelMessage<V>>> {
-        if self.decision.is_some() {
-            return Vec::new();
-        }
-        self.senders.record_inbox(inbox);
-
-        let out: Vec<ParallelMessage<V>> = match ctx.round {
-            1 => vec![ParallelMessage::Init],
-            2 => inbox
-                .iter()
-                .filter(|e| e.payload == ParallelMessage::Init)
-                .map(|e| ParallelMessage::Echo(e.from))
-                .collect(),
-            _ => {
-                if ctx.round == 3 {
-                    self.senders.freeze();
-                }
-                self.buffer_rotor_echoes(inbox);
-                let filtered: Vec<&Envelope<ParallelMessage<V>>> = inbox
-                    .iter()
-                    .filter(|e| self.senders.contains(e.from))
-                    .collect();
-                let n_v = self.senders.n_v();
-                let step = PhaseStep::from_round(ctx.round).expect("round ≥ 3");
-
-                match step {
-                    PhaseStep::Input => {
-                        self.phase += 1;
-                        self.phase_coordinator = None;
-                        if self.phase == 1 {
-                            // Start an instance for every input pair.
-                            let inputs = self.inputs.clone();
-                            for (instance, value) in inputs {
-                                self.instances.insert(
-                                    instance,
-                                    EarlyConsensus::with_input(instance, value, self.phase),
-                                );
-                            }
-                        }
-                        let phase = self.phase;
-                        self.instances
-                            .values_mut()
-                            .filter_map(|i| i.step_input(phase))
-                            .collect()
-                    }
-                    PhaseStep::Prefer => {
-                        let votes = self.collect_votes(&filtered, step);
-                        let phase = self.phase;
-                        let senders = self.senders.clone();
-                        let mut out = Vec::new();
-                        for (instance, state) in self.instances.iter_mut() {
-                            if state.is_decided() {
-                                continue;
-                            }
-                            let empty = Vec::new();
-                            let v = votes.get(instance).unwrap_or(&empty);
-                            out.push(state.step_prefer(v, &senders, n_v, phase));
-                        }
-                        out
-                    }
-                    PhaseStep::StrongPrefer => {
-                        let votes = self.collect_votes(&filtered, step);
-                        let phase = self.phase;
-                        let senders = self.senders.clone();
-                        let mut out = Vec::new();
-                        for (instance, state) in self.instances.iter_mut() {
-                            if state.is_decided() {
-                                continue;
-                            }
-                            let empty = Vec::new();
-                            let v = votes.get(instance).unwrap_or(&empty);
-                            out.push(state.step_strong(v, &senders, n_v, phase));
-                        }
-                        out
-                    }
-                    PhaseStep::Rotor => {
-                        let votes = self.collect_votes(&filtered, step);
-                        let phase = self.phase;
-                        let senders = self.senders.clone();
-                        for (instance, state) in self.instances.iter_mut() {
-                            if state.is_decided() {
-                                continue;
-                            }
-                            let empty = Vec::new();
-                            let v = votes.get(instance).unwrap_or(&empty);
-                            state.step_rotor_stash(v, &senders, phase);
-                        }
-                        // One shared rotor round for all instances.
-                        let echo_votes = std::mem::take(&mut self.rotor_echo_buffer);
-                        let rotor_out =
-                            self.rotor
-                                .loop_round(self.id, &0, n_v, &echo_votes, &BTreeMap::new());
-                        self.phase_coordinator = self.rotor.current_coordinator();
-                        let mut out: Vec<ParallelMessage<V>> = rotor_out
-                            .into_iter()
-                            .filter_map(|m| match m {
-                                RotorMessage::Init => Some(ParallelMessage::Init),
-                                RotorMessage::Echo(p) => Some(ParallelMessage::Echo(p)),
-                                // The per-instance opinions below replace the scalar one.
-                                RotorMessage::Opinion(_) => None,
-                            })
-                            .collect();
-                        // If this node is the coordinator, distribute its opinion for
-                        // every live instance.
-                        if self.phase_coordinator == Some(self.id) {
-                            for (instance, state) in &self.instances {
-                                if !state.is_decided() {
-                                    out.push(ParallelMessage::Opinion(
-                                        *instance,
-                                        state.opinion().clone(),
-                                    ));
-                                }
-                            }
-                        }
-                        out
-                    }
-                    PhaseStep::Resolve => {
-                        let phase = self.phase;
-                        let coordinator = self.phase_coordinator;
-                        // Coordinator opinions per instance.
-                        let mut opinions: BTreeMap<InstanceId, Option<V>> = BTreeMap::new();
-                        if let Some(p) = coordinator {
-                            for envelope in &filtered {
-                                if envelope.from != p {
-                                    continue;
-                                }
-                                if let ParallelMessage::Opinion(instance, value) =
-                                    envelope.payload()
-                                {
-                                    opinions.insert(*instance, value.clone());
-                                }
-                            }
-                        }
-                        for (instance, state) in self.instances.iter_mut() {
-                            state.step_resolve(opinions.get(instance).cloned(), n_v, phase);
-                        }
-                        // The instance set is final after the first phase's rotor round,
-                        // so the node may terminate at any resolve step at which every
-                        // instance has decided.
-                        if self.instances.values().all(|i| i.is_decided()) {
-                            let pairs = self
-                                .instances
-                                .values()
-                                .filter_map(|i| i.output_pair())
-                                .collect();
-                            self.decision = Some(ParallelDecision {
-                                pairs,
-                                phase,
-                                round: ctx.round,
-                            });
-                        }
-                        Vec::new()
-                    }
-                }
-            }
-        };
-        out.into_iter().map(Outgoing::broadcast).collect()
+        let borrowed: Vec<(NodeId, &ParallelMessage<V>)> =
+            inbox.iter().map(|e| (e.from, e.payload())).collect();
+        self.step_borrowed(ctx.round, &borrowed)
+            .into_iter()
+            .map(Outgoing::broadcast)
+            .collect()
     }
 
     fn output(&self) -> Option<ParallelDecision<V>> {
@@ -474,6 +461,91 @@ mod tests {
         for (id, value) in &decisions[0].pairs {
             assert_eq!(*value, id * 100);
         }
+    }
+
+    #[test]
+    fn envelopes_and_borrowed_inboxes_drive_the_same_protocol() {
+        // Two copies of one node, one stepped through `Protocol::step` on
+        // envelopes, the other through `step_borrowed` on borrows of the same
+        // messages, over an inbox script that reaches the corners: a non-member
+        // (node 9 is first heard after the freeze), one sender voting two
+        // values and one value twice, an unknown identifier, abstentions, and the
+        // coordinator's opinion overwritten by a later one in the same inbox.
+        let ids: Vec<NodeId> = [1, 2, 3, 4].map(NodeId::new).to_vec();
+        let outsider = NodeId::new(9);
+        let from_all = |message: fn(NodeId) -> Msg| -> Vec<(NodeId, Msg)> {
+            ids.iter().map(|&id| (id, message(id))).collect()
+        };
+        let mut script: Vec<Vec<(NodeId, Msg)>> = vec![
+            vec![],
+            from_all(|_| ParallelMessage::Init),
+            ids.iter()
+                .flat_map(|&from| ids.iter().map(move |&p| (from, ParallelMessage::Echo(p))))
+                .collect(),
+        ];
+        let mut prefer_round = from_all(|_| ParallelMessage::Input(1, 10));
+        prefer_round.extend([
+            (ids[1], ParallelMessage::Input(1, 10)),
+            (ids[1], ParallelMessage::Input(1, 11)),
+            (ids[2], ParallelMessage::Input(5, 50)),
+            (outsider, ParallelMessage::Input(6, 60)),
+        ]);
+        script.push(prefer_round);
+        let mut strong_round = from_all(|_| ParallelMessage::Prefer(1, Some(10)));
+        strong_round.extend([
+            (ids[3], ParallelMessage::NoPreference(5)),
+            (outsider, ParallelMessage::Prefer(1, Some(11))),
+        ]);
+        script.push(strong_round);
+        let mut rotor_round = from_all(|_| ParallelMessage::NoStrongPreference(1));
+        rotor_round.push((ids[0], ParallelMessage::StrongPrefer(5, None)));
+        script.push(rotor_round);
+        let mut resolve_round = from_all(ParallelMessage::Echo);
+        resolve_round.extend([
+            (ids[0], ParallelMessage::Opinion(1, Some(11))),
+            (ids[0], ParallelMessage::Opinion(1, Some(12))),
+            (outsider, ParallelMessage::Opinion(1, Some(13))),
+        ]);
+        script.push(resolve_round);
+        script.push(vec![]);
+
+        let mut by_envelope = ParallelConsensus::new(ids[0], vec![(1, 10u64)]);
+        let mut by_borrow = by_envelope.clone();
+        for (index, messages) in script.iter().enumerate() {
+            let round = index as u64 + 1;
+            let envelopes: Vec<Envelope<Msg>> = messages
+                .iter()
+                .map(|(from, message)| Envelope::new(*from, message.clone()))
+                .collect();
+            let borrowed: Vec<(NodeId, &Msg)> = messages
+                .iter()
+                .map(|(from, message)| (*from, message))
+                .collect();
+            let sent: Vec<Msg> = by_envelope
+                .step(&RoundContext::new(round), &envelopes)
+                .into_iter()
+                .map(|outgoing| outgoing.payload)
+                .collect();
+            assert_eq!(
+                sent,
+                by_borrow.step_borrowed(round, &borrowed),
+                "round {round}"
+            );
+            assert_eq!(
+                format!("{by_envelope:?}"),
+                format!("{by_borrow:?}"),
+                "state after round {round}"
+            );
+        }
+        // The script did reach those corners: the outsider never counted, the
+        // unknown identifier 5 was spawned (and 6, the outsider's, was not), and
+        // the coordinator's last word was the one adopted.
+        assert_eq!(by_borrow.n_v(), 4);
+        assert_eq!(
+            by_borrow.instances().keys().copied().collect::<Vec<_>>(),
+            [1, 5]
+        );
+        assert_eq!(by_borrow.instances()[&1].opinion(), &Some(12));
     }
 
     #[test]

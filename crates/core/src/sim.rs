@@ -1242,10 +1242,10 @@ impl<E: Opinion + Send + Sync + 'static> ProtocolFactory for TotalOrderFactory<E
         let leavers = self.leaver_ids();
         let lengths: Vec<(NodeId, usize)> =
             nodes.iter().map(|n| (n.id(), n.chain().len())).collect();
-        let chains: Vec<Vec<_>> = nodes
+        let chains: Vec<&[_]> = nodes
             .iter()
             .filter(|n| !leavers.contains(&n.id()))
-            .map(|n| n.chain().to_vec())
+            .map(|n| n.chain())
             .collect();
         report.chain = Some(ChainSection {
             lengths,

@@ -20,10 +20,22 @@
 //! * **Chain-prefix** — the logs of any two correct nodes are prefixes of one another;
 //! * **Chain-growth** — the log keeps growing as long as correct nodes keep
 //!   submitting events.
+//!
+//! # Cost
+//!
+//! The node is its own multiplexer. Each step makes one pass over the inbox and
+//! hands every running instance a *borrowed* inbox — `(sender, &inner)` pairs
+//! pointing into the `Instance` variants of the received payloads, filtered by
+//! the instance's member set — for
+//! [`ParallelConsensus::step_borrowed`]; nothing is allocated, hashed or
+//! reference-counted per envelope. An instance is driven until it terminates
+//! (fault-free: its local round 7, so seven run at once) and then only its
+//! decided pairs wait out the finality window. [`TotalOrderNode::work`] counts
+//! the work; `docs/STREAMING.md` has the cost model.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use uba_simnet::{Envelope, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Envelope, MuxWork, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
 use crate::early_consensus::ParallelMessage;
 use crate::parallel_consensus::ParallelConsensus;
@@ -62,10 +74,13 @@ pub struct OrderedEvent<E> {
 /// join protocol transfers no history), so its log starts later; likewise two nodes
 /// may have finalised up to different rounds. The chain-prefix property therefore
 /// amounts to: for every pair of logs, the entries for the rounds covered by both are
-/// identical. Returns `true` when that holds for every pair.
-pub fn chains_agree<E: Opinion>(chains: &[Vec<OrderedEvent<E>>]) -> bool {
-    for a in chains {
-        for b in chains {
+/// identical. Returns `true` when that holds for every pair. Logs are sorted by
+/// round (they are appended in round order), so each common window is a sub-slice.
+pub fn chains_agree<E: Opinion, C: AsRef<[OrderedEvent<E>]>>(chains: &[C]) -> bool {
+    for (i, a) in chains.iter().enumerate() {
+        let a = a.as_ref();
+        for b in &chains[i + 1..] {
+            let b = b.as_ref();
             let (Some(a_first), Some(b_first)) = (a.first(), b.first()) else {
                 continue;
             };
@@ -74,15 +89,15 @@ pub fn chains_agree<E: Opinion>(chains: &[Vec<OrderedEvent<E>>]) -> bool {
             };
             let lo = a_first.round.max(b_first.round);
             let hi = a_last.round.min(b_last.round);
-            let a_window: Vec<&OrderedEvent<E>> = a
-                .iter()
-                .filter(|e| e.round >= lo && e.round <= hi)
-                .collect();
-            let b_window: Vec<&OrderedEvent<E>> = b
-                .iter()
-                .filter(|e| e.round >= lo && e.round <= hi)
-                .collect();
-            if a_window != b_window {
+            if lo > hi {
+                continue;
+            }
+            let window = |chain: &'_ [OrderedEvent<E>]| {
+                let from = chain.partition_point(|e| e.round < lo);
+                let to = chain.partition_point(|e| e.round <= hi);
+                from..to
+            };
+            if a[window(a)] != b[window(b)] {
                 return false;
             }
         }
@@ -94,13 +109,21 @@ pub fn chains_agree<E: Opinion>(chains: &[Vec<OrderedEvent<E>>]) -> bool {
 /// against ("running a parallel consensus instance with respect to `S`").
 #[derive(Clone, Debug)]
 struct RoundInstance<E: Opinion> {
-    consensus: ParallelConsensus<E>,
+    /// The round that started the instance (the tag on its wire messages).
+    round: u64,
     /// The member set recorded when the instance started.
     members: BTreeSet<NodeId>,
     /// Local round counter of the embedded instance.
     local_round: u64,
-    /// Decided pairs (witness raw id → event), filled once the instance terminates.
-    decided: Option<BTreeMap<u64, E>>,
+    progress: Progress<E>,
+}
+
+/// An instance is driven until it terminates; from then on only its decided pairs
+/// (witness raw id → event) wait for finality.
+#[derive(Clone, Debug)]
+enum Progress<E: Opinion> {
+    Running(Box<ParallelConsensus<E>>),
+    Decided(BTreeMap<u64, E>),
 }
 
 /// A node running Algorithm 6.
@@ -124,14 +147,18 @@ pub struct TotalOrderNode<E: Opinion> {
     /// round so that every founder learns the initial membership; joiners do it as
     /// part of the join handshake).
     announced_presence: bool,
-    /// Per-round consensus instances, keyed by the round that created them.
-    instances: BTreeMap<u64, RoundInstance<E>>,
+    /// Per-round consensus instances awaiting finality, oldest first. A node starts
+    /// one every round until it leaves and retires them in round order, so the
+    /// rounds are consecutive and instance `r'` sits at index `r' − front.round`.
+    instances: VecDeque<RoundInstance<E>>,
     /// The finalised log.
     chain: Vec<OrderedEvent<E>>,
     /// Largest round up to which every round is final and appended to the chain.
     finalized_upto: u64,
     /// The first round this node participated in (instances before it do not exist).
     first_round: u64,
+    /// Demux work counters (measurement only; see [`TotalOrderNode::work`]).
+    work: MuxWork,
 }
 
 impl<E: Opinion> TotalOrderNode<E> {
@@ -148,10 +175,11 @@ impl<E: Opinion> TotalOrderNode<E> {
             leaving: false,
             announced_leave: false,
             announced_presence: false,
-            instances: BTreeMap::new(),
+            instances: VecDeque::new(),
             chain: Vec::new(),
             finalized_upto: 0,
             first_round: 1,
+            work: MuxWork::default(),
         }
     }
 
@@ -168,10 +196,11 @@ impl<E: Opinion> TotalOrderNode<E> {
             leaving: false,
             announced_leave: false,
             announced_presence: true,
-            instances: BTreeMap::new(),
+            instances: VecDeque::new(),
             chain: Vec::new(),
             finalized_upto: 0,
             first_round: 0,
+            work: MuxWork::default(),
         }
     }
 
@@ -212,6 +241,15 @@ impl<E: Opinion> TotalOrderNode<E> {
         self.finalized_upto
     }
 
+    /// The demux work counters accumulated so far, in the stream plane's currency:
+    /// `envelopes_indexed` is the inbox sizes summed over steps, `slot_steps` the
+    /// per-round instance steps executed, and `dropped_retired` the instance
+    /// traffic that matched no running instance (decided, finalised or never
+    /// started here). Measurement only — never part of a report.
+    pub fn work(&self) -> MuxWork {
+        self.work
+    }
+
     /// The finality rule of Algorithm 6 (line 28): round `r'` is final at round `r`
     /// if `r − r' > 5·|S_{r'}|/2 + 2`, evaluated in exact arithmetic.
     fn is_final(current_round: u64, instance_round: u64, members_at_start: usize) -> bool {
@@ -221,30 +259,29 @@ impl<E: Opinion> TotalOrderNode<E> {
 
     /// Advances finalisation and appends newly final rounds to the chain, in order.
     fn advance_finality(&mut self) {
-        loop {
-            let next = self.finalized_upto.max(self.first_round.saturating_sub(1)) + 1;
-            if next >= self.round {
+        while let Some(oldest) = self.instances.front() {
+            let next = oldest.round;
+            let ready = next < self.round
+                && Self::is_final(self.round, next, oldest.members.len())
+                && matches!(oldest.progress, Progress::Decided(_));
+            if !ready {
                 break;
             }
-            let Some(instance) = self.instances.get(&next) else {
-                break;
-            };
-            if !Self::is_final(self.round, next, instance.members.len()) {
-                break;
-            }
-            let Some(decided) = &instance.decided else {
-                break;
-            };
-            for (witness_raw, event) in decided {
-                self.chain.push(OrderedEvent {
-                    round: next,
-                    witness: NodeId::new(*witness_raw),
-                    event: event.clone(),
-                });
+            // The instance is no longer needed; its events move into the chain.
+            if let Some(Progress::Decided(decided)) =
+                self.instances.pop_front().map(|instance| instance.progress)
+            {
+                self.chain.extend(
+                    decided
+                        .into_iter()
+                        .map(|(witness_raw, event)| OrderedEvent {
+                            round: next,
+                            witness: NodeId::new(witness_raw),
+                            event,
+                        }),
+                );
             }
             self.finalized_upto = next;
-            // The instance is no longer needed; drop its state to bound memory.
-            self.instances.remove(&next);
         }
     }
 }
@@ -269,6 +306,7 @@ impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
         inbox: &[Envelope<TotalOrderMessage<E>>],
     ) -> Vec<Outgoing<TotalOrderMessage<E>>> {
         self.local_steps += 1;
+        self.work.envelopes_indexed += inbox.len() as u64;
         let mut out: Vec<Outgoing<TotalOrderMessage<E>>> = Vec::new();
 
         // Join handshake (lines 1–6).
@@ -311,9 +349,17 @@ impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
             out.push(Outgoing::broadcast(TotalOrderMessage::Present));
         }
 
-        // Lines 10–20: membership messages.
+        // Lines 10–20: membership messages — and, in the same pass, the demux of
+        // instance traffic: each inner message is borrowed straight out of its
+        // `Instance` variant into the buffer of the running instance it belongs
+        // to, in inbox order, if its sender is in that instance's frozen member
+        // set. Traffic for this round's instance (not started yet) is collected
+        // unfiltered and filtered below, once `S` has seen the whole inbox.
         let mut event_inputs: Vec<(u64, E)> = Vec::new();
-        let mut instance_inbox: BTreeMap<u64, Vec<Envelope<ParallelMessage<E>>>> = BTreeMap::new();
+        let oldest = self.instances.front().map_or(r, |instance| instance.round);
+        let mut buffers: Vec<Vec<(NodeId, &ParallelMessage<E>)>> =
+            vec![Vec::new(); self.instances.len()];
+        let mut fresh: Vec<(NodeId, &ParallelMessage<E>)> = Vec::new();
         for envelope in inbox {
             match envelope.payload() {
                 TotalOrderMessage::Present => {
@@ -331,28 +377,23 @@ impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
                         event_inputs.push((envelope.from.raw(), event.clone()));
                     }
                 }
-                TotalOrderMessage::Instance(instance_round, _) => {
-                    // Only instances that will actually be driven this round
-                    // consume their inboxes: the one started this round (`r`)
-                    // and the outstanding undecided ones. Traffic for decided
-                    // or finalised-and-dropped instances used to be cloned
-                    // here and then dropped unread; now it costs nothing. The
-                    // payload itself is a borrowing projection out of the
-                    // `Instance` variant — no clone of the inner message.
-                    let live = *instance_round == r
-                        || self
-                            .instances
-                            .get(instance_round)
-                            .is_some_and(|instance| instance.decided.is_none());
-                    if live {
-                        let inner = envelope.payload.project(|payload| match payload {
-                            TotalOrderMessage::Instance(_, message) => message,
-                            _ => unreachable!("projecting a non-instance payload"),
-                        });
-                        instance_inbox
-                            .entry(*instance_round)
-                            .or_default()
-                            .push(Envelope::new(envelope.from, inner));
+                TotalOrderMessage::Instance(instance_round, message) => {
+                    if *instance_round == r && !self.leaving {
+                        fresh.push((envelope.from, message));
+                        continue;
+                    }
+                    let running = instance_round
+                        .checked_sub(oldest)
+                        .and_then(|index| usize::try_from(index).ok())
+                        .and_then(|index| Some((index, self.instances.get(index)?)))
+                        .filter(|(_, instance)| matches!(instance.progress, Progress::Running(_)));
+                    match running {
+                        Some((index, instance)) => {
+                            if instance.members.contains(&envelope.from) {
+                                buffers[index].push((envelope.from, message));
+                            }
+                        }
+                        None => self.work.dropped_retired += 1,
                     }
                 }
             }
@@ -374,39 +415,36 @@ impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
         // pairs, with respect to the current member set. Leaving nodes only finish
         // outstanding instances and do not start new ones.
         if !self.leaving {
-            let consensus = ParallelConsensus::new(self.id, event_inputs);
-            self.instances.insert(
-                r,
-                RoundInstance {
-                    consensus,
-                    members: self.members.clone(),
-                    local_round: 0,
-                    decided: None,
-                },
-            );
+            fresh.retain(|(from, _)| self.members.contains(from));
+            buffers.push(fresh);
+            debug_assert!(self.instances.back().is_none_or(|last| last.round + 1 == r));
+            self.instances.push_back(RoundInstance {
+                round: r,
+                members: self.members.clone(),
+                local_round: 0,
+                progress: Progress::Running(Box::new(ParallelConsensus::new(
+                    self.id,
+                    event_inputs,
+                ))),
+            });
         }
 
         // Drive every outstanding instance by one (local) round.
-        for (&instance_round, instance) in self.instances.iter_mut() {
-            if instance.decided.is_some() {
+        for (instance, inbox) in self.instances.iter_mut().zip(&buffers) {
+            let Progress::Running(consensus) = &mut instance.progress else {
                 continue;
-            }
+            };
             instance.local_round += 1;
-            let inner_ctx = RoundContext::new(instance.local_round);
-            let inbox: Vec<Envelope<ParallelMessage<E>>> = instance_inbox
-                .remove(&instance_round)
-                .unwrap_or_default()
-                .into_iter()
-                .filter(|e| instance.members.contains(&e.from))
-                .collect();
-            for message in instance.consensus.step(&inner_ctx, &inbox) {
-                out.push(Outgoing {
-                    dest: message.dest,
-                    payload: TotalOrderMessage::Instance(instance_round, message.payload),
-                });
-            }
-            if let Some(decision) = instance.consensus.decision() {
-                instance.decided = Some(decision.pairs.clone());
+            self.work.slot_steps += 1;
+            let tag = instance.round;
+            out.extend(
+                consensus
+                    .step_borrowed(instance.local_round, inbox)
+                    .into_iter()
+                    .map(|message| Outgoing::broadcast(TotalOrderMessage::Instance(tag, message))),
+            );
+            if let Some(decision) = consensus.decision() {
+                instance.progress = Progress::Decided(decision.pairs.clone());
             }
         }
 
@@ -440,7 +478,7 @@ impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
 
     fn retired_frontier(&self) -> u64 {
         // Every instance ≤ `finalized_upto` is decided, appended to the chain
-        // and dropped from `instances`; the finality rule keeps the node's
+        // and popped off `instances`; the finality rule keeps the node's
         // round far past the window in which an event for such an instance
         // could still become an input (`tag + 1 == r`). So everything strictly
         // below `finalized_upto` can never be read or sent again — exactly the
@@ -528,6 +566,47 @@ mod tests {
         assert!(chains_agree(&[full.clone(), suffix.clone(), empty]));
         let conflicting = vec![ev(2, 2, 99)];
         assert!(!chains_agree(&[full, conflicting]));
+    }
+
+    #[test]
+    fn a_new_instance_is_filtered_by_the_membership_after_the_whole_inbox() {
+        // `Instance(r, …)` from x, then `Absent` from x, in round r's inbox: the
+        // instance started in round r runs with respect to S *after* the inbox,
+        // so x's message must not reach it — while y, who turns up `Present`
+        // later in the same inbox than its instance message, is heard.
+        let (me, x, y) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
+        let mut node = Node::founding(me);
+        node.members.insert(x);
+        let init = |from: NodeId, round: u64| {
+            Envelope::new(
+                from,
+                TotalOrderMessage::Instance(round, ParallelMessage::<u64>::Init),
+            )
+        };
+        let inbox = [
+            init(x, 1),
+            init(y, 1),
+            Envelope::new(x, TotalOrderMessage::Absent),
+            Envelope::new(y, TotalOrderMessage::Present),
+        ];
+        node.step(&RoundContext::new(1), &inbox);
+        let started = node.instances.back().expect("round 1 started an instance");
+        assert_eq!(started.members, BTreeSet::from([me, y]));
+        let Progress::Running(consensus) = &started.progress else {
+            panic!("a fresh instance is running");
+        };
+        assert_eq!(consensus.n_v(), 1, "heard from y, not from the departed x");
+
+        // For an outstanding instance the filter is its frozen member set: y was
+        // not in S when round 1's instance started in a second node, x was.
+        let mut other = Node::founding(me);
+        other.members.insert(x);
+        other.step(&RoundContext::new(1), &[]);
+        other.step(&RoundContext::new(2), &[init(x, 1), init(y, 1)]);
+        let Progress::Running(consensus) = &other.instances[0].progress else {
+            panic!("round 1's instance is still running");
+        };
+        assert_eq!(consensus.n_v(), 1, "heard from x, not from the stranger y");
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
 /// Parses JSON text into a deserializable type.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -146,6 +147,8 @@ fn write_string(s: &str, out: &mut String) {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    /// The input, and the same input as bytes (`pos` indexes both).
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -309,13 +312,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte sequences included).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| Error::msg("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape. Both are
+                    // ASCII, so the run starts and ends on character boundaries of
+                    // the (already valid UTF-8) input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -407,6 +411,49 @@ mod tests {
         let text = to_string(&xs).unwrap();
         let back: Vec<(u64, String)> = from_str(&text).unwrap();
         assert_eq!(back, xs);
+    }
+
+    #[test]
+    fn multibyte_and_escaped_strings_round_trip() {
+        let tricky = "é→𝄞 \"quoted\" back\\slash\ttab\nnewline \u{1}\u{1f} ünï";
+        let value = Value::Array(vec![
+            Value::Str(tricky.into()),
+            Value::Object(vec![(tricky.into(), Value::Str(String::new()))]),
+        ]);
+        let text = to_string(&value).unwrap();
+        assert_eq!(from_str::<Value>(&text).unwrap(), value);
+        // Escapes the writer never emits still parse, next to raw multi-byte text.
+        assert_eq!(
+            from_str::<Value>(r#""\u00e9é\/\b\f""#).unwrap(),
+            Value::Str("éé/\u{8}\u{c}".into())
+        );
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_the_document() {
+        // The parser used to re-validate the whole remaining buffer for every
+        // character of every string: quadratic, 8 s for an 831 KB report.
+        fn document(bytes: usize) -> String {
+            let item = r#"{"name":"a string with some length to it","note":"ünïcödé \" escape"}"#;
+            let items = vec![item; bytes / item.len()];
+            format!("[{}]", items.join(","))
+        }
+        fn parse_time(text: &str) -> std::time::Duration {
+            (0..3)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    assert!(matches!(from_str::<Value>(text), Ok(Value::Array(_))));
+                    started.elapsed()
+                })
+                .min()
+                .expect("three samples")
+        }
+        let small = parse_time(&document(1 << 20));
+        let large = parse_time(&document(4 << 20));
+        assert!(
+            large < small * 8,
+            "4 MB took {large:?}, 1 MB took {small:?}: more than 8x for 4x the input"
+        );
     }
 
     #[test]

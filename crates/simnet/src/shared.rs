@@ -12,6 +12,9 @@
 //!   used to recompute per delivery is now computed once per allocation
 //!   ([`Shared::digest`]), so delivering a broadcast to `k` recipients hashes the
 //!   payload once, not `k` times;
+//! * lends out **borrowing views** of a tagged payload's inner field
+//!   ([`Shared::project_second`], the stream mux's demux) that allocate no
+//!   payload and hash nothing unless their digest is actually read;
 //! * compares and hashes **by value**, so inboxes, dedup fallbacks and recorded
 //!   traces behave exactly as if they stored owned payloads;
 //! * is **copy-on-write**: forwarding a handle ([`Clone`]) is a reference-count
@@ -105,25 +108,6 @@ where
     }
 }
 
-/// The general projection adapter behind [`Shared::project`]: a source
-/// allocation plus a capture-free view function selecting a component of it
-/// (e.g. the payload inside an enum variant). One small adapter allocation,
-/// never a payload clone — and not a *counted* payload allocation.
-struct FieldProjection<P, Q> {
-    source: Arc<SharedInner<P>>,
-    view: fn(&P) -> &Q,
-}
-
-impl<P, Q> ProjectTo<Q> for FieldProjection<P, Q>
-where
-    P: Send + Sync,
-    Q: Send + Sync,
-{
-    fn projected(&self) -> &Q {
-        (self.view)(&self.source.value)
-    }
-}
-
 /// The two shapes a handle can take: the allocating form, and a borrowing view
 /// into another handle's allocation. Projected handles bump neither
 /// [`allocations`] nor [`deallocations`] — they are views, not payloads.
@@ -131,7 +115,9 @@ enum Repr<P> {
     Owned(Arc<SharedInner<P>>),
     Projected {
         source: Arc<dyn ProjectTo<P>>,
-        digest: u64,
+        /// How to hash the view, kept from where the `Hash` bound was in scope:
+        /// a projected digest is computed when asked for, not per projection.
+        digest: fn(&P) -> u64,
     },
 }
 
@@ -162,51 +148,21 @@ where
 {
     /// A borrowing view of the tuple's second field: `Shared<(T, P)>` →
     /// `Shared<P>` **without cloning `P` and without a payload allocation**.
-    /// The view keeps the tuple allocation alive and pays exactly one hash (the
-    /// projected digest — the same `DefaultHasher` stream [`Shared::new`] would
-    /// cache for the field), so a demux that used to re-wrap every matching
-    /// payload now hands out views whose digests, values and comparisons are
-    /// indistinguishable from the re-wrapped originals.
+    /// The view keeps the tuple allocation alive and hashes nothing up front:
+    /// its digest is computed on [`Shared::digest`] (the same `DefaultHasher`
+    /// stream [`Shared::new`] would cache for the field), so a demux that used
+    /// to re-wrap every matching payload now hands out views whose digests,
+    /// values and comparisons are indistinguishable from the re-wrapped
+    /// originals, and a view whose digest nobody reads costs no hash at all.
     pub fn project_second(&self) -> Shared<P> {
         match &self.0 {
             Repr::Owned(inner) => Shared(Repr::Projected {
-                digest: digest_of(&inner.value.1),
+                digest: digest_of::<P>,
                 source: Arc::clone(inner) as Arc<dyn ProjectTo<P>>,
             }),
             // Projecting a projection (a doubly-nested mux) has no single
             // source allocation to borrow from: materialise the field instead.
             Repr::Projected { source, .. } => Shared::new(source.projected().1.clone()),
-        }
-    }
-}
-
-impl<P> Shared<P>
-where
-    P: Send + Sync + 'static,
-{
-    /// A borrowing view of any component `view` can reach — the general form
-    /// of [`Shared::project_second`], for shapes a tuple projection cannot
-    /// express (the payload inside an enum variant, a struct field). `view`
-    /// must be a plain capture-free `fn` so the view stays `Send + Sync`, and
-    /// it must be total for this handle's value: the demux that calls it has
-    /// already matched the variant it projects out of.
-    ///
-    /// Costs one digest hash and one small (uncounted) adapter allocation —
-    /// never a clone of `Q`. On an already-projected handle it falls back to
-    /// materialising the component.
-    pub fn project<Q>(&self, view: fn(&P) -> &Q) -> Shared<Q>
-    where
-        Q: Hash + Clone + Send + Sync + 'static,
-    {
-        match &self.0 {
-            Repr::Owned(inner) => Shared(Repr::Projected {
-                digest: digest_of(view(&inner.value)),
-                source: Arc::new(FieldProjection {
-                    source: Arc::clone(inner),
-                    view,
-                }),
-            }),
-            Repr::Projected { source, .. } => Shared::new(view(source.projected()).clone()),
         }
     }
 }
@@ -220,12 +176,12 @@ impl<P> Shared<P> {
         }
     }
 
-    /// The payload's cached 64-bit digest (computed once, at allocation — or at
-    /// projection, for a borrowed view).
+    /// The payload's 64-bit digest: cached at allocation for an owned handle,
+    /// computed on each call for a borrowed view.
     pub fn digest(&self) -> u64 {
         match &self.0 {
             Repr::Owned(inner) => inner.digest,
-            Repr::Projected { digest, .. } => *digest,
+            Repr::Projected { source, digest } => digest(source.projected()),
         }
     }
 
@@ -514,33 +470,6 @@ mod tests {
         assert_eq!(*view, 15);
         assert_eq!(tagged.get().1, 10, "the source tuple is untouched");
         assert_eq!(view.digest(), payload_digest(&15u64));
-    }
-
-    #[test]
-    fn general_projection_reaches_into_enum_variants() {
-        #[derive(Clone, Debug, PartialEq, Hash)]
-        enum Wire {
-            Tagged(u64, Vec<u32>),
-        }
-        let message = Shared::new(Wire::Tagged(3, vec![9, 9, 9]));
-        let before = thread_allocations();
-        let view: Shared<Vec<u32>> = message.project(|m| {
-            let Wire::Tagged(_, inner) = m;
-            inner
-        });
-        assert_eq!(
-            thread_allocations() - before,
-            0,
-            "a view is not an allocation"
-        );
-        assert_eq!(*view, vec![9, 9, 9]);
-        let Wire::Tagged(_, inner) = message.get();
-        assert!(
-            std::ptr::eq(view.get(), inner),
-            "the view borrows the field"
-        );
-        assert_eq!(view.digest(), payload_digest(&vec![9u32, 9, 9]));
-        assert_eq!(view.digest(), Shared::new(vec![9u32, 9, 9]).digest());
     }
 
     #[test]

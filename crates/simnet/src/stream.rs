@@ -88,7 +88,9 @@ pub enum InstanceState<'a, N: Protocol> {
     Completed(&'a CompletedInstance<N>),
 }
 
-/// Per-node demux work counters, maintained by [`MuxNode::step`]. Measurement
+/// Per-node demux work counters, maintained by [`MuxNode::step`] (and, in the
+/// same currency, by `uba-core`'s total-order node, which multiplexes its own
+/// per-round instances). Measurement
 /// only — these never enter a [`RunReport`], so they cannot perturb the
 /// byte-identity pins; the window-sweep benchmark reads them to prove per-round
 /// cost tracks the active window rather than the horizon.
