@@ -18,11 +18,10 @@
 //!
 //! `scaling` regenerates `BENCH_scaling.json`: the wall-clock scaling sweep up to
 //! `n = 256` with the per-phase timing split (see `uba_bench::scaling` and
-//! `docs/ENGINE.md`). With `--quick` it runs the small-`n` prefix and two gates:
+//! `docs/ENGINE.md`). With `--quick` it runs the small-`n` prefix and one gate:
 //! the deterministic baseline grid is compared against the recorded
-//! `BENCH_baseline.json`, and the quick grid is re-run forced through the
-//! parallel step path at two `parallel_node_threshold` values — **any count
-//! drift exits non-zero**. This is the CI regression guard for engine rewrites.
+//! `BENCH_baseline.json` — **any count drift exits non-zero**. This is the CI
+//! regression guard for engine rewrites.
 //!
 //! `fuzz --boundary` sweeps scenarios pinned *at* `n = 3f` and **fails if no
 //! case violates a theorem property**: outside the resiliency bound a violation
@@ -406,19 +405,6 @@ fn run_scaling(args: &[String]) {
             std::process::exit(1);
         }
         eprintln!("baseline counts unchanged ✓");
-        // Second gate: the quick grid forced through the parallel step path at
-        // two thresholds must reproduce the serial counts exactly — serial ≡
-        // parallel is an engine invariant, not a hope.
-        eprintln!("checking count drift across parallel_node_threshold values 1 and 64…");
-        let threshold_drift = uba_bench::scaling::threshold_drift(true, &[1, 64]);
-        if !threshold_drift.is_empty() {
-            eprintln!("parallel stepping drifted from the serial counts:");
-            for line in &threshold_drift {
-                eprintln!("  {line}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!("threshold counts identical ✓");
     }
     eprintln!("running the scaling grid (quick = {quick})…");
     let started = std::time::Instant::now();

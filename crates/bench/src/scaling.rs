@@ -159,8 +159,6 @@ pub struct ScalingRow {
     /// (same counts by construction; the wall-clock difference is the
     /// scheduler's overhead).
     pub engine: String,
-    /// Whether the engine's parallel node-step path was enabled for this run.
-    pub parallel: bool,
     /// Wall-clock time of the run in milliseconds (machine-dependent).
     pub wall_ms: f64,
     /// Engine-phase wall-clock split (machine-dependent).
@@ -183,20 +181,16 @@ impl ScalingRow {
 }
 
 impl ScalingRow {
-    /// The `protocol/adversary/n[/engine][/parallel]` scenario key. The
-    /// reference lookup deliberately ignores both suffixes: every mode is
-    /// compared against the same (serial, synchronous) pre-rewrite timing.
+    /// The `protocol/adversary/n[/engine]` scenario key. The reference lookup
+    /// deliberately ignores the suffix: every engine is compared against the
+    /// same synchronous pre-rewrite timing.
     pub fn key(&self) -> String {
         let engine = if self.engine == "sync" {
             String::new()
         } else {
             format!("/{}", self.engine)
         };
-        let suffix = if self.parallel { "/parallel" } else { "" };
-        format!(
-            "{}/{}/n{}{}{}",
-            self.protocol, self.adversary, self.n, engine, suffix
-        )
+        format!("{}/{}/n{}{}", self.protocol, self.adversary, self.n, engine)
     }
 
     fn reference_key(&self) -> String {
@@ -230,20 +224,6 @@ pub struct ScalingFile {
     pub speedups: Vec<SpeedupRow>,
 }
 
-/// How the grid drives the engine's node-step path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum StepMode {
-    /// Serial rows, plus a forced-parallel re-run at `n ≥ 64` whose counts are
-    /// asserted identical — the shape recorded in `BENCH_scaling.json`.
-    Recorded,
-    /// Every run opts in to parallel stepping with the given engine threshold —
-    /// the shape the CI threshold-drift gate compares across thresholds.
-    Forced {
-        threshold: usize,
-    },
-    Serial,
-}
-
 fn timed_run<F: ProtocolFactory>(mut harness: Harness<F>) -> (RunReport, f64, PhaseSplit) {
     let started = Instant::now();
     let report = harness.run().expect("scaling run completes");
@@ -255,7 +235,7 @@ fn timed_run<F: ProtocolFactory>(mut harness: Harness<F>) -> (RunReport, f64, Ph
     )
 }
 
-fn row(report: &RunReport, parallel: bool, wall_ms: f64, phases: PhaseSplit) -> ScalingRow {
+fn row(report: &RunReport, wall_ms: f64, phases: PhaseSplit) -> ScalingRow {
     ScalingRow {
         protocol: report.protocol.clone(),
         adversary: report.adversary.clone(),
@@ -269,7 +249,6 @@ fn row(report: &RunReport, parallel: bool, wall_ms: f64, phases: PhaseSplit) -> 
             None | Some(EngineKind::Sync) => "sync".to_string(),
             Some(EngineKind::Event(_)) => "event".to_string(),
         },
-        parallel,
         wall_ms,
         deliver_share: phases.deliver_share(),
         phases,
@@ -277,33 +256,11 @@ fn row(report: &RunReport, parallel: bool, wall_ms: f64, phases: PhaseSplit) -> 
 }
 
 /// `engine = None` runs the recorded sync-engine grid (with the event overhead
-/// re-runs at `n = 128` in [`StepMode::Recorded`]); `engine = Some(..)` forces
-/// every run through that engine instead, for overhead sweeps.
-fn grid_rows(quick: bool, mode: StepMode, engine: Option<EngineKind>) -> Vec<ScalingRow> {
+/// re-runs at `n = 128`); `engine = Some(..)` forces every run through that
+/// engine instead, for overhead sweeps.
+fn grid_rows(quick: bool, engine: Option<EngineKind>) -> Vec<ScalingRow> {
     let sizes = if quick { QUICK_SIZES } else { FULL_SIZES };
     let mut rows = Vec::new();
-
-    // Applies the step mode to a built harness; returns whether the run counts
-    // as "parallel" in the row.
-    macro_rules! drive {
-        ($harness:expr, $force_parallel:expr) => {{
-            let mut harness = $harness;
-            let parallel = match mode {
-                StepMode::Recorded => {
-                    if $force_parallel {
-                        harness = harness.parallel_stepping();
-                    }
-                    $force_parallel
-                }
-                StepMode::Forced { threshold } => {
-                    harness = harness.parallel_stepping().parallel_threshold(threshold);
-                    true
-                }
-                StepMode::Serial => false,
-            };
-            (timed_run(harness), parallel)
-        }};
-    }
 
     for &n in sizes {
         let f = (n - 1) / 3;
@@ -313,9 +270,8 @@ fn grid_rows(quick: bool, mode: StepMode, engine: Option<EngineKind>) -> Vec<Sca
         // Id-only consensus: every phase is a sequence of all-to-all broadcasts,
         // which is the traffic pattern the zero-copy message plane targets.
         // Split-vote is the broadcast-heavy headline (the adversary keeps the
-        // phases coming). In the recorded mode, at n ≥ 64 the same scenario is
-        // re-run with the opt-in parallel node-step path, and at n = 128 once
-        // more through the discrete-event scheduler under zero-jitter timing;
+        // phases coming). On the recorded grid, at n = 128 the same scenario is
+        // re-run through the discrete-event scheduler under zero-jitter timing;
         // the counts must not move (equality is asserted), only the wall clock
         // may — the event rows record the scheduler's overhead.
         for kind in [AdversaryKind::Silent, AdversaryKind::SplitVote] {
@@ -331,48 +287,34 @@ fn grid_rows(quick: bool, mode: StepMode, engine: Option<EngineKind>) -> Vec<Sca
                 }
                 scenario.consensus(&inputs)
             };
-            let ((report, wall_ms, phases), parallel) = drive!(build(engine.clone()), false);
-            rows.push(row(&report, parallel, wall_ms, phases));
-            if mode == StepMode::Recorded && n >= 64 {
-                let ((parallel_report, parallel_ms, parallel_phases), _) =
-                    drive!(build(engine.clone()), true);
-                assert_eq!(
-                    (parallel_report.rounds, &parallel_report.messages),
-                    (report.rounds, &report.messages),
-                    "parallel stepping must not change behaviour"
-                );
-                rows.push(row(&parallel_report, true, parallel_ms, parallel_phases));
-            }
-            if mode == StepMode::Recorded && engine.is_none() && n == 128 {
-                let ((event_report, event_ms, event_phases), _) =
-                    drive!(build(Some(EngineKind::event())), false);
+            let (report, wall_ms, phases) = timed_run(build(engine.clone()));
+            rows.push(row(&report, wall_ms, phases));
+            if engine.is_none() && n == 128 {
+                let (event_report, event_ms, event_phases) =
+                    timed_run(build(Some(EngineKind::event())));
                 assert_eq!(
                     (event_report.rounds, &event_report.messages),
                     (report.rounds, &report.messages),
                     "the zero-jitter event engine must not change behaviour"
                 );
-                rows.push(row(&event_report, false, event_ms, event_phases));
+                rows.push(row(&event_report, event_ms, event_phases));
             }
         }
 
         // Phase-king head-to-head on the same sizes (known `(n, f)`, silent
         // faults — the only behaviour its wire format admits).
-        let ((report, wall_ms, phases), parallel) = drive!(
-            {
-                let mut scenario = Simulation::scenario()
-                    .correct(correct)
-                    .byzantine(f)
-                    .ids(IdSpace::Consecutive)
-                    .seed(0)
-                    .max_rounds(5_000);
-                if let Some(engine) = engine.clone() {
-                    scenario = scenario.engine(engine);
-                }
-                scenario.build(PhaseKingFactory::new(inputs.clone()))
-            },
-            false
-        );
-        rows.push(row(&report, parallel, wall_ms, phases));
+        let mut scenario = Simulation::scenario()
+            .correct(correct)
+            .byzantine(f)
+            .ids(IdSpace::Consecutive)
+            .seed(0)
+            .max_rounds(5_000);
+        if let Some(engine) = engine.clone() {
+            scenario = scenario.engine(engine);
+        }
+        let (report, wall_ms, phases) =
+            timed_run(scenario.build(PhaseKingFactory::new(inputs.clone())));
+        rows.push(row(&report, wall_ms, phases));
     }
 
     // Reliable broadcast at the largest sizes: a fixed round budget, so the cost
@@ -380,21 +322,16 @@ fn grid_rows(quick: bool, mode: StepMode, engine: Option<EngineKind>) -> Vec<Sca
     let broadcast_sizes: &[usize] = if quick { &[32] } else { &[64, 128, 256] };
     for &n in broadcast_sizes {
         let f = (n - 1) / 3;
-        let ((report, wall_ms, phases), parallel) = drive!(
-            {
-                let mut scenario = Simulation::scenario()
-                    .correct(n - f)
-                    .byzantine(f)
-                    .seed(SEED + n as u64)
-                    .adversary(AdversaryKind::AnnounceThenSilent);
-                if let Some(engine) = engine.clone() {
-                    scenario = scenario.engine(engine);
-                }
-                scenario.broadcast(42).rounds(12)
-            },
-            false
-        );
-        rows.push(row(&report, parallel, wall_ms, phases));
+        let mut scenario = Simulation::scenario()
+            .correct(n - f)
+            .byzantine(f)
+            .seed(SEED + n as u64)
+            .adversary(AdversaryKind::AnnounceThenSilent);
+        if let Some(engine) = engine.clone() {
+            scenario = scenario.engine(engine);
+        }
+        let (report, wall_ms, phases) = timed_run(scenario.broadcast(42).rounds(12));
+        rows.push(row(&report, wall_ms, phases));
     }
 
     rows
@@ -403,66 +340,14 @@ fn grid_rows(quick: bool, mode: StepMode, engine: Option<EngineKind>) -> Vec<Sca
 /// Runs the scaling grid (`--quick` restricts it to the small-`n` prefix) and
 /// returns one measured row per scenario.
 pub fn scaling_rows(quick: bool) -> Vec<ScalingRow> {
-    grid_rows(quick, StepMode::Recorded, None)
+    grid_rows(quick, None)
 }
 
 /// Runs the whole scaling grid through the given engine (the
 /// `experiments -- scaling --engine event` overhead sweep). Counts are
 /// engine-independent by construction; the wall clock is the point.
 pub fn scaling_rows_with_engine(quick: bool, engine: EngineKind) -> Vec<ScalingRow> {
-    grid_rows(quick, StepMode::Recorded, Some(engine))
-}
-
-/// The CI threshold-drift gate (see `.github/workflows/ci.yml`): runs the quick
-/// grid once serially and once per parallel threshold, every run forced through
-/// the opt-in parallel path, and compares the deterministic residue of the rows
-/// (rounds, message and delivery counts, completion). Any difference between two
-/// thresholds — or between a threshold and the serial reference — is returned as
-/// a human-readable drift line; an empty result means the step modes are
-/// behaviourally indistinguishable, as the engine promises.
-pub fn threshold_drift(quick: bool, thresholds: &[usize]) -> Vec<String> {
-    let reference: Vec<ScalingRow> = grid_rows(quick, StepMode::Serial, None)
-        .iter()
-        .map(ScalingRow::counts_only)
-        .collect();
-    let mut drift = Vec::new();
-    for &threshold in thresholds {
-        let rows = grid_rows(quick, StepMode::Forced { threshold }, None);
-        if rows.len() != reference.len() {
-            drift.push(format!(
-                "threshold {threshold}: {} rows vs {} serial rows",
-                rows.len(),
-                reference.len()
-            ));
-            continue;
-        }
-        for (serial, forced) in reference.iter().zip(&rows) {
-            let forced = ScalingRow {
-                parallel: serial.parallel,
-                ..forced.counts_only()
-            };
-            if *serial != forced {
-                drift.push(format!(
-                    "{}/{} n={} threshold={}: counts drifted: serial (rounds {}, messages {}, \
-                     deliveries {}, ok {}) vs parallel (rounds {}, messages {}, deliveries {}, \
-                     ok {})",
-                    serial.protocol,
-                    serial.adversary,
-                    serial.n,
-                    threshold,
-                    serial.rounds,
-                    serial.messages,
-                    serial.deliveries,
-                    serial.ok,
-                    forced.rounds,
-                    forced.messages,
-                    forced.deliveries,
-                    forced.ok,
-                ));
-            }
-        }
-    }
-    drift
+    grid_rows(quick, Some(engine))
 }
 
 /// Assembles the scaling file: measured rows plus speedups against the recorded
@@ -600,14 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_drift_is_empty_across_step_modes() {
-        // The CI gate's core promise: forcing the parallel path at any threshold
-        // reproduces the serial counts exactly.
-        let drift = threshold_drift(true, &[1, 64]);
-        assert_eq!(drift, Vec::<String>::new());
-    }
-
-    #[test]
     fn phase_split_totals_and_shares_follow_the_named_slots() {
         let split = PhaseSplit {
             phases: vec![
@@ -648,8 +525,8 @@ mod tests {
                 })
                 .collect()
         };
-        let sync = normalize(grid_rows(true, StepMode::Serial, None));
-        let event = normalize(grid_rows(true, StepMode::Serial, Some(EngineKind::event())));
+        let sync = normalize(grid_rows(true, None));
+        let event = normalize(grid_rows(true, Some(EngineKind::event())));
         assert_eq!(sync, event);
     }
 

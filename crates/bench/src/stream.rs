@@ -175,54 +175,26 @@ pub struct StreamOutcome {
 }
 
 /// Execution knobs orthogonal to the workload shape: which engine drives the
-/// run, whether nodes step in parallel, and the two active-window switches —
-/// mux-level instance retirement and engine-level retired-tag traffic GC.
-/// Both switches are observationally silent (`tests/stream_equivalence.rs`
-/// pins report byte-identity across every combination); they only change how
-/// much memory and per-round work the run carries.
-#[derive(Clone, Debug)]
+/// run, and engine-level retired-tag traffic GC. The GC switch is
+/// observationally silent (`tests/stream_equivalence.rs` pins report
+/// byte-identity on and off); it only changes how much memory and per-round
+/// work the run carries.
+#[derive(Clone, Debug, Default)]
 pub struct StreamOptions {
     /// `None` is the sync engine.
     pub engine: Option<EngineKind>,
-    /// Parallel node stepping.
-    pub parallel: bool,
-    /// Retire decided mux slots into compact records (default on).
-    pub retirement: bool,
     /// Prune queued engine traffic addressed to globally-retired instances
     /// (default off, matching the engines' own default).
     pub traffic_gc: bool,
 }
 
-impl Default for StreamOptions {
-    fn default() -> Self {
-        StreamOptions {
-            engine: None,
-            parallel: false,
-            retirement: true,
-            traffic_gc: false,
-        }
-    }
-}
-
-impl StreamOptions {
-    /// The legacy knob set: a named engine and a parallel-stepping switch.
-    pub fn on_engine(engine: Option<EngineKind>, parallel: bool) -> Self {
-        StreamOptions {
-            engine,
-            parallel,
-            ..StreamOptions::default()
-        }
-    }
-}
-
-/// Runs a pipelined consensus stream. `engine = None` is the sync engine;
-/// `parallel` turns on parallel node stepping.
-pub fn run_consensus_stream(
-    config: &StreamConfig,
-    engine: Option<EngineKind>,
-    parallel: bool,
-) -> StreamOutcome {
-    run_consensus_stream_with(config, &StreamOptions::on_engine(engine, parallel))
+/// Runs a pipelined consensus stream. `engine = None` is the sync engine.
+pub fn run_consensus_stream(config: &StreamConfig, engine: Option<EngineKind>) -> StreamOutcome {
+    let options = StreamOptions {
+        engine,
+        traffic_gc: false,
+    };
+    run_consensus_stream_with(config, &options)
 }
 
 /// [`run_consensus_stream`] with the full [`StreamOptions`] knob set.
@@ -264,9 +236,6 @@ pub fn run_consensus_stream_with(config: &StreamConfig, options: &StreamOptions)
         // guarantee the stream_equivalence pin holds us to.
         let factory = ConsensusFactory::new(vec![batch_value(&batches[0]); config.nodes]);
         let mut harness = scenario(last_start + CONSENSUS_TAIL).build(factory);
-        if options.parallel {
-            harness = harness.parallel_stepping();
-        }
         if options.traffic_gc {
             harness = harness.traffic_gc();
         }
@@ -282,12 +251,8 @@ pub fn run_consensus_stream_with(config: &StreamConfig, options: &StreamOptions)
                     batch_value(batch),
                 )
             }),
-        )
-        .retirement(options.retirement);
+        );
         let mut harness = scenario(last_start + CONSENSUS_TAIL).build(driver);
-        if options.parallel {
-            harness = harness.parallel_stepping();
-        }
         if options.traffic_gc {
             harness = harness.traffic_gc();
         }
@@ -351,19 +316,17 @@ pub fn run_consensus_stream_with(config: &StreamConfig, options: &StreamOptions)
 
 /// Runs a batched total-order stream, sampling the finalised chain every round
 /// so each batch's finalisation round (and hence per-request latency) is known.
-pub fn run_total_order_stream(
-    config: &StreamConfig,
-    engine: Option<EngineKind>,
-    parallel: bool,
-) -> StreamOutcome {
-    run_total_order_stream_with(config, &StreamOptions::on_engine(engine, parallel))
+pub fn run_total_order_stream(config: &StreamConfig, engine: Option<EngineKind>) -> StreamOutcome {
+    let options = StreamOptions {
+        engine,
+        traffic_gc: false,
+    };
+    run_total_order_stream_with(config, &options)
 }
 
-/// [`run_total_order_stream`] with the full [`StreamOptions`] knob set.
-/// Retirement is a mux knob and does not apply here; the total-order node has
-/// its own finality-driven retirement (`advance_finality` drops finalised
-/// instances), and `traffic_gc` prunes engine traffic below its finalised
-/// frontier.
+/// [`run_total_order_stream`] with the full [`StreamOptions`] knob set. The
+/// total-order node retires finalised instances itself (`advance_finality`),
+/// and `traffic_gc` prunes engine traffic below its finalised frontier.
 pub fn run_total_order_stream_with(
     config: &StreamConfig,
     options: &StreamOptions,
@@ -380,9 +343,6 @@ pub fn run_total_order_stream_with(
     }
     let mut harness: Harness<TotalOrderFactory<Vec<u64>>> =
         builder.build(TotalOrderFactory::new(plan));
-    if options.parallel {
-        harness = harness.parallel_stepping();
-    }
     if options.traffic_gc {
         harness = harness.traffic_gc();
     }
@@ -674,7 +634,7 @@ pub fn stream_rows(preset: &str, config: &StreamConfig) -> Vec<StreamRow> {
         [(None, "sync"), (Some(EngineKind::event()), "event")];
     let mut rows = Vec::new();
     for (engine, engine_name) in engines {
-        let outcome = run_consensus_stream(config, engine.clone(), false);
+        let outcome = run_consensus_stream(config, engine.clone());
         rows.push(outcome_row(
             &outcome,
             preset,
@@ -683,7 +643,7 @@ pub fn stream_rows(preset: &str, config: &StreamConfig) -> Vec<StreamRow> {
             config,
             config.instances as u64,
         ));
-        let outcome = run_total_order_stream(config, engine, false);
+        let outcome = run_total_order_stream(config, engine);
         rows.push(outcome_row(
             &outcome,
             preset,
@@ -958,7 +918,7 @@ mod tests {
 
     #[test]
     fn the_consensus_stream_decides_every_instance_and_passes_its_oracles() {
-        let outcome = run_consensus_stream(&tiny(), None, false);
+        let outcome = run_consensus_stream(&tiny(), None);
         assert_eq!(outcome.decisions, 6, "every pipelined instance decides");
         assert_eq!(outcome.requests, 36);
         assert_eq!(outcome.decided_requests, 36);
@@ -978,7 +938,7 @@ mod tests {
 
     #[test]
     fn the_total_order_stream_finalises_every_batch() {
-        let outcome = run_total_order_stream(&tiny(), None, false);
+        let outcome = run_total_order_stream(&tiny(), None);
         assert_eq!(outcome.requests, 48);
         assert_eq!(
             outcome.decided_requests, 48,
@@ -991,15 +951,15 @@ mod tests {
 
     #[test]
     fn stream_runs_are_deterministic_in_the_seed() {
-        let a = run_consensus_stream(&tiny(), None, false);
-        let b = run_consensus_stream(&tiny(), None, false);
+        let a = run_consensus_stream(&tiny(), None);
+        let b = run_consensus_stream(&tiny(), None);
         assert_eq!(a.report, b.report);
         assert_eq!(a.latencies_rounds, b.latencies_rounds);
     }
 
     #[test]
     fn the_drift_gate_flags_deterministic_changes_and_missing_rows() {
-        let outcome = run_consensus_stream(&tiny(), None, false);
+        let outcome = run_consensus_stream(&tiny(), None);
         let row = outcome_row(&outcome, "smoke", "consensus-stream", "sync", &tiny(), 6);
         let file = StreamFile {
             seed: 1,
@@ -1023,25 +983,16 @@ mod tests {
     }
 
     #[test]
-    fn retirement_and_traffic_gc_leave_the_report_byte_identical() {
-        let base = run_consensus_stream(&tiny(), None, false);
-        let keeping = run_consensus_stream_with(
-            &tiny(),
-            &StreamOptions {
-                retirement: false,
-                ..StreamOptions::default()
-            },
-        );
+    fn traffic_gc_leaves_the_report_byte_identical() {
+        let base = run_consensus_stream(&tiny(), None);
         let gc = run_consensus_stream_with(
             &tiny(),
             &StreamOptions {
+                engine: None,
                 traffic_gc: true,
-                ..StreamOptions::default()
             },
         );
-        assert_eq!(base.report, keeping.report, "retirement is silent");
         assert_eq!(base.report, gc.report, "traffic GC is silent");
-        assert_eq!(base.latencies_rounds, keeping.latencies_rounds);
         assert_eq!(base.latencies_rounds, gc.latencies_rounds);
     }
 

@@ -34,11 +34,7 @@
 //!    [`RoundTraffic`], and its payload is wrapped into a [`Shared`] handle —
 //!    **the only payload allocation it will ever cost**, with the dedup digest
 //!    computed right there; inbox buffers are recycled across rounds instead of
-//!    reallocated. An opt-in parallel path
-//!    ([`Engine::enable_parallel_stepping`]) fans the stepping out over
-//!    `std::thread::scope` threads once the node count reaches
-//!    [`EngineConfig::parallel_node_threshold`], merging per-thread traffic in node
-//!    order so executions stay bit-for-bit deterministic.
+//!    reallocated.
 //! 2. **Adversary — O(1) + whatever the strategy reads.** The rushing adversary
 //!    observes the full point-to-point expansion of the round's correct traffic
 //!    through the lazy [`AdversaryView`] iterators (nothing is allocated by the
@@ -99,10 +95,6 @@ pub struct EngineConfig {
     pub trace: bool,
     /// Capacity of the trace log when tracing is enabled.
     pub trace_capacity: usize,
-    /// Minimum node count at which the parallel node-step path kicks in. Only
-    /// consulted after [`Engine::enable_parallel_stepping`] was called; below
-    /// the threshold stepping stays serial (the fan-out overhead would dominate).
-    pub parallel_node_threshold: usize,
 }
 
 impl Default for EngineConfig {
@@ -111,7 +103,6 @@ impl Default for EngineConfig {
             max_rounds: 10_000,
             trace: false,
             trace_capacity: 1 << 20,
-            parallel_node_threshold: 64,
         }
     }
 }
@@ -360,17 +351,6 @@ pub(crate) fn deliver<P: PartialEq>(
     inbox.messages.push(Envelope::new(from, payload.clone()));
 }
 
-/// The phase-1 node stepper: consumes the extracted per-node inboxes (aligned with
-/// `nodes`) and appends the produced traffic, returning the live-node count. Stored
-/// as a plain function pointer so the parallel variant — which needs `N: Send` —
-/// can be installed without putting that bound on the whole engine.
-type StepperFn<N> = fn(
-    &mut [N],
-    &RoundContext,
-    &mut [Option<Inbox<<N as Protocol>::Payload>>],
-    &mut RoundTraffic<<N as Protocol>::Payload>,
-) -> u64;
-
 /// Steps one node over its staged inbox and appends what it sends.
 #[inline]
 fn step_node<N: Protocol>(
@@ -392,10 +372,12 @@ fn step_node<N: Protocol>(
     }
 }
 
+/// Steps a full batch: every live node under the same round context, in node
+/// order. Returns the live-node count.
 fn step_serial<N: Protocol>(
     nodes: &mut [N],
     ctx: &RoundContext,
-    inboxes: &mut [Option<Inbox<N::Payload>>],
+    inboxes: &[Option<Inbox<N::Payload>>],
     traffic: &mut RoundTraffic<N::Payload>,
 ) -> u64 {
     let mut live = 0u64;
@@ -409,72 +391,9 @@ fn step_serial<N: Protocol>(
     live
 }
 
-fn step_parallel<N>(
-    nodes: &mut [N],
-    ctx: &RoundContext,
-    inboxes: &mut [Option<Inbox<N::Payload>>],
-    traffic: &mut RoundTraffic<N::Payload>,
-) -> u64
-where
-    N: Protocol + Send,
-    N::Payload: Send + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(nodes.len().max(1));
-    if workers <= 1 {
-        return step_serial::<N>(nodes, ctx, inboxes, traffic);
-    }
-    let chunk = nodes.len().div_ceil(workers);
-    let mut results: Vec<(u64, Vec<TrafficItem<N::Payload>>)> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for (node_chunk, inbox_chunk) in nodes.chunks_mut(chunk).zip(inboxes.chunks_mut(chunk)) {
-            handles.push(scope.spawn(move || {
-                let mut items: Vec<TrafficItem<N::Payload>> = Vec::new();
-                let mut live = 0u64;
-                for (node, slot) in node_chunk.iter_mut().zip(inbox_chunk.iter_mut()) {
-                    if node.terminated() {
-                        continue;
-                    }
-                    live += 1;
-                    let id = node.id();
-                    let empty: &[Envelope<N::Payload>] = &[];
-                    let inbox = slot.as_ref().map_or(empty, |b| b.messages.as_slice());
-                    for message in node.step(ctx, inbox) {
-                        items.push(match message.dest {
-                            Destination::Broadcast => TrafficItem::Broadcast {
-                                from: id,
-                                payload: Shared::new(message.payload),
-                            },
-                            Destination::Unicast(to) => {
-                                TrafficItem::Unicast(Directed::new(id, to, message.payload))
-                            }
-                        });
-                    }
-                }
-                (live, items)
-            }));
-        }
-        // Joining in spawn order merges the per-chunk traffic in node order, which
-        // keeps the execution identical to the serial stepper.
-        for handle in handles {
-            results.push(handle.join().expect("node-step worker panicked"));
-        }
-    });
-    let mut live = 0u64;
-    for (chunk_live, items) in results {
-        live += chunk_live;
-        traffic.extend_items(items);
-    }
-    live
-}
-
 /// Steps a skewed partial batch: only the nodes with a `due` entry, each under
 /// its own local round number. Kept apart from [`step_serial`] so the
-/// full-batch path pays nothing for the mask; always serial — the due subset
-/// is typically small.
+/// full-batch path pays nothing for the mask.
 fn step_due<N: Protocol>(
     nodes: &mut [N],
     due: &[Option<u64>],
@@ -737,8 +656,6 @@ pub struct Engine<N: Protocol, A: Adversary<N::Payload>> {
     traffic: RoundTraffic<N::Payload>,
     /// When a produced message becomes an inbox entry.
     delivery: Delivery<N::Payload>,
-    /// Installed by [`Engine::enable_parallel_stepping`]; `None` means serial.
-    parallel_stepper: Option<StepperFn<N>>,
     round: u64,
     metrics: Metrics,
     timings: PhaseTimings,
@@ -834,7 +751,6 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
             step_inboxes: Vec::new(),
             traffic: RoundTraffic::new(),
             delivery,
-            parallel_stepper: None,
             round: 0,
             metrics: Metrics::new(),
             timings: PhaseTimings::default(),
@@ -1035,13 +951,6 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         self.timings.clone()
     }
 
-    /// Overrides the node count at which the parallel step path engages (see
-    /// [`EngineConfig::parallel_node_threshold`]). Mostly useful for equivalence
-    /// tests that want to force the parallel path at small sizes.
-    pub fn set_parallel_node_threshold(&mut self, threshold: usize) {
-        self.config.parallel_node_threshold = threshold;
-    }
-
     /// The trace log, if tracing was enabled in the configuration.
     pub fn trace(&self) -> Option<&TraceLog<N::Payload>> {
         self.trace.as_ref()
@@ -1231,20 +1140,12 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         self.timings.add("step", elapsed_ns(step_started));
         let produce_started = Instant::now();
         let live = match &due {
-            None => {
-                let stepper = match self.parallel_stepper {
-                    Some(parallel) if self.nodes.len() >= self.config.parallel_node_threshold => {
-                        parallel
-                    }
-                    _ => step_serial::<N>,
-                };
-                stepper(
-                    &mut self.nodes,
-                    &RoundContext::new(self.round),
-                    &mut self.step_inboxes,
-                    &mut self.traffic,
-                )
-            }
+            None => step_serial(
+                &mut self.nodes,
+                &RoundContext::new(self.round),
+                &self.step_inboxes,
+                &mut self.traffic,
+            ),
             Some(due) => step_due(&mut self.nodes, due, &self.step_inboxes, &mut self.traffic),
         };
         self.timings.add("produce", elapsed_ns(produce_started));
@@ -1436,25 +1337,6 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
     /// drivers that want to inspect adversary state after a run.
     pub fn into_parts(self) -> (Vec<N>, A, Metrics) {
         (self.nodes, self.adversary, self.metrics)
-    }
-}
-
-impl<N, A> Engine<N, A>
-where
-    N: Protocol + Send,
-    N::Payload: Send + Sync,
-    A: Adversary<N::Payload>,
-{
-    /// Opts in to the parallel node-step path: once the node count reaches
-    /// [`EngineConfig::parallel_node_threshold`], phase 1 fans the `step` calls out
-    /// over scoped threads (one contiguous chunk per available core) and merges the
-    /// produced traffic in node order. Executions are bit-for-bit identical to the
-    /// serial path — protocols are independent deterministic state machines, and
-    /// the merge preserves the serial traffic order — so this is purely a
-    /// wall-clock optimisation for large systems. A skewed partial batch under
-    /// `Timed` always steps serially — the due subset is typically small.
-    pub fn enable_parallel_stepping(&mut self) {
-        self.parallel_stepper = Some(step_parallel::<N>);
     }
 }
 
@@ -1650,43 +1532,6 @@ mod tests {
             assert!(engine.is_correct(NodeId::new(10)));
             engine.remove_byzantine_id(NodeId::new(900)).unwrap();
             assert!(!engine.is_byzantine(NodeId::new(900)));
-        });
-    }
-
-    #[test]
-    fn parallel_stepping_matches_serial_execution() {
-        let run = |timing: Option<EventTiming>, parallel: bool| {
-            let byz = NodeId::new(999);
-            let adv = FnAdversary::new(move |v: &AdversaryView<'_, u64>| {
-                v.correct_ids
-                    .iter()
-                    .map(|&to| Directed::new(byz, to, v.round))
-                    .collect()
-            });
-            let config = EngineConfig {
-                parallel_node_threshold: 1,
-                trace: true,
-                trace_capacity: 1 << 16,
-                ..Default::default()
-            };
-            let ns: Vec<Counter> = (0..33)
-                .map(|i| Counter::new(NodeId::new(10 + 3 * i as u64), 4))
-                .collect();
-            let mut engine = Engine::assemble(ns, adv, vec![byz], config, timing);
-            if parallel {
-                engine.enable_parallel_stepping();
-            }
-            engine.run_to_termination(10).unwrap();
-            (
-                engine.metrics().clone(),
-                engine.outputs(),
-                engine.trace().unwrap().events().to_vec(),
-            )
-        };
-        both(|timing| {
-            let serial = run(timing.clone(), false);
-            assert_eq!(serial, run(timing, true), "delivery order is identical");
-            serial
         });
     }
 

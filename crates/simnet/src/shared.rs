@@ -21,10 +21,12 @@
 //!   bump; only a mutation through [`Shared::modify`] pays a payload clone, and
 //!   only when the handle is actually shared.
 //!
-//! The handle is an [`Arc`] rather than an `Rc` because the engine's opt-in
-//! parallel node-step path moves inboxes (and the traffic produced by worker
-//! threads) across `std::thread::scope` threads; the atomic reference-count bump
-//! is still orders of magnitude cheaper than the deep clones it replaces.
+//! The handle is an [`Arc`], so it is `Send + Sync` and anything that holds one
+//! — a recorded trace, a node, a whole engine — can leave the thread that built
+//! it. The engine itself steps on one thread; whether an `Rc` would be measurably
+//! cheaper per delivery is an open performance question, not settled here. The
+//! atomic reference-count bump is orders of magnitude cheaper than the deep
+//! clones it replaces.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -92,8 +94,7 @@ impl<P> Drop for SharedInner<P> {
 /// keeps the whole source allocation alive and borrows the field out of it.
 ///
 /// The `Send + Sync` supertraits keep `Shared<P>`'s auto traits intact: a
-/// projected handle crosses the same scoped-thread boundaries the owned form
-/// does (the engine's parallel step path).
+/// projected handle is as `Send + Sync` as the owned form.
 trait ProjectTo<P>: Send + Sync {
     fn projected(&self) -> &P;
 }

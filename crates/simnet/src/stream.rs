@@ -113,9 +113,8 @@ pub struct MuxWork {
 /// *local* round number (`global - start_round`) and a projected (not cloned)
 /// inbox, and retags everything the instances send. An instance whose start
 /// round has not arrived yet neither sends nor receives. Decided instances are
-/// retired into [`CompletedInstance`] records (unless
-/// [`MuxNode::set_retirement`] turned retirement off), and the node terminates
-/// when the decided count reaches the instance count.
+/// retired into [`CompletedInstance`] records, and the node terminates when
+/// the decided count reaches the instance count.
 ///
 /// Tags are assumed dense from 0 (the [`StreamDriver`] assigns them in push
 /// order); the retired frontier reported to the engine's traffic GC is the
@@ -128,7 +127,6 @@ pub struct MuxNode<N: Protocol> {
     completed_index: HashMap<u64, usize, FastState>,
     total: usize,
     decided: usize,
-    retire: bool,
     work: MuxWork,
     frontier: u64,
     pending_decided: BTreeSet<u64>,
@@ -146,7 +144,6 @@ impl<N: Protocol> MuxNode<N> {
             completed_index: HashMap::default(),
             total,
             decided: 0,
-            retire: true,
             work: MuxWork::default(),
             frontier: 0,
             pending_decided: BTreeSet::new(),
@@ -191,13 +188,6 @@ impl<N: Protocol> MuxNode<N> {
             .iter()
             .find(|slot| slot.tag == tag)
             .map(InstanceState::Live)
-    }
-
-    /// Turns retirement on or off (on by default). With retirement off,
-    /// decided slots stay in the slot vector — the pre-retirement behaviour,
-    /// kept byte-identical by `tests/stream_equivalence.rs`.
-    pub fn set_retirement(&mut self, on: bool) {
-        self.retire = on;
     }
 
     /// Records a decided tag and advances the contiguous decided-prefix
@@ -273,9 +263,9 @@ where
                 continue;
             }
             if slot.node.terminated() {
-                // Reachable only with retirement off, or for a slot that was
-                // terminated at build time and awaits its lazy sweep. Consume
-                // the tag so the counter matches the retired path exactly.
+                // Reachable only for a slot that was terminated at build time
+                // and awaits its lazy sweep. Consume the tag so the counter
+                // matches the retired path exactly.
                 if let Some(positions) = index.remove(&slot.tag) {
                     self.work.dropped_retired += positions.len() as u64;
                 }
@@ -316,7 +306,7 @@ where
         for tag in newly_decided {
             self.note_decided(tag);
         }
-        if self.retire && sweep {
+        if sweep {
             self.retire_terminated();
         }
         outgoing
@@ -373,7 +363,6 @@ pub struct StreamDriver<F: ProtocolFactory> {
     name: String,
     instances: Vec<StreamInstance<F>>,
     digest: OutputDigest<F::Node>,
-    retirement: bool,
 }
 
 impl<F: ProtocolFactory> StreamDriver<F> {
@@ -384,7 +373,6 @@ impl<F: ProtocolFactory> StreamDriver<F> {
             name: format!("stream({inner_name})"),
             instances: Vec::new(),
             digest: Arc::new(|output| format!("{output:?}")),
-            retirement: true,
         }
     }
 
@@ -393,13 +381,6 @@ impl<F: ProtocolFactory> StreamDriver<F> {
     /// round) that must not count as disagreement.
     pub fn digest(mut self, digest: OutputDigest<F::Node>) -> Self {
         self.digest = digest;
-        self
-    }
-
-    /// Turns instance retirement on or off for the built mux nodes (on by
-    /// default; the off path exists for the byte-identity pins).
-    pub fn retirement(mut self, on: bool) -> Self {
-        self.retirement = on;
         self
     }
 
@@ -461,11 +442,7 @@ where
         ctx.correct_ids
             .iter()
             .zip(muxes)
-            .map(|(&id, slots)| {
-                let mut node = MuxNode::new(id, slots);
-                node.set_retirement(self.retirement);
-                node
-            })
+            .map(|(&id, slots)| MuxNode::new(id, slots))
             .collect()
     }
 
@@ -657,15 +634,14 @@ mod tests {
     fn terminated_instances_stop_stepping() {
         let a = NodeId::new(1);
         let mut node = MuxNode::new(a, vec![slot(0, 1, a, 5)]);
-        node.set_retirement(false);
         node.step(&RoundContext::new(1), &[]);
         node.step(&RoundContext::new(2), &[]);
         assert!(node.terminated());
         // Further rounds are no-ops and do not disturb the decide round.
         let out = node.step(&RoundContext::new(3), &[]);
         assert!(out.is_empty());
-        assert_eq!(node.slots()[0].decided_round, Some(2));
-        // Even unretired, the decided slot never steps again.
+        assert_eq!(node.completed()[0].decided_round, Some(2));
+        // The decided instance never steps again.
         assert_eq!(node.work().slot_steps, 2);
     }
 
@@ -711,45 +687,6 @@ mod tests {
         assert_eq!(thread_allocations() - before, 0, "dropping must not clone");
         assert_eq!(node.work().dropped_retired, 3);
         assert_eq!(node.work().envelopes_indexed, 3);
-    }
-
-    #[test]
-    fn retirement_on_and_off_produce_identical_wire_traffic() {
-        let build = || {
-            let a = NodeId::new(1);
-            MuxNode::new(
-                a,
-                vec![slot(0, 1, a, 4), slot(1, 2, a, 8), slot(2, 4, a, 2)],
-            )
-        };
-        let mut retiring = build();
-        let mut keeping = build();
-        keeping.set_retirement(false);
-        let b = NodeId::new(2);
-        for round in 1..=6u64 {
-            // A little cross-tag traffic, including a tag that retires early.
-            let inbox = vec![
-                Envelope::new(b, (0u64, 100 + round)),
-                Envelope::new(b, (1u64, 200 + round)),
-            ];
-            let sent_retiring = retiring.step(&RoundContext::new(round), &inbox);
-            let sent_keeping = keeping.step(&RoundContext::new(round), &inbox);
-            assert_eq!(
-                sent_retiring, sent_keeping,
-                "round {round}: retirement changed the wire traffic"
-            );
-            assert_eq!(retiring.output(), keeping.output());
-            assert_eq!(retiring.terminated(), keeping.terminated());
-        }
-        assert!(retiring.terminated());
-        assert_eq!(
-            retiring.work(),
-            keeping.work(),
-            "the work counters must agree: the kept decided slots consume \
-             their tags exactly like the leftover-index accounting"
-        );
-        assert!(retiring.slots().is_empty());
-        assert_eq!(keeping.slots().len(), 3);
     }
 
     #[test]

@@ -139,17 +139,6 @@ impl<P> RoundTraffic<P> {
         self.items.push(TrafficItem::Unicast(message));
     }
 
-    /// Appends pre-built items (used when merging per-thread buffers in node
-    /// order).
-    pub fn extend_items(&mut self, items: impl IntoIterator<Item = TrafficItem<P>>) {
-        for item in items {
-            if matches!(item, TrafficItem::Broadcast { .. }) {
-                self.broadcasts += 1;
-            }
-            self.items.push(item);
-        }
-    }
-
     /// The compact items, in production order.
     pub fn items(&self) -> &[TrafficItem<P>] {
         &self.items

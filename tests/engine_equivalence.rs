@@ -1,6 +1,6 @@
 //! Engine-equivalence suite: the broadcast-aware `run_round` rewrite (compact
-//! traffic, hashed dedup, O(1) membership, buffer reuse, opt-in parallel
-//! stepping) must be *behaviour-preserving*. Three layers of evidence:
+//! traffic, hashed dedup, O(1) membership, buffer reuse) must be
+//! *behaviour-preserving*. Two layers of evidence:
 //!
 //! 1. re-running the recorded `BENCH_baseline.json` grid — every core protocol
 //!    family and the head-to-head baselines under their scripted adversaries —
@@ -8,16 +8,12 @@
 //!    per-round metrics, node outputs and oracle verdicts) exactly;
 //! 2. the two protocols the baseline grid does not cover (total ordering and the
 //!    Dolev et al. approximate-agreement baseline) match counts measured on the
-//!    pre-rewrite engine (commit 229ef56), pinned here as constants;
-//! 3. the opt-in parallel node-step path produces reports identical to the
-//!    serial path for every protocol family.
+//!    pre-rewrite engine (commit 229ef56), pinned here as constants.
 
-use uba_baselines::{DolevApproxFactory, KnownRotorFactory, PhaseKingFactory, StBroadcastFactory};
+use uba_baselines::DolevApproxFactory;
 use uba_bench::baseline::baseline_file;
 use uba_bench::scaling::load_baseline;
-use uba_core::sim::{
-    AdversaryKind, ParallelConsensusFactory, RunReport, ScenarioExt, Simulation, TotalOrderPlan,
-};
+use uba_core::sim::{AdversaryKind, RunReport, ScenarioExt, Simulation, TotalOrderPlan};
 use uba_simnet::IdSpace;
 
 #[test]
@@ -62,7 +58,7 @@ fn counts(report: &RunReport) -> (u64, u64, u64, u64) {
     )
 }
 
-fn total_order_report(parallel: bool) -> RunReport {
+fn total_order_report() -> RunReport {
     let plan = TotalOrderPlan::rounds(20)
         .event(2, 0, 11)
         .event(3, 1, 22)
@@ -74,14 +70,10 @@ fn total_order_report(parallel: bool) -> RunReport {
         .max_rounds(100)
         .adversary(AdversaryKind::Worst)
         .total_order(plan);
-    if parallel {
-        harness = harness.parallel_stepping();
-        harness.engine_mut().set_parallel_node_threshold(1);
-    }
     harness.run().expect("total-order run completes")
 }
 
-fn dolev_approx_report(parallel: bool) -> RunReport {
+fn dolev_approx_report() -> RunReport {
     let inputs: Vec<f64> = (0..8).map(|i| i as f64 * 3.0).collect();
     let mut harness = Simulation::scenario()
         .correct(8)
@@ -89,192 +81,16 @@ fn dolev_approx_report(parallel: bool) -> RunReport {
         .ids(IdSpace::Consecutive)
         .seed(0)
         .build(DolevApproxFactory::new(inputs));
-    if parallel {
-        harness = harness.parallel_stepping();
-        harness.engine_mut().set_parallel_node_threshold(1);
-    }
     harness.run().expect("dolev-approx run completes")
 }
 
 #[test]
 fn uncovered_protocols_match_pre_rewrite_counts() {
-    let total_order = total_order_report(false);
+    let total_order = total_order_report();
     assert!(total_order.completed());
     assert_eq!(counts(&total_order), TOTAL_ORDER_PRE_CHANGE);
 
-    let dolev = dolev_approx_report(false);
+    let dolev = dolev_approx_report();
     assert!(dolev.completed());
     assert_eq!(counts(&dolev), DOLEV_APPROX_PRE_CHANGE);
-}
-
-#[test]
-fn parallel_stepping_reports_are_identical_for_every_protocol_family() {
-    // Core protocols, driven through the same builders the experiments use. Each
-    // closure builds the harness twice — serial and forced-parallel — and the
-    // resulting reports must be equal in every field.
-    let inputs: Vec<u64> = (0..7).map(|i| i % 2).collect();
-    let approx_inputs: Vec<f64> = (0..7).map(|i| i as f64 * 5.0).collect();
-    let pairs: Vec<(u64, u64)> = (0..4).map(|i| (i, 50 + i)).collect();
-
-    type Build = Box<dyn Fn(bool) -> RunReport>;
-    let scenarios: Vec<(&str, Build)> = vec![
-        (
-            "consensus",
-            Box::new({
-                let inputs = inputs.clone();
-                move |parallel| {
-                    let mut harness = Simulation::scenario()
-                        .correct(7)
-                        .byzantine(2)
-                        .seed(42)
-                        .adversary(AdversaryKind::SplitVote)
-                        .consensus(&inputs);
-                    if parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
-                    }
-                    harness.run().unwrap()
-                }
-            }),
-        ),
-        (
-            "reliable-broadcast",
-            Box::new(|parallel| {
-                let mut harness = Simulation::scenario()
-                    .correct(7)
-                    .byzantine(2)
-                    .seed(43)
-                    .adversary(AdversaryKind::PartialAnnounce)
-                    .broadcast(42)
-                    .rounds(12);
-                if parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
-                }
-                harness.run().unwrap()
-            }),
-        ),
-        (
-            "rotor",
-            Box::new(|parallel| {
-                let mut harness = Simulation::scenario()
-                    .correct(7)
-                    .byzantine(2)
-                    .seed(44)
-                    .adversary(AdversaryKind::AnnounceThenSilent)
-                    .rotor();
-                if parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
-                }
-                harness.run().unwrap()
-            }),
-        ),
-        (
-            "approx",
-            Box::new({
-                let approx_inputs = approx_inputs.clone();
-                move |parallel| {
-                    let mut harness = Simulation::scenario()
-                        .correct(7)
-                        .byzantine(2)
-                        .seed(45)
-                        .adversary(AdversaryKind::Worst)
-                        .approx(&approx_inputs);
-                    if parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
-                    }
-                    harness.run().unwrap()
-                }
-            }),
-        ),
-        (
-            "parallel-consensus",
-            Box::new({
-                let pairs = pairs.clone();
-                move |parallel| {
-                    let mut harness = Simulation::scenario()
-                        .correct(7)
-                        .byzantine(2)
-                        .seed(46)
-                        .max_rounds(500)
-                        .adversary(AdversaryKind::Worst)
-                        .build(ParallelConsensusFactory::new(pairs.clone()));
-                    if parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
-                    }
-                    harness.run().unwrap()
-                }
-            }),
-        ),
-        ("total-order", Box::new(total_order_report)),
-        // Known-(n, f) baselines.
-        (
-            "phase-king",
-            Box::new({
-                let inputs = inputs.clone();
-                move |parallel| {
-                    let mut harness = Simulation::scenario()
-                        .correct(7)
-                        .byzantine(2)
-                        .ids(IdSpace::Consecutive)
-                        .seed(0)
-                        .max_rounds(300)
-                        .build(PhaseKingFactory::new(inputs.clone()));
-                    if parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
-                    }
-                    harness.run().unwrap()
-                }
-            }),
-        ),
-        (
-            "srikanth-toueg",
-            Box::new(|parallel| {
-                let mut harness = Simulation::scenario()
-                    .correct(7)
-                    .byzantine(2)
-                    .ids(IdSpace::Consecutive)
-                    .seed(0)
-                    .build(StBroadcastFactory::new(42))
-                    .rounds(8);
-                if parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
-                }
-                harness.run().unwrap()
-            }),
-        ),
-        (
-            "known-rotor",
-            Box::new(|parallel| {
-                let mut harness = Simulation::scenario()
-                    .correct(7)
-                    .byzantine(2)
-                    .ids(IdSpace::Consecutive)
-                    .seed(0)
-                    .max_rounds(100)
-                    .build(KnownRotorFactory);
-                if parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
-                }
-                harness.run().unwrap()
-            }),
-        ),
-        ("dolev-approx", Box::new(dolev_approx_report)),
-    ];
-
-    for (name, build) in &scenarios {
-        let serial = build(false);
-        let parallel = build(true);
-        assert_eq!(
-            serial, parallel,
-            "{name}: parallel stepping changed the report"
-        );
-        assert!(serial.completed(), "{name}: serial run hit its round cap");
-    }
 }

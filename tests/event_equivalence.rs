@@ -5,7 +5,7 @@
 //! 1. under zero-jitter timing (`TimingSpec::synchronous()`) every protocol
 //!    family and baseline produces a `RunReport` **byte-identical** to the
 //!    synchronous engine's — same rounds, message counts, deliveries,
-//!    per-round metrics, outputs and verdicts, serial and parallel alike;
+//!    per-round metrics, outputs and verdicts;
 //! 2. the timing features the synchronous engine cannot express are
 //!    deterministic: seeded same-instant reordering reproduces exactly, and
 //!    every family runs reproducibly under a GST partial-synchrony model;
@@ -23,8 +23,8 @@ use uba_core::sim::{
 use uba_simnet::{DelaySpec, EngineKind, IdSpace, StopCondition, TimingSpec};
 
 /// One scenario family: a closure building and running the harness under the
-/// given engine (None = synchronous) and step mode.
-type Build = Box<dyn Fn(Option<EngineKind>, bool) -> RunReport>;
+/// given engine (None = synchronous).
+type Build = Box<dyn Fn(Option<EngineKind>) -> RunReport>;
 
 /// The ten protocol/baseline families, with the exact recipes of the
 /// engine-equivalence suite (tests/engine_equivalence.rs).
@@ -36,21 +36,17 @@ fn families() -> Vec<(&'static str, Build)> {
     let consensus_inputs = inputs.clone();
     let phase_king_inputs = inputs;
 
-    // Applies the engine choice to a builder, then the step mode to the
-    // harness, through the engine-agnostic harness API alone.
+    // Applies the engine choice to a builder through the engine-agnostic
+    // harness API alone.
     macro_rules! family {
         ($name:literal, |$scenario:ident| $harness:expr) => {
             ($name, {
-                Box::new(move |engine: Option<EngineKind>, parallel: bool| {
+                Box::new(move |engine: Option<EngineKind>| {
                     let mut $scenario = Simulation::scenario();
                     if let Some(engine) = engine {
                         $scenario = $scenario.engine(engine);
                     }
-                    let mut harness = $harness;
-                    if parallel {
-                        harness = harness.parallel_stepping().parallel_threshold(1);
-                    }
-                    harness.run().unwrap()
+                    $harness.run().unwrap()
                 }) as Build
             })
         };
@@ -166,26 +162,10 @@ fn assert_byte_identical(name: &str, sync: RunReport, event: RunReport) {
 #[test]
 fn zero_jitter_event_reports_are_byte_identical_to_sync_serial() {
     for (name, build) in &families() {
-        let sync = build(None, false);
-        let event = build(Some(EngineKind::event()), false);
+        let sync = build(None);
+        let event = build(Some(EngineKind::event()));
         assert!(sync.completed(), "{name}: sync run hit its round cap");
         assert_byte_identical(name, sync, event);
-    }
-}
-
-#[test]
-fn zero_jitter_event_reports_are_byte_identical_to_sync_parallel() {
-    for (name, build) in &families() {
-        let sync = build(None, true);
-        let event = build(Some(EngineKind::event()), true);
-        assert_byte_identical(name, sync, event);
-        // And the event engine's parallel path matches its own serial path.
-        let event_serial = build(Some(EngineKind::event()), false);
-        assert_eq!(
-            normalized(event_serial),
-            normalized(build(Some(EngineKind::event()), true)),
-            "{name}: parallel stepping changed the event engine's report"
-        );
     }
 }
 
@@ -285,8 +265,8 @@ fn every_family_runs_deterministically_under_gst() {
         TimingSpec::synchronous().with_delay(DelaySpec::Gst { gst: 3, bound: 2 }),
     );
     for (name, build) in &families() {
-        let first = build(Some(gst.clone()), false);
-        let second = build(Some(gst.clone()), false);
+        let first = build(Some(gst.clone()));
+        let second = build(Some(gst.clone()));
         assert_eq!(first, second, "{name}: GST run is not deterministic");
     }
 }

@@ -3,8 +3,7 @@
 //! runs. Force-enabling recovery via [`Harness::enable_recovery`] on every
 //! protocol and baseline family — the same ten scenarios `engine_equivalence.rs`
 //! pins — must produce a `RunReport` equal in every field to the run without
-//! recovery, on the serial path, the opt-in parallel path, and the
-//! discrete-event engine.
+//! recovery, on the synchronous and the discrete-event engine.
 //!
 //! This is the contract that lets `Harness::assemble` auto-enable recovery
 //! whenever a churn schedule contains crash events: turning the subsystem on
@@ -18,15 +17,9 @@ use uba_core::sim::{
 };
 use uba_simnet::{EngineKind, IdSpace};
 
-/// One run configuration: which step path and whether the write-ahead recovery
-/// subsystem is force-enabled before the run.
-#[derive(Clone, Copy)]
-struct Mode {
-    parallel: bool,
-    recovery: bool,
-}
-
-type Build = Box<dyn Fn(Mode) -> RunReport>;
+/// Builds and runs one family; the argument says whether the write-ahead
+/// recovery subsystem is force-enabled before the run.
+type Build = Box<dyn Fn(bool) -> RunReport>;
 
 /// The ten protocol/baseline families under the exact scenarios pinned by
 /// `engine_equivalence.rs` (same seeds, sizes, adversaries and id spaces).
@@ -40,19 +33,15 @@ fn scenarios() -> Vec<(&'static str, Build)> {
             "consensus",
             Box::new({
                 let inputs = inputs.clone();
-                move |mode: Mode| {
+                move |recovery: bool| {
                     let mut harness = Simulation::scenario()
                         .correct(7)
                         .byzantine(2)
                         .seed(42)
                         .adversary(AdversaryKind::SplitVote)
                         .consensus(&inputs);
-                    if mode.recovery {
+                    if recovery {
                         harness = harness.enable_recovery();
-                    }
-                    if mode.parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
                     }
                     harness.run().unwrap()
                 }
@@ -60,7 +49,7 @@ fn scenarios() -> Vec<(&'static str, Build)> {
         ),
         (
             "reliable-broadcast",
-            Box::new(|mode: Mode| {
+            Box::new(|recovery: bool| {
                 let mut harness = Simulation::scenario()
                     .correct(7)
                     .byzantine(2)
@@ -68,31 +57,23 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                     .adversary(AdversaryKind::PartialAnnounce)
                     .broadcast(42)
                     .rounds(12);
-                if mode.recovery {
+                if recovery {
                     harness = harness.enable_recovery();
-                }
-                if mode.parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
                 }
                 harness.run().unwrap()
             }),
         ),
         (
             "rotor",
-            Box::new(|mode: Mode| {
+            Box::new(|recovery: bool| {
                 let mut harness = Simulation::scenario()
                     .correct(7)
                     .byzantine(2)
                     .seed(44)
                     .adversary(AdversaryKind::AnnounceThenSilent)
                     .rotor();
-                if mode.recovery {
+                if recovery {
                     harness = harness.enable_recovery();
-                }
-                if mode.parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
                 }
                 harness.run().unwrap()
             }),
@@ -101,19 +82,15 @@ fn scenarios() -> Vec<(&'static str, Build)> {
             "approx",
             Box::new({
                 let approx_inputs = approx_inputs.clone();
-                move |mode: Mode| {
+                move |recovery: bool| {
                     let mut harness = Simulation::scenario()
                         .correct(7)
                         .byzantine(2)
                         .seed(45)
                         .adversary(AdversaryKind::Worst)
                         .approx(&approx_inputs);
-                    if mode.recovery {
+                    if recovery {
                         harness = harness.enable_recovery();
-                    }
-                    if mode.parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
                     }
                     harness.run().unwrap()
                 }
@@ -123,7 +100,7 @@ fn scenarios() -> Vec<(&'static str, Build)> {
             "parallel-consensus",
             Box::new({
                 let pairs = pairs.clone();
-                move |mode: Mode| {
+                move |recovery: bool| {
                     let mut harness = Simulation::scenario()
                         .correct(7)
                         .byzantine(2)
@@ -131,12 +108,8 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                         .max_rounds(500)
                         .adversary(AdversaryKind::Worst)
                         .build(ParallelConsensusFactory::new(pairs.clone()));
-                    if mode.recovery {
+                    if recovery {
                         harness = harness.enable_recovery();
-                    }
-                    if mode.parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
                     }
                     harness.run().unwrap()
                 }
@@ -144,7 +117,7 @@ fn scenarios() -> Vec<(&'static str, Build)> {
         ),
         (
             "total-order",
-            Box::new(|mode: Mode| {
+            Box::new(|recovery: bool| {
                 let plan = TotalOrderPlan::rounds(20)
                     .event(2, 0, 11)
                     .event(3, 1, 22)
@@ -156,12 +129,8 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                     .max_rounds(100)
                     .adversary(AdversaryKind::Worst)
                     .total_order(plan);
-                if mode.recovery {
+                if recovery {
                     harness = harness.enable_recovery();
-                }
-                if mode.parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
                 }
                 harness.run().unwrap()
             }),
@@ -170,7 +139,7 @@ fn scenarios() -> Vec<(&'static str, Build)> {
             "phase-king",
             Box::new({
                 let inputs = inputs.clone();
-                move |mode: Mode| {
+                move |recovery: bool| {
                     let mut harness = Simulation::scenario()
                         .correct(7)
                         .byzantine(2)
@@ -178,12 +147,8 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                         .seed(0)
                         .max_rounds(300)
                         .build(PhaseKingFactory::new(inputs.clone()));
-                    if mode.recovery {
+                    if recovery {
                         harness = harness.enable_recovery();
-                    }
-                    if mode.parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
                     }
                     harness.run().unwrap()
                 }
@@ -191,7 +156,7 @@ fn scenarios() -> Vec<(&'static str, Build)> {
         ),
         (
             "srikanth-toueg",
-            Box::new(|mode: Mode| {
+            Box::new(|recovery: bool| {
                 let mut harness = Simulation::scenario()
                     .correct(7)
                     .byzantine(2)
@@ -199,19 +164,15 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                     .seed(0)
                     .build(StBroadcastFactory::new(42))
                     .rounds(8);
-                if mode.recovery {
+                if recovery {
                     harness = harness.enable_recovery();
-                }
-                if mode.parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
                 }
                 harness.run().unwrap()
             }),
         ),
         (
             "known-rotor",
-            Box::new(|mode: Mode| {
+            Box::new(|recovery: bool| {
                 let mut harness = Simulation::scenario()
                     .correct(7)
                     .byzantine(2)
@@ -219,19 +180,15 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                     .seed(0)
                     .max_rounds(100)
                     .build(KnownRotorFactory);
-                if mode.recovery {
+                if recovery {
                     harness = harness.enable_recovery();
-                }
-                if mode.parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
                 }
                 harness.run().unwrap()
             }),
         ),
         (
             "dolev-approx",
-            Box::new(|mode: Mode| {
+            Box::new(|recovery: bool| {
                 let inputs: Vec<f64> = (0..8).map(|i| i as f64 * 3.0).collect();
                 let mut harness = Simulation::scenario()
                     .correct(8)
@@ -239,12 +196,8 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                     .ids(IdSpace::Consecutive)
                     .seed(0)
                     .build(DolevApproxFactory::new(inputs));
-                if mode.recovery {
+                if recovery {
                     harness = harness.enable_recovery();
-                }
-                if mode.parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
                 }
                 harness.run().unwrap()
             }),
@@ -255,24 +208,16 @@ fn scenarios() -> Vec<(&'static str, Build)> {
 #[test]
 fn force_enabled_recovery_is_byte_identical_on_crash_free_runs() {
     for (name, build) in &scenarios() {
-        for parallel in [false, true] {
-            let baseline = build(Mode {
-                parallel,
-                recovery: false,
-            });
-            let recovered = build(Mode {
-                parallel,
-                recovery: true,
-            });
-            assert_eq!(
-                baseline, recovered,
-                "{name} (parallel = {parallel}): force-enabled recovery changed the report"
-            );
-            assert!(
-                recovered.recovery.is_none(),
-                "{name}: a crash-free run must not grow a recovery section"
-            );
-        }
+        let baseline = build(false);
+        let recovered = build(true);
+        assert_eq!(
+            baseline, recovered,
+            "{name}: force-enabled recovery changed the report"
+        );
+        assert!(
+            recovered.recovery.is_none(),
+            "{name}: a crash-free run must not grow a recovery section"
+        );
     }
 }
 

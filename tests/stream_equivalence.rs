@@ -1,11 +1,11 @@
 //! Conservative-extension pin for the stream driver: a single-instance,
 //! batch-size-1 stream run is **byte-identical** (full `RunReport` equality,
 //! struct and JSON) to the existing single-shot path, for both covered
-//! families — consensus and total order — on the synchronous engine, under
-//! parallel stepping, and on the event engine (the `tests/event_equivalence.rs`
-//! pattern). The streaming layer must be a pure extension: when there is
-//! nothing to pipeline and nothing to batch, it must not change a single byte
-//! of what the single-shot driver reports.
+//! families — consensus and total order — on the synchronous engine and on
+//! the event engine (the `tests/event_equivalence.rs` pattern). The streaming
+//! layer must be a pure extension: when there is nothing to pipeline and
+//! nothing to batch, it must not change a single byte of what the single-shot
+//! driver reports.
 
 use uba_bench::stream::{
     batch_value, run_consensus_stream, run_consensus_stream_with, run_total_order_stream,
@@ -32,14 +32,9 @@ fn degenerate_config() -> StreamConfig {
     }
 }
 
-/// The engine/step-mode axis the event-equivalence suite pins.
-fn modes() -> Vec<(&'static str, Option<EngineKind>, bool)> {
-    vec![
-        ("sync serial", None, false),
-        ("sync parallel", None, true),
-        ("event serial", Some(EngineKind::event()), false),
-        ("event parallel", Some(EngineKind::event()), true),
-    ]
+/// The engine axis the event-equivalence suite pins.
+fn modes() -> Vec<(&'static str, Option<EngineKind>)> {
+    vec![("sync", None), ("event", Some(EngineKind::event()))]
 }
 
 fn assert_byte_identical(name: &str, stream: &RunReport, single_shot: &RunReport) {
@@ -70,8 +65,8 @@ fn a_degenerate_consensus_stream_is_byte_identical_to_single_shot() {
     assert_eq!(requests.len(), 1, "the pin needs a batch of exactly one");
     let value = batch_value(&[requests[0].key]);
 
-    for (name, engine, parallel) in modes() {
-        let outcome = run_consensus_stream(&config, engine.clone(), parallel);
+    for (name, engine) in modes() {
+        let outcome = run_consensus_stream(&config, engine.clone());
         assert!(
             outcome.report.stream.is_none(),
             "{name}: the single-shot path must not carry a stream section"
@@ -89,9 +84,6 @@ fn a_degenerate_consensus_stream_is_byte_identical_to_single_shot() {
             scenario = scenario.engine(kind);
         }
         let mut harness = scenario.consensus(&vec![value; config.nodes]);
-        if parallel {
-            harness = harness.parallel_stepping();
-        }
         let mut single_shot = harness.run().unwrap();
         attach_verdicts(&mut single_shot);
         assert!(single_shot.completed(), "{name}: single shot hit its cap");
@@ -106,8 +98,8 @@ fn a_degenerate_total_order_stream_is_byte_identical_to_single_shot() {
     assert_eq!(requests.len(), 1, "the pin needs a batch of exactly one");
     let total_rounds = config.rounds + total_order_tail(config.nodes);
 
-    for (name, engine, parallel) in modes() {
-        let outcome = run_total_order_stream(&config, engine.clone(), parallel);
+    for (name, engine) in modes() {
+        let outcome = run_total_order_stream(&config, engine.clone());
         assert!(
             outcome.report.stream.is_none(),
             "{name}: the total-order path must not carry a stream section"
@@ -127,9 +119,6 @@ fn a_degenerate_total_order_stream_is_byte_identical_to_single_shot() {
             scenario = scenario.engine(kind);
         }
         let mut harness = scenario.build(TotalOrderFactory::new(plan.clone()));
-        if parallel {
-            harness = harness.parallel_stepping();
-        }
         let mut single_shot = harness.run().unwrap();
         attach_verdicts(&mut single_shot);
         assert!(single_shot.completed(), "{name}: single shot hit its cap");
@@ -153,52 +142,15 @@ fn pipelined_config() -> StreamConfig {
 }
 
 #[test]
-fn retirement_is_byte_identical_on_and_off_in_every_mode() {
-    // Instance retirement is a memory-shape change, not a behaviour change:
-    // with it on (the default) or off, the pipelined consensus stream must
-    // produce byte-identical reports in every engine/step mode. The mux's
-    // outgoing wire traffic, decide rounds and oracle verdicts may not move.
-    let config = pipelined_config();
-    for (name, engine, parallel) in modes() {
-        let retiring = run_consensus_stream_with(
-            &config,
-            &StreamOptions {
-                engine: engine.clone(),
-                parallel,
-                retirement: true,
-                traffic_gc: false,
-            },
-        );
-        let keeping = run_consensus_stream_with(
-            &config,
-            &StreamOptions {
-                engine,
-                parallel,
-                retirement: false,
-                traffic_gc: false,
-            },
-        );
-        let section = retiring.report.stream.as_ref().expect("stream section");
-        assert_eq!(section.instances.len(), config.instances, "{name}");
-        assert_byte_identical(name, &retiring.report, &keeping.report);
-        assert_eq!(
-            retiring.latencies_rounds, keeping.latencies_rounds,
-            "{name}: request latencies moved under retirement"
-        );
-    }
-}
-
-#[test]
 fn engine_traffic_gc_is_byte_identical_on_and_off_in_every_mode() {
     // The engine-level retired-tag GC prunes queued envelopes for instances
     // every node has retired; pruning must be observationally silent for both
-    // stream families in every engine/step mode.
+    // stream families on both engines.
     let config = pipelined_config();
-    for (name, engine, parallel) in modes() {
+    for (name, engine) in modes() {
         let plain = StreamOptions {
-            engine: engine.clone(),
-            parallel,
-            ..StreamOptions::default()
+            engine,
+            traffic_gc: false,
         };
         let gc = StreamOptions {
             traffic_gc: true,
@@ -227,7 +179,7 @@ fn a_real_stream_is_a_strict_extension_not_a_rewrite() {
         instances: 3,
         ..degenerate_config()
     };
-    let outcome = run_consensus_stream(&config, None, false);
+    let outcome = run_consensus_stream(&config, None);
     assert_eq!(outcome.report.protocol, "stream(consensus)");
     let section = outcome.report.stream.as_ref().expect("stream section");
     assert_eq!(section.instances.len(), 3);
