@@ -7,8 +7,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use uba_bench::experiments_ext::consensus_under;
-use uba_core::adversaries::{AnnounceThenSilent, PartialAnnounce, SplitVote};
-use uba_core::attackers::{EquivocatingCoordinator, MinorityBooster};
+use uba_core::adversaries::{
+    AnnounceToSubset, EquivocatingCoordinator, MinorityBooster, SplitVote,
+};
 use uba_simnet::adversary::SilentAdversary;
 
 fn bench_adversary_ablation(c: &mut Criterion) {
@@ -22,10 +23,10 @@ fn bench_adversary_ablation(c: &mut Criterion) {
         b.iter(|| consensus_under(correct, f, seed, SilentAdversary))
     });
     group.bench_with_input(BenchmarkId::new("announce_then_silent", f), &f, |b, _| {
-        b.iter(|| consensus_under(correct, f, seed, AnnounceThenSilent))
+        b.iter(|| consensus_under(correct, f, seed, AnnounceToSubset::everyone()))
     });
     group.bench_with_input(BenchmarkId::new("partial_announce", f), &f, |b, _| {
-        b.iter(|| consensus_under(correct, f, seed, PartialAnnounce))
+        b.iter(|| consensus_under(correct, f, seed, AnnounceToSubset::every_other()))
     });
     group.bench_with_input(BenchmarkId::new("split_vote", f), &f, |b, _| {
         b.iter(|| consensus_under(correct, f, seed, SplitVote::new(0u64, 1u64)))

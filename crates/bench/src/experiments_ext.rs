@@ -10,7 +10,7 @@
 //! * **E12** — the resiliency claim as a Monte-Carlo matrix: agreement/validity rates
 //!   over many seeds for every scripted adversary, inside and outside `n > 3f`;
 //! * **E13** — an ablation of adversary adaptivity: scripted (oblivious) strategies
-//!   versus the rushing, traffic-aware attackers from `uba_core::attackers`;
+//!   versus the rushing, traffic-aware attackers, both from `uba_core::adversaries`;
 //! * **E14** — the scaling of the parallel Monte-Carlo harness itself (wall-clock
 //!   speedup versus worker count), which is infrastructure validation rather than a
 //!   paper claim.
@@ -18,8 +18,9 @@
 use std::time::Instant;
 
 use uba_checker::check_run_report;
-use uba_core::adversaries::{AnnounceThenSilent, PartialAnnounce, SplitVote};
-use uba_core::attackers::{EquivocatingCoordinator, MinorityBooster};
+use uba_core::adversaries::{
+    AnnounceToSubset, EquivocatingCoordinator, MinorityBooster, SplitVote,
+};
 use uba_core::consensus::ConsensusMessage;
 use uba_core::dynamic_approx::{run_dynamic_approx, ChurnPlan};
 use uba_core::sim::{AdversaryKind, ConsensusFactory, Simulation};
@@ -189,12 +190,12 @@ pub fn e13_adaptive_attackers() -> Table {
             (
                 "announce-then-silent",
                 false,
-                consensus_under(correct, f, seed, AnnounceThenSilent),
+                consensus_under(correct, f, seed, AnnounceToSubset::everyone()),
             ),
             (
                 "partial-announce",
                 false,
-                consensus_under(correct, f, seed, PartialAnnounce),
+                consensus_under(correct, f, seed, AnnounceToSubset::every_other()),
             ),
             (
                 "split-vote",

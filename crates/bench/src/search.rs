@@ -179,7 +179,8 @@ fn mutate(case: &FuzzCase, roll: u64, rng: &mut u64) -> Option<FuzzCase> {
         // Plan moves: add an adaptive step, re-aim an existing step, add a
         // boundary-probing semantic step, drop a step.
         5 => {
-            let strategy = AdaptiveStrategy::ALL[(next_rand(rng) % 3) as usize];
+            let strategy =
+                AdaptiveStrategy::ALL[next_rand(rng) as usize % AdaptiveStrategy::ALL.len()];
             let plan = spec.attack.clone().unwrap_or_default();
             if plan.steps.len() >= 4 {
                 return None;
@@ -194,7 +195,8 @@ fn mutate(case: &FuzzCase, roll: u64, rng: &mut u64) -> Option<FuzzCase> {
                 return None;
             }
             let index = (next_rand(rng) as usize) % plan.steps.len();
-            let strategy = AdaptiveStrategy::ALL[(next_rand(rng) % 3) as usize];
+            let strategy =
+                AdaptiveStrategy::ALL[next_rand(rng) as usize % AdaptiveStrategy::ALL.len()];
             plan.steps[index].behavior = AttackBehavior::Adaptive { strategy };
         }
         7 => {

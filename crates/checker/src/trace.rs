@@ -2,7 +2,7 @@
 //! zero-copy?
 //!
 //! The engine's [`TraceLog`] records one event per delivery, carrying the payload
-//! behind the same [`Shared`] handle the recipient's inbox holds. That gives this
+//! behind the same [`Shared`](uba_simnet::Shared) handle the recipient's inbox holds. That gives this
 //! oracle two capabilities the report-level oracles lack:
 //!
 //! * **attribution** — deliveries split by honest vs Byzantine sender, per the

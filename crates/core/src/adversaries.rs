@@ -1,24 +1,41 @@
 //! Protocol-aware Byzantine strategies.
 //!
-//! The generic adversary combinators (silent, crash, closure-driven) live in
-//! `uba_simnet::adversary`; this module adds strategies that need to craft payloads of
-//! the protocols implemented in this crate. They are the worst cases used in the
-//! paper's proofs — equivocation, partial self-announcement, split votes, candidate
-//! poisoning — and are what the experiment suite and the property-based tests throw at
-//! the algorithms.
+//! The generic strategies (silent, closure-driven, replay) live in
+//! `uba_simnet::adversary`; this module holds every strategy that needs to craft
+//! payloads of the protocols implemented in this crate. Two kinds live here:
+//!
+//! * **oblivious** strategies follow a fixed script regardless of what the correct
+//!   nodes do — the worst cases of the paper's proofs: partial self-announcement
+//!   ([`AnnounceToSubset`]), equivocation ([`EquivocatingSource`]), split votes
+//!   ([`SplitVote`]), candidate poisoning ([`CandidatePoisoner`]) and ghost
+//!   instances ([`GhostPairInjector`]);
+//! * **rushing** strategies use the strongest capability the model grants — the
+//!   adversary speaks last, having seen the round's correct traffic — to adapt:
+//!   [`MinorityBooster`] votes per recipient for whichever value is behind,
+//!   [`EquivocatingCoordinator`] campaigns to be the rotor coordinator and then
+//!   equivocates, [`MembershipFlapper`] flaps `present`/`absent` and spams events
+//!   tagged with the round the correct nodes are using.
+//!
+//! The oblivious ones are what the factories in [`crate::sim`] resolve
+//! `AdversaryKind`s and `AttackBehavior`s to; the rushing ones have no data name
+//! yet and are reached through `build_with_adversary`. Restricting any of them
+//! to a round window or to some of the identities is a
+//! [`PlanAdversary`](uba_simnet::PlanAdversary) step.
 
 use std::hash::Hash;
 
+use uba_simnet::vocab::fabricate;
 use uba_simnet::{Adversary, AdversaryView, Directed, NodeId, Shared};
 
 use crate::consensus::ConsensusMessage;
 use crate::early_consensus::{InstanceId, ParallelMessage};
 use crate::reliable_broadcast::RbMessage;
 use crate::rotor::RotorMessage;
+use crate::total_order::TotalOrderMessage;
 use crate::value::Opinion;
 
 /// Payloads that have a round-1 "I exist" announcement. Implemented by every protocol
-/// message type in this crate so that [`AnnounceThenSilent`] can be reused across
+/// message type in this crate so that [`AnnounceToSubset`] can be reused across
 /// protocols.
 pub trait Announce {
     /// The message a node broadcasts in round 1 to make itself known.
@@ -49,62 +66,12 @@ impl<V: Opinion> Announce for ParallelMessage<V> {
     }
 }
 
-/// Byzantine nodes that announce themselves in round 1 — so that every correct node
-/// counts them towards `n_v` — and then never send another message.
-///
-/// This is the canonical stress test for the paper's `n_v/3` thresholds: the counted
-/// but silent nodes inflate `n_v` without ever contributing votes, which is exactly
-/// the situation the missing-message substitution rule exists for.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AnnounceThenSilent;
-
-impl<P: Announce + Hash> Adversary<P> for AnnounceThenSilent {
-    fn step(&mut self, view: &AdversaryView<'_, P>) -> Vec<Directed<P>> {
-        if view.round != 1 {
-            return Vec::new();
-        }
-        // One payload allocation for the whole fan-out; every injected message
-        // forwards the handle.
-        let announce = Shared::new(P::announce());
-        let mut out = Vec::new();
-        for &from in view.byzantine_ids {
-            for &to in view.correct_ids {
-                out.push(Directed::new(from, to, announce.clone()));
-            }
-        }
-        out
-    }
-}
-
-/// Byzantine nodes that announce themselves to only *half* of the correct nodes,
-/// making different correct nodes hold different values of `n_v` — the "a Byzantine
-/// node may get itself known to only a subset of nodes" behaviour from the model.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PartialAnnounce;
-
-impl<P: Announce + Hash> Adversary<P> for PartialAnnounce {
-    fn step(&mut self, view: &AdversaryView<'_, P>) -> Vec<Directed<P>> {
-        if view.round != 1 {
-            return Vec::new();
-        }
-        let announce = Shared::new(P::announce());
-        let mut out = Vec::new();
-        for &from in view.byzantine_ids {
-            for (i, &to) in view.correct_ids.iter().enumerate() {
-                if i % 2 == 0 {
-                    out.push(Directed::new(from, to, announce.clone()));
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Byzantine nodes that announce themselves only to the correct nodes whose
-/// construction index `i` satisfies `i % modulus == remainder` — the generalised
-/// form of [`PartialAnnounce`] used by attack-plan behaviours
-/// ([`AttackBehavior::AnnounceToSubset`](uba_simnet::AttackBehavior)): sweeping the
-/// modulus explores how uneven the per-node `n_v` counts can be made.
+/// Byzantine nodes that announce themselves in round 1 — so that the correct nodes
+/// they reach count them towards `n_v` — and then never send another message. They
+/// reach only the correct nodes whose construction index `i` satisfies
+/// `i % modulus == remainder`; sweeping the modulus
+/// ([`AttackBehavior::AnnounceToSubset`](uba_simnet::AttackBehavior)) explores how
+/// uneven the per-node `n_v` counts can be made.
 #[derive(Clone, Copy, Debug)]
 pub struct AnnounceToSubset {
     modulus: u64,
@@ -120,21 +87,32 @@ impl AnnounceToSubset {
             remainder: remainder % modulus,
         }
     }
+
+    /// The `announce-then-silent` preset: every correct node counts the Byzantine
+    /// identities, which then never vote. This is the canonical stress test for the
+    /// paper's `n_v/3` thresholds — the counted but silent nodes inflate `n_v`
+    /// without ever contributing, which is exactly the situation the
+    /// missing-message substitution rule exists for.
+    pub fn everyone() -> Self {
+        AnnounceToSubset::new(1, 0)
+    }
+
+    /// The `partial-announce` preset: only the even-indexed half of the correct
+    /// nodes hears the announcement, so different correct nodes hold different
+    /// values of `n_v` — the "a Byzantine node may get itself known to only a
+    /// subset of nodes" behaviour from the model.
+    pub fn every_other() -> Self {
+        AnnounceToSubset::new(2, 0)
+    }
 }
 
 impl<P: Announce + Hash> Adversary<P> for AnnounceToSubset {
     fn step(&mut self, view: &AdversaryView<'_, P>) -> Vec<Directed<P>> {
-        if view.round != 1 {
-            return Vec::new();
-        }
-        let announce = Shared::new(P::announce());
         let mut out = Vec::new();
-        for &from in view.byzantine_ids {
-            for (i, &to) in view.correct_ids.iter().enumerate() {
-                if i as u64 % self.modulus == self.remainder {
-                    out.push(Directed::new(from, to, announce.clone()));
-                }
-            }
+        if view.round == 1 {
+            fabricate(&mut out, view, vec![P::announce()], |i, _| {
+                i as u64 % self.modulus == self.remainder
+            });
         }
         out
     }
@@ -187,6 +165,16 @@ impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> Adversary<RbMessage<M>>
     }
 }
 
+/// Phase step the correct nodes are executing in a given engine round, mirroring the
+/// five-round schedule of Algorithm 3 (rounds 1 and 2 are initialisation).
+fn consensus_step(round: u64) -> Option<u64> {
+    if round < 3 {
+        None
+    } else {
+        Some((round - 3) % 5)
+    }
+}
+
 /// Byzantine nodes that try to split a consensus execution: they participate in the
 /// initialisation and then, in every voting round, tell half of the correct nodes they
 /// support `low` and the other half that they support `high`, mirroring whichever
@@ -218,11 +206,11 @@ impl<V: Opinion> Adversary<ConsensusMessage<V>> for SplitVote<V> {
                 Shared::new(make(self.high.clone())),
             ))
         };
-        let pair = match view.round {
-            r if r >= 3 && (r - 3) % 5 == 0 => split_pair(ConsensusMessage::Input),
-            r if r >= 3 && (r - 3) % 5 == 1 => split_pair(ConsensusMessage::Prefer),
-            r if r >= 3 && (r - 3) % 5 == 2 => split_pair(ConsensusMessage::StrongPrefer),
-            r if r >= 3 && (r - 3) % 5 == 3 => split_pair(ConsensusMessage::Opinion),
+        let pair = match consensus_step(view.round) {
+            Some(0) => split_pair(ConsensusMessage::Input),
+            Some(1) => split_pair(ConsensusMessage::Prefer),
+            Some(2) => split_pair(ConsensusMessage::StrongPrefer),
+            Some(3) => split_pair(ConsensusMessage::Opinion),
             _ => None,
         };
         let init = (view.round == 1).then(|| Shared::new(ConsensusMessage::Init));
@@ -270,30 +258,18 @@ impl<V: Opinion> Adversary<RotorMessage<V>> for CandidatePoisoner {
         &mut self,
         view: &AdversaryView<'_, RotorMessage<V>>,
     ) -> Vec<Directed<RotorMessage<V>>> {
-        // One allocation per distinct fabricated payload per round (the Init
-        // announcement or one ghost echo per fabricated identifier).
-        let init = (view.round == 1).then(|| Shared::new(RotorMessage::<V>::Init));
-        let ghosts: Vec<Shared<RotorMessage<V>>> = if view.round == 1 {
-            Vec::new()
-        } else {
-            self.fabricated
-                .iter()
-                .map(|&ghost| Shared::new(RotorMessage::Echo(ghost)))
-                .collect()
-        };
+        // The Init announcement in round 1; afterwards one ghost echo per
+        // fabricated identifier, each towards alternating halves of the nodes.
         let mut out = Vec::new();
-        for &from in view.byzantine_ids {
-            for (i, &to) in view.correct_ids.iter().enumerate() {
-                if let Some(init) = &init {
-                    out.push(Directed::new(from, to, init.clone()));
-                } else {
-                    for (j, echo) in ghosts.iter().enumerate() {
-                        if (i + j) % 2 == 0 {
-                            out.push(Directed::new(from, to, echo.clone()));
-                        }
-                    }
-                }
-            }
+        if view.round == 1 {
+            fabricate(&mut out, view, vec![RotorMessage::Init], |_, _| true);
+        } else {
+            let ghosts = self
+                .fabricated
+                .iter()
+                .map(|&ghost| RotorMessage::Echo(ghost))
+                .collect();
+            fabricate(&mut out, view, ghosts, |i, j| (i + j) % 2 == 0);
         }
         out
     }
@@ -321,34 +297,200 @@ impl<V: Opinion> Adversary<ParallelMessage<V>> for GhostPairInjector<V> {
         view: &AdversaryView<'_, ParallelMessage<V>>,
     ) -> Vec<Directed<ParallelMessage<V>>> {
         // Phase-1 rounds in which the correct nodes evaluate inputs, prefers and
-        // strong-prefers respectively. One allocation per fabricated pair per
-        // round, shared across the (byzantine × correct) fan-out.
-        let payloads: Vec<Shared<ParallelMessage<V>>> = match view.round {
-            1 => vec![Shared::new(ParallelMessage::Init)],
+        // strong-prefers respectively.
+        let payloads: Vec<ParallelMessage<V>> = match view.round {
+            1 => vec![ParallelMessage::Init],
             4 => self
                 .pairs
                 .iter()
-                .map(|(id, value)| Shared::new(ParallelMessage::Input(*id, value.clone())))
+                .map(|(id, value)| ParallelMessage::Input(*id, value.clone()))
                 .collect(),
             5 => self
                 .pairs
                 .iter()
-                .map(|(id, value)| Shared::new(ParallelMessage::Prefer(*id, Some(value.clone()))))
+                .map(|(id, value)| ParallelMessage::Prefer(*id, Some(value.clone())))
                 .collect(),
             6 => self
                 .pairs
                 .iter()
-                .map(|(id, value)| {
-                    Shared::new(ParallelMessage::StrongPrefer(*id, Some(value.clone())))
-                })
+                .map(|(id, value)| ParallelMessage::StrongPrefer(*id, Some(value.clone())))
                 .collect(),
             _ => Vec::new(),
         };
         let mut out = Vec::new();
+        fabricate(&mut out, view, payloads, |_, _| true);
+        out
+    }
+}
+
+/// A rushing consensus adversary that keeps the network split: in every voting round
+/// it inspects, per correct recipient, how much correct support each of the two
+/// configured values has *in the traffic addressed to that recipient this round*, and
+/// casts all of its votes for the value that is currently behind.
+///
+/// Against the `n_v/3` / `2n_v/3` thresholds this is the natural adaptive
+/// generalisation of [`SplitVote`]; Lemma 9 (no two conflicting
+/// quorums) and the rotor-coordinator rounds are what bound the damage to `O(f)`
+/// phases.
+#[derive(Clone, Debug)]
+pub struct MinorityBooster<V> {
+    low: V,
+    high: V,
+}
+
+impl<V> MinorityBooster<V> {
+    /// Creates the attacker fighting over the two given values.
+    pub fn new(low: V, high: V) -> Self {
+        MinorityBooster { low, high }
+    }
+}
+
+impl<V: Opinion> Adversary<ConsensusMessage<V>> for MinorityBooster<V> {
+    fn step(
+        &mut self,
+        view: &AdversaryView<'_, ConsensusMessage<V>>,
+    ) -> Vec<Directed<ConsensusMessage<V>>> {
+        let mut out = Vec::new();
+        for &to in view.correct_ids {
+            // Count correct support per value in the traffic addressed to `to`.
+            let mut low_support = 0usize;
+            let mut high_support = 0usize;
+            for msg in view.traffic_to(to) {
+                let value = match msg.payload() {
+                    ConsensusMessage::Input(v)
+                    | ConsensusMessage::Prefer(v)
+                    | ConsensusMessage::StrongPrefer(v) => v,
+                    _ => continue,
+                };
+                if *value == self.low {
+                    low_support += 1;
+                } else if *value == self.high {
+                    high_support += 1;
+                }
+            }
+            let minority = if low_support <= high_support {
+                self.low.clone()
+            } else {
+                self.high.clone()
+            };
+            for &from in view.byzantine_ids {
+                let payload = match view.round {
+                    1 => ConsensusMessage::Init,
+                    2 => ConsensusMessage::Echo(from),
+                    _ => match consensus_step(view.round) {
+                        Some(0) => ConsensusMessage::Input(minority.clone()),
+                        Some(1) => ConsensusMessage::Prefer(minority.clone()),
+                        Some(2) => ConsensusMessage::StrongPrefer(minority.clone()),
+                        Some(3) => ConsensusMessage::Opinion(minority.clone()),
+                        _ => continue,
+                    },
+                };
+                out.push(Directed::new(from, to, payload));
+            }
+        }
+        out
+    }
+}
+
+/// A consensus adversary that tries to become the selected coordinator (its identities
+/// echo themselves aggressively during initialisation) and, in every rotor round,
+/// sends opinion `low` to even-indexed correct nodes and `high` to odd-indexed ones.
+///
+/// Lemma 11 only promises a common opinion when the coordinator is *correct*; this
+/// attacker checks that Byzantine coordinators merely delay (never derail) agreement.
+#[derive(Clone, Debug)]
+pub struct EquivocatingCoordinator<V> {
+    low: V,
+    high: V,
+}
+
+impl<V> EquivocatingCoordinator<V> {
+    /// Creates the attacker distributing the two given opinions.
+    pub fn new(low: V, high: V) -> Self {
+        EquivocatingCoordinator { low, high }
+    }
+}
+
+impl<V: Opinion> Adversary<ConsensusMessage<V>> for EquivocatingCoordinator<V> {
+    fn step(
+        &mut self,
+        view: &AdversaryView<'_, ConsensusMessage<V>>,
+    ) -> Vec<Directed<ConsensusMessage<V>>> {
+        let mut out = Vec::new();
+        for &from in view.byzantine_ids {
+            for (index, &to) in view.correct_ids.iter().enumerate() {
+                let payload = match view.round {
+                    // Announce and echo itself so the correct nodes add it to their
+                    // candidate sets (it is a legitimate candidate — it announced).
+                    1 => ConsensusMessage::Init,
+                    2 => ConsensusMessage::Echo(from),
+                    _ => match consensus_step(view.round) {
+                        // Participate honestly enough in the vote rounds to stay
+                        // counted, parroting its own identity's echo.
+                        Some(0) => ConsensusMessage::Echo(from),
+                        // In the rotor round, equivocate as a would-be coordinator.
+                        Some(3) => {
+                            let value = if index % 2 == 0 {
+                                self.low.clone()
+                            } else {
+                                self.high.clone()
+                            };
+                            ConsensusMessage::Opinion(value)
+                        }
+                        _ => continue,
+                    },
+                };
+                out.push(Directed::new(from, to, payload));
+            }
+        }
+        out
+    }
+}
+
+/// A dynamic-total-ordering adversary whose identities flap between `present` and
+/// `absent` every round while spamming fabricated events tagged with whatever round
+/// number the correct nodes are currently using (gleaned from their `Event` traffic).
+#[derive(Clone, Debug)]
+pub struct MembershipFlapper<E> {
+    spam_event: E,
+}
+
+impl<E> MembershipFlapper<E> {
+    /// Creates the attacker injecting the given event payload.
+    pub fn new(spam_event: E) -> Self {
+        MembershipFlapper { spam_event }
+    }
+}
+
+impl<E: Opinion> Adversary<TotalOrderMessage<E>> for MembershipFlapper<E> {
+    fn step(
+        &mut self,
+        view: &AdversaryView<'_, TotalOrderMessage<E>>,
+    ) -> Vec<Directed<TotalOrderMessage<E>>> {
+        // Learn the round number the correct nodes currently tag their events with.
+        let current_round = view
+            .correct_traffic
+            .iter()
+            .filter_map(|msg| match msg.payload() {
+                TotalOrderMessage::Event(round, _) => Some(*round),
+                _ => None,
+            })
+            .max();
+        let mut out = Vec::new();
         for &from in view.byzantine_ids {
             for &to in view.correct_ids {
-                for payload in &payloads {
-                    out.push(Directed::new(from, to, payload.clone()));
+                let flap = if view.round.is_multiple_of(2) {
+                    TotalOrderMessage::Absent
+                } else {
+                    TotalOrderMessage::Present
+                };
+                out.push(Directed::new(from, to, flap));
+                if let Some(round) = current_round {
+                    out.push(Directed::new(
+                        from,
+                        to,
+                        TotalOrderMessage::Event(round, self.spam_event.clone()),
+                    ));
                 }
             }
         }
@@ -379,38 +521,32 @@ mod tests {
     }
 
     #[test]
-    fn announce_then_silent_only_speaks_in_round_one() {
-        let mut adv = AnnounceThenSilent;
-        let t: RoundTraffic<ConsensusMessage<u64>> = RoundTraffic::new();
-        assert_eq!(Adversary::step(&mut adv, &view(1, &t)).len(), 8);
-        assert!(Adversary::<ConsensusMessage<u64>>::step(&mut adv, &view(2, &t)).is_empty());
-    }
-
-    #[test]
-    fn partial_announce_covers_half_the_nodes() {
-        let mut adv = PartialAnnounce;
+    fn announce_to_subset_speaks_in_round_one_to_its_remainder_class() {
         let t: RoundTraffic<RbMessage<u64>> = RoundTraffic::new();
-        let out = Adversary::step(&mut adv, &view(1, &t));
-        assert_eq!(out.len(), 4, "2 byzantine × 2 (even-indexed) recipients");
-    }
-
-    #[test]
-    fn announce_to_subset_generalises_partial_announce() {
-        let t: RoundTraffic<RbMessage<u64>> = RoundTraffic::new();
-        // modulus 2, remainder 0 is exactly PartialAnnounce.
-        let mut halves = AnnounceToSubset::new(2, 0);
+        // The announce-then-silent preset reaches everyone, once.
+        let mut all = AnnounceToSubset::everyone();
+        assert_eq!(Adversary::step(&mut all, &view(1, &t)).len(), 8);
+        assert!(Adversary::<RbMessage<u64>>::step(&mut all, &view(2, &t)).is_empty());
+        // The partial-announce preset reaches the even-indexed half, identities
+        // outermost.
+        let mut halves = AnnounceToSubset::every_other();
         let halved = Adversary::step(&mut halves, &view(1, &t));
-        let mut partial = PartialAnnounce;
-        assert_eq!(halved, Adversary::step(&mut partial, &view(1, &t)));
+        let expected: Vec<Directed<RbMessage<u64>>> = BYZ
+            .iter()
+            .flat_map(|&from| {
+                [CORRECT[0], CORRECT[2]].map(|to| Directed::new(from, to, RbMessage::Present))
+            })
+            .collect();
+        assert_eq!(halved, expected);
         // modulus 4 picks exactly one of the four correct nodes per remainder.
         let mut quarter = AnnounceToSubset::new(4, 3);
         let out = Adversary::step(&mut quarter, &view(1, &t));
         assert_eq!(out.len(), 2, "2 byzantine × 1 recipient");
         assert!(out.iter().all(|m| m.to == CORRECT[3]));
-        // Nothing after round 1; degenerate modulus announces to everyone.
         assert!(Adversary::<RbMessage<u64>>::step(&mut quarter, &view(2, &t)).is_empty());
-        let mut all = AnnounceToSubset::new(0, 5);
-        assert_eq!(Adversary::step(&mut all, &view(1, &t)).len(), 8);
+        // A degenerate modulus announces to everyone.
+        let mut degenerate = AnnounceToSubset::new(0, 5);
+        assert_eq!(Adversary::step(&mut degenerate, &view(1, &t)).len(), 8);
     }
 
     #[test]
@@ -483,5 +619,91 @@ mod tests {
             .iter()
             .all(|m| matches!(m.payload(), ParallelMessage::StrongPrefer(77, Some(7)))));
         assert!(adv.step(&view(8, &t)).is_empty());
+    }
+
+    #[test]
+    fn minority_booster_backs_the_value_with_less_support() {
+        // Every correct node is being sent two Input(1) and one Input(0) this round,
+        // so the attacker must push Input(0) to all of them.
+        let mut messages = Vec::new();
+        for &to in &CORRECT {
+            messages.push(Directed::new(CORRECT[0], to, ConsensusMessage::Input(1u64)));
+            messages.push(Directed::new(CORRECT[1], to, ConsensusMessage::Input(1u64)));
+            messages.push(Directed::new(CORRECT[2], to, ConsensusMessage::Input(0u64)));
+        }
+        let traffic = RoundTraffic::from_directed(messages);
+        let mut adv = MinorityBooster::new(0u64, 1u64);
+        let out = adv.step(&view(3, &traffic));
+        assert_eq!(out.len(), CORRECT.len() * BYZ.len());
+        assert!(out.iter().all(|m| m.payload == ConsensusMessage::Input(0)));
+    }
+
+    #[test]
+    fn minority_booster_follows_the_phase_schedule() {
+        let traffic: RoundTraffic<ConsensusMessage<u64>> = RoundTraffic::new();
+        let mut adv = MinorityBooster::new(0u64, 1u64);
+        assert!(adv
+            .step(&view(1, &traffic))
+            .iter()
+            .all(|m| m.payload == ConsensusMessage::Init));
+        assert!(adv
+            .step(&view(4, &traffic))
+            .iter()
+            .all(|m| matches!(m.payload(), ConsensusMessage::Prefer(_))));
+        assert!(adv
+            .step(&view(5, &traffic))
+            .iter()
+            .all(|m| matches!(m.payload(), ConsensusMessage::StrongPrefer(_))));
+        // Resolve round: nothing useful to inject.
+        assert!(adv.step(&view(7, &traffic)).is_empty());
+    }
+
+    #[test]
+    fn equivocating_coordinator_splits_opinions_in_rotor_rounds() {
+        let traffic: RoundTraffic<ConsensusMessage<u64>> = RoundTraffic::new();
+        let mut adv = EquivocatingCoordinator::new(10u64, 20u64);
+        // Round 6 is the first rotor round (step 3).
+        let out = adv.step(&view(6, &traffic));
+        let lows = out
+            .iter()
+            .filter(|m| m.payload == ConsensusMessage::Opinion(10))
+            .count();
+        let highs = out
+            .iter()
+            .filter(|m| m.payload == ConsensusMessage::Opinion(20))
+            .count();
+        assert_eq!(
+            lows, highs,
+            "opinions must be split evenly across recipients"
+        );
+        assert_eq!(lows + highs, CORRECT.len() * BYZ.len());
+        // Initialisation rounds campaign for candidacy.
+        assert!(adv
+            .step(&view(2, &traffic))
+            .iter()
+            .all(|m| matches!(m.payload(), ConsensusMessage::Echo(_))));
+    }
+
+    #[test]
+    fn membership_flapper_alternates_presence_and_spams_events() {
+        let traffic = RoundTraffic::from_directed(vec![Directed::new(
+            CORRECT[0],
+            CORRECT[1],
+            TotalOrderMessage::Event(9, 555u64),
+        )]);
+        let mut adv = MembershipFlapper::new(777u64);
+        let odd = adv.step(&view(3, &traffic));
+        assert!(odd.iter().any(|m| m.payload == TotalOrderMessage::Present));
+        assert!(odd
+            .iter()
+            .any(|m| m.payload == TotalOrderMessage::Event(9, 777)));
+        let even = adv.step(&view(4, &traffic));
+        assert!(even.iter().any(|m| m.payload == TotalOrderMessage::Absent));
+        // Without observed event traffic there is nothing to tag spam with.
+        let no_traffic: RoundTraffic<TotalOrderMessage<u64>> = RoundTraffic::new();
+        let quiet = adv.step(&view(5, &no_traffic));
+        assert!(quiet
+            .iter()
+            .all(|m| !matches!(m.payload(), TotalOrderMessage::Event(_, _))));
     }
 }

@@ -28,10 +28,10 @@
 //!
 //! Supporting modules: [`quorum`] (exact threshold arithmetic), [`membership`]
 //! (`n_v` tracking), [`vote`] (distinct-sender tallies), [`value`] (opinion types),
-//! [`adversaries`] (scripted Byzantine strategies from the proofs), [`attackers`]
-//! (adaptive, rushing attack strategies) and [`sim`] (protocol factories and fluent
-//! sugar for the unified `Simulation` driver — the single driver API; the old
-//! one-call `runner` shims have been removed).
+//! [`adversaries`] (the payload-typed Byzantine strategies: the scripted worst cases
+//! from the proofs and the rushing, traffic-aware attackers) and [`sim`] (protocol
+//! factories and fluent sugar for the unified `Simulation` driver — the single
+//! driver API; the old one-call `runner` shims have been removed).
 //!
 //! All protocols implement [`uba_simnet::Protocol`] and run on the deterministic
 //! synchronous engine from the `uba-simnet` crate.
@@ -74,7 +74,6 @@
 
 pub mod adversaries;
 pub mod approx;
-pub mod attackers;
 pub mod consensus;
 pub mod dynamic_approx;
 pub mod early_consensus;

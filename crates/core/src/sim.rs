@@ -61,10 +61,7 @@ pub use uba_simnet::stream::{
 pub use uba_simnet::sweep::{CrashPlan, ScenarioGrid, SweepCase};
 pub use uba_simnet::wal::{RestartPolicy, RestartRecord, WalConfig, WalFault};
 
-use crate::adversaries::{
-    AnnounceThenSilent, AnnounceToSubset, EquivocatingSource, GhostPairInjector, PartialAnnounce,
-    SplitVote,
-};
+use crate::adversaries::{AnnounceToSubset, EquivocatingSource, GhostPairInjector, SplitVote};
 use crate::approx::{ApproxAgreement, IteratedApproxAgreement};
 use crate::consensus::{Consensus, ConsensusMessage};
 use crate::parallel_consensus::ParallelConsensus;
@@ -165,9 +162,11 @@ impl ProtocolFactory for ConsensusFactory {
         match kind {
             AdversaryKind::Silent => NamedAdversary::new(kind.name(), SilentAdversary),
             AdversaryKind::AnnounceThenSilent => {
-                NamedAdversary::new(kind.name(), AnnounceThenSilent)
+                NamedAdversary::new(kind.name(), AnnounceToSubset::everyone())
             }
-            AdversaryKind::PartialAnnounce => NamedAdversary::new(kind.name(), PartialAnnounce),
+            AdversaryKind::PartialAnnounce => {
+                NamedAdversary::new(kind.name(), AnnounceToSubset::every_other())
+            }
             AdversaryKind::SplitVote | AdversaryKind::Worst => {
                 let (low, high) = self.split_values();
                 NamedAdversary::new("split-vote", SplitVote::new(low, high))
@@ -372,9 +371,11 @@ impl ProtocolFactory for BroadcastFactory {
         }
         match kind {
             AdversaryKind::Silent => NamedAdversary::new(kind.name(), SilentAdversary),
-            AdversaryKind::PartialAnnounce => NamedAdversary::new(kind.name(), PartialAnnounce),
+            AdversaryKind::PartialAnnounce => {
+                NamedAdversary::new(kind.name(), AnnounceToSubset::every_other())
+            }
             AdversaryKind::AnnounceThenSilent | AdversaryKind::SplitVote | AdversaryKind::Worst => {
-                NamedAdversary::new("announce-then-silent", AnnounceThenSilent)
+                NamedAdversary::new("announce-then-silent", AnnounceToSubset::everyone())
             }
         }
     }
@@ -511,9 +512,11 @@ impl ProtocolFactory for RotorFactory {
     ) -> NamedAdversary<crate::rotor::RotorMessage<u64>> {
         match kind {
             AdversaryKind::Silent => NamedAdversary::new(kind.name(), SilentAdversary),
-            AdversaryKind::PartialAnnounce => NamedAdversary::new(kind.name(), PartialAnnounce),
+            AdversaryKind::PartialAnnounce => {
+                NamedAdversary::new(kind.name(), AnnounceToSubset::every_other())
+            }
             AdversaryKind::AnnounceThenSilent | AdversaryKind::SplitVote | AdversaryKind::Worst => {
-                NamedAdversary::new("announce-then-silent", AnnounceThenSilent)
+                NamedAdversary::new("announce-then-silent", AnnounceToSubset::everyone())
             }
         }
     }
@@ -921,13 +924,15 @@ impl ProtocolFactory for ParallelConsensusFactory {
     ) -> NamedAdversary<crate::early_consensus::ParallelMessage<u64>> {
         match kind {
             AdversaryKind::Silent => NamedAdversary::new(kind.name(), SilentAdversary),
-            AdversaryKind::PartialAnnounce => NamedAdversary::new(kind.name(), PartialAnnounce),
+            AdversaryKind::PartialAnnounce => {
+                NamedAdversary::new(kind.name(), AnnounceToSubset::every_other())
+            }
             AdversaryKind::Worst if !self.ghosts.is_empty() => NamedAdversary::new(
                 "ghost-pair-injector",
                 GhostPairInjector::new(self.ghosts.clone()),
             ),
             AdversaryKind::AnnounceThenSilent | AdversaryKind::SplitVote | AdversaryKind::Worst => {
-                NamedAdversary::new("announce-then-silent", AnnounceThenSilent)
+                NamedAdversary::new("announce-then-silent", AnnounceToSubset::everyone())
             }
         }
     }
@@ -1195,8 +1200,8 @@ impl<E: Opinion + Send + Sync + 'static> ProtocolFactory for TotalOrderFactory<E
                 total_order_split_brain(self.plan.events.first().map(|(_, _, e)| e.clone())),
             ),
             // The remaining scripted strategies cannot fabricate arbitrary event
-            // payloads; protocol-specific attacks (e.g. MembershipFlapper) go
-            // through `build_with_adversary`.
+            // payloads; protocol-specific attacks (e.g.
+            // `adversaries::MembershipFlapper`) go through `build_with_adversary`.
             _ => NamedAdversary::new("silent", SilentAdversary),
         }
     }

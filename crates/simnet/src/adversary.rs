@@ -8,9 +8,14 @@
 //! the network attaches sender identifiers — the engine enforces this.
 //!
 //! Protocol-agnostic strategies live here ([`SilentAdversary`], [`FnAdversary`],
-//! [`CrashAdversary`], [`ReplayAdversary`]); strategies that need to craft
-//! protocol-specific payloads (equivocating echoes, split votes, …) live next to the
-//! protocols in `uba-core::adversaries`.
+//! [`ReplayAdversary`]); strategies that need to craft protocol-specific payloads
+//! (equivocating echoes, split votes, …) live next to the protocols in
+//! `uba-core::adversaries`. Nothing here wraps another adversary: restricting a
+//! strategy to a round window or to some of the Byzantine identities — a crash, a
+//! late attack, a collusion split — is a step of a
+//! [`PlanAdversary`](crate::attack::PlanAdversary).
+
+use std::collections::BTreeSet;
 
 use crate::id::NodeId;
 use crate::message::Directed;
@@ -117,35 +122,6 @@ where
     }
 }
 
-/// Wraps another adversary and silences it from a given round onwards — Byzantine
-/// nodes that participate "correctly enough" for a while and then crash. Crashing is
-/// a legal Byzantine behaviour and is the classic way to stress the `n_v` counting of
-/// the paper's algorithms: the crashed nodes have been counted but stop contributing
-/// to quorums.
-#[derive(Clone, Debug)]
-pub struct CrashAdversary<A> {
-    inner: A,
-    crash_round: u64,
-}
-
-impl<A> CrashAdversary<A> {
-    /// Creates an adversary that behaves like `inner` before `crash_round` and is
-    /// silent from `crash_round` (inclusive) onwards.
-    pub fn new(inner: A, crash_round: u64) -> Self {
-        CrashAdversary { inner, crash_round }
-    }
-}
-
-impl<P, A: Adversary<P>> Adversary<P> for CrashAdversary<A> {
-    fn step(&mut self, view: &AdversaryView<'_, P>) -> Vec<Directed<P>> {
-        if view.round >= self.crash_round {
-            Vec::new()
-        } else {
-            self.inner.step(view)
-        }
-    }
-}
-
 /// An adversary that imitates a correct node by replaying, under each of its own
 /// identities, the payloads that some designated correct node sent this round — but
 /// only towards a chosen subset of recipients. This realises the "a Byzantine node may
@@ -174,11 +150,14 @@ impl<P> Adversary<P> for ReplayAdversary {
         let Some(template_sender) = view.correct_ids.iter().copied().min() else {
             return Vec::new();
         };
+        // Built once a round: a linear `correct_ids.contains` per expanded
+        // message would make the replay O(n³).
+        let correct: BTreeSet<NodeId> = view.correct_ids.iter().copied().collect();
         let mut out = Vec::new();
         for &byz in view.byzantine_ids {
             for msg in view.traffic().filter(|m| m.from == template_sender) {
                 let parity_ok = (msg.to.raw() % 2 == 0) == self.visible_to_even_raw_ids;
-                if parity_ok && view.correct_ids.contains(&msg.to) {
+                if parity_ok && correct.contains(&msg.to) {
                     // Forward by handle: replayed honest traffic never clones the
                     // payload (which is why this impl needs no `P: Clone`).
                     out.push(Directed::new(byz, msg.to, msg.payload.clone()));
@@ -224,21 +203,6 @@ mod tests {
         });
         let out = adv.step(&view(&traffic));
         assert_eq!(out, vec![Directed::new(NodeId::new(9), NodeId::new(2), 99)]);
-    }
-
-    #[test]
-    fn crash_adversary_goes_silent_at_crash_round() {
-        let traffic = traffic(vec![]);
-        let inner = FnAdversary::new(|v: &AdversaryView<'_, u32>| {
-            vec![Directed::new(v.byzantine_ids[0], v.correct_ids[0], 1)]
-        });
-        let mut adv = CrashAdversary::new(inner, 3);
-        let mut early = view(&traffic);
-        early.round = 2;
-        assert_eq!(adv.step(&early).len(), 1);
-        let mut late = view(&traffic);
-        late.round = 3;
-        assert!(adv.step(&late).is_empty());
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!   (an [`ActorRange`]);
 //! * an [`AttackPlan`] is a list of steps whose injected traffic is concatenated
 //!   every round — two steps with disjoint actor ranges are a *collusion split*,
-//!   a step whose window ends early is a *crash window*, and
-//!   [`AttackPlan::preset`] embeds every legacy [`AdversaryKind`] unchanged.
+//!   a step whose window ends early is a *crash*, one step per identity with its
+//!   own end is a *staggered crash*, and [`AttackPlan::preset`] embeds every
+//!   legacy [`AdversaryKind`] unchanged. Nothing else in the workspace windows,
+//!   splits or crashes an adversary.
 //!
 //! Plans are interpreted against a concrete protocol by the
 //! [`ProtocolFactory`](crate::sim::ProtocolFactory): each behaviour is mapped onto a
@@ -242,6 +244,11 @@ impl AdaptiveStrategy {
     }
 }
 
+/// The one round-window test: `from..=to`, or `from..` when `to` is `None`.
+fn in_window(round: u64, from: u64, to: Option<u64>) -> bool {
+    round >= from && to.is_none_or(|to| round <= to)
+}
+
 /// One behaviour bound to a round window and an actor range.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AttackStep {
@@ -294,7 +301,7 @@ impl AttackStep {
 
     /// Whether the step is active in `round`.
     pub fn active_in(&self, round: u64) -> bool {
-        round >= self.from_round && self.to_round.is_none_or(|to| round <= to)
+        in_window(round, self.from_round, self.to_round)
     }
 
     /// Whether the step covers every round and every Byzantine identity — i.e. it
@@ -434,7 +441,12 @@ pub struct CompiledStep<P> {
 
 /// The adversary a compiled [`AttackPlan`] runs as: every round, each active step
 /// sees a view restricted to its actor range and its injected traffic is
-/// concatenated in step order.
+/// concatenated in step order. A step outside its window is not called at all,
+/// so a stateful strategy first observes the round its window opens.
+///
+/// This is the only combinator over adversaries. Tests that drive a
+/// payload-typed strategy no [`AttackBehavior`] names build it directly from
+/// [`CompiledStep`]s.
 ///
 /// A plan with a single whole-run, all-actors step forwards the exact view it
 /// received, so preset plans reproduce their legacy kind's executions bit for bit.
@@ -453,13 +465,8 @@ impl<P> Adversary<P> for PlanAdversary<P> {
     fn step(&mut self, view: &AdversaryView<'_, P>) -> Vec<Directed<P>> {
         let mut out = Vec::new();
         for step in &mut self.steps {
-            if view.round < step.from_round {
+            if !in_window(view.round, step.from_round, step.to_round) {
                 continue;
-            }
-            if let Some(to) = step.to_round {
-                if view.round > to {
-                    continue;
-                }
             }
             let restricted = AdversaryView {
                 round: view.round,
@@ -569,6 +576,65 @@ mod tests {
         let round3 = adv.step(&view(3, &t));
         assert_eq!(round3.len(), 6, "two actors × three recipients");
         assert!(round3.iter().all(|m| m.from != BYZ[0]));
+
+        let step = |to_round, actors| CompiledStep {
+            from_round: 1,
+            to_round,
+            actors,
+            strategy: flooder(),
+        };
+        // A crash at round 4 is `until(3)`: silent from round 4 on, for good.
+        let mut crash = PlanAdversary::new(vec![step(Some(3), ActorRange::all())]);
+        assert_eq!(crash.step(&view(3, &t)).len(), 9);
+        assert!(crash.step(&view(4, &t)).is_empty());
+        assert!(crash.step(&view(40, &t)).is_empty());
+        // An oversized split hands every identity to the first half.
+        let mut split = PlanAdversary::new(vec![
+            step(Some(1), ActorRange::first(99)),
+            step(None, ActorRange::from(99)),
+        ]);
+        assert_eq!(
+            split.step(&view(1, &t)).len(),
+            9,
+            "first half drives all three"
+        );
+        assert!(
+            split.step(&view(2, &t)).is_empty(),
+            "second half drives nobody"
+        );
+        // Per-identity steps with their own `until` crash identities one by one.
+        let mut staggered = PlanAdversary::new(
+            (0..BYZ.len())
+                .map(|i| step(Some(i as u64 + 1), ActorRange::slice(i, 1)))
+                .collect(),
+        );
+        for (round, alive) in [(1, &BYZ[..]), (2, &BYZ[1..]), (3, &BYZ[2..]), (4, &[])] {
+            let out = staggered.step(&view(round, &t));
+            assert_eq!(out.len(), 3 * alive.len(), "round {round}");
+            assert!(out.iter().all(|m| alive.contains(&m.from)), "round {round}");
+        }
+    }
+
+    #[test]
+    fn an_inactive_step_does_not_call_its_strategy() {
+        // A stateful strategy behind `starting(5)` must first observe round 5:
+        // "since the step began" (`AdaptiveAdversary`) depends on it.
+        let observed = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let log = observed.clone();
+        let mut adv = PlanAdversary::new(vec![CompiledStep {
+            from_round: 5,
+            to_round: Some(6),
+            actors: ActorRange::all(),
+            strategy: Box::new(FnAdversary::new(move |v: &AdversaryView<'_, u32>| {
+                log.borrow_mut().push(v.round);
+                Vec::new()
+            })),
+        }]);
+        let t = RoundTraffic::from_directed(vec![]);
+        for round in 1..=8 {
+            adv.step(&view(round, &t));
+        }
+        assert_eq!(*observed.borrow(), vec![5, 6]);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! 1. **Produce — O(n + m).** Every due, live correct node is handed the inbox
 //!    accumulated for it and produces its outgoing messages.
 //!    Broadcasts are *not* expanded: a broadcast is stored once as a compact
-//!    [`TrafficItem`](crate::traffic::TrafficItem) in the round's
+//!    [`TrafficItem`] in the round's
 //!    [`RoundTraffic`], and its payload is wrapped into a [`Shared`] handle —
 //!    **the only payload allocation it will ever cost**, with the dedup digest
 //!    computed right there; inbox buffers are recycled across rounds instead of

@@ -36,7 +36,9 @@
 //!   applied by the engine itself via [`Engine::set_churn`];
 //! * [`attack`] — composable, serialisable [`AttackPlan`]s: round-windowed,
 //!   actor-scoped Byzantine behaviours generalising the scripted
-//!   [`AdversaryKind`] presets;
+//!   [`AdversaryKind`] presets. [`PlanAdversary`] is the only combinator: a
+//!   crash, an attack window or a collusion split is a plan step, never a
+//!   wrapper type around an [`Adversary`];
 //! * [`sweep`] — the [`ScenarioGrid`] DSL enumerating protocols × sizes × attack
 //!   plans × churn schedules × derived seeds as replayable [`SweepCase`]s;
 //! * [`sim`] — the unified `Simulation` driver: a fluent [`ScenarioBuilder`], the
@@ -88,7 +90,6 @@ pub mod dynamic;
 pub mod engine;
 pub mod error;
 pub mod event;
-pub mod faults;
 pub mod id;
 pub mod message;
 pub mod metrics;
@@ -113,9 +114,6 @@ pub use dynamic::{ChurnEvent, ChurnSchedule};
 pub use engine::{Engine, EngineConfig, PhaseTimings, RunOutcome, SyncEngine};
 pub use error::SimError;
 pub use event::{DelaySpec, EngineKind, EventTiming, LinkDelay, PartitionSpec, TimingSpec};
-pub use faults::{
-    Collusion, NoiseAdversary, RecordingAdversary, RoundWindow, StaggeredCrash, TamperAdversary,
-};
 pub use id::{IdSpace, NodeId};
 pub use message::{Destination, Directed, Envelope, Outgoing};
 pub use metrics::{Metrics, RoundMetrics};

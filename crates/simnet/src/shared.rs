@@ -7,7 +7,7 @@
 //!
 //! * allocates the payload **exactly once** — [`Shared::new`] is the only place a
 //!   payload is ever materialised, and it bumps a process-wide counter that tests
-//!   assert against ([`Shared::allocations`]);
+//!   assert against ([`allocations`]);
 //! * carries a **cached digest** — the same 64-bit value the engine's dedup set
 //!   used to recompute per delivery is now computed once per allocation
 //!   ([`Shared::digest`]), so delivering a broadcast to `k` recipients hashes the
@@ -17,9 +17,10 @@
 //!   payload and hash nothing unless their digest is actually read;
 //! * compares and hashes **by value**, so inboxes, dedup fallbacks and recorded
 //!   traces behave exactly as if they stored owned payloads;
-//! * is **copy-on-write**: forwarding a handle ([`Clone`]) is a reference-count
-//!   bump; only a mutation through [`Shared::modify`] pays a payload clone, and
-//!   only when the handle is actually shared.
+//! * is **immutable once allocated**: forwarding a handle ([`Clone`]) is a
+//!   reference-count bump and there is no way to edit a payload behind one, so
+//!   a changed payload is always a fresh [`Shared::new`] — one allocation per
+//!   distinct fabrication.
 //!
 //! The handle is an [`Arc`], so it is `Send + Sync` and anything that holds one
 //! — a recorded trace, a node, a whole engine — can leave the thread that built
@@ -35,7 +36,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Error, Serialize, Value};
 
-/// Process-wide count of payload allocations (see [`Shared::allocations`]).
+/// Process-wide count of payload allocations (see [`allocations`]).
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide count of payload deallocations (see [`live_allocations`]).
@@ -132,7 +133,7 @@ pub struct Shared<P>(Repr<P>);
 impl<P: Hash> Shared<P> {
     /// Wraps a payload, computing its dedup digest once. This is the **only**
     /// constructor — every call is one payload allocation, counted in
-    /// [`Shared::allocations`].
+    /// [`allocations`].
     pub fn new(value: P) -> Self {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         #[cfg(test)]
@@ -221,40 +222,6 @@ pub fn deallocations() -> u64 {
 /// memory measurements would notice it.
 pub fn live_allocations() -> u64 {
     allocations().saturating_sub(deallocations())
-}
-
-impl<P: Hash + Clone> Shared<P> {
-    /// Copy-on-write mutation: applies `mutate` to the payload, cloning it first
-    /// **only if** the handle is shared, and recomputes the cached digest. This
-    /// is the in-place tamper primitive — the
-    /// [`TamperAdversary`](crate::faults::TamperAdversary) combinator edits
-    /// relayed traffic through it, so an edited forward pays exactly one clone
-    /// while honest forwarding stays a reference-count bump. (The scripted
-    /// attacks that fabricate whole payloads go through [`Shared::new`]
-    /// instead: one allocation per *distinct* fabrication.)
-    pub fn modify(&mut self, mutate: impl FnOnce(&mut P)) {
-        match &mut self.0 {
-            Repr::Owned(arc) => match Arc::get_mut(arc) {
-                Some(inner) => {
-                    mutate(&mut inner.value);
-                    inner.digest = digest_of(&inner.value);
-                }
-                None => {
-                    let mut value = arc.value.clone();
-                    mutate(&mut value);
-                    *self = Shared::new(value);
-                }
-            },
-            // A projected view never owns its allocation (the source tuple
-            // does): a write materialises the field, exactly like the shared
-            // copy-on-write case.
-            Repr::Projected { source, .. } => {
-                let mut value = source.projected().clone();
-                mutate(&mut value);
-                *self = Shared::new(value);
-            }
-        }
-    }
 }
 
 impl<P> Clone for Shared<P> {
@@ -375,36 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn modify_is_copy_on_write() {
-        let before = thread_allocations();
-        let mut unique = Shared::new(10u64);
-        unique.modify(|v| *v += 1);
-        assert_eq!(*unique, 11);
-        assert_eq!(
-            thread_allocations() - before,
-            1,
-            "a unique handle mutates in place"
-        );
-        assert_eq!(
-            unique.digest(),
-            digest_of(&11u64),
-            "digest tracks the value"
-        );
-
-        let shared = unique.clone();
-        let mut tampered = shared.clone();
-        tampered.modify(|v| *v = 99);
-        assert_eq!(*shared, 11, "the original is untouched");
-        assert_eq!(*tampered, 99);
-        assert!(!Shared::ptr_eq(&shared, &tampered));
-        assert_eq!(
-            thread_allocations() - before,
-            2,
-            "only the tamper paid a clone"
-        );
-    }
-
-    #[test]
     fn serde_passes_through_transparently() {
         let shared = Shared::new(vec![1u64, 2, 3]);
         let value = Serialize::to_value(&shared);
@@ -461,16 +398,6 @@ mod tests {
             deallocations() > dropped_before,
             "dropping the last view frees the source allocation"
         );
-    }
-
-    #[test]
-    fn modifying_a_projection_materialises_a_copy() {
-        let tagged: Shared<(u64, u64)> = Shared::new((1, 10));
-        let mut view = tagged.project_second();
-        view.modify(|v| *v += 5);
-        assert_eq!(*view, 15);
-        assert_eq!(tagged.get().1, 10, "the source tuple is untouched");
-        assert_eq!(view.digest(), payload_digest(&15u64));
     }
 
     #[test]
@@ -577,36 +504,6 @@ mod tests {
                     handle.digest(),
                     "the digest is recomputed identically"
                 );
-            }
-        }
-
-        #[test]
-        fn modify_on_a_uniquely_owned_handle_does_not_allocate() {
-            let mut rng = seeded_rng(0xA110C);
-            for _ in 0..256 {
-                let payload = arbitrary_payload(&mut rng);
-                let mut handle = Shared::new(payload.clone());
-                // The allocation's address is the witness: an in-place mutation
-                // keeps it, a copy-on-write (or any re-materialisation) changes
-                // it. Unlike the process-wide counter, the token cannot be
-                // perturbed by concurrently running tests.
-                let token = handle.token();
-                handle.modify(|v| v.push(7));
-                assert_eq!(handle.token(), token, "uniquely owned ⇒ mutated in place");
-                let mut expected = payload.clone();
-                expected.push(7);
-                assert_eq!(handle, expected);
-                assert_eq!(
-                    handle.digest(),
-                    digest_of(&expected),
-                    "digest tracks the mutation"
-                );
-                // The moment the handle is shared, the same call pays exactly
-                // one clone instead (and leaves the sibling untouched).
-                let sibling = handle.clone();
-                handle.modify(|v| v.push(8));
-                assert_ne!(handle.token(), sibling.token(), "shared ⇒ copy-on-write");
-                assert_eq!(sibling, expected, "the sibling keeps the old value");
             }
         }
     }

@@ -316,14 +316,15 @@ impl ScenarioBuilder {
         }
     }
 
-    /// Builds a typed [`Harness`] for a protocol, with the adversary selected by the
-    /// scenario's [`AttackPlan`] (when one is attached) or its [`AdversaryKind`].
+    /// Builds a typed [`Harness`] for a protocol. The adversary is always a
+    /// compiled [`AttackPlan`]: the scenario's own, or the preset plan of its
+    /// [`AdversaryKind`] — built here and not written into the spec, so a
+    /// kind-selected scenario still records `attack: null`.
     pub fn build<F: ProtocolFactory>(self, factory: F) -> Harness<F> {
         let ctx = self.into_context();
-        let named = match &ctx.spec.attack {
-            Some(plan) => compile_attack_plan(&factory, plan, &ctx),
-            None => factory.adversary(ctx.spec.adversary, &ctx),
-        };
+        let preset = AttackPlan::preset(ctx.spec.adversary);
+        let plan = ctx.spec.attack.as_ref().unwrap_or(&preset);
+        let named = compile_attack_plan(&factory, plan, &ctx);
         Harness::assemble(factory, ctx, named.strategy, named.name)
     }
 
@@ -659,7 +660,7 @@ impl<F: ProtocolFactory> Harness<F> {
     }
 
     /// Wall-clock time accumulated per engine phase across the run so far (see
-    /// [`PhaseTimings`](crate::engine::PhaseTimings)). Measurement-only — reports
+    /// [`PhaseTimings`]). Measurement-only — reports
     /// never contain timings, so recorded baselines stay byte-identical across
     /// machines.
     pub fn phase_timings(&self) -> PhaseTimings {

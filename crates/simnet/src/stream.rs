@@ -8,7 +8,7 @@
 //!   [`Protocol`] over one wire. Every payload is tagged with the instance it
 //!   belongs to (`(instance, inner)`), so a single engine round carries traffic
 //!   for every in-flight instance and the tag travels through
-//!   [`Envelope`](crate::message::Envelope) exactly like any other payload.
+//!   [`Envelope`] exactly like any other payload.
 //! * [`StreamDriver`] — a [`ProtocolFactory`] that builds one inner factory per
 //!   instance, staggers their start rounds (the pipeline), and records a
 //!   [`StreamSection`] into the [`RunReport`] with per-instance decisions,

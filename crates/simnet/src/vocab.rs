@@ -28,7 +28,7 @@
 //! handle — so a noise round costs O(|vocabulary|) payload allocations, never
 //! O(|vocabulary| · n), keeping the zero-copy allocation accounting intact.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;
 
 use crate::adversary::{Adversary, AdversaryView};
@@ -125,6 +125,29 @@ impl<P, V: PayloadVocab<P> + ?Sized> PayloadVocab<P> for Box<V> {
     }
 }
 
+/// The fan-out every oblivious fabrication shares: each payload is allocated
+/// into a [`Shared`] handle once, then pushed from every Byzantine identity to
+/// every correct recipient `i` for which `deliver(i, j)` holds (`j` is the
+/// payload's index) — identities outermost, payloads innermost, which is the
+/// inbox order the strategies built on it are pinned to.
+pub fn fabricate<P: Hash>(
+    out: &mut Vec<Directed<P>>,
+    view: &AdversaryView<'_, P>,
+    payloads: Vec<P>,
+    mut deliver: impl FnMut(usize, usize) -> bool,
+) {
+    let handles: Vec<Shared<P>> = payloads.into_iter().map(Shared::new).collect();
+    for &from in view.byzantine_ids {
+        for (i, &to) in view.correct_ids.iter().enumerate() {
+            for (j, handle) in handles.iter().enumerate() {
+                if deliver(i, j) {
+                    out.push(Directed::new(from, to, handle.clone()));
+                }
+            }
+        }
+    }
+}
+
 /// The adversary behind `AttackBehavior::Noise` and `AttackBehavior::Semantic`:
 /// fabricates payloads from a [`PayloadVocab`] every round.
 ///
@@ -142,8 +165,8 @@ impl<P, V: PayloadVocab<P> + ?Sized> PayloadVocab<P> for Box<V> {
 ///   payload scattered to the recipients with `(i + j + round) % 2 == 0`: the
 ///   chaos-monkey default for fuzz grids.
 ///
-/// Fabrications are hoisted out of the fan-out loop: each distinct payload is
-/// allocated into a [`Shared`] handle once per round and fanned out by handle.
+/// Fabrications go through [`fabricate`]: each distinct payload is allocated
+/// into a [`Shared`] handle once per round and fanned out by handle.
 pub struct VocabAdversary<P> {
     vocab: Box<dyn PayloadVocab<P>>,
     mode: VocabMode,
@@ -179,26 +202,6 @@ impl<P: Hash> VocabAdversary<P> {
             seed,
         }
     }
-
-    fn fabricate(
-        out: &mut Vec<Directed<P>>,
-        view: &AdversaryView<'_, P>,
-        payloads: Vec<P>,
-        mut deliver: impl FnMut(usize, usize) -> bool,
-    ) {
-        // Hoisted allocation: one `Shared` per distinct fabricated payload per
-        // round; the fan-out below only clones handles.
-        let handles: Vec<Shared<P>> = payloads.into_iter().map(Shared::new).collect();
-        for &from in view.byzantine_ids {
-            for (i, &to) in view.correct_ids.iter().enumerate() {
-                for (j, handle) in handles.iter().enumerate() {
-                    if deliver(i, j) {
-                        out.push(Directed::new(from, to, handle.clone()));
-                    }
-                }
-            }
-        }
-    }
 }
 
 impl<P: Hash> Adversary<P> for VocabAdversary<P> {
@@ -213,28 +216,28 @@ impl<P: Hash> Adversary<P> for VocabAdversary<P> {
         match &self.mode {
             VocabMode::Semantic(SemanticStrategy::Valid) => {
                 let payloads = self.vocab.valid(&scene);
-                Self::fabricate(&mut out, view, payloads, |_, _| true);
+                fabricate(&mut out, view, payloads, |_, _| true);
             }
             VocabMode::Semantic(SemanticStrategy::Boundary) => {
                 let payloads = self.vocab.boundary(&scene);
                 let len = payloads.len().max(1);
-                Self::fabricate(&mut out, view, payloads, |i, j| i % len == j);
+                fabricate(&mut out, view, payloads, |i, j| i % len == j);
             }
             VocabMode::Semantic(SemanticStrategy::Garbage) => {
                 let payloads = self.vocab.garbage(&scene);
-                Self::fabricate(&mut out, view, payloads, |_, _| true);
+                fabricate(&mut out, view, payloads, |_, _| true);
             }
             VocabMode::Noise => {
                 let round = view.round as usize;
                 let valid = self.vocab.valid(&scene);
-                Self::fabricate(&mut out, view, valid, |i, j| {
+                fabricate(&mut out, view, valid, |i, j| {
                     (i + j + round).is_multiple_of(2)
                 });
                 let boundary = self.vocab.boundary(&scene);
                 let len = boundary.len().max(1);
-                Self::fabricate(&mut out, view, boundary, |i, j| i % len == j);
+                fabricate(&mut out, view, boundary, |i, j| i % len == j);
                 let garbage = self.vocab.garbage(&scene);
-                Self::fabricate(&mut out, view, garbage, |i, j| {
+                fabricate(&mut out, view, garbage, |i, j| {
                     (i + j + round).is_multiple_of(2)
                 });
             }
@@ -281,10 +284,12 @@ impl<P: Hash> AdaptiveAdversary<P> {
         for &id in view.correct_ids {
             self.received.entry(id).or_insert(0);
         }
-        for sent in view.traffic() {
-            if view.correct_ids.contains(&sent.to) {
-                *self.received.entry(sent.to).or_insert(0) += 1;
-            }
+        // The round's live set, built once: `received` also remembers nodes that
+        // have left, and a linear `correct_ids.contains` per expanded message
+        // would make the round O(n³).
+        let live: BTreeSet<NodeId> = view.correct_ids.iter().copied().collect();
+        for sent in view.traffic().filter(|sent| live.contains(&sent.to)) {
+            *self.received.entry(sent.to).or_insert(0) += 1;
         }
     }
 
@@ -340,14 +345,14 @@ impl<P: Hash> Adversary<P> for AdaptiveAdversary<P> {
                 let mut payloads = self.vocab.valid(&scene);
                 payloads.extend(self.vocab.boundary(&scene));
                 let victim_index = view.correct_ids.iter().position(|&id| id == victim);
-                VocabAdversary::fabricate(&mut out, view, payloads, |i, _| Some(i) == victim_index);
+                fabricate(&mut out, view, payloads, |i, _| Some(i) == victim_index);
             }
             AdaptiveStrategy::EquivocateMinority => {
                 let payloads = self.vocab.boundary(&scene);
                 if payloads.len() < 2 {
                     // No equivocation pair to aim: fall back to imitation.
                     let valid = self.vocab.valid(&scene);
-                    VocabAdversary::fabricate(&mut out, view, valid, |_, _| true);
+                    fabricate(&mut out, view, valid, |_, _| true);
                     return out;
                 }
                 let median = self.median_received(view.correct_ids);
@@ -360,7 +365,7 @@ impl<P: Hash> Adversary<P> for AdaptiveAdversary<P> {
                 // "high" story), everyone else the first ("low") — each
                 // recipient hears exactly one side, aimed by observed traffic.
                 let last = payloads.len() - 1;
-                VocabAdversary::fabricate(&mut out, view, payloads, |i, j| {
+                fabricate(&mut out, view, payloads, |i, j| {
                     if minority.get(i).copied().unwrap_or(false) {
                         j == last
                     } else {
@@ -373,7 +378,7 @@ impl<P: Hash> Adversary<P> for AdaptiveAdversary<P> {
                 let leader_index =
                     leader.and_then(|id| view.correct_ids.iter().position(|&node| node == id));
                 let valid = self.vocab.valid(&scene);
-                VocabAdversary::fabricate(&mut out, view, valid, |i, _| Some(i) != leader_index);
+                fabricate(&mut out, view, valid, |i, _| Some(i) != leader_index);
             }
         }
         out

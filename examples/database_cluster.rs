@@ -17,7 +17,7 @@
 //! Run with `cargo run --example database_cluster`.
 
 use uba_checker::chain::{check_chain_prefix, ChainObservation};
-use uba_core::attackers::MembershipFlapper;
+use uba_core::adversaries::MembershipFlapper;
 use uba_core::sim::{Simulation, TotalOrderFactory, TotalOrderPlan};
 use uba_simnet::{ChurnEvent, ChurnSchedule, NodeId, Protocol};
 

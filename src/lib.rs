@@ -11,7 +11,7 @@
 //! * [`core`] — the paper's id-only algorithms and their protocol factories;
 //! * [`checker`] — executable property oracles for the paper's theorems;
 //! * [`baselines`] — classic known-`(n, f)` comparison algorithms;
-//! * [`bench`] — workloads, the E1–E14 experiment harness and Monte-Carlo sweeps.
+//! * [`mod@bench`] — workloads, the E1–E14 experiment harness and Monte-Carlo sweeps.
 
 #![forbid(unsafe_code)]
 

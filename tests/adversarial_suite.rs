@@ -4,32 +4,40 @@
 use std::collections::BTreeSet;
 
 use uba_core::adversaries::{
-    AnnounceThenSilent, CandidatePoisoner, EquivocatingSource, GhostPairInjector, SplitVote,
+    AnnounceToSubset, CandidatePoisoner, EquivocatingSource, GhostPairInjector,
 };
-use uba_core::sim::{AdversaryKind, ScenarioExt, Simulation};
+use uba_core::sim::{
+    AdversaryKind, AttackBehavior, AttackPlan, AttackStep, ScenarioExt, Simulation,
+};
 use uba_core::{Consensus, ParallelConsensus, ReliableBroadcast, RotorCoordinator};
-use uba_simnet::adversary::CrashAdversary;
 use uba_simnet::{IdSpace, NodeId, SyncEngine};
 
 #[test]
 fn consensus_survives_a_crash_after_participation() {
-    // Byzantine nodes behave like split-voters for a while and then crash mid-phase.
-    let ids = IdSpace::default().generate(9, 41);
-    let byz: Vec<NodeId> = ids[7..].to_vec();
-    let nodes: Vec<Consensus<u64>> = ids[..7]
+    // Byzantine nodes behave like split-voters for a while and then crash mid-phase:
+    // a crash at round 9 is a plan step that runs `until(8)`.
+    let inputs: Vec<u64> = (0..7).map(|i| i % 2).collect();
+    let split_vote = AttackBehavior::Equivocate { low: 0, high: 1 };
+    let report = Simulation::scenario()
+        .correct(7)
+        .byzantine(2)
+        .seed(41)
+        .max_rounds(400)
+        .attack(AttackPlan::new().step(AttackStep::new(split_vote).until(8)))
+        .consensus(&inputs)
+        .run()
+        .unwrap();
+    assert!(report.completed());
+    let decisions = &report.consensus.as_ref().unwrap().decisions;
+    assert_eq!(decisions.len(), 7);
+    assert!(decisions.windows(2).all(|w| w[0].value == w[1].value));
+    // The attack happened, and stopped at the crash round.
+    let per_round = &report.messages.per_round;
+    assert!(per_round.iter().any(|r| r.byzantine_messages > 0));
+    assert!(per_round
         .iter()
-        .enumerate()
-        .map(|(i, &id)| Consensus::new(id, (i % 2) as u64))
-        .collect();
-    let adversary = CrashAdversary::new(SplitVote::new(0u64, 1u64), 9);
-    let mut engine = SyncEngine::new(nodes, adversary, byz);
-    engine.run_to_termination(400).unwrap();
-    let decisions: Vec<u64> = engine
-        .outputs()
-        .into_iter()
-        .map(|(_, d)| d.unwrap().value)
-        .collect();
-    assert!(decisions.windows(2).all(|w| w[0] == w[1]));
+        .all(|r| r.round <= 8 || r.byzantine_messages == 0));
+    assert!(per_round.len() > 8, "the run outlives the crash");
 }
 
 #[test]
@@ -160,7 +168,7 @@ fn announce_then_silent_inflates_n_v_but_not_forever() {
         .enumerate()
         .map(|(i, &id)| Consensus::new(id, (i % 2) as u64))
         .collect();
-    let mut engine = SyncEngine::new(nodes, AnnounceThenSilent, byz);
+    let mut engine = SyncEngine::new(nodes, AnnounceToSubset::everyone(), byz);
     engine.run_to_termination(400).unwrap();
     for node in engine.nodes() {
         assert_eq!(

@@ -8,7 +8,7 @@ use uba_checker::broadcast::{check_reliable_broadcast, observe, NodeAcceptances,
 use uba_checker::chain::{check_chain_growth, check_chain_prefix, ChainObservation};
 use uba_checker::consensus::{check_consensus, ConsensusCheck, ConsensusObservation};
 use uba_checker::rotor::{check_rotor, RotorCheck, RotorObservation};
-use uba_core::adversaries::{AnnounceThenSilent, EquivocatingSource};
+use uba_core::adversaries::{AnnounceToSubset, EquivocatingSource};
 use uba_core::consensus::Consensus;
 use uba_core::reliable_broadcast::ReliableBroadcast;
 use uba_core::rotor::RotorCoordinator;
@@ -31,7 +31,7 @@ fn live_broadcast_run_passes_and_tampered_observations_fail() {
             }
         })
         .collect();
-    let mut engine = SyncEngine::new(nodes, AnnounceThenSilent, byz);
+    let mut engine = SyncEngine::new(nodes, AnnounceToSubset::everyone(), byz);
     engine.run_rounds(12).unwrap();
 
     let observations = observe(engine.nodes());

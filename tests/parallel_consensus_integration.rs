@@ -6,11 +6,13 @@
 use std::collections::BTreeMap;
 
 use uba_checker::parallel::{check_parallel_consensus, ParallelObservation};
-use uba_core::adversaries::{AnnounceThenSilent, GhostPairInjector};
+use uba_core::adversaries::{AnnounceToSubset, GhostPairInjector};
 use uba_core::early_consensus::{InstanceId, ParallelMessage};
 use uba_core::parallel_consensus::ParallelConsensus;
+use uba_core::sim::{
+    AdversaryKind, AttackBehavior, AttackPlan, ParallelConsensusFactory, Simulation,
+};
 use uba_simnet::adversary::SilentAdversary;
-use uba_simnet::faults::Collusion;
 use uba_simnet::{Adversary, IdSpace, NodeId, Protocol, SyncEngine};
 
 type Msg = ParallelMessage<u64>;
@@ -34,8 +36,11 @@ fn run<A: Adversary<Msg>>(
     engine
         .run_to_termination(500)
         .expect("parallel consensus terminates");
-    engine
-        .nodes()
+    observe(engine.nodes())
+}
+
+fn observe(nodes: &[ParallelConsensus<u64>]) -> Vec<ParallelObservation<u64>> {
+    nodes
         .iter()
         .map(|node| ParallelObservation {
             node: Protocol::id(node),
@@ -61,7 +66,7 @@ fn partially_known_pairs_remain_consistent_under_silent_faults() {
     let mut inputs = vec![vec![(7, 70)]; 4];
     inputs.push(vec![(9, 90)]);
     inputs.extend(vec![vec![]; 2]);
-    let observations = run(inputs, 2, AnnounceThenSilent, 2);
+    let observations = run(inputs, 2, AnnounceToSubset::everyone(), 2);
     check_parallel_consensus(&observations).assert_passed("partially known pairs");
 }
 
@@ -80,14 +85,29 @@ fn byzantine_injected_identifiers_never_reach_the_output() {
 #[test]
 fn collusion_of_silence_and_injection_is_still_contained() {
     // One Byzantine identity plays announce-then-silent (diluting n_v), the other
-    // injects ghost pairs. Both attacks run in the same execution.
-    let adversary = Collusion::new(
-        AnnounceThenSilent,
+    // injects ghost pairs (the factory's worst-case preset). Both attacks run in the
+    // same execution, as the two steps of a collusion plan.
+    let plan = AttackPlan::collusion(
+        AttackBehavior::Preset(AdversaryKind::AnnounceThenSilent),
         1,
-        GhostPairInjector::new(vec![(4_040, 4)]),
+        AttackBehavior::Preset(AdversaryKind::Worst),
     );
-    let inputs = vec![vec![(1, 10), (2, 20)]; 7];
-    let observations = run(inputs, 2, adversary, 4);
+    let factory =
+        ParallelConsensusFactory::new(vec![(1, 10), (2, 20)]).with_ghost_pairs(vec![(4_040, 4)]);
+    let mut harness = Simulation::scenario()
+        .correct(7)
+        .byzantine(2)
+        .seed(4)
+        .max_rounds(500)
+        .attack(plan)
+        .build(factory);
+    let report = harness.run().expect("parallel consensus terminates");
+    assert!(report.completed());
+    // Both halves spoke: two identities announce to seven nodes in round 1, and only
+    // the injector's one ghost pair follows in round 4.
+    assert_eq!(report.messages.per_round[0].byzantine_messages, 14);
+    assert_eq!(report.messages.per_round[3].byzantine_messages, 7);
+    let observations = observe(harness.nodes());
     check_parallel_consensus(&observations).assert_passed("colluding attackers");
     let pairs = &observations[0].decision.as_ref().unwrap().pairs;
     assert_eq!(pairs.get(&1), Some(&10));
@@ -108,7 +128,7 @@ fn wide_instance_fan_out_terminates_in_one_phase() {
 
 #[test]
 fn empty_input_sets_terminate_with_empty_outputs() {
-    let observations = run(vec![vec![]; 5], 1, AnnounceThenSilent, 6);
+    let observations = run(vec![vec![]; 5], 1, AnnounceToSubset::everyone(), 6);
     check_parallel_consensus(&observations).assert_passed("no inputs anywhere");
     assert!(observations
         .iter()
@@ -120,7 +140,7 @@ fn conflicting_opinions_for_the_same_identifier_resolve_to_one_value() {
     // Every node holds instance 5 but with its own opinion; agreement requires that
     // all nodes end up with the same (possibly absent) value for it.
     let inputs: Vec<Vec<(InstanceId, u64)>> = (0..7).map(|i| vec![(5, 1_000 + i as u64)]).collect();
-    let observations = run(inputs, 2, AnnounceThenSilent, 7);
+    let observations = run(inputs, 2, AnnounceToSubset::everyone(), 7);
     check_parallel_consensus(&observations).assert_passed("conflicting opinions");
     // If the pair is output, the value must be one of the submitted opinions.
     if let Some(value) = observations[0].decision.as_ref().unwrap().pairs.get(&5) {

@@ -1,60 +1,49 @@
 //! Randomised adversarial tests: the paper's guarantees must hold for *every*
 //! Byzantine behaviour, so beyond the scripted worst cases this suite throws
-//! randomised (but seed-reproducible) adversaries at the protocols — random noise,
-//! randomly staggered crashes, random attack windows and random collusions — and
-//! verifies the outcomes with the `uba-checker` oracles. Cases are drawn from the
-//! workspace's deterministic RNG (proptest is unavailable offline).
+//! randomised (but seed-reproducible) adversaries at the protocols — vocabulary
+//! noise, randomly staggered crashes, random attack windows and random collusions,
+//! all of them attack-plan steps — and verifies the outcomes with the
+//! `uba-checker` oracles. Cases are drawn from the workspace's deterministic RNG
+//! (proptest is unavailable offline).
 
 use rand::Rng;
 
 use uba_checker::approx::check_approx_real;
 use uba_checker::consensus::{check_consensus, ConsensusCheck, ConsensusObservation};
 use uba_checker::parallel::{check_parallel_consensus, ParallelObservation};
-use uba_core::adversaries::SplitVote;
-use uba_core::approx::ApproxAgreement;
-use uba_core::attackers::MinorityBooster;
-use uba_core::consensus::{Consensus, ConsensusMessage};
-use uba_core::early_consensus::ParallelMessage;
-use uba_core::parallel_consensus::ParallelConsensus;
+use uba_core::adversaries::MinorityBooster;
+use uba_core::sim::{
+    ActorRange, AttackBehavior, AttackPlan, AttackStep, ConsensusFactory, Harness,
+    ParallelConsensusFactory, RunReport, ScenarioBuilder, ScenarioExt, Simulation,
+};
 use uba_core::Real;
-use uba_simnet::faults::{Collusion, NoiseAdversary, RoundWindow, StaggeredCrash};
-use uba_simnet::rng::{seeded_rng, SimRng};
-use uba_simnet::{Adversary, IdSpace, NodeId, Protocol, SyncEngine};
+use uba_simnet::attack::{CompiledStep, PlanAdversary};
+use uba_simnet::rng::seeded_rng;
+use uba_simnet::Protocol;
 
-/// A noise adversary producing random but well-formed consensus messages.
-fn consensus_noise(seed: u64, rate: f64) -> impl Adversary<ConsensusMessage<u64>> {
-    NoiseAdversary::new(seed, rate, |rng: &mut SimRng, to: NodeId| {
-        match rng.gen_range(0u8..6) {
-            0 => ConsensusMessage::Init,
-            1 => ConsensusMessage::Echo(to),
-            2 => ConsensusMessage::Input(rng.gen_range(0u64..2)),
-            3 => ConsensusMessage::Prefer(rng.gen_range(0u64..2)),
-            4 => ConsensusMessage::StrongPrefer(rng.gen_range(0u64..2)),
-            _ => ConsensusMessage::Opinion(rng.gen_range(0u64..2)),
-        }
-    })
+/// The scenario every sweep builds on: `correct + byzantine` nodes under `seed`,
+/// capped at `max_rounds`.
+fn scenario(correct: usize, byzantine: usize, seed: u64, max_rounds: u64) -> ScenarioBuilder {
+    Simulation::scenario()
+        .correct(correct)
+        .byzantine(byzantine)
+        .seed(seed)
+        .max_rounds(max_rounds)
 }
 
-/// Runs consensus with the given adversary and checks agreement/validity/termination.
-fn run_and_check_consensus<A: Adversary<ConsensusMessage<u64>>>(
-    correct: usize,
-    byzantine: usize,
-    seed: u64,
-    inputs: &[u64],
-    adversary: A,
-) {
-    let ids = IdSpace::default().generate(correct + byzantine, seed);
-    let byz: Vec<NodeId> = ids[correct..].to_vec();
-    let nodes: Vec<Consensus<u64>> = ids[..correct]
-        .iter()
-        .zip(inputs)
-        .map(|(&id, &input)| Consensus::new(id, input))
-        .collect();
-    let mut engine = SyncEngine::new(nodes, adversary, byz);
-    engine
-        .run_to_termination(80 * (correct + byzantine) as u64 + 200)
-        .expect("consensus terminates under every admissible adversary");
-    let observations: Vec<ConsensusObservation<u64>> = engine
+/// Random well-formed traffic: everything the protocol's payload vocabulary can say.
+fn noise() -> AttackPlan {
+    AttackPlan::new().behavior(AttackBehavior::Noise)
+}
+
+/// Runs consensus to termination and checks agreement/validity/termination.
+fn run_and_check_consensus(mut harness: Harness<ConsensusFactory>) -> RunReport {
+    let report = harness.run().expect("no engine error");
+    assert!(
+        report.completed(),
+        "consensus terminates under every admissible adversary"
+    );
+    let observations: Vec<ConsensusObservation<u64>> = harness
         .nodes()
         .iter()
         .map(|node| ConsensusObservation {
@@ -65,6 +54,12 @@ fn run_and_check_consensus<A: Adversary<ConsensusMessage<u64>>>(
         .collect();
     check_consensus(&observations, ConsensusCheck::default())
         .assert_passed("randomised adversarial consensus");
+    report
+}
+
+/// The round cap the consensus sweeps run under.
+fn consensus_cap(n: usize) -> u64 {
+    80 * n as u64 + 200
 }
 
 #[test]
@@ -73,13 +68,19 @@ fn consensus_survives_random_noise() {
     for _ in 0..10 {
         let f = rng.gen_range(1usize..3);
         let seed = rng.gen_range(0u64..10_000);
-        let rate = rng.gen_range(0.05f64..1.0);
+        // Vocabulary noise has no rate; the draw keeps the sweep's parameter stream.
+        let _rate = rng.gen_range(0.05f64..1.0);
         let input_bits = rng.gen_range(0u32..64);
         let correct = 2 * f + 1;
         let inputs: Vec<u64> = (0..correct)
             .map(|i| ((input_bits >> i) & 1) as u64)
             .collect();
-        run_and_check_consensus(correct, f, seed, &inputs, consensus_noise(seed, rate));
+        let report = run_and_check_consensus(
+            scenario(correct, f, seed, consensus_cap(correct + f))
+                .attack(noise())
+                .consensus(&inputs),
+        );
+        assert!(report.messages.byzantine > 0, "no attack traffic");
     }
 }
 
@@ -93,19 +94,40 @@ fn consensus_survives_random_collusion_and_crashes() {
         let crash_span = rng.gen_range(1u64..30);
         let correct = 2 * f + 1;
         let inputs: Vec<u64> = (0..correct).map(|i| (i % 2) as u64).collect();
-        let colluding = Collusion::new(
-            SplitVote::new(0u64, 1u64),
-            f / 2 + 1,
-            consensus_noise(seed ^ 0xFACE, 0.4),
+        // The first `f / 2 + 1` identities split the vote, the rest make noise, and
+        // every identity crashes at its own round: one plan step per identity.
+        let mut crash_rng = seeded_rng(seed);
+        let mut plan = AttackPlan::new();
+        let mut last_crash = 0;
+        for i in 0..f {
+            let crash = crash_rng.gen_range(crash_lo..=crash_lo + crash_span);
+            last_crash = last_crash.max(crash);
+            let behavior = if i < f / 2 + 1 {
+                AttackBehavior::Equivocate { low: 0, high: 1 }
+            } else {
+                AttackBehavior::Noise
+            };
+            let actor = ActorRange::slice(i, 1);
+            plan = plan.step(AttackStep::new(behavior).actors(actor).until(crash - 1));
+        }
+        let report = run_and_check_consensus(
+            scenario(correct, f, seed, consensus_cap(correct + f))
+                .attack(plan)
+                .consensus(&inputs),
         );
-        let adversary = StaggeredCrash::new(colluding, seed, crash_lo, crash_lo + crash_span);
-        run_and_check_consensus(correct, f, seed, &inputs, adversary);
+        // Every identity spoke before its crash and none after the last one.
+        let per_round = &report.messages.per_round;
+        assert_eq!(per_round[0].byzantine_messages, (f * correct) as u64);
+        assert!(per_round
+            .iter()
+            .all(|r| r.round < last_crash || r.byzantine_messages == 0));
     }
 }
 
 #[test]
 fn consensus_survives_windowed_adaptive_attacks() {
     let mut rng = seeded_rng(0x903);
+    let mut opened = 0;
     for _ in 0..10 {
         let f = rng.gen_range(1usize..3);
         let seed = rng.gen_range(0u64..10_000);
@@ -113,9 +135,30 @@ fn consensus_survives_windowed_adaptive_attacks() {
         let length = rng.gen_range(1u64..25);
         let correct = 2 * f + 1;
         let inputs: Vec<u64> = (0..correct).map(|i| (i % 2) as u64).collect();
-        let adversary = RoundWindow::new(MinorityBooster::new(0u64, 1u64), from, from + length);
-        run_and_check_consensus(correct, f, seed, &inputs, adversary);
+        let adversary = PlanAdversary::new(vec![CompiledStep {
+            from_round: from,
+            to_round: Some(from + length),
+            actors: ActorRange::all(),
+            strategy: Box::new(MinorityBooster::new(0u64, 1u64)),
+        }]);
+        let report = run_and_check_consensus(
+            scenario(correct, f, seed, consensus_cap(correct + f)).build_with_adversary(
+                ConsensusFactory::new(inputs),
+                "windowed-minority-booster",
+                adversary,
+            ),
+        );
+        assert!(report
+            .messages
+            .per_round
+            .iter()
+            .all(|r| (from..=from + length).contains(&r.round) || r.byzantine_messages == 0));
+        // A run that decides before its window opens never meets the attacker; every
+        // other run must.
+        assert!(report.rounds < from || report.messages.byzantine > 0);
+        opened += (report.rounds >= from) as usize;
     }
+    assert_eq!(opened, 7, "windows that open before the run decides");
 }
 
 #[test]
@@ -127,25 +170,20 @@ fn approx_agreement_survives_random_values() {
         let seed = rng.gen_range(0u64..10_000);
         let spread = rng.gen_range(1.0f64..1_000.0);
         let correct = 2 * f + 1 + extra;
-        let ids = IdSpace::default().generate(correct + f, seed);
-        let byz: Vec<NodeId> = ids[correct..].to_vec();
-        let inputs: Vec<Real> = (0..correct)
-            .map(|i| Real::from_f64(i as f64 * spread / correct as f64))
+        let inputs: Vec<f64> = (0..correct)
+            .map(|i| i as f64 * spread / correct as f64)
             .collect();
-        let nodes: Vec<ApproxAgreement> = ids[..correct]
+        let mut harness = scenario(correct, f, seed, 4)
+            .attack(noise())
+            .approx(&inputs);
+        let report = harness.run().expect("no engine error");
+        assert!(report.completed(), "approx produces outputs");
+        assert!(report.messages.byzantine > 0, "no attack traffic");
+        let inputs: Vec<Real> = inputs.iter().map(|&x| Real::from_f64(x)).collect();
+        let outputs: Vec<Real> = harness
+            .nodes()
             .iter()
-            .zip(&inputs)
-            .map(|(&id, &input)| ApproxAgreement::new(id, input))
-            .collect();
-        let adversary = NoiseAdversary::new(seed, 0.8, |rng: &mut SimRng, _to| {
-            Real::from_f64(rng.gen_range(-1e7..1e7))
-        });
-        let mut engine = SyncEngine::new(nodes, adversary, byz);
-        engine.run_to_output(4).expect("approx produces outputs");
-        let outputs: Vec<Real> = engine
-            .outputs()
-            .into_iter()
-            .map(|(_, output)| output.unwrap())
+            .map(|node| node.output().unwrap())
             .collect();
         check_approx_real(&inputs, &outputs).assert_passed("random-value approx agreement");
     }
@@ -160,25 +198,13 @@ fn parallel_consensus_survives_random_instance_noise() {
         let shared_pairs = rng.gen_range(1usize..5);
         let correct = 2 * f + 1;
         let pairs: Vec<(u64, u64)> = (0..shared_pairs as u64).map(|i| (i, 100 + i)).collect();
-        let ids = IdSpace::default().generate(correct + f, seed);
-        let byz: Vec<NodeId> = ids[correct..].to_vec();
-        let nodes: Vec<ParallelConsensus<u64>> = ids[..correct]
-            .iter()
-            .map(|&id| ParallelConsensus::new(id, pairs.clone()))
-            .collect();
-        let adversary = NoiseAdversary::new(seed, 0.5, |rng: &mut SimRng, to: NodeId| {
-            let ghost = 900 + rng.gen_range(0u64..4);
-            match rng.gen_range(0u8..5) {
-                0 => ParallelMessage::Init,
-                1 => ParallelMessage::Echo(to),
-                2 => ParallelMessage::Input(ghost, rng.gen_range(0u64..9)),
-                3 => ParallelMessage::Prefer(ghost, Some(rng.gen_range(0u64..9))),
-                _ => ParallelMessage::StrongPrefer(ghost, None),
-            }
-        });
-        let mut engine = SyncEngine::new(nodes, adversary, byz);
-        engine.run_to_termination(600).expect("no engine error");
-        let observations: Vec<ParallelObservation<u64>> = engine
+        let mut harness = scenario(correct, f, seed, 600)
+            .attack(noise())
+            .build(ParallelConsensusFactory::new(pairs.clone()));
+        let report = harness.run().expect("no engine error");
+        assert!(report.completed());
+        assert!(report.messages.byzantine > 0, "no attack traffic");
+        let observations: Vec<ParallelObservation<u64>> = harness
             .nodes()
             .iter()
             .map(|node| ParallelObservation {

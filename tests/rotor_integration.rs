@@ -6,11 +6,11 @@
 use std::collections::BTreeSet;
 
 use uba_checker::rotor::{check_rotor, RotorCheck, RotorObservation};
-use uba_core::adversaries::{AnnounceThenSilent, CandidatePoisoner, PartialAnnounce};
+use uba_core::adversaries::{AnnounceToSubset, CandidatePoisoner};
 use uba_core::rotor::{RotorCoordinator, RotorMessage};
 use uba_simnet::adversary::SilentAdversary;
-use uba_simnet::faults::{RecordingAdversary, RoundWindow};
-use uba_simnet::{Adversary, IdSpace, NodeId, Protocol, SyncEngine};
+use uba_simnet::attack::{CompiledStep, PlanAdversary};
+use uba_simnet::{ActorRange, Adversary, IdSpace, NodeId, Protocol, SyncEngine};
 
 type Msg = RotorMessage<u64>;
 
@@ -73,7 +73,7 @@ fn rotor_satisfies_theorem_2_without_faults() {
 fn rotor_survives_counted_but_silent_byzantine_nodes() {
     for &f in &[1usize, 2, 3] {
         let n = 3 * f + 1;
-        let engine = run_rotor(n - f, f, AnnounceThenSilent, 200 + f as u64);
+        let engine = run_rotor(n - f, f, AnnounceToSubset::everyone(), 200 + f as u64);
         let (correct, observations) = observe(&engine);
         check_rotor(
             &correct,
@@ -91,7 +91,7 @@ fn rotor_survives_counted_but_silent_byzantine_nodes() {
 fn rotor_survives_partial_announcement() {
     // Byzantine identities announce to only half the nodes, so different correct nodes
     // hold different n_v — the situation the candidate-set relay (Lemma 6) handles.
-    let engine = run_rotor(7, 2, PartialAnnounce, 77);
+    let engine = run_rotor(7, 2, AnnounceToSubset::every_other(), 77);
     let (correct, observations) = observe(&engine);
     check_rotor(
         &correct,
@@ -108,11 +108,10 @@ fn rotor_survives_partial_announcement() {
 fn rotor_survives_candidate_set_poisoning() {
     // The adversary vouches for identifiers that never announced themselves; the
     // 2n_v/3 threshold must keep the ghosts out of every correct candidate set, so the
-    // poisoning only wastes Byzantine bandwidth. The RecordingAdversary asserts that
+    // poisoning only wastes Byzantine bandwidth. The engine's metrics assert that
     // the attack actually injected traffic.
     let ghosts = vec![NodeId::new(1_000_001), NodeId::new(1_000_002)];
-    let adversary = RecordingAdversary::new(CandidatePoisoner::new(ghosts.clone()));
-    let engine = run_rotor(7, 2, adversary, 78);
+    let engine = run_rotor(7, 2, CandidatePoisoner::new(ghosts.clone()), 78);
     let (correct, observations) = observe(&engine);
     check_rotor(
         &correct,
@@ -133,9 +132,8 @@ fn rotor_survives_candidate_set_poisoning() {
             obs.node
         );
     }
-    let (_, adversary, _) = engine.into_parts();
     assert!(
-        adversary.total_injected() > 0,
+        engine.metrics().byzantine_messages > 0,
         "the poisoner must actually have attacked"
     );
 }
@@ -180,8 +178,18 @@ fn rotor_termination_rounds_grow_linearly_with_n() {
 fn late_attack_window_cannot_poison_after_candidates_are_fixed() {
     // The poisoner only becomes active from round 5 onwards — after every correct node
     // already echoed the genuine candidates. Correctness must be unaffected.
-    let adversary = RoundWindow::new(CandidatePoisoner::new(vec![NodeId::new(999_999)]), 5, 50);
+    let adversary = PlanAdversary::new(vec![CompiledStep {
+        from_round: 5,
+        to_round: Some(50),
+        actors: ActorRange::all(),
+        strategy: Box::new(CandidatePoisoner::new(vec![NodeId::new(999_999)])),
+    }]);
     let engine = run_rotor(7, 2, adversary, 91);
+    let per_round = &engine.metrics().per_round;
+    assert!(per_round.iter().any(|r| r.byzantine_messages > 0));
+    assert!(per_round
+        .iter()
+        .all(|r| (5..=50).contains(&r.round) || r.byzantine_messages == 0));
     let (correct, observations) = observe(&engine);
     check_rotor(
         &correct,
