@@ -5,7 +5,7 @@
 //! midpoint of the remainder. Identical in spirit to the paper's Algorithm 4, except
 //! that the trim width is the *known* `f` rather than the locally derived `⌊n_v/3⌋`.
 
-use uba_simnet::{Envelope, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
 /// Fixed-point value re-exported from `uba-core`'s value module would create a
 /// dependency cycle, so the baseline simply works on integer-scaled values (micro
@@ -52,16 +52,16 @@ impl Protocol for DolevApprox {
         self.id
     }
 
-    fn step(&mut self, ctx: &RoundContext, inbox: &[Envelope<Micro>]) -> Vec<Outgoing<Micro>> {
+    fn step(&mut self, ctx: &RoundContext, inbox: Inbox<'_, Micro>) -> Vec<Outgoing<Micro>> {
         match ctx.round {
             1 => vec![Outgoing::broadcast(self.input)],
             2 => {
                 let mut values: Vec<Micro> = Vec::new();
                 let mut seen: Vec<NodeId> = Vec::new();
-                for envelope in inbox {
-                    if !seen.contains(&envelope.from) {
-                        seen.push(envelope.from);
-                        values.push(*envelope.payload());
+                for (from, value) in inbox {
+                    if !seen.contains(&from) {
+                        seen.push(from);
+                        values.push(*value);
                     }
                 }
                 values.sort_unstable();

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use uba_simnet::{Envelope, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
 /// Wire messages of phase-king.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -111,7 +111,7 @@ impl<V: Clone + Eq + Ord + std::hash::Hash + std::fmt::Debug> Protocol for Phase
     fn step(
         &mut self,
         ctx: &RoundContext,
-        inbox: &[Envelope<PhaseKingMessage<V>>],
+        inbox: Inbox<'_, PhaseKingMessage<V>>,
     ) -> Vec<Outgoing<PhaseKingMessage<V>>> {
         if self.decided.is_some() {
             return Vec::new();
@@ -129,8 +129,8 @@ impl<V: Clone + Eq + Ord + std::hash::Hash + std::fmt::Debug> Protocol for Phase
             0 => {
                 if phase > 1 {
                     let king = self.king_of_phase(phase - 1);
-                    let king_value = inbox.iter().find_map(|e| match e.payload() {
-                        PhaseKingMessage::King(v) if e.from == king => Some(v.clone()),
+                    let king_value = inbox.iter().find_map(|(from, message)| match message {
+                        PhaseKingMessage::King(v) if from == king => Some(v.clone()),
                         _ => None,
                     });
                     if !self.strong {
@@ -152,7 +152,7 @@ impl<V: Clone + Eq + Ord + std::hash::Hash + std::fmt::Debug> Protocol for Phase
             1 => {
                 let values: Vec<&V> = inbox
                     .iter()
-                    .filter_map(|e| match e.payload() {
+                    .filter_map(|(_, message)| match message {
                         PhaseKingMessage::Value(v) => Some(v),
                         _ => None,
                     })
@@ -171,7 +171,7 @@ impl<V: Clone + Eq + Ord + std::hash::Hash + std::fmt::Debug> Protocol for Phase
             _ => {
                 let proposals: Vec<&V> = inbox
                     .iter()
-                    .filter_map(|e| match e.payload() {
+                    .filter_map(|(_, message)| match message {
                         PhaseKingMessage::Proposal(v) => Some(v),
                         _ => None,
                     })

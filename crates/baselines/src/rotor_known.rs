@@ -7,7 +7,7 @@
 //! against which the cost of the id-only rotor-coordinator (Algorithm 2) is measured
 //! in experiment E3.
 
-use uba_simnet::{Envelope, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
 /// Wire message: the coordinator of the round distributes its opinion.
 pub type KnownRotorMessage = u64;
@@ -56,15 +56,15 @@ impl Protocol for KnownRotor {
         self.id
     }
 
-    fn step(&mut self, ctx: &RoundContext, inbox: &[Envelope<u64>]) -> Vec<Outgoing<u64>> {
+    fn step(&mut self, ctx: &RoundContext, inbox: Inbox<'_, u64>) -> Vec<Outgoing<u64>> {
         // The coordinator of round r is the node with identifier r − 1; its opinion is
         // received (and recorded) in round r + 1.
         if ctx.round >= 2 {
             let previous = NodeId::new(ctx.round - 2);
             let opinion = inbox
                 .iter()
-                .find(|e| e.from == previous)
-                .map(|e| *e.payload());
+                .find(|&(from, _)| from == previous)
+                .map(|(_, opinion)| *opinion);
             self.accepted.push((previous, opinion));
             if self.accepted.len() > self.f {
                 self.done = true;

@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use uba_simnet::{Envelope, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
 /// Wire messages of the Srikanth–Toueg broadcast.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -81,22 +81,19 @@ impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> Protocol for StBroadcas
     fn step(
         &mut self,
         ctx: &RoundContext,
-        inbox: &[Envelope<StMessage<M>>],
+        inbox: Inbox<'_, StMessage<M>>,
     ) -> Vec<Outgoing<StMessage<M>>> {
         let mut out = Vec::new();
         // Cumulative distinct-sender echo counting (the classic formulation).
-        for envelope in inbox {
-            match envelope.payload() {
-                StMessage::Init(m) if envelope.from == self.source => {
+        for (from, message) in inbox {
+            match message {
+                StMessage::Init(m) if from == self.source => {
                     if self.echoed.insert(m.clone()) {
                         out.push(Outgoing::broadcast(StMessage::Echo(m.clone())));
                     }
                 }
                 StMessage::Echo(m) => {
-                    self.echo_votes
-                        .entry(m.clone())
-                        .or_default()
-                        .insert(envelope.from);
+                    self.echo_votes.entry(m.clone()).or_default().insert(from);
                 }
                 StMessage::Init(_) => {}
             }

@@ -3,7 +3,7 @@
 //! `BENCH_baseline.json` records *what* the protocols do (rounds, messages,
 //! verdicts) on a small grid; this module records *how fast the engine executes
 //! them* as the system grows. [`scaling_file`] runs a broadcast-heavy grid —
-//! id-only consensus and the phase-king baseline up to `n = 256`, reliable
+//! id-only consensus and the phase-king baseline up to `n = 512`, reliable
 //! broadcast at the largest sizes — through the unified `Simulation` driver and
 //! measures the wall-clock time of every run, including the engine's per-phase
 //! split. Phases are *named*, not a fixed schema: the synchronous engine reports
@@ -46,7 +46,7 @@ use crate::baseline::{baseline_file, BaselineFile};
 pub const SEED: u64 = 0x5CA1E;
 
 /// System sizes of the full grid. `--quick` stops at 32 to keep CI fast.
-pub const FULL_SIZES: &[usize] = &[8, 16, 32, 64, 128, 256];
+pub const FULL_SIZES: &[usize] = &[8, 16, 32, 64, 128, 256, 512];
 
 /// System sizes exercised by `--quick`.
 pub const QUICK_SIZES: &[usize] = &[8, 16, 32];

@@ -20,8 +20,8 @@
 //!
 //! * a **peak-RSS proxy** — live [`Shared`](uba_simnet::Shared) payload
 //!   allocations ([`uba_simnet::shared::live_allocations`]) plus the envelopes
-//!   queued in engine inboxes plus the records held across the write-ahead
-//!   logs. A leak shows up here long before wall-clock memory measurements
+//!   held by the engine's inboxes (a broadcast's one entry on the common list
+//!   counts once) plus the records held across the write-ahead logs. A leak shows up here long before wall-clock memory measurements
 //!   would notice it, and deterministically;
 //! * the **per-round step latency**, reported as p50/p95/p99 percentiles,
 //!   plus a **slope gate**: the median step latency over the last third of
@@ -154,9 +154,9 @@ impl SoakConfig {
     /// The horizon, not the population, is the primary soak axis: a leak or a
     /// compaction failure accumulates per round, so stretching rounds is what
     /// exposes it. `n = 128` doubles the previous frontier — affordable since
-    /// the stream plane's projection demux removed the per-delivery payload
-    /// clone from the total-order hot path; per-round cost still grows ~n³,
-    /// which is what caps the population here.
+    /// total order's borrowed demux removed the per-delivery payload clone
+    /// from its hot path; per-round cost still grows ~n³, which is what caps
+    /// the population here.
     pub fn full() -> Self {
         SoakConfig {
             nodes: 128,

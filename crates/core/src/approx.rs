@@ -19,7 +19,7 @@
 //! notes (Section XI) that the same algorithm keeps working in dynamic networks —
 //! the iterated protocol accepts value injections between iterations to model that.
 
-use uba_simnet::{Envelope, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
 use crate::quorum::trim_count;
 use crate::value::Real;
@@ -89,17 +89,17 @@ impl Protocol for ApproxAgreement {
         self.id
     }
 
-    fn step(&mut self, ctx: &RoundContext, inbox: &[Envelope<Real>]) -> Vec<Outgoing<Real>> {
+    fn step(&mut self, ctx: &RoundContext, inbox: Inbox<'_, Real>) -> Vec<Outgoing<Real>> {
         match ctx.round {
             // Line 1: broadcast the input to everyone, including self.
             1 => vec![Outgoing::broadcast(self.input)],
             // Lines 2–4: collect one value per sender, trim, output the midpoint.
             2 => {
-                for envelope in inbox {
+                for (sender, value) in inbox {
                     // At most one value per sender counts (a Byzantine node may try to
                     // stuff several distinct values; only its first is kept).
-                    if !self.received.iter().any(|(from, _)| *from == envelope.from) {
-                        self.received.push((envelope.from, *envelope.payload()));
+                    if !self.received.iter().any(|(from, _)| *from == sender) {
+                        self.received.push((sender, *value));
                     }
                 }
                 let values: Vec<Real> = self.received.iter().map(|(_, v)| *v).collect();
@@ -176,13 +176,13 @@ impl Protocol for IteratedApproxAgreement {
         self.id
     }
 
-    fn step(&mut self, _ctx: &RoundContext, inbox: &[Envelope<Real>]) -> Vec<Outgoing<Real>> {
+    fn step(&mut self, _ctx: &RoundContext, inbox: Inbox<'_, Real>) -> Vec<Outgoing<Real>> {
         // Finish the previous iteration (if one was in flight).
         if !inbox.is_empty() {
             self.received.clear();
-            for envelope in inbox {
-                if !self.received.iter().any(|(from, _)| *from == envelope.from) {
-                    self.received.push((envelope.from, *envelope.payload()));
+            for (sender, value) in inbox {
+                if !self.received.iter().any(|(from, _)| *from == sender) {
+                    self.received.push((sender, *value));
                 }
             }
             let values: Vec<Real> = self.received.iter().map(|(_, v)| *v).collect();

@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use uba_simnet::{Envelope, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
 /// Runtime mutation hooks for mutation-testing the fuzzing stack itself (see
 /// `uba_core::reliable_broadcast::mutation` for the pattern). Process-global:
@@ -199,27 +199,24 @@ impl<V: Opinion> Consensus<V> {
         self.decision.as_ref()
     }
 
-    /// Buffers rotor echoes and returns the (filtered) inbox restricted to members.
+    /// The inbox restricted to members.
     fn filtered<'a>(
         &self,
-        inbox: &'a [Envelope<ConsensusMessage<V>>],
-    ) -> Vec<&'a Envelope<ConsensusMessage<V>>> {
-        inbox
-            .iter()
-            .filter(|e| self.senders.contains(e.from))
-            .collect()
+        inbox: Inbox<'a, ConsensusMessage<V>>,
+    ) -> Vec<(NodeId, &'a ConsensusMessage<V>)> {
+        self.senders.filter_inbox(inbox).collect()
     }
 
-    fn buffer_rotor_echoes(&mut self, inbox: &[Envelope<ConsensusMessage<V>>]) {
-        for envelope in inbox {
-            if !self.senders.contains(envelope.from) {
+    fn buffer_rotor_echoes(&mut self, inbox: Inbox<'_, ConsensusMessage<V>>) {
+        for (from, message) in inbox {
+            if !self.senders.contains(from) {
                 continue;
             }
-            if let ConsensusMessage::Echo(candidate) = envelope.payload() {
+            if let ConsensusMessage::Echo(candidate) = message {
                 self.rotor_echo_buffer
                     .entry(*candidate)
                     .or_default()
-                    .insert(envelope.from);
+                    .insert(from);
             }
         }
     }
@@ -231,16 +228,16 @@ impl<V: Opinion> Consensus<V> {
     /// phase are never substituted, even if they sent nothing this particular round.
     fn tally_with_substitution<F>(
         &self,
-        inbox: &[&Envelope<ConsensusMessage<V>>],
+        inbox: &[(NodeId, &ConsensusMessage<V>)],
         extract: F,
     ) -> VoteTally<V>
     where
         F: Fn(&ConsensusMessage<V>) -> Option<&V>,
     {
         let mut tally = VoteTally::new();
-        for envelope in inbox {
-            if let Some(value) = extract(envelope.payload()) {
-                tally.insert(envelope.from, value.clone());
+        for &(from, message) in inbox {
+            if let Some(value) = extract(message) {
+                tally.insert(from, value.clone());
             }
         }
         // Substitution: members silent for the whole phase are assumed to have sent
@@ -276,7 +273,7 @@ impl<V: Opinion> Protocol for Consensus<V> {
     fn step(
         &mut self,
         ctx: &RoundContext,
-        inbox: &[Envelope<ConsensusMessage<V>>],
+        inbox: Inbox<'_, ConsensusMessage<V>>,
     ) -> Vec<Outgoing<ConsensusMessage<V>>> {
         if self.decision.is_some() {
             return Vec::new();
@@ -291,8 +288,8 @@ impl<V: Opinion> Protocol for Consensus<V> {
             // Round 2: echo every init received (rotor line 4).
             2 => inbox
                 .iter()
-                .filter(|e| e.payload == ConsensusMessage::Init)
-                .map(|e| ConsensusMessage::Echo(e.from))
+                .filter(|(_, message)| **message == ConsensusMessage::Init)
+                .map(|(from, _)| ConsensusMessage::Echo(from))
                 .collect(),
             _ => {
                 // Round 3 is the first loop round: n_v is initialised from everything
@@ -315,7 +312,8 @@ impl<V: Opinion> Protocol for Consensus<V> {
                     // step broadcasts nothing), so recording starts from the next round.
                     self.heard_this_phase.clear();
                 } else {
-                    self.heard_this_phase.extend(inbox.iter().map(|e| e.from));
+                    self.heard_this_phase
+                        .extend(inbox.iter().map(|&(from, _)| from));
                 }
 
                 match step {
@@ -397,10 +395,8 @@ impl<V: Opinion> Protocol for Consensus<V> {
                         // The coordinator's opinion (broadcast in the rotor round)
                         // arrives now.
                         let coordinator_opinion = self.phase_coordinator.and_then(|p| {
-                            inbox.iter().find_map(|e| match (e.payload(), e.from) {
-                                (ConsensusMessage::Opinion(v), from) if from == p => {
-                                    Some(v.clone())
-                                }
+                            inbox.iter().find_map(|&(from, message)| match message {
+                                ConsensusMessage::Opinion(v) if from == p => Some(v.clone()),
                                 _ => None,
                             })
                         });

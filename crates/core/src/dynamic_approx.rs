@@ -18,7 +18,7 @@
 
 use uba_simnet::adversary::SilentAdversary;
 use uba_simnet::{
-    ChurnEvent, ChurnSchedule, Envelope, NodeId, Outgoing, Protocol, RoundContext, SimError,
+    ChurnEvent, ChurnSchedule, Inbox, NodeId, Outgoing, Protocol, RoundContext, SimError,
     SyncEngine,
 };
 
@@ -68,14 +68,14 @@ impl Protocol for DynamicApproxNode {
         self.id
     }
 
-    fn step(&mut self, _ctx: &RoundContext, inbox: &[Envelope<Real>]) -> Vec<Outgoing<Real>> {
+    fn step(&mut self, _ctx: &RoundContext, inbox: Inbox<'_, Real>) -> Vec<Outgoing<Real>> {
         if !inbox.is_empty() {
             // One value per distinct sender (a Byzantine sender's extra values are
             // ignored beyond the first).
             let mut received: Vec<(NodeId, Real)> = Vec::new();
-            for envelope in inbox {
-                if !received.iter().any(|(from, _)| *from == envelope.from) {
-                    received.push((envelope.from, *envelope.payload()));
+            for (sender, value) in inbox {
+                if !received.iter().any(|(from, _)| *from == sender) {
+                    received.push((sender, *value));
                 }
             }
             let values: Vec<Real> = received.iter().map(|(_, v)| *v).collect();

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeSet;
 
-use uba_simnet::{Envelope, NodeId};
+use uba_simnet::{Inbox, NodeId};
 
 /// Cumulative record of the distinct senders a node has observed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -30,9 +30,9 @@ impl SenderTracker {
     }
 
     /// Records every sender of an inbox. Has no effect once frozen.
-    pub fn record_inbox<P>(&mut self, inbox: &[Envelope<P>]) {
-        for envelope in inbox {
-            self.record(envelope.from);
+    pub fn record_inbox<P>(&mut self, inbox: Inbox<'_, P>) {
+        for (from, _) in inbox {
+            self.record(from);
         }
     }
 
@@ -65,19 +65,20 @@ impl SenderTracker {
         self.seen.iter().copied()
     }
 
-    /// Filters an inbox down to the envelopes whose sender counted towards `n_v`.
+    /// Filters an inbox down to the messages whose sender counted towards `n_v`.
     /// Used by the frozen-membership algorithms to discard messages from unknown nodes.
-    pub fn filter_inbox<'a, P>(
-        &'a self,
-        inbox: &'a [Envelope<P>],
-    ) -> impl Iterator<Item = &'a Envelope<P>> {
-        inbox.iter().filter(move |e| self.contains(e.from))
+    pub fn filter_inbox<'s, 'a: 's, P>(
+        &'s self,
+        inbox: Inbox<'a, P>,
+    ) -> impl Iterator<Item = (NodeId, &'a P)> + Clone + 's {
+        inbox.iter().filter(move |&(from, _)| self.contains(from))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uba_simnet::Envelope;
 
     fn envelope(from: u64, payload: u32) -> Envelope<u32> {
         Envelope::new(NodeId::new(from), payload)
@@ -97,7 +98,8 @@ mod tests {
     #[test]
     fn records_inbox_senders() {
         let mut tracker = SenderTracker::new();
-        tracker.record_inbox(&[envelope(5, 0), envelope(6, 0), envelope(5, 1)]);
+        let inbox = [envelope(5, 0), envelope(6, 0), envelope(5, 1)];
+        tracker.record_inbox(Inbox::from(&inbox[..]));
         assert_eq!(tracker.n_v(), 2);
         let members: Vec<NodeId> = tracker.members().collect();
         assert_eq!(members, vec![NodeId::new(5), NodeId::new(6)]);
@@ -110,7 +112,8 @@ mod tests {
         tracker.freeze();
         assert!(tracker.is_frozen());
         tracker.record(NodeId::new(2));
-        tracker.record_inbox(&[envelope(3, 0)]);
+        let inbox = [envelope(3, 0)];
+        tracker.record_inbox(Inbox::from(&inbox[..]));
         assert_eq!(tracker.n_v(), 1);
         assert!(!tracker.contains(NodeId::new(2)));
     }
@@ -121,8 +124,11 @@ mod tests {
         tracker.record(NodeId::new(1));
         tracker.record(NodeId::new(2));
         tracker.freeze();
-        let inbox = vec![envelope(1, 10), envelope(9, 11), envelope(2, 12)];
-        let kept: Vec<u32> = tracker.filter_inbox(&inbox).map(|e| *e.payload()).collect();
+        let inbox = [envelope(1, 10), envelope(9, 11), envelope(2, 12)];
+        let kept: Vec<u32> = tracker
+            .filter_inbox(Inbox::from(&inbox[..]))
+            .map(|(_, payload)| *payload)
+            .collect();
         assert_eq!(kept, vec![10, 12]);
     }
 }

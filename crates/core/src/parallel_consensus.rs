@@ -18,17 +18,16 @@
 //! A pair submitted by only *some* correct nodes may or may not be output — but it is
 //! output consistently.
 //!
-//! The protocol is written once, over a **borrowed inbox**
-//! ([`ParallelConsensus::step_borrowed`]): it only ever reads who sent a message
-//! and what the message says, so it takes `(sender, &message)` pairs and lets the
-//! caller keep the messages wherever they arrived. [`Protocol::step`] adapts
-//! envelopes onto it; total order (Algorithm 6) feeds it borrows out of its own
-//! wire format. Votes and tallies borrow the opinions they count — a value is
+//! The protocol only ever reads who sent a message and what the message says, so
+//! the borrowed [`Inbox`] view [`Protocol::step`] takes is all it needs: the engine
+//! hands it envelopes read in place, total order (Algorithm 6) feeds it borrows out
+//! of its own wire format — the same entry point, the messages staying wherever
+//! they arrived. Votes and tallies borrow the opinions they count — a value is
 //! cloned only where the node keeps or sends it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use uba_simnet::{Envelope, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
 use crate::early_consensus::{EarlyConsensus, InstanceId, InstanceVote, ParallelMessage};
 use crate::membership::SenderTracker;
@@ -137,12 +136,12 @@ impl<V: Opinion> ParallelConsensus<V> {
     /// `n_v` are skipped.
     fn sort_inbox<'a>(
         &mut self,
-        inbox: &[(NodeId, &'a ParallelMessage<V>)],
+        inbox: Inbox<'a, ParallelMessage<V>>,
         step: PhaseStep,
     ) -> (InstanceVotes<'a, V>, BTreeMap<InstanceId, Option<&'a V>>) {
         let mut votes = InstanceVotes::new();
         let mut opinions = BTreeMap::new();
-        for &(from, message) in inbox {
+        for (from, message) in inbox {
             if !self.senders.contains(from) {
                 continue;
             }
@@ -188,29 +187,24 @@ impl<V: Opinion> ParallelConsensus<V> {
         (votes, opinions)
     }
 
-    /// One round of the algorithm over a **borrowed** inbox: `(sender, message)`
-    /// pairs in arrival order, the messages living wherever the caller received
-    /// them (an [`Envelope`], or the inside of a total-order `Instance` variant).
-    /// Returns the messages to broadcast. This is the whole protocol;
-    /// [`Protocol::step`] only adapts envelopes onto it.
-    pub fn step_borrowed(
+    /// One round of the algorithm: the messages to broadcast, given the round's
+    /// `(sender, message)` pairs in arrival order.
+    fn round(
         &mut self,
         round: u64,
-        inbox: &[(NodeId, &ParallelMessage<V>)],
+        inbox: Inbox<'_, ParallelMessage<V>>,
     ) -> Vec<ParallelMessage<V>> {
         if self.decision.is_some() {
             return Vec::new();
         }
-        for &(from, _) in inbox {
-            self.senders.record(from);
-        }
+        self.senders.record_inbox(inbox);
         match round {
             1 => return vec![ParallelMessage::Init],
             2 => {
                 return inbox
                     .iter()
                     .filter(|(_, message)| matches!(message, ParallelMessage::Init))
-                    .map(|&(from, _)| ParallelMessage::Echo(from))
+                    .map(|(from, _)| ParallelMessage::Echo(from))
                     .collect()
             }
             3 => self.senders.freeze(),
@@ -334,11 +328,9 @@ impl<V: Opinion> Protocol for ParallelConsensus<V> {
     fn step(
         &mut self,
         ctx: &RoundContext,
-        inbox: &[Envelope<ParallelMessage<V>>],
+        inbox: Inbox<'_, ParallelMessage<V>>,
     ) -> Vec<Outgoing<ParallelMessage<V>>> {
-        let borrowed: Vec<(NodeId, &ParallelMessage<V>)> =
-            inbox.iter().map(|e| (e.from, e.payload())).collect();
-        self.step_borrowed(ctx.round, &borrowed)
+        self.round(ctx.round, inbox)
             .into_iter()
             .map(Outgoing::broadcast)
             .collect()
@@ -353,7 +345,7 @@ impl<V: Opinion> Protocol for ParallelConsensus<V> {
 mod tests {
     use super::*;
     use uba_simnet::adversary::SilentAdversary;
-    use uba_simnet::{AdversaryView, Directed, FnAdversary, IdSpace, SyncEngine};
+    use uba_simnet::{AdversaryView, Directed, Envelope, FnAdversary, IdSpace, SyncEngine};
 
     type Msg = ParallelMessage<u64>;
 
@@ -464,13 +456,14 @@ mod tests {
     }
 
     #[test]
-    fn envelopes_and_borrowed_inboxes_drive_the_same_protocol() {
-        // Two copies of one node, one stepped through `Protocol::step` on
-        // envelopes, the other through `step_borrowed` on borrows of the same
-        // messages, over an inbox script that reaches the corners: a non-member
-        // (node 9 is first heard after the freeze), one sender voting two
-        // values and one value twice, an unknown identifier, abstentions, and the
-        // coordinator's opinion overwritten by a later one in the same inbox.
+    fn a_scripted_inbox_reaches_the_reception_corners() {
+        // Two copies of one node, one stepped over delivered envelopes, the
+        // other over borrows of the same messages — the two backings of the
+        // one `Inbox` view — through an inbox script that reaches the corners:
+        // a non-member (node 9 is first heard after the freeze), one sender
+        // voting two values and one value twice, an unknown identifier,
+        // abstentions, and the coordinator's opinion overwritten by a later one
+        // in the same inbox.
         let ids: Vec<NodeId> = [1, 2, 3, 4].map(NodeId::new).to_vec();
         let outsider = NodeId::new(9);
         let from_all = |message: fn(NodeId) -> Msg| -> Vec<(NodeId, Msg)> {
@@ -521,14 +514,10 @@ mod tests {
                 .iter()
                 .map(|(from, message)| (*from, message))
                 .collect();
-            let sent: Vec<Msg> = by_envelope
-                .step(&RoundContext::new(round), &envelopes)
-                .into_iter()
-                .map(|outgoing| outgoing.payload)
-                .collect();
+            let ctx = RoundContext::new(round);
             assert_eq!(
-                sent,
-                by_borrow.step_borrowed(round, &borrowed),
+                by_envelope.step(&ctx, Inbox::from(&envelopes[..])),
+                by_borrow.step(&ctx, Inbox::from(&borrowed[..])),
                 "round {round}"
             );
             assert_eq!(

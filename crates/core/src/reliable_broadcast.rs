@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use uba_simnet::{Envelope, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
 use crate::membership::SenderTracker;
 use crate::quorum::{meets_one_third, meets_two_thirds};
@@ -143,11 +143,11 @@ impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> ReliableBroadcast<M> {
     }
 
     /// Tallies this round's `echo(m)` votes: distinct senders per message value.
-    fn echo_tally(&self, inbox: &[Envelope<RbMessage<M>>]) -> BTreeMap<M, BTreeSet<NodeId>> {
+    fn echo_tally(&self, inbox: Inbox<'_, RbMessage<M>>) -> BTreeMap<M, BTreeSet<NodeId>> {
         let mut tally: BTreeMap<M, BTreeSet<NodeId>> = BTreeMap::new();
-        for envelope in inbox {
-            if let RbMessage::Echo(m) = envelope.payload() {
-                tally.entry(m.clone()).or_default().insert(envelope.from);
+        for (from, message) in inbox {
+            if let RbMessage::Echo(m) = message {
+                tally.entry(m.clone()).or_default().insert(from);
             }
         }
         tally
@@ -171,7 +171,7 @@ impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> Protocol for ReliableBr
     fn step(
         &mut self,
         ctx: &RoundContext,
-        inbox: &[Envelope<RbMessage<M>>],
+        inbox: Inbox<'_, RbMessage<M>>,
     ) -> Vec<Outgoing<RbMessage<M>>> {
         self.round = ctx.round;
         self.senders.record_inbox(inbox);
@@ -194,9 +194,9 @@ impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> Protocol for ReliableBr
                     return Vec::new();
                 }
                 let mut out = Vec::new();
-                for envelope in inbox {
-                    if envelope.from == self.source {
-                        if let RbMessage::Init(m) = envelope.payload() {
+                for (from, message) in inbox {
+                    if from == self.source {
+                        if let RbMessage::Init(m) = message {
                             out.push(Outgoing::broadcast(RbMessage::Echo(m.clone())));
                         }
                     }

@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use uba_simnet::{Envelope, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
 use crate::membership::SenderTracker;
 use crate::quorum::{meets_one_third, meets_two_thirds};
@@ -196,20 +196,17 @@ impl<V: Opinion> RotorState<V> {
 /// Tally helper shared by the standalone protocol and the consensus embedding:
 /// extracts `echo(p)` votes and opinions from an inbox of rotor messages.
 pub fn tally_rotor_inbox<V: Opinion>(
-    inbox: &[Envelope<RotorMessage<V>>],
+    inbox: Inbox<'_, RotorMessage<V>>,
 ) -> (BTreeMap<NodeId, BTreeSet<NodeId>>, BTreeMap<NodeId, V>) {
     let mut echo_votes: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
     let mut opinions: BTreeMap<NodeId, V> = BTreeMap::new();
-    for envelope in inbox {
-        match envelope.payload() {
+    for (from, message) in inbox {
+        match message {
             RotorMessage::Echo(candidate) => {
-                echo_votes
-                    .entry(*candidate)
-                    .or_default()
-                    .insert(envelope.from);
+                echo_votes.entry(*candidate).or_default().insert(from);
             }
             RotorMessage::Opinion(value) => {
-                opinions.insert(envelope.from, value.clone());
+                opinions.insert(from, value.clone());
             }
             RotorMessage::Init => {}
         }
@@ -278,7 +275,7 @@ impl<V: Opinion> Protocol for RotorCoordinator<V> {
     fn step(
         &mut self,
         ctx: &RoundContext,
-        inbox: &[Envelope<RotorMessage<V>>],
+        inbox: Inbox<'_, RotorMessage<V>>,
     ) -> Vec<Outgoing<RotorMessage<V>>> {
         self.rounds = ctx.round;
         self.senders.record_inbox(inbox);
@@ -288,8 +285,8 @@ impl<V: Opinion> Protocol for RotorCoordinator<V> {
             // Round 2 (line 4): echo every init received.
             2 => inbox
                 .iter()
-                .filter(|e| e.payload == RotorMessage::Init)
-                .map(|e| Outgoing::broadcast(RotorMessage::Echo(e.from)))
+                .filter(|(_, message)| **message == RotorMessage::Init)
+                .map(|(from, _)| Outgoing::broadcast(RotorMessage::Echo(from)))
                 .collect(),
             // Rounds 3… (lines 5–30): the selection loop.
             _ => {

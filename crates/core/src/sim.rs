@@ -1164,7 +1164,7 @@ impl<E: Opinion> TotalOrderFactory<E> {
     }
 }
 
-impl<E: Opinion + Send + Sync + 'static> ProtocolFactory for TotalOrderFactory<E> {
+impl<E: Opinion + 'static> ProtocolFactory for TotalOrderFactory<E> {
     type Node = TotalOrderNode<E>;
 
     fn snapshotter(&self) -> Option<Snapshotter<Self::Node>> {

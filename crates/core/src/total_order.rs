@@ -23,19 +23,19 @@
 //!
 //! # Cost
 //!
-//! The node is its own multiplexer. Each step makes one pass over the inbox and
-//! hands every running instance a *borrowed* inbox — `(sender, &inner)` pairs
-//! pointing into the `Instance` variants of the received payloads, filtered by
-//! the instance's member set — for
-//! [`ParallelConsensus::step_borrowed`]; nothing is allocated, hashed or
-//! reference-counted per envelope. An instance is driven until it terminates
+//! The node is its own multiplexer. Each step makes one pass over its inbox view
+//! and steps every running instance over a *borrowed* inbox — `(sender, &inner)`
+//! pairs pointing into the `Instance` variants of the received payloads, filtered
+//! by the instance's member set, handed to [`ParallelConsensus`] as an
+//! [`Inbox`] view of that buffer; nothing is allocated, hashed or
+//! reference-counted per message. An instance is driven until it terminates
 //! (fault-free: its local round 7, so seven run at once) and then only its
 //! decided pairs wait out the finality window. [`TotalOrderNode::work`] counts
 //! the work; `docs/STREAMING.md` has the cost model.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use uba_simnet::{Envelope, MuxWork, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, MuxWork, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
 use crate::early_consensus::ParallelMessage;
 use crate::parallel_consensus::ParallelConsensus;
@@ -286,13 +286,13 @@ impl<E: Opinion> TotalOrderNode<E> {
     }
 }
 
-impl<E: Opinion + Send + Sync + 'static> Recoverable for TotalOrderNode<E> {
+impl<E: Opinion> Recoverable for TotalOrderNode<E> {
     fn snapshot(&self) -> Self {
         self.clone()
     }
 }
 
-impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
+impl<E: Opinion> Protocol for TotalOrderNode<E> {
     type Payload = TotalOrderMessage<E>;
     type Output = Vec<OrderedEvent<E>>;
 
@@ -303,7 +303,7 @@ impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
     fn step(
         &mut self,
         _ctx: &RoundContext,
-        inbox: &[Envelope<TotalOrderMessage<E>>],
+        inbox: Inbox<'_, TotalOrderMessage<E>>,
     ) -> Vec<Outgoing<TotalOrderMessage<E>>> {
         self.local_steps += 1;
         self.work.envelopes_indexed += inbox.len() as u64;
@@ -317,10 +317,10 @@ impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
                 _ => {
                     let mut acks: BTreeMap<u64, usize> = BTreeMap::new();
                     let mut senders: BTreeSet<NodeId> = BTreeSet::new();
-                    for envelope in inbox {
-                        if let TotalOrderMessage::Ack(r) = envelope.payload() {
+                    for (from, message) in inbox {
+                        if let TotalOrderMessage::Ack(r) = message {
                             *acks.entry(*r).or_default() += 1;
-                            senders.insert(envelope.from);
+                            senders.insert(from);
                         }
                     }
                     let Some((&r0, _)) = acks.iter().max_by_key(|(_, count)| **count) else {
@@ -360,26 +360,26 @@ impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
         let mut buffers: Vec<Vec<(NodeId, &ParallelMessage<E>)>> =
             vec![Vec::new(); self.instances.len()];
         let mut fresh: Vec<(NodeId, &ParallelMessage<E>)> = Vec::new();
-        for envelope in inbox {
-            match envelope.payload() {
+        for (from, message) in inbox {
+            match message {
                 TotalOrderMessage::Present => {
-                    self.members.insert(envelope.from);
-                    out.push(Outgoing::unicast(envelope.from, TotalOrderMessage::Ack(r)));
+                    self.members.insert(from);
+                    out.push(Outgoing::unicast(from, TotalOrderMessage::Ack(r)));
                 }
                 TotalOrderMessage::Absent => {
-                    self.members.remove(&envelope.from);
+                    self.members.remove(&from);
                 }
                 TotalOrderMessage::Ack(_) => {}
                 // Line 24–26: events witnessed in the previous round become input pairs
                 // of this round's instance, identified by the witnessing node.
                 TotalOrderMessage::Event(tag, event) => {
                     if *tag + 1 == r {
-                        event_inputs.push((envelope.from.raw(), event.clone()));
+                        event_inputs.push((from.raw(), event.clone()));
                     }
                 }
                 TotalOrderMessage::Instance(instance_round, message) => {
                     if *instance_round == r && !self.leaving {
-                        fresh.push((envelope.from, message));
+                        fresh.push((from, message));
                         continue;
                     }
                     let running = instance_round
@@ -389,8 +389,8 @@ impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
                         .filter(|(_, instance)| matches!(instance.progress, Progress::Running(_)));
                     match running {
                         Some((index, instance)) => {
-                            if instance.members.contains(&envelope.from) {
-                                buffers[index].push((envelope.from, message));
+                            if instance.members.contains(&from) {
+                                buffers[index].push((from, message));
                             }
                         }
                         None => self.work.dropped_retired += 1,
@@ -437,11 +437,15 @@ impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
             instance.local_round += 1;
             self.work.slot_steps += 1;
             let tag = instance.round;
+            let local = RoundContext::new(instance.local_round);
             out.extend(
                 consensus
-                    .step_borrowed(instance.local_round, inbox)
+                    .step(&local, Inbox::from(&inbox[..]))
                     .into_iter()
-                    .map(|message| Outgoing::broadcast(TotalOrderMessage::Instance(tag, message))),
+                    .map(|sent| Outgoing {
+                        dest: sent.dest,
+                        payload: TotalOrderMessage::Instance(tag, sent.payload),
+                    }),
             );
             if let Some(decision) = consensus.decision() {
                 instance.progress = Progress::Decided(decision.pairs.clone());
@@ -492,7 +496,7 @@ impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
 mod tests {
     use super::*;
     use uba_simnet::adversary::SilentAdversary;
-    use uba_simnet::{IdSpace, SyncEngine};
+    use uba_simnet::{Envelope, IdSpace, SyncEngine};
 
     type Node = TotalOrderNode<u64>;
 
@@ -589,7 +593,7 @@ mod tests {
             Envelope::new(x, TotalOrderMessage::Absent),
             Envelope::new(y, TotalOrderMessage::Present),
         ];
-        node.step(&RoundContext::new(1), &inbox);
+        node.step(&RoundContext::new(1), Inbox::from(&inbox[..]));
         let started = node.instances.back().expect("round 1 started an instance");
         assert_eq!(started.members, BTreeSet::from([me, y]));
         let Progress::Running(consensus) = &started.progress else {
@@ -601,8 +605,9 @@ mod tests {
         // not in S when round 1's instance started in a second node, x was.
         let mut other = Node::founding(me);
         other.members.insert(x);
-        other.step(&RoundContext::new(1), &[]);
-        other.step(&RoundContext::new(2), &[init(x, 1), init(y, 1)]);
+        other.step(&RoundContext::new(1), Inbox::default());
+        let inbox = [init(x, 1), init(y, 1)];
+        other.step(&RoundContext::new(2), Inbox::from(&inbox[..]));
         let Progress::Running(consensus) = &other.instances[0].progress else {
             panic!("round 1's instance is still running");
         };

@@ -27,10 +27,11 @@
 //! costs (for `n` nodes, `m` compact traffic items produced this round, and `d`
 //! point-to-point deliveries to correct nodes):
 //!
-//! 1. **Produce — O(n + m).** Every due, live correct node is handed the inbox
-//!    accumulated for it and produces its outgoing messages.
-//!    Broadcasts are *not* expanded: a broadcast is stored once as a compact
-//!    [`TrafficItem`] in the round's
+//! 1. **Produce — O(n + m).** Every due, live correct node is handed a **view**
+//!    of the inbox accumulated for it ([`Inbox`]: the round's common list, then
+//!    its own entries — read in place, nothing is copied per recipient) and
+//!    produces its outgoing messages. Broadcasts are *not* expanded: a
+//!    broadcast is stored once as a compact [`TrafficItem`] in the round's
 //!    [`RoundTraffic`], and its payload is wrapped into a [`Shared`] handle —
 //!    **the only payload allocation it will ever cost**, with the dedup digest
 //!    computed right there; inbox buffers are recycled across rounds instead of
@@ -41,15 +42,23 @@
 //!    engine) and injects arbitrary directed messages — forwarded honest traffic
 //!    rides on cloned handles, only fabricated payloads allocate; sender
 //!    identities are verified against an O(1) membership index.
-//! 3. **Route — O(d) expected, zero-copy.** The policy expands the compact
-//!    traffic *only towards correct recipients* (messages to Byzantine
-//!    identities never materialise — the adversary already saw everything via
-//!    its view) and lands it in inboxes, deduplicated per `(sender, payload)`
-//!    pair through a per-inbox `(sender, digest)` set. A delivery is a
-//!    reference-count bump plus a set insert of the payload's **cached** digest:
-//!    no payload clone and no payload hash, regardless of fan-out. `NextRound`
-//!    does this in one `deliver` phase over pre-staged slots; `Timed` stamps
-//!    arrival times (`schedule`) and pops the due flights (`dispatch`).
+//! 3. **Route — O(m) expected for what is broadcast, O(1) per directed
+//!    message, zero-copy.** In the id-only model a correct node cannot address a
+//!    peer it has not heard from, so correct traffic is broadcast and every
+//!    correct recipient of a round receives the *same* list of it. The policy
+//!    lands a broadcast **once**, on the round's common list (one envelope, one
+//!    reference-count bump, one insert of the payload's **cached** digest into a
+//!    shared `(sender, digest)` set), and credits one delivery per correct
+//!    recipient; only what is directed — Byzantine traffic, a unicast, a leg of
+//!    a jittered broadcast — lands per recipient, in the addressee's own part
+//!    (see `Inboxes`). Messages to Byzantine identities never materialise (the
+//!    adversary already saw everything via its view). Either way a message is
+//!    dropped iff an equal `(sender, payload)` is already in the recipient's
+//!    inbox, and neither a payload clone nor a payload hash happens on the way
+//!    in. `NextRound` does this in one `deliver` phase over pre-staged slots;
+//!    `Timed` stamps arrival times (`schedule`) and pops the due flights
+//!    (`dispatch`). A *delivery* stays a logical point-to-point message:
+//!    [`Metrics::deliveries`] counts `d`, whatever the engine holds.
 //!
 //! The wall-clock cost of each phase is accumulated in [`PhaseTimings`]
 //! (`produce` / `adversary` / `deliver` or `schedule` + `dispatch` / `step`,
@@ -65,6 +74,7 @@
 //!
 //! [`LinkDelay`]: crate::event::LinkDelay
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
@@ -75,7 +85,7 @@ use crate::error::SimError;
 use crate::event::timed::Timed;
 use crate::event::EventTiming;
 use crate::id::NodeId;
-use crate::message::{Destination, Directed, Envelope};
+use crate::message::{Destination, Directed, Envelope, Inbox};
 use crate::metrics::{Metrics, RoundMetrics};
 use crate::node::{Protocol, RoundContext};
 use crate::shared::Shared;
@@ -169,11 +179,12 @@ struct ChurnDriver<N> {
 }
 
 /// A deterministic, multiply-rotate hasher for the engine's *internal* maps
-/// (inbox registry, dedup sets, delivery slot index). These maps are hot — the
-/// dedup set is touched once per delivery — and never observed through their
-/// iteration order, so the default SipHash's DoS resistance buys nothing here.
-/// Collisions are harmless for correctness: the maps store full keys, and a
-/// payload-digest collision still falls back to the exact scan in [`deliver`].
+/// (inbox registry, dedup sets, delivery slot index, write-ahead logs). These
+/// maps are hot — a dedup set is touched once per entry landed — and never
+/// observed through their iteration order, so the default SipHash's DoS
+/// resistance buys nothing here. Collisions are harmless for correctness: the
+/// maps store full keys, and a payload-digest collision still falls back to
+/// the exact scan of the landing path (see [`FanOut`]).
 #[derive(Clone, Copy, Default)]
 pub(crate) struct FastHasher(u64);
 
@@ -218,28 +229,35 @@ impl Hasher for FastHasher {
 
 pub(crate) type FastState = BuildHasherDefault<FastHasher>;
 
-/// A recipient's accumulating inbox: the delivered envelopes plus the
-/// `(sender, payload digest)` pairs already seen, for O(1)-expected
-/// deduplication. Buffers are recycled through the engine's spare pool rather
-/// than reallocated.
+/// A recipient's **own** part of its inbox: the entries only it holds —
+/// directed traffic, and whatever landed after a directed message froze its
+/// share of the round's common list — plus their `(sender, payload digest)`
+/// pairs, for O(1)-expected deduplication. A recipient reads
+/// `common[..prefix]` and then `own` (see [`Inboxes`]). Buffers are recycled
+/// through the spare pool rather than reallocated.
 #[derive(Debug)]
-pub(crate) struct Inbox<P> {
-    pub(crate) messages: Vec<Envelope<P>>,
-    pub(crate) seen: HashSet<(NodeId, u64), FastState>,
+pub(crate) struct Mailbox<P> {
+    own: Vec<Envelope<P>>,
+    seen: HashSet<(NodeId, u64), FastState>,
+    /// How many leading entries of the common list precede `own` in the
+    /// recipient's inbox. Meaningful while the mailbox is registered or
+    /// staged; set when it is taken from the spare pool.
+    prefix: usize,
 }
 
-impl<P> Default for Inbox<P> {
+impl<P> Default for Mailbox<P> {
     fn default() -> Self {
-        Inbox {
-            messages: Vec::new(),
+        Mailbox {
+            own: Vec::new(),
             seen: HashSet::default(),
+            prefix: 0,
         }
     }
 }
 
-impl<P> Inbox<P> {
-    pub(crate) fn recycle(&mut self) {
-        self.messages.clear();
+impl<P> Mailbox<P> {
+    fn recycle(&mut self) {
+        self.own.clear();
         self.seen.clear();
     }
 }
@@ -307,61 +325,15 @@ pub(crate) fn elapsed_ns(since: Instant) -> u64 {
     since.elapsed().as_nanos() as u64
 }
 
-/// Delivers one point-to-point message into a recipient's next-round inbox,
-/// deduplicating identical `(sender, payload)` pairs as the model prescribes.
-///
-/// Zero-copy and zero-hash: the payload handle is cloned (a reference-count
-/// bump) and its **cached** digest keys the dedup set — neither a payload clone
-/// nor a payload hash happens here. The caller already resolved the recipient's
-/// inbox to a per-round slot, so the common path is one fast-hashed set insert
-/// plus a vector push, regardless of payload size or fan-out.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn deliver<P: PartialEq>(
-    inbox: &mut Inbox<P>,
-    trace: &mut Option<TraceLog<P>>,
-    byzantine_index: &HashSet<NodeId>,
-    delivery_round: u64,
-    from: NodeId,
-    to: NodeId,
-    payload: &Shared<P>,
-    deliveries: &mut u64,
-) {
-    if !inbox.seen.insert((from, payload.digest())) {
-        // The digest pair was already present: either a true duplicate (drop it)
-        // or a 64-bit collision between distinct payloads (deliver anyway). The
-        // exact check runs only on digest hits, so the common path stays O(1).
-        if inbox
-            .messages
-            .iter()
-            .any(|e| e.from == from && e.payload == *payload)
-        {
-            return;
-        }
-    }
-    *deliveries += 1;
-    if let Some(trace) = trace {
-        trace.record(TraceEvent {
-            round: delivery_round,
-            from,
-            to,
-            byzantine: byzantine_index.contains(&from),
-            payload: payload.clone(),
-        });
-    }
-    inbox.messages.push(Envelope::new(from, payload.clone()));
-}
-
-/// Steps one node over its staged inbox and appends what it sends.
+/// Steps one node over its inbox view and appends what it sends.
 #[inline]
 fn step_node<N: Protocol>(
     node: &mut N,
     ctx: &RoundContext,
-    slot: &Option<Inbox<N::Payload>>,
+    inbox: Inbox<'_, N::Payload>,
     traffic: &mut RoundTraffic<N::Payload>,
 ) {
     let id = node.id();
-    let empty: &[Envelope<N::Payload>] = &[];
-    let inbox = slot.as_ref().map_or(empty, |b| b.messages.as_slice());
     for message in node.step(ctx, inbox) {
         match message.dest {
             Destination::Broadcast => traffic.push_broadcast(id, message.payload),
@@ -377,16 +349,16 @@ fn step_node<N: Protocol>(
 fn step_serial<N: Protocol>(
     nodes: &mut [N],
     ctx: &RoundContext,
-    inboxes: &[Option<Inbox<N::Payload>>],
+    inboxes: &Inboxes<N::Payload>,
     traffic: &mut RoundTraffic<N::Payload>,
 ) -> u64 {
     let mut live = 0u64;
-    for (node, slot) in nodes.iter_mut().zip(inboxes.iter()) {
+    for (index, node) in nodes.iter_mut().enumerate() {
         if node.terminated() {
             continue;
         }
         live += 1;
-        step_node(node, ctx, slot, traffic);
+        step_node(node, ctx, inboxes.view(index), traffic);
     }
     live
 }
@@ -397,11 +369,11 @@ fn step_serial<N: Protocol>(
 fn step_due<N: Protocol>(
     nodes: &mut [N],
     due: &[Option<u64>],
-    inboxes: &[Option<Inbox<N::Payload>>],
+    inboxes: &Inboxes<N::Payload>,
     traffic: &mut RoundTraffic<N::Payload>,
 ) -> u64 {
     let mut live = 0u64;
-    for ((node, slot), local_round) in nodes.iter_mut().zip(inboxes).zip(due) {
+    for (index, (node, local_round)) in nodes.iter_mut().zip(due).enumerate() {
         let Some(local_round) = *local_round else {
             continue;
         };
@@ -409,15 +381,16 @@ fn step_due<N: Protocol>(
             continue;
         }
         live += 1;
-        step_node(node, &RoundContext::new(local_round), slot, traffic);
+        let ctx = RoundContext::new(local_round);
+        step_node(node, &ctx, inboxes.view(index), traffic);
     }
     live
 }
 
 /// What a delivery policy sees of the engine while it routes one round's
 /// traffic into inboxes: the round's correct and Byzantine traffic, the
-/// membership indices, the inbox registry with its spare pool, and the trace,
-/// metrics and timings it reports into.
+/// membership indices, the inboxes, and the trace, metrics and timings it
+/// reports into.
 pub(crate) struct Routing<'a, P> {
     /// The sending round (deliveries are traced under `round + 1`).
     pub(crate) round: u64,
@@ -426,61 +399,211 @@ pub(crate) struct Routing<'a, P> {
     pub(crate) traffic: &'a RoundTraffic<P>,
     pub(crate) byzantine_traffic: &'a [Directed<P>],
     pub(crate) byzantine_index: &'a HashSet<NodeId>,
-    pub(crate) inboxes: &'a mut HashMap<NodeId, Inbox<P>, FastState>,
-    pub(crate) spare_inboxes: &'a mut Vec<Inbox<P>>,
+    pub(crate) inboxes: &'a mut Inboxes<P>,
     pub(crate) trace: &'a mut Option<TraceLog<P>>,
     pub(crate) metrics: &'a mut Metrics,
     pub(crate) timings: &'a mut PhaseTimings,
 }
 
-/// The staged-slot fan-out both delivery policies land messages through: the
-/// reusable state that survives between [`Staging::stage`] calls.
-pub(crate) struct Staging<P> {
-    /// Reusable delivery slots (aligned with the round's correct recipients), so
-    /// a broadcast's fan-out indexes straight into its targets instead of paying
-    /// a map lookup per delivery.
-    slots: Vec<Inbox<P>>,
-    /// Reusable `NodeId → delivery slot` index, rebuilt each round (one hash op
-    /// per *member* per round instead of one per *delivery*).
+/// Every inbox of the engine, as **one common list plus per-recipient own
+/// parts**.
+///
+/// In the id-only model correct traffic is broadcast, so every correct
+/// recipient of a round receives the same list of it. That list is kept once:
+/// [`FanOut::land_all`] appends a broadcast to `common` (one envelope, one
+/// reference-count bump, one insert into the shared dedup set) and credits
+/// one delivery per recipient. What is *not* common — a directed message, a
+/// leg of a jittered broadcast — lands in the addressee's own [`Mailbox`] and
+/// **freezes** the addressee's share of the common list at its current length
+/// `k`: from then on everything for that recipient, later broadcasts
+/// included, goes to its own list, so it still reads exactly the sequence a
+/// per-recipient expansion would have pushed for it — `common[..k]` then
+/// `own`. A recipient nothing was directed at has no mailbox at all and reads
+/// the whole common list in place.
+///
+/// The common list belongs to the batch that was staged while it was filled
+/// (a node admitted since — `newcomers` — reads none of it). The next
+/// [`Inboxes::open_round`] consumes it: a
+/// node that steps reads its view and both parts are recycled; a member that
+/// does not step (terminated, or not due under skewed timers) gets its prefix
+/// *materialised* into its own list and dedup set before the common list is
+/// cleared, and is from then on a frozen recipient with `k = 0` — its dedup
+/// state persists across rounds, per recipient, exactly as before.
+pub(crate) struct Inboxes<P> {
+    /// The broadcasts landed for the whole current batch, deduplicated once.
+    common: Vec<Envelope<P>>,
+    /// `(sender, digest)` → position of the first such entry of `common`.
+    /// Only consulted while the list is being filled (between `stage` and
+    /// `unstage`); a digest hit is confirmed by an exact scan.
+    common_seen: HashMap<(NodeId, u64), usize, FastState>,
+    /// The nodes admitted since `common`'s batch was staged: they are no
+    /// recipients of it.
+    newcomers: Vec<NodeId>,
+    /// The own parts, by recipient — only of recipients that have one.
+    own: HashMap<NodeId, Mailbox<P>, FastState>,
+    /// Recycled mailboxes, reused instead of reallocating every round.
+    spare: Vec<Mailbox<P>>,
+    /// The step phase's views, aligned with the engine's nodes: the common
+    /// prefix and the own part of every node that steps this round.
+    stepping: Vec<(usize, Option<Mailbox<P>>)>,
+    /// The routing phase's delivery slots, aligned with the round's correct
+    /// recipients, so a fan-out indexes straight into its targets instead of
+    /// paying a map lookup per delivery. `None`: not frozen.
+    slots: Vec<Option<Mailbox<P>>>,
+    /// `NodeId → delivery slot`, rebuilt each round (one hash op per *member*
+    /// per round instead of one per *delivery*).
     slot_index: HashMap<NodeId, usize, FastState>,
+    /// The frozen slots, in freezing order.
+    frozen: Vec<usize>,
 }
 
-impl<P> Default for Staging<P> {
+impl<P> Default for Inboxes<P> {
     fn default() -> Self {
-        Staging {
+        Inboxes {
+            common: Vec::new(),
+            common_seen: HashMap::default(),
+            newcomers: Vec::new(),
+            own: HashMap::default(),
+            spare: Vec::new(),
+            stepping: Vec::new(),
             slots: Vec::new(),
             slot_index: HashMap::default(),
+            frozen: Vec::new(),
         }
     }
 }
 
-impl<P: PartialEq> Staging<P> {
-    /// Stages the correct recipients' inboxes into index-aligned slots (the
+impl<P> Inboxes<P> {
+    /// Opens a round over the engine's nodes, in node order (`steps`: the node
+    /// is due and live): a stepping node's view is set aside for
+    /// [`Inboxes::view`]; a member of the common list's batch that does not
+    /// step has its prefix materialised, so the list can be cleared when the
+    /// round [closes](Inboxes::close_round).
+    fn open_round(&mut self, nodes: impl Iterator<Item = (NodeId, bool)>) {
+        self.stepping.clear();
+        for (id, steps) in nodes {
+            let whole = if self.newcomers.contains(&id) {
+                0
+            } else {
+                self.common.len()
+            };
+            if steps {
+                let own = self.own.remove(&id);
+                let prefix = own.as_ref().map_or(whole, |mailbox| mailbox.prefix);
+                self.stepping.push((prefix, own));
+                continue;
+            }
+            self.stepping.push((0, None));
+            let prefix = self.own.get(&id).map_or(whole, |mailbox| mailbox.prefix);
+            if prefix == 0 {
+                continue;
+            }
+            let Inboxes {
+                common, own, spare, ..
+            } = self;
+            let mailbox = own
+                .entry(id)
+                .or_insert_with(|| spare.pop().unwrap_or_default());
+            let prefix = &common[..prefix];
+            mailbox
+                .seen
+                .extend(prefix.iter().map(|e| (e.from, e.payload.digest())));
+            mailbox.own.splice(0..0, prefix.iter().cloned());
+            mailbox.prefix = 0;
+        }
+    }
+
+    /// The inbox of the engine's `index`-th node this round: its prefix of the
+    /// common list, then its own entries — read in place.
+    #[inline]
+    fn view(&self, index: usize) -> Inbox<'_, P> {
+        let (prefix, own) = &self.stepping[index];
+        let own = own.as_ref().map_or(&[][..], |mailbox| &mailbox.own);
+        Inbox::envelopes(&self.common[..*prefix], own)
+    }
+
+    /// Closes the round: everything a view showed has been consumed.
+    fn close_round(&mut self) {
+        for (_, own) in self.stepping.drain(..) {
+            if let Some(mut mailbox) = own {
+                mailbox.recycle();
+                self.spare.push(mailbox);
+            }
+        }
+        self.common.clear();
+    }
+
+    /// Admits a joining node: its inbox starts empty, whatever has landed.
+    fn admit(&mut self, id: NodeId) {
+        self.newcomers.push(id);
+    }
+
+    /// Drops the inbox of a leaving node.
+    fn remove(&mut self, id: NodeId) {
+        self.newcomers.retain(|&newcomer| newcomer != id);
+        if let Some(mut mailbox) = self.own.remove(&id) {
+            mailbox.recycle();
+            self.spare.push(mailbox);
+        }
+    }
+
+    /// Entries held: the common list once, plus every own part.
+    fn queued(&self) -> usize {
+        let own: usize = self.own.values().map(|mailbox| mailbox.own.len()).sum();
+        self.common.len() + own
+    }
+
+    /// Retired-traffic GC: drops the entries `keep` rejects — from the common
+    /// list once, pulling the frozen prefixes down by what went below them,
+    /// and from every own part. Dedup sets are left alone (a key without an
+    /// entry only costs a failed exact scan).
+    fn prune(&mut self, keep: impl Fn(&P) -> bool) {
+        let keep = |envelope: &Envelope<P>| keep(envelope.payload.get());
+        for mailbox in self.own.values_mut() {
+            if mailbox.prefix > 0 {
+                let prefix = &self.common[..mailbox.prefix];
+                mailbox.prefix = prefix.iter().filter(|e| keep(e)).count();
+            }
+            mailbox.own.retain(keep);
+        }
+        self.common.retain(keep);
+    }
+
+    /// Stages the round's correct recipients into index-aligned slots (the
     /// round's recipient list leads with the correct nodes, in this exact
-    /// order), so a broadcast's fan-out is a straight array walk and a
-    /// unicast target costs one fast-map lookup — no per-delivery hashing of
-    /// recipient ids. Everything the returned [`FanOut`] lands is traced under
-    /// `delivery_round`.
+    /// order) and opens a new common list for them, so a broadcast lands once
+    /// and a unicast target costs one fast-map lookup — no per-delivery
+    /// hashing of recipient ids. A recipient that carries dedup state from
+    /// earlier rounds starts out frozen. Everything the returned [`FanOut`]
+    /// lands is traced under `delivery_round`. Hand the slots back through
+    /// [`Inboxes::unstage`].
     pub(crate) fn stage<'a>(
         &'a mut self,
         correct_ids: &'a [NodeId],
-        inboxes: &mut HashMap<NodeId, Inbox<P>, FastState>,
-        spare_inboxes: &mut Vec<Inbox<P>>,
         trace: &'a mut Option<TraceLog<P>>,
         byzantine_index: &'a HashSet<NodeId>,
         delivery_round: u64,
     ) -> FanOut<'a, P> {
+        debug_assert!(self.common.is_empty(), "the last round was closed");
+        self.common_seen.clear();
+        self.newcomers.clear();
         self.slot_index.clear();
         self.slots.clear();
-        for &id in correct_ids {
-            let inbox = inboxes
-                .remove(&id)
-                .unwrap_or_else(|| spare_inboxes.pop().unwrap_or_default());
-            self.slot_index.insert(id, self.slots.len());
-            self.slots.push(inbox);
+        self.frozen.clear();
+        for (slot, &id) in correct_ids.iter().enumerate() {
+            let own = self.own.remove(&id);
+            if own.is_some() {
+                self.frozen.push(slot);
+            }
+            self.slot_index.insert(id, slot);
+            self.slots.push(own);
         }
         FanOut {
+            common: &mut self.common,
+            common_seen: &mut self.common_seen,
             slots: &mut self.slots,
+            frozen: &mut self.frozen,
+            spare: &mut self.spare,
             slot_index: &self.slot_index,
             correct_ids,
             trace,
@@ -489,33 +612,39 @@ impl<P: PartialEq> Staging<P> {
         }
     }
 
-    /// Unstages: inboxes that accumulated state go back into the registry;
-    /// untouched ones return to the spare pool (an inbox materialises in the
-    /// registry only on first delivery).
-    pub(crate) fn unstage(
-        &mut self,
-        correct_ids: &[NodeId],
-        inboxes: &mut HashMap<NodeId, Inbox<P>, FastState>,
-        spare_inboxes: &mut Vec<Inbox<P>>,
-    ) {
-        for (&id, inbox) in correct_ids.iter().zip(self.slots.drain(..)) {
-            if inbox.messages.is_empty() && inbox.seen.is_empty() {
-                spare_inboxes.push(inbox);
+    /// Unstages: own parts that hold state go into the registry; a frozen slot
+    /// nothing came of returns to the spare pool.
+    pub(crate) fn unstage(&mut self, correct_ids: &[NodeId]) {
+        let whole = self.common.len();
+        for (&id, slot) in correct_ids.iter().zip(self.slots.drain(..)) {
+            let Some(mailbox) = slot else { continue };
+            if mailbox.own.is_empty() && mailbox.seen.is_empty() && mailbox.prefix == whole {
+                self.spare.push(mailbox);
             } else {
-                inboxes.insert(id, inbox);
+                self.own.insert(id, mailbox);
             }
         }
     }
 }
 
-/// One round's staged recipients (see [`Staging::stage`]): slot `i` is the
-/// inbox of the round's `i`-th correct node. A broadcast reaches each
-/// *correct* recipient as a reference-count bump of its one shared payload
-/// allocation — messages to Byzantine identities are "delivered" to the
-/// adversary, which already saw everything via the rushing view, so nothing is
-/// stored (or cloned) for them.
+/// One round's staged recipients (see [`Inboxes::stage`]): slot `i` belongs to
+/// the round's `i`-th correct node. A broadcast reaches the *correct*
+/// recipients as one entry of the common list — messages to Byzantine
+/// identities are "delivered" to the adversary, which already saw everything
+/// via the rushing view, so nothing is stored (or cloned) for them.
+///
+/// Both delivery policies land through here, so both dedup the same way: a
+/// message is dropped iff an equal `(sender, payload)` is already in the
+/// recipient's inbox. The payload handle is cloned (a reference-count bump)
+/// and its **cached** digest keys the dedup sets — neither a payload clone nor
+/// a payload hash happens on the way in, and the exact comparison runs only
+/// on a digest hit.
 pub(crate) struct FanOut<'a, P> {
-    slots: &'a mut [Inbox<P>],
+    common: &'a mut Vec<Envelope<P>>,
+    common_seen: &'a mut HashMap<(NodeId, u64), usize, FastState>,
+    slots: &'a mut [Option<Mailbox<P>>],
+    frozen: &'a mut Vec<usize>,
+    spare: &'a mut Vec<Mailbox<P>>,
     slot_index: &'a HashMap<NodeId, usize, FastState>,
     correct_ids: &'a [NodeId],
     trace: &'a mut Option<TraceLog<P>>,
@@ -530,24 +659,44 @@ impl<P: PartialEq> FanOut<'_, P> {
         self.slot_index.get(&id).copied()
     }
 
-    /// Lands a payload in every staged inbox, in membership order.
+    /// Lands a payload for every staged recipient: once on the common list,
+    /// for all whose share of it is not frozen, and in the own part of each
+    /// that is. Recipients are walked one by one only to reach the frozen
+    /// ones — or, with tracing on, to record one event per recipient in
+    /// membership order.
     #[inline]
     pub(crate) fn land_all(&mut self, from: NodeId, payload: &Shared<P>, deliveries: &mut u64) {
-        for (slot, &to) in self.slots.iter_mut().zip(self.correct_ids) {
-            deliver(
-                slot,
-                self.trace,
-                self.byzantine_index,
-                self.delivery_round,
-                from,
-                to,
-                payload,
-                deliveries,
-            );
+        let fresh = match self.common_seen.entry((from, payload.digest())) {
+            Entry::Vacant(first) => {
+                first.insert(self.common.len());
+                true
+            }
+            Entry::Occupied(first) => !holds(&self.common[*first.get()..], from, payload),
+        };
+        if fresh {
+            self.common.push(Envelope::new(from, payload.clone()));
+        }
+        if self.trace.is_none() {
+            if fresh {
+                *deliveries += (self.slots.len() - self.frozen.len()) as u64;
+            }
+            for index in 0..self.frozen.len() {
+                self.land_own(self.frozen[index], from, payload, deliveries);
+            }
+            return;
+        }
+        for slot in 0..self.slots.len() {
+            if self.slots[slot].is_some() {
+                self.land_own(slot, from, payload, deliveries);
+            } else if fresh {
+                *deliveries += 1;
+                self.record(from, self.correct_ids[slot], payload);
+            }
         }
     }
 
-    /// Lands a payload in one staged inbox.
+    /// Lands a payload for one staged recipient, freezing its share of the
+    /// common list at what has landed so far.
     #[inline]
     pub(crate) fn land_slot(
         &mut self,
@@ -556,16 +705,13 @@ impl<P: PartialEq> FanOut<'_, P> {
         payload: &Shared<P>,
         deliveries: &mut u64,
     ) {
-        deliver(
-            &mut self.slots[slot],
-            self.trace,
-            self.byzantine_index,
-            self.delivery_round,
-            from,
-            self.correct_ids[slot],
-            payload,
-            deliveries,
-        );
+        if self.slots[slot].is_none() {
+            let mut mailbox = self.spare.pop().unwrap_or_default();
+            mailbox.prefix = self.common.len();
+            self.slots[slot] = Some(mailbox);
+            self.frozen.push(slot);
+        }
+        self.land_own(slot, from, payload, deliveries);
     }
 
     /// Lands a point-to-point message, if its recipient is correct this round.
@@ -575,55 +721,87 @@ impl<P: PartialEq> FanOut<'_, P> {
             self.land_slot(slot, message.from, &message.payload, deliveries);
         }
     }
-}
 
-/// The state of the `NextRound` delivery policy: everything sent in a round is
-/// fanned out into its recipients' next-round inboxes before the round ends.
-struct NextRound<P> {
-    staging: Staging<P>,
-}
-
-impl<P: PartialEq> NextRound<P> {
-    /// Builds next-round inboxes (`deliver`, returned still open so the
-    /// engine's GC sweep is charged to it).
-    fn route(&mut self, routing: Routing<'_, P>) -> (&'static str, Instant) {
-        let deliver_started = Instant::now();
-        let Routing {
-            round,
-            correct_ids,
-            traffic,
-            byzantine_traffic,
-            byzantine_index,
-            inboxes,
-            spare_inboxes,
-            trace,
-            metrics,
-            ..
-        } = routing;
-        let mut deliveries = 0u64;
-        let mut fan = self.staging.stage(
-            correct_ids,
-            inboxes,
-            spare_inboxes,
-            trace,
-            byzantine_index,
-            round + 1,
-        );
-        for item in traffic.items() {
-            match item {
-                TrafficItem::Broadcast { from, payload } => {
-                    fan.land_all(*from, payload, &mut deliveries)
+    /// Appends to a frozen slot's own part, unless an equal message is already
+    /// in the recipient's inbox — within its prefix of the common list, or in
+    /// the own part itself.
+    fn land_own(&mut self, slot: usize, from: NodeId, payload: &Shared<P>, deliveries: &mut u64) {
+        let mailbox = self.slots[slot].as_mut().expect("a frozen slot");
+        let key = (from, payload.digest());
+        if mailbox.prefix > 0 {
+            if let Some(&first) = self.common_seen.get(&key) {
+                if first < mailbox.prefix
+                    && holds(&self.common[first..mailbox.prefix], from, payload)
+                {
+                    return;
                 }
-                TrafficItem::Unicast(message) => fan.land_message(message, &mut deliveries),
             }
         }
-        for message in byzantine_traffic {
-            fan.land_message(message, &mut deliveries);
+        // The digest pair was already present: either a true duplicate (drop it)
+        // or a 64-bit collision between distinct payloads (deliver anyway). The
+        // exact check runs only on digest hits, so the common path stays O(1).
+        if !mailbox.seen.insert(key) && holds(&mailbox.own, from, payload) {
+            return;
         }
-        self.staging.unstage(correct_ids, inboxes, spare_inboxes);
-        metrics.credit_deliveries(round, deliveries);
-        ("deliver", deliver_started)
+        mailbox.own.push(Envelope::new(from, payload.clone()));
+        *deliveries += 1;
+        self.record(from, self.correct_ids[slot], payload);
     }
+
+    /// Traces one delivery, if tracing is on.
+    #[inline]
+    fn record(&mut self, from: NodeId, to: NodeId, payload: &Shared<P>) {
+        if let Some(trace) = self.trace {
+            trace.record(TraceEvent {
+                round: self.delivery_round,
+                from,
+                to,
+                byzantine: self.byzantine_index.contains(&from),
+                payload: payload.clone(),
+            });
+        }
+    }
+}
+
+/// Whether `entries` hold a message equal to `(from, payload)`.
+fn holds<P: PartialEq>(entries: &[Envelope<P>], from: NodeId, payload: &Shared<P>) -> bool {
+    entries
+        .iter()
+        .any(|e| e.from == from && e.payload == *payload)
+}
+
+/// The `NextRound` delivery policy: everything sent in a round is landed in
+/// its recipients' next-round inboxes before the round ends (`deliver`,
+/// returned still open so the engine's GC sweep is charged to it).
+fn route_next_round<P: PartialEq>(routing: Routing<'_, P>) -> (&'static str, Instant) {
+    let deliver_started = Instant::now();
+    let Routing {
+        round,
+        correct_ids,
+        traffic,
+        byzantine_traffic,
+        byzantine_index,
+        inboxes,
+        trace,
+        metrics,
+        ..
+    } = routing;
+    let mut deliveries = 0u64;
+    let mut fan = inboxes.stage(correct_ids, trace, byzantine_index, round + 1);
+    for item in traffic.items() {
+        match item {
+            TrafficItem::Broadcast { from, payload } => {
+                fan.land_all(*from, payload, &mut deliveries)
+            }
+            TrafficItem::Unicast(message) => fan.land_message(message, &mut deliveries),
+        }
+    }
+    for message in byzantine_traffic {
+        fan.land_message(message, &mut deliveries);
+    }
+    inboxes.unstage(correct_ids);
+    metrics.credit_deliveries(round, deliveries);
+    ("deliver", deliver_started)
 }
 
 /// When a produced message becomes an inbox entry — the one decision an
@@ -632,7 +810,7 @@ impl<P: PartialEq> NextRound<P> {
 /// look inside.
 enum Delivery<P> {
     /// Lock-step rounds: sent in round `r`, consumed in round `r + 1`.
-    NextRound(NextRound<P>),
+    NextRound,
     /// Virtual time: a message lands when its link delay says so, a node steps
     /// when its own timer fires.
     Timed(Box<Timed<P>>),
@@ -647,11 +825,8 @@ pub struct Engine<N: Protocol, A: Adversary<N::Payload>> {
     correct_index: HashSet<NodeId>,
     /// O(1) membership index mirroring `byzantine_ids`.
     byzantine_index: HashSet<NodeId>,
-    inboxes: HashMap<NodeId, Inbox<N::Payload>, FastState>,
-    /// Recycled inbox buffers, reused instead of reallocating every round.
-    spare_inboxes: Vec<Inbox<N::Payload>>,
-    /// Reusable per-node inbox slots for the step phase (aligned with `nodes`).
-    step_inboxes: Vec<Option<Inbox<N::Payload>>>,
+    /// Every inbox: the round's common list plus the per-recipient own parts.
+    inboxes: Inboxes<N::Payload>,
     /// Reusable compact traffic buffer for the current round.
     traffic: RoundTraffic<N::Payload>,
     /// When a produced message becomes an inbox entry.
@@ -733,9 +908,7 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         let correct_index = nodes.iter().map(|n| n.id()).collect();
         let byzantine_index = byzantine_ids.iter().copied().collect();
         let delivery = match timing {
-            None => Delivery::NextRound(NextRound {
-                staging: Staging::default(),
-            }),
+            None => Delivery::NextRound,
             Some(timing) => {
                 Delivery::Timed(Box::new(Timed::new(timing, nodes.iter().map(|n| n.id()))))
             }
@@ -746,9 +919,7 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
             byzantine_ids,
             correct_index,
             byzantine_index,
-            inboxes: HashMap::default(),
-            spare_inboxes: Vec::new(),
-            step_inboxes: Vec::new(),
+            inboxes: Inboxes::default(),
             traffic: RoundTraffic::new(),
             delivery,
             round: 0,
@@ -878,7 +1049,7 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
     /// The current virtual time; under `NextRound` time is the round count.
     pub fn now(&self) -> u64 {
         match &self.delivery {
-            Delivery::NextRound(_) => self.round,
+            Delivery::NextRound => self.round,
             Delivery::Timed(timed) => timed.now(),
         }
     }
@@ -887,7 +1058,7 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
     /// always 0 under `NextRound`, which lands everything within the round.
     pub fn in_flight(&self) -> usize {
         match &self.delivery {
-            Delivery::NextRound(_) => 0,
+            Delivery::NextRound => 0,
             Delivery::Timed(timed) => timed.in_flight(),
         }
     }
@@ -899,7 +1070,7 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
     /// work counter: it gates the broadcast compaction of the flight store.
     pub fn flight_entries(&self) -> u64 {
         match &self.delivery {
-            Delivery::NextRound(_) => 0,
+            Delivery::NextRound => 0,
             Delivery::Timed(timed) => timed.flight_entries(),
         }
     }
@@ -1009,13 +1180,11 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         self.recovery.as_ref().map_or(&[], |r| r.restarts())
     }
 
-    /// Envelopes currently queued across all accumulated inboxes — one
-    /// component of the soak driver's memory proxy.
+    /// Envelopes currently held by the inboxes — the round's common list
+    /// counted once, however many recipients read it, plus every recipient's
+    /// own entries. One component of the soak driver's memory proxy.
     pub fn queued_envelopes(&self) -> usize {
-        self.inboxes
-            .values()
-            .map(|inbox| inbox.messages.len())
-            .sum()
+        self.inboxes.queued()
     }
 
     /// Records currently held across all write-ahead logs (0 if recovery is
@@ -1035,6 +1204,7 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         if let Delivery::Timed(timed) = &mut self.delivery {
             timed.arm(id, self.round > 0);
         }
+        self.inboxes.admit(id);
         self.correct_index.insert(id);
         self.nodes.push(node);
         Ok(())
@@ -1052,10 +1222,7 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         if let Delivery::Timed(timed) = &mut self.delivery {
             timed.disarm(id);
         }
-        if let Some(mut inbox) = self.inboxes.remove(&id) {
-            inbox.recycle();
-            self.spare_inboxes.push(inbox);
-        }
+        self.inboxes.remove(id);
         Ok(self.nodes.remove(idx))
     }
 
@@ -1109,32 +1276,27 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         // `None`: every node steps under the engine's round number (always,
         // under `NextRound`); otherwise one `Some(local round)` per due node.
         let due = match &mut self.delivery {
-            Delivery::NextRound(_) => None,
+            Delivery::NextRound => None,
             Delivery::Timed(timed) => timed.fire_due(&correct_ids),
         };
         // The round number node `index` steps under this batch, if it is due.
         let round = self.round;
         let round_of = |index: usize| due.as_ref().map_or(Some(round), |due| due[index]);
-        self.step_inboxes.clear();
-        for (index, node) in self.nodes.iter().enumerate() {
-            self.step_inboxes
-                .push(if round_of(index).is_some() && !node.terminated() {
-                    self.inboxes.remove(&node.id())
-                } else {
-                    None
-                });
-        }
+        self.inboxes.open_round(
+            self.nodes
+                .iter()
+                .enumerate()
+                .map(|(index, node)| (node.id(), round_of(index).is_some() && !node.terminated())),
+        );
         // Write-ahead: the inbox a node is about to consume is logged, under
         // the round number its step context will carry, before the node steps,
         // so a crash mid-round loses the step, never tears it.
         if let Some(recovery) = &mut self.recovery {
-            for (index, (node, slot)) in self.nodes.iter().zip(&self.step_inboxes).enumerate() {
+            for (index, node) in self.nodes.iter().enumerate() {
                 let Some(node_round) = round_of(index).filter(|_| !node.terminated()) else {
                     continue;
                 };
-                let empty: &[Envelope<N::Payload>] = &[];
-                let inbox = slot.as_ref().map_or(empty, |b| b.messages.as_slice());
-                recovery.begin_step(node, node_round, inbox);
+                recovery.begin_step(node, node_round, self.inboxes.view(index));
             }
         }
         self.timings.add("step", elapsed_ns(step_started));
@@ -1143,38 +1305,25 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
             None => step_serial(
                 &mut self.nodes,
                 &RoundContext::new(self.round),
-                &self.step_inboxes,
+                &self.inboxes,
                 &mut self.traffic,
             ),
-            Some(due) => step_due(&mut self.nodes, due, &self.step_inboxes, &mut self.traffic),
+            Some(due) => step_due(&mut self.nodes, due, &self.inboxes, &mut self.traffic),
         };
         self.timings.add("produce", elapsed_ns(produce_started));
         let step_started = Instant::now();
-        for mut inbox in self.step_inboxes.drain(..).flatten() {
-            inbox.recycle();
-            self.spare_inboxes.push(inbox);
-        }
-
-        // Inboxes left unconsumed belong to nodes that did not step (terminated
-        // ones, whose dedup state must persist, or not yet due); any entry whose
-        // id is no longer a correct node is dropped (O(1) membership check per
-        // entry).
-        let correct_index = &self.correct_index;
-        self.inboxes.retain(|id, _| correct_index.contains(id));
+        // Every view has been consumed; what was left unconsumed belongs to
+        // nodes that did not step (terminated ones, whose dedup state must
+        // persist, or not yet due) and sits in their own parts.
+        self.inboxes.close_round();
         // Log the digests of every produced message and commit the round —
         // *before* the adversary phase: a send becomes network-visible only
         // once it is durable in its sender's log.
         if let Some(recovery) = &mut self.recovery {
-            for item in self.traffic.items() {
-                match item {
-                    TrafficItem::Broadcast { from, payload } => {
-                        recovery.log_sent(*from, payload.digest())
-                    }
-                    TrafficItem::Unicast(message) => {
-                        recovery.log_sent(message.from, message.payload.digest())
-                    }
-                }
-            }
+            recovery.log_sends(self.traffic.items().iter().map(|item| match item {
+                TrafficItem::Broadcast { from, payload } => (*from, payload.digest()),
+                TrafficItem::Unicast(message) => (message.from, message.payload.digest()),
+            }));
             for node in &self.nodes {
                 recovery.commit_step(node);
             }
@@ -1222,13 +1371,12 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
             byzantine_traffic: &byzantine_traffic,
             byzantine_index: &self.byzantine_index,
             inboxes: &mut self.inboxes,
-            spare_inboxes: &mut self.spare_inboxes,
             trace: &mut self.trace,
             metrics: &mut self.metrics,
             timings: &mut self.timings,
         };
         let (phase, phase_started) = match &mut self.delivery {
-            Delivery::NextRound(next_round) => next_round.route(routing),
+            Delivery::NextRound => route_next_round(routing),
             Delivery::Timed(timed) => timed.route(routing),
         };
 
@@ -1247,14 +1395,9 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
                 .unwrap_or(0);
             if frontier > 0 {
                 if let Some(probe) = self.nodes.first() {
-                    for inbox in self.inboxes.values_mut() {
-                        inbox.messages.retain(|envelope| {
-                            match probe.instance_of(envelope.payload.get()) {
-                                Some(tag) => tag >= frontier,
-                                None => true,
-                            }
-                        });
-                    }
+                    self.inboxes.prune(|payload| {
+                        probe.instance_of(payload).is_none_or(|tag| tag >= frontier)
+                    });
                 }
             }
         }
@@ -1376,8 +1519,8 @@ mod tests {
             self.id
         }
 
-        fn step(&mut self, ctx: &RoundContext, inbox: &[Envelope<u64>]) -> Vec<Outgoing<u64>> {
-            self.senders.extend(inbox.iter().map(|e| e.from));
+        fn step(&mut self, ctx: &RoundContext, inbox: Inbox<'_, u64>) -> Vec<Outgoing<u64>> {
+            self.senders.extend(inbox.iter().map(|(from, _)| from));
             if ctx.round >= self.decide_round {
                 self.decided = Some(self.senders.len());
                 vec![]

@@ -27,7 +27,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::engine::{elapsed_ns, FanOut, Routing, Staging};
+use crate::engine::{elapsed_ns, FanOut, Routing};
 use crate::id::NodeId;
 use crate::message::Directed;
 use crate::traffic::TrafficItem;
@@ -39,7 +39,6 @@ use super::queue::{Calendar, Run};
 /// The state of the `Timed` delivery policy (see module docs).
 pub(crate) struct Timed<P> {
     calendar: Calendar<P>,
-    staging: Staging<P>,
     /// The correct members of the latest batch, in membership order: what the
     /// recipient positions of the runs it sent index. Replaced only when the
     /// membership changes, so in a churn-free run every run in flight shares
@@ -64,7 +63,6 @@ impl<P: PartialEq> Timed<P> {
         }
         Timed {
             calendar: Calendar::new(timing.reorder_seed),
-            staging: Staging::default(),
             batch: Arc::from([]),
             clock: VirtualClock::new(),
             timers,
@@ -164,11 +162,9 @@ impl<P: PartialEq> Timed<P> {
             byzantine_traffic,
             byzantine_index,
             inboxes,
-            spare_inboxes,
             trace,
             metrics,
             timings,
-            ..
         } = routing;
 
         // Schedule: expand the compact traffic towards correct recipients —
@@ -184,7 +180,6 @@ impl<P: PartialEq> Timed<P> {
         let horizon = self.next_batch();
         let Timed {
             calendar,
-            staging,
             batch,
             delay,
             seq,
@@ -194,14 +189,7 @@ impl<P: PartialEq> Timed<P> {
             *batch = Arc::from(correct_ids);
         }
         let batch = &*batch;
-        let mut fan = staging.stage(
-            correct_ids,
-            inboxes,
-            spare_inboxes,
-            trace,
-            byzantine_index,
-            round + 1,
-        );
+        let mut fan = inboxes.stage(correct_ids, trace, byzantine_index, round + 1);
         let schedule_one = |calendar: &mut Calendar<P>,
                             seq: &mut u64,
                             fan: &FanOut<'_, P>,
@@ -244,10 +232,12 @@ impl<P: PartialEq> Timed<P> {
         // Popping at the end of the sending batch is safe for any delay model
         // — no node steps again before the horizon — and it is what makes the
         // zero-jitter case byte-identical to `NextRound`, whose final round
-        // also delivers messages nobody will ever consume. A run sent by a
-        // batch with today's membership lands by position; any other resolves
-        // its recipients against the staged slots, and a recipient that is no
-        // longer correct is skipped. Deliveries are attributed to the
+        // also delivers messages nobody will ever consume. A run bound for
+        // the whole of a batch with today's membership is today's staged
+        // recipients' common traffic and lands once, on the common list; a
+        // leg of such a batch lands by position; any other run resolves its
+        // recipients against the staged slots, one by one, and a recipient
+        // that is no longer correct is skipped. Deliveries are attributed to the
         // *sending* batch's metrics row, matching `NextRound`'s accounting.
         let dispatch_started = Instant::now();
         let land = |fan: &mut FanOut<'_, P>, run: &Run<P>, to: usize, delivered: &mut u64| {
@@ -278,7 +268,7 @@ impl<P: PartialEq> Timed<P> {
             });
             calendar.recycle(bucket);
         }
-        staging.unstage(correct_ids, inboxes, spare_inboxes);
+        inboxes.unstage(correct_ids);
         ("dispatch", dispatch_started)
     }
 }

@@ -22,6 +22,9 @@
 //! * [`Shared`] — the reference-counted, digest-caching payload handle behind the
 //!   zero-copy message plane (one allocation per payload, regardless of fan-out);
 //! * [`Protocol`] — the state-machine interface a correct node implements;
+//! * [`Inbox`] — the borrowed view a node reads its round's messages through: a
+//!   broadcast lands once, on the round's common list, and every recipient reads
+//!   it in place;
 //! * [`Adversary`] — the interface through which Byzantine nodes inject traffic,
 //!   with a *rushing* view of the round's correct messages;
 //! * [`Engine`] — the one round scheduler (with dynamic membership). *When* a
@@ -51,7 +54,7 @@
 //! ## Example
 //!
 //! ```
-//! use uba_simnet::{NodeId, Protocol, RoundContext, Envelope, Outgoing, Destination,
+//! use uba_simnet::{NodeId, Protocol, RoundContext, Inbox, Outgoing, Destination,
 //!                  SyncEngine, adversary::SilentAdversary};
 //!
 //! /// A toy protocol: every node broadcasts a greeting and outputs the number of
@@ -62,7 +65,7 @@
 //!     type Payload = &'static str;
 //!     type Output = usize;
 //!     fn id(&self) -> NodeId { self.id }
-//!     fn step(&mut self, ctx: &RoundContext, inbox: &[Envelope<&'static str>])
+//!     fn step(&mut self, ctx: &RoundContext, inbox: Inbox<'_, &'static str>)
 //!         -> Vec<Outgoing<&'static str>>
 //!     {
 //!         match ctx.round {
@@ -115,7 +118,7 @@ pub use engine::{Engine, EngineConfig, PhaseTimings, RunOutcome, SyncEngine};
 pub use error::SimError;
 pub use event::{DelaySpec, EngineKind, EventTiming, LinkDelay, PartitionSpec, TimingSpec};
 pub use id::{IdSpace, NodeId};
-pub use message::{Destination, Directed, Envelope, Outgoing};
+pub use message::{Destination, Directed, Envelope, Inbox, InboxIter, Outgoing};
 pub use metrics::{Metrics, RoundMetrics};
 pub use node::{Protocol, Recoverable, RoundContext};
 pub use shared::Shared;

@@ -11,8 +11,14 @@
 //! reference-count bump of the same allocation. Only the *produce side*
 //! ([`Outgoing`]) carries an owned payload, because a node's freshly produced
 //! message is the one place a payload legitimately comes into existence.
+//!
+//! What a node *reads* is not a list of envelopes of its own but an [`Inbox`]:
+//! a borrowed view over wherever its messages landed. A broadcast reaches every
+//! correct recipient identically, so the engine holds one envelope for it, on
+//! the round's common list, and every recipient's view walks that list in place.
 
 use serde::{Deserialize, Error, Serialize, Value};
+use std::fmt;
 use std::hash::Hash;
 
 use crate::id::NodeId;
@@ -127,6 +133,169 @@ impl<P: Deserialize + Hash> Deserialize for Envelope<P> {
             from: field(value, "from")?,
             payload: field(value, "payload")?,
         })
+    }
+}
+
+/// The messages a node received this round, as a borrowed **view**: `(sender,
+/// &payload)` pairs in delivery order, read in place from wherever they landed.
+///
+/// A broadcast reaches every correct recipient of a round identically, so the
+/// engine keeps it once, on the round's *common list*, and keeps per recipient
+/// only what is that recipient's own (directed traffic, and whatever landed
+/// after a directed message froze its share of the common list). A node's
+/// inbox is then a prefix of the common list followed by its own entries —
+/// two slices of [`Envelope`]s the view walks without copying either. The
+/// second backing is a caller's buffer of `(sender, &payload)` pairs: what a
+/// multiplexing node ([`MuxNode`](crate::MuxNode), total order) hands an inner
+/// instance after sorting its own inbox by tag, the payloads still living in
+/// the outer envelopes. Which backing a view has is private to the type; both
+/// come in through `From`:
+///
+/// ```
+/// use uba_simnet::{Envelope, Inbox, NodeId};
+///
+/// let delivered = vec![Envelope::new(NodeId::new(7), 42u64)];
+/// let inbox = Inbox::from(&delivered[..]);
+/// assert_eq!(inbox.len(), 1);
+/// let heard: Vec<(NodeId, &u64)> = inbox.iter().collect();
+/// assert_eq!(Inbox::from(&heard[..]).iter().next(), Some((NodeId::new(7), &42)));
+/// ```
+///
+/// The view is `Copy`, and its iterator `Clone`, so a protocol can make as
+/// many passes as it likes.
+pub struct Inbox<'a, P> {
+    /// The recipient's prefix of the round's common list…
+    common: &'a [Envelope<P>],
+    /// …followed by its own entries. Both empty for a borrowed buffer.
+    own: &'a [Envelope<P>],
+    /// A caller's buffer of borrowed payloads. Empty for an envelope view.
+    pairs: &'a [(NodeId, &'a P)],
+}
+
+impl<'a, P> Inbox<'a, P> {
+    /// The view the engine hands a stepping node: `common` then `own`.
+    pub(crate) fn envelopes(common: &'a [Envelope<P>], own: &'a [Envelope<P>]) -> Self {
+        Inbox {
+            common,
+            own,
+            pairs: &[],
+        }
+    }
+
+    /// The `(sender, &payload)` pairs, in delivery order.
+    pub fn iter(&self) -> InboxIter<'a, P> {
+        InboxIter {
+            common: self.common.iter(),
+            own: self.own.iter(),
+            pairs: self.pairs.iter(),
+        }
+    }
+
+    /// Number of messages in the inbox.
+    pub fn len(&self) -> usize {
+        self.common.len() + self.own.len() + self.pairs.len()
+    }
+
+    /// Whether the inbox holds no message.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Visits every entry together with a payload handle, in delivery order —
+    /// what the write-ahead log keeps of a consumed inbox. An envelope lends
+    /// its handle (a reference-count bump); a borrowed pair has none, so one
+    /// is allocated for it.
+    pub(crate) fn for_each_handle(&self, mut visit: impl FnMut(NodeId, Shared<P>))
+    where
+        P: Clone + Hash,
+    {
+        for envelope in self.common.iter().chain(self.own) {
+            visit(envelope.from, envelope.payload.clone());
+        }
+        for &(from, payload) in self.pairs {
+            visit(from, Shared::new(payload.clone()));
+        }
+    }
+}
+
+impl<P> Clone for Inbox<'_, P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P> Copy for Inbox<'_, P> {}
+
+impl<P> Default for Inbox<'_, P> {
+    /// The empty inbox (what every node sees in its first round).
+    fn default() -> Self {
+        Inbox::envelopes(&[], &[])
+    }
+}
+
+impl<P: fmt::Debug> fmt::Debug for Inbox<'_, P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a, P> From<&'a [Envelope<P>]> for Inbox<'a, P> {
+    /// A view of delivered envelopes (a replayed round, a test's script).
+    fn from(envelopes: &'a [Envelope<P>]) -> Self {
+        Inbox::envelopes(envelopes, &[])
+    }
+}
+
+impl<'a, P> From<&'a [(NodeId, &'a P)]> for Inbox<'a, P> {
+    /// A view of payloads borrowed from wherever the caller received them.
+    fn from(pairs: &'a [(NodeId, &'a P)]) -> Self {
+        Inbox {
+            pairs,
+            ..Inbox::default()
+        }
+    }
+}
+
+impl<'a, P> IntoIterator for Inbox<'a, P> {
+    type Item = (NodeId, &'a P);
+    type IntoIter = InboxIter<'a, P>;
+
+    fn into_iter(self) -> InboxIter<'a, P> {
+        self.iter()
+    }
+}
+
+/// The iterator of an [`Inbox`]: `(sender, &payload)` in delivery order.
+pub struct InboxIter<'a, P> {
+    common: std::slice::Iter<'a, Envelope<P>>,
+    own: std::slice::Iter<'a, Envelope<P>>,
+    pairs: std::slice::Iter<'a, (NodeId, &'a P)>,
+}
+
+impl<P> Clone for InboxIter<'_, P> {
+    fn clone(&self) -> Self {
+        InboxIter {
+            common: self.common.clone(),
+            own: self.own.clone(),
+            pairs: self.pairs.clone(),
+        }
+    }
+}
+
+impl<'a, P> Iterator for InboxIter<'a, P> {
+    type Item = (NodeId, &'a P);
+
+    #[inline]
+    fn next(&mut self) -> Option<(NodeId, &'a P)> {
+        if let Some(envelope) = self.common.next().or_else(|| self.own.next()) {
+            return Some((envelope.from, envelope.payload.get()));
+        }
+        self.pairs.next().copied()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.common.len() + self.own.len() + self.pairs.len();
+        (len, Some(len))
     }
 }
 

@@ -2,11 +2,12 @@
 //!
 //! Every algorithm in `uba-core` and `uba-baselines` is a deterministic state machine
 //! driven by the engine one round at a time. The engine delivers the messages that
-//! were sent to the node in the previous round and collects the messages the node
-//! wants to send in the current round.
+//! were sent to the node in the previous round — as an [`Inbox`] view read in
+//! place, never a per-recipient copy — and collects the messages the node wants
+//! to send in the current round.
 
 use crate::id::NodeId;
-use crate::message::{Envelope, Outgoing};
+use crate::message::{Inbox, Outgoing};
 
 /// Per-round information handed to a protocol by the engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,16 +50,19 @@ pub trait Protocol {
 
     /// Executes one synchronous round.
     ///
-    /// `inbox` contains every message delivered to this node at the beginning of the
-    /// round, i.e. the messages addressed to it in the previous round, deduplicated
+    /// `inbox` is a view of every message delivered to this node at the beginning of
+    /// the round, i.e. the messages addressed to it in the previous round, deduplicated
     /// per `(sender, payload)` pair as required by the model ("duplicate messages from
-    /// the same node in a round are simply discarded"). The return value is the set of
-    /// messages to send in this round, which will be delivered at the beginning of the
-    /// next one.
+    /// the same node in a round are simply discarded"). It yields `(sender, &payload)`
+    /// in delivery order and borrows the messages from where they landed — the
+    /// engine's per-round common list and the node's own entries, or the buffer of a
+    /// multiplexing node that sorted its own inbox by instance — so handing a node
+    /// its inbox copies nothing. The return value is the set of messages to send in
+    /// this round, which will be delivered at the beginning of the next one.
     fn step(
         &mut self,
         ctx: &RoundContext,
-        inbox: &[Envelope<Self::Payload>],
+        inbox: Inbox<'_, Self::Payload>,
     ) -> Vec<Outgoing<Self::Payload>>;
 
     /// The node's output, if it has produced one.
@@ -126,7 +130,7 @@ pub trait Recoverable: Protocol + Sized {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Destination;
+    use crate::message::{Destination, Envelope};
 
     struct Echoer {
         id: NodeId,
@@ -141,8 +145,8 @@ mod tests {
             self.id
         }
 
-        fn step(&mut self, ctx: &RoundContext, inbox: &[Envelope<u32>]) -> Vec<Outgoing<u32>> {
-            self.seen.extend(inbox.iter().map(|e| e.from));
+        fn step(&mut self, ctx: &RoundContext, inbox: Inbox<'_, u32>) -> Vec<Outgoing<u32>> {
+            self.seen.extend(inbox.iter().map(|(from, _)| from));
             if ctx.round == 1 {
                 vec![Outgoing {
                     dest: Destination::Broadcast,
@@ -166,7 +170,8 @@ mod tests {
         };
         assert!(!node.terminated());
         let ctx = RoundContext::new(2);
-        node.step(&ctx, &[Envelope::new(NodeId::new(2), 5)]);
+        let inbox = [Envelope::new(NodeId::new(2), 5)];
+        node.step(&ctx, Inbox::from(&inbox[..]));
         assert!(node.terminated());
         assert_eq!(node.output(), Some(1));
     }

@@ -12,9 +12,6 @@
 //!   used to recompute per delivery is now computed once per allocation
 //!   ([`Shared::digest`]), so delivering a broadcast to `k` recipients hashes the
 //!   payload once, not `k` times;
-//! * lends out **borrowing views** of a tagged payload's inner field
-//!   ([`Shared::project_second`], the stream mux's demux) that allocate no
-//!   payload and hash nothing unless their digest is actually read;
 //! * compares and hashes **by value**, so inboxes, dedup fallbacks and recorded
 //!   traces behave exactly as if they stored owned payloads;
 //! * is **immutable once allocated**: forwarding a handle ([`Clone`]) is a
@@ -22,12 +19,13 @@
 //!   a changed payload is always a fresh [`Shared::new`] — one allocation per
 //!   distinct fabrication.
 //!
-//! The handle is an [`Arc`], so it is `Send + Sync` and anything that holds one
-//! — a recorded trace, a node, a whole engine — can leave the thread that built
-//! it. The engine itself steps on one thread; whether an `Rc` would be measurably
-//! cheaper per delivery is an open performance question, not settled here. The
-//! atomic reference-count bump is orders of magnitude cheaper than the deep
-//! clones it replaces.
+//! The handle is an [`Arc`], so it is `Send + Sync` (for a payload that is) and
+//! anything that holds one — a recorded trace, a node, a whole engine — can
+//! leave the thread that built it. The engine itself steps on one thread, but an
+//! `Rc` would have nothing to save: a handle is cloned once per *entry held* — a
+//! broadcast's one entry on the round's common list, a write-ahead record — not
+//! once per delivery, and a node reads its inbox through a borrowed
+//! [`Inbox`](crate::Inbox) view that clones no handle at all.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -88,47 +86,12 @@ impl<P> Drop for SharedInner<P> {
     }
 }
 
-/// Borrowing-projection support: a source allocation that can lend out a `&P`
-/// view of one of its fields. Implemented for tuple allocations, so a handle
-/// over `(tag, inner)` can expose a `Shared<Inner>` without cloning `inner` —
-/// the stream plane's demux ([`Shared::project_second`]). The projected handle
-/// keeps the whole source allocation alive and borrows the field out of it.
-///
-/// The `Send + Sync` supertraits keep `Shared<P>`'s auto traits intact: a
-/// projected handle is as `Send + Sync` as the owned form.
-trait ProjectTo<P>: Send + Sync {
-    fn projected(&self) -> &P;
-}
-
-impl<T, P> ProjectTo<P> for SharedInner<(T, P)>
-where
-    T: Send + Sync,
-    P: Send + Sync,
-{
-    fn projected(&self) -> &P {
-        &self.value.1
-    }
-}
-
-/// The two shapes a handle can take: the allocating form, and a borrowing view
-/// into another handle's allocation. Projected handles bump neither
-/// [`allocations`] nor [`deallocations`] — they are views, not payloads.
-enum Repr<P> {
-    Owned(Arc<SharedInner<P>>),
-    Projected {
-        source: Arc<dyn ProjectTo<P>>,
-        /// How to hash the view, kept from where the `Hash` bound was in scope:
-        /// a projected digest is computed when asked for, not per projection.
-        digest: fn(&P) -> u64,
-    },
-}
-
 /// A reference-counted, immutable payload handle (see module docs).
 ///
 /// `Shared<P>` derefs to `P`, compares/hashes by value, and passes through serde
 /// transparently, so it can replace `P` in any receive-side position without
 /// changing observable behaviour — only the allocation profile.
-pub struct Shared<P>(Repr<P>);
+pub struct Shared<P>(Arc<SharedInner<P>>);
 
 impl<P: Hash> Shared<P> {
     /// Wraps a payload, computing its dedup digest once. This is the **only**
@@ -139,57 +102,24 @@ impl<P: Hash> Shared<P> {
         #[cfg(test)]
         THREAD_ALLOCATIONS.with(|count| count.set(count.get() + 1));
         let digest = digest_of(&value);
-        Shared(Repr::Owned(Arc::new(SharedInner { digest, value })))
-    }
-}
-
-impl<T, P> Shared<(T, P)>
-where
-    T: Send + Sync + 'static,
-    P: Hash + Clone + Send + Sync + 'static,
-{
-    /// A borrowing view of the tuple's second field: `Shared<(T, P)>` →
-    /// `Shared<P>` **without cloning `P` and without a payload allocation**.
-    /// The view keeps the tuple allocation alive and hashes nothing up front:
-    /// its digest is computed on [`Shared::digest`] (the same `DefaultHasher`
-    /// stream [`Shared::new`] would cache for the field), so a demux that used
-    /// to re-wrap every matching payload now hands out views whose digests,
-    /// values and comparisons are indistinguishable from the re-wrapped
-    /// originals, and a view whose digest nobody reads costs no hash at all.
-    pub fn project_second(&self) -> Shared<P> {
-        match &self.0 {
-            Repr::Owned(inner) => Shared(Repr::Projected {
-                digest: digest_of::<P>,
-                source: Arc::clone(inner) as Arc<dyn ProjectTo<P>>,
-            }),
-            // Projecting a projection (a doubly-nested mux) has no single
-            // source allocation to borrow from: materialise the field instead.
-            Repr::Projected { source, .. } => Shared::new(source.projected().1.clone()),
-        }
+        Shared(Arc::new(SharedInner { digest, value }))
     }
 }
 
 impl<P> Shared<P> {
     /// The wrapped payload.
     pub fn get(&self) -> &P {
-        match &self.0 {
-            Repr::Owned(inner) => &inner.value,
-            Repr::Projected { source, .. } => source.projected(),
-        }
+        &self.0.value
     }
 
-    /// The payload's 64-bit digest: cached at allocation for an owned handle,
-    /// computed on each call for a borrowed view.
+    /// The payload's 64-bit digest, cached at allocation.
     pub fn digest(&self) -> u64 {
-        match &self.0 {
-            Repr::Owned(inner) => inner.digest,
-            Repr::Projected { source, digest } => digest(source.projected()),
-        }
+        self.0.digest
     }
 
     /// Whether two handles point at the *same* payload in memory — the
     /// zero-copy witness: a forwarded or fan-out-delivered payload keeps its
-    /// pointer, and a projected view aliases the field it was projected from.
+    /// pointer.
     pub fn ptr_eq(a: &Self, b: &Self) -> bool {
         std::ptr::eq(a.get(), b.get())
     }
@@ -227,13 +157,7 @@ pub fn live_allocations() -> u64 {
 impl<P> Clone for Shared<P> {
     /// A reference-count bump — never a payload clone.
     fn clone(&self) -> Self {
-        Shared(match &self.0 {
-            Repr::Owned(inner) => Repr::Owned(Arc::clone(inner)),
-            Repr::Projected { source, digest } => Repr::Projected {
-                source: Arc::clone(source),
-                digest: *digest,
-            },
-        })
+        Shared(Arc::clone(&self.0))
     }
 }
 
@@ -360,53 +284,6 @@ mod tests {
     fn payload_digest_matches_the_cached_digest() {
         let payload = vec![1u64, 2, 3];
         assert_eq!(payload_digest(&payload), Shared::new(payload).digest());
-    }
-
-    #[test]
-    fn projection_borrows_without_allocating() {
-        let before = thread_allocations();
-        let tagged: Shared<(u64, Vec<u32>)> = Shared::new((7, vec![1, 2, 3]));
-        let view = tagged.project_second();
-        assert_eq!(
-            thread_allocations() - before,
-            1,
-            "the view is not an allocation"
-        );
-        // The view aliases the field inside the tuple allocation…
-        assert_eq!(view.token(), &tagged.get().1 as *const Vec<u32> as usize);
-        assert_eq!(*view, vec![1, 2, 3]);
-        // …and its digest is exactly what re-wrapping the field would cache.
-        assert_eq!(view.digest(), payload_digest(&vec![1u32, 2, 3]));
-        assert_eq!(view.digest(), Shared::new(vec![1u32, 2, 3]).digest());
-        // Two views of one source alias each other; a re-wrap does not.
-        let sibling = tagged.project_second();
-        assert!(Shared::ptr_eq(&view, &sibling));
-        assert_eq!(view.token(), sibling.token());
-        assert!(!Shared::ptr_eq(&view, &Shared::new(vec![1u32, 2, 3])));
-    }
-
-    #[test]
-    fn projection_keeps_the_source_allocation_alive() {
-        let dropped_before = deallocations();
-        let view = {
-            let tagged: Shared<(u64, u64)> = Shared::new((1, 42));
-            tagged.project_second()
-        };
-        assert_eq!(*view, 42, "the view outlives the original handle");
-        drop(view);
-        assert!(
-            deallocations() > dropped_before,
-            "dropping the last view frees the source allocation"
-        );
-    }
-
-    #[test]
-    fn projecting_a_projection_falls_back_to_a_copy() {
-        let nested: Shared<(u8, (u64, u64))> = Shared::new((0, (1, 99)));
-        let inner = nested.project_second();
-        let twice = inner.project_second();
-        assert_eq!(*twice, 99);
-        assert_eq!(twice.digest(), payload_digest(&99u64));
     }
 
     #[test]

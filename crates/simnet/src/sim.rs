@@ -719,8 +719,9 @@ impl<F: ProtocolFactory> Harness<F> {
         self.engine.recovery_restarts()
     }
 
-    /// Envelopes currently queued in the engine's inboxes — one component of
-    /// the soak driver's memory proxy.
+    /// Envelopes currently held by the engine's inboxes (see
+    /// [`Engine::queued_envelopes`]: a broadcast's one entry on the common
+    /// list counts once) — one component of the soak driver's memory proxy.
     pub fn queued_envelopes(&self) -> usize {
         self.engine.queued_envelopes()
     }

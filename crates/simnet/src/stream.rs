@@ -8,21 +8,21 @@
 //!   [`Protocol`] over one wire. Every payload is tagged with the instance it
 //!   belongs to (`(instance, inner)`), so a single engine round carries traffic
 //!   for every in-flight instance and the tag travels through
-//!   [`Envelope`] exactly like any other payload.
+//!   [`Envelope`](crate::Envelope) exactly like any other payload.
 //! * [`StreamDriver`] — a [`ProtocolFactory`] that builds one inner factory per
 //!   instance, staggers their start rounds (the pipeline), and records a
 //!   [`StreamSection`] into the [`RunReport`] with per-instance decisions,
 //!   decide rounds and batch sizes for the checker's cross-instance oracle.
 //!
 //! Per-round cost is proportional to the **active window**, not the horizon:
-//! each step builds one tag index over the inbox (a single pass), envelopes are
-//! handed to inner instances as borrowing projections
-//! ([`Shared::project_second`](crate::shared::Shared::project_second) — no
-//! payload clone), and decided slots are **retired** out of the scan path into
+//! each step sorts its inbox by tag once, into one flat buffer of borrowed
+//! inner payloads, every inner instance is stepped over its sub-slice of that
+//! buffer (an [`Inbox`] view — no payload clone, no handle, no envelope), and
+//! decided slots are **retired** out of the scan path into
 //! compact [`CompletedInstance`] records, so [`MuxNode::output`] and
 //! [`MuxNode::terminated`] are O(1) counter reads and a long-finished stream
 //! prefix costs nothing per round. Traffic addressed to a retired tag is
-//! dropped during indexing at zero clones (counted in [`MuxWork`]); the engine
+//! never handed to anybody (counted in [`MuxWork`]); the engine
 //! can additionally prune such traffic before delivery (see
 //! `SyncEngine::enable_traffic_gc`). Retirement is observationally silent:
 //! reports are byte-identical with it on or off (see
@@ -48,7 +48,7 @@ use serde::{Deserialize, Serialize};
 use crate::adversary::SilentAdversary;
 use crate::engine::FastState;
 use crate::id::NodeId;
-use crate::message::{Envelope, Outgoing};
+use crate::message::{Inbox, Outgoing};
 use crate::node::{Protocol, RoundContext};
 use crate::sim::{AdversaryKind, BuildContext, NamedAdversary, ProtocolFactory, RunReport};
 
@@ -96,22 +96,22 @@ pub enum InstanceState<'a, N: Protocol> {
 /// cost tracks the active window rather than the horizon.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MuxWork {
-    /// Envelopes examined while building the per-step tag index (exactly the
-    /// inbox sizes summed over steps — every envelope is looked at once).
+    /// Messages examined while sorting each step's inbox by tag (exactly the
+    /// inbox sizes summed over steps — every message is counted once).
     pub envelopes_indexed: u64,
     /// Inner-instance steps executed (live slots × rounds they were live).
     pub slot_steps: u64,
-    /// Envelopes dropped because their tag matched no live slot (instance
+    /// Messages dropped because their tag matched no live slot (instance
     /// already retired or never scheduled) — at zero payload clones.
     pub dropped_retired: u64,
 }
 
 /// A node multiplexing many instances of an inner [`Protocol`] over one wire.
 ///
-/// Payloads are `(instance_tag, inner_payload)`; each round the node builds one
-/// tag index over its inbox, steps every started-and-undecided instance with a
-/// *local* round number (`global - start_round`) and a projected (not cloned)
-/// inbox, and retags everything the instances send. An instance whose start
+/// Payloads are `(instance_tag, inner_payload)`; each round the node sorts its
+/// inbox by tag, steps every started-and-undecided instance with a *local*
+/// round number (`global - start_round`) over a borrowed (not cloned) inbox,
+/// and retags everything the instances send. An instance whose start
 /// round has not arrived yet neither sends nor receives. Decided instances are
 /// retired into [`CompletedInstance`] records, and the node terminates when
 /// the decided count reaches the instance count.
@@ -223,10 +223,72 @@ impl<N: Protocol> MuxNode<N> {
     }
 }
 
-impl<N: Protocol> Protocol for MuxNode<N>
-where
-    N::Payload: Send + Sync + 'static,
-{
+/// One step's inbox sorted by instance tag: every inner payload borrowed out
+/// of its `(tag, inner)` tuple into **one** flat buffer, the messages of a tag
+/// contiguous and in arrival order, so a slot's inbox is a sub-slice of it —
+/// nothing is cloned, reference-counted or allocated per message or per slot.
+struct Demux<'a, P> {
+    /// Tag → its bucket, numbered in first-seen order.
+    buckets: HashMap<u64, usize, FastState>,
+    /// Where each bucket ends in `sorted` (it starts where the previous ends).
+    ends: Vec<usize>,
+    sorted: Vec<(NodeId, &'a P)>,
+}
+
+impl<'a, P> Demux<'a, P> {
+    /// A counting sort by tag: one pass to number and count the tags, one to
+    /// place the messages.
+    fn new(inbox: Inbox<'a, (u64, P)>) -> Self {
+        let mut buckets: HashMap<u64, usize, FastState> = HashMap::default();
+        let mut ends: Vec<usize> = Vec::new();
+        let mut bucket_of = Vec::with_capacity(inbox.len());
+        for (_, (tag, _)) in inbox.iter() {
+            let bucket = *buckets.entry(*tag).or_insert(ends.len());
+            if bucket == ends.len() {
+                ends.push(0);
+            }
+            ends[bucket] += 1;
+            bucket_of.push(bucket);
+        }
+        // Counts become start offsets, which placing advances to end offsets.
+        let mut start = 0;
+        for end in &mut ends {
+            let count = *end;
+            *end = start;
+            start += count;
+        }
+        // The buffer is sized up front and every position written exactly
+        // once; the first message only serves as the filler a slice needs.
+        let mut sorted: Vec<(NodeId, &P)> = inbox
+            .iter()
+            .next()
+            .map_or_else(Vec::new, |(from, (_, inner))| {
+                vec![(from, inner); inbox.len()]
+            });
+        for ((from, (_, inner)), bucket) in inbox.iter().zip(bucket_of) {
+            sorted[ends[bucket]] = (from, inner);
+            ends[bucket] += 1;
+        }
+        Demux {
+            buckets,
+            ends,
+            sorted,
+        }
+    }
+
+    /// The messages tagged `tag`, in arrival order.
+    fn of(&self, tag: u64) -> &[(NodeId, &'a P)] {
+        let Some(&bucket) = self.buckets.get(&tag) else {
+            return &[];
+        };
+        let start = bucket
+            .checked_sub(1)
+            .map_or(0, |previous| self.ends[previous]);
+        &self.sorted[start..self.ends[bucket]]
+    }
+}
+
+impl<N: Protocol> Protocol for MuxNode<N> {
     type Payload = (u64, N::Payload);
     /// The number of instances that have terminated (present once all have).
     type Output = usize;
@@ -238,54 +300,33 @@ where
     fn step(
         &mut self,
         ctx: &RoundContext,
-        inbox: &[Envelope<Self::Payload>],
+        inbox: Inbox<'_, Self::Payload>,
     ) -> Vec<Outgoing<Self::Payload>> {
-        // One pass over the inbox: index envelope positions by instance tag
-        // (positions, so arrival order inside each instance is preserved).
-        let mut index: HashMap<u64, Vec<usize>, FastState> = HashMap::default();
-        for (position, envelope) in inbox.iter().enumerate() {
-            index
-                .entry(envelope.payload.get().0)
-                .or_default()
-                .push(position);
-        }
+        let demux = Demux::new(inbox);
         self.work.envelopes_indexed += inbox.len() as u64;
 
+        // Messages no started slot has claimed (stepped on, or dropped with it).
+        let mut unclaimed = inbox.len();
         let mut outgoing = Vec::new();
         let mut newly_decided: Vec<u64> = Vec::new();
         let mut sweep = false;
         for slot in &mut self.slots {
             if ctx.round < slot.start_round {
-                // Not started: nobody has sent for this tag yet, so a match
-                // here cannot occur on the wire; drop it silently, exactly as
-                // the pre-index filter ignored it.
-                index.remove(&slot.tag);
                 continue;
             }
+            let inner_inbox = demux.of(slot.tag);
+            unclaimed -= inner_inbox.len();
             if slot.node.terminated() {
                 // Reachable only for a slot that was terminated at build time
-                // and awaits its lazy sweep. Consume the tag so the counter
-                // matches the retired path exactly.
-                if let Some(positions) = index.remove(&slot.tag) {
-                    self.work.dropped_retired += positions.len() as u64;
-                }
+                // and awaits its lazy sweep. Count its traffic exactly as the
+                // retired path does.
+                self.work.dropped_retired += inner_inbox.len() as u64;
                 sweep = true;
                 continue;
             }
-            // Project each matching envelope's inner payload out of the tagged
-            // tuple — a borrow of the same allocation, not a clone.
-            let inner_inbox: Vec<Envelope<N::Payload>> = index
-                .remove(&slot.tag)
-                .unwrap_or_default()
-                .into_iter()
-                .map(|position| {
-                    let envelope = &inbox[position];
-                    Envelope::new(envelope.from, envelope.payload.project_second())
-                })
-                .collect();
             self.work.slot_steps += 1;
             let local = RoundContext::new(ctx.round - slot.start_round + 1);
-            for sent in slot.node.step(&local, &inner_inbox) {
+            for sent in slot.node.step(&local, Inbox::from(inner_inbox)) {
                 outgoing.push(Outgoing {
                     dest: sent.dest,
                     payload: (slot.tag, sent.payload),
@@ -297,10 +338,17 @@ where
                 sweep = true;
             }
         }
-        // Whatever is left in the index matched no slot at all: the instance
-        // was already retired (or never scheduled). Zero clones were paid.
-        for positions in index.into_values() {
-            self.work.dropped_retired += positions.len() as u64;
+        if unclaimed > 0 {
+            // Nobody has sent for a slot that has not started yet, so a match
+            // there cannot occur on the wire; it is dropped silently. Whatever
+            // else is left matched no slot at all: the instance was already
+            // retired (or never scheduled).
+            let early = self
+                .slots
+                .iter()
+                .filter(|slot| ctx.round < slot.start_round);
+            unclaimed -= early.map(|slot| demux.of(slot.tag).len()).sum::<usize>();
+            self.work.dropped_retired += unclaimed as u64;
         }
         self.decided += newly_decided.len();
         for tag in newly_decided {
@@ -406,10 +454,7 @@ impl<F: ProtocolFactory> StreamDriver<F> {
     }
 }
 
-impl<F: ProtocolFactory> ProtocolFactory for StreamDriver<F>
-where
-    <F::Node as Protocol>::Payload: Send + Sync + 'static,
-{
+impl<F: ProtocolFactory> ProtocolFactory for StreamDriver<F> {
     type Node = MuxNode<F::Node>;
 
     fn protocol_name(&self) -> String {
@@ -531,7 +576,7 @@ pub struct StreamSection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Destination;
+    use crate::message::{Destination, Envelope};
     use crate::shared::thread_allocations;
 
     /// A toy protocol: broadcasts its input in round 1, outputs the smallest
@@ -551,12 +596,12 @@ mod tests {
             self.id
         }
 
-        fn step(&mut self, ctx: &RoundContext, inbox: &[Envelope<u64>]) -> Vec<Outgoing<u64>> {
+        fn step(&mut self, ctx: &RoundContext, inbox: Inbox<'_, u64>) -> Vec<Outgoing<u64>> {
             match ctx.round {
                 1 => vec![Outgoing::broadcast(self.input)],
                 _ => {
                     if self.output.is_none() {
-                        let heard = inbox.iter().map(|e| *e.payload.get()).min();
+                        let heard = inbox.iter().map(|(_, payload)| *payload).min();
                         self.output = Some(heard.map_or(self.input, |m| m.min(self.input)));
                     }
                     Vec::new()
@@ -595,7 +640,7 @@ mod tests {
         let mut node = MuxNode::new(a, vec![slot(0, 1, a, 10), slot(1, 3, a, 20)]);
 
         // Round 1: only instance 0 is live; it broadcasts tagged payloads.
-        let out = node.step(&RoundContext::new(1), &[]);
+        let out = node.step(&RoundContext::new(1), Inbox::default());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].payload, (0, 10));
         assert!(matches!(out[0].dest, Destination::Broadcast));
@@ -603,26 +648,31 @@ mod tests {
         // Round 2: instance 0 hears a tagged 7 (and ignores instance 1 traffic),
         // decides min(10, 7) = 7; instance 1 still has not started.
         let b = NodeId::new(2);
-        let inbox = vec![
+        let inbox = [
             Envelope::new(b, (0u64, 7u64)),
             Envelope::new(b, (1u64, 999u64)),
         ];
-        let out = node.step(&RoundContext::new(2), &inbox);
+        let out = node.step(&RoundContext::new(2), Inbox::from(&inbox[..]));
         assert!(out.is_empty());
         let done = completed_of(&node, 0);
         assert_eq!(done.output, Some(7));
         assert_eq!(done.decided_round, Some(2));
         assert_eq!(node.slots().len(), 1, "only instance 1 is still live");
+        assert_eq!(
+            node.work().dropped_retired,
+            0,
+            "traffic for a slot that has not started is not retired traffic"
+        );
         assert!(!node.terminated());
         assert_eq!(node.retired_frontier(), 1, "tag 0 is globally done locally");
 
         // Round 3: instance 1 starts at its local round 1 and broadcasts.
-        let out = node.step(&RoundContext::new(3), &[]);
+        let out = node.step(&RoundContext::new(3), Inbox::default());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].payload, (1, 20));
 
         // Round 4: instance 1 decides on its own input; the mux terminates.
-        let out = node.step(&RoundContext::new(4), &[]);
+        let out = node.step(&RoundContext::new(4), Inbox::default());
         assert!(out.is_empty());
         assert_eq!(completed_of(&node, 1).output, Some(20));
         assert!(node.terminated());
@@ -634,11 +684,11 @@ mod tests {
     fn terminated_instances_stop_stepping() {
         let a = NodeId::new(1);
         let mut node = MuxNode::new(a, vec![slot(0, 1, a, 5)]);
-        node.step(&RoundContext::new(1), &[]);
-        node.step(&RoundContext::new(2), &[]);
+        node.step(&RoundContext::new(1), Inbox::default());
+        node.step(&RoundContext::new(2), Inbox::default());
         assert!(node.terminated());
         // Further rounds are no-ops and do not disturb the decide round.
-        let out = node.step(&RoundContext::new(3), &[]);
+        let out = node.step(&RoundContext::new(3), Inbox::default());
         assert!(out.is_empty());
         assert_eq!(node.completed()[0].decided_round, Some(2));
         // The decided instance never steps again.
@@ -646,14 +696,14 @@ mod tests {
     }
 
     #[test]
-    fn demuxing_projects_instead_of_cloning() {
+    fn demuxing_borrows_instead_of_cloning() {
         let a = NodeId::new(1);
         let b = NodeId::new(2);
         let mut node = MuxNode::new(a, vec![slot(0, 1, a, 10)]);
-        node.step(&RoundContext::new(1), &[]);
-        let inbox = vec![Envelope::new(b, (0u64, 7u64))];
+        node.step(&RoundContext::new(1), Inbox::default());
+        let inbox = [Envelope::new(b, (0u64, 7u64))];
         let before = thread_allocations();
-        node.step(&RoundContext::new(2), &inbox);
+        node.step(&RoundContext::new(2), Inbox::from(&inbox[..]));
         assert_eq!(
             thread_allocations() - before,
             0,
@@ -668,21 +718,21 @@ mod tests {
         let b = NodeId::new(2);
         let mut node = MuxNode::new(a, vec![slot(0, 1, a, 5), slot(1, 1, a, 6)]);
         // Both instances decide in round 2 and retire.
-        node.step(&RoundContext::new(1), &[]);
-        node.step(&RoundContext::new(2), &[]);
+        node.step(&RoundContext::new(1), Inbox::default());
+        node.step(&RoundContext::new(2), Inbox::default());
         assert!(node.terminated());
         assert_eq!(node.slots().len(), 0);
         assert_eq!(node.completed().len(), 2);
 
         // Late traffic for a retired tag and for a tag never scheduled: both
         // are dropped during indexing, with no payload clone.
-        let inbox = vec![
+        let inbox = [
             Envelope::new(b, (0u64, 1u64)),
             Envelope::new(b, (0u64, 2u64)),
             Envelope::new(b, (9u64, 3u64)),
         ];
         let before = thread_allocations();
-        let out = node.step(&RoundContext::new(3), &inbox);
+        let out = node.step(&RoundContext::new(3), Inbox::from(&inbox[..]));
         assert!(out.is_empty());
         assert_eq!(thread_allocations() - before, 0, "dropping must not clone");
         assert_eq!(node.work().dropped_retired, 3);
@@ -694,16 +744,16 @@ mod tests {
         let a = NodeId::new(1);
         // Instance 1 decides before instance 0 (it starts earlier).
         let mut node = MuxNode::new(a, vec![slot(0, 4, a, 5), slot(1, 1, a, 6)]);
-        node.step(&RoundContext::new(1), &[]);
-        node.step(&RoundContext::new(2), &[]);
+        node.step(&RoundContext::new(1), Inbox::default());
+        node.step(&RoundContext::new(2), Inbox::default());
         assert_eq!(node.completed().len(), 1, "instance 1 has retired");
         assert_eq!(
             node.retired_frontier(),
             0,
             "tag 0 is still live, so nothing below it is retired"
         );
-        node.step(&RoundContext::new(4), &[]);
-        node.step(&RoundContext::new(5), &[]);
+        node.step(&RoundContext::new(4), Inbox::default());
+        node.step(&RoundContext::new(5), Inbox::default());
         assert!(node.terminated());
         assert_eq!(node.retired_frontier(), 2, "the prefix closed in one jump");
     }

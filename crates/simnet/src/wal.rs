@@ -34,10 +34,10 @@ use std::hash::Hasher;
 
 use serde::{Deserialize, Serialize};
 
-use crate::engine::FastHasher;
+use crate::engine::{FastHasher, FastState};
 use crate::error::SimError;
 use crate::id::NodeId;
-use crate::message::Envelope;
+use crate::message::{Envelope, Inbox};
 use crate::node::{Protocol, RoundContext};
 use crate::shared::{payload_digest, Shared};
 
@@ -459,10 +459,13 @@ pub type Snapshotter<N> = Box<dyn Fn(&N) -> N>;
 pub struct RecoveryManager<N: Protocol> {
     snapshot: Snapshotter<N>,
     config: WalConfig,
-    wals: HashMap<NodeId, Wal<N::Payload>>,
-    bases: HashMap<NodeId, N>,
+    // The maps are looked up per node per round and per traffic item, and
+    // never observed through their iteration order (`wal_entries` is a sum),
+    // so they use the engine's fast hasher.
+    wals: HashMap<NodeId, Wal<N::Payload>, FastState>,
+    bases: HashMap<NodeId, N, FastState>,
     /// Crashed correct nodes: id → crash round.
-    crashed: HashMap<NodeId, u64>,
+    crashed: HashMap<NodeId, u64, FastState>,
     /// Crashed Byzantine identities (no state to recover — the adversary is).
     crashed_byzantine: Vec<NodeId>,
     restarts: Vec<RestartRecord>,
@@ -480,9 +483,9 @@ impl<N: Protocol> RecoveryManager<N> {
         RecoveryManager {
             snapshot,
             config,
-            wals: HashMap::new(),
-            bases: HashMap::new(),
-            crashed: HashMap::new(),
+            wals: HashMap::default(),
+            bases: HashMap::default(),
+            crashed: HashMap::default(),
             crashed_byzantine: Vec::new(),
             restarts: Vec::new(),
         }
@@ -498,26 +501,43 @@ impl<N: Protocol> RecoveryManager<N> {
     }
 
     /// Pre-step hook: snapshots the node on its first logged step, opens the
-    /// round and logs the inbox about to be consumed.
-    pub fn begin_step(&mut self, node: &N, round: u64, inbox: &[Envelope<N::Payload>]) {
+    /// round and logs the inbox about to be consumed — one record per entry of
+    /// the view, in delivery order, each holding the entry's own payload
+    /// handle (see `docs/RECOVERY.md` on why the common list is not logged as
+    /// one record).
+    pub fn begin_step(&mut self, node: &N, round: u64, inbox: Inbox<'_, N::Payload>) {
         self.ensure_logged(node, round);
         let wal = self
             .wals
             .get_mut(&node.id())
             .expect("ensure_logged inserted the log");
         wal.begin_round(round);
-        for envelope in inbox {
-            wal.log_consumed(round, envelope.from, envelope.payload.clone());
-        }
+        inbox.for_each_handle(|from, payload| wal.log_consumed(round, from, payload));
     }
 
     /// Per-traffic-item hook: logs one produced message digest against the
     /// sender's open round. Senders without a log (Byzantine identities,
     /// terminated nodes) are skipped.
     pub fn log_sent(&mut self, id: NodeId, digest: u64) {
-        if let Some(wal) = self.wals.get_mut(&id) {
-            if let Some(round) = wal.open_round() {
-                wal.log_sent(round, digest);
+        self.log_sends([(id, digest)]);
+    }
+
+    /// [`RecoveryManager::log_sent`] over a round's traffic, in production
+    /// order: a sender's log is looked up once per run of consecutive items
+    /// from that sender, not once per item.
+    pub fn log_sends(&mut self, sends: impl IntoIterator<Item = (NodeId, u64)>) {
+        let mut sender = None;
+        let mut open: Option<(&mut Wal<N::Payload>, u64)> = None;
+        for (id, digest) in sends {
+            if sender != Some(id) {
+                sender = Some(id);
+                open = self
+                    .wals
+                    .get_mut(&id)
+                    .and_then(|wal| wal.open_round().map(|round| (wal, round)));
+            }
+            if let Some((wal, round)) = &mut open {
+                wal.log_sent(*round, digest);
             }
         }
     }
@@ -596,7 +616,7 @@ impl<N: Protocol> RecoveryManager<N> {
                 } else {
                     replayed_rounds += 1;
                     let ctx = RoundContext::new(replay_round.round);
-                    node.step(&ctx, &replay_round.inbox)
+                    node.step(&ctx, Inbox::from(&replay_round.inbox[..]))
                         .into_iter()
                         .map(|message| payload_digest(&message.payload))
                         .collect()
@@ -830,8 +850,8 @@ mod tests {
             self.id
         }
 
-        fn step(&mut self, ctx: &RoundContext, inbox: &[Envelope<u64>]) -> Vec<Outgoing<u64>> {
-            self.heard += inbox.iter().map(|e| *e.payload.get()).sum::<u64>();
+        fn step(&mut self, ctx: &RoundContext, inbox: Inbox<'_, u64>) -> Vec<Outgoing<u64>> {
+            self.heard += inbox.iter().map(|(_, payload)| payload).sum::<u64>();
             if self.sends < self.quota {
                 self.sends += 1;
                 vec![Outgoing::broadcast(self.id.raw() * 1000 + ctx.round)]
@@ -853,10 +873,11 @@ mod tests {
         let mut live = Logger::new(NodeId::new(7), 10);
         // Drive three rounds through the hooks, mirroring the engine.
         for round in 1..=3u64 {
-            let inbox = vec![Envelope::new(NodeId::new(9), round * 5)];
-            manager.begin_step(&live, round, &inbox);
+            let inbox = [Envelope::new(NodeId::new(9), round * 5)];
+            let inbox = Inbox::from(&inbox[..]);
+            manager.begin_step(&live, round, inbox);
             let ctx = RoundContext::new(round);
-            for message in live.step(&ctx, &inbox) {
+            for message in live.step(&ctx, inbox) {
                 manager.log_sent(live.id(), payload_digest(&message.payload));
             }
             manager.commit_step(&live);

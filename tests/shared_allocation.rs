@@ -13,7 +13,7 @@
 use uba_checker::{attribute_trace, check_zero_copy};
 use uba_simnet::adversary::SilentAdversary;
 use uba_simnet::{
-    shared, EngineConfig, Envelope, NodeId, Outgoing, Protocol, RoundContext, SyncEngine,
+    shared, EngineConfig, Inbox, NodeId, Outgoing, Protocol, RoundContext, SyncEngine,
 };
 
 /// Broadcasts one payload every round, forever (the engine's round cap stops it).
@@ -32,7 +32,7 @@ impl Protocol for Flooder {
     fn step(
         &mut self,
         ctx: &RoundContext,
-        _inbox: &[Envelope<(u64, u64)>],
+        _inbox: Inbox<'_, (u64, u64)>,
     ) -> Vec<Outgoing<(u64, u64)>> {
         vec![Outgoing::broadcast((ctx.round, self.id.raw()))]
     }

@@ -14,7 +14,7 @@ use uba_core::sim::{Simulation, TotalOrderFactory, TotalOrderPlan};
 use uba_core::{Opinion, ParallelMessage, TotalOrderMessage, TotalOrderNode};
 use uba_simnet::shared::allocations;
 use uba_simnet::sim::Harness;
-use uba_simnet::{Envelope, MuxWork, Protocol, RoundContext};
+use uba_simnet::{Envelope, Inbox, MuxWork, Protocol, RoundContext};
 
 /// `shared::allocations()` is process-global and the tests of one binary run on
 /// sibling threads: every test here holds this lock.
@@ -35,7 +35,7 @@ fn fault_free<E>(
     event: impl Fn(u64) -> E,
 ) -> Harness<TotalOrderFactory<E>>
 where
-    E: Opinion + Send + Sync + 'static,
+    E: Opinion + 'static,
 {
     let mut plan = TotalOrderPlan::rounds(rounds);
     for i in 0..events {
@@ -51,7 +51,7 @@ where
 
 fn run_to_stop<E>(harness: &mut Harness<TotalOrderFactory<E>>)
 where
-    E: Opinion + Send + Sync + 'static,
+    E: Opinion + 'static,
 {
     while !harness.stopped() {
         harness.step_round().expect("fault-free run");
@@ -115,7 +115,7 @@ fn a_fault_free_node_drives_seven_instances_a_round_not_the_finality_window() {
     assert!(finalised > 0 && decided > finalised);
     let inbox = [stale(finalised), stale(decided), stale(node.round() + 5)];
     let before = node.work();
-    node.step(&RoundContext::new(rounds + 1), &inbox);
+    node.step(&RoundContext::new(rounds + 1), Inbox::from(&inbox[..]));
     let after = node.work();
     assert_eq!(after.envelopes_indexed - before.envelopes_indexed, 3);
     assert_eq!(after.dropped_retired - before.dropped_retired, 3);
