@@ -92,9 +92,14 @@ impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> Protocol for StBroadcas
                         out.push(Outgoing::broadcast(StMessage::Echo(m.clone())));
                     }
                 }
-                StMessage::Echo(m) => {
-                    self.echo_votes.entry(m.clone()).or_default().insert(from);
-                }
+                StMessage::Echo(m) => match self.echo_votes.get_mut(m) {
+                    Some(votes) => {
+                        votes.insert(from);
+                    }
+                    None => {
+                        self.echo_votes.insert(m.clone(), BTreeSet::from([from]));
+                    }
+                },
                 StMessage::Init(_) => {}
             }
         }

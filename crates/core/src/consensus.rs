@@ -23,8 +23,21 @@
 //! is assumed to have sent *the same message this node sent in the previous round*
 //! (the "missing message substitution" rule) — this keeps the `2n_v/3` thresholds
 //! reachable after Byzantine nodes go silent or correct nodes terminate early.
-
-use std::collections::{BTreeMap, BTreeSet};
+//!
+//! # Working state, and one pass over the inbox
+//!
+//! What a node needs only while deciding — roster, rotor, votes — sits in one box
+//! its first step creates and its decision releases, so building a node allocates
+//! nothing and a decided node holds nothing but its decision.
+//!
+//! From round 3 on a step reads its inbox once ([`SenderTracker::ranked`]): each
+//! sender is resolved to its rank once per run of consecutive entries, a non-member's
+//! entries are skipped, the member is marked as heard this phase, an `Echo` goes to
+//! the rotor's [`EchoVotes`] and a vote of the kind this phase step counts goes
+//! straight into the step's tally. The rounds whose inbox is the ~n² rotor echoes
+//! cost one bit operation per entry. `heard_this_phase` is *not* marked in the
+//! `Input` step: its inbox carries the previous phase's last rotor echoes, and a
+//! member that has only finished the previous phase has not spoken in this one.
 
 use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
@@ -63,9 +76,9 @@ pub mod mutation {
 
 use crate::membership::SenderTracker;
 use crate::quorum::{meets_one_third, meets_two_thirds};
-use crate::rotor::{RotorMessage, RotorState};
+use crate::rotor::{EchoVotes, RotorMessage, RotorState};
 use crate::value::Opinion;
-use crate::vote::VoteTally;
+use crate::vote::{VoteTally, VoterSet};
 
 /// Wire messages of the consensus protocol.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -123,20 +136,29 @@ impl PhaseStep {
             _ => PhaseStep::Resolve,
         })
     }
+
+    /// The value `message` votes for, if it is of the kind this step counts.
+    fn vote<V>(self, message: &ConsensusMessage<V>) -> Option<&V> {
+        match (self, message) {
+            (PhaseStep::Prefer, ConsensusMessage::Input(v))
+            | (PhaseStep::StrongPrefer, ConsensusMessage::Prefer(v))
+            | (PhaseStep::Rotor, ConsensusMessage::StrongPrefer(v)) => Some(v),
+            _ => None,
+        }
+    }
 }
 
-/// A node running Algorithm 3.
+/// Everything a node needs only while it is still deciding: created by its first
+/// step (building a node allocates nothing, and a stream builds thousands of them
+/// before any of them runs) and released with the decision — a decided node never
+/// steps again, so it keeps its decision and drops its roster, rotor and votes then,
+/// not when the run is torn down.
 #[derive(Clone, Debug)]
-pub struct Consensus<V: Opinion> {
-    id: NodeId,
-    /// The node's current opinion `x_v`.
-    opinion: V,
-    /// The original input (kept for diagnostics).
-    input: V,
+struct Deliberation<V: Opinion> {
     senders: SenderTracker,
     rotor: RotorState<V>,
-    /// Rotor echoes received since the last rotor round: candidate → distinct voters.
-    rotor_echo_buffer: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    /// Rotor echoes received since the last rotor round.
+    rotor_echoes: EchoVotes,
     /// Strong-prefer tally received in the rotor round, applied in the resolve round.
     stashed_strong: VoteTally<V>,
     /// The coordinator selected in this phase's rotor round.
@@ -150,7 +172,35 @@ pub struct Consensus<V: Opinion> {
     /// silent (counted-but-mute Byzantine nodes, or correct nodes that already
     /// terminated) are, which is exactly what keeps the thresholds reachable without
     /// letting a node manufacture quorums out of its own opinion.
-    heard_this_phase: BTreeSet<NodeId>,
+    heard_this_phase: VoterSet,
+}
+
+impl<V: Opinion> Default for Deliberation<V> {
+    fn default() -> Self {
+        Deliberation {
+            senders: SenderTracker::new(),
+            rotor: RotorState::new(),
+            rotor_echoes: EchoVotes::default(),
+            stashed_strong: VoteTally::new(),
+            phase_coordinator: None,
+            last_broadcast: Vec::new(),
+            heard_this_phase: VoterSet::default(),
+        }
+    }
+}
+
+/// A node running Algorithm 3.
+#[derive(Clone, Debug)]
+pub struct Consensus<V: Opinion> {
+    id: NodeId,
+    /// The node's current opinion `x_v`.
+    opinion: V,
+    /// The original input (kept for diagnostics).
+    input: V,
+    /// `n_v` as of the last step.
+    n_v: usize,
+    /// `None` before the first step and after the decision.
+    deliberation: Option<Box<Deliberation<V>>>,
     decision: Option<Decision<V>>,
     phase: u64,
 }
@@ -162,13 +212,8 @@ impl<V: Opinion> Consensus<V> {
             id,
             opinion: input.clone(),
             input,
-            senders: SenderTracker::new(),
-            rotor: RotorState::new(),
-            rotor_echo_buffer: BTreeMap::new(),
-            stashed_strong: VoteTally::new(),
-            phase_coordinator: None,
-            last_broadcast: Vec::new(),
-            heard_this_phase: BTreeSet::new(),
+            n_v: 0,
+            deliberation: None,
             decision: None,
             phase: 0,
         }
@@ -186,7 +231,7 @@ impl<V: Opinion> Consensus<V> {
 
     /// The frozen membership size `n_v` (0 before initialisation completes).
     pub fn n_v(&self) -> usize {
-        self.senders.n_v()
+        self.n_v
     }
 
     /// The current phase number (1-based; 0 before the first phase starts).
@@ -198,61 +243,26 @@ impl<V: Opinion> Consensus<V> {
     pub fn decision(&self) -> Option<&Decision<V>> {
         self.decision.as_ref()
     }
+}
 
-    /// The inbox restricted to members.
-    fn filtered<'a>(
-        &self,
-        inbox: Inbox<'a, ConsensusMessage<V>>,
-    ) -> Vec<(NodeId, &'a ConsensusMessage<V>)> {
-        self.senders.filter_inbox(inbox).collect()
-    }
-
-    fn buffer_rotor_echoes(&mut self, inbox: Inbox<'_, ConsensusMessage<V>>) {
-        for (from, message) in inbox {
-            if !self.senders.contains(from) {
-                continue;
-            }
-            if let ConsensusMessage::Echo(candidate) = message {
-                self.rotor_echo_buffer
-                    .entry(*candidate)
-                    .or_default()
-                    .insert(from);
-            }
+impl<V: Opinion> Deliberation<V> {
+    /// Completes a step's tally with the missing-message substitution rule: every
+    /// frozen member that has been silent *for the entire current phase* is assumed
+    /// to have sent whatever this node broadcast in the previous round. Members that
+    /// spoke at any point during the phase are never substituted, even if they sent
+    /// nothing this particular round.
+    fn substitute_silent(&self, step: PhaseStep, tally: &mut VoteTally<V>) {
+        let substitutes = self.last_broadcast.iter().filter_map(|m| step.vote(m));
+        if substitutes.clone().next().is_none() {
+            return;
         }
-    }
-
-    /// Tallies the votes of one message kind in this round's inbox, applying the
-    /// missing-message substitution rule: every frozen member that has been silent
-    /// *for the entire current phase* is assumed to have sent whatever this node
-    /// broadcast in the previous round. Members that spoke at any point during the
-    /// phase are never substituted, even if they sent nothing this particular round.
-    fn tally_with_substitution<F>(
-        &self,
-        inbox: &[(NodeId, &ConsensusMessage<V>)],
-        extract: F,
-    ) -> VoteTally<V>
-    where
-        F: Fn(&ConsensusMessage<V>) -> Option<&V>,
-    {
-        let mut tally = VoteTally::new();
-        for &(from, message) in inbox {
-            if let Some(value) = extract(message) {
-                tally.insert(from, value.clone());
-            }
-        }
-        // Substitution: members silent for the whole phase are assumed to have sent
-        // what we sent in the previous round.
-        let substitutes: Vec<&V> = self.last_broadcast.iter().filter_map(extract).collect();
-        if !substitutes.is_empty() {
-            for member in self.senders.members() {
-                if !self.heard_this_phase.contains(&member) {
-                    for value in &substitutes {
-                        tally.insert(member, (*value).clone());
-                    }
+        for member in self.senders.ranks() {
+            if !self.heard_this_phase.contains(member) {
+                for value in substitutes.clone() {
+                    tally.insert(member, value);
                 }
             }
         }
-        tally
     }
 }
 
@@ -278,9 +288,12 @@ impl<V: Opinion> Protocol for Consensus<V> {
         if self.decision.is_some() {
             return Vec::new();
         }
+        let mut deliberation = self.deliberation.take().unwrap_or_default();
+        let state = &mut *deliberation;
 
         // Membership: grows during initialisation (rounds 1–3), frozen afterwards.
-        self.senders.record_inbox(inbox);
+        state.senders.record_inbox(inbox);
+        self.n_v = state.senders.n_v();
 
         let out: Vec<ConsensusMessage<V>> = match ctx.round {
             // Round 1: rotor initialisation — announce presence / willingness.
@@ -296,40 +309,58 @@ impl<V: Opinion> Protocol for Consensus<V> {
                 // seen during rounds 1–3 and frozen ("later, a node only accepts
                 // messages from a node if it counted towards n_v").
                 if ctx.round == 3 {
-                    self.senders.freeze();
+                    state.senders.freeze();
                 }
-                // Rotor echoes can arrive in any round (they are broadcast during the
-                // initialisation echo round and during rotor rounds); buffer them for
-                // the next rotor round.
-                self.buffer_rotor_echoes(inbox);
-
-                let inbox = self.filtered(inbox);
-                let n_v = self.senders.n_v();
+                let n_v = self.n_v;
                 let step = PhaseStep::from_round(ctx.round).expect("round ≥ 3");
                 if step == PhaseStep::Input {
                     // A new phase starts: forget who spoke in the previous one. The
                     // inbox of the input round carries no phase traffic (the resolve
                     // step broadcasts nothing), so recording starts from the next round.
-                    self.heard_this_phase.clear();
-                } else {
-                    self.heard_this_phase
-                        .extend(inbox.iter().map(|&(from, _)| from));
+                    state.heard_this_phase.clear();
                 }
+
+                // The one pass. Rotor echoes can arrive in any round (they are
+                // broadcast during the initialisation echo round and during rotor
+                // rounds) and wait in `rotor_echoes` for the next rotor round.
+                let mut tally = VoteTally::new();
+                let mut coordinator_opinion = None;
+                for (from, member, message) in state.senders.ranked(inbox) {
+                    if step != PhaseStep::Input {
+                        state.heard_this_phase.insert(member);
+                    }
+                    match message {
+                        ConsensusMessage::Echo(candidate) => {
+                            state.rotor_echoes.insert(*candidate, member)
+                        }
+                        // The coordinator's opinion (broadcast in the rotor round)
+                        // arrives in the resolve round; its first word counts.
+                        ConsensusMessage::Opinion(v)
+                            if step == PhaseStep::Resolve
+                                && coordinator_opinion.is_none()
+                                && state.phase_coordinator == Some(from) =>
+                        {
+                            coordinator_opinion = Some(v);
+                        }
+                        _ => {
+                            if let Some(value) = step.vote(message) {
+                                tally.insert(member, value);
+                            }
+                        }
+                    }
+                }
+                state.substitute_silent(step, &mut tally);
 
                 match step {
                     PhaseStep::Input => {
                         self.phase += 1;
-                        self.phase_coordinator = None;
-                        self.stashed_strong = VoteTally::new();
+                        state.phase_coordinator = None;
+                        state.stashed_strong = VoteTally::new();
                         vec![ConsensusMessage::Input(self.opinion.clone())]
                     }
                     PhaseStep::Prefer => {
-                        let tally = self.tally_with_substitution(&inbox, |m| match m {
-                            ConsensusMessage::Input(v) => Some(v),
-                            _ => None,
-                        });
                         if mutation::decide_on_equivocation_pair() && self.decision.is_none() {
-                            if let Some(value) = clean_equivocation_pair(&tally) {
+                            if let Some(value) = clean_equivocation_pair(&tally, &state.senders) {
                                 self.decision = Some(Decision {
                                     value,
                                     phase: self.phase,
@@ -338,18 +369,12 @@ impl<V: Opinion> Protocol for Consensus<V> {
                             }
                         }
                         let mut out = Vec::new();
-                        for (value, count) in tally.iter().map(|(v, s)| (v, s.len())) {
-                            if meets_two_thirds(count, n_v) {
-                                out.push(ConsensusMessage::Prefer(value.clone()));
-                            }
+                        for (value, _) in tally.meeting_two_thirds(n_v) {
+                            out.push(ConsensusMessage::Prefer(value.clone()));
                         }
                         out
                     }
                     PhaseStep::StrongPrefer => {
-                        let tally = self.tally_with_substitution(&inbox, |m| match m {
-                            ConsensusMessage::Prefer(v) => Some(v),
-                            _ => None,
-                        });
                         let mut out = Vec::new();
                         // Line 8–10: adopt a value with n_v/3 support.
                         if let Some((value, count)) = tally.plurality() {
@@ -358,30 +383,25 @@ impl<V: Opinion> Protocol for Consensus<V> {
                             }
                         }
                         // Line 11–13: strong-prefer a value with 2n_v/3 support.
-                        for (value, count) in tally.iter().map(|(v, s)| (v, s.len())) {
-                            if meets_two_thirds(count, n_v) {
-                                out.push(ConsensusMessage::StrongPrefer(value.clone()));
-                            }
+                        for (value, _) in tally.meeting_two_thirds(n_v) {
+                            out.push(ConsensusMessage::StrongPrefer(value.clone()));
                         }
                         out
                     }
                     PhaseStep::Rotor => {
                         // The strong-prefer messages physically arrive in this round;
                         // their effect is applied in the resolve round (line 15–21).
-                        self.stashed_strong = self.tally_with_substitution(&inbox, |m| match m {
-                            ConsensusMessage::StrongPrefer(v) => Some(v),
-                            _ => None,
-                        });
+                        state.stashed_strong = tally;
                         // Line 14: execute one rotor round with the buffered echoes.
-                        let echo_votes = std::mem::take(&mut self.rotor_echo_buffer);
-                        let rotor_out = self.rotor.loop_round(
+                        let rotor_out = state.rotor.loop_round(
                             self.id,
                             &self.opinion,
                             n_v,
-                            &echo_votes,
-                            &BTreeMap::new(),
+                            state.rotor_echoes.counts(),
+                            None,
                         );
-                        self.phase_coordinator = self.rotor.current_coordinator();
+                        state.rotor_echoes.clear();
+                        state.phase_coordinator = state.rotor.current_coordinator();
                         rotor_out
                             .into_iter()
                             .map(|m| match m {
@@ -392,16 +412,11 @@ impl<V: Opinion> Protocol for Consensus<V> {
                             .collect()
                     }
                     PhaseStep::Resolve => {
-                        // The coordinator's opinion (broadcast in the rotor round)
-                        // arrives now.
-                        let coordinator_opinion = self.phase_coordinator.and_then(|p| {
-                            inbox.iter().find_map(|&(from, message)| match message {
-                                ConsensusMessage::Opinion(v) if from == p => Some(v.clone()),
-                                _ => None,
-                            })
-                        });
-                        let strongest =
-                            self.stashed_strong.plurality().map(|(v, c)| (v.clone(), c));
+                        let coordinator_opinion = coordinator_opinion.cloned();
+                        let strongest = state
+                            .stashed_strong
+                            .plurality()
+                            .map(|(v, c)| (v.clone(), c));
                         match strongest {
                             // Line 19–21: decide on 2n_v/3 strong support.
                             Some((value, count)) if meets_two_thirds(count, n_v) => {
@@ -432,7 +447,10 @@ impl<V: Opinion> Protocol for Consensus<V> {
             }
         };
 
-        self.last_broadcast = out.clone();
+        if self.decision.is_none() {
+            deliberation.last_broadcast.clone_from(&out);
+            self.deliberation = Some(deliberation);
+        }
         out.into_iter().map(Outgoing::broadcast).collect()
     }
 
@@ -444,25 +462,23 @@ impl<V: Opinion> Protocol for Consensus<V> {
 /// Detects the [`mutation::DECIDE_ON_EQUIVOCATION_PAIR`] trigger in an input
 /// tally: a sender whose voted value-set is exactly a pair `{a, b}`, where each
 /// of `a` and `b` also has at least one supporter that voted *only* that value.
-/// Returns the smaller value of the first qualifying pair (senders iterate in
-/// identifier order, so the witness is deterministic).
-fn clean_equivocation_pair<V: Opinion>(tally: &VoteTally<V>) -> Option<V> {
-    let mut by_sender: BTreeMap<NodeId, Vec<&V>> = BTreeMap::new();
-    for (value, senders) in tally.iter() {
-        for &sender in senders {
-            by_sender.entry(sender).or_default().push(value);
+/// Returns the smaller value of the first qualifying pair (senders are walked in
+/// rank order — identifier order — so the witness is deterministic).
+fn clean_equivocation_pair<V: Opinion>(tally: &VoteTally<V>, senders: &SenderTracker) -> Option<V> {
+    let voted_by = |sender| {
+        tally
+            .iter()
+            .filter(move |(_, voters)| voters.contains(sender))
+            .map(|(value, _)| value)
+    };
+    let single_valued = |value: &V| senders.ranks().any(|sender| voted_by(sender).eq([value]));
+    senders.ranks().find_map(|sender| {
+        let mut values = voted_by(sender);
+        match (values.next(), values.next(), values.next()) {
+            // `tally.iter()` is in value order, so `a` is the smaller of the pair.
+            (Some(a), Some(b), None) if single_valued(a) && single_valued(b) => Some(a.clone()),
+            _ => None,
         }
-    }
-    let single_valued: BTreeSet<&V> = by_sender
-        .values()
-        .filter(|values| values.len() == 1)
-        .map(|values| values[0])
-        .collect();
-    by_sender.values().find_map(|values| match values[..] {
-        [a, b] if single_valued.contains(a) && single_valued.contains(b) => {
-            Some(a.clone().min(b.clone()))
-        }
-        _ => None,
     })
 }
 

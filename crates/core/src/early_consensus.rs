@@ -21,14 +21,12 @@
 //! [`ParallelConsensus`](crate::parallel_consensus::ParallelConsensus), which drives
 //! the per-instance [`EarlyConsensus`] state machines defined here.
 
-use std::collections::BTreeSet;
-
 use uba_simnet::NodeId;
 
-use crate::membership::SenderTracker;
+use crate::membership::{Rank, SenderTracker};
 use crate::quorum::{meets_one_third, meets_two_thirds};
 use crate::value::Opinion;
-use crate::vote::VoteTally;
+use crate::vote::{VoteTally, VoterSet};
 
 /// Identifier of a parallel-consensus instance (the paper's `id` in `(id, x)` pairs).
 pub type InstanceId = u64;
@@ -190,13 +188,13 @@ impl<V: Opinion> EarlyConsensus<V> {
     fn tally<'a>(
         &'a mut self,
         kind: Kind,
-        votes: &[(NodeId, InstanceVote<'a, V>)],
+        votes: &[(Rank, InstanceVote<'a, V>)],
         members: &SenderTracker,
         phase: u64,
     ) -> VoteTally<Option<&'a V>> {
         let idx = kind as usize;
         let mut tally = VoteTally::new();
-        let mut heard: BTreeSet<NodeId> = BTreeSet::new();
+        let mut heard = VoterSet::default();
 
         let first_contact = !self.seen_in_phase1[idx];
         if first_contact && !votes.is_empty() {
@@ -211,7 +209,7 @@ impl<V: Opinion> EarlyConsensus<V> {
         for (from, vote) in votes {
             heard.insert(*from);
             if let InstanceVote::Value(v) = vote {
-                tally.insert(*from, *v);
+                tally.insert(*from, v);
             }
         }
 
@@ -229,9 +227,9 @@ impl<V: Opinion> EarlyConsensus<V> {
             Some((sent_phase, SentVote::Value(value))) if *sent_phase == phase => value.as_ref(),
             _ => None,
         };
-        for member in members.members() {
-            if !heard.contains(&member) {
-                tally.insert(member, substitute);
+        for member in members.ranks() {
+            if !heard.contains(member) {
+                tally.insert(member, &substitute);
             }
         }
         tally
@@ -264,7 +262,7 @@ impl<V: Opinion> EarlyConsensus<V> {
     /// `nopreference` (lines 7–11).
     pub fn step_prefer(
         &mut self,
-        votes: &[(NodeId, InstanceVote<'_, V>)],
+        votes: &[(Rank, InstanceVote<'_, V>)],
         members: &SenderTracker,
         n_v: usize,
         phase: u64,
@@ -287,7 +285,7 @@ impl<V: Opinion> EarlyConsensus<V> {
     /// support, answer with `strongprefer` or `nostrongpreference` (lines 12–19).
     pub fn step_strong(
         &mut self,
-        votes: &[(NodeId, InstanceVote<'_, V>)],
+        votes: &[(Rank, InstanceVote<'_, V>)],
         members: &SenderTracker,
         n_v: usize,
         phase: u64,
@@ -319,7 +317,7 @@ impl<V: Opinion> EarlyConsensus<V> {
     /// the resolve step only ever reads their plurality, so that is what is kept.
     pub fn step_rotor_stash(
         &mut self,
-        votes: &[(NodeId, InstanceVote<'_, V>)],
+        votes: &[(Rank, InstanceVote<'_, V>)],
         members: &SenderTracker,
         phase: u64,
     ) {
@@ -378,10 +376,17 @@ mod tests {
         tracker
     }
 
-    fn value_votes(pairs: &[(u64, Option<u32>)]) -> Vec<(NodeId, InstanceVote<'_, u32>)> {
+    fn rank(members: &SenderTracker, id: u64) -> Rank {
+        members.rank_of(NodeId::new(id)).expect("a member")
+    }
+
+    fn value_votes<'a>(
+        members: &SenderTracker,
+        pairs: &'a [(u64, Option<u32>)],
+    ) -> Vec<(Rank, InstanceVote<'a, u32>)> {
         pairs
             .iter()
-            .map(|(id, v)| (NodeId::new(*id), InstanceVote::Value(v.as_ref())))
+            .map(|(id, v)| (rank(members, *id), InstanceVote::Value(v.as_ref())))
             .collect()
     }
 
@@ -392,21 +397,30 @@ mod tests {
         assert_eq!(inst.step_input(1), Some(ParallelMessage::Input(7, 9)));
         // Everyone sent input(9).
         let prefer = inst.step_prefer(
-            &value_votes(&[(1, Some(9)), (2, Some(9)), (3, Some(9)), (4, Some(9))]),
+            &value_votes(
+                &m,
+                &[(1, Some(9)), (2, Some(9)), (3, Some(9)), (4, Some(9))],
+            ),
             &m,
             4,
             1,
         );
         assert_eq!(prefer, ParallelMessage::Prefer(7, Some(9)));
         let strong = inst.step_strong(
-            &value_votes(&[(1, Some(9)), (2, Some(9)), (3, Some(9)), (4, Some(9))]),
+            &value_votes(
+                &m,
+                &[(1, Some(9)), (2, Some(9)), (3, Some(9)), (4, Some(9))],
+            ),
             &m,
             4,
             1,
         );
         assert_eq!(strong, ParallelMessage::StrongPrefer(7, Some(9)));
         inst.step_rotor_stash(
-            &value_votes(&[(1, Some(9)), (2, Some(9)), (3, Some(9)), (4, Some(9))]),
+            &value_votes(
+                &m,
+                &[(1, Some(9)), (2, Some(9)), (3, Some(9)), (4, Some(9))],
+            ),
             &m,
             1,
         );
@@ -427,7 +441,7 @@ mod tests {
         let mut inst: EarlyConsensus<u32> = EarlyConsensus::without_input(3, 1);
         assert_eq!(inst.step_input(1), None);
         // Only the Byzantine node 5 sent input(42); members 1–4 are filled with ⊥.
-        let prefer = inst.step_prefer(&value_votes(&[(5, Some(42))]), &m, 5, 1);
+        let prefer = inst.step_prefer(&value_votes(&m, &[(5, Some(42))]), &m, 5, 1);
         assert_eq!(
             prefer,
             ParallelMessage::Prefer(3, None),
@@ -435,14 +449,14 @@ mod tests {
         );
         // Everyone correct ends up preferring ⊥.
         let strong = inst.step_strong(
-            &value_votes(&[(1, None), (2, None), (3, None), (4, None)]),
+            &value_votes(&m, &[(1, None), (2, None), (3, None), (4, None)]),
             &m,
             5,
             1,
         );
         assert_eq!(strong, ParallelMessage::StrongPrefer(3, None));
         inst.step_rotor_stash(
-            &value_votes(&[(1, None), (2, None), (3, None), (4, None)]),
+            &value_votes(&m, &[(1, None), (2, None), (3, None), (4, None)]),
             &m,
             1,
         );
@@ -462,7 +476,10 @@ mod tests {
         // Strong-prefer votes arrive, but this is phase 2 and the kind was never seen
         // in phase 1 → discarded, no decision.
         inst.step_rotor_stash(
-            &value_votes(&[(1, Some(5)), (2, Some(5)), (3, Some(5)), (4, Some(5))]),
+            &value_votes(
+                &m,
+                &[(1, Some(5)), (2, Some(5)), (3, Some(5)), (4, Some(5))],
+            ),
             &m,
             2,
         );
@@ -478,9 +495,9 @@ mod tests {
         // Nodes 1–3 vote 7, nodes 4–5 abstain explicitly, node 6 is silent.
         // n_v = 6 → two thirds needs 4. Votes: 3 real + 1 substitution (node 6 silent,
         // we sent input(7)) = 4 → prefer(7).
-        let mut votes = value_votes(&[(1, Some(7)), (2, Some(7)), (3, Some(7))]);
-        votes.push((NodeId::new(4), InstanceVote::Abstain));
-        votes.push((NodeId::new(5), InstanceVote::Abstain));
+        let mut votes = value_votes(&m, &[(1, Some(7)), (2, Some(7)), (3, Some(7))]);
+        votes.push((rank(&m, 4), InstanceVote::Abstain));
+        votes.push((rank(&m, 5), InstanceVote::Abstain));
         let prefer = inst.step_prefer(&votes, &m, 6, 1);
         assert_eq!(prefer, ParallelMessage::Prefer(1, Some(7)));
     }
@@ -494,12 +511,12 @@ mod tests {
         let m = members(&[1, 2, 3, 4]);
         let mut inst = EarlyConsensus::with_input(199, 1u32, 1);
         inst.step_input(1);
-        inst.step_prefer(&value_votes(&[(1, Some(1))]), &m, 4, 1);
+        inst.step_prefer(&value_votes(&m, &[(1, Some(1))]), &m, 4, 1);
         inst.step_strong(&[], &m, 4, 1);
         // The rotor round shows explicit abstentions, so strong support stays below
         // n_v/3 and the node adopts the coordinator's ⊥ opinion.
-        let abstentions: Vec<(NodeId, InstanceVote<'_, u32>)> = (2..=4)
-            .map(|id| (NodeId::new(id), InstanceVote::Abstain))
+        let abstentions: Vec<(Rank, InstanceVote<'_, u32>)> = (2..=4)
+            .map(|id| (rank(&m, id), InstanceVote::Abstain))
             .collect();
         inst.step_rotor_stash(&abstentions, &m, 1);
         inst.step_resolve(Some(None), 4, 1);
@@ -521,20 +538,22 @@ mod tests {
         // Node 1 votes 7 twice and 8 once; nodes 2–4 vote 7; 5 and 6 abstain (so
         // nothing is substituted for them). 7 has four distinct supporters — the
         // duplicate adds none — which is exactly 2n_v/3 at n_v = 6.
-        let mut votes = value_votes(&[
-            (1, Some(7)),
-            (1, Some(7)),
-            (1, Some(8)),
-            (2, Some(7)),
-            (3, Some(7)),
-            (4, Some(7)),
-        ]);
-        votes.push((NodeId::new(5), InstanceVote::Abstain));
-        votes.push((NodeId::new(6), InstanceVote::Abstain));
+        let mut votes = value_votes(
+            &m,
+            &[
+                (1, Some(7)),
+                (1, Some(7)),
+                (1, Some(8)),
+                (2, Some(7)),
+                (3, Some(7)),
+                (4, Some(7)),
+            ],
+        );
+        votes.push((rank(&m, 5), InstanceVote::Abstain));
+        votes.push((rank(&m, 6), InstanceVote::Abstain));
         let tally = inst.tally(Kind::Input, &votes, &m, 1);
         assert_eq!(tally.count(&Some(&7)), 4);
         assert_eq!(tally.count(&Some(&8)), 1, "the same sender, a second value");
-        assert_eq!(tally.total(), 5);
         assert_eq!(
             inst.step_prefer(&votes[..votes.len() - 3], &m, 6, 1),
             ParallelMessage::NoPreference(4),
@@ -558,11 +577,11 @@ mod tests {
         ];
         let mut inst: EarlyConsensus<u32> = EarlyConsensus::without_input(2, 1);
         assert_eq!(
-            inst.step_prefer(&value_votes(&both), &m, 3, 1),
+            inst.step_prefer(&value_votes(&m, &both), &m, 3, 1),
             ParallelMessage::Prefer(2, Some(3))
         );
         assert_eq!(
-            inst.step_strong(&value_votes(&both), &m, 3, 1),
+            inst.step_strong(&value_votes(&m, &both), &m, 3, 1),
             ParallelMessage::StrongPrefer(2, Some(3))
         );
         assert_eq!(inst.opinion(), &Some(3));
@@ -574,7 +593,7 @@ mod tests {
             (3, Some(5)),
             (3, None),
         ];
-        inst.step_rotor_stash(&value_votes(&with_bottom), &m, 1);
+        inst.step_rotor_stash(&value_votes(&m, &with_bottom), &m, 1);
         inst.step_resolve(None, 3, 1);
         assert_eq!(inst.decision(), Some(&None), "a three-all tie breaks to ⊥");
     }
@@ -584,12 +603,12 @@ mod tests {
         let m = members(&[1, 2, 3, 4, 5, 6]);
         let mut inst = EarlyConsensus::with_input(2, 1u32, 1);
         inst.step_input(1);
-        inst.step_prefer(&value_votes(&[(1, Some(1)), (2, Some(0))]), &m, 6, 1);
-        inst.step_strong(&value_votes(&[(1, Some(1))]), &m, 6, 1);
+        inst.step_prefer(&value_votes(&m, &[(1, Some(1)), (2, Some(0))]), &m, 6, 1);
+        inst.step_strong(&value_votes(&m, &[(1, Some(1))]), &m, 6, 1);
         // Almost everyone explicitly reports "no strong preference", so fewer than
         // n_v/3 strong-prefer votes exist → adopt the coordinator's opinion.
-        let abstentions: Vec<(NodeId, InstanceVote<'_, u32>)> = (2..=6)
-            .map(|id| (NodeId::new(id), InstanceVote::Abstain))
+        let abstentions: Vec<(Rank, InstanceVote<'_, u32>)> = (2..=6)
+            .map(|id| (rank(&m, id), InstanceVote::Abstain))
             .collect();
         inst.step_rotor_stash(&abstentions, &m, 1);
         inst.step_resolve(Some(Some(&5)), 6, 1);

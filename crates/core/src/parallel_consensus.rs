@@ -25,13 +25,13 @@
 //! they arrived. Votes and tallies borrow the opinions they count — a value is
 //! cloned only where the node keeps or sends it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
 use crate::early_consensus::{EarlyConsensus, InstanceId, InstanceVote, ParallelMessage};
-use crate::membership::SenderTracker;
-use crate::rotor::{RotorMessage, RotorState};
+use crate::membership::{Rank, SenderTracker};
+use crate::rotor::{EchoVotes, RotorMessage, RotorState};
 use crate::value::Opinion;
 
 /// The output of a parallel consensus node.
@@ -72,7 +72,7 @@ impl PhaseStep {
 }
 
 /// One round's votes per instance, in arrival order.
-type InstanceVotes<'a, V> = BTreeMap<InstanceId, Vec<(NodeId, InstanceVote<'a, V>)>>;
+type InstanceVotes<'a, V> = BTreeMap<InstanceId, Vec<(Rank, InstanceVote<'a, V>)>>;
 
 /// A node running the parallel consensus algorithm.
 #[derive(Clone, Debug)]
@@ -82,10 +82,9 @@ pub struct ParallelConsensus<V: Opinion> {
     inputs: BTreeMap<InstanceId, V>,
     senders: SenderTracker,
     rotor: RotorState<u8>,
-    /// `(candidate, voter)` for every `echo(candidate)` received from a member
-    /// since the last rotor round, in arrival order (duplicates included; the
-    /// rotor round sorts and dedups them once).
-    rotor_echo_buffer: Vec<(NodeId, NodeId)>,
+    /// Rotor echoes received from members since the last rotor round; created at
+    /// the first echo, reused for every later rotor round, released with the decision.
+    rotor_echoes: Option<Box<EchoVotes>>,
     instances: BTreeMap<InstanceId, EarlyConsensus<V>>,
     phase: u64,
     phase_coordinator: Option<NodeId>,
@@ -100,7 +99,7 @@ impl<V: Opinion> ParallelConsensus<V> {
             inputs: inputs.into_iter().collect(),
             senders: SenderTracker::new(),
             rotor: RotorState::new(),
-            rotor_echo_buffer: Vec::new(),
+            rotor_echoes: None,
             instances: BTreeMap::new(),
             phase: 0,
             phase_coordinator: None,
@@ -129,7 +128,7 @@ impl<V: Opinion> ParallelConsensus<V> {
     }
 
     /// Sorts one round's inbox in a single pass, in arrival order: rotor echoes go
-    /// to the echo buffer, the coordinator's opinions (resolve step) and the votes of
+    /// to the echo votes, the coordinator's opinions (resolve step) and the votes of
     /// the kind this phase step expects are grouped per instance — as **borrows**
     /// of the messages that carry them — and instances for identifiers first heard
     /// now are spawned (first phase only). Senders that did not count towards
@@ -141,13 +140,12 @@ impl<V: Opinion> ParallelConsensus<V> {
     ) -> (InstanceVotes<'a, V>, BTreeMap<InstanceId, Option<&'a V>>) {
         let mut votes = InstanceVotes::new();
         let mut opinions = BTreeMap::new();
-        for (from, message) in inbox {
-            if !self.senders.contains(from) {
-                continue;
-            }
+        for (from, member, message) in self.senders.ranked(inbox) {
             let (instance, vote) = match (message, step) {
                 (ParallelMessage::Echo(candidate), _) => {
-                    self.rotor_echo_buffer.push((*candidate, from));
+                    self.rotor_echoes
+                        .get_or_insert_with(Box::default)
+                        .insert(*candidate, member);
                     continue;
                 }
                 (ParallelMessage::Input(id, v), PhaseStep::Prefer) => {
@@ -182,7 +180,7 @@ impl<V: Opinion> ParallelConsensus<V> {
                     continue;
                 }
             }
-            votes.entry(instance).or_default().push((from, vote));
+            votes.entry(instance).or_default().push((member, vote));
         }
         (votes, opinions)
     }
@@ -253,18 +251,13 @@ impl<V: Opinion> ParallelConsensus<V> {
                         state.step_rotor_stash(votes_of(id), &self.senders, phase);
                     }
                 }
-                // One shared rotor round for all instances, over the distinct
-                // `(candidate, voter)` echoes buffered since the previous one.
-                let mut echoes = std::mem::take(&mut self.rotor_echo_buffer);
-                echoes.sort_unstable();
-                echoes.dedup();
-                let echo_votes: BTreeMap<NodeId, BTreeSet<NodeId>> = echoes
-                    .chunk_by(|a, b| a.0 == b.0)
-                    .map(|group| (group[0].0, group.iter().map(|&(_, voter)| voter).collect()))
-                    .collect();
-                let rotor_out =
-                    self.rotor
-                        .loop_round(self.id, &0, n_v, &echo_votes, &BTreeMap::new());
+                // One shared rotor round for all instances, over the echoes
+                // received since the previous one.
+                let echoes = self.rotor_echoes.get_or_insert_with(Box::default);
+                let rotor_out = self
+                    .rotor
+                    .loop_round(self.id, &0, n_v, echoes.counts(), None);
+                echoes.clear();
                 self.phase_coordinator = self.rotor.current_coordinator();
                 let mut out: Vec<ParallelMessage<V>> = rotor_out
                     .into_iter()
@@ -304,6 +297,8 @@ impl<V: Opinion> ParallelConsensus<V> {
                         phase,
                         round,
                     });
+                    // A decided node never reads a vote again.
+                    self.rotor_echoes = None;
                 }
                 Vec::new()
             }

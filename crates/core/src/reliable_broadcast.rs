@@ -21,12 +21,11 @@
 //! uses [`SyncEngine::run_until_all_output`](uba_simnet::SyncEngine) or a fixed round
 //! budget.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
 use crate::membership::SenderTracker;
 use crate::quorum::{meets_one_third, meets_two_thirds};
+use crate::vote::VoteTally;
 
 /// Deliberate-bug switches for the property-fuzz mutation check.
 ///
@@ -142,12 +141,14 @@ impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> ReliableBroadcast<M> {
         self.accepted.iter().any(|a| &a.message == message)
     }
 
-    /// Tallies this round's `echo(m)` votes: distinct senders per message value.
-    fn echo_tally(&self, inbox: Inbox<'_, RbMessage<M>>) -> BTreeMap<M, BTreeSet<NodeId>> {
-        let mut tally: BTreeMap<M, BTreeSet<NodeId>> = BTreeMap::new();
-        for (from, message) in inbox {
+    /// Tallies this round's `echo(m)` votes: distinct senders per message value. The
+    /// roster keeps growing, so the tally is built after this round's senders were
+    /// recorded and lives for this round only.
+    fn echo_tally(&self, inbox: Inbox<'_, RbMessage<M>>) -> VoteTally<M> {
+        let mut tally = VoteTally::new();
+        for (_, voter, message) in self.senders.ranked(inbox) {
             if let RbMessage::Echo(m) = message {
-                tally.entry(m.clone()).or_default().insert(from);
+                tally.insert(voter, m);
             }
         }
         tally
@@ -208,16 +209,16 @@ impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> Protocol for ReliableBr
                 let n_v = self.senders.n_v();
                 let tally = self.echo_tally(inbox);
                 let mut out = Vec::new();
-                for (message, voters) in tally {
-                    let votes = voters.len();
+                for (message, voters) in tally.iter() {
+                    let votes = voters.count();
                     // Line 11–14: support the echo once n_v/3 distinct nodes vouch for it.
-                    if meets_one_third(votes, n_v) && !self.already_accepted(&message) {
+                    if meets_one_third(votes, n_v) && !self.already_accepted(message) {
                         out.push(Outgoing::broadcast(RbMessage::Echo(message.clone())));
                     }
                     // Line 15–18: accept once 2n_v/3 distinct nodes vouch for it.
-                    if meets_two_thirds(votes, n_v) && !self.already_accepted(&message) {
+                    if meets_two_thirds(votes, n_v) && !self.already_accepted(message) {
                         self.accepted.push(Accepted {
-                            message,
+                            message: message.clone(),
                             source: self.source,
                             round: ctx.round,
                         });
@@ -243,6 +244,7 @@ impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> Protocol for ReliableBr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use uba_simnet::adversary::SilentAdversary;
     use uba_simnet::{Adversary, AdversaryView, Directed, FnAdversary, IdSpace, SyncEngine};
 

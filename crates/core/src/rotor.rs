@@ -12,18 +12,36 @@
 //! witnesses a *good round* — a round in which every correct node selected the same,
 //! correct, coordinator — whose opinion every correct node accepts in the next round.
 //!
-//! The module exposes two layers:
+//! The module exposes three layers:
 //!
 //! * [`RotorState`] — the reusable core (candidate tracking, selection, termination),
 //!   consumed by the consensus algorithms which interleave one rotor round per phase;
+//! * [`EchoVotes`] — the one accumulator of `echo(p)` votes all three embeddings
+//!   (consensus, parallel consensus, the standalone protocol) feed and
+//!   [`RotorState::loop_round`] reads the counts of;
 //! * [`RotorCoordinator`] — a standalone [`Protocol`] running one rotor round per
 //!   network round, used directly by the leader-election example and experiment E3.
+//!
+//! # Counting echoes
+//!
+//! The echo rounds put ~n² broadcasts in every inbox, so [`EchoVotes`] is where a
+//! node's time goes. A row per candidate holds one bit per voter [`Rank`] and a
+//! count; rows widen to the highest rank seen, so they stay valid while a roster
+//! that never froze grows. Voters are members, so they have ranks; **candidates are
+//! keyed by identifier**, not by rank: a Byzantine node that sent `Init` to only
+//! some correct nodes is a candidate the others must still tally, echo at `n_v/3`
+//! and admit at `2n_v/3` without its ever having been heard from. Finding a
+//! candidate's row is the one search left per message, and it is usually skipped:
+//! every correct sender echoes the candidates in the same order, so the row after
+//! the one the previous echo named is guessed first and the guess verified by
+//! comparing the identifier. A wrong guess costs a binary search; correctness never
+//! depends on it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
-use crate::membership::SenderTracker;
+use crate::membership::{Rank, SenderTracker};
 use crate::quorum::{meets_one_third, meets_two_thirds};
 use crate::value::Opinion;
 
@@ -110,15 +128,22 @@ impl<V: Opinion> RotorState<V> {
         self.history.last().map(|r| r.coordinator)
     }
 
+    /// The coordinator whose opinion the next loop round accepts (`p'`), if any.
+    pub fn previous_coordinator(&self) -> Option<NodeId> {
+        self.previous_coordinator
+    }
+
     /// Executes one loop round of Algorithm 2 (lines 6–29).
     ///
     /// * `my_id` / `my_opinion` — the executing node and the opinion it would
     ///   distribute if selected as coordinator;
     /// * `n_v` — the node's current count of distinct senders;
-    /// * `echo_votes` — for each candidate `p`, the distinct nodes from which an
-    ///   `echo(p)` was received since the previous loop round;
-    /// * `opinions` — the opinions received since the previous loop round, keyed by
-    ///   true sender.
+    /// * `echo_counts` — for each candidate `p`, in increasing candidate order, the
+    ///   number of distinct nodes from which an `echo(p)` was received since the
+    ///   previous loop round ([`EchoVotes::counts`]);
+    /// * `previous_opinion` — the opinion received from
+    ///   [`previous_coordinator`](Self::previous_coordinator) since the previous loop
+    ///   round, if one arrived.
     ///
     /// Returns the rotor messages to broadcast this round (`B_v`). After termination
     /// the state ignores further calls and returns nothing.
@@ -127,24 +152,22 @@ impl<V: Opinion> RotorState<V> {
         my_id: NodeId,
         my_opinion: &V,
         n_v: usize,
-        echo_votes: &BTreeMap<NodeId, BTreeSet<NodeId>>,
-        opinions: &BTreeMap<NodeId, V>,
+        echo_counts: impl IntoIterator<Item = (NodeId, usize)>,
+        previous_opinion: Option<V>,
     ) -> Vec<RotorMessage<V>> {
         if self.terminated {
             return Vec::new();
         }
         let mut broadcast = Vec::new();
 
-        // Lines 8–11: support candidates that reached the n_v/3 threshold and are not
-        // yet in C_v.
-        for (&candidate, voters) in echo_votes {
-            if meets_one_third(voters.len(), n_v) && !self.candidates.contains(&candidate) {
+        for (candidate, voters) in echo_counts {
+            // Lines 8–11: support candidates that reached the n_v/3 threshold and are
+            // not yet in C_v.
+            if meets_one_third(voters, n_v) && !self.candidates.contains(&candidate) {
                 broadcast.push(RotorMessage::Echo(candidate));
             }
-        }
-        // Lines 12–15: admit candidates that reached the 2n_v/3 threshold into C_v.
-        for (&candidate, voters) in echo_votes {
-            if meets_two_thirds(voters.len(), n_v) {
+            // Lines 12–15: admit candidates that reached the 2n_v/3 threshold into C_v.
+            if meets_two_thirds(voters, n_v) {
                 self.candidates.insert(candidate);
             }
         }
@@ -162,14 +185,10 @@ impl<V: Opinion> RotorState<V> {
         };
 
         // Lines 17–20: accept the opinion of the previous round's coordinator.
-        let accepted_opinion = self
-            .previous_coordinator
-            .and_then(|p_prev| opinions.get(&p_prev).cloned());
-
         self.history.push(RotorRecord {
             loop_round: self.loop_round,
             coordinator,
-            accepted_opinion,
+            accepted_opinion: self.previous_coordinator.and(previous_opinion),
         });
 
         // Lines 21–23: terminate upon re-selecting a coordinator; nothing is broadcast
@@ -193,25 +212,93 @@ impl<V: Opinion> RotorState<V> {
     }
 }
 
-/// Tally helper shared by the standalone protocol and the consensus embedding:
-/// extracts `echo(p)` votes and opinions from an inbox of rotor messages.
-pub fn tally_rotor_inbox<V: Opinion>(
-    inbox: Inbox<'_, RotorMessage<V>>,
-) -> (BTreeMap<NodeId, BTreeSet<NodeId>>, BTreeMap<NodeId, V>) {
-    let mut echo_votes: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
-    let mut opinions: BTreeMap<NodeId, V> = BTreeMap::new();
-    for (from, message) in inbox {
-        match message {
-            RotorMessage::Echo(candidate) => {
-                echo_votes.entry(*candidate).or_default().insert(from);
+/// The `echo(p)` votes received since the last rotor round: per candidate, a bit row
+/// of voter ranks and the number of bits set.
+#[derive(Clone, Debug, Default)]
+pub struct EchoVotes {
+    /// Candidate and distinct-voter count of each row, in arrival order.
+    rows: Vec<(NodeId, u32)>,
+    /// Row numbers in increasing candidate order.
+    by_candidate: Vec<u32>,
+    /// `rows.len()` bit rows of `words` words each.
+    bits: Vec<u64>,
+    /// Words per row: as many as the highest voter rank seen needs.
+    words: usize,
+    /// The row after the one the previous echo named: the first guess for the next.
+    next: usize,
+}
+
+impl EchoVotes {
+    /// Records an `echo(candidate)` from `voter`; a repeated echo counts once.
+    pub fn insert(&mut self, candidate: NodeId, voter: Rank) {
+        if voter.index() / 64 >= self.words {
+            self.widen(voter.index() / 64 + 1);
+        }
+        let guess = if self.next < self.rows.len() {
+            self.next
+        } else {
+            0
+        };
+        let row = match self.rows.get(guess) {
+            Some(&(guessed, _)) if guessed == candidate => guess,
+            _ => self.row_of(candidate),
+        };
+        self.next = row + 1;
+        let word = &mut self.bits[row * self.words + voter.index() / 64];
+        let bit = 1 << (voter.index() % 64);
+        self.rows[row].1 += (*word & bit == 0) as u32;
+        *word |= bit;
+    }
+
+    /// Re-lays the rows out `words` words wide.
+    fn widen(&mut self, words: usize) {
+        let mut bits = vec![0; self.rows.len() * words];
+        if self.words > 0 {
+            for (old, new) in self
+                .bits
+                .chunks_exact(self.words)
+                .zip(bits.chunks_exact_mut(words))
+            {
+                new[..self.words].copy_from_slice(old);
             }
-            RotorMessage::Opinion(value) => {
-                opinions.insert(from, value.clone());
+        }
+        self.bits = bits;
+        self.words = words;
+    }
+
+    /// The candidate's row, added if this is its first echo.
+    fn row_of(&mut self, candidate: NodeId) -> usize {
+        let rows = &self.rows;
+        match self
+            .by_candidate
+            .binary_search_by_key(&candidate, |&row| rows[row as usize].0)
+        {
+            Ok(at) => self.by_candidate[at] as usize,
+            Err(at) => {
+                let row = self.rows.len();
+                self.by_candidate.insert(at, row as u32);
+                self.rows.push((candidate, 0));
+                self.bits.resize(self.bits.len() + self.words, 0);
+                row
             }
-            RotorMessage::Init => {}
         }
     }
-    (echo_votes, opinions)
+
+    /// `(candidate, distinct voters)` in increasing candidate order.
+    pub fn counts(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.by_candidate.iter().map(|&row| {
+            let (candidate, voters) = self.rows[row as usize];
+            (candidate, voters as usize)
+        })
+    }
+
+    /// Forgets every vote, keeping the allocations and the row width.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+        self.by_candidate.clear();
+        self.bits.clear();
+        self.next = 0;
+    }
 }
 
 /// The output of a completed standalone rotor run.
@@ -290,10 +377,28 @@ impl<V: Opinion> Protocol for RotorCoordinator<V> {
                 .collect(),
             // Rounds 3… (lines 5–30): the selection loop.
             _ => {
-                let (echo_votes, opinions) = tally_rotor_inbox(inbox);
                 let n_v = self.senders.n_v();
+                let previous = self.state.previous_coordinator();
+                let mut echoes = EchoVotes::default();
+                let mut opinion = None;
+                for (from, voter, message) in self.senders.ranked(inbox) {
+                    match message {
+                        RotorMessage::Echo(candidate) => echoes.insert(*candidate, voter),
+                        // The last one wins, as the coordinator's final word.
+                        RotorMessage::Opinion(value) if Some(from) == previous => {
+                            opinion = Some(value)
+                        }
+                        _ => {}
+                    }
+                }
                 self.state
-                    .loop_round(self.id, &self.opinion, n_v, &echo_votes, &opinions)
+                    .loop_round(
+                        self.id,
+                        &self.opinion,
+                        n_v,
+                        echoes.counts(),
+                        opinion.cloned(),
+                    )
                     .into_iter()
                     .map(Outgoing::broadcast)
                     .collect()
@@ -313,7 +418,11 @@ impl<V: Opinion> Protocol for RotorCoordinator<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+    use std::collections::BTreeMap;
     use uba_simnet::adversary::SilentAdversary;
+    use uba_simnet::rng::seeded_rng;
     use uba_simnet::{AdversaryView, Directed, FnAdversary, IdSpace, SyncEngine};
 
     fn run_rotor(
@@ -458,21 +567,13 @@ mod tests {
     fn rotor_state_ignores_calls_after_termination() {
         let mut state: RotorState<u64> = RotorState::new();
         let me = NodeId::new(1);
-        let mut votes: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
-        votes.insert(
-            me,
-            [NodeId::new(1), NodeId::new(2), NodeId::new(3)]
-                .into_iter()
-                .collect(),
-        );
-        let opinions = BTreeMap::new();
         // n_v = 3: three votes meet the 2/3 threshold, so `me` joins C_v and is selected.
-        state.loop_round(me, &0, 3, &votes, &opinions);
+        state.loop_round(me, &0, 3, [(me, 3)], None);
         assert_eq!(state.selected(), &[me]);
         // Selecting again terminates.
-        state.loop_round(me, &0, 3, &BTreeMap::new(), &opinions);
+        state.loop_round(me, &0, 3, [], None);
         assert!(state.terminated());
-        let after = state.loop_round(me, &0, 3, &votes, &opinions);
+        let after = state.loop_round(me, &0, 3, [(me, 3)], None);
         assert!(after.is_empty());
         assert_eq!(state.history().len(), 2);
     }
@@ -480,9 +581,66 @@ mod tests {
     #[test]
     fn empty_candidate_set_selects_nothing() {
         let mut state: RotorState<u64> = RotorState::new();
-        let out = state.loop_round(NodeId::new(1), &0, 0, &BTreeMap::new(), &BTreeMap::new());
+        let out = state.loop_round(NodeId::new(1), &0, 0, [], None);
         assert!(out.is_empty());
         assert!(state.history().is_empty());
         assert!(!state.terminated());
+    }
+
+    /// The tree of trees `EchoVotes` replaced, as the reference: seeded echo
+    /// sequences shaped like the real thing — sender after sender, most of them
+    /// echoing the candidates in one common order (the arrival-order guess holds),
+    /// some in an order of their own or with repeats (it fails and the search takes
+    /// over) — with candidates that are not members, senders that are not members
+    /// (dropped), a roster that grows while the votes are held, and the accumulator
+    /// cleared and reused. Compared after every echo.
+    #[test]
+    fn echo_votes_match_the_tree_of_trees_model() {
+        for seed in 0..1_000u64 {
+            let mut rng = seeded_rng(seed);
+            let n_v = [0usize, 1, 2, 5, 13, 63, 64, 65, 129][seed as usize % 9];
+            let mut universe = IdSpace::default().generate(n_v + 4, seed);
+            universe.shuffle(&mut rng);
+            let mut roster = SenderTracker::new();
+            for &id in &universe[..n_v] {
+                roster.record(id);
+            }
+            // Candidates: a few members and the four outsiders, in the order the
+            // well-behaved senders echo them.
+            let candidates: Vec<NodeId> = universe.iter().rev().take(9).copied().collect();
+            let mut echoes = EchoVotes::default();
+            for round in 0..2 {
+                let mut model: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
+                for turn in 0..rng.gen_range(0..12) {
+                    if turn == 5 {
+                        // The roster admits an outsider while the votes are held.
+                        roster.record(universe[n_v + round]);
+                    }
+                    let from = universe[rng.gen_range(0..universe.len())];
+                    let mut order = candidates.clone();
+                    match rng.gen_range(0..4) {
+                        // Reversed: every guess but the middle one is wrong.
+                        0 => order.reverse(),
+                        1 => {
+                            order.truncate(rng.gen_range(0..candidates.len()));
+                            order.extend_from_within(..);
+                        }
+                        _ => {}
+                    }
+                    for candidate in order {
+                        let Some(voter) = roster.rank_of(from) else {
+                            continue;
+                        };
+                        echoes.insert(candidate, voter);
+                        model.entry(candidate).or_default().insert(from);
+                        assert!(echoes
+                            .counts()
+                            .eq(model.iter().map(|(&c, voters)| (c, voters.len()))));
+                    }
+                }
+                echoes.clear();
+                assert_eq!(echoes.counts().count(), 0);
+            }
+        }
     }
 }
