@@ -73,34 +73,47 @@ pub struct OrderedEvent<E> {
 /// A node that joined late cannot know events finalised before it joined (the paper's
 /// join protocol transfers no history), so its log starts later; likewise two nodes
 /// may have finalised up to different rounds. The chain-prefix property therefore
-/// amounts to: for every pair of logs, the entries for the rounds covered by both are
-/// identical. Returns `true` when that holds for every pair. Logs are sorted by
-/// round (they are appended in round order), so each common window is a sub-slice.
+/// amounts to: for every pair of logs, the entries for the rounds covered by both —
+/// from the later of their first events' rounds to the earlier of their last
+/// events' rounds — are identical. Returns `true` when that holds for every pair.
+/// Logs are sorted by round (they are appended in round order), so each common
+/// window is a sub-slice.
+///
+/// The pairs are not enumerated. Two logs agree on a window exactly when they
+/// hold the same entries for every round in it, so the property reads: every log
+/// covering a round holds the same entries for that round — and equality being
+/// transitive, it is enough to compare each log against **one reference**. The
+/// reference is assembled round by round from the logs themselves, taken in
+/// order of first round: a log is compared with the reference over the rounds
+/// both cover and then extends it with the rounds only the log covers, so the
+/// reference's entries for a round are those of the first log that reached it,
+/// and every other log covering the round is compared with them once. That is one
+/// window compare a log instead of one a pair, with the same verdict — including
+/// for a log that covers a round without an entry while another holds one, and
+/// for two logs that disagree only beyond a shorter third one.
 pub fn chains_agree<E: Opinion, C: AsRef<[OrderedEvent<E>]>>(chains: &[C]) -> bool {
-    for (i, a) in chains.iter().enumerate() {
-        let a = a.as_ref();
-        for b in &chains[i + 1..] {
-            let b = b.as_ref();
-            let (Some(a_first), Some(b_first)) = (a.first(), b.first()) else {
-                continue;
-            };
-            let (Some(a_last), Some(b_last)) = (a.last(), b.last()) else {
-                continue;
-            };
-            let lo = a_first.round.max(b_first.round);
-            let hi = a_last.round.min(b_last.round);
-            if lo > hi {
-                continue;
-            }
-            let window = |chain: &'_ [OrderedEvent<E>]| {
-                let from = chain.partition_point(|e| e.round < lo);
-                let to = chain.partition_point(|e| e.round <= hi);
-                from..to
-            };
-            if a[window(a)] != b[window(b)] {
-                return false;
-            }
+    let mut by_first_round: Vec<&[OrderedEvent<E>]> = chains
+        .iter()
+        .map(AsRef::as_ref)
+        .filter(|chain| !chain.is_empty())
+        .collect();
+    by_first_round.sort_by_key(|chain| chain[0].round);
+    // Sorted by round. No later log starts before the current one, so what the
+    // reference holds below a log's first round is never read again — which is
+    // also why a gap between two logs needs no special case.
+    let mut reference: Vec<&OrderedEvent<E>> = Vec::new();
+    for chain in by_first_round {
+        let (first, last) = (chain[0].round, chain[chain.len() - 1].round);
+        let theirs = &reference[reference.partition_point(|e| e.round < first)..];
+        let theirs = &theirs[..theirs.partition_point(|e| e.round <= last)];
+        // The log's entries up to the last round the reference covers.
+        let shared = reference.last().map_or(0, |covered| {
+            chain.partition_point(|e| e.round <= covered.round)
+        });
+        if !chain[..shared].iter().eq(theirs.iter().copied()) {
+            return false;
         }
+        reference.extend(&chain[shared..]);
     }
     true
 }
@@ -139,7 +152,7 @@ pub struct TotalOrderNode<E: Opinion> {
     /// The current member set `S`.
     members: BTreeSet<NodeId>,
     /// Events submitted by the application, waiting to be broadcast (one per round).
-    pending_events: Vec<E>,
+    pending_events: VecDeque<E>,
     /// Whether the node has announced (or wants to announce) that it is leaving.
     leaving: bool,
     announced_leave: bool,
@@ -171,7 +184,7 @@ impl<E: Opinion> TotalOrderNode<E> {
             local_steps: 0,
             round: 0,
             members: BTreeSet::from([id]),
-            pending_events: Vec::new(),
+            pending_events: VecDeque::new(),
             leaving: false,
             announced_leave: false,
             announced_presence: false,
@@ -192,7 +205,7 @@ impl<E: Opinion> TotalOrderNode<E> {
             local_steps: 0,
             round: 0,
             members: BTreeSet::from([id]),
-            pending_events: Vec::new(),
+            pending_events: VecDeque::new(),
             leaving: false,
             announced_leave: false,
             announced_presence: true,
@@ -206,7 +219,7 @@ impl<E: Opinion> TotalOrderNode<E> {
 
     /// Submits an event to be ordered; it is broadcast in the node's next round.
     pub fn submit_event(&mut self, event: E) {
-        self.pending_events.push(event);
+        self.pending_events.push_back(event);
     }
 
     /// Announces that the node wants to leave. It broadcasts `absent` in its next
@@ -406,9 +419,10 @@ impl<E: Opinion> Protocol for TotalOrderNode<E> {
         }
 
         // Lines 21–23: broadcast one witnessed event, tagged with the current round.
-        if !self.pending_events.is_empty() && !self.leaving {
-            let event = self.pending_events.remove(0);
-            out.push(Outgoing::broadcast(TotalOrderMessage::Event(r, event)));
+        if !self.leaving {
+            if let Some(event) = self.pending_events.pop_front() {
+                out.push(Outgoing::broadcast(TotalOrderMessage::Event(r, event)));
+            }
         }
 
         // Line 27: start this round's parallel consensus instance with the collected
@@ -559,17 +573,173 @@ mod tests {
 
     #[test]
     fn chains_agree_handles_offset_and_empty_logs() {
-        let ev = |round: u64, witness: u64, event: u64| OrderedEvent {
-            round,
-            witness: NodeId::new(witness),
-            event,
-        };
         let full = vec![ev(1, 1, 10), ev(2, 2, 20), ev(3, 3, 30)];
         let suffix = vec![ev(2, 2, 20), ev(3, 3, 30)];
         let empty: Vec<OrderedEvent<u64>> = vec![];
         assert!(chains_agree(&[full.clone(), suffix.clone(), empty]));
         let conflicting = vec![ev(2, 2, 99)];
         assert!(!chains_agree(&[full, conflicting]));
+    }
+
+    /// The definition, pair by pair — what `chains_agree` computed before it
+    /// compared every log with one reference, kept as its oracle.
+    fn chains_agree_pairwise(chains: &[Vec<OrderedEvent<u64>>]) -> bool {
+        for (i, a) in chains.iter().enumerate() {
+            for b in &chains[i + 1..] {
+                let (Some(a_first), Some(b_first)) = (a.first(), b.first()) else {
+                    continue;
+                };
+                let (Some(a_last), Some(b_last)) = (a.last(), b.last()) else {
+                    continue;
+                };
+                let lo = a_first.round.max(b_first.round);
+                let hi = a_last.round.min(b_last.round);
+                if lo > hi {
+                    continue;
+                }
+                let window = |chain: &[OrderedEvent<u64>]| {
+                    let from = chain.partition_point(|e| e.round < lo);
+                    let to = chain.partition_point(|e| e.round <= hi);
+                    from..to
+                };
+                if a[window(a)] != b[window(b)] {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    fn ev(round: u64, witness: u64, event: u64) -> OrderedEvent<u64> {
+        OrderedEvent {
+            round,
+            witness: NodeId::new(witness),
+            event,
+        }
+    }
+
+    #[test]
+    fn chains_agree_has_the_pairwise_verdict_where_agreement_is_not_transitive() {
+        // Two logs that disagree only in round 3, beyond a third that ends at
+        // round 2 and agrees with both: the bridge must not vouch for them.
+        let bridge = vec![ev(1, 1, 10), ev(2, 2, 20)];
+        let left = vec![ev(1, 1, 10), ev(2, 2, 20), ev(3, 3, 30)];
+        let right = vec![ev(1, 1, 10), ev(2, 2, 20), ev(3, 3, 31)];
+        for chains in [
+            [bridge.clone(), left.clone(), right.clone()],
+            [left.clone(), bridge.clone(), right.clone()],
+            [left.clone(), right.clone(), bridge.clone()],
+        ] {
+            assert!(!chains_agree(&chains));
+            assert!(!chains_agree_pairwise(&chains));
+        }
+        assert!(chains_agree(&[bridge.clone(), left.clone()]));
+        assert!(chains_agree(&[bridge, right]));
+        // A log covers the rounds between its first and last entry: holding
+        // nothing for round 2 contradicts a log that holds an entry there …
+        let hole = vec![ev(1, 1, 10), ev(3, 3, 30)];
+        assert!(!chains_agree(&[hole.clone(), left.clone()]));
+        assert!(!chains_agree(&[left.clone(), hole.clone()]));
+        // … but not one that ends before it, nor one separated from it by a gap.
+        assert!(chains_agree(&[hole.clone(), vec![ev(1, 1, 10)]]));
+        assert!(chains_agree(&[vec![ev(7, 1, 1)], hole, vec![ev(5, 5, 5)]]));
+        // Entries of one round are compared in order, repeated witnesses included.
+        let twice = vec![ev(1, 1, 10), ev(1, 1, 11)];
+        assert!(chains_agree(&[twice.clone(), twice.clone()]));
+        assert!(!chains_agree(&[twice, vec![ev(1, 1, 11), ev(1, 1, 10)]]));
+    }
+
+    #[test]
+    fn chains_agree_matches_the_pairwise_definition() {
+        use rand::Rng;
+        use uba_simnet::rng::seeded_rng;
+
+        let (mut agreed, mut disagreed, mut flipped) = (0, 0, 0);
+        for seed in 0..2_000u64 {
+            let mut rng = seeded_rng(seed);
+            // The log every chain is a window of: up to three entries a round,
+            // some rounds empty, witnesses free to repeat inside a round.
+            let rounds = rng.gen_range(1..12u64);
+            let mut truth = Vec::new();
+            for round in 1..=rounds {
+                for _ in 0..rng.gen_range(0..4) {
+                    truth.push(ev(round, rng.gen_range(1..4), rng.gen_range(0..3)));
+                }
+            }
+            let mut chains: Vec<Vec<OrderedEvent<u64>>> = (0..rng.gen_range(0..7))
+                .map(|_| {
+                    let from = rng.gen_range(1..=rounds + 1);
+                    let to = rng.gen_range(from.saturating_sub(1)..=rounds);
+                    truth
+                        .iter()
+                        .filter(|e| (from..=to).contains(&e.round))
+                        .cloned()
+                        .collect()
+                })
+                .collect();
+            // Windows of one log agree, whatever their offsets and order.
+            assert!(chains_agree(&chains), "seed {seed}: {chains:?}");
+            assert!(chains_agree_pairwise(&chains), "seed {seed}");
+
+            // Damage one chain: rewrite an entry, drop a round's entries (the
+            // chain may still cover the round) or add an entry nobody else has.
+            let damaged = rng.gen_range(0..chains.len().max(1));
+            if let Some(chain) = chains.get_mut(damaged).filter(|chain| !chain.is_empty()) {
+                let at = rng.gen_range(0..chain.len());
+                let round = chain[at].round;
+                match rng.gen_range(0..3) {
+                    0 => chain[at].event += 7,
+                    1 => chain.retain(|e| e.round != round),
+                    _ => chain.insert(at, ev(round, 9, 9)),
+                }
+                let verdict = chains_agree(&chains);
+                assert_eq!(
+                    verdict,
+                    chains_agree_pairwise(&chains),
+                    "seed {seed}: {chains:?}"
+                );
+                match verdict {
+                    true => agreed += 1,
+                    false => disagreed += 1,
+                }
+            }
+
+            // Flipping one entry of an agreeing set is caught as soon as another
+            // chain covers the entry's round.
+            let mut chains: Vec<_> = chains
+                .iter()
+                .filter_map(|chain| {
+                    let (first, last) = (chain.first()?.round, chain.last()?.round);
+                    Some(
+                        truth
+                            .iter()
+                            .filter(|e| (first..=last).contains(&e.round))
+                            .cloned()
+                            .collect::<Vec<_>>(),
+                    )
+                })
+                .collect();
+            assert!(chains_agree(&chains), "seed {seed}: {chains:?}");
+            if chains.len() >= 2 {
+                let victim = rng.gen_range(0..chains.len());
+                let at = rng.gen_range(0..chains[victim].len());
+                let round = chains[victim][at].round;
+                chains[victim][at].event += 7;
+                let covered = chains.iter().enumerate().any(|(other, chain)| {
+                    other != victim
+                        && chain[0].round <= round
+                        && round <= chain[chain.len() - 1].round
+                });
+                assert_eq!(chains_agree(&chains), !covered, "seed {seed}: {chains:?}");
+                assert_eq!(chains_agree_pairwise(&chains), !covered, "seed {seed}");
+                flipped += usize::from(covered);
+            }
+        }
+        // The sweep reaches both verdicts often enough to mean something.
+        assert!(
+            agreed >= 100 && disagreed >= 200 && flipped >= 500,
+            "{agreed} agreeing, {disagreed} disagreeing, {flipped} flipped"
+        );
     }
 
     #[test]

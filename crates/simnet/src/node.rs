@@ -43,7 +43,12 @@ pub trait Protocol {
     /// implementations a `#[derive(Hash)]` at most.
     type Payload: Clone + std::fmt::Debug + PartialEq + std::hash::Hash;
     /// The value the node eventually outputs (decision, accepted message, chain, …).
-    type Output: Clone + std::fmt::Debug;
+    ///
+    /// The `Eq` bound is what lets the report render an agreed output once: a
+    /// node whose output equals the one rendered just before it reuses that
+    /// text. It is `Eq`, not `PartialEq`, so that equal outputs are guaranteed
+    /// to print alike — a float keyed this way would print `-0.0` as `0.0`.
+    type Output: Clone + std::fmt::Debug + Eq;
 
     /// The node's own identifier (the only global knowledge it starts with).
     fn id(&self) -> NodeId;

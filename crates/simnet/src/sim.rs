@@ -833,9 +833,35 @@ impl<F: ProtocolFactory> Harness<F> {
     /// payload-independent copy a run makes. Everything else is read through
     /// references; the harness, engine and nodes stay untouched and inspectable
     /// after the run.
+    ///
+    /// A node's output is rendered (`Debug`-formatted) only when it differs from
+    /// the output rendered just before it; an equal one copies that text. Agreement
+    /// is the common case — every correct node ends with the same decision or
+    /// chain — so n agreeing nodes cost one formatting pass, not n.
     fn base_report(&self, status: RunStatus) -> RunReport {
         let metrics = self.engine.metrics();
         let payload_size = std::mem::size_of::<<F::Node as Protocol>::Payload>() as u64;
+        let mut nodes: Vec<NodeReport> = Vec::with_capacity(self.engine.nodes().len());
+        // The output rendered last and the index of the report holding its text.
+        let mut rendered: Option<(<F::Node as Protocol>::Output, usize)> = None;
+        for node in self.engine.nodes() {
+            let output = node.output().map(|output| match &rendered {
+                Some((last, at)) if *last == output => nodes[*at]
+                    .output
+                    .clone()
+                    .expect("the report at `at` holds the rendering"),
+                _ => {
+                    let text = format!("{output:?}");
+                    rendered = Some((output, nodes.len()));
+                    text
+                }
+            });
+            nodes.push(NodeReport {
+                id: node.id(),
+                terminated: node.terminated(),
+                output,
+            });
+        }
         RunReport {
             protocol: self.factory.protocol_name(),
             adversary: self.adversary_name.clone(),
@@ -849,16 +875,7 @@ impl<F: ProtocolFactory> Harness<F> {
                 correct_bytes_estimate: metrics.correct_messages * payload_size,
                 per_round: metrics.per_round.clone(),
             },
-            nodes: self
-                .engine
-                .nodes()
-                .iter()
-                .map(|node| NodeReport {
-                    id: node.id(),
-                    terminated: node.terminated(),
-                    output: node.output().map(|output| format!("{output:?}")),
-                })
-                .collect(),
+            nodes,
             consensus: None,
             broadcast: None,
             rotor: None,
