@@ -34,7 +34,8 @@ pub struct TraceAttribution {
     /// produced, never by the delivery fan-out.
     pub distinct_allocations: u64,
     /// Distinct payload *values* observed (by cached digest). `distinct_allocations`
-    /// may exceed this (two senders can produce equal payloads independently), but
+    /// may exceed this (equal payloads of different rounds, or a fabrication equal
+    /// to an honest broadcast, are separate allocations), but
     /// with a healthy plane it stays far below `deliveries`.
     pub distinct_values: u64,
 }

@@ -38,6 +38,9 @@
 //! cost one bit operation per entry. `heard_this_phase` is *not* marked in the
 //! `Input` step: its inbox carries the previous phase's last rotor echoes, and a
 //! member that has only finished the previous phase has not spoken in this one.
+//! A resolve step whose decision is already fixed — the roster frozen, the stashed
+//! strong-prefer plurality at `2n_v/3` — skips the pass: its inbox is the second
+//! rotor echo wave and the coordinator's opinion, and the decision discards both.
 
 use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
@@ -243,6 +246,24 @@ impl<V: Opinion> Consensus<V> {
     pub fn decision(&self) -> Option<&Decision<V>> {
         self.decision.as_ref()
     }
+
+    /// Whether the step at `round` reads its inbox: not once the node has
+    /// decided, nor at a resolve step whose decision is already fixed — the
+    /// roster is frozen, so the inbox cannot move `n_v`, and the strong-prefer
+    /// plurality stashed in the rotor round meets `2n_v/3`. All such an inbox
+    /// could feed — rotor echoes, who spoke this phase, the coordinator's
+    /// opinion — the decision discards.
+    pub(crate) fn reads_inbox(&self, round: u64) -> bool {
+        let fixed = PhaseStep::from_round(round) == Some(PhaseStep::Resolve)
+            && self.deliberation.as_ref().is_some_and(|state| {
+                state.senders.is_frozen()
+                    && state
+                        .stashed_strong
+                        .plurality()
+                        .is_some_and(|(_, count)| meets_two_thirds(count, state.senders.n_v()))
+            });
+        self.decision.is_none() && !fixed
+    }
 }
 
 impl<V: Opinion> Deliberation<V> {
@@ -288,6 +309,9 @@ impl<V: Opinion> Protocol for Consensus<V> {
         if self.decision.is_some() {
             return Vec::new();
         }
+        // Asked before the roster records this inbox, which changes nothing: a
+        // step that skips its inbox has a frozen roster.
+        let reads = self.reads_inbox(ctx.round);
         let mut deliberation = self.deliberation.take().unwrap_or_default();
         let state = &mut *deliberation;
 
@@ -325,6 +349,7 @@ impl<V: Opinion> Protocol for Consensus<V> {
                 // rounds) and wait in `rotor_echoes` for the next rotor round.
                 let mut tally = VoteTally::new();
                 let mut coordinator_opinion = None;
+                let inbox = if reads { inbox } else { Inbox::default() };
                 for (from, member, message) in state.senders.ranked(inbox) {
                     if step != PhaseStep::Input {
                         state.heard_this_phase.insert(member);
@@ -486,7 +511,7 @@ fn clean_equivocation_pair<V: Opinion>(tally: &VoteTally<V>, senders: &SenderTra
 mod tests {
     use super::*;
     use uba_simnet::adversary::SilentAdversary;
-    use uba_simnet::{AdversaryView, Directed, FnAdversary, IdSpace, SyncEngine};
+    use uba_simnet::{AdversaryView, Directed, Envelope, FnAdversary, IdSpace, SyncEngine};
 
     type Msg = ConsensusMessage<u64>;
 
@@ -645,5 +670,93 @@ mod tests {
         assert_eq!(PhaseStep::from_round(6), Some(PhaseStep::Rotor));
         assert_eq!(PhaseStep::from_round(7), Some(PhaseStep::Resolve));
         assert_eq!(PhaseStep::from_round(8), Some(PhaseStep::Input));
+    }
+
+    /// Lock-steps fault-free nodes, every broadcast reaching every node, and
+    /// returns the inbox each round delivered (`inboxes[r - 1]` for round `r`,
+    /// one more than `rounds` — the next round's).
+    fn lockstep(nodes: &mut [Consensus<u64>], rounds: u64) -> Vec<Vec<Envelope<Msg>>> {
+        let mut inboxes = vec![Vec::new()];
+        for round in 1..=rounds {
+            let inbox = inboxes.last().expect("the round's inbox");
+            let mut next = Vec::new();
+            for node in nodes.iter_mut() {
+                let sent = node.step(&RoundContext::new(round), Inbox::from(&inbox[..]));
+                next.extend(sent.into_iter().map(|m| Envelope::new(node.id, m.payload)));
+            }
+            inboxes.push(next);
+        }
+        inboxes
+    }
+
+    #[test]
+    fn a_resolve_step_whose_decision_is_fixed_reads_nothing() {
+        let ids: Vec<NodeId> = [11, 12, 13, 14].map(NodeId::new).to_vec();
+        let mut nodes: Vec<Consensus<u64>> = ids.iter().map(|&id| Consensus::new(id, 7)).collect();
+        let inboxes = lockstep(&mut nodes, 6);
+        let real = &inboxes[6];
+        let node = &nodes[0];
+        // Round 7 resolves phase 1: four strong-prefers of four members.
+        assert!(node.reads_inbox(6) && !node.reads_inbox(7));
+        assert!(real
+            .iter()
+            .any(|e| matches!(*e.payload, ConsensusMessage::Echo(_))));
+
+        let state = node.deliberation.as_ref().expect("deliberating");
+        let coordinator = state.phase_coordinator.expect("a coordinator");
+        let bystander = *ids.iter().find(|&&id| id != coordinator).unwrap();
+        let stranger = NodeId::new(99);
+        let adversarial = [
+            Envelope::new(bystander, ConsensusMessage::Echo(stranger)),
+            Envelope::new(stranger, ConsensusMessage::Echo(stranger)),
+            Envelope::new(coordinator, ConsensusMessage::Opinion(8)),
+            Envelope::new(bystander, ConsensusMessage::Opinion(9)),
+            Envelope::new(stranger, ConsensusMessage::StrongPrefer(8)),
+        ];
+        let ctx = RoundContext::new(7);
+        let stepped: Vec<(Vec<Outgoing<Msg>>, Consensus<u64>)> =
+            [&real[..], &[][..], &adversarial[..]]
+                .into_iter()
+                .map(|inbox| {
+                    let mut clone = node.clone();
+                    (clone.step(&ctx, Inbox::from(inbox)), clone)
+                })
+                .collect();
+        let (sent, decided) = &stepped[0];
+        assert_eq!(decided.decision().map(|d| (d.value, d.round)), Some((7, 7)));
+        for (other_sent, other) in &stepped[1..] {
+            assert_eq!(other_sent, sent);
+            assert_eq!(other.decision(), decided.decision());
+            assert_eq!(other.output(), decided.output());
+            assert_eq!(format!("{other:?}"), format!("{decided:?}"));
+        }
+        assert!(!decided.reads_inbox(8), "a decided node reads nothing");
+
+        // Strong support below 2n_v/3: the coordinator's opinion may count.
+        let mut split = node.clone();
+        let state = split.deliberation.as_mut().expect("deliberating");
+        let ranks: Vec<_> = state.senders.ranks().collect();
+        state.stashed_strong = VoteTally::new();
+        state.stashed_strong.insert(ranks[0], &7);
+        state.stashed_strong.insert(ranks[1], &7);
+        assert!(split.reads_inbox(7));
+
+        // A node whose first step comes after round 3 never freezes its roster,
+        // so its inbox can still grow n_v: it reads, although the plurality it
+        // stashed meets two thirds of what it has heard.
+        let mut late = Consensus::new(NodeId::new(15), 7);
+        for round in 4..=6 {
+            late.step(
+                &RoundContext::new(round),
+                Inbox::from(&inboxes[round as usize - 1][..]),
+            );
+        }
+        let state = late.deliberation.as_ref().expect("deliberating");
+        assert!(!state.senders.is_frozen());
+        assert!(meets_two_thirds(
+            state.stashed_strong.plurality().expect("stashed").1,
+            state.senders.n_v()
+        ));
+        assert!(late.reads_inbox(7));
     }
 }

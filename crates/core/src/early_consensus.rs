@@ -174,6 +174,17 @@ impl<V: Opinion> EarlyConsensus<V> {
         self.decided.is_some()
     }
 
+    /// Whether the instance has decided by the end of a resolve step at `n_v`,
+    /// whatever coordinator opinion that step hears: it has decided already, or
+    /// its stashed strong-prefer plurality meets `2n_v/3`.
+    pub(crate) fn resolve_is_fixed(&self, n_v: usize) -> bool {
+        self.is_decided()
+            || self
+                .stashed_strong
+                .as_ref()
+                .is_some_and(|&(_, count)| meets_two_thirds(count, n_v))
+    }
+
     /// Tallies this round's votes of one kind, applying Algorithm 5's reception rules:
     ///
     /// * a kind first heard in phase ≥ 2 is discarded entirely;

@@ -89,6 +89,11 @@ impl SenderTracker {
         self.frozen = true;
     }
 
+    /// Whether the membership is frozen: no inbox can change `n_v` any more.
+    pub(crate) fn is_frozen(&self) -> bool {
+        self.frozen
+    }
+
     /// `n_v`: the number of distinct senders observed (so far, or at freeze time).
     pub fn n_v(&self) -> usize {
         self.members.len()

@@ -23,7 +23,9 @@
 //! hands it envelopes read in place, total order (Algorithm 6) feeds it borrows out
 //! of its own wire format — the same entry point, the messages staying wherever
 //! they arrived. Votes and tallies borrow the opinions they count — a value is
-//! cloned only where the node keeps or sends it.
+//! cloned only where the node keeps or sends it. A resolve step whose outcome is
+//! already fixed reads nothing (`ParallelConsensus::reads_inbox`), and total
+//! order routes nothing to it.
 
 use std::collections::BTreeMap;
 
@@ -127,6 +129,25 @@ impl<V: Opinion> ParallelConsensus<V> {
         self.decision.as_ref()
     }
 
+    /// Moves the decision out, for a caller that drops the node next.
+    pub(crate) fn take_decision(&mut self) -> Option<ParallelDecision<V>> {
+        self.decision.take()
+    }
+
+    /// Whether the step at (local) `round` reads its inbox: not once the node
+    /// has terminated, nor at a resolve step whose outcome is already fixed —
+    /// the roster is frozen, so the inbox cannot move `n_v`, and every instance
+    /// has decided or stashed a strong-prefer plurality meeting `2n_v/3`. Then
+    /// every instance decides and the node terminates, discarding all the inbox
+    /// could feed: rotor echoes and the coordinator's opinions.
+    pub(crate) fn reads_inbox(&self, round: u64) -> bool {
+        let n_v = self.senders.n_v();
+        let fixed = PhaseStep::from_round(round) == Some(PhaseStep::Resolve)
+            && self.senders.is_frozen()
+            && self.instances.values().all(|i| i.resolve_is_fixed(n_v));
+        self.decision.is_none() && !fixed
+    }
+
     /// Sorts one round's inbox in a single pass, in arrival order: rotor echoes go
     /// to the echo votes, the coordinator's opinions (resolve step) and the votes of
     /// the kind this phase step expects are grouped per instance — as **borrows**
@@ -209,6 +230,11 @@ impl<V: Opinion> ParallelConsensus<V> {
             _ => {}
         }
         let step = PhaseStep::from_round(round).expect("round ≥ 3");
+        let inbox = if self.reads_inbox(round) {
+            inbox
+        } else {
+            Inbox::default()
+        };
         let (votes, opinions) = self.sort_inbox(inbox, step);
         let votes_of = |instance: &InstanceId| votes.get(instance).map_or(&[][..], Vec::as_slice);
         let n_v = self.senders.n_v();
@@ -539,5 +565,119 @@ mod tests {
         assert_eq!(node.n_v(), 0);
         assert!(node.instances().is_empty());
         assert!(node.decision().is_none());
+    }
+
+    /// Lock-steps fault-free nodes, every broadcast reaching every node, and
+    /// returns the inbox each round delivered (`inboxes[r - 1]` for round `r`,
+    /// one more than `rounds` — the next round's).
+    fn lockstep(nodes: &mut [ParallelConsensus<u64>], rounds: u64) -> Vec<Vec<Envelope<Msg>>> {
+        let mut inboxes = vec![Vec::new()];
+        for round in 1..=rounds {
+            let inbox = inboxes.last().expect("the round's inbox");
+            let mut next = Vec::new();
+            for node in nodes.iter_mut() {
+                let sent = node.step(&RoundContext::new(round), Inbox::from(&inbox[..]));
+                next.extend(sent.into_iter().map(|m| Envelope::new(node.id, m.payload)));
+            }
+            inboxes.push(next);
+        }
+        inboxes
+    }
+
+    /// An instance whose rotor round stashed `support` strong-prefers for 10 —
+    /// from the first `support` members; the rest abstained.
+    fn stashed(
+        node: &ParallelConsensus<u64>,
+        instance: InstanceId,
+        support: usize,
+    ) -> EarlyConsensus<u64> {
+        let mut state = EarlyConsensus::with_input(instance, 10, 1);
+        let votes: Vec<(Rank, InstanceVote<'_, u64>)> = node
+            .senders
+            .ranks()
+            .enumerate()
+            .map(|(k, rank)| match k < support {
+                true => (rank, InstanceVote::Value(Some(&10))),
+                false => (rank, InstanceVote::Abstain),
+            })
+            .collect();
+        state.step_rotor_stash(&votes, &node.senders, 1);
+        state
+    }
+
+    #[test]
+    fn a_resolve_step_whose_outcome_is_fixed_reads_nothing() {
+        let ids: Vec<NodeId> = [11, 12, 13, 14].map(NodeId::new).to_vec();
+        let mut nodes: Vec<ParallelConsensus<u64>> = ids
+            .iter()
+            .map(|&id| ParallelConsensus::new(id, vec![(1, 10), (2, 20)]))
+            .collect();
+        let inboxes = lockstep(&mut nodes, 6);
+        let real = &inboxes[6];
+        let node = &nodes[0];
+        // Round 7 resolves phase 1: both instances stashed four of four.
+        assert!(node.reads_inbox(6) && !node.reads_inbox(7));
+        assert!(real
+            .iter()
+            .any(|e| matches!(*e.payload, ParallelMessage::Echo(_))));
+
+        let coordinator = node.phase_coordinator.expect("a coordinator");
+        let bystander = *ids.iter().find(|&&id| id != coordinator).unwrap();
+        let stranger = NodeId::new(99);
+        let adversarial = [
+            Envelope::new(bystander, ParallelMessage::Echo(stranger)),
+            Envelope::new(stranger, ParallelMessage::Echo(stranger)),
+            Envelope::new(coordinator, ParallelMessage::Opinion(1, Some(11))),
+            Envelope::new(coordinator, ParallelMessage::Opinion(2, None)),
+            Envelope::new(bystander, ParallelMessage::Opinion(1, Some(12))),
+            Envelope::new(stranger, ParallelMessage::Opinion(2, Some(13))),
+        ];
+        let ctx = RoundContext::new(7);
+        let stepped: Vec<(Vec<Outgoing<Msg>>, ParallelConsensus<u64>)> =
+            [&real[..], &[][..], &adversarial[..]]
+                .into_iter()
+                .map(|inbox| {
+                    let mut clone = node.clone();
+                    (clone.step(&ctx, Inbox::from(inbox)), clone)
+                })
+                .collect();
+        let (sent, decided) = &stepped[0];
+        assert_eq!(
+            decided.decision().map(|d| d.pairs.clone()),
+            Some(BTreeMap::from([(1, 10), (2, 20)]))
+        );
+        for (other_sent, other) in &stepped[1..] {
+            assert_eq!(other_sent, sent);
+            assert_eq!(other.decision(), decided.decision());
+            assert_eq!(other.output(), decided.output());
+            assert_eq!(format!("{other:?}"), format!("{decided:?}"));
+        }
+        assert!(!decided.reads_inbox(8), "a decided node reads nothing");
+
+        // A further instance stashed at four of four keeps the step fixed; one
+        // below 2n_v/3, or one with nothing stashed, makes it read.
+        let with = |instance: EarlyConsensus<u64>| {
+            let mut clone = node.clone();
+            clone.instances.insert(instance.instance(), instance);
+            clone.reads_inbox(7)
+        };
+        assert!(!with(stashed(node, 3, 4)));
+        assert!(with(stashed(node, 3, 2)), "plurality below 2n_v/3");
+        assert!(with(EarlyConsensus::without_input(3, 1)), "nothing stashed");
+
+        // A node whose first step comes after round 3 never freezes its roster,
+        // so its inbox can still grow n_v: it reads, although every instance it
+        // runs (none) is fixed.
+        let mut late = ParallelConsensus::new(NodeId::new(15), vec![(1, 10)]);
+        for round in 4..=6 {
+            late.step(
+                &RoundContext::new(round),
+                Inbox::from(&inboxes[round as usize - 1][..]),
+            );
+        }
+        assert!(late.instances.is_empty() && !late.senders.is_frozen());
+        assert!(late.reads_inbox(7));
+        late.senders.freeze();
+        assert!(!late.reads_inbox(7), "frozen, the same node would skip");
     }
 }

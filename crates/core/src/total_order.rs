@@ -30,8 +30,11 @@
 //! [`Inbox`] view of that buffer; nothing is allocated, hashed or
 //! reference-counted per message. An instance is driven until it terminates
 //! (fault-free: its local round 7, so seven run at once) and then only its
-//! decided pairs wait out the finality window. [`TotalOrderNode::work`] counts
-//! the work; `docs/STREAMING.md` has the cost model.
+//! decided pairs, moved out of it, wait out the finality window. An instance at a
+//! resolve step whose outcome is already fixed still steps, but gets no buffer:
+//! the second rotor echo wave its inbox would carry is left unread.
+//! [`TotalOrderNode::work`] counts the work; `docs/STREAMING.md` has the cost
+//! model.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -370,8 +373,18 @@ impl<E: Opinion> Protocol for TotalOrderNode<E> {
         // unfiltered and filtered below, once `S` has seen the whole inbox.
         let mut event_inputs: Vec<(u64, E)> = Vec::new();
         let oldest = self.instances.front().map_or(r, |instance| instance.round);
-        let mut buffers: Vec<Vec<(NodeId, &ParallelMessage<E>)>> =
-            vec![Vec::new(); self.instances.len()];
+        // A buffer for every running instance whose next step reads its inbox; one
+        // at a resolve step whose outcome is already fixed gets none.
+        let mut buffers: Vec<Option<Vec<_>>> = self
+            .instances
+            .iter()
+            .map(|instance| match &instance.progress {
+                Progress::Running(consensus) => consensus
+                    .reads_inbox(instance.local_round + 1)
+                    .then(Vec::new),
+                Progress::Decided(_) => None,
+            })
+            .collect();
         let mut fresh: Vec<(NodeId, &ParallelMessage<E>)> = Vec::new();
         for (from, message) in inbox {
             match message {
@@ -402,8 +415,10 @@ impl<E: Opinion> Protocol for TotalOrderNode<E> {
                         .filter(|(_, instance)| matches!(instance.progress, Progress::Running(_)));
                     match running {
                         Some((index, instance)) => {
-                            if instance.members.contains(&from) {
-                                buffers[index].push((from, message));
+                            if let Some(buffer) = &mut buffers[index] {
+                                if instance.members.contains(&from) {
+                                    buffer.push((from, message));
+                                }
                             }
                         }
                         None => self.work.dropped_retired += 1,
@@ -430,7 +445,7 @@ impl<E: Opinion> Protocol for TotalOrderNode<E> {
         // outstanding instances and do not start new ones.
         if !self.leaving {
             fresh.retain(|(from, _)| self.members.contains(from));
-            buffers.push(fresh);
+            buffers.push(Some(fresh));
             debug_assert!(self.instances.back().is_none_or(|last| last.round + 1 == r));
             self.instances.push_back(RoundInstance {
                 round: r,
@@ -454,15 +469,15 @@ impl<E: Opinion> Protocol for TotalOrderNode<E> {
             let local = RoundContext::new(instance.local_round);
             out.extend(
                 consensus
-                    .step(&local, Inbox::from(&inbox[..]))
+                    .step(&local, Inbox::from(inbox.as_deref().unwrap_or_default()))
                     .into_iter()
                     .map(|sent| Outgoing {
                         dest: sent.dest,
                         payload: TotalOrderMessage::Instance(tag, sent.payload),
                     }),
             );
-            if let Some(decision) = consensus.decision() {
-                instance.progress = Progress::Decided(decision.pairs.clone());
+            if let Some(decision) = consensus.take_decision() {
+                instance.progress = Progress::Decided(decision.pairs);
             }
         }
 

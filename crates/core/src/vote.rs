@@ -78,10 +78,16 @@ impl<V: Opinion> VoteTally<V> {
 
     /// Records that `voter` supports `value`. Returns true if this was a new vote.
     /// The value is cloned only the first time it is seen.
+    ///
+    /// A value's row is found with `==`, not `cmp`: the rows are few (placing a
+    /// new one is O(rows) anyway), and for byte-like values `==` is one `memcmp`
+    /// where `cmp` walks the elements. The order is consulted only to place a
+    /// new row.
     pub fn insert(&mut self, voter: Rank, value: &V) -> bool {
-        let at = match self.votes.binary_search_by(|(v, _)| v.cmp(value)) {
-            Ok(at) => at,
-            Err(at) => {
+        let at = match self.votes.iter().position(|(v, _)| v == value) {
+            Some(at) => at,
+            None => {
+                let at = self.votes.partition_point(|(v, _)| v.cmp(value).is_lt());
                 self.votes.insert(at, (value.clone(), VoterSet::default()));
                 at
             }
@@ -203,6 +209,50 @@ mod tests {
             assert_eq!(set.count(), 0);
             assert!(roster.ranks().all(|rank| !set.contains(rank)));
         }
+    }
+
+    thread_local! {
+        static ORDERINGS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A value whose ordering comparisons are counted (on the comparing thread).
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct Counted(Vec<u64>);
+
+    impl Ord for Counted {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            ORDERINGS.with(|count| count.set(count.get() + 1));
+            self.0.cmp(&other.0)
+        }
+    }
+
+    impl PartialOrd for Counted {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    #[test]
+    fn repeated_votes_for_a_present_value_make_no_ordering_comparison() {
+        let ranks: Vec<Rank> = roster(40, 4).ranks().collect();
+        let values: Vec<Counted> = [3u64, 1, 2].map(|v| Counted(vec![v; 1_000])).to_vec();
+        let mut tally = VoteTally::new();
+        for (rank, value) in ranks.iter().zip(&values) {
+            assert!(tally.insert(*rank, value));
+        }
+        let sorted: Vec<u64> = tally.iter().map(|(v, _)| v.0[0]).collect();
+        assert_eq!(sorted, [1, 2, 3], "rows are placed in value order");
+        let before = ORDERINGS.with(std::cell::Cell::get);
+        for (k, rank) in ranks.iter().enumerate() {
+            tally.insert(*rank, &values[k % 3].clone());
+        }
+        assert_eq!(
+            ORDERINGS.with(std::cell::Cell::get) - before,
+            0,
+            "votes for present values are found by equality"
+        );
+        let counts: Vec<(u64, usize)> = tally.iter().map(|(v, s)| (v.0[0], s.count())).collect();
+        assert_eq!(counts, [(1, 13), (2, 13), (3, 14)]);
     }
 
     /// The tree form the bit rows replaced.
