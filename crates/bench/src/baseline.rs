@@ -4,8 +4,8 @@
 //! PR can diff mechanically. [`baseline_reports`] runs a fixed grid of scenarios —
 //! every core protocol, the head-to-head baselines, several sizes and adversaries —
 //! through the unified `Simulation` driver, attaches the `uba-checker` oracle
-//! verdicts, and [`write_baseline`] serialises the full [`RunReport`]s plus an
-//! aggregate summary to JSON. Regenerate with:
+//! verdicts, and [`baseline_file`] pairs the full [`RunReport`]s with an aggregate
+//! summary for [`crate::artifact::write`] to serialise. Regenerate with:
 //!
 //! ```text
 //! cargo run -p uba-bench --release --bin experiments -- baseline
@@ -15,13 +15,15 @@
 //! byte-identical files and any diff is a behaviour or cost change.
 
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 use uba_baselines::{KnownRotorFactory, PhaseKingFactory, StBroadcastFactory};
 use uba_checker::attach_verdicts;
 use uba_core::sim::{AdversaryKind, ParallelConsensusFactory, RunReport, ScenarioExt, Simulation};
 use uba_simnet::IdSpace;
 
-const SEED: u64 = 0xBA5E;
+/// Base seed of the baseline grid.
+pub const SEED: u64 = 0xBA5E;
 
 /// One aggregate line per report, for cheap diffing without parsing whole reports.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -44,6 +46,15 @@ pub struct BaselineSummaryRow {
     pub ok: bool,
 }
 
+impl BaselineSummaryRow {
+    /// The columns that name a row; unique over the grid.
+    pub const KEY: &'static [&'static str] = &["protocol", "adversary", "n", "f"];
+    /// The columns the drift gate compares. `deliveries` is not a summary
+    /// column: [`BaselineFile::gated_rows`] adds it from the row's report.
+    pub const DETERMINISTIC: &'static [&'static str] =
+        &["rounds", "messages", "bytes_estimate", "ok", "deliveries"];
+}
+
 /// The serialised baseline file: full reports plus the aggregate summary.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BaselineFile {
@@ -53,6 +64,25 @@ pub struct BaselineFile {
     pub summary: Vec<BaselineSummaryRow>,
     /// The full run reports, verdicts attached.
     pub reports: Vec<RunReport>,
+}
+
+impl BaselineFile {
+    /// The rows the drift gate compares: each summary row plus its report's
+    /// delivery count.
+    pub fn gated_rows(&self) -> Vec<Value> {
+        self.summary
+            .iter()
+            .zip(&self.reports)
+            .map(|(row, report)| {
+                let deliveries = Value::U64(report.messages.deliveries);
+                let mut value = serde_json::to_value(row);
+                if let Value::Object(fields) = &mut value {
+                    fields.push(("deliveries".to_string(), deliveries));
+                }
+                value
+            })
+            .collect()
+    }
 }
 
 fn summarise(report: &RunReport) -> BaselineSummaryRow {
@@ -222,14 +252,6 @@ pub fn baseline_file() -> BaselineFile {
         summary: reports.iter().map(summarise).collect(),
         reports,
     }
-}
-
-/// Writes `BENCH_baseline.json` (or another path) and returns the rendered JSON.
-pub fn write_baseline(path: &std::path::Path) -> std::io::Result<String> {
-    let json = serde_json::to_string_pretty(&baseline_file())
-        .expect("baseline serialization is infallible");
-    std::fs::write(path, &json)?;
-    Ok(json)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! cargo run -p uba-bench --release --bin experiments -- all
 //! cargo run -p uba-bench --release --bin experiments -- e4 e7
 //! cargo run -p uba-bench --release --bin experiments -- baseline [path]
-//! cargo run -p uba-bench --release --bin experiments -- scaling [--quick] [path]
+//! cargo run -p uba-bench --release --bin experiments -- scaling [--quick] [--engine sync|event] [path]
 //! cargo run -p uba-bench --release --bin experiments -- fuzz [--smoke] [--out path]
 //! cargo run -p uba-bench --release --bin experiments -- fuzz --boundary [--smoke]
 //! cargo run -p uba-bench --release --bin experiments -- fuzz --replay path
@@ -21,15 +21,20 @@
 //! `docs/ENGINE.md`). With `--quick` it runs the small-`n` prefix and one gate:
 //! the deterministic baseline grid is compared against the recorded
 //! `BENCH_baseline.json` — **any count drift exits non-zero**. This is the CI
-//! regression guard for engine rewrites.
+//! regression guard for engine rewrites. `--engine event` runs the grid through
+//! the discrete-event engine under zero-jitter timing, writes it to
+//! `scaling-event.json` by default, and exits non-zero unless its rows
+//! reproduce the sync grid's rounds, messages, deliveries and completion.
+//! Every artifact is read, written and drift-checked through
+//! `uba_bench::artifact`.
 //!
 //! `fuzz --boundary` sweeps scenarios pinned *at* `n = 3f` and **fails if no
 //! case violates a theorem property**: outside the resiliency bound a violation
 //! is the expected outcome (it demonstrates the bound is tight).
 //!
 //! `soak` runs the long-horizon crash/restart soak (`uba_bench::soak`,
-//! `docs/RECOVERY.md`): thousands of rounds at `n = 64` (hundreds with
-//! `--smoke`) under continuous crash/restart churn, on both engines,
+//! `docs/RECOVERY.md`): thousands of rounds at `n = 128` (hundreds at `n = 64`
+//! with `--smoke`) under continuous crash/restart churn, on both engines,
 //! writing per-round latency percentiles and the live-allocation memory proxy
 //! to `BENCH_soak.json` (`BENCH_soak_smoke.json` for `--smoke`; a smoke run
 //! refuses to overwrite a full artifact). Fresh percentiles are compared
@@ -61,7 +66,15 @@
 //! `--replay <path>` re-executes a saved counterexample (either a bare `FuzzCase`
 //! or a whole counterexample file).
 
-use uba_bench::{all_experiments, experiment_by_name};
+use std::path::{Path, PathBuf};
+use std::process::exit;
+use std::time::Instant;
+
+use uba_bench::artifact;
+use uba_bench::baseline::BaselineSummaryRow;
+use uba_bench::scaling::ScalingRow;
+use uba_bench::{all_experiments, experiment_by_name, BaselineFile};
+use uba_simnet::EngineKind;
 
 /// The value following `flag`, exiting with a usage error when the flag is
 /// present but followed by nothing or by another flag (so `--out --smoke` cannot
@@ -72,15 +85,77 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         Some(value) if !value.starts_with("--") => Some(value),
         _ => {
             eprintln!("{flag} requires a value");
-            std::process::exit(2);
+            exit(2);
         }
+    }
+}
+
+/// The `--engine` flag: `None` when absent, `Some(None)` for the sync engine,
+/// `Some(Some(..))` for the event engine.
+fn engine_flag(args: &[String]) -> Option<Option<EngineKind>> {
+    match flag_value(args, "--engine")? {
+        "sync" => Some(None),
+        "event" => Some(Some(EngineKind::event())),
+        other => {
+            eprintln!("--engine expects sync or event, got '{other}'");
+            exit(2);
+        }
+    }
+}
+
+/// The first positional argument — neither a flag nor the value of
+/// `--engine` — or `default` when there is none.
+fn path_arg(args: &[String], default: &str) -> PathBuf {
+    let engine_value = args.iter().position(|a| a == "--engine").map(|p| p + 1);
+    PathBuf::from(
+        args.iter()
+            .enumerate()
+            .find(|&(i, a)| !a.starts_with("--") && Some(i) != engine_value)
+            .map_or(default, |(_, a)| a.as_str()),
+    )
+}
+
+/// Writes an artifact and reports its size and the time since `started`;
+/// exits 1 when the file cannot be written.
+fn write_artifact<T: serde::Serialize>(path: &Path, file: &T, started: Instant) {
+    let json = artifact::write(path, file).unwrap_or_else(|error| {
+        eprintln!("cannot write {}: {error}", path.display());
+        exit(1);
+    });
+    eprintln!(
+        "wrote {} ({} bytes) in {:.2?}",
+        path.display(),
+        json.len(),
+        started.elapsed()
+    );
+}
+
+/// Prints `failure` and the drift lines and exits 1, or prints `success` when
+/// there are none.
+fn gate(drift: &[String], failure: &str, success: &str) {
+    if !drift.is_empty() {
+        eprintln!("{failure}:");
+        for line in drift {
+            eprintln!("  {line}");
+        }
+        exit(1);
+    }
+    eprintln!("{success} ✓");
+}
+
+/// Writes a counterexample for `fuzz --replay`; a failed write is reported,
+/// not fatal.
+fn save_counterexample(out: &str, counterexample: &uba_bench::Counterexample, what: &str) {
+    match artifact::write(Path::new(out), counterexample) {
+        Ok(_) => eprintln!("{what} written to {out} (replay with fuzz --replay {out})"),
+        Err(error) => eprintln!("cannot write {out}: {error}"),
     }
 }
 
 fn replay_case(path: &str) -> ! {
     let text = std::fs::read_to_string(path).unwrap_or_else(|error| {
         eprintln!("cannot read {path}: {error}");
-        std::process::exit(2);
+        exit(2);
     });
     // Accept either a serialized Counterexample (replay its shrunk case) or a
     // bare FuzzCase.
@@ -89,7 +164,7 @@ fn replay_case(path: &str) -> ! {
         .or_else(|_| serde_json::from_str::<uba_bench::FuzzCase>(&text))
         .unwrap_or_else(|error| {
             eprintln!("{path} is neither a counterexample nor a fuzz case: {error}");
-            std::process::exit(2);
+            exit(2);
         });
     eprintln!("replaying {}…", case.describe());
     let report = uba_bench::run_case(&case);
@@ -105,7 +180,7 @@ fn replay_case(path: &str) -> ! {
         // means the recorded counterexample is stale (the bug moved or the file
         // rotted) and whatever relied on it is testing nothing.
         eprintln!("stale counterexample: the replayed case no longer fails any property");
-        std::process::exit(1);
+        exit(1);
     }
     eprintln!(
         "counterexample reproduced — {} propert(ies) still violated:",
@@ -114,7 +189,7 @@ fn replay_case(path: &str) -> ! {
     for failure in &failures {
         eprintln!("  {failure}");
     }
-    std::process::exit(0);
+    exit(0);
 }
 
 /// Maps the `--ids` flag onto the boundary grid's identifier-layout axis.
@@ -126,7 +201,7 @@ fn boundary_ids(args: &[String]) -> Vec<uba_simnet::IdSpace> {
         Some("adversary") => vec![uba_simnet::IdSpace::AdversaryLow { stride: 97 }],
         Some(other) => {
             eprintln!("--ids expects dense, sparse or adversary, got '{other}'");
-            std::process::exit(2);
+            exit(2);
         }
     }
 }
@@ -179,12 +254,7 @@ fn run_boundary(smoke: bool, workers: usize, id_spaces: Vec<uba_simnet::IdSpace>
     }
     println!("{table}");
     if let Some(ce) = smallest {
-        let json = serde_json::to_string_pretty(ce).expect("counterexamples serialise");
-        if let Err(error) = std::fs::write(out, &json) {
-            eprintln!("cannot write {out}: {error}");
-        } else {
-            eprintln!("smallest shrunk demonstration written to {out}");
-        }
+        save_counterexample(out, ce, "smallest shrunk demonstration");
     }
     if !unshaped.is_empty() {
         // The expected-failure property, per family: every family must either
@@ -199,7 +269,7 @@ fn run_boundary(smoke: bool, workers: usize, id_spaces: Vec<uba_simnet::IdSpace>
                 .collect::<Vec<_>>()
                 .join(", ")
         );
-        std::process::exit(1);
+        exit(1);
     }
 }
 
@@ -228,7 +298,7 @@ fn run_fuzz(args: &[String]) {
         "fuzzing {} cases (smoke = {smoke}, {workers} workers)…",
         grid.len()
     );
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let outcome = uba_bench::fuzz_grid(&grid, workers, 3);
     println!("{}", uba_bench::fuzz::fuzz_table(&grid, &outcome));
     eprintln!("fuzz finished in {:.2?}", started.elapsed());
@@ -247,13 +317,8 @@ fn run_fuzz(args: &[String]) {
     for failure in &first.failures {
         eprintln!("  {failure}");
     }
-    let json = serde_json::to_string_pretty(first).expect("counterexamples serialise");
-    if let Err(error) = std::fs::write(out, &json) {
-        eprintln!("cannot write {out}: {error}");
-    } else {
-        eprintln!("shrunk reproducer written to {out} (replay with fuzz --replay {out})");
-    }
-    std::process::exit(1);
+    save_counterexample(out, first, "shrunk reproducer");
+    exit(1);
 }
 
 /// Margin-guided search (`fuzz --search`): hill-climbs over mutated fuzz cases
@@ -274,7 +339,7 @@ fn run_search(smoke: bool, workers: usize, out: &str) {
         config.restarts,
         config.steps,
     );
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let outcome = uba_bench::search_grid(&grid, &config);
     let accepted = outcome.trajectory.iter().filter(|s| s.accepted).count();
     let tightest = outcome
@@ -292,7 +357,7 @@ fn run_search(smoke: bool, workers: usize, out: &str) {
     );
     if outcome.counterexamples.is_empty() {
         eprintln!("search found no violation within budget — the climb has lost its teeth");
-        std::process::exit(1);
+        exit(1);
     }
     let mut real_bug = false;
     for counterexample in &outcome.counterexamples {
@@ -313,14 +378,9 @@ fn run_search(smoke: bool, workers: usize, out: &str) {
         }
     }
     let first = &outcome.counterexamples[0];
-    let json = serde_json::to_string_pretty(first).expect("counterexamples serialise");
-    if let Err(error) = std::fs::write(out, &json) {
-        eprintln!("cannot write {out}: {error}");
-    } else {
-        eprintln!("shrunk reproducer written to {out} (replay with fuzz --replay {out})");
-    }
+    save_counterexample(out, first, "shrunk reproducer");
     if real_bug {
-        std::process::exit(1);
+        exit(1);
     }
     eprintln!(
         "all {} counterexample(s) are expected boundary demonstrations ✓",
@@ -331,107 +391,67 @@ fn run_search(smoke: bool, workers: usize, out: &str) {
 fn run_scaling(args: &[String]) {
     let quick = args.iter().any(|a| a == "--quick");
     // `--engine event` forces the whole grid through the discrete-event
-    // scheduler (zero-jitter timing) and writes the overhead rows to its own
-    // file — counts are identical by construction, the wall clock is the point.
-    match flag_value(args, "--engine") {
-        None | Some("sync") => {}
-        Some("event") => {
-            let engine_value_pos = args.iter().position(|a| a == "--engine").map(|p| p + 1);
-            let path = std::path::PathBuf::from(
-                args.iter()
-                    .enumerate()
-                    .find(|(i, a)| !a.starts_with("--") && Some(*i) != engine_value_pos)
-                    .map(|(_, a)| a.as_str())
-                    .unwrap_or("scaling-event.json"),
-            );
-            eprintln!("running the scaling grid through the event engine (quick = {quick})…");
-            let started = std::time::Instant::now();
-            let rows = uba_bench::scaling::scaling_rows_with_engine(
-                quick,
-                uba_simnet::EngineKind::event(),
-            );
-            let file = uba_bench::ScalingFile {
-                seed: uba_bench::scaling::SEED,
-                quick,
-                rows,
-                speedups: Vec::new(),
-            };
-            let json = serde_json::to_string_pretty(&file).expect("scaling files serialise");
-            if let Err(error) = std::fs::write(&path, &json) {
-                eprintln!("cannot write {}: {error}", path.display());
-                std::process::exit(1);
-            }
-            eprintln!(
-                "wrote {} ({} bytes) in {:.2?}",
-                path.display(),
-                json.len(),
-                started.elapsed()
-            );
-            return;
-        }
-        Some(other) => {
-            eprintln!("--engine expects sync or event, got '{other}'");
-            std::process::exit(2);
-        }
-    }
-    // A quick run writes to its own default file: the checked-in
-    // BENCH_scaling.json holds the full grid, and a prefix-only run must not
+    // scheduler (zero-jitter timing) and writes the overhead rows to their own
+    // file — the counts must match the sync grid's, the wall clock is the point.
+    let engine = engine_flag(args).flatten();
+    // Quick and event runs write to their own default files: the checked-in
+    // BENCH_scaling.json holds the full sync grid, and a partial run must not
     // silently clobber the recorded trajectory.
-    let default_path = if quick {
-        "scaling-quick.json"
-    } else {
-        "BENCH_scaling.json"
+    let default_path = match (&engine, quick) {
+        (Some(_), _) => "scaling-event.json",
+        (None, true) => "scaling-quick.json",
+        (None, false) => "BENCH_scaling.json",
     };
-    let path = std::path::PathBuf::from(
-        args.iter()
-            .find(|a| !a.starts_with("--"))
-            .map(String::as_str)
-            .unwrap_or(default_path),
-    );
-    if quick {
+    let path = path_arg(args, default_path);
+    if quick && engine.is_none() {
         eprintln!("checking the engine against BENCH_baseline.json…");
-        let recorded =
-            uba_bench::scaling::load_baseline(std::path::Path::new("BENCH_baseline.json"))
-                .unwrap_or_else(|error| {
-                    eprintln!("cannot load BENCH_baseline.json: {error}");
-                    std::process::exit(1);
-                });
-        let drift = uba_bench::scaling::baseline_drift(&recorded);
-        if !drift.is_empty() {
-            eprintln!("engine behaviour drifted from BENCH_baseline.json:");
-            for line in &drift {
-                eprintln!("  {line}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!("baseline counts unchanged ✓");
+        let recorded: BaselineFile = artifact::read(Path::new("BENCH_baseline.json"))
+            .unwrap_or_else(|error| {
+                eprintln!("cannot load BENCH_baseline.json: {error}");
+                exit(1);
+            });
+        gate(
+            &artifact::drift(
+                "baseline",
+                &uba_bench::baseline_file().gated_rows(),
+                &recorded.gated_rows(),
+                BaselineSummaryRow::KEY,
+                BaselineSummaryRow::DETERMINISTIC,
+            ),
+            "engine behaviour drifted from BENCH_baseline.json",
+            "baseline counts unchanged",
+        );
     }
-    eprintln!("running the scaling grid (quick = {quick})…");
-    let started = std::time::Instant::now();
-    let json = uba_bench::write_scaling(&path, quick).unwrap_or_else(|error| {
-        eprintln!("cannot write {}: {error}", path.display());
-        std::process::exit(1);
-    });
-    eprintln!(
-        "wrote {} ({} bytes) in {:.2?}",
-        path.display(),
-        json.len(),
-        started.elapsed()
-    );
+    let event = engine.is_some();
+    eprintln!("running the scaling grid (quick = {quick}, event engine = {event})…");
+    let started = Instant::now();
+    let file = uba_bench::scaling_file(quick, engine.clone());
+    write_artifact(&path, &file, started);
+    if engine.is_some() {
+        let sync: Vec<ScalingRow> = uba_bench::scaling::scaling_rows(quick, None)
+            .into_iter()
+            .filter(|row| row.engine == "sync")
+            .collect();
+        gate(
+            &artifact::drift(
+                "event scaling",
+                &file.rows,
+                &sync,
+                ScalingRow::KEY,
+                ScalingRow::DETERMINISTIC,
+            ),
+            "event-engine rows drifted from the sync grid",
+            "event-engine counts match the sync grid",
+        );
+    }
 }
 
 fn run_soak(args: &[String]) {
     let smoke = args.iter().any(|a| a == "--smoke");
-    let engines: Vec<Option<uba_simnet::EngineKind>> = match flag_value(args, "--engine") {
-        None => vec![None, Some(uba_simnet::EngineKind::event())],
-        Some("sync") => vec![None],
-        Some("event") => vec![Some(uba_simnet::EngineKind::event())],
-        Some(other) => {
-            eprintln!("--engine expects sync or event, got '{other}'");
-            std::process::exit(2);
-        }
+    let engines = match engine_flag(args) {
+        None => vec![None, Some(EngineKind::event())],
+        Some(engine) => vec![engine],
     };
-    let engine_value_pos = args.iter().position(|a| a == "--engine").map(|p| p + 1);
     // Smoke and full runs default to *different* files: the checked-in
     // BENCH_soak.json is the full 2000-round artifact, and a smoke run must
     // never silently replace it with the short shape (which is exactly what
@@ -441,30 +461,18 @@ fn run_soak(args: &[String]) {
     } else {
         "BENCH_soak.json"
     };
-    let path = std::path::PathBuf::from(
-        args.iter()
-            .enumerate()
-            .find(|(i, a)| !a.starts_with("--") && Some(*i) != engine_value_pos)
-            .map(|(_, a)| a.as_str())
-            .unwrap_or(default_path),
-    );
+    let path = path_arg(args, default_path);
     // The committed file at the target path, when there is one: the refusal
     // check and the latency-regression gate both read it, and both must do so
     // before the fresh run overwrites it.
-    let committed: Option<uba_bench::SoakFile> = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| serde_json::from_str(&text).ok());
-    if smoke {
-        if let Some(existing) = &committed {
-            if !existing.smoke {
-                eprintln!(
-                    "refusing to overwrite {} with a --smoke run: it holds a full \
-                     (non-smoke) artifact; pass an explicit path to override",
-                    path.display()
-                );
-                std::process::exit(2);
-            }
-        }
+    let committed: Option<uba_bench::SoakFile> = artifact::read(&path).ok();
+    if smoke && committed.as_ref().is_some_and(|existing| !existing.smoke) {
+        eprintln!(
+            "refusing to overwrite {} with a --smoke run: it holds a full \
+             (non-smoke) artifact; pass an explicit path to override",
+            path.display()
+        );
+        exit(2);
     }
     let config = if smoke {
         uba_bench::SoakConfig::smoke()
@@ -479,8 +487,8 @@ fn run_soak(args: &[String]) {
         config.crash_period,
         engines.len()
     );
-    let started = std::time::Instant::now();
-    let file = uba_bench::soak::soak_file_with(smoke, &config, &engines);
+    let started = Instant::now();
+    let file = uba_bench::soak::soak_file(smoke, &config, &engines);
     println!("{}", uba_bench::soak_table(&file));
     // Wall-clock latency regression gate: recorded, never hard-failed (the
     // same policy scaling-smoke applies to wall-clock columns — machine noise
@@ -504,17 +512,7 @@ fn run_soak(args: &[String]) {
             path.display()
         ),
     }
-    let json = serde_json::to_string_pretty(&file).expect("soak files serialise");
-    if let Err(error) = std::fs::write(&path, &json) {
-        eprintln!("cannot write {}: {error}", path.display());
-        std::process::exit(1);
-    }
-    eprintln!(
-        "wrote {} ({} bytes) in {:.2?}",
-        path.display(),
-        json.len(),
-        started.elapsed()
-    );
+    write_artifact(&path, &file, started);
     // The slope gate's numbers are worth a line even when green: CI uploads
     // this log, so the trend is visible without opening the artifact.
     for row in &file.rows {
@@ -544,7 +542,7 @@ fn run_soak(args: &[String]) {
                 row.oracles_passed
             );
         }
-        std::process::exit(1);
+        exit(1);
     }
     eprintln!("memory flat, step latency flat and recovery oracles clean on every engine ✓");
 }
@@ -552,27 +550,23 @@ fn run_soak(args: &[String]) {
 fn run_stream(args: &[String]) {
     let smoke = args.iter().any(|a| a == "--smoke");
     let sweep_only = args.iter().any(|a| a == "--window-sweep");
-    let path = std::path::PathBuf::from(
-        args.iter()
-            .find(|a| !a.starts_with("--"))
-            .map(String::as_str)
-            .unwrap_or("BENCH_stream.json"),
-    );
-    let committed = uba_bench::stream::read_stream(&path);
+    let path = path_arg(args, "BENCH_stream.json");
+    let committed = artifact::read::<uba_bench::StreamFile>(&path);
     // A smoke run is the CI regression gate: it needs a committed, well-formed
     // artifact to compare against — a missing or unparseable BENCH_stream.json
     // is itself a failure, not a free pass. A sweep-only run splices into the
     // committed rows, so it needs them too.
-    if (smoke || sweep_only) && committed.is_none() {
+    if let (true, Err(error)) = (smoke || sweep_only, &committed) {
         eprintln!(
-            "stream {} needs a committed, well-formed {} to gate against \
-             (regenerate it with `experiments -- stream`)",
+            "stream {} needs a committed, well-formed {} to gate against ({error}; \
+             regenerate it with `experiments -- stream`)",
             if smoke { "--smoke" } else { "--window-sweep" },
             path.display()
         );
-        std::process::exit(1);
+        exit(1);
     }
-    let started = std::time::Instant::now();
+    let committed = committed.ok();
+    let started = Instant::now();
     let fresh = if sweep_only {
         // Only the active-window sweep; the committed measurement rows ride
         // along untouched.
@@ -594,134 +588,85 @@ fn run_stream(args: &[String]) {
     );
     // The active-window property is deterministic (pure step counters), so it
     // hard-gates in every mode: per-round cost must not grow with the horizon.
-    let slope = uba_bench::stream::window_sweep_slope(&fresh.window_sweep);
-    if !slope.is_empty() {
-        eprintln!("active-window sweep slope gate FAILED:");
-        for line in &slope {
-            eprintln!("  {line}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("per-round cost flat in the horizon at every window size ✓");
+    gate(
+        &uba_bench::stream::window_sweep_slope(&fresh.window_sweep),
+        "active-window sweep slope gate FAILED",
+        "per-round cost flat in the horizon at every window size",
+    );
     // A smoke run regenerates only the smoke rows; the committed full rows (if
     // any) are carried over so the artifact never loses its full shape to a CI
     // run — the failure mode the soak artifact had.
-    let file = match (&committed, smoke && !sweep_only) {
-        (Some(committed), true) => {
-            let drift = uba_bench::stream_drift(&fresh, committed);
-            if !drift.is_empty() {
-                eprintln!(
-                    "stream counts drifted from the committed {}:",
-                    path.display()
-                );
-                for line in &drift {
-                    eprintln!("  {line}");
-                }
-                std::process::exit(1);
-            }
-            eprintln!("deterministic stream counts unchanged ✓");
-            let mut merged = fresh.clone();
-            merged.rows.extend(
-                committed
-                    .rows
-                    .iter()
-                    .filter(|row| row.preset != "smoke")
-                    .cloned(),
-            );
-            merged
-        }
-        _ => fresh,
-    };
-    let json = uba_bench::write_stream(&path, &file).unwrap_or_else(|error| {
-        eprintln!("cannot write {}: {error}", path.display());
-        std::process::exit(1);
-    });
-    eprintln!(
-        "wrote {} ({} bytes) in {:.2?}",
-        path.display(),
-        json.len(),
-        started.elapsed()
-    );
-    if file.rows.iter().any(|row| !row.oracles_passed) {
-        for row in file.rows.iter().filter(|r| !r.oracles_passed) {
-            eprintln!(
-                "stream FAILED its oracles: {} {} on the {} engine",
-                row.preset, row.family, row.engine
-            );
-        }
-        std::process::exit(1);
+    let mut file = fresh;
+    if let (Some(committed), true) = (&committed, smoke && !sweep_only) {
+        gate(
+            &uba_bench::stream_drift(&file, committed),
+            &format!(
+                "stream counts drifted from the committed {}",
+                path.display()
+            ),
+            "deterministic stream counts unchanged",
+        );
+        let full = committed.rows.iter().filter(|row| row.preset != "smoke");
+        file.rows.extend(full.cloned());
     }
-    eprintln!("stream oracles clean on every row ✓");
+    write_artifact(&path, &file, started);
+    let failed: Vec<String> = file
+        .rows
+        .iter()
+        .filter(|row| !row.oracles_passed)
+        .map(|row| format!("{} {} on the {} engine", row.preset, row.family, row.engine))
+        .collect();
+    gate(
+        &failed,
+        "stream FAILED its oracles",
+        "stream oracles clean on every row",
+    );
+}
+
+fn run_baseline(args: &[String]) {
+    let path = path_arg(args, "BENCH_baseline.json");
+    eprintln!("running the baseline grid…");
+    let started = Instant::now();
+    write_artifact(&path, &uba_bench::baseline_file(), started);
+}
+
+fn run_experiments(args: &[String]) {
+    #[allow(clippy::type_complexity)]
+    let selected: Vec<(&'static str, fn() -> uba_bench::Table)> =
+        if args.is_empty() || args.iter().any(|a| a == "all") {
+            all_experiments()
+        } else {
+            args.iter()
+                .map(|name| {
+                    let f = experiment_by_name(name).unwrap_or_else(|| {
+                        eprintln!(
+                            "unknown experiment '{name}'; expected e1..e14, 'all', 'baseline', \
+                         'scaling', 'soak', 'stream' or 'fuzz'"
+                        );
+                        exit(2);
+                    });
+                    (Box::leak(name.clone().into_boxed_str()) as &'static str, f)
+                })
+                .collect()
+        };
+
+    for (name, run) in selected {
+        eprintln!("running {name}…");
+        let started = Instant::now();
+        let table = run();
+        println!("{table}");
+        eprintln!("{name} finished in {:.2?}\n", started.elapsed());
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-
-    if args.first().map(String::as_str) == Some("stream") {
-        run_stream(&args[1..]);
-        return;
-    }
-
-    if args.first().map(String::as_str) == Some("soak") {
-        run_soak(&args[1..]);
-        return;
-    }
-
-    if args.first().map(String::as_str) == Some("scaling") {
-        run_scaling(&args[1..]);
-        return;
-    }
-
-    if args.first().map(String::as_str) == Some("fuzz") {
-        run_fuzz(&args[1..]);
-        return;
-    }
-
-    if args.first().map(String::as_str) == Some("baseline") {
-        let path = std::path::PathBuf::from(
-            args.get(1)
-                .map(String::as_str)
-                .unwrap_or("BENCH_baseline.json"),
-        );
-        eprintln!("running the baseline grid…");
-        let started = std::time::Instant::now();
-        let json = uba_bench::write_baseline(&path).unwrap_or_else(|error| {
-            eprintln!("cannot write {}: {error}", path.display());
-            std::process::exit(1);
-        });
-        eprintln!(
-            "wrote {} ({} bytes) in {:.2?}",
-            path.display(),
-            json.len(),
-            started.elapsed()
-        );
-        return;
-    }
-
-    #[allow(clippy::type_complexity)]
-    let selected: Vec<(&'static str, fn() -> uba_bench::Table)> = if args.is_empty()
-        || args.iter().any(|a| a == "all")
-    {
-        all_experiments()
-    } else {
-        args.iter()
-            .map(|name| {
-                let f = experiment_by_name(name).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown experiment '{name}'; expected e1..e14, 'all', 'baseline', 'scaling', 'soak' or 'fuzz'"
-                    );
-                    std::process::exit(2);
-                });
-                (Box::leak(name.clone().into_boxed_str()) as &'static str, f)
-            })
-            .collect()
-    };
-
-    for (name, run) in selected {
-        eprintln!("running {name}…");
-        let started = std::time::Instant::now();
-        let table = run();
-        println!("{table}");
-        eprintln!("{name} finished in {:.2?}\n", started.elapsed());
+    match args.first().map(String::as_str) {
+        Some("baseline") => run_baseline(&args[1..]),
+        Some("scaling") => run_scaling(&args[1..]),
+        Some("soak") => run_soak(&args[1..]),
+        Some("stream") => run_stream(&args[1..]),
+        Some("fuzz") => run_fuzz(&args[1..]),
+        _ => run_experiments(&args),
     }
 }

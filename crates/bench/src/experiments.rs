@@ -1,8 +1,8 @@
-//! The E1–E10 experiment suite (see `DESIGN.md` for the claim ↔ experiment map).
+//! The E1–E10 experiment suite: one experiment per theorem-level claim of the
+//! paper (E11–E14 live in [`crate::experiments_ext`]).
 //!
 //! Every experiment is a pure, deterministic function of a seed and returns a
-//! [`Table`]; the `experiments` binary prints them and `EXPERIMENTS.md` records the
-//! outcomes next to the corresponding paper claims. All experiments drive their
+//! [`Table`], which the `experiments` binary prints. All experiments drive their
 //! executions through the unified [`Simulation`] builder, so an id-only protocol and
 //! its known-`(n, f)` baseline run the *same* scenario description head-to-head.
 

@@ -29,7 +29,9 @@
 //!   prefix of the grid plus the full `BENCH_baseline.json` grid and **fails on
 //!   any drift in rounds, message or delivery counts** — the deterministic part
 //!   of the result. This is the regression guard that keeps engine rewrites
-//!   behaviour-preserving.
+//!   behaviour-preserving. `scaling --quick --engine event` runs the prefix
+//!   through the discrete-event engine and fails unless its rows reproduce the
+//!   sync rows' [`ScalingRow::DETERMINISTIC`] columns.
 
 use std::time::Instant;
 
@@ -38,8 +40,6 @@ use serde::{Deserialize, Serialize};
 use uba_baselines::PhaseKingFactory;
 use uba_core::sim::{AdversaryKind, Harness, ProtocolFactory, RunReport, ScenarioExt, Simulation};
 use uba_simnet::{EngineKind, IdSpace, PhaseTimings};
-
-use crate::baseline::{baseline_file, BaselineFile};
 
 /// Base seed of the scaling grid (distinct from the baseline grid's seed so the
 /// two files never share identifier layouts).
@@ -168,34 +168,10 @@ pub struct ScalingRow {
 }
 
 impl ScalingRow {
-    /// The row with its machine-dependent measurements zeroed — the deterministic
-    /// residue the drift gates compare.
-    pub fn counts_only(&self) -> ScalingRow {
-        ScalingRow {
-            wall_ms: 0.0,
-            phases: PhaseSplit::default(),
-            deliver_share: 0.0,
-            ..self.clone()
-        }
-    }
-}
-
-impl ScalingRow {
-    /// The `protocol/adversary/n[/engine]` scenario key. The reference lookup
-    /// deliberately ignores the suffix: every engine is compared against the
-    /// same synchronous pre-rewrite timing.
-    pub fn key(&self) -> String {
-        let engine = if self.engine == "sync" {
-            String::new()
-        } else {
-            format!("/{}", self.engine)
-        };
-        format!("{}/{}/n{}{}", self.protocol, self.adversary, self.n, engine)
-    }
-
-    fn reference_key(&self) -> String {
-        format!("{}/{}/n{}", self.protocol, self.adversary, self.n)
-    }
+    /// The columns that name a scenario, whichever engine ran it.
+    pub const KEY: &'static [&'static str] = &["protocol", "adversary", "n"];
+    /// The columns every engine must reproduce for the same scenario.
+    pub const DETERMINISTIC: &'static [&'static str] = &["rounds", "messages", "deliveries", "ok"];
 }
 
 /// A measured-vs-reference comparison for one scenario.
@@ -255,10 +231,12 @@ fn row(report: &RunReport, wall_ms: f64, phases: PhaseSplit) -> ScalingRow {
     }
 }
 
-/// `engine = None` runs the recorded sync-engine grid (with the event overhead
-/// re-runs at `n = 128`); `engine = Some(..)` forces every run through that
-/// engine instead, for overhead sweeps.
-fn grid_rows(quick: bool, engine: Option<EngineKind>) -> Vec<ScalingRow> {
+/// Runs the scaling grid (`quick` restricts it to the small-`n` prefix) and
+/// returns one measured row per scenario. `engine = None` runs the recorded
+/// sync-engine grid (with the event overhead re-runs at `n = 128` on the full
+/// grid); `engine = Some(..)` forces every run through that engine instead,
+/// for the `experiments -- scaling --engine event` overhead sweep.
+pub fn scaling_rows(quick: bool, engine: Option<EngineKind>) -> Vec<ScalingRow> {
     let sizes = if quick { QUICK_SIZES } else { FULL_SIZES };
     let mut rows = Vec::new();
 
@@ -337,23 +315,10 @@ fn grid_rows(quick: bool, engine: Option<EngineKind>) -> Vec<ScalingRow> {
     rows
 }
 
-/// Runs the scaling grid (`--quick` restricts it to the small-`n` prefix) and
-/// returns one measured row per scenario.
-pub fn scaling_rows(quick: bool) -> Vec<ScalingRow> {
-    grid_rows(quick, None)
-}
-
-/// Runs the whole scaling grid through the given engine (the
-/// `experiments -- scaling --engine event` overhead sweep). Counts are
-/// engine-independent by construction; the wall clock is the point.
-pub fn scaling_rows_with_engine(quick: bool, engine: EngineKind) -> Vec<ScalingRow> {
-    grid_rows(quick, Some(engine))
-}
-
-/// Assembles the scaling file: measured rows plus speedups against the recorded
-/// pre-rewrite reference.
-pub fn scaling_file(quick: bool) -> ScalingFile {
-    let rows = scaling_rows(quick);
+/// Assembles the scaling file: the rows of [`scaling_rows`] plus speedups of
+/// the sync rows against the recorded pre-rewrite reference.
+pub fn scaling_file(quick: bool, engine: Option<EngineKind>) -> ScalingFile {
+    let rows = scaling_rows(quick, engine);
     let speedups = rows
         .iter()
         // Event rows measure the discrete-event scheduler's overhead, not the
@@ -361,12 +326,12 @@ pub fn scaling_file(quick: bool) -> ScalingFile {
         // recorded pre-rewrite timings.
         .filter(|r| r.engine == "sync")
         .filter_map(|r| {
-            let reference = r.reference_key();
+            let scenario = format!("{}/{}/n{}", r.protocol, r.adversary, r.n);
             PRE_CHANGE_REFERENCE_MS
                 .iter()
-                .find(|(scenario, _)| *scenario == reference)
+                .find(|(reference, _)| *reference == scenario)
                 .map(|&(_, pre_change_ms)| SpeedupRow {
-                    scenario: r.key(),
+                    scenario,
                     pre_change_ms,
                     measured_ms: r.wall_ms,
                     speedup: pre_change_ms / r.wall_ms,
@@ -381,106 +346,17 @@ pub fn scaling_file(quick: bool) -> ScalingFile {
     }
 }
 
-/// Writes `BENCH_scaling.json` (or another path) and returns the rendered JSON.
-pub fn write_scaling(path: &std::path::Path, quick: bool) -> std::io::Result<String> {
-    let json = serde_json::to_string_pretty(&scaling_file(quick))
-        .expect("scaling serialization is infallible");
-    std::fs::write(path, &json)?;
-    Ok(json)
-}
-
-/// Re-runs the deterministic baseline grid and compares the aggregate rows against
-/// a recorded `BENCH_baseline.json`. Returns the human-readable drift lines, empty
-/// when the engine still reproduces the recorded behaviour exactly.
-///
-/// This is the CI regression guard: wall-clock may move with the hardware, but
-/// rounds, messages, deliveries and verdicts must not move with an engine rewrite.
-pub fn baseline_drift(recorded: &BaselineFile) -> Vec<String> {
-    baseline_drift_against(recorded, &baseline_file())
-}
-
-/// The comparison behind [`baseline_drift`], with the current grid supplied by the
-/// caller (unit-testable without running the grid).
-pub fn baseline_drift_against(recorded: &BaselineFile, current: &BaselineFile) -> Vec<String> {
-    let mut drift = Vec::new();
-    if recorded.seed != current.seed {
-        drift.push(format!(
-            "baseline seed changed: recorded {:#x}, current {:#x}",
-            recorded.seed, current.seed
-        ));
-    }
-    if recorded.summary.len() != current.summary.len() {
-        drift.push(format!(
-            "baseline grid size changed: recorded {} rows, current {}",
-            recorded.summary.len(),
-            current.summary.len()
-        ));
-    }
-    for (recorded_row, current_row) in recorded.summary.iter().zip(&current.summary) {
-        if recorded_row != current_row {
-            drift.push(format!(
-                "{}/{} n={}: recorded (rounds {}, messages {}, ok {}) vs current \
-                 (rounds {}, messages {}, ok {})",
-                recorded_row.protocol,
-                recorded_row.adversary,
-                recorded_row.n,
-                recorded_row.rounds,
-                recorded_row.messages,
-                recorded_row.ok,
-                current_row.rounds,
-                current_row.messages,
-                current_row.ok,
-            ));
-        }
-    }
-    // The summary has no delivery column; deliveries are guarded through the full
-    // per-round metrics embedded in the recorded reports. A length mismatch is
-    // itself drift — `zip` would otherwise skip the unmatched scenarios silently.
-    if recorded.reports.len() != current.reports.len() {
-        drift.push(format!(
-            "baseline report count changed: recorded {} reports, current {}",
-            recorded.reports.len(),
-            current.reports.len()
-        ));
-    }
-    for (recorded_report, current_report) in recorded.reports.iter().zip(&current.reports) {
-        if recorded_report.messages.deliveries != current_report.messages.deliveries {
-            drift.push(format!(
-                "{}/{} n={}: deliveries changed: recorded {} vs current {}",
-                recorded_report.protocol,
-                recorded_report.adversary,
-                recorded_report.scenario.n(),
-                recorded_report.messages.deliveries,
-                current_report.messages.deliveries,
-            ));
-        }
-    }
-    drift
-}
-
-/// Loads a recorded baseline file from disk.
-pub fn load_baseline(path: &std::path::Path) -> std::io::Result<BaselineFile> {
-    let json = std::fs::read_to_string(path)?;
-    serde_json::from_str(&json).map_err(|error| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("cannot parse {}: {error:?}", path.display()),
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact;
 
     #[test]
     fn quick_grid_is_deterministic_up_to_wall_clock() {
-        let strip = |rows: Vec<ScalingRow>| -> Vec<ScalingRow> {
-            rows.iter().map(ScalingRow::counts_only).collect()
-        };
-        let a = strip(scaling_rows(true));
-        let b = strip(scaling_rows(true));
-        assert_eq!(a, b);
+        let a = scaling_rows(true, None);
+        let b = scaling_rows(true, None);
+        let drift = artifact::drift("quick", &a, &b, ScalingRow::KEY, ScalingRow::DETERMINISTIC);
+        assert!(drift.is_empty(), "{drift:?}");
         assert!(a.iter().all(|r| r.ok), "every quick scenario completes");
     }
 
@@ -516,61 +392,25 @@ mod tests {
         // The scaling grid run end-to-end through the discrete-event scheduler
         // under zero-jitter timing must be count-identical to the sync grid —
         // the engine-level equivalence (tests/event_equivalence.rs) surfacing
-        // at the benchmark layer.
-        let normalize = |rows: Vec<ScalingRow>| -> Vec<ScalingRow> {
-            rows.iter()
-                .map(|r| ScalingRow {
-                    engine: "sync".into(),
-                    ..r.counts_only()
-                })
-                .collect()
-        };
-        let sync = normalize(grid_rows(true, None));
-        let event = normalize(grid_rows(true, Some(EngineKind::event())));
-        assert_eq!(sync, event);
+        // at the benchmark layer, through the same drift the CLI gate runs.
+        let sync = scaling_rows(true, None);
+        let event = scaling_rows(true, Some(EngineKind::event()));
+        let drift = artifact::drift(
+            "event",
+            &event,
+            &sync,
+            ScalingRow::KEY,
+            ScalingRow::DETERMINISTIC,
+        );
+        assert!(drift.is_empty(), "{drift:?}");
     }
 
     #[test]
     fn scaling_file_round_trips_through_serde() {
-        let file = scaling_file(true);
+        let file = scaling_file(true, None);
         let json = serde_json::to_string(&file).unwrap();
         let back: ScalingFile = serde_json::from_str(&json).unwrap();
         // Wall-clock survives serialisation; equality is over the whole struct.
         assert_eq!(back, file);
-    }
-
-    // The end-to-end "current engine reproduces BENCH_baseline.json" assertion
-    // lives in tests/engine_equivalence.rs (full RunReport equality, strictly
-    // stronger than the drift summary); here only the comparison logic itself is
-    // tested, on synthetic files, so the expensive grid is not run twice.
-    #[test]
-    fn baseline_drift_reports_every_mismatch_class() {
-        let row = |rounds: u64| crate::baseline::BaselineSummaryRow {
-            protocol: "consensus".into(),
-            adversary: "silent".into(),
-            n: 4,
-            f: 1,
-            rounds,
-            messages: 100,
-            bytes_estimate: 1_600,
-            ok: true,
-        };
-        let recorded = BaselineFile {
-            seed: 1,
-            summary: vec![row(7), row(9)],
-            reports: Vec::new(),
-        };
-        let identical = recorded.clone();
-        assert!(baseline_drift_against(&recorded, &identical).is_empty());
-
-        let mut drifted = recorded.clone();
-        drifted.seed = 2;
-        drifted.summary[1] = row(10);
-        drifted.summary.push(row(3));
-        let drift = baseline_drift_against(&recorded, &drifted);
-        assert_eq!(drift.len(), 3, "seed, grid size and row drift:\n{drift:#?}");
-        assert!(drift.iter().any(|line| line.contains("seed changed")));
-        assert!(drift.iter().any(|line| line.contains("grid size changed")));
-        assert!(drift.iter().any(|line| line.contains("rounds 10")));
     }
 }

@@ -50,7 +50,6 @@
 //! cargo run -p uba-bench --release --bin experiments -- soak [--smoke]
 //! ```
 
-use std::path::Path;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -226,18 +225,14 @@ pub struct SoakRow {
     pub oracles_passed: bool,
     /// Median step latency over the middle third of the run, microseconds
     /// (the slope gate's baseline window; the first third is warm-up).
-    #[serde(default)]
     pub lat_mid_third_us: f64,
     /// Median step latency over the last third of the run, microseconds.
-    #[serde(default)]
     pub lat_last_third_us: f64,
     /// `lat_last_third_us / lat_mid_third_us` — the slowdown signal.
-    #[serde(default)]
     pub lat_slope: f64,
     /// Whether the slope gate tripped: the run got meaningfully slower as it
     /// aged (last third beyond [`LATENCY_SLOPE_MARGIN`] × the middle third
     /// plus [`LATENCY_SLOPE_FLOOR_US`]).
-    #[serde(default)]
     pub lat_drift: bool,
     /// Wall-clock of the whole run, milliseconds (documentation, not a gate).
     pub wall_ms: f64,
@@ -492,23 +487,8 @@ pub fn latency_drift(
     drift
 }
 
-/// Runs the soak shape on both engines and assembles the file.
-pub fn soak_file(smoke: bool) -> SoakFile {
-    let config = if smoke {
-        SoakConfig::smoke()
-    } else {
-        SoakConfig::full()
-    };
-    soak_file_with(smoke, &config, &[None, Some(EngineKind::event())])
-}
-
-/// [`soak_file`] with an explicit config and engine list (the `--engine` flag
-/// and the integration tests).
-pub fn soak_file_with(
-    smoke: bool,
-    config: &SoakConfig,
-    engines: &[Option<EngineKind>],
-) -> SoakFile {
+/// Runs the soak shape on each engine and assembles the file.
+pub fn soak_file(smoke: bool, config: &SoakConfig, engines: &[Option<EngineKind>]) -> SoakFile {
     SoakFile {
         seed: config.seed,
         smoke,
@@ -517,14 +497,6 @@ pub fn soak_file_with(
             .map(|engine| run_soak(config, engine.clone()))
             .collect(),
     }
-}
-
-/// Writes `BENCH_soak.json` (or `path`) and returns the serialised JSON.
-pub fn write_soak(path: &Path, smoke: bool) -> std::io::Result<String> {
-    let file = soak_file(smoke);
-    let json = serde_json::to_string_pretty(&file).expect("soak files serialise");
-    std::fs::write(path, &json)?;
-    Ok(json)
 }
 
 /// Renders the file as the table the `experiments` binary prints.
@@ -647,7 +619,7 @@ mod tests {
     #[test]
     fn the_slope_gate_fails_runs_that_age_into_slowness() {
         let config = SoakConfig::tiny();
-        let mut file = soak_file_with(true, &config, &[None]);
+        let mut file = soak_file(true, &config, &[None]);
         assert!(file.passed());
         let row = &mut file.rows[0];
         row.lat_last_third_us =
@@ -660,7 +632,7 @@ mod tests {
     #[test]
     fn soak_files_serialise_and_gate_on_their_rows() {
         let config = SoakConfig::tiny();
-        let file = soak_file_with(true, &config, &[None]);
+        let file = soak_file(true, &config, &[None]);
         assert_eq!(file.rows.len(), 1);
         assert_eq!(file.rows[0].engine, "sync");
         assert!(file.passed());
@@ -690,8 +662,7 @@ mod tests {
             "too-short rows must fail, not pass vacuously"
         );
         assert!(
-            format!("{}", soak_table(&soak_file_with(true, &config, &[None])))
-                .contains("TOO SHORT")
+            format!("{}", soak_table(&soak_file(true, &config, &[None]))).contains("TOO SHORT")
         );
     }
 
@@ -731,7 +702,7 @@ mod tests {
     #[test]
     fn the_latency_gate_flags_only_percentiles_beyond_the_margin() {
         let config = SoakConfig::tiny();
-        let committed = soak_file_with(true, &config, &[None]);
+        let committed = soak_file(true, &config, &[None]);
         let mut current = committed.clone();
         assert_eq!(
             latency_drift(&current, &committed, 3.0, 2_000.0),

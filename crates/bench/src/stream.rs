@@ -40,7 +40,6 @@
 //! the retirement property — doubling the horizon at fixed `W` must not move
 //! per-round cost by more than 10%.
 
-use std::path::Path;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -54,6 +53,7 @@ use uba_simnet::rng::derive_seed;
 use uba_simnet::shared::payload_digest;
 use uba_simnet::{EngineKind, Histogram, MuxWork};
 
+use crate::artifact;
 use crate::table::Table;
 use crate::workload::{open_loop_requests, StreamRequest};
 
@@ -456,6 +456,27 @@ pub struct StreamRow {
     pub oracles_passed: bool,
 }
 
+impl StreamRow {
+    /// The columns that name a row.
+    pub const KEY: &'static [&'static str] = &["preset", "family", "engine", "nodes"];
+    /// The columns that are exact functions of the seed; the per-second
+    /// rates and `wall_ms` are not.
+    pub const DETERMINISTIC: &'static [&'static str] = &[
+        "instances",
+        "rounds",
+        "requests",
+        "decided_requests",
+        "decisions",
+        "msgs",
+        "deliveries",
+        "batch_hist",
+        "lat_p50_rounds",
+        "lat_p95_rounds",
+        "lat_p99_rounds",
+        "oracles_passed",
+    ];
+}
+
 /// One point of the active-window cost sweep: waves of `window` simultaneous
 /// consensus instances, `waves` waves in total, with decided slots retiring
 /// and engine traffic GC on. Everything but `wall_ms` is an exact function of
@@ -481,6 +502,20 @@ pub struct WindowSweepRow {
     pub steps_per_round: f64,
     /// Wall-clock milliseconds (recorded, never gated).
     pub wall_ms: f64,
+}
+
+impl WindowSweepRow {
+    /// The columns that name a row.
+    pub const KEY: &'static [&'static str] = &["window", "waves"];
+    /// Every column but `wall_ms`.
+    pub const DETERMINISTIC: &'static [&'static str] = &[
+        "instances",
+        "rounds",
+        "slot_steps",
+        "envelopes_indexed",
+        "dropped_retired",
+        "steps_per_round",
+    ];
 }
 
 /// Rounds between consecutive waves in the window sweep: comfortably above
@@ -591,8 +626,7 @@ pub struct StreamFile {
     pub seed: u64,
     /// One row per (preset, family, engine).
     pub rows: Vec<StreamRow>,
-    /// The active-window cost sweep (empty in pre-sweep artifacts).
-    #[serde(default)]
+    /// The active-window cost sweep.
     pub window_sweep: Vec<WindowSweepRow>,
 }
 
@@ -670,140 +704,31 @@ pub fn stream_file(smoke_only: bool) -> StreamFile {
     }
 }
 
-/// Compares the deterministic columns of two stream files, row-matched by
-/// (preset, family, engine, nodes). Returns human-readable drift lines; empty
-/// means no drift. Wall-clock columns are never compared.
+/// Compares the deterministic columns of two stream files: the rows of the
+/// presets `current` ran, and the active-window sweep. Returns human-readable
+/// drift lines; empty means no drift. Wall-clock columns are never compared.
 pub fn stream_drift(current: &StreamFile, committed: &StreamFile) -> Vec<String> {
-    let mut drift = Vec::new();
-    for row in &current.rows {
-        let Some(recorded) = committed.rows.iter().find(|r| {
-            r.preset == row.preset
-                && r.family == row.family
-                && r.engine == row.engine
-                && r.nodes == row.nodes
-        }) else {
-            drift.push(format!(
-                "no committed {} {} row on the {} engine at n = {} to compare against",
-                row.preset, row.family, row.engine, row.nodes
-            ));
-            continue;
-        };
-        let mut field = |name: &str, fresh: String, committed: String| {
-            if fresh != committed {
-                drift.push(format!(
-                    "{} {} ({} engine, n = {}): {} drifted from {} to {}",
-                    row.preset, row.family, row.engine, row.nodes, name, committed, fresh
-                ));
-            }
-        };
-        field(
-            "rounds",
-            row.rounds.to_string(),
-            recorded.rounds.to_string(),
-        );
-        field(
-            "requests",
-            row.requests.to_string(),
-            recorded.requests.to_string(),
-        );
-        field(
-            "decided_requests",
-            row.decided_requests.to_string(),
-            recorded.decided_requests.to_string(),
-        );
-        field(
-            "decisions",
-            row.decisions.to_string(),
-            recorded.decisions.to_string(),
-        );
-        field("msgs", row.msgs.to_string(), recorded.msgs.to_string());
-        field(
-            "deliveries",
-            row.deliveries.to_string(),
-            recorded.deliveries.to_string(),
-        );
-        field(
-            "lat_p50_rounds",
-            format!("{:.3}", row.lat_p50_rounds),
-            format!("{:.3}", recorded.lat_p50_rounds),
-        );
-        field(
-            "lat_p95_rounds",
-            format!("{:.3}", row.lat_p95_rounds),
-            format!("{:.3}", recorded.lat_p95_rounds),
-        );
-        field(
-            "lat_p99_rounds",
-            format!("{:.3}", row.lat_p99_rounds),
-            format!("{:.3}", recorded.lat_p99_rounds),
-        );
-        field(
-            "batch_hist",
-            format!("{:?}", row.batch_hist),
-            format!("{:?}", recorded.batch_hist),
-        );
-        field(
-            "oracles_passed",
-            row.oracles_passed.to_string(),
-            recorded.oracles_passed.to_string(),
-        );
-    }
-    // The sweep's counters are pure count arithmetic, so they gate like the
-    // row counts. A committed artifact with no sweep section predates the
-    // sweep — nothing to compare against, not a drift.
-    if !committed.window_sweep.is_empty() {
-        for row in &current.window_sweep {
-            let Some(recorded) = committed
-                .window_sweep
-                .iter()
-                .find(|r| r.window == row.window && r.waves == row.waves)
-            else {
-                drift.push(format!(
-                    "no committed window-sweep row at window = {}, waves = {}",
-                    row.window, row.waves
-                ));
-                continue;
-            };
-            let mut field = |name: &str, fresh: String, committed: String| {
-                if fresh != committed {
-                    drift.push(format!(
-                        "window sweep (window = {}, waves = {}): {} drifted from {} to {}",
-                        row.window, row.waves, name, committed, fresh
-                    ));
-                }
-            };
-            field(
-                "instances",
-                row.instances.to_string(),
-                recorded.instances.to_string(),
-            );
-            field(
-                "rounds",
-                row.rounds.to_string(),
-                recorded.rounds.to_string(),
-            );
-            field(
-                "slot_steps",
-                row.slot_steps.to_string(),
-                recorded.slot_steps.to_string(),
-            );
-            field(
-                "envelopes_indexed",
-                row.envelopes_indexed.to_string(),
-                recorded.envelopes_indexed.to_string(),
-            );
-            field(
-                "dropped_retired",
-                row.dropped_retired.to_string(),
-                recorded.dropped_retired.to_string(),
-            );
-            field(
-                "steps_per_round",
-                format!("{:.3}", row.steps_per_round),
-                format!("{:.3}", recorded.steps_per_round),
-            );
-        }
-    }
+    // A smoke run re-runs only the smoke preset; the full rows ride along.
+    let ran: Vec<StreamRow> = committed
+        .rows
+        .iter()
+        .filter(|row| current.rows.iter().any(|r| r.preset == row.preset))
+        .cloned()
+        .collect();
+    let mut drift = artifact::drift(
+        "stream",
+        &current.rows,
+        &ran,
+        StreamRow::KEY,
+        StreamRow::DETERMINISTIC,
+    );
+    drift.extend(artifact::drift(
+        "window sweep",
+        &current.window_sweep,
+        &committed.window_sweep,
+        WindowSweepRow::KEY,
+        WindowSweepRow::DETERMINISTIC,
+    ));
     drift
 }
 
@@ -886,19 +811,6 @@ pub fn stream_table(file: &StreamFile) -> Table {
     table
 }
 
-/// Reads a committed stream artifact, if present and well-formed.
-pub fn read_stream(path: &Path) -> Option<StreamFile> {
-    let json = std::fs::read_to_string(path).ok()?;
-    serde_json::from_str(&json).ok()
-}
-
-/// Writes the artifact to `path` and returns the JSON.
-pub fn write_stream(path: &Path, file: &StreamFile) -> std::io::Result<String> {
-    let json = serde_json::to_string_pretty(file).expect("stream files serialise");
-    std::fs::write(path, &json)?;
-    Ok(json)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -955,31 +867,6 @@ mod tests {
         let b = run_consensus_stream(&tiny(), None);
         assert_eq!(a.report, b.report);
         assert_eq!(a.latencies_rounds, b.latencies_rounds);
-    }
-
-    #[test]
-    fn the_drift_gate_flags_deterministic_changes_and_missing_rows() {
-        let outcome = run_consensus_stream(&tiny(), None);
-        let row = outcome_row(&outcome, "smoke", "consensus-stream", "sync", &tiny(), 6);
-        let file = StreamFile {
-            seed: 1,
-            rows: vec![row.clone()],
-            window_sweep: Vec::new(),
-        };
-        assert!(stream_drift(&file, &file).is_empty());
-
-        let mut drifted = file.clone();
-        drifted.rows[0].msgs += 1;
-        drifted.rows[0].wall_ms *= 100.0; // wall clock must not trip the gate
-        let lines = stream_drift(&drifted, &file);
-        assert_eq!(lines.len(), 1, "{lines:?}");
-        assert!(lines[0].contains("msgs"));
-
-        let mut renamed = file.clone();
-        renamed.rows[0].engine = "event".to_string();
-        let lines = stream_drift(&renamed, &file);
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("no committed"));
     }
 
     #[test]

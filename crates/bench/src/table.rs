@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-/// A titled table of rows rendered as aligned plain text (the format copied into
-/// `EXPERIMENTS.md`).
+/// A titled table of rows rendered as aligned plain text (what the `experiments`
+/// binary prints).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Table {
     /// Table title (e.g. "E4: consensus rounds vs f").

@@ -3,18 +3,18 @@
 //! same set of keys. A field dropped from a schema without regenerating the
 //! artifact (or an artifact regenerated by a stale binary) fails here rather
 //! than landing silently — the key-set comparison does not rely on the
-//! deserialiser rejecting unknown fields.
+//! deserialiser rejecting unknown fields. Every artifact the docs, the code or
+//! CI name must exist.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use serde_json::Value;
-use uba_bench::scaling::load_baseline;
-use uba_bench::stream::read_stream;
-use uba_bench::{ScalingFile, SoakFile};
+use uba_bench::artifact;
+use uba_bench::{BaselineFile, ScalingFile, SoakConfig, SoakFile, StreamFile};
 
-fn artifact(name: &str) -> PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(name)
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
 /// Every object key in `value`, as a path from the root with array positions
@@ -37,55 +37,134 @@ fn key_paths(value: &Value, prefix: &str, paths: &mut BTreeSet<String>) {
     }
 }
 
-/// Asserts that `typed` — the committed file `name` parsed under its schema —
-/// re-serialises to exactly the key paths the file holds, and returns them.
-fn assert_same_keys<T: serde::Serialize>(name: &str, typed: &T) -> BTreeSet<String> {
-    let committed: Value = parse(name);
-    let mut on_disk = BTreeSet::new();
-    key_paths(&committed, "", &mut on_disk);
-    let mut rewritten = BTreeSet::new();
-    key_paths(&serde_json::to_value(typed), "", &mut rewritten);
-    assert_eq!(on_disk, rewritten, "{name}: schema and artifact disagree");
-    on_disk
+fn keys(value: &Value) -> BTreeSet<String> {
+    let mut paths = BTreeSet::new();
+    key_paths(value, "", &mut paths);
+    paths
 }
 
-fn parse<T: serde::Deserialize>(name: &str) -> T {
-    let json = std::fs::read_to_string(artifact(name)).expect("artifact is readable");
-    serde_json::from_str(&json).unwrap_or_else(|error| panic!("{name} parses: {error:?}"))
+fn read<T: serde::Deserialize>(path: &Path) -> T {
+    artifact::read(path).unwrap_or_else(|error| panic!("{error}"))
 }
 
-#[test]
-fn the_scaling_artifact_parses_under_its_schema_and_has_no_parallel_rows() {
-    let file: ScalingFile = parse("BENCH_scaling.json");
-    assert!(!file.quick, "the committed scaling file is the full grid");
-    let keys = assert_same_keys("BENCH_scaling.json", &file);
-    assert!(
-        !keys.contains(".rows[].parallel"),
-        "scaling rows carry no step-mode column: there is one stepping path"
+/// Parses the committed artifact `name` with `parse` — which reads it under its
+/// schema, asserts what the schema promises about the committed shape and
+/// re-serialises it — and asserts the file and the schema hold the same keys.
+fn check(name: &str, parse: fn(&Path) -> Value) {
+    let path = root().join(name);
+    let committed: Value = read(&path);
+    let on_disk = keys(&committed);
+    assert_eq!(
+        on_disk,
+        keys(&parse(&path)),
+        "{name}: schema and artifact disagree"
     );
-    assert!(file
-        .speedups
-        .iter()
-        .all(|row| !row.scenario.ends_with("/parallel")));
-}
-
-#[test]
-fn the_stream_artifact_parses_under_its_schema() {
-    let file = read_stream(&artifact("BENCH_stream.json")).expect("BENCH_stream.json parses");
-    assert!(!file.rows.is_empty() && !file.window_sweep.is_empty());
-    assert_same_keys("BENCH_stream.json", &file);
-}
-
-#[test]
-fn the_soak_smoke_artifact_parses_under_its_schema() {
-    let file: SoakFile = parse("BENCH_soak_smoke.json");
-    assert!(file.smoke && !file.rows.is_empty());
-    assert_same_keys("BENCH_soak_smoke.json", &file);
+    assert!(
+        !on_disk.contains(".rows[].parallel"),
+        "{name}: rows carry no step-mode column: there is one stepping path"
+    );
 }
 
 #[test]
 fn the_baseline_artifact_parses_under_its_schema() {
-    let file = load_baseline(&artifact("BENCH_baseline.json")).expect("baseline parses");
-    assert_eq!(file.summary.len(), file.reports.len());
-    assert_same_keys("BENCH_baseline.json", &file);
+    check("BENCH_baseline.json", |path| {
+        let file: BaselineFile = read(path);
+        assert_eq!(file.seed, uba_bench::baseline::SEED);
+        assert_eq!(file.summary.len(), file.reports.len());
+        serde_json::to_value(&file)
+    });
+}
+
+#[test]
+fn the_scaling_artifact_parses_under_its_schema_and_has_no_parallel_rows() {
+    check("BENCH_scaling.json", |path| {
+        let file: ScalingFile = read(path);
+        assert_eq!(file.seed, uba_bench::scaling::SEED);
+        assert!(!file.quick, "the committed scaling file is the full grid");
+        assert!(file
+            .speedups
+            .iter()
+            .all(|row| !row.scenario.ends_with("/parallel")));
+        serde_json::to_value(&file)
+    });
+}
+
+#[test]
+fn the_stream_artifact_parses_under_its_schema() {
+    check("BENCH_stream.json", |path| {
+        let file: StreamFile = read(path);
+        assert_eq!(file.seed, uba_bench::stream::STREAM_SEED);
+        assert!(!file.rows.is_empty() && !file.window_sweep.is_empty());
+        serde_json::to_value(&file)
+    });
+}
+
+#[test]
+fn the_soak_smoke_artifact_parses_under_its_schema() {
+    check("BENCH_soak_smoke.json", |path| {
+        let file: SoakFile = read(path);
+        assert_eq!(file.seed, SoakConfig::smoke().seed);
+        assert!(file.smoke && !file.rows.is_empty());
+        serde_json::to_value(&file)
+    });
+}
+
+/// Artifacts the docs name but deliberately do not commit.
+const NOT_COMMITTED: &[&str] = &[
+    // docs/RECOVERY.md: the full soak takes hours and is not committed.
+    "BENCH_soak.json",
+];
+
+fn text_files(dir: &Path, files: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            text_files(&path, files);
+        } else {
+            files.push(path);
+        }
+    }
+}
+
+/// Every `BENCH_<name>.json` spelled out in `text`.
+fn cited_artifacts(text: &str, cited: &mut BTreeSet<String>) {
+    for (start, _) in text.match_indices("BENCH_") {
+        let rest = &text[start + "BENCH_".len()..];
+        let stem = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len());
+        if stem > 0 && rest[stem..].starts_with(".json") {
+            cited.insert(format!("BENCH_{}.json", &rest[..stem]));
+        }
+    }
+}
+
+#[test]
+fn every_cited_artifact_exists() {
+    let mut files = Vec::new();
+    for dir in ["docs", ".github", ".claude"] {
+        text_files(&root().join(dir), &mut files);
+    }
+    for krate in std::fs::read_dir(root().join("crates")).expect("crates/ is listable") {
+        text_files(&krate.expect("crate entry").path().join("src"), &mut files);
+    }
+    let mut cited = BTreeSet::new();
+    for file in &files {
+        if let Ok(text) = std::fs::read_to_string(file) {
+            cited_artifacts(&text, &mut cited);
+        }
+    }
+    assert!(
+        cited.contains("BENCH_baseline.json") && cited.contains("BENCH_stream.json"),
+        "the scan reads the docs: {cited:?}"
+    );
+    let missing: Vec<&String> = cited
+        .iter()
+        .filter(|name| !NOT_COMMITTED.contains(&name.as_str()))
+        .filter(|name| !root().join(name).is_file())
+        .collect();
+    assert!(missing.is_empty(), "cited but not committed: {missing:?}");
 }

@@ -11,15 +11,15 @@
 //!    pre-rewrite engine (commit 229ef56), pinned here as constants.
 
 use uba_baselines::DolevApproxFactory;
-use uba_bench::baseline::baseline_file;
-use uba_bench::scaling::load_baseline;
+use uba_bench::artifact;
+use uba_bench::baseline::{baseline_file, BaselineFile};
 use uba_core::sim::{AdversaryKind, RunReport, ScenarioExt, Simulation, TotalOrderPlan};
 use uba_simnet::IdSpace;
 
 #[test]
 fn baseline_grid_reports_are_reproduced_exactly() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_baseline.json");
-    let recorded = load_baseline(&path).expect("BENCH_baseline.json is readable");
+    let recorded: BaselineFile = artifact::read(&path).expect("BENCH_baseline.json is readable");
     let current = baseline_file();
     assert_eq!(
         recorded.summary, current.summary,
