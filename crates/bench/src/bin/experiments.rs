@@ -481,7 +481,7 @@ fn run_soak(args: &[String]) {
     };
     eprintln!(
         "soaking n = {} for {} rounds under rotating clean/faulty crash/restart churn \
-         every {} rounds, traffic GC on (smoke = {smoke}, {} engine(s))…",
+         every {} rounds (smoke = {smoke}, {} engine(s))…",
         config.nodes,
         config.rounds,
         config.crash_period,

@@ -13,10 +13,8 @@
 //! rounds — the restart policy itself rotates through [`SOAK_POLICIES`]:
 //! clean replays and all three write-ahead-log fault shapes (torn tail, lost
 //! unsynced suffix, corrupt record), with [`SoakConfig::sync_every`] raised
-//! above 1 so the faults have an unsynced suffix to bite. Engine-level
-//! retired-tag traffic GC runs throughout (`Harness::traffic_gc`), pruning
-//! queued envelopes for instances every live node has finalised. Each run
-//! samples two things per round:
+//! above 1 so the faults have an unsynced suffix to bite. Each run samples two
+//! things per round:
 //!
 //! * a **peak-RSS proxy** — live [`Shared`](uba_simnet::Shared) payload
 //!   allocations ([`uba_simnet::shared::live_allocations`]) plus the envelopes
@@ -317,7 +315,7 @@ fn floor(values: &[f64]) -> f64 {
 /// rotating clean/faulty crash/restart churn, with the write-ahead logs
 /// syncing every [`SoakConfig::sync_every`] commits (so faults have a suffix
 /// to damage) and compacting every [`SoakConfig::compact_after`] records (the
-/// replay-cost bound), and engine-level retired-tag traffic GC on.
+/// replay-cost bound).
 pub fn build_soak_harness(
     config: &SoakConfig,
     engine: Option<EngineKind>,
@@ -354,7 +352,6 @@ pub fn build_soak_harness(
             compact_after: config.compact_after,
             sync_every: config.sync_every,
         })
-        .traffic_gc()
 }
 
 /// Executes one soak run and reduces it to a [`SoakRow`]. `engine: None` is

@@ -174,31 +174,8 @@ pub struct StreamOutcome {
     pub wall_ms: f64,
 }
 
-/// Execution knobs orthogonal to the workload shape: which engine drives the
-/// run, and engine-level retired-tag traffic GC. The GC switch is
-/// observationally silent (`tests/stream_equivalence.rs` pins report
-/// byte-identity on and off); it only changes how much memory and per-round
-/// work the run carries.
-#[derive(Clone, Debug, Default)]
-pub struct StreamOptions {
-    /// `None` is the sync engine.
-    pub engine: Option<EngineKind>,
-    /// Prune queued engine traffic addressed to globally-retired instances
-    /// (default off, matching the engines' own default).
-    pub traffic_gc: bool,
-}
-
 /// Runs a pipelined consensus stream. `engine = None` is the sync engine.
 pub fn run_consensus_stream(config: &StreamConfig, engine: Option<EngineKind>) -> StreamOutcome {
-    let options = StreamOptions {
-        engine,
-        traffic_gc: false,
-    };
-    run_consensus_stream_with(config, &options)
-}
-
-/// [`run_consensus_stream`] with the full [`StreamOptions`] knob set.
-pub fn run_consensus_stream_with(config: &StreamConfig, options: &StreamOptions) -> StreamOutcome {
     let requests = open_loop_requests(
         config.instances as u64 * config.spacing,
         config.rate,
@@ -225,7 +202,7 @@ pub fn run_consensus_stream_with(config: &StreamConfig, options: &StreamOptions)
             .byzantine(0)
             .seed(config.seed)
             .max_rounds(max_rounds);
-        if let Some(kind) = options.engine.clone() {
+        if let Some(kind) = engine.clone() {
             builder = builder.engine(kind);
         }
         builder
@@ -236,9 +213,6 @@ pub fn run_consensus_stream_with(config: &StreamConfig, options: &StreamOptions)
         // guarantee the stream_equivalence pin holds us to.
         let factory = ConsensusFactory::new(vec![batch_value(&batches[0]); config.nodes]);
         let mut harness = scenario(last_start + CONSENSUS_TAIL).build(factory);
-        if options.traffic_gc {
-            harness = harness.traffic_gc();
-        }
         harness.run().expect("consensus stream run")
     } else {
         // Each instance starts the round after its batching window closes.
@@ -253,9 +227,6 @@ pub fn run_consensus_stream_with(config: &StreamConfig, options: &StreamOptions)
             }),
         );
         let mut harness = scenario(last_start + CONSENSUS_TAIL).build(driver);
-        if options.traffic_gc {
-            harness = harness.traffic_gc();
-        }
         harness.run().expect("consensus stream run")
     };
     let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
@@ -316,21 +287,9 @@ pub fn run_consensus_stream_with(config: &StreamConfig, options: &StreamOptions)
 
 /// Runs a batched total-order stream, sampling the finalised chain every round
 /// so each batch's finalisation round (and hence per-request latency) is known.
+/// The total-order node retires finalised instances itself
+/// (`advance_finality`). `engine = None` is the sync engine.
 pub fn run_total_order_stream(config: &StreamConfig, engine: Option<EngineKind>) -> StreamOutcome {
-    let options = StreamOptions {
-        engine,
-        traffic_gc: false,
-    };
-    run_total_order_stream_with(config, &options)
-}
-
-/// [`run_total_order_stream`] with the full [`StreamOptions`] knob set. The
-/// total-order node retires finalised instances itself (`advance_finality`),
-/// and `traffic_gc` prunes engine traffic below its finalised frontier.
-pub fn run_total_order_stream_with(
-    config: &StreamConfig,
-    options: &StreamOptions,
-) -> StreamOutcome {
     let (plan, requests) = total_order_plan(config);
     let total_rounds = config.rounds + total_order_tail(config.nodes);
     let mut builder = Simulation::scenario()
@@ -338,14 +297,11 @@ pub fn run_total_order_stream_with(
         .byzantine(0)
         .seed(config.seed)
         .max_rounds(total_rounds + 1);
-    if let Some(kind) = options.engine.clone() {
+    if let Some(kind) = engine {
         builder = builder.engine(kind);
     }
     let mut harness: Harness<TotalOrderFactory<Vec<u64>>> =
         builder.build(TotalOrderFactory::new(plan));
-    if options.traffic_gc {
-        harness = harness.traffic_gc();
-    }
     let started = Instant::now();
     // Manual stepping (the same loop `Harness::run` uses) so the round each
     // chain position became final is observable; chains agree across nodes
@@ -478,9 +434,9 @@ impl StreamRow {
 }
 
 /// One point of the active-window cost sweep: waves of `window` simultaneous
-/// consensus instances, `waves` waves in total, with decided slots retiring
-/// and engine traffic GC on. Everything but `wall_ms` is an exact function of
-/// the seed (the [`MuxWork`] counters are pure message-count arithmetic).
+/// consensus instances, `waves` waves in total, with decided slots retiring.
+/// Everything but `wall_ms` is an exact function of the seed (the [`MuxWork`]
+/// counters are pure message-count arithmetic).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WindowSweepRow {
     /// Active-window size: instances started simultaneously per wave.
@@ -530,7 +486,7 @@ pub const SWEEP_WAVE_PERIOD: u64 = 8;
 pub const SWEEP_SLOPE_MARGIN: f64 = 1.1;
 
 /// Runs the active-window sweep: `window ∈ {1, 2, 4, 8}` × `waves ∈ {8, 16}`,
-/// on the sync engine with retirement and engine traffic GC enabled.
+/// on the sync engine.
 pub fn window_sweep_rows() -> Vec<WindowSweepRow> {
     let nodes = 6;
     let mut rows = Vec::new();
@@ -556,8 +512,7 @@ pub fn window_sweep_rows() -> Vec<WindowSweepRow> {
                 .byzantine(0)
                 .seed(STREAM_SEED)
                 .max_rounds(last_start + CONSENSUS_TAIL)
-                .build(driver)
-                .traffic_gc();
+                .build(driver);
             let started = Instant::now();
             let report = harness.run().expect("window sweep run");
             let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
@@ -867,20 +822,6 @@ mod tests {
         let b = run_consensus_stream(&tiny(), None);
         assert_eq!(a.report, b.report);
         assert_eq!(a.latencies_rounds, b.latencies_rounds);
-    }
-
-    #[test]
-    fn traffic_gc_leaves_the_report_byte_identical() {
-        let base = run_consensus_stream(&tiny(), None);
-        let gc = run_consensus_stream_with(
-            &tiny(),
-            &StreamOptions {
-                engine: None,
-                traffic_gc: true,
-            },
-        );
-        assert_eq!(base.report, gc.report, "traffic GC is silent");
-        assert_eq!(base.latencies_rounds, gc.latencies_rounds);
     }
 
     #[test]

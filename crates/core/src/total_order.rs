@@ -495,30 +495,6 @@ impl<E: Opinion> Protocol for TotalOrderNode<E> {
     fn terminated(&self) -> bool {
         false
     }
-
-    fn instance_of(&self, payload: &TotalOrderMessage<E>) -> Option<u64> {
-        match payload {
-            TotalOrderMessage::Instance(round, _) => Some(*round),
-            // An event witnessed in round `t` is input to round `t + 1`'s
-            // instance, so that is the instance whose retirement makes it dead.
-            TotalOrderMessage::Event(round, _) => Some(round + 1),
-            // Membership traffic is never instance-scoped.
-            TotalOrderMessage::Present | TotalOrderMessage::Ack(_) | TotalOrderMessage::Absent => {
-                None
-            }
-        }
-    }
-
-    fn retired_frontier(&self) -> u64 {
-        // Every instance ≤ `finalized_upto` is decided, appended to the chain
-        // and popped off `instances`; the finality rule keeps the node's
-        // round far past the window in which an event for such an instance
-        // could still become an input (`tag + 1 == r`). So everything strictly
-        // below `finalized_upto` can never be read or sent again — exactly the
-        // frontier contract. (A fresh joiner reports its adopted base round,
-        // which by the same argument it will never look behind.)
-        self.finalized_upto
-    }
 }
 
 #[cfg(test)]

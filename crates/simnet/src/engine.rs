@@ -5,10 +5,10 @@
 //! then shows (Section IX, Lemmas 14/15) that synchrony is *necessary*:
 //! semi-synchrony and asynchrony are the same system under a different
 //! message-timing rule. The engine is built the same way. Membership, churn,
-//! crash/restart, the write-ahead hooks, the adversary phase, traffic GC,
-//! tracing and metrics exist once; the only thing that varies is **when a
-//! produced message becomes an inbox entry**, and that one decision sits behind
-//! a delivery policy the engine holds as a value:
+//! crash/restart, the write-ahead hooks, the adversary phase, tracing and
+//! metrics exist once; the only thing that varies is **when a produced message
+//! becomes an inbox entry**, and that one decision sits behind a delivery
+//! policy the engine holds as a value:
 //!
 //! * **`NextRound`** ([`Engine::new`]) — the lock-step rounds of the id-only
 //!   model: everything sent in round `r` is in its recipient's inbox for round
@@ -553,22 +553,6 @@ impl<P> Inboxes<P> {
         self.common.len() + own
     }
 
-    /// Retired-traffic GC: drops the entries `keep` rejects — from the common
-    /// list once, pulling the frozen prefixes down by what went below them,
-    /// and from every own part. Dedup sets are left alone (a key without an
-    /// entry only costs a failed exact scan).
-    fn prune(&mut self, keep: impl Fn(&P) -> bool) {
-        let keep = |envelope: &Envelope<P>| keep(envelope.payload.get());
-        for mailbox in self.own.values_mut() {
-            if mailbox.prefix > 0 {
-                let prefix = &self.common[..mailbox.prefix];
-                mailbox.prefix = prefix.iter().filter(|e| keep(e)).count();
-            }
-            mailbox.own.retain(keep);
-        }
-        self.common.retain(keep);
-    }
-
     /// Stages the round's correct recipients into index-aligned slots (the
     /// round's recipient list leads with the correct nodes, in this exact
     /// order) and opens a new common list for them, so a broadcast lands once
@@ -771,9 +755,8 @@ fn holds<P: PartialEq>(entries: &[Envelope<P>], from: NodeId, payload: &Shared<P
 }
 
 /// The `NextRound` delivery policy: everything sent in a round is landed in
-/// its recipients' next-round inboxes before the round ends (`deliver`,
-/// returned still open so the engine's GC sweep is charged to it).
-fn route_next_round<P: PartialEq>(routing: Routing<'_, P>) -> (&'static str, Instant) {
+/// its recipients' next-round inboxes before the round ends (`deliver`).
+fn route_next_round<P: PartialEq>(routing: Routing<'_, P>) {
     let deliver_started = Instant::now();
     let Routing {
         round,
@@ -784,6 +767,7 @@ fn route_next_round<P: PartialEq>(routing: Routing<'_, P>) -> (&'static str, Ins
         inboxes,
         trace,
         metrics,
+        timings,
         ..
     } = routing;
     let mut deliveries = 0u64;
@@ -801,7 +785,7 @@ fn route_next_round<P: PartialEq>(routing: Routing<'_, P>) -> (&'static str, Ins
     }
     inboxes.unstage(correct_ids);
     metrics.credit_deliveries(round, deliveries);
-    ("deliver", deliver_started)
+    timings.add("deliver", elapsed_ns(deliver_started));
 }
 
 /// When a produced message becomes an inbox entry — the one decision an
@@ -839,8 +823,6 @@ pub struct Engine<N: Protocol, A: Adversary<N::Payload>> {
     churn: Option<ChurnDriver<N>>,
     /// The crash-recovery subsystem; `None` until [`Engine::enable_recovery`].
     recovery: Option<RecoveryManager<N>>,
-    /// Retired-traffic GC; off until [`Engine::enable_traffic_gc`].
-    traffic_gc: bool,
 }
 
 /// The engine under its default `NextRound` policy — the name the protocol
@@ -929,7 +911,6 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
             config,
             churn: None,
             recovery: None,
-            traffic_gc: false,
         }
     }
 
@@ -1149,31 +1130,6 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         self.recovery.is_some()
     }
 
-    /// Enables retired-traffic garbage collection. After each round's routing
-    /// the engine computes the minimum [`Protocol::retired_frontier`] over the
-    /// live nodes and prunes queued *inbox* envelopes whose
-    /// [`Protocol::instance_of`] tag lies below it — traffic no node will ever
-    /// read again (a decided instance neither sends nor consumes). In-flight
-    /// messages (the `Timed` delivery queue) are never pruned — deliveries are
-    /// counted when a flight lands in an inbox, so dropping a flight would
-    /// change the metrics; an inbox entry's delivery is already on the books.
-    ///
-    /// GC is observationally silent on reports: deliveries are counted when a
-    /// message enters an inbox, and a pruned message is by construction one
-    /// its recipient would have dropped unread. The one contract it relies on
-    /// is that correct nodes never *resend* a payload for a globally retired
-    /// instance (pruning also forgets the message from the exact-match dedup
-    /// fallback, so such a resend could double-deliver) — true for every
-    /// stream protocol here, which stops sending at decide time.
-    pub fn enable_traffic_gc(&mut self) {
-        self.traffic_gc = true;
-    }
-
-    /// Whether retired-traffic GC is enabled.
-    pub fn traffic_gc_enabled(&self) -> bool {
-        self.traffic_gc
-    }
-
     /// Every restart performed so far (empty if recovery is disabled or no
     /// crash/restart cycle has completed yet).
     pub fn recovery_restarts(&self) -> &[RestartRecord] {
@@ -1362,8 +1318,7 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
 
         // Phase 3, policy question 3 — how does the round's traffic reach
         // inboxes? The policy lands what is due, credits it to the sending
-        // round's metrics row and records its own phase timings; it returns
-        // its last phase still open, so the GC sweep below is charged to it.
+        // round's metrics row and records its own phase timings.
         let routing = Routing {
             round: self.round,
             correct_ids: &correct_ids,
@@ -1375,33 +1330,10 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
             metrics: &mut self.metrics,
             timings: &mut self.timings,
         };
-        let (phase, phase_started) = match &mut self.delivery {
+        match &mut self.delivery {
             Delivery::NextRound => route_next_round(routing),
             Delivery::Timed(timed) => timed.route(routing),
-        };
-
-        // Retired-traffic GC (see [`Engine::enable_traffic_gc`]): prune
-        // queued envelopes for instances below every live node's retired
-        // frontier. Payload classification is payload-only, so any node can
-        // serve as the probe; flights and the `seen` dedup sets are
-        // deliberately left alone (dedup state persists exactly as for
-        // terminated nodes).
-        if self.traffic_gc {
-            let frontier = self
-                .nodes
-                .iter()
-                .map(|node| node.retired_frontier())
-                .min()
-                .unwrap_or(0);
-            if frontier > 0 {
-                if let Some(probe) = self.nodes.first() {
-                    self.inboxes.prune(|payload| {
-                        probe.instance_of(payload).is_none_or(|tag| tag >= frontier)
-                    });
-                }
-            }
         }
-        self.timings.add(phase, elapsed_ns(phase_started));
         Ok(())
     }
 

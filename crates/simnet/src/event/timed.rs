@@ -152,9 +152,8 @@ impl<P: PartialEq> Timed<P> {
 
     /// Routes one batch's traffic: enters every message in the calendar
     /// (`schedule`), then lands every instant due before the next batch
-    /// (`dispatch`, returned still open so the engine's GC sweep is charged to
-    /// it).
-    pub(crate) fn route(&mut self, routing: Routing<'_, P>) -> (&'static str, Instant) {
+    /// (`dispatch`).
+    pub(crate) fn route(&mut self, routing: Routing<'_, P>) {
         let Routing {
             round,
             correct_ids,
@@ -269,6 +268,6 @@ impl<P: PartialEq> Timed<P> {
             calendar.recycle(bucket);
         }
         inboxes.unstage(correct_ids);
-        ("dispatch", dispatch_started)
+        timings.add("dispatch", elapsed_ns(dispatch_started));
     }
 }

@@ -85,26 +85,6 @@ pub trait Protocol {
     fn terminated(&self) -> bool {
         self.output().is_some()
     }
-
-    /// The multiplexed instance a payload belongs to, if the protocol scopes its
-    /// wire traffic to numbered instances (streams, total ordering). `None` means
-    /// the payload is not instance-scoped and must never be garbage-collected.
-    ///
-    /// The engine's retired-traffic GC uses this, together with
-    /// [`Protocol::retired_frontier`], to prune queued messages addressed to
-    /// instances every node has already decided. The default opts out.
-    fn instance_of(&self, _payload: &Self::Payload) -> Option<u64> {
-        None
-    }
-
-    /// The node's retired-instance frontier: every instance tag strictly below
-    /// this value is locally decided, and the node will never read or send a
-    /// message for it again. The engine takes the minimum over all live nodes
-    /// before pruning, so a conservative (low) value is always safe. The
-    /// default retires nothing.
-    fn retired_frontier(&self) -> u64 {
-        0
-    }
 }
 
 /// A protocol whose state can be snapshotted and restored — the extension the

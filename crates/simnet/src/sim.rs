@@ -651,11 +651,17 @@ impl<F: ProtocolFactory> Harness<F> {
         self
     }
 
-    // The engine has one stepping path; this forwarder does nothing. It exists
-    // only because `benchmark/src/surface.rs` names it and `benchmark/` is
-    // editable only by a `benchmark` change, which should drop the call.
+    // The engine has one stepping path and no traffic GC (a multiplexing node
+    // drops retired traffic itself while it sorts its inbox); these forwarders
+    // do nothing. They exist only because `benchmark/src/surface.rs` names
+    // them; delete them once the benchmark crate stops calling them.
     #[doc(hidden)]
     pub fn parallel_stepping(self) -> Self {
+        self
+    }
+
+    #[doc(hidden)]
+    pub fn traffic_gc(self) -> Self {
         self
     }
 
@@ -670,16 +676,6 @@ impl<F: ProtocolFactory> Harness<F> {
     /// Overrides the stop condition.
     pub fn stop_when(mut self, stop: StopCondition) -> Self {
         self.stop = stop;
-        self
-    }
-
-    /// Enables retired-traffic garbage collection on the engine (see
-    /// [`Engine::enable_traffic_gc`]): queued envelopes addressed to
-    /// instances below every live node's retired frontier are pruned after
-    /// delivery. Observationally silent — reports are byte-identical with it
-    /// on or off; only wall-clock and the queued-envelope memory proxy move.
-    pub fn traffic_gc(mut self) -> Self {
-        self.engine.enable_traffic_gc();
         self
     }
 

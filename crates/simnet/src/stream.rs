@@ -22,12 +22,9 @@
 //! compact [`CompletedInstance`] records, so [`MuxNode::output`] and
 //! [`MuxNode::terminated`] are O(1) counter reads and a long-finished stream
 //! prefix costs nothing per round. Traffic addressed to a retired tag is
-//! never handed to anybody (counted in [`MuxWork`]); the engine
-//! can additionally prune such traffic before delivery (see
-//! `SyncEngine::enable_traffic_gc`). Retirement is observationally silent:
-//! reports are byte-identical with it on or off (see
-//! `tests/stream_equivalence.rs`), and `docs/STREAMING.md` documents the cost
-//! model.
+//! dropped here, while the inbox is sorted, and handed to nobody (counted in
+//! [`MuxWork`]); the engine prunes nothing. `docs/STREAMING.md` documents the
+//! cost model.
 //!
 //! The batching rule lives one layer up (see `docs/STREAMING.md`): client
 //! requests are packed into one batch per (instance, proposer), so each
@@ -40,7 +37,7 @@
 //! Under faults, per-instance safety is already covered by the single-shot
 //! scenarios; the stream exists to measure pipelined throughput.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -115,10 +112,6 @@ pub struct MuxWork {
 /// round has not arrived yet neither sends nor receives. Decided instances are
 /// retired into [`CompletedInstance`] records, and the node terminates when
 /// the decided count reaches the instance count.
-///
-/// Tags are assumed dense from 0 (the [`StreamDriver`] assigns them in push
-/// order); the retired frontier reported to the engine's traffic GC is the
-/// length of the decided prefix.
 #[derive(Clone, Debug)]
 pub struct MuxNode<N: Protocol> {
     id: NodeId,
@@ -128,40 +121,25 @@ pub struct MuxNode<N: Protocol> {
     total: usize,
     decided: usize,
     work: MuxWork,
-    frontier: u64,
-    pending_decided: BTreeSet<u64>,
 }
 
 impl<N: Protocol> MuxNode<N> {
     /// Builds a mux node over the given instance slots (all for the same
     /// [`NodeId`]). Tags must be unique; start rounds must be ≥ 1.
     pub fn new(id: NodeId, slots: Vec<InstanceSlot<N>>) -> Self {
-        let total = slots.len();
-        let mut node = MuxNode {
-            id,
-            slots,
-            completed: Vec::new(),
-            completed_index: HashMap::default(),
-            total,
-            decided: 0,
-            work: MuxWork::default(),
-            frontier: 0,
-            pending_decided: BTreeSet::new(),
-        };
         // A slot already terminated at build time counts as decided now and is
         // swept into `completed` lazily on the first step; `decided_round`
         // stays `None`, matching the step guard that never assigns one.
-        let built_decided: Vec<u64> = node
-            .slots
-            .iter()
-            .filter(|slot| slot.node.terminated())
-            .map(|slot| slot.tag)
-            .collect();
-        node.decided += built_decided.len();
-        for tag in built_decided {
-            node.note_decided(tag);
+        let decided = slots.iter().filter(|slot| slot.node.terminated()).count();
+        MuxNode {
+            id,
+            total: slots.len(),
+            slots,
+            completed: Vec::new(),
+            completed_index: HashMap::default(),
+            decided,
+            work: MuxWork::default(),
         }
-        node
     }
 
     /// The **live** (undecided) instance slots, in tag order.
@@ -188,15 +166,6 @@ impl<N: Protocol> MuxNode<N> {
             .iter()
             .find(|slot| slot.tag == tag)
             .map(InstanceState::Live)
-    }
-
-    /// Records a decided tag and advances the contiguous decided-prefix
-    /// frontier past it if possible.
-    fn note_decided(&mut self, tag: u64) {
-        self.pending_decided.insert(tag);
-        while self.pending_decided.remove(&self.frontier) {
-            self.frontier += 1;
-        }
     }
 
     /// Moves every terminated slot out of the scan path into `completed`,
@@ -308,7 +277,6 @@ impl<N: Protocol> Protocol for MuxNode<N> {
         // Messages no started slot has claimed (stepped on, or dropped with it).
         let mut unclaimed = inbox.len();
         let mut outgoing = Vec::new();
-        let mut newly_decided: Vec<u64> = Vec::new();
         let mut sweep = false;
         for slot in &mut self.slots {
             if ctx.round < slot.start_round {
@@ -334,7 +302,7 @@ impl<N: Protocol> Protocol for MuxNode<N> {
             }
             if slot.node.terminated() && slot.decided_round.is_none() {
                 slot.decided_round = Some(ctx.round);
-                newly_decided.push(slot.tag);
+                self.decided += 1;
                 sweep = true;
             }
         }
@@ -350,10 +318,6 @@ impl<N: Protocol> Protocol for MuxNode<N> {
             unclaimed -= early.map(|slot| demux.of(slot.tag).len()).sum::<usize>();
             self.work.dropped_retired += unclaimed as u64;
         }
-        self.decided += newly_decided.len();
-        for tag in newly_decided {
-            self.note_decided(tag);
-        }
         if sweep {
             self.retire_terminated();
         }
@@ -366,14 +330,6 @@ impl<N: Protocol> Protocol for MuxNode<N> {
 
     fn terminated(&self) -> bool {
         self.decided == self.total
-    }
-
-    fn instance_of(&self, payload: &Self::Payload) -> Option<u64> {
-        Some(payload.0)
-    }
-
-    fn retired_frontier(&self) -> u64 {
-        self.frontier
     }
 }
 
@@ -664,7 +620,6 @@ mod tests {
             "traffic for a slot that has not started is not retired traffic"
         );
         assert!(!node.terminated());
-        assert_eq!(node.retired_frontier(), 1, "tag 0 is globally done locally");
 
         // Round 3: instance 1 starts at its local round 1 and broadcasts.
         let out = node.step(&RoundContext::new(3), Inbox::default());
@@ -677,7 +632,6 @@ mod tests {
         assert_eq!(completed_of(&node, 1).output, Some(20));
         assert!(node.terminated());
         assert_eq!(node.output(), Some(2));
-        assert_eq!(node.retired_frontier(), 2);
     }
 
     #[test]
@@ -740,21 +694,18 @@ mod tests {
     }
 
     #[test]
-    fn the_frontier_advances_over_the_decided_prefix_only() {
+    fn instances_retire_in_decision_order_not_tag_order() {
         let a = NodeId::new(1);
         // Instance 1 decides before instance 0 (it starts earlier).
         let mut node = MuxNode::new(a, vec![slot(0, 4, a, 5), slot(1, 1, a, 6)]);
         node.step(&RoundContext::new(1), Inbox::default());
         node.step(&RoundContext::new(2), Inbox::default());
         assert_eq!(node.completed().len(), 1, "instance 1 has retired");
-        assert_eq!(
-            node.retired_frontier(),
-            0,
-            "tag 0 is still live, so nothing below it is retired"
-        );
+        assert!(matches!(node.instance(0), Some(InstanceState::Live(_))));
         node.step(&RoundContext::new(4), Inbox::default());
         node.step(&RoundContext::new(5), Inbox::default());
         assert!(node.terminated());
-        assert_eq!(node.retired_frontier(), 2, "the prefix closed in one jump");
+        let order: Vec<u64> = node.completed().iter().map(|done| done.tag).collect();
+        assert_eq!(order, [1, 0]);
     }
 }

@@ -34,27 +34,20 @@ use uba_simnet::{
 // The script: what nodes and adversary send, as pure functions of the seed.
 // ---------------------------------------------------------------------------
 
-/// A payload is `tag << 16 | value`: tag 0 is not instance-scoped, any other
-/// tag is the instance the traffic GC classifies the payload under. Few values
-/// and few tags, so equal payloads recur within a round and across rounds.
+/// A payload is `tag << 16 | value`. Few values and few tags, so equal
+/// payloads recur within a round and across rounds.
 fn payload(tag: u64, value: u64) -> u64 {
     tag << 16 | value
 }
 
-fn tag_of(payload: u64) -> Option<u64> {
-    Some(payload >> 16).filter(|&tag| tag > 0)
-}
-
 /// What the whole run shares: the seed, every identifier anybody may address,
-/// and the two dials the driver turns between rounds.
+/// and the dial the driver turns between rounds.
 struct Plan {
     seed: u64,
     /// The initial correct nodes, the joiners, the Byzantine ids, a stranger.
     universe: Vec<NodeId>,
     /// Set for the last rounds, so everything in flight lands before the end.
     quiet: Cell<bool>,
-    /// The retired-instance frontier every node reports.
-    frontier: Cell<u64>,
 }
 
 impl Plan {
@@ -168,14 +161,6 @@ impl Protocol for Scripted {
             .filter(|&steps| self.records.len() as u64 >= steps)
             .map(|_| ())
     }
-
-    fn instance_of(&self, payload: &u64) -> Option<u64> {
-        tag_of(*payload)
-    }
-
-    fn retired_frontier(&self) -> u64 {
-        self.plan.frontier.get()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -220,10 +205,8 @@ struct Model {
     inboxes: HashMap<NodeId, Expanded>,
     calendar: BTreeMap<u64, Vec<Flight>>,
     metrics: Metrics,
-    /// What the script exercised: duplicates dropped on arrival, and queued
-    /// messages pruned by the GC.
+    /// What the script exercised: duplicates dropped on arrival.
     duplicates: u64,
-    pruned: u64,
 }
 
 impl Model {
@@ -317,18 +300,6 @@ impl Model {
         }
     }
 
-    /// The traffic GC: drops queued messages of instances below `frontier`,
-    /// from every inbox; dedup sets are left alone.
-    fn prune(&mut self, frontier: u64) {
-        let before = self.queued();
-        for inbox in self.inboxes.values_mut() {
-            inbox
-                .messages
-                .retain(|&(_, payload)| tag_of(payload).is_none_or(|tag| tag >= frontier));
-        }
-        self.pruned += (before - self.queued()) as u64;
-    }
-
     fn queued(&self) -> usize {
         self.inboxes
             .values()
@@ -354,12 +325,11 @@ struct Coverage {
     /// Steps of a node that had sat at least one batch out.
     resumed_steps: u64,
     duplicates: u64,
-    pruned: u64,
 }
 
 /// Runs one seeded script on the real engine and on the model, side by side.
-fn check(seed: u64, timing: Option<TimingSpec>, gc: bool) -> Coverage {
-    let label = format!("seed {seed}, timing {timing:?}, gc {gc}");
+fn check(seed: u64, timing: Option<TimingSpec>) -> Coverage {
+    let label = format!("seed {seed}, timing {timing:?}");
     let initial: Vec<NodeId> = (0..6).map(|i| NodeId::new(10 + 3 * i)).collect();
     let joiners = [NodeId::new(500), NodeId::new(501)];
     let byzantine = vec![NodeId::new(900), NodeId::new(901)];
@@ -371,7 +341,6 @@ fn check(seed: u64, timing: Option<TimingSpec>, gc: bool) -> Coverage {
         seed,
         universe,
         quiet: Cell::new(false),
-        frontier: Cell::new(0),
     });
 
     let node = |id: NodeId, stop_after: Option<u64>, plan: &Rc<Plan>| Scripted {
@@ -423,9 +392,6 @@ fn check(seed: u64, timing: Option<TimingSpec>, gc: bool) -> Coverage {
         let plan = Rc::clone(&plan);
         engine.set_churn(schedule.clone(), move |id| node(id, None, &plan));
     }
-    if gc {
-        engine.enable_traffic_gc();
-    }
 
     let mut model = Model {
         delay,
@@ -435,17 +401,11 @@ fn check(seed: u64, timing: Option<TimingSpec>, gc: bool) -> Coverage {
         calendar: BTreeMap::new(),
         metrics: Metrics::new(),
         duplicates: 0,
-        pruned: 0,
     };
     let mut coverage = Coverage::default();
-    // The frontier the engine's GC sweep used at the end of the last round.
-    let mut swept = None;
     let mut skipped: HashSet<NodeId> = HashSet::new();
     for round in 1..=ROUNDS + DRAIN {
         plan.quiet.set(round > ROUNDS);
-        if gc {
-            plan.frontier.set(round.saturating_sub(3));
-        }
         let steps_before: HashMap<NodeId, usize> = engine
             .nodes()
             .iter()
@@ -454,12 +414,9 @@ fn check(seed: u64, timing: Option<TimingSpec>, gc: bool) -> Coverage {
         engine.run_round().expect("the script forges nothing");
 
         // What the last round's routing did, now that its horizon — the
-        // instant of this batch — is known: land what was due, then sweep.
+        // instant of this batch — is known: land what was due.
         let now = engine.now();
         model.dispatch(now);
-        if let Some(frontier) = swept.take() {
-            model.prune(frontier);
-        }
         for event in schedule.events_before_round(round) {
             model.apply(event);
         }
@@ -499,22 +456,15 @@ fn check(seed: u64, timing: Option<TimingSpec>, gc: bool) -> Coverage {
         }
         let byzantine_traffic = plan.byzantine_traffic(round, &model.correct, &model.byzantine);
         model.send(now, round, live, &produced, &byzantine_traffic);
-        if gc {
-            swept = engine.nodes().iter().map(Scripted::retired_frontier).min();
-        }
     }
     assert_eq!(engine.in_flight(), 0, "{label}: the drain rounds drained");
     model.dispatch(u64::MAX);
-    if let Some(frontier) = swept {
-        model.prune(frontier);
-    }
     assert_eq!(engine.metrics(), &model.metrics, "{label}");
     assert!(
         engine.queued_envelopes() <= model.queued(),
         "{label}: the view never holds more than the expansion"
     );
     coverage.duplicates = model.duplicates;
-    coverage.pruned = model.pruned;
     coverage
 }
 
@@ -525,19 +475,16 @@ fn the_view_reads_what_the_per_recipient_expansion_held() {
     let skewed = TimingSpec::synchronous().units(4).skew(3);
     for seed in 0..24u64 {
         let seed = derive_seed(0x1B0C_5EED, seed);
-        for gc in [false, true] {
-            let next_round = check(seed, None, gc);
-            assert!(next_round.duplicates > 0, "the script repeats itself");
-            assert_eq!(gc, next_round.pruned > 0, "the frontier prunes iff on");
-            check(seed, Some(synchronous.clone()), gc);
-            check(seed, Some(delayed.clone()), gc);
-            let skewed = check(seed, Some(skewed.clone()), gc);
-            assert!(skewed.partial_batches > 0, "skewed timers split batches");
-            assert!(
-                skewed.resumed_steps > 0,
-                "a node sat a batch out, then read"
-            );
-        }
+        let next_round = check(seed, None);
+        assert!(next_round.duplicates > 0, "the script repeats itself");
+        check(seed, Some(synchronous.clone()));
+        check(seed, Some(delayed.clone()));
+        let skewed = check(seed, Some(skewed.clone()));
+        assert!(skewed.partial_batches > 0, "skewed timers split batches");
+        assert!(
+            skewed.resumed_steps > 0,
+            "a node sat a batch out, then read"
+        );
     }
 }
 

@@ -8,9 +8,8 @@
 //! driver reports.
 
 use uba_bench::stream::{
-    batch_value, run_consensus_stream, run_consensus_stream_with, run_total_order_stream,
-    run_total_order_stream_with, total_order_plan, total_order_tail, StreamConfig, StreamOptions,
-    CONSENSUS_TAIL,
+    batch_value, run_consensus_stream, run_total_order_stream, total_order_plan, total_order_tail,
+    StreamConfig, CONSENSUS_TAIL,
 };
 use uba_bench::workload::open_loop_requests;
 use uba_checker::attach_verdicts;
@@ -123,50 +122,6 @@ fn a_degenerate_total_order_stream_is_byte_identical_to_single_shot() {
         attach_verdicts(&mut single_shot);
         assert!(single_shot.completed(), "{name}: single shot hit its cap");
         assert_byte_identical(name, &outcome.report, &single_shot);
-    }
-}
-
-/// A small but *real* stream shape: enough instances to overlap, enough
-/// rounds for earlier instances to retire while later ones are still live.
-fn pipelined_config() -> StreamConfig {
-    StreamConfig {
-        nodes: 5,
-        instances: 6,
-        spacing: 2,
-        rounds: 12,
-        rate: 2.0,
-        zipf_s: 1.1,
-        key_space: 8,
-        seed: 0x51EA,
-    }
-}
-
-#[test]
-fn engine_traffic_gc_is_byte_identical_on_and_off_in_every_mode() {
-    // The engine-level retired-tag GC prunes queued envelopes for instances
-    // every node has retired; pruning must be observationally silent for both
-    // stream families on both engines.
-    let config = pipelined_config();
-    for (name, engine) in modes() {
-        let plain = StreamOptions {
-            engine,
-            traffic_gc: false,
-        };
-        let gc = StreamOptions {
-            traffic_gc: true,
-            ..plain.clone()
-        };
-        let base = run_consensus_stream_with(&config, &plain);
-        let pruned = run_consensus_stream_with(&config, &gc);
-        assert_byte_identical(&format!("consensus {name}"), &base.report, &pruned.report);
-
-        let base = run_total_order_stream_with(&config, &plain);
-        let pruned = run_total_order_stream_with(&config, &gc);
-        assert_byte_identical(&format!("total-order {name}"), &base.report, &pruned.report);
-        assert_eq!(
-            base.latencies_rounds, pruned.latencies_rounds,
-            "{name}: finalisation latencies moved under traffic GC"
-        );
     }
 }
 
