@@ -17,7 +17,7 @@
 //! aggregate summary (see `uba_bench::baseline`).
 //!
 //! `scaling` regenerates `BENCH_scaling.json`: the wall-clock scaling sweep up to
-//! `n = 512` with the per-phase timing split (see `uba_bench::scaling` and
+//! `n = 1024` with the per-phase timing split (see `uba_bench::scaling` and
 //! `docs/ENGINE.md`). With `--quick` it runs the small-`n` prefix and one gate:
 //! the deterministic baseline grid is compared against the recorded
 //! `BENCH_baseline.json` — **any count drift exits non-zero**. This is the CI

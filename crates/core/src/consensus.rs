@@ -35,14 +35,34 @@
 //! entries are skipped, the member is marked as heard this phase, an `Echo` goes to
 //! the rotor's [`EchoVotes`] and a vote of the kind this phase step counts goes
 //! straight into the step's tally. The rounds whose inbox is the ~n² rotor echoes
-//! cost one bit operation per entry. `heard_this_phase` is *not* marked in the
+//! cost one bit operation per entry. Who spoke this phase is *not* marked in the
 //! `Input` step: its inbox carries the previous phase's last rotor echoes, and a
 //! member that has only finished the previous phase has not spoken in this one.
 //! A resolve step whose decision is already fixed — the roster frozen, the stashed
 //! strong-prefer plurality at `2n_v/3` — skips the pass: its inbox is the second
 //! rotor echo wave and the coordinator's opinion, and the decision discards both.
+//!
+//! # Counted once per roster
+//!
+//! A correct node can only broadcast, so every correct recipient of a round reads
+//! the same common list ([`Inbox::split_common`]), and what the pass makes of it —
+//! members heard, echoes, votes, each sender's first opinion — depends on nothing
+//! but that list, the phase step and the node's roster. The nodes one
+//! [`ConsensusFactory`](crate::sim::ConsensusFactory) builds share a
+//! [`CommonTally`]: the first node to step over a keyed common part walks it into
+//! a summary, keyed by the part's [`CommonKey`], the step and the rank-ordered
+//! roster; every node with that key ORs the summary into its own state and walks
+//! only its own part. Both walks are the one pass above. The memo holds the
+//! current batch only. What the nodes would otherwise hold n copies of, they
+//! share: a node whose echoes are empty takes the summary's echo wave by
+//! reference until its own part adds an echo, and a frozen roster is replaced by
+//! the run's copy of an equal one.
 
-use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use std::cell::RefCell;
+use std::fmt;
+use std::rc::Rc;
+
+use uba_simnet::{CommonKey, Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
 /// Runtime mutation hooks for mutation-testing the fuzzing stack itself (see
 /// `uba_core::reliable_broadcast::mutation` for the pattern). Process-global:
@@ -151,23 +171,10 @@ impl PhaseStep {
     }
 }
 
-/// Everything a node needs only while it is still deciding: created by its first
-/// step (building a node allocates nothing, and a stream builds thousands of them
-/// before any of them runs) and released with the decision — a decided node never
-/// steps again, so it keeps its decision and drops its roster, rotor and votes then,
-/// not when the run is torn down.
+/// What the pass over a phase step's inbox accumulates: a node's running state,
+/// or a [`CommonTally`] summary of one common part, which nodes merge into theirs.
 #[derive(Clone, Debug)]
-struct Deliberation<V: Opinion> {
-    senders: SenderTracker,
-    rotor: RotorState<V>,
-    /// Rotor echoes received since the last rotor round.
-    rotor_echoes: EchoVotes,
-    /// Strong-prefer tally received in the rotor round, applied in the resolve round.
-    stashed_strong: VoteTally<V>,
-    /// The coordinator selected in this phase's rotor round.
-    phase_coordinator: Option<NodeId>,
-    /// Messages this node broadcast in the previous round (for the substitution rule).
-    last_broadcast: Vec<ConsensusMessage<V>>,
+struct Heard<V: Opinion> {
     /// Members heard from since the start of the current phase. The missing-message
     /// substitution only applies to members *outside* this set: a node that has spoken
     /// at all during the phase (e.g. broadcast its input but then legitimately had no
@@ -175,20 +182,242 @@ struct Deliberation<V: Opinion> {
     /// silent (counted-but-mute Byzantine nodes, or correct nodes that already
     /// terminated) are, which is exactly what keeps the thresholds reachable without
     /// letting a node manufacture quorums out of its own opinion.
-    heard_this_phase: VoterSet,
+    members: VoterSet,
+    /// Rotor echoes received since the last rotor round; `None` while there are
+    /// none. A node shares the summary's until its own part adds an echo (copy
+    /// on write), so the nodes of a round hold one copy of an echo wave, not n.
+    echoes: Option<Rc<EchoVotes>>,
+    /// This step's votes of the kind it counts.
+    votes: VoteTally<V>,
+    /// Resolve steps only: each sender's first `Opinion`, in arrival order.
+    opinions: Vec<(NodeId, V)>,
+}
+
+impl<V: Opinion> Default for Heard<V> {
+    fn default() -> Self {
+        Heard {
+            members: VoterSet::default(),
+            echoes: None,
+            votes: VoteTally::new(),
+            opinions: Vec::new(),
+        }
+    }
+}
+
+impl<V: Opinion> Heard<V> {
+    /// The one pass ([`SenderTracker::ranked`]) over `part`, in delivery order.
+    /// Returns the entries walked.
+    fn walk(
+        &mut self,
+        part: Inbox<'_, ConsensusMessage<V>>,
+        step: PhaseStep,
+        senders: &SenderTracker,
+    ) -> u64 {
+        for (from, member, message) in senders.ranked(part) {
+            if step != PhaseStep::Input {
+                self.members.insert(member);
+            }
+            match message {
+                ConsensusMessage::Echo(candidate) => {
+                    Rc::make_mut(self.echoes.get_or_insert_with(Rc::default))
+                        .insert(*candidate, member)
+                }
+                // The coordinator's opinion (broadcast in the rotor round)
+                // arrives in the resolve round; its first word counts.
+                ConsensusMessage::Opinion(v) if step == PhaseStep::Resolve => {
+                    if self.opinion_of(from).is_none() {
+                        self.opinions.push((from, v.clone()));
+                    }
+                }
+                _ => {
+                    if let Some(value) = step.vote(message) {
+                        self.votes.insert(member, value);
+                    }
+                }
+            }
+        }
+        part.len() as u64
+    }
+
+    /// Adds what walking `summary`'s part added: what walking that part here
+    /// would have.
+    fn merge(&mut self, summary: &Heard<V>) {
+        self.members.union(&summary.members);
+        match (&mut self.echoes, &summary.echoes) {
+            (_, None) => {}
+            (mine @ None, Some(theirs)) => *mine = Some(Rc::clone(theirs)),
+            (Some(mine), Some(theirs)) => Rc::make_mut(mine).union(theirs),
+        }
+        self.votes.union(&summary.votes);
+        for (from, v) in &summary.opinions {
+            if self.opinion_of(*from).is_none() {
+                self.opinions.push((*from, v.clone()));
+            }
+        }
+    }
+
+    /// The first opinion `sender` sent this step.
+    fn opinion_of(&self, sender: NodeId) -> Option<&V> {
+        self.opinions
+            .iter()
+            .find(|(from, _)| *from == sender)
+            .map(|(_, v)| v)
+    }
+
+    /// Ends the step's opinions: the first one `sender` sent, if any.
+    fn take_opinion_of(&mut self, sender: Option<NodeId>) -> Option<V> {
+        std::mem::take(&mut self.opinions)
+            .into_iter()
+            .find(|(from, _)| Some(*from) == sender)
+            .map(|(_, v)| v)
+    }
+}
+
+/// Everything a node needs only while it is still deciding: created by its first
+/// step (building a node allocates nothing, and a stream builds thousands of them
+/// before any of them runs) and released with the decision — a decided node never
+/// steps again, so it keeps its decision and drops its roster, rotor and votes then,
+/// not when the run is torn down.
+#[derive(Clone, Debug)]
+struct Deliberation<V: Opinion> {
+    /// Once frozen, shared with every node of the run that froze the same
+    /// roster ([`CommonTally::share_roster`]).
+    senders: Rc<SenderTracker>,
+    rotor: RotorState<V>,
+    /// Who spoke this phase, the pending rotor echoes and this step's votes.
+    heard: Heard<V>,
+    /// Strong-prefer tally received in the rotor round, applied in the resolve round.
+    stashed_strong: VoteTally<V>,
+    /// The coordinator selected in this phase's rotor round.
+    phase_coordinator: Option<NodeId>,
+    /// Messages this node broadcast in the previous round (for the substitution rule).
+    last_broadcast: Vec<ConsensusMessage<V>>,
 }
 
 impl<V: Opinion> Default for Deliberation<V> {
     fn default() -> Self {
         Deliberation {
-            senders: SenderTracker::new(),
+            senders: Rc::default(),
             rotor: RotorState::new(),
-            rotor_echoes: EchoVotes::default(),
+            heard: Heard::default(),
             stashed_strong: VoteTally::new(),
             phase_coordinator: None,
             last_broadcast: Vec::new(),
-            heard_this_phase: VoterSet::default(),
         }
+    }
+}
+
+/// What the nodes sharing a [`CommonTally`] walked. Measurement only: it never
+/// enters a report.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TallyWork {
+    /// Common parts walked into a shared summary.
+    pub summaries: u64,
+    /// Inbox entries walked by the tally pass: a summarised common part once,
+    /// every other entry once per node that read it.
+    pub entries_walked: u64,
+}
+
+/// The memo one simulation's consensus nodes share (see the module docs):
+/// summaries of the common parts walked for the current batch, each under its
+/// common part's prefix length, the phase step and the roster that walked it.
+/// Cloning the handle shares the memo.
+#[derive(Clone)]
+pub struct CommonTally<V: Opinion>(Rc<RefCell<Memo<V>>>);
+
+struct Memo<V: Opinion> {
+    /// The batch the summaries were walked for.
+    generation: u64,
+    summaries: Vec<Summary<V>>,
+    /// The distinct frozen rosters of the run.
+    rosters: Vec<Rc<SenderTracker>>,
+    work: TallyWork,
+}
+
+/// One walked common part, with what it was walked under.
+struct Summary<V: Opinion> {
+    prefix: usize,
+    step: PhaseStep,
+    roster: Rc<SenderTracker>,
+    heard: Heard<V>,
+}
+
+impl<V: Opinion> Default for CommonTally<V> {
+    fn default() -> Self {
+        CommonTally::new()
+    }
+}
+
+impl<V: Opinion> fmt::Debug for CommonTally<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CommonTally").finish_non_exhaustive()
+    }
+}
+
+impl<V: Opinion> CommonTally<V> {
+    /// An empty memo.
+    pub fn new() -> Self {
+        CommonTally(Rc::new(RefCell::new(Memo {
+            generation: 0,
+            summaries: Vec::new(),
+            rosters: Vec::new(),
+            work: TallyWork::default(),
+        })))
+    }
+
+    /// What the nodes sharing the memo have walked so far.
+    pub fn work(&self) -> TallyWork {
+        self.0.borrow().work
+    }
+
+    /// Merges the summary of the common part `key` names into `heard`, walking
+    /// `common` into one first if no node with this step and roster has.
+    fn merge_common(
+        &self,
+        key: CommonKey,
+        common: Inbox<'_, ConsensusMessage<V>>,
+        step: PhaseStep,
+        senders: &Rc<SenderTracker>,
+        heard: &mut Heard<V>,
+    ) {
+        let memo = &mut *self.0.borrow_mut();
+        if memo.generation != key.generation() {
+            memo.generation = key.generation();
+            memo.summaries.clear();
+        }
+        // Frozen rosters are shared, so an equal roster is usually the same one.
+        let found = memo.summaries.iter().position(|summary| {
+            summary.prefix == key.prefix()
+                && summary.step == step
+                && (Rc::ptr_eq(&summary.roster, senders) || summary.roster.same_roster(senders))
+        });
+        let at = found.unwrap_or_else(|| {
+            let mut summary = Heard::default();
+            memo.work.entries_walked += summary.walk(common, step, senders);
+            memo.work.summaries += 1;
+            memo.summaries.push(Summary {
+                prefix: key.prefix(),
+                step,
+                roster: Rc::clone(senders),
+                heard: summary,
+            });
+            memo.summaries.len() - 1
+        });
+        heard.merge(&memo.summaries[at].heard);
+    }
+
+    /// Replaces a frozen roster with the run's copy of an equal one, so the
+    /// nodes that froze the same roster hold it once.
+    fn share_roster(&self, senders: &mut Rc<SenderTracker>) {
+        let rosters = &mut self.0.borrow_mut().rosters;
+        match rosters.iter().find(|roster| roster.same_roster(senders)) {
+            Some(roster) => *senders = Rc::clone(roster),
+            None => rosters.push(Rc::clone(senders)),
+        }
+    }
+
+    fn count(&self, walked: u64) {
+        self.0.borrow_mut().work.entries_walked += walked;
     }
 }
 
@@ -206,6 +435,9 @@ pub struct Consensus<V: Opinion> {
     deliberation: Option<Box<Deliberation<V>>>,
     decision: Option<Decision<V>>,
     phase: u64,
+    /// Shared with the nodes built alongside; `None`: the node walks every
+    /// entry itself.
+    common: Option<CommonTally<V>>,
 }
 
 impl<V: Opinion> Consensus<V> {
@@ -219,7 +451,21 @@ impl<V: Opinion> Consensus<V> {
             deliberation: None,
             decision: None,
             phase: 0,
+            common: None,
         }
+    }
+
+    /// The node, sharing `memo` with the other nodes holding it: a common
+    /// part one of them has walked under this node's step and roster, this
+    /// node merges instead of walking.
+    pub fn sharing(mut self, memo: &CommonTally<V>) -> Self {
+        self.common = Some(memo.clone());
+        self
+    }
+
+    /// The memo the node shares, if any.
+    pub fn common_tally(&self) -> Option<&CommonTally<V>> {
+        self.common.as_ref()
     }
 
     /// The node's original input.
@@ -253,7 +499,7 @@ impl<V: Opinion> Consensus<V> {
     /// plurality stashed in the rotor round meets `2n_v/3`. All such an inbox
     /// could feed — rotor echoes, who spoke this phase, the coordinator's
     /// opinion — the decision discards.
-    pub(crate) fn reads_inbox(&self, round: u64) -> bool {
+    pub fn reads_inbox(&self, round: u64) -> bool {
         let fixed = PhaseStep::from_round(round) == Some(PhaseStep::Resolve)
             && self.deliberation.as_ref().is_some_and(|state| {
                 state.senders.is_frozen()
@@ -278,7 +524,7 @@ impl<V: Opinion> Deliberation<V> {
             return;
         }
         for member in self.senders.ranks() {
-            if !self.heard_this_phase.contains(member) {
+            if !self.heard.members.contains(member) {
                 for value in substitutes.clone() {
                     tally.insert(member, value);
                 }
@@ -316,7 +562,9 @@ impl<V: Opinion> Protocol for Consensus<V> {
         let state = &mut *deliberation;
 
         // Membership: grows during initialisation (rounds 1–3), frozen afterwards.
-        state.senders.record_inbox(inbox);
+        if !state.senders.is_frozen() {
+            Rc::make_mut(&mut state.senders).record_inbox(inbox);
+        }
         self.n_v = state.senders.n_v();
 
         let out: Vec<ConsensusMessage<V>> = match ctx.round {
@@ -333,7 +581,10 @@ impl<V: Opinion> Protocol for Consensus<V> {
                 // seen during rounds 1–3 and frozen ("later, a node only accepts
                 // messages from a node if it counted towards n_v").
                 if ctx.round == 3 {
-                    state.senders.freeze();
+                    Rc::make_mut(&mut state.senders).freeze();
+                    if let Some(memo) = &self.common {
+                        memo.share_roster(&mut state.senders);
+                    }
                 }
                 let n_v = self.n_v;
                 let step = PhaseStep::from_round(ctx.round).expect("round ≥ 3");
@@ -341,39 +592,28 @@ impl<V: Opinion> Protocol for Consensus<V> {
                     // A new phase starts: forget who spoke in the previous one. The
                     // inbox of the input round carries no phase traffic (the resolve
                     // step broadcasts nothing), so recording starts from the next round.
-                    state.heard_this_phase.clear();
+                    state.heard.members.clear();
                 }
 
-                // The one pass. Rotor echoes can arrive in any round (they are
-                // broadcast during the initialisation echo round and during rotor
-                // rounds) and wait in `rotor_echoes` for the next rotor round.
-                let mut tally = VoteTally::new();
-                let mut coordinator_opinion = None;
-                let inbox = if reads { inbox } else { Inbox::default() };
-                for (from, member, message) in state.senders.ranked(inbox) {
-                    if step != PhaseStep::Input {
-                        state.heard_this_phase.insert(member);
-                    }
-                    match message {
-                        ConsensusMessage::Echo(candidate) => {
-                            state.rotor_echoes.insert(*candidate, member)
+                // The one pass — over the common part at most once per memo key,
+                // then over the node's own part. Rotor echoes can arrive in any
+                // round (they are broadcast during the initialisation echo round
+                // and during rotor rounds) and wait in `heard.echoes` for the next
+                // rotor round.
+                if reads {
+                    let walked = match (&self.common, inbox.split_common()) {
+                        (Some(memo), Some((key, common, own))) => {
+                            memo.merge_common(key, common, step, &state.senders, &mut state.heard);
+                            state.heard.walk(own, step, &state.senders)
                         }
-                        // The coordinator's opinion (broadcast in the rotor round)
-                        // arrives in the resolve round; its first word counts.
-                        ConsensusMessage::Opinion(v)
-                            if step == PhaseStep::Resolve
-                                && coordinator_opinion.is_none()
-                                && state.phase_coordinator == Some(from) =>
-                        {
-                            coordinator_opinion = Some(v);
-                        }
-                        _ => {
-                            if let Some(value) = step.vote(message) {
-                                tally.insert(member, value);
-                            }
-                        }
+                        _ => state.heard.walk(inbox, step, &state.senders),
+                    };
+                    if let Some(memo) = &self.common {
+                        memo.count(walked);
                     }
                 }
+                let mut tally = std::mem::take(&mut state.heard.votes);
+                let coordinator_opinion = state.heard.take_opinion_of(state.phase_coordinator);
                 state.substitute_silent(step, &mut tally);
 
                 match step {
@@ -422,10 +662,15 @@ impl<V: Opinion> Protocol for Consensus<V> {
                             self.id,
                             &self.opinion,
                             n_v,
-                            state.rotor_echoes.counts(),
+                            state
+                                .heard
+                                .echoes
+                                .as_deref()
+                                .into_iter()
+                                .flat_map(EchoVotes::counts),
                             None,
                         );
-                        state.rotor_echoes.clear();
+                        state.heard.echoes = None;
                         state.phase_coordinator = state.rotor.current_coordinator();
                         rotor_out
                             .into_iter()
@@ -437,7 +682,6 @@ impl<V: Opinion> Protocol for Consensus<V> {
                             .collect()
                     }
                     PhaseStep::Resolve => {
-                        let coordinator_opinion = coordinator_opinion.cloned();
                         let strongest = state
                             .stashed_strong
                             .plurality()

@@ -94,6 +94,12 @@ impl SenderTracker {
         self.frozen
     }
 
+    /// Whether `other` numbers the same members the same way: equal
+    /// rank-ordered rosters, whether or not either is frozen.
+    pub(crate) fn same_roster(&self, other: &SenderTracker) -> bool {
+        self.members == other.members
+    }
+
     /// `n_v`: the number of distinct senders observed (so far, or at freeze time).
     pub fn n_v(&self) -> usize {
         self.members.len()

@@ -284,6 +284,27 @@ impl EchoVotes {
         }
     }
 
+    /// Adds every echo of `other`: a word union per candidate row. The
+    /// result — rows, their order, the next guess — is what inserting
+    /// `other`'s echoes one by one would have left.
+    pub fn union(&mut self, other: &EchoVotes) {
+        if other.words > self.words {
+            self.widen(other.words);
+        }
+        for (row, &(candidate, _)) in other.rows.iter().enumerate() {
+            let mine = self.row_of(candidate);
+            let words = &mut self.bits[mine * self.words..][..other.words];
+            let theirs = &other.bits[row * other.words..][..other.words];
+            for (word, &bits) in words.iter_mut().zip(theirs) {
+                self.rows[mine].1 += (bits & !*word).count_ones();
+                *word |= bits;
+            }
+            if row + 1 == other.next {
+                self.next = mine + 1;
+            }
+        }
+    }
+
     /// `(candidate, distinct voters)` in increasing candidate order.
     pub fn counts(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
         self.by_candidate.iter().map(|&row| {
@@ -585,6 +606,62 @@ mod tests {
         assert!(out.is_empty());
         assert!(state.history().is_empty());
         assert!(!state.terminated());
+    }
+
+    /// A union leaves exactly what inserting the other side's echoes would
+    /// have — rows, their order, widths and the next guess — both into an
+    /// empty accumulator (fresh, or cleared at a wider width) and into one
+    /// holding echoes of its own.
+    #[test]
+    fn echo_vote_unions_equal_inserting_the_echoes() {
+        for seed in 0..500u64 {
+            let mut rng = seeded_rng(seed);
+            let n_v = [1usize, 5, 63, 64, 65, 129][seed as usize % 6];
+            let mut roster = SenderTracker::new();
+            for id in IdSpace::default().generate(n_v, seed) {
+                roster.record(id);
+            }
+            let ranks: Vec<Rank> = roster.ranks().collect();
+            let candidates = IdSpace::default().generate(9, seed ^ 0xEC);
+            let mut echoes = || -> Vec<(NodeId, Rank)> {
+                (0..rng.gen_range(0..60))
+                    .map(|_| {
+                        (
+                            candidates[rng.gen_range(0..9usize)],
+                            ranks[rng.gen_range(0..n_v)],
+                        )
+                    })
+                    .collect()
+            };
+            let (before, theirs) = (echoes(), echoes());
+            let insert = |votes: &mut EchoVotes, echoes: &[(NodeId, Rank)]| {
+                for &(candidate, voter) in echoes {
+                    votes.insert(candidate, voter);
+                }
+            };
+            let mut other = EchoVotes::default();
+            insert(&mut other, &theirs);
+            let mut wide = EchoVotes::default();
+            let mut crowd = SenderTracker::new();
+            for id in IdSpace::default().generate(201, seed) {
+                crowd.record(id);
+            }
+            let last = crowd
+                .ranks()
+                .max_by_key(|rank| rank.index())
+                .expect("201 ranks");
+            wide.insert(candidates[0], last);
+            wide.clear();
+            for mut start in [EchoVotes::default(), wide] {
+                for held in [&[][..], &before[..]] {
+                    insert(&mut start, held);
+                    let mut expected = start.clone();
+                    insert(&mut expected, &theirs);
+                    start.union(&other);
+                    assert_eq!(format!("{start:?}"), format!("{expected:?}"), "seed {seed}");
+                }
+            }
+        }
     }
 
     /// The tree of trees `EchoVotes` replaced, as the reference: seeded echo

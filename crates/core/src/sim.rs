@@ -63,7 +63,7 @@ pub use uba_simnet::wal::{RestartPolicy, RestartRecord, WalConfig, WalFault};
 
 use crate::adversaries::{AnnounceToSubset, EquivocatingSource, GhostPairInjector, SplitVote};
 use crate::approx::{ApproxAgreement, IteratedApproxAgreement};
-use crate::consensus::{Consensus, ConsensusMessage};
+use crate::consensus::{CommonTally, Consensus, ConsensusMessage};
 use crate::parallel_consensus::ParallelConsensus;
 use crate::reliable_broadcast::{RbMessage, ReliableBroadcast};
 use crate::rotor::{RotorCoordinator, RotorMessage};
@@ -147,10 +147,13 @@ impl ProtocolFactory for ConsensusFactory {
             ctx.correct_ids.len(),
             "one consensus input per correct node"
         );
+        // One memo for the whole simulation: a common part is walked once per
+        // (batch, prefix, phase step, roster), not once per node.
+        let memo = CommonTally::new();
         ctx.correct_ids
             .iter()
             .zip(&self.inputs)
-            .map(|(&id, &input)| Consensus::new(id, input))
+            .map(|(&id, &input)| Consensus::new(id, input).sharing(&memo))
             .collect()
     }
 

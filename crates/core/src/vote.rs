@@ -50,6 +50,21 @@ impl VoterSet {
         self.count
     }
 
+    /// Adds every member of `other`: a word union.
+    pub fn union(&mut self, other: &VoterSet) {
+        if other.words.len() > self.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (word, theirs) in self.words.iter_mut().zip(&other.words) {
+            *word |= theirs;
+        }
+        self.count = self
+            .words
+            .iter()
+            .map(|word| word.count_ones() as usize)
+            .sum();
+    }
+
     /// Empties the set, keeping its allocation.
     pub fn clear(&mut self) {
         self.words.clear();
@@ -84,15 +99,28 @@ impl<V: Opinion> VoteTally<V> {
     /// where `cmp` walks the elements. The order is consulted only to place a
     /// new row.
     pub fn insert(&mut self, voter: Rank, value: &V) -> bool {
-        let at = match self.votes.iter().position(|(v, _)| v == value) {
+        let at = self.row(value);
+        self.votes[at].1.insert(voter)
+    }
+
+    /// Adds every vote of `other`: a word union per value.
+    pub fn union(&mut self, other: &VoteTally<V>) {
+        for (value, voters) in &other.votes {
+            let at = self.row(value);
+            self.votes[at].1.union(voters);
+        }
+    }
+
+    /// The row of `value`, added (the value cloned) if it has none.
+    fn row(&mut self, value: &V) -> usize {
+        match self.votes.iter().position(|(v, _)| v == value) {
             Some(at) => at,
             None => {
                 let at = self.votes.partition_point(|(v, _)| v.cmp(value).is_lt());
                 self.votes.insert(at, (value.clone(), VoterSet::default()));
                 at
             }
-        };
-        self.votes[at].1.insert(voter)
+        }
     }
 
     /// Number of distinct supporters of `value`.
@@ -253,6 +281,43 @@ mod tests {
         );
         let counts: Vec<(u64, usize)> = tally.iter().map(|(v, s)| (v.0[0], s.count())).collect();
         assert_eq!(counts, [(1, 13), (2, 13), (3, 14)]);
+    }
+
+    /// A union is what inserting the other side's votes would have left:
+    /// split seeded vote sequences at a seeded point, tally the halves apart,
+    /// join them, and compare with the tally of the whole sequence.
+    #[test]
+    fn unions_equal_inserting_the_other_sides_votes() {
+        for seed in 0..500u64 {
+            let mut rng = seeded_rng(seed);
+            let n_v = [1usize, 2, 5, 63, 64, 65, 129][seed as usize % 7];
+            let ranks: Vec<Rank> = roster(n_v, seed).ranks().collect();
+            let votes: Vec<(Rank, u8)> = (0..rng.gen_range(0..80))
+                .map(|_| (ranks[rng.gen_range(0..n_v)], rng.gen_range(0..4u8)))
+                .collect();
+            let split = rng.gen_range(0..=votes.len());
+            let tally = |votes: &[(Rank, u8)]| {
+                let mut tally = VoteTally::new();
+                for (rank, value) in votes {
+                    tally.insert(*rank, value);
+                }
+                tally
+            };
+            let mut joined = tally(&votes[..split]);
+            joined.union(&tally(&votes[split..]));
+            assert_eq!(joined, tally(&votes), "seed {seed}");
+
+            let set = |votes: &[(Rank, u8)]| {
+                let mut set = VoterSet::default();
+                for (rank, _) in votes {
+                    set.insert(*rank);
+                }
+                set
+            };
+            let mut joined = set(&votes[..split]);
+            joined.union(&set(&votes[split..]));
+            assert_eq!(joined, set(&votes), "seed {seed}");
+        }
     }
 
     /// The tree form the bit rows replaced.

@@ -77,6 +77,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::adversary::{Adversary, AdversaryView};
@@ -422,7 +423,11 @@ pub(crate) struct Routing<'a, P> {
 /// the whole common list in place.
 ///
 /// The common list belongs to the batch that was staged while it was filled
-/// (a node admitted since — `newcomers` — reads none of it). The next
+/// (a node admitted since — `newcomers` — reads none of it), and each staging
+/// draws a fresh, process-unique generation for it: a view's
+/// [`CommonKey`](crate::CommonKey) is that generation and the view's prefix
+/// length `k`, so two recipients that read the same entries carry the same
+/// key, and a recycled buffer never passes for last round's list. The next
 /// [`Inboxes::open_round`] consumes it: a
 /// node that steps reads its view and both parts are recycled; a member that
 /// does not step (terminated, or not due under skewed timers) gets its prefix
@@ -432,6 +437,8 @@ pub(crate) struct Routing<'a, P> {
 pub(crate) struct Inboxes<P> {
     /// The broadcasts landed for the whole current batch, deduplicated once.
     common: Vec<Envelope<P>>,
+    /// The batch `common` was filled for (see [`next_generation`]).
+    generation: u64,
     /// `(sender, digest)` → position of the first such entry of `common`.
     /// Only consulted while the list is being filled (between `stage` and
     /// `unstage`); a digest hit is confirmed by an exact scan.
@@ -461,6 +468,7 @@ impl<P> Default for Inboxes<P> {
     fn default() -> Self {
         Inboxes {
             common: Vec::new(),
+            generation: 0,
             common_seen: HashMap::default(),
             newcomers: Vec::new(),
             own: HashMap::default(),
@@ -519,7 +527,7 @@ impl<P> Inboxes<P> {
     fn view(&self, index: usize) -> Inbox<'_, P> {
         let (prefix, own) = &self.stepping[index];
         let own = own.as_ref().map_or(&[][..], |mailbox| &mailbox.own);
-        Inbox::envelopes(&self.common[..*prefix], own)
+        Inbox::keyed(&self.common[..*prefix], own, self.generation)
     }
 
     /// Closes the round: everything a view showed has been consumed.
@@ -569,6 +577,7 @@ impl<P> Inboxes<P> {
         delivery_round: u64,
     ) -> FanOut<'a, P> {
         debug_assert!(self.common.is_empty(), "the last round was closed");
+        self.generation = next_generation();
         self.common_seen.clear();
         self.newcomers.clear();
         self.slot_index.clear();
@@ -609,6 +618,15 @@ impl<P> Inboxes<P> {
             }
         }
     }
+}
+
+/// A generation no routed batch of any engine in the process has had: what
+/// keys a common list ([`CommonKey`](crate::CommonKey)), whose buffer is
+/// reused from round to round and so cannot be named by its address. Only
+/// uniqueness matters, so the counter publishes nothing and is `Relaxed`.
+fn next_generation() -> u64 {
+    static GENERATIONS: AtomicU64 = AtomicU64::new(0);
+    GENERATIONS.fetch_add(1, Ordering::Relaxed) + 1
 }
 
 /// One round's staged recipients (see [`Inboxes::stage`]): slot `i` belongs to
@@ -2077,5 +2095,140 @@ mod tests {
         // unknown to the nodes, is enough to split them.
         let engine = partitioned_halves(Some(50));
         assert!(engine.in_flight() > 0);
+    }
+
+    // -----------------------------------------------------------------------
+    // Common keys: what names a view's common part.
+    // -----------------------------------------------------------------------
+
+    /// Routes one batch to `ids` through the inboxes as a delivery policy
+    /// does: `land` drives the fan-out between staging and unstaging.
+    fn route(inboxes: &mut Inboxes<u64>, ids: &[NodeId], land: impl FnOnce(&mut FanOut<'_, u64>)) {
+        let mut trace = None;
+        let byzantine = HashSet::new();
+        let mut fan = inboxes.stage(ids, &mut trace, &byzantine, 2);
+        land(&mut fan);
+        inboxes.unstage(ids);
+    }
+
+    /// Broadcasts `payload` from `from` to every staged recipient.
+    fn broadcast(fan: &mut FanOut<'_, u64>, from: NodeId, payload: u64) {
+        fan.land_all(from, &Shared::new(payload), &mut 0);
+    }
+
+    fn keyed_ids() -> Vec<NodeId> {
+        [3, 5, 7].map(NodeId::new).to_vec()
+    }
+
+    #[test]
+    fn consecutive_rounds_reusing_one_common_buffer_get_different_keys() {
+        let ids = keyed_ids();
+        let mut inboxes = Inboxes::default();
+        let mut keys = Vec::new();
+        let mut buffers = Vec::new();
+        for _ in 0..2 {
+            route(&mut inboxes, &ids, |fan| {
+                for &from in &ids {
+                    broadcast(fan, from, 1);
+                }
+            });
+            inboxes.open_round(ids.iter().map(|&id| (id, true)));
+            let key = inboxes.view(0).common_key().expect("a keyed view");
+            assert!((1..3).all(|index| inboxes.view(index).common_key() == Some(key)));
+            keys.push(key);
+            buffers.push(inboxes.common.as_ptr());
+            inboxes.close_round();
+        }
+        assert_eq!(buffers[0], buffers[1], "the common list's buffer is reused");
+        assert_eq!(keys[0].prefix(), keys[1].prefix());
+        assert_ne!(
+            keys[0], keys[1],
+            "yet the second round's list has a key of its own"
+        );
+    }
+
+    #[test]
+    fn a_frozen_recipient_carries_its_own_prefix_in_its_key() {
+        let ids = keyed_ids();
+        let mut inboxes = Inboxes::default();
+        route(&mut inboxes, &ids, |fan| {
+            broadcast(fan, ids[0], 1);
+            fan.land_message(&Directed::new(ids[2], ids[1], 9), &mut 0);
+            broadcast(fan, ids[2], 2);
+        });
+        inboxes.open_round(ids.iter().map(|&id| (id, true)));
+        let whole = inboxes.view(0).common_key().expect("keyed");
+        let frozen = inboxes.view(1).common_key().expect("keyed");
+        assert_eq!((whole.prefix(), frozen.prefix()), (2, 1));
+        assert_eq!(whole.generation(), frozen.generation());
+
+        let view = inboxes.view(1);
+        let (key, common, own) = view.split_common().expect("keyed");
+        assert_eq!(key, frozen);
+        assert_eq!((common.len(), own.len()), (1, 2));
+        assert!(common.common_key().is_none() && own.common_key().is_none());
+        let split: Vec<(NodeId, &u64)> = common.iter().chain(own.iter()).collect();
+        assert!(split.into_iter().eq(view.iter()), "the parts walk the view");
+        inboxes.close_round();
+    }
+
+    #[test]
+    fn views_without_a_common_prefix_are_keyless() {
+        let ids = keyed_ids();
+        let newcomer = NodeId::new(11);
+        let mut inboxes = Inboxes::default();
+        route(&mut inboxes, &ids, |fan| broadcast(fan, ids[0], 1));
+        inboxes.admit(newcomer);
+        // The third member does not step: its prefix is materialised.
+        let stepping = [
+            (ids[0], true),
+            (ids[1], true),
+            (ids[2], false),
+            (newcomer, true),
+        ];
+        inboxes.open_round(stepping.into_iter());
+        assert!(inboxes.view(0).common_key().is_some());
+        assert!(
+            inboxes.view(3).common_key().is_none(),
+            "a newcomer reads no prefix"
+        );
+        assert!(inboxes.view(3).is_empty());
+        inboxes.close_round();
+
+        let mut all = ids.clone();
+        all.push(newcomer);
+        route(&mut inboxes, &all, |fan| broadcast(fan, ids[1], 2));
+        inboxes.open_round(all.iter().map(|&id| (id, true)));
+        let materialised = inboxes.view(2);
+        assert_eq!(
+            materialised.len(),
+            2,
+            "last round's entry, then this round's"
+        );
+        assert!(
+            materialised.common_key().is_none(),
+            "a materialised member's entries are its own"
+        );
+        assert!(inboxes.view(0).common_key().is_some());
+        inboxes.close_round();
+    }
+
+    #[test]
+    fn two_engines_in_one_process_never_share_a_generation() {
+        let mut first = engine(None, nodes(3), SilentAdversary, vec![]);
+        let mut second = engine(
+            Some(EventTiming::synchronous()),
+            nodes(3),
+            SilentAdversary,
+            vec![],
+        );
+        let mut generations = Vec::new();
+        for _ in 0..3 {
+            first.run_round().unwrap();
+            second.run_round().unwrap();
+            generations.extend([first.inboxes.generation, second.inboxes.generation]);
+        }
+        let distinct: HashSet<u64> = generations.iter().copied().collect();
+        assert_eq!(distinct.len(), generations.len(), "{generations:?}");
     }
 }

@@ -118,7 +118,7 @@ pub use engine::{Engine, EngineConfig, PhaseTimings, RunOutcome, SyncEngine};
 pub use error::SimError;
 pub use event::{DelaySpec, EngineKind, EventTiming, LinkDelay, PartitionSpec, TimingSpec};
 pub use id::{IdSpace, NodeId};
-pub use message::{Destination, Directed, Envelope, Inbox, InboxIter, Outgoing};
+pub use message::{CommonKey, Destination, Directed, Envelope, Inbox, InboxIter, Outgoing};
 pub use metrics::{Metrics, RoundMetrics};
 pub use node::{Protocol, Recoverable, RoundContext};
 pub use shared::Shared;

@@ -163,6 +163,10 @@ impl<P: Deserialize + Hash> Deserialize for Envelope<P> {
 ///
 /// The view is `Copy`, and its iterator `Clone`, so a protocol can make as
 /// many passes as it likes.
+///
+/// A view the engine hands a stepping node also names its common part with a
+/// [`CommonKey`]; [`Inbox::split_common`] splits such a view into that keyed
+/// prefix and the rest. Every other view is keyless.
 pub struct Inbox<'a, P> {
     /// The recipient's prefix of the round's common list…
     common: &'a [Envelope<P>],
@@ -170,16 +174,80 @@ pub struct Inbox<'a, P> {
     own: &'a [Envelope<P>],
     /// A caller's buffer of borrowed payloads. Empty for an envelope view.
     pairs: &'a [(NodeId, &'a P)],
+    /// Names `common`, if the engine built the view and `common` is not empty.
+    key: Option<CommonKey>,
+}
+
+/// Names the common part of an engine-built [`Inbox`]: the routed batch whose
+/// common list it reads, and how many leading entries of that list it reads.
+///
+/// The batch is named by a generation the engine draws, process-unique, each
+/// time it routes one — the list's buffer is recycled from round to round, so
+/// its address names nothing. Entries only ever append to a batch's list, so
+/// two views with equal keys read the same entries in the same order, whichever
+/// node holds them: a protocol may compute what it derives from the common part
+/// once per key and share it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct CommonKey {
+    generation: u64,
+    prefix: usize,
+}
+
+impl CommonKey {
+    /// The routed batch whose common list the view reads.
+    pub fn generation(self) -> u64 {
+        self.generation
+    }
+
+    /// How many leading entries of that list the view reads (never 0).
+    pub fn prefix(self) -> usize {
+        self.prefix
+    }
 }
 
 impl<'a, P> Inbox<'a, P> {
-    /// The view the engine hands a stepping node: `common` then `own`.
+    /// A keyless view of `common` then `own`.
     pub(crate) fn envelopes(common: &'a [Envelope<P>], own: &'a [Envelope<P>]) -> Self {
         Inbox {
             common,
             own,
             pairs: &[],
+            key: None,
         }
+    }
+
+    /// The view the engine hands a stepping node: its prefix of the common
+    /// list of batch `generation`, then its own entries. An empty prefix (a
+    /// newcomer, a member whose prefix was materialised) gets no key.
+    pub(crate) fn keyed(
+        common: &'a [Envelope<P>],
+        own: &'a [Envelope<P>],
+        generation: u64,
+    ) -> Self {
+        Inbox {
+            key: (!common.is_empty()).then_some(CommonKey {
+                generation,
+                prefix: common.len(),
+            }),
+            ..Inbox::envelopes(common, own)
+        }
+    }
+
+    /// The key of the view's common part; `None` for a keyless view.
+    pub fn common_key(&self) -> Option<CommonKey> {
+        self.key
+    }
+
+    /// Splits a keyed view into its key, its common part and the rest, in
+    /// delivery order: walking the two parts one after the other walks the
+    /// view. `None` for a keyless view.
+    pub fn split_common(self) -> Option<(CommonKey, Inbox<'a, P>, Inbox<'a, P>)> {
+        let key = self.key?;
+        Some((
+            key,
+            Inbox::envelopes(self.common, &[]),
+            Inbox::envelopes(&[], self.own),
+        ))
     }
 
     /// The `(sender, &payload)` pairs, in delivery order.
@@ -430,6 +498,20 @@ mod tests {
         assert_eq!(a, b);
         // Value comparison works directly against a payload.
         assert_eq!(a.payload, 41u64);
+    }
+
+    #[test]
+    fn views_built_outside_the_engine_are_keyless() {
+        let delivered = [Envelope::new(NodeId::new(7), 42u64)];
+        let pairs: Vec<(NodeId, &u64)> = vec![(NodeId::new(7), &42)];
+        for inbox in [
+            Inbox::from(&delivered[..]),
+            Inbox::from(&pairs[..]),
+            Inbox::default(),
+        ] {
+            assert!(inbox.common_key().is_none());
+            assert!(inbox.split_common().is_none());
+        }
     }
 
     #[test]
