@@ -100,6 +100,7 @@ mod tests {
     use super::*;
     use crate::baseline::{BaselineFile, BaselineSummaryRow};
     use crate::scaling::{ScalingFile, ScalingRow};
+    use crate::soak::{SoakFile, SoakRow};
     use crate::stream::{StreamFile, StreamRow, WindowSweepRow};
 
     fn committed<T: Deserialize>(name: &str) -> T {
@@ -115,6 +116,7 @@ mod tests {
         let baseline: BaselineFile = committed("BENCH_baseline.json");
         let scaling: ScalingFile = committed("BENCH_scaling.json");
         let stream: StreamFile = committed("BENCH_stream.json");
+        let soak: SoakFile = committed("BENCH_soak_smoke.json");
         vec![
             (
                 "baseline",
@@ -143,6 +145,23 @@ mod tests {
                 WindowSweepRow::KEY,
                 WindowSweepRow::DETERMINISTIC,
                 &["wall_ms"],
+            ),
+            (
+                "soak",
+                serde_json::to_value(&soak.rows[0]),
+                SoakRow::KEY,
+                SoakRow::DETERMINISTIC,
+                &[
+                    "p50_us",
+                    "p95_us",
+                    "p99_us",
+                    "growth",
+                    "lat_mid_third_us",
+                    "lat_last_third_us",
+                    "lat_slope",
+                    "lat_drift",
+                    "wall_ms",
+                ],
             ),
         ]
     }

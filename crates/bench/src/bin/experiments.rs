@@ -40,8 +40,10 @@
 //! refuses to overwrite a full artifact). Fresh percentiles are compared
 //! against the committed file with a generous margin — drift is reported,
 //! never hard-failed, since wall-clock numbers are machine-dependent. The
-//! exit code is 1 when any row shows monotone memory growth, has too few
-//! samples for the leak gate, or fails the recovery oracles.
+//! exit code is 1 when a deterministic count column (`SoakRow::DETERMINISTIC`)
+//! drifts from the committed file, or when any row shows monotone memory
+//! growth, has too few samples for the leak gate, or fails the recovery
+//! oracles.
 //!
 //! `stream` runs the pipelined multi-shot agreement stream (`uba_bench::stream`,
 //! `docs/STREAMING.md`): an open-loop Zipf-keyed request generator batched into
@@ -490,11 +492,19 @@ fn run_soak(args: &[String]) {
     let started = Instant::now();
     let file = uba_bench::soak::soak_file(smoke, &config, &engines);
     println!("{}", uba_bench::soak_table(&file));
-    // Wall-clock latency regression gate: recorded, never hard-failed (the
-    // same policy scaling-smoke applies to wall-clock columns — machine noise
-    // must not break CI; the drift lines are there for humans to read).
+    // The counts are exact functions of the seed: any drift from the committed
+    // artifact fails the run, before the fresh file overwrites it (remove the
+    // file to re-record it). Latency percentiles are wall clock: recorded,
+    // never hard-failed (the same policy scaling-smoke applies to wall-clock
+    // columns — machine noise must not break CI; the drift lines are there
+    // for humans to read).
     match &committed {
         Some(committed) => {
+            gate(
+                &uba_bench::soak::count_drift(&file, committed),
+                &format!("soak counts drifted from the committed {}", path.display()),
+                "deterministic soak counts unchanged",
+            );
             let drift = uba_bench::soak::latency_drift(&file, committed, 3.0, 2_000.0);
             if drift.is_empty() {
                 eprintln!(

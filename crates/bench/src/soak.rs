@@ -29,6 +29,10 @@
 //!   the run against *itself*, so a run that gets slower round over round —
 //!   the time-shaped twin of a memory leak — hard-fails.
 //!
+//! The counts — rounds, restarts, the proxy's floors and peak and the three
+//! verdicts ([`SoakRow::DETERMINISTIC`]) — are exact functions of the seed,
+//! so [`count_drift`] holds them to the committed artifact.
+//!
 //! The proxy is a sawtooth by construction — logs fill and compact, inboxes
 //! fill and drain — so the leak gate discards the first third of the run as
 //! warm-up (logs filling from empty look exactly like a leak) and compares
@@ -59,6 +63,7 @@ use uba_simnet::{
     WalConfig, WalFault,
 };
 
+use crate::artifact;
 use crate::table::Table;
 
 /// Base seed of the soak grid (distinct from the baseline and scaling seeds so
@@ -237,6 +242,22 @@ pub struct SoakRow {
 }
 
 impl SoakRow {
+    /// The columns that identify a row.
+    pub const KEY: &'static [&'static str] = &["engine", "nodes"];
+    /// The columns the drift gate compares: exact functions of the seed. The
+    /// memory proxy is counted by the single-threaded `experiments` binary,
+    /// so its floors and peak reproduce there; latencies are wall clock.
+    pub const DETERMINISTIC: &'static [&'static str] = &[
+        "rounds",
+        "restarts",
+        "live_mid_third",
+        "live_last_third",
+        "live_peak",
+        "leak",
+        "insufficient_samples",
+        "oracles_passed",
+    ];
+
     /// Whether the row passes its gates: enough samples to judge, flat
     /// memory, flat step latency, and clean oracles.
     pub fn passed(&self) -> bool {
@@ -482,6 +503,25 @@ pub fn latency_drift(
         }
     }
     drift
+}
+
+/// Compares the deterministic columns of the engines `current` ran against
+/// the `committed` rows. Returns human-readable drift lines; empty means no
+/// drift. Wall-clock columns are never compared.
+pub fn count_drift(current: &SoakFile, committed: &SoakFile) -> Vec<String> {
+    let ran: Vec<SoakRow> = committed
+        .rows
+        .iter()
+        .filter(|row| current.rows.iter().any(|r| r.engine == row.engine))
+        .cloned()
+        .collect();
+    artifact::drift(
+        "soak",
+        &current.rows,
+        &ran,
+        SoakRow::KEY,
+        SoakRow::DETERMINISTIC,
+    )
 }
 
 /// Runs the soak shape on each engine and assembles the file.

@@ -360,6 +360,11 @@ impl<V: Opinion> Protocol for ParallelConsensus<V> {
     fn output(&self) -> Option<ParallelDecision<V>> {
         self.decision.clone()
     }
+
+    /// Reads the decision in place: the default would clone it.
+    fn terminated(&self) -> bool {
+        self.decision.is_some()
+    }
 }
 
 #[cfg(test)]

@@ -23,22 +23,26 @@
 //!
 //! # Cost
 //!
-//! The node is its own multiplexer. Each step makes one pass over its inbox view
-//! and steps every running instance over a *borrowed* inbox — `(sender, &inner)`
-//! pairs pointing into the `Instance` variants of the received payloads, filtered
-//! by the instance's member set, handed to [`ParallelConsensus`] as an
-//! [`Inbox`] view of that buffer; nothing is allocated, hashed or
-//! reference-counted per message. An instance is driven until it terminates
-//! (fault-free: its local round 7, so seven run at once) and then only its
-//! decided pairs, moved out of it, wait out the finality window. An instance at a
-//! resolve step whose outcome is already fixed still steps, but gets no buffer:
-//! the second rotor echo wave its inbox would carry is left unread.
+//! The node is a multiplexer: the membership lines of the algorithm plus the
+//! stream plane's [`Window`], with one instance pushed every round. The window
+//! routes each `Instance` message, as a *borrowed* `(sender, &inner)` pair, to
+//! the running instance it belongs to if the sender is in that instance's
+//! frozen member set, and steps the instance over an [`Inbox`] view of those
+//! pairs; nothing is cloned, hashed or reference-counted per message. An
+//! instance is driven until it terminates (fault-free: its local round 7, so
+//! seven run at once) and then leaves the window: only its decided pairs,
+//! moved out of it, and its `|S|` wait out the finality window. An instance at
+//! a resolve step whose outcome is already fixed still steps, but reads
+//! nothing: the second rotor echo wave its inbox would carry is left unread.
 //! [`TotalOrderNode::work`] counts the work; `docs/STREAMING.md` has the cost
 //! model.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use uba_simnet::{Inbox, MuxWork, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{
+    Inbox, InstanceSlot, MuxWork, NodeId, Outgoing, Protocol, Recoverable, RoundContext, Slot,
+    Window,
+};
 
 use crate::early_consensus::ParallelMessage;
 use crate::parallel_consensus::ParallelConsensus;
@@ -125,21 +129,30 @@ pub fn chains_agree<E: Opinion, C: AsRef<[OrderedEvent<E>]>>(chains: &[C]) -> bo
 /// against ("running a parallel consensus instance with respect to `S`").
 #[derive(Clone, Debug)]
 struct RoundInstance<E: Opinion> {
-    /// The round that started the instance (the tag on its wire messages).
-    round: u64,
+    /// Tagged, and started, with the round that started it.
+    slot: InstanceSlot<ParallelConsensus<E>>,
     /// The member set recorded when the instance started.
     members: BTreeSet<NodeId>,
-    /// Local round counter of the embedded instance.
-    local_round: u64,
-    progress: Progress<E>,
 }
 
-/// An instance is driven until it terminates; from then on only its decided pairs
-/// (witness raw id → event) wait for finality.
-#[derive(Clone, Debug)]
-enum Progress<E: Opinion> {
-    Running(Box<ParallelConsensus<E>>),
-    Decided(BTreeMap<u64, E>),
+impl<E: Opinion> Slot for RoundInstance<E> {
+    type Node = ParallelConsensus<E>;
+
+    fn slot(&self) -> &InstanceSlot<ParallelConsensus<E>> {
+        &self.slot
+    }
+
+    fn slot_mut(&mut self) -> &mut InstanceSlot<ParallelConsensus<E>> {
+        &mut self.slot
+    }
+
+    fn hears(&self, from: NodeId) -> bool {
+        self.members.contains(&from)
+    }
+
+    fn reads_inbox(&self, local_round: u64) -> bool {
+        self.slot.node.reads_inbox(local_round)
+    }
 }
 
 /// A node running Algorithm 6.
@@ -163,18 +176,15 @@ pub struct TotalOrderNode<E: Opinion> {
     /// round so that every founder learns the initial membership; joiners do it as
     /// part of the join handshake).
     announced_presence: bool,
-    /// Per-round consensus instances awaiting finality, oldest first. A node starts
-    /// one every round until it leaves and retires them in round order, so the
-    /// rounds are consecutive and instance `r'` sits at index `r' − front.round`.
-    instances: VecDeque<RoundInstance<E>>,
+    /// The running per-round consensus instances, tagged by round.
+    window: Window<RoundInstance<E>>,
+    /// Decided instances awaiting finality, by round: their decided pairs
+    /// (witness raw id → event) and the size of the member set they ran with.
+    decided: BTreeMap<u64, (BTreeMap<u64, E>, usize)>,
     /// The finalised log.
     chain: Vec<OrderedEvent<E>>,
     /// Largest round up to which every round is final and appended to the chain.
     finalized_upto: u64,
-    /// The first round this node participated in (instances before it do not exist).
-    first_round: u64,
-    /// Demux work counters (measurement only; see [`TotalOrderNode::work`]).
-    work: MuxWork,
 }
 
 impl<E: Opinion> TotalOrderNode<E> {
@@ -191,11 +201,10 @@ impl<E: Opinion> TotalOrderNode<E> {
             leaving: false,
             announced_leave: false,
             announced_presence: false,
-            instances: VecDeque::new(),
+            window: Window::new(Vec::new()),
+            decided: BTreeMap::new(),
             chain: Vec::new(),
             finalized_upto: 0,
-            first_round: 1,
-            work: MuxWork::default(),
         }
     }
 
@@ -212,11 +221,10 @@ impl<E: Opinion> TotalOrderNode<E> {
             leaving: false,
             announced_leave: false,
             announced_presence: true,
-            instances: VecDeque::new(),
+            window: Window::new(Vec::new()),
+            decided: BTreeMap::new(),
             chain: Vec::new(),
             finalized_upto: 0,
-            first_round: 0,
-            work: MuxWork::default(),
         }
     }
 
@@ -257,13 +265,14 @@ impl<E: Opinion> TotalOrderNode<E> {
         self.finalized_upto
     }
 
-    /// The demux work counters accumulated so far, in the stream plane's currency:
-    /// `envelopes_indexed` is the inbox sizes summed over steps, `slot_steps` the
-    /// per-round instance steps executed, and `dropped_retired` the instance
-    /// traffic that matched no running instance (decided, finalised or never
-    /// started here). Measurement only — never part of a report.
+    /// The demux work counters of the node's [`Window`], in the stream plane's
+    /// currency: `envelopes_indexed` is the inbox sizes summed over steps,
+    /// `slot_steps` the per-round instance steps executed, and `dropped_retired`
+    /// the instance traffic that matched no running instance (decided,
+    /// finalised or never started here). Measurement only — never part of a
+    /// report.
     pub fn work(&self) -> MuxWork {
-        self.work
+        self.window.work()
     }
 
     /// The finality rule of Algorithm 6 (line 28): round `r'` is final at round `r`
@@ -273,32 +282,39 @@ impl<E: Opinion> TotalOrderNode<E> {
         2 * age > 5 * members_at_start as u64 + 4
     }
 
-    /// Advances finalisation and appends newly final rounds to the chain, in order.
+    /// Advances finalisation and appends newly final rounds to the chain, in
+    /// order: the oldest decided round is final once it is old enough and no
+    /// older instance is still running.
     fn advance_finality(&mut self) {
-        while let Some(oldest) = self.instances.front() {
-            let next = oldest.round;
+        while let Some(entry) = self.decided.first_entry() {
+            let next = *entry.key();
             let ready = next < self.round
-                && Self::is_final(self.round, next, oldest.members.len())
-                && matches!(oldest.progress, Progress::Decided(_));
+                && Self::is_final(self.round, next, entry.get().1)
+                && self
+                    .window
+                    .slots()
+                    .first()
+                    .is_none_or(|running| running.slot.tag > next);
             if !ready {
                 break;
             }
-            // The instance is no longer needed; its events move into the chain.
-            if let Some(Progress::Decided(decided)) =
-                self.instances.pop_front().map(|instance| instance.progress)
-            {
-                self.chain.extend(
-                    decided
-                        .into_iter()
-                        .map(|(witness_raw, event)| OrderedEvent {
-                            round: next,
-                            witness: NodeId::new(witness_raw),
-                            event,
-                        }),
-                );
-            }
+            let (pairs, _) = entry.remove();
+            self.chain
+                .extend(pairs.into_iter().map(|(witness_raw, event)| OrderedEvent {
+                    round: next,
+                    witness: NodeId::new(witness_raw),
+                    event,
+                }));
             self.finalized_upto = next;
         }
+    }
+}
+
+/// The window's view of a wire message: the instance it belongs to, if any.
+fn untag<E>(message: &TotalOrderMessage<E>) -> Option<(u64, &ParallelMessage<E>)> {
+    match message {
+        TotalOrderMessage::Instance(round, inner) => Some((*round, inner)),
+        _ => None,
     }
 }
 
@@ -322,14 +338,13 @@ impl<E: Opinion> Protocol for TotalOrderNode<E> {
         inbox: Inbox<'_, TotalOrderMessage<E>>,
     ) -> Vec<Outgoing<TotalOrderMessage<E>>> {
         self.local_steps += 1;
-        self.work.envelopes_indexed += inbox.len() as u64;
         let mut out: Vec<Outgoing<TotalOrderMessage<E>>> = Vec::new();
 
         // Join handshake (lines 1–6).
         if !self.joined {
             match self.local_steps {
-                1 => return vec![Outgoing::broadcast(TotalOrderMessage::Present)],
-                2 => return Vec::new(),
+                1 => out.push(Outgoing::broadcast(TotalOrderMessage::Present)),
+                2 => {}
                 _ => {
                     let mut acks: BTreeMap<u64, usize> = BTreeMap::new();
                     let mut senders: BTreeSet<NodeId> = BTreeSet::new();
@@ -339,146 +354,93 @@ impl<E: Opinion> Protocol for TotalOrderNode<E> {
                             senders.insert(from);
                         }
                     }
-                    let Some((&r0, _)) = acks.iter().max_by_key(|(_, count)| **count) else {
-                        // No acks yet; keep waiting.
-                        return Vec::new();
-                    };
-                    self.round = r0 + 1;
-                    self.first_round = self.round + 1;
-                    self.finalized_upto = self.round;
-                    self.members = senders;
-                    self.members.insert(self.id);
-                    self.joined = true;
-                    return Vec::new();
+                    // No acks yet: keep waiting.
+                    if let Some((&r0, _)) = acks.iter().max_by_key(|(_, count)| **count) {
+                        self.round = r0 + 1;
+                        self.finalized_upto = self.round;
+                        self.members = senders;
+                        self.members.insert(self.id);
+                        self.joined = true;
+                    }
                 }
             }
-        }
+        } else {
+            // Line 8: advance the round.
+            self.round += 1;
+            let r = self.round;
 
-        // Line 8: advance the round.
-        self.round += 1;
-        let r = self.round;
+            // Founders make themselves known to each other in their first round, so that
+            // the member set S reflects the initial membership.
+            if !self.announced_presence {
+                self.announced_presence = true;
+                out.push(Outgoing::broadcast(TotalOrderMessage::Present));
+            }
 
-        // Founders make themselves known to each other in their first round, so that
-        // the member set S reflects the initial membership.
-        if !self.announced_presence {
-            self.announced_presence = true;
-            out.push(Outgoing::broadcast(TotalOrderMessage::Present));
-        }
-
-        // Lines 10–20: membership messages — and, in the same pass, the demux of
-        // instance traffic: each inner message is borrowed straight out of its
-        // `Instance` variant into the buffer of the running instance it belongs
-        // to, in inbox order, if its sender is in that instance's frozen member
-        // set. Traffic for this round's instance (not started yet) is collected
-        // unfiltered and filtered below, once `S` has seen the whole inbox.
-        let mut event_inputs: Vec<(u64, E)> = Vec::new();
-        let oldest = self.instances.front().map_or(r, |instance| instance.round);
-        // A buffer for every running instance whose next step reads its inbox; one
-        // at a resolve step whose outcome is already fixed gets none.
-        let mut buffers: Vec<Option<Vec<_>>> = self
-            .instances
-            .iter()
-            .map(|instance| match &instance.progress {
-                Progress::Running(consensus) => consensus
-                    .reads_inbox(instance.local_round + 1)
-                    .then(Vec::new),
-                Progress::Decided(_) => None,
-            })
-            .collect();
-        let mut fresh: Vec<(NodeId, &ParallelMessage<E>)> = Vec::new();
-        for (from, message) in inbox {
-            match message {
-                TotalOrderMessage::Present => {
-                    self.members.insert(from);
-                    out.push(Outgoing::unicast(from, TotalOrderMessage::Ack(r)));
-                }
-                TotalOrderMessage::Absent => {
-                    self.members.remove(&from);
-                }
-                TotalOrderMessage::Ack(_) => {}
-                // Line 24–26: events witnessed in the previous round become input pairs
-                // of this round's instance, identified by the witnessing node.
-                TotalOrderMessage::Event(tag, event) => {
-                    if *tag + 1 == r {
-                        event_inputs.push((from.raw(), event.clone()));
+            // Lines 10–20: membership messages. Instance traffic is the window's.
+            let mut event_inputs: Vec<(u64, E)> = Vec::new();
+            for (from, message) in inbox {
+                match message {
+                    TotalOrderMessage::Present => {
+                        self.members.insert(from);
+                        out.push(Outgoing::unicast(from, TotalOrderMessage::Ack(r)));
                     }
-                }
-                TotalOrderMessage::Instance(instance_round, message) => {
-                    if *instance_round == r && !self.leaving {
-                        fresh.push((from, message));
-                        continue;
+                    TotalOrderMessage::Absent => {
+                        self.members.remove(&from);
                     }
-                    let running = instance_round
-                        .checked_sub(oldest)
-                        .and_then(|index| usize::try_from(index).ok())
-                        .and_then(|index| Some((index, self.instances.get(index)?)))
-                        .filter(|(_, instance)| matches!(instance.progress, Progress::Running(_)));
-                    match running {
-                        Some((index, instance)) => {
-                            if let Some(buffer) = &mut buffers[index] {
-                                if instance.members.contains(&from) {
-                                    buffer.push((from, message));
-                                }
-                            }
+                    // Line 24–26: events witnessed in the previous round become input pairs
+                    // of this round's instance, identified by the witnessing node.
+                    TotalOrderMessage::Event(tag, event) => {
+                        if *tag + 1 == r {
+                            event_inputs.push((from.raw(), event.clone()));
                         }
-                        None => self.work.dropped_retired += 1,
                     }
+                    TotalOrderMessage::Ack(_) | TotalOrderMessage::Instance(..) => {}
                 }
             }
-        }
 
-        // Lines 14–17: leaving.
-        if self.leaving && !self.announced_leave {
-            self.announced_leave = true;
-            out.push(Outgoing::broadcast(TotalOrderMessage::Absent));
-        }
+            // Lines 14–17: leaving.
+            if self.leaving && !self.announced_leave {
+                self.announced_leave = true;
+                out.push(Outgoing::broadcast(TotalOrderMessage::Absent));
+            }
 
-        // Lines 21–23: broadcast one witnessed event, tagged with the current round.
-        if !self.leaving {
-            if let Some(event) = self.pending_events.pop_front() {
-                out.push(Outgoing::broadcast(TotalOrderMessage::Event(r, event)));
+            // Lines 21–23: broadcast one witnessed event, tagged with the current round.
+            if !self.leaving {
+                if let Some(event) = self.pending_events.pop_front() {
+                    out.push(Outgoing::broadcast(TotalOrderMessage::Event(r, event)));
+                }
+            }
+
+            // Line 27: start this round's parallel consensus instance with the collected
+            // pairs, with respect to the member set as the whole inbox left it. Leaving
+            // nodes only finish outstanding instances and do not start new ones.
+            if !self.leaving {
+                self.window.push(RoundInstance {
+                    slot: InstanceSlot {
+                        tag: r,
+                        start_round: r,
+                        node: ParallelConsensus::new(self.id, event_inputs),
+                    },
+                    members: self.members.clone(),
+                });
             }
         }
 
-        // Line 27: start this round's parallel consensus instance with the collected
-        // pairs, with respect to the current member set. Leaving nodes only finish
-        // outstanding instances and do not start new ones.
-        if !self.leaving {
-            fresh.retain(|(from, _)| self.members.contains(from));
-            buffers.push(Some(fresh));
-            debug_assert!(self.instances.back().is_none_or(|last| last.round + 1 == r));
-            self.instances.push_back(RoundInstance {
-                round: r,
-                members: self.members.clone(),
-                local_round: 0,
-                progress: Progress::Running(Box::new(ParallelConsensus::new(
-                    self.id,
-                    event_inputs,
-                ))),
-            });
-        }
-
-        // Drive every outstanding instance by one (local) round.
-        for (instance, inbox) in self.instances.iter_mut().zip(&buffers) {
-            let Progress::Running(consensus) = &mut instance.progress else {
-                continue;
-            };
-            instance.local_round += 1;
-            self.work.slot_steps += 1;
-            let tag = instance.round;
-            let local = RoundContext::new(instance.local_round);
-            out.extend(
-                consensus
-                    .step(&local, Inbox::from(inbox.as_deref().unwrap_or_default()))
-                    .into_iter()
-                    .map(|sent| Outgoing {
-                        dest: sent.dest,
-                        payload: TotalOrderMessage::Instance(tag, sent.payload),
-                    }),
-            );
-            if let Some(decision) = consensus.take_decision() {
-                instance.progress = Progress::Decided(decision.pairs);
-            }
+        // Drive every running instance by one (local) round — a joining node has
+        // none, so its window only counts the instance traffic that arrives. A
+        // decided instance leaves its pairs to wait for finality.
+        let decided = self.window.step(
+            self.round,
+            inbox,
+            untag,
+            TotalOrderMessage::Instance,
+            &mut out,
+        );
+        for mut instance in decided {
+            let decision = instance.slot.node.take_decision();
+            let pairs = decision.expect("a terminated instance has decided").pairs;
+            self.decided
+                .insert(instance.slot.tag, (pairs, instance.members.len()));
         }
 
         // Lines 28–30: finality and chain construction.
@@ -755,11 +717,13 @@ mod tests {
             Envelope::new(y, TotalOrderMessage::Present),
         ];
         node.step(&RoundContext::new(1), Inbox::from(&inbox[..]));
-        let started = node.instances.back().expect("round 1 started an instance");
+        let started = node
+            .window
+            .slots()
+            .last()
+            .expect("round 1 started an instance");
         assert_eq!(started.members, BTreeSet::from([me, y]));
-        let Progress::Running(consensus) = &started.progress else {
-            panic!("a fresh instance is running");
-        };
+        let consensus = &started.slot.node;
         assert_eq!(consensus.n_v(), 1, "heard from y, not from the departed x");
 
         // For an outstanding instance the filter is its frozen member set: y was
@@ -769,9 +733,7 @@ mod tests {
         other.step(&RoundContext::new(1), Inbox::default());
         let inbox = [init(x, 1), init(y, 1)];
         other.step(&RoundContext::new(2), Inbox::from(&inbox[..]));
-        let Progress::Running(consensus) = &other.instances[0].progress else {
-            panic!("round 1's instance is still running");
-        };
+        let consensus = &other.window.slots()[0].slot.node;
         assert_eq!(consensus.n_v(), 1, "heard from x, not from the stranger y");
     }
 

@@ -129,8 +129,8 @@ pub use sim::{
 };
 pub use stats::{Histogram, RateEstimate, Summary};
 pub use stream::{
-    CompletedInstance, InstanceSlot, InstanceState, MuxNode, MuxWork, StreamDriver, StreamInstance,
-    StreamInstanceReport, StreamSection,
+    CompletedInstance, InstanceSlot, MuxNode, MuxWork, Slot, StreamDriver, StreamInstance,
+    StreamInstanceReport, StreamSection, Window,
 };
 pub use sweep::{CrashPlan, ScenarioGrid, SweepCase};
 pub use trace::{TraceEvent, TraceLog};

@@ -4,6 +4,12 @@
 //! of them, overlapping in time so the next instance starts before the previous
 //! one decides. This module provides the generic machinery for that shape:
 //!
+//! * [`Window`] — a node's undecided instances of an inner [`Protocol`], in
+//!   tag order. Each round it routes every tagged entry of the inbox to the
+//!   instance it belongs to, steps every started instance at its local round
+//!   and hands each one that terminated back to its owner. [`MuxNode`] and
+//!   `uba-core`'s total-order node are both built on it; a [`Slot`] is how an
+//!   owner tells the window whom an instance hears and when it reads.
 //! * [`MuxNode`] — a node that multiplexes many instances of an inner
 //!   [`Protocol`] over one wire. Every payload is tagged with the instance it
 //!   belongs to (`(instance, inner)`), so a single engine round carries traffic
@@ -15,16 +21,15 @@
 //!   decide rounds and batch sizes for the checker's cross-instance oracle.
 //!
 //! Per-round cost is proportional to the **active window**, not the horizon:
-//! each step sorts its inbox by tag once, into one flat buffer of borrowed
-//! inner payloads, every inner instance is stepped over its sub-slice of that
-//! buffer (an [`Inbox`] view — no payload clone, no handle, no envelope), and
-//! decided slots are **retired** out of the scan path into
-//! compact [`CompletedInstance`] records, so [`MuxNode::output`] and
-//! [`MuxNode::terminated`] are O(1) counter reads and a long-finished stream
-//! prefix costs nothing per round. Traffic addressed to a retired tag is
-//! dropped here, while the inbox is sorted, and handed to nobody (counted in
-//! [`MuxWork`]); the engine prunes nothing. `docs/STREAMING.md` documents the
-//! cost model.
+//! each step makes one pass over its inbox, pushing every inner payload, as a
+//! borrowed `(sender, &inner)` pair, onto the buffer of the started instance
+//! it belongs to; every instance is stepped over its buffer (an [`Inbox`]
+//! view — no payload clone, no handle, no envelope), and decided instances
+//! leave the window, so [`MuxNode::output`] and [`MuxNode::terminated`] are
+//! O(1) counter reads and a long-finished stream prefix costs nothing per
+//! round. Traffic addressed to a retired tag is dropped by the window and
+//! handed to nobody (counted in [`MuxWork`]); the engine prunes nothing.
+//! `docs/STREAMING.md` documents the cost model.
 //!
 //! The batching rule lives one layer up (see `docs/STREAMING.md`): client
 //! requests are packed into one batch per (instance, proposer), so each
@@ -37,13 +42,11 @@
 //! Under faults, per-instance safety is already covered by the single-shot
 //! scenarios; the stream exists to measure pipelined throughput.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::adversary::SilentAdversary;
-use crate::engine::FastState;
 use crate::id::NodeId;
 use crate::message::{Inbox, Outgoing};
 use crate::node::{Protocol, RoundContext};
@@ -58,8 +61,6 @@ pub struct InstanceSlot<N> {
     pub start_round: u64,
     /// The inner protocol node.
     pub node: N,
-    /// Global round in which this node's instance terminated, if it has.
-    pub decided_round: Option<u64>,
 }
 
 /// The compact record a decided slot retires into: everything the stream
@@ -77,74 +78,246 @@ pub struct CompletedInstance<N: Protocol> {
     pub output: Option<N::Output>,
 }
 
-/// A live or retired instance, as seen through [`MuxNode::instance`].
-pub enum InstanceState<'a, N: Protocol> {
-    /// The instance still occupies a slot in the scan path.
-    Live(&'a InstanceSlot<N>),
-    /// The instance has decided and been retired.
-    Completed(&'a CompletedInstance<N>),
-}
-
-/// Per-node demux work counters, maintained by [`MuxNode::step`] (and, in the
-/// same currency, by `uba-core`'s total-order node, which multiplexes its own
-/// per-round instances). Measurement
-/// only — these never enter a [`RunReport`], so they cannot perturb the
+/// Per-node demux work counters, maintained by the [`Window`] that both
+/// [`MuxNode`] and `uba-core`'s total-order node step. Measurement only —
+/// these never enter a [`RunReport`], so they cannot perturb the
 /// byte-identity pins; the window-sweep benchmark reads them to prove per-round
 /// cost tracks the active window rather than the horizon.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MuxWork {
-    /// Messages examined while sorting each step's inbox by tag (exactly the
+    /// Messages examined while routing each step's inbox by tag (exactly the
     /// inbox sizes summed over steps — every message is counted once).
     pub envelopes_indexed: u64,
-    /// Inner-instance steps executed (live slots × rounds they were live).
+    /// Inner-instance steps executed (started slots × rounds they were live).
     pub slot_steps: u64,
-    /// Messages dropped because their tag matched no live slot (instance
-    /// already retired or never scheduled) — at zero payload clones.
+    /// Tagged messages dropped because their tag matched no slot in the window
+    /// (instance already retired, or never scheduled or started here) — at
+    /// zero payload clones.
     pub dropped_retired: u64,
+}
+
+/// An instance a [`Window`] holds, and the two questions the window asks it
+/// while routing a round's inbox. The defaults hear every sender and read
+/// every round, which is what a [`MuxNode`]'s [`InstanceSlot`]s answer.
+pub trait Slot {
+    /// The instance's protocol.
+    type Node: Protocol;
+
+    /// The instance's tag, start round and node.
+    fn slot(&self) -> &InstanceSlot<Self::Node>;
+
+    /// Mutable access to the same.
+    fn slot_mut(&mut self) -> &mut InstanceSlot<Self::Node>;
+
+    /// Whether a message from `from` reaches the instance; one that does not
+    /// is dropped silently.
+    fn hears(&self, _from: NodeId) -> bool {
+        true
+    }
+
+    /// Whether the instance's step at `local_round` reads its inbox. One that
+    /// does not still steps, over an empty inbox, and its traffic is dropped
+    /// silently.
+    fn reads_inbox(&self, _local_round: u64) -> bool {
+        true
+    }
+}
+
+impl<N: Protocol> Slot for InstanceSlot<N> {
+    type Node = N;
+
+    fn slot(&self) -> &Self {
+        self
+    }
+
+    fn slot_mut(&mut self) -> &mut Self {
+        self
+    }
+}
+
+/// The payload type of the instances a window of `S` holds.
+type Inner<S> = <<S as Slot>::Node as Protocol>::Payload;
+
+/// A node's undecided instances, in tag order, and the one demux that feeds
+/// them.
+///
+/// Each [`Window::step`] makes one pass over the inbox. A tagged entry of a
+/// started instance is pushed, as a borrowed `(sender, &inner)` pair, onto
+/// that instance's buffer for the round — found through a table indexed by
+/// `tag − lowest started tag`, so tags are expected to be dense (the stream
+/// driver numbers instances 0, 1, …; total order tags them by round). Every
+/// started instance is then stepped at its local round (`round − start + 1`)
+/// over its buffer, and the instances that terminated leave the window.
+/// What arrives for a tag the window does not hold is counted in
+/// [`MuxWork::dropped_retired`], unless the tag is scheduled here and has not
+/// started yet: nobody sends for such an instance, so that is dropped silently.
+#[derive(Clone, Debug)]
+pub struct Window<S> {
+    slots: Vec<S>,
+    work: MuxWork,
+}
+
+impl<S: Slot> Window<S> {
+    /// A window over `slots`, whose tags must be strictly increasing.
+    pub fn new(slots: Vec<S>) -> Self {
+        let mut window = Window {
+            slots: Vec::with_capacity(slots.len()),
+            work: MuxWork::default(),
+        };
+        slots.into_iter().for_each(|slot| window.push(slot));
+        window
+    }
+
+    /// The undecided slots, started or not, in tag order.
+    pub fn slots(&self) -> &[S] {
+        &self.slots
+    }
+
+    /// The demux work counters accumulated so far.
+    pub fn work(&self) -> MuxWork {
+        self.work
+    }
+
+    /// Appends a slot; its tag must exceed every tag the window holds.
+    pub fn push(&mut self, slot: S) {
+        assert!(
+            self.slots
+                .last()
+                .is_none_or(|last| last.slot().tag < slot.slot().tag),
+            "window slots must be in strictly increasing tag order"
+        );
+        self.slots.push(slot);
+    }
+
+    /// One step at global `round`: routes the entries of `inbox` that `untag`
+    /// maps to `(tag, inner)`, steps every started slot, appends what the
+    /// slots send — wrapped by `retag` — to `out`, and returns the slots that
+    /// terminated, in tag order. Entries `untag` maps to `None` are only
+    /// counted in [`MuxWork::envelopes_indexed`].
+    pub fn step<'a, P>(
+        &mut self,
+        round: u64,
+        inbox: Inbox<'a, P>,
+        untag: impl Fn(&'a P) -> Option<(u64, &'a Inner<S>)>,
+        retag: impl Fn(u64, Inner<S>) -> P,
+        out: &mut Vec<Outgoing<P>>,
+    ) -> Vec<S>
+    where
+        Inner<S>: 'a,
+    {
+        self.work.envelopes_indexed += inbox.len() as u64;
+        // The started slots: their index and, if this step reads, their buffer.
+        let mut started = Vec::new();
+        for (index, slot) in self.slots.iter().enumerate() {
+            let start = slot.slot().start_round;
+            if start <= round {
+                started.push((index, slot.reads_inbox(round - start + 1).then(Vec::new)));
+            }
+        }
+        let tag_of = |&(index, _): &(usize, _)| self.slots[index].slot().tag;
+        let base = started.first().map_or(0, tag_of);
+        let span = started.last().map_or(0, |last| tag_of(last) - base + 1);
+        let mut route: Vec<Option<usize>> = vec![None; span as usize];
+        for (at, entry) in started.iter().enumerate() {
+            route[(tag_of(entry) - base) as usize] = Some(at);
+        }
+
+        for (from, payload) in inbox.iter() {
+            let Some((tag, inner)) = untag(payload) else {
+                continue;
+            };
+            let routed = tag
+                .checked_sub(base)
+                .and_then(|offset| route.get(usize::try_from(offset).ok()?))
+                .copied()
+                .flatten();
+            match routed {
+                Some(at) => {
+                    let (index, buffer) = &mut started[at];
+                    if let Some(buffer) = buffer {
+                        if self.slots[*index].hears(from) {
+                            buffer.push((from, inner));
+                        }
+                    }
+                }
+                // Every started slot is routed, so a scheduled tag found here
+                // has not started yet.
+                None => {
+                    let scheduled = self
+                        .slots
+                        .binary_search_by_key(&tag, |slot| slot.slot().tag)
+                        .is_ok();
+                    if !scheduled {
+                        self.work.dropped_retired += 1;
+                    }
+                }
+            }
+        }
+
+        let mut terminated = false;
+        for (index, buffer) in started {
+            let InstanceSlot {
+                tag,
+                start_round,
+                node,
+            } = self.slots[index].slot_mut();
+            self.work.slot_steps += 1;
+            let local = RoundContext::new(round - *start_round + 1);
+            let inbox = Inbox::from(buffer.as_deref().unwrap_or_default());
+            out.extend(node.step(&local, inbox).into_iter().map(|sent| Outgoing {
+                dest: sent.dest,
+                payload: retag(*tag, sent.payload),
+            }));
+            terminated |= node.terminated();
+        }
+        if !terminated {
+            return Vec::new();
+        }
+        // Order-preserving: wire traffic depends on the order slots step in.
+        self.slots
+            .extract_if(.., |slot| slot.slot().node.terminated())
+            .collect()
+    }
 }
 
 /// A node multiplexing many instances of an inner [`Protocol`] over one wire.
 ///
-/// Payloads are `(instance_tag, inner_payload)`; each round the node sorts its
-/// inbox by tag, steps every started-and-undecided instance with a *local*
-/// round number (`global - start_round`) over a borrowed (not cloned) inbox,
-/// and retags everything the instances send. An instance whose start
-/// round has not arrived yet neither sends nor receives. Decided instances are
+/// Payloads are `(instance_tag, inner_payload)`. The node's [`Window`] steps
+/// every started-and-undecided instance with a *local* round number
+/// (`global - start_round + 1`) over a borrowed (not cloned) inbox, and the
+/// node retags everything the instances send. An instance whose start round
+/// has not arrived yet neither sends nor receives. Decided instances are
 /// retired into [`CompletedInstance`] records, and the node terminates when
-/// the decided count reaches the instance count.
+/// every instance has.
 #[derive(Clone, Debug)]
 pub struct MuxNode<N: Protocol> {
     id: NodeId,
-    slots: Vec<InstanceSlot<N>>,
+    window: Window<InstanceSlot<N>>,
     completed: Vec<CompletedInstance<N>>,
-    completed_index: HashMap<u64, usize, FastState>,
     total: usize,
-    decided: usize,
-    work: MuxWork,
 }
 
 impl<N: Protocol> MuxNode<N> {
     /// Builds a mux node over the given instance slots (all for the same
-    /// [`NodeId`]). Tags must be unique; start rounds must be ≥ 1.
+    /// [`NodeId`]). Tags must be strictly increasing, and dense in the sense
+    /// [`Window`] describes; start rounds must be ≥ 1.
     pub fn new(id: NodeId, slots: Vec<InstanceSlot<N>>) -> Self {
-        // A slot already terminated at build time counts as decided now and is
-        // swept into `completed` lazily on the first step; `decided_round`
-        // stays `None`, matching the step guard that never assigns one.
-        let decided = slots.iter().filter(|slot| slot.node.terminated()).count();
+        // A slot already terminated at build time never steps: it retires now,
+        // with no decide round.
+        let total = slots.len();
+        let (done, live): (Vec<_>, Vec<_>) =
+            slots.into_iter().partition(|slot| slot.node.terminated());
         MuxNode {
             id,
-            total: slots.len(),
-            slots,
-            completed: Vec::new(),
-            completed_index: HashMap::default(),
-            decided,
-            work: MuxWork::default(),
+            window: Window::new(live),
+            completed: done.into_iter().map(|slot| retire(slot, None)).collect(),
+            total,
         }
     }
 
-    /// The **live** (undecided) instance slots, in tag order.
+    /// The **live** (undecided) instance slots, started or not, in tag order.
     pub fn slots(&self) -> &[InstanceSlot<N>] {
-        &self.slots
+        self.window.slots()
     }
 
     /// The retired instances, in retirement order.
@@ -154,106 +327,17 @@ impl<N: Protocol> MuxNode<N> {
 
     /// The demux work counters accumulated so far.
     pub fn work(&self) -> MuxWork {
-        self.work
-    }
-
-    /// Looks an instance up by tag, live or retired.
-    pub fn instance(&self, tag: u64) -> Option<InstanceState<'_, N>> {
-        if let Some(&at) = self.completed_index.get(&tag) {
-            return Some(InstanceState::Completed(&self.completed[at]));
-        }
-        self.slots
-            .iter()
-            .find(|slot| slot.tag == tag)
-            .map(InstanceState::Live)
-    }
-
-    /// Moves every terminated slot out of the scan path into `completed`,
-    /// preserving the order of the remaining live slots (wire-traffic
-    /// byte-identity depends on slot order, so no swap-remove here).
-    fn retire_terminated(&mut self) {
-        let mut completed = std::mem::take(&mut self.completed);
-        let index = &mut self.completed_index;
-        self.slots.retain(|slot| {
-            if slot.node.terminated() {
-                index.insert(slot.tag, completed.len());
-                completed.push(CompletedInstance {
-                    tag: slot.tag,
-                    start_round: slot.start_round,
-                    decided_round: slot.decided_round,
-                    output: slot.node.output(),
-                });
-                false
-            } else {
-                true
-            }
-        });
-        self.completed = completed;
+        self.window.work()
     }
 }
 
-/// One step's inbox sorted by instance tag: every inner payload borrowed out
-/// of its `(tag, inner)` tuple into **one** flat buffer, the messages of a tag
-/// contiguous and in arrival order, so a slot's inbox is a sub-slice of it —
-/// nothing is cloned, reference-counted or allocated per message or per slot.
-struct Demux<'a, P> {
-    /// Tag → its bucket, numbered in first-seen order.
-    buckets: HashMap<u64, usize, FastState>,
-    /// Where each bucket ends in `sorted` (it starts where the previous ends).
-    ends: Vec<usize>,
-    sorted: Vec<(NodeId, &'a P)>,
-}
-
-impl<'a, P> Demux<'a, P> {
-    /// A counting sort by tag: one pass to number and count the tags, one to
-    /// place the messages.
-    fn new(inbox: Inbox<'a, (u64, P)>) -> Self {
-        let mut buckets: HashMap<u64, usize, FastState> = HashMap::default();
-        let mut ends: Vec<usize> = Vec::new();
-        let mut bucket_of = Vec::with_capacity(inbox.len());
-        for (_, (tag, _)) in inbox.iter() {
-            let bucket = *buckets.entry(*tag).or_insert(ends.len());
-            if bucket == ends.len() {
-                ends.push(0);
-            }
-            ends[bucket] += 1;
-            bucket_of.push(bucket);
-        }
-        // Counts become start offsets, which placing advances to end offsets.
-        let mut start = 0;
-        for end in &mut ends {
-            let count = *end;
-            *end = start;
-            start += count;
-        }
-        // The buffer is sized up front and every position written exactly
-        // once; the first message only serves as the filler a slice needs.
-        let mut sorted: Vec<(NodeId, &P)> = inbox
-            .iter()
-            .next()
-            .map_or_else(Vec::new, |(from, (_, inner))| {
-                vec![(from, inner); inbox.len()]
-            });
-        for ((from, (_, inner)), bucket) in inbox.iter().zip(bucket_of) {
-            sorted[ends[bucket]] = (from, inner);
-            ends[bucket] += 1;
-        }
-        Demux {
-            buckets,
-            ends,
-            sorted,
-        }
-    }
-
-    /// The messages tagged `tag`, in arrival order.
-    fn of(&self, tag: u64) -> &[(NodeId, &'a P)] {
-        let Some(&bucket) = self.buckets.get(&tag) else {
-            return &[];
-        };
-        let start = bucket
-            .checked_sub(1)
-            .map_or(0, |previous| self.ends[previous]);
-        &self.sorted[start..self.ends[bucket]]
+/// The record a slot retires into, decided in `decided_round`.
+fn retire<N: Protocol>(slot: InstanceSlot<N>, decided_round: Option<u64>) -> CompletedInstance<N> {
+    CompletedInstance {
+        tag: slot.tag,
+        start_round: slot.start_round,
+        decided_round,
+        output: slot.node.output(),
     }
 }
 
@@ -271,65 +355,27 @@ impl<N: Protocol> Protocol for MuxNode<N> {
         ctx: &RoundContext,
         inbox: Inbox<'_, Self::Payload>,
     ) -> Vec<Outgoing<Self::Payload>> {
-        let demux = Demux::new(inbox);
-        self.work.envelopes_indexed += inbox.len() as u64;
-
-        // Messages no started slot has claimed (stepped on, or dropped with it).
-        let mut unclaimed = inbox.len();
         let mut outgoing = Vec::new();
-        let mut sweep = false;
-        for slot in &mut self.slots {
-            if ctx.round < slot.start_round {
-                continue;
-            }
-            let inner_inbox = demux.of(slot.tag);
-            unclaimed -= inner_inbox.len();
-            if slot.node.terminated() {
-                // Reachable only for a slot that was terminated at build time
-                // and awaits its lazy sweep. Count its traffic exactly as the
-                // retired path does.
-                self.work.dropped_retired += inner_inbox.len() as u64;
-                sweep = true;
-                continue;
-            }
-            self.work.slot_steps += 1;
-            let local = RoundContext::new(ctx.round - slot.start_round + 1);
-            for sent in slot.node.step(&local, Inbox::from(inner_inbox)) {
-                outgoing.push(Outgoing {
-                    dest: sent.dest,
-                    payload: (slot.tag, sent.payload),
-                });
-            }
-            if slot.node.terminated() && slot.decided_round.is_none() {
-                slot.decided_round = Some(ctx.round);
-                self.decided += 1;
-                sweep = true;
-            }
-        }
-        if unclaimed > 0 {
-            // Nobody has sent for a slot that has not started yet, so a match
-            // there cannot occur on the wire; it is dropped silently. Whatever
-            // else is left matched no slot at all: the instance was already
-            // retired (or never scheduled).
-            let early = self
-                .slots
-                .iter()
-                .filter(|slot| ctx.round < slot.start_round);
-            unclaimed -= early.map(|slot| demux.of(slot.tag).len()).sum::<usize>();
-            self.work.dropped_retired += unclaimed as u64;
-        }
-        if sweep {
-            self.retire_terminated();
-        }
+        let retired = self.window.step(
+            ctx.round,
+            inbox,
+            |(tag, inner)| Some((*tag, inner)),
+            |tag, inner| (tag, inner),
+            &mut outgoing,
+        );
+        let decided = retired
+            .into_iter()
+            .map(|slot| retire(slot, Some(ctx.round)));
+        self.completed.extend(decided);
         outgoing
     }
 
     fn output(&self) -> Option<Self::Output> {
-        (self.decided == self.total).then_some(self.decided)
+        self.terminated().then_some(self.total)
     }
 
     fn terminated(&self) -> bool {
-        self.decided == self.total
+        self.completed.len() == self.total
     }
 }
 
@@ -436,7 +482,6 @@ impl<F: ProtocolFactory> ProtocolFactory for StreamDriver<F> {
                     tag: tag as u64,
                     start_round: instance.start_round,
                     node,
-                    decided_round: None,
                 });
             }
         }
@@ -457,22 +502,27 @@ impl<F: ProtocolFactory> ProtocolFactory for StreamDriver<F> {
     }
 
     fn record(&self, _ctx: &BuildContext, nodes: &[Self::Node], report: &mut RunReport) {
+        // Per node, each instance's (digest, decide round), indexed by tag.
+        let mut tables: Vec<Vec<(Option<String>, Option<u64>)>> = nodes
+            .iter()
+            .map(|node| {
+                let mut table = vec![(None, None); self.instances.len()];
+                for done in node.completed() {
+                    let digest = done.output.as_ref().map(|o| (self.digest)(o));
+                    table[done.tag as usize] = (digest, done.decided_round);
+                }
+                for slot in node.slots() {
+                    table[slot.tag as usize].0 = slot.node.output().map(|o| (self.digest)(&o));
+                }
+                table
+            })
+            .collect();
         let mut instances = Vec::with_capacity(self.instances.len());
         for (tag, instance) in self.instances.iter().enumerate() {
             let mut outputs = Vec::with_capacity(nodes.len());
             let mut decide_rounds = Vec::with_capacity(nodes.len());
-            for node in nodes {
-                let (output, decided_round) = match node.instance(tag as u64) {
-                    Some(InstanceState::Live(slot)) => (
-                        slot.node.output().map(|o| (self.digest)(&o)),
-                        slot.decided_round,
-                    ),
-                    Some(InstanceState::Completed(done)) => (
-                        done.output.as_ref().map(|o| (self.digest)(o)),
-                        done.decided_round,
-                    ),
-                    None => (None, None),
-                };
+            for (node, table) in nodes.iter().zip(&mut tables) {
+                let (output, decided_round) = std::mem::take(&mut table[tag]);
                 outputs.push((node.id(), output));
                 decide_rounds.push((node.id(), decided_round));
             }
@@ -579,15 +629,14 @@ mod tests {
                 input,
                 output: None,
             },
-            decided_round: None,
         }
     }
 
     fn completed_of(node: &MuxNode<MinOnce>, tag: u64) -> &CompletedInstance<MinOnce> {
-        match node.instance(tag) {
-            Some(InstanceState::Completed(done)) => done,
-            _ => panic!("instance {tag} should be retired"),
-        }
+        node.completed()
+            .iter()
+            .find(|done| done.tag == tag)
+            .unwrap_or_else(|| panic!("instance {tag} should be retired"))
     }
 
     #[test]
@@ -666,31 +715,155 @@ mod tests {
         assert_eq!(completed_of(&node, 0).output, Some(7));
     }
 
+    /// A toy instance that records every inbox it steps on and terminates
+    /// after local round `rounds`.
+    #[derive(Clone, Debug)]
+    struct Recorder {
+        id: NodeId,
+        rounds: usize,
+        heard: Vec<Vec<(NodeId, u64)>>,
+    }
+
+    impl Protocol for Recorder {
+        type Payload = u64;
+        type Output = usize;
+
+        fn id(&self) -> NodeId {
+            self.id
+        }
+
+        fn step(&mut self, _ctx: &RoundContext, inbox: Inbox<'_, u64>) -> Vec<Outgoing<u64>> {
+            self.heard
+                .push(inbox.iter().map(|(from, inner)| (from, *inner)).collect());
+            Vec::new()
+        }
+
+        fn output(&self) -> Option<usize> {
+            (self.heard.len() >= self.rounds).then_some(self.heard.len())
+        }
+    }
+
+    /// A slot answering both of the window's queries itself.
+    #[derive(Clone, Debug)]
+    struct Picky {
+        slot: InstanceSlot<Recorder>,
+        deaf_to: Option<NodeId>,
+        reads: bool,
+    }
+
+    impl Slot for Picky {
+        type Node = Recorder;
+
+        fn slot(&self) -> &InstanceSlot<Recorder> {
+            &self.slot
+        }
+
+        fn slot_mut(&mut self) -> &mut InstanceSlot<Recorder> {
+            &mut self.slot
+        }
+
+        fn hears(&self, from: NodeId) -> bool {
+            self.deaf_to != Some(from)
+        }
+
+        fn reads_inbox(&self, _local_round: u64) -> bool {
+            self.reads
+        }
+    }
+
+    fn picky(tag: u64, start_round: u64, rounds: usize) -> Picky {
+        Picky {
+            slot: InstanceSlot {
+                tag,
+                start_round,
+                node: Recorder {
+                    id: NodeId::new(1),
+                    rounds,
+                    heard: Vec::new(),
+                },
+            },
+            deaf_to: None,
+            reads: true,
+        }
+    }
+
     #[test]
     fn retired_and_unscheduled_traffic_is_dropped_at_zero_clones() {
-        let a = NodeId::new(1);
-        let b = NodeId::new(2);
-        let mut node = MuxNode::new(a, vec![slot(0, 1, a, 5), slot(1, 1, a, 6)]);
-        // Both instances decide in round 2 and retire.
-        node.step(&RoundContext::new(1), Inbox::default());
-        node.step(&RoundContext::new(2), Inbox::default());
-        assert!(node.terminated());
-        assert_eq!(node.slots().len(), 0);
-        assert_eq!(node.completed().len(), 2);
-
-        // Late traffic for a retired tag and for a tag never scheduled: both
-        // are dropped during indexing, with no payload clone.
-        let inbox = [
-            Envelope::new(b, (0u64, 1u64)),
-            Envelope::new(b, (0u64, 2u64)),
-            Envelope::new(b, (9u64, 3u64)),
+        let (b, c) = (NodeId::new(2), NodeId::new(3));
+        // Tag 0 is deaf to c, tag 1 retires after round 1, tag 2 never reads,
+        // tag 3 starts in round 5 and tag 4 hears everyone.
+        let slots = vec![
+            Picky {
+                deaf_to: Some(c),
+                ..picky(0, 1, 10)
+            },
+            picky(1, 1, 1),
+            Picky {
+                reads: false,
+                ..picky(2, 1, 10)
+            },
+            picky(3, 5, 10),
+            picky(4, 1, 10),
         ];
-        let before = thread_allocations();
-        let out = node.step(&RoundContext::new(3), Inbox::from(&inbox[..]));
+        let mut window = Window::new(slots);
+        fn untag((tag, inner): &(Option<u64>, u64)) -> Option<(u64, &u64)> {
+            tag.map(|tag| (tag, inner))
+        }
+        let retag = |tag, inner| (Some(tag), inner);
+        let mut out = Vec::new();
+        let retired = window.step(1, Inbox::default(), untag, retag, &mut out);
+        let tags: Vec<u64> = retired.iter().map(|slot| slot.slot.tag).collect();
+        assert_eq!(tags, [1]);
+        let before = window.work();
+
+        // Every class of entry the window tells apart, in one round's inbox:
+        // (what it is, sender, tag, payload, whether it counts as dropped).
+        let table = [
+            ("for tag 0", b, Some(0), 10, false),
+            ("a retired tag", b, Some(1), 11, true),
+            ("a sender tag 0's filter rejects", c, Some(0), 12, false),
+            ("a slot that does not read", b, Some(2), 13, false),
+            ("scheduled, not started", b, Some(3), 14, false),
+            ("a tag never scheduled", b, Some(9), 15, true),
+            ("untagged", b, None, 16, false),
+            ("for tag 4", c, Some(4), 17, false),
+            ("for tag 0 again", b, Some(0), 18, false),
+        ];
+        let inbox: Vec<_> = table
+            .iter()
+            .map(|&(_, from, tag, inner, _)| Envelope::new(from, (tag, inner)))
+            .collect();
+        let allocations = thread_allocations();
+        window.step(2, Inbox::from(&inbox[..]), untag, retag, &mut out);
+        assert_eq!(
+            thread_allocations() - allocations,
+            0,
+            "dropping must not clone"
+        );
         assert!(out.is_empty());
-        assert_eq!(thread_allocations() - before, 0, "dropping must not clone");
-        assert_eq!(node.work().dropped_retired, 3);
-        assert_eq!(node.work().envelopes_indexed, 3);
+
+        let after = window.work();
+        let dropped: Vec<&str> = table.iter().filter(|row| row.4).map(|row| row.0).collect();
+        assert_eq!(
+            after.dropped_retired - before.dropped_retired,
+            dropped.len() as u64,
+            "counted: {dropped:?}"
+        );
+        assert_eq!(
+            after.envelopes_indexed - before.envelopes_indexed,
+            table.len() as u64
+        );
+        // Tags 0, 2 and 4 stepped; tag 3 has not started.
+        assert_eq!(after.slot_steps - before.slot_steps, 3);
+        let heard = |tag: u64| {
+            let slot = window.slots().iter().find(|slot| slot.slot.tag == tag);
+            slot.expect("live slot").slot.node.heard.clone()
+        };
+        // Arrival order within a tag is kept.
+        assert_eq!(heard(0), [vec![], vec![(b, 10), (b, 18)]]);
+        assert_eq!(heard(2), [vec![], vec![]], "it steps, over nothing");
+        assert!(heard(3).is_empty());
+        assert_eq!(heard(4), [vec![], vec![(c, 17)]]);
     }
 
     #[test]
@@ -701,7 +874,7 @@ mod tests {
         node.step(&RoundContext::new(1), Inbox::default());
         node.step(&RoundContext::new(2), Inbox::default());
         assert_eq!(node.completed().len(), 1, "instance 1 has retired");
-        assert!(matches!(node.instance(0), Some(InstanceState::Live(_))));
+        assert_eq!(node.slots()[0].tag, 0, "instance 0 is still live");
         node.step(&RoundContext::new(4), Inbox::default());
         node.step(&RoundContext::new(5), Inbox::default());
         assert!(node.terminated());

@@ -12,9 +12,12 @@ use std::sync::Mutex;
 
 use uba_core::sim::{Simulation, TotalOrderFactory, TotalOrderPlan};
 use uba_core::{Opinion, ParallelMessage, TotalOrderMessage, TotalOrderNode};
+use uba_simnet::adversary::SilentAdversary;
 use uba_simnet::shared::allocations;
 use uba_simnet::sim::Harness;
-use uba_simnet::{Envelope, Inbox, MuxWork, Protocol, RoundContext};
+use uba_simnet::{
+    EngineConfig, Envelope, IdSpace, Inbox, MuxWork, NodeId, Protocol, RoundContext, SyncEngine,
+};
 
 /// `shared::allocations()` is process-global and the tests of one binary run on
 /// sibling threads: every test here holds this lock.
@@ -120,6 +123,61 @@ fn a_fault_free_node_drives_seven_instances_a_round_not_the_finality_window() {
     assert_eq!(after.envelopes_indexed - before.envelopes_indexed, 3);
     assert_eq!(after.dropped_retired - before.dropped_retired, 3);
     assert_eq!(after.slot_steps - before.slot_steps, 7);
+}
+
+#[test]
+fn a_joiner_counts_the_inboxes_of_its_handshake() {
+    let _guard = serial();
+    let founders = IdSpace::default()
+        .generate(4, 3)
+        .into_iter()
+        .map(TotalOrderNode::<u64>::founding)
+        .collect();
+    let config = EngineConfig {
+        trace: true,
+        ..EngineConfig::default()
+    };
+    let mut engine = SyncEngine::with_config(founders, SilentAdversary, vec![], config);
+    engine.run_rounds(10).unwrap();
+    let joiner = NodeId::new(999_983);
+    engine.add_node(TotalOrderNode::joining(joiner)).unwrap();
+    while !engine.node(joiner).unwrap().is_joined() {
+        engine.run_round().unwrap();
+    }
+    let joined_at = engine.round();
+    // The joiner starts its first instance in the round after the one it adopts.
+    let first_instance = engine.node(joiner).unwrap().round() + 1;
+    engine.run_rounds(20).unwrap();
+
+    // Every delivery is examined once, the joiner's handshake inboxes included.
+    let metrics = engine.metrics();
+    let indexed: u64 = engine
+        .nodes()
+        .iter()
+        .map(|node| node.work().envelopes_indexed)
+        .sum();
+    let unread = metrics.per_round.last().map_or(0, |row| row.deliveries);
+    assert_eq!(indexed + unread, metrics.deliveries);
+
+    // Instance traffic for a round the joiner never started an instance for is
+    // dropped and counted, whether it arrived during the handshake or after.
+    let never_started: Vec<u64> = engine
+        .trace()
+        .expect("tracing is on")
+        .to_node(joiner)
+        .filter(|delivery| {
+            matches!(delivery.payload(), TotalOrderMessage::Instance(round, _)
+                if *round < first_instance)
+        })
+        .map(|delivery| delivery.round)
+        .collect();
+    let in_handshake = never_started.iter().filter(|&&round| round <= joined_at);
+    assert!(
+        in_handshake.count() > 0,
+        "the handshake hears instance traffic"
+    );
+    let work = engine.node(joiner).unwrap().work();
+    assert_eq!(work.dropped_retired, never_started.len() as u64);
 }
 
 thread_local! {
