@@ -5,7 +5,7 @@
 //! midpoint of the remainder. Identical in spirit to the paper's Algorithm 4, except
 //! that the trim width is the *known* `f` rather than the locally derived `⌊n_v/3⌋`.
 
-use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, RoundContext};
 
 /// Fixed-point value re-exported from `uba-core`'s value module would create a
 /// dependency cycle, so the baseline simply works on integer-scaled values (micro
@@ -35,12 +35,6 @@ impl DolevApprox {
     /// The node's input.
     pub fn input(&self) -> Micro {
         self.input
-    }
-}
-
-impl Recoverable for DolevApprox {
-    fn snapshot(&self) -> Self {
-        self.clone()
     }
 }
 

@@ -22,7 +22,7 @@ use uba_simnet::sim::{
     RunReport, StopCondition,
 };
 use uba_simnet::vocab::{PayloadVocab, VocabScene};
-use uba_simnet::{IdSpace, NodeId, Protocol, Recoverable, Snapshotter};
+use uba_simnet::{IdSpace, NodeId, Protocol};
 
 use crate::dolev_approx::{DolevApprox, Micro};
 use crate::phase_king::{PhaseKing, PhaseKingMessage};
@@ -57,10 +57,6 @@ impl PhaseKingFactory {
 
 impl ProtocolFactory for PhaseKingFactory {
     type Node = PhaseKing<u64>;
-
-    fn snapshotter(&self) -> Option<Snapshotter<Self::Node>> {
-        Some(Box::new(|node| node.snapshot()))
-    }
 
     fn protocol_name(&self) -> String {
         "phase-king".into()
@@ -173,10 +169,6 @@ impl StBroadcastFactory {
 
 impl ProtocolFactory for StBroadcastFactory {
     type Node = StBroadcast<u64>;
-
-    fn snapshotter(&self) -> Option<Snapshotter<Self::Node>> {
-        Some(Box::new(|node| node.snapshot()))
-    }
 
     fn protocol_name(&self) -> String {
         "srikanth-toueg".into()
@@ -292,10 +284,6 @@ impl DolevApproxFactory {
 impl ProtocolFactory for DolevApproxFactory {
     type Node = DolevApprox;
 
-    fn snapshotter(&self) -> Option<Snapshotter<Self::Node>> {
-        Some(Box::new(|node| node.snapshot()))
-    }
-
     fn protocol_name(&self) -> String {
         "dolev-approx".into()
     }
@@ -370,10 +358,6 @@ pub struct KnownRotorFactory;
 
 impl ProtocolFactory for KnownRotorFactory {
     type Node = KnownRotor;
-
-    fn snapshotter(&self) -> Option<Snapshotter<Self::Node>> {
-        Some(Box::new(|node| node.snapshot()))
-    }
 
     fn protocol_name(&self) -> String {
         "known-rotor".into()

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, RoundContext};
 
 /// Wire messages of phase-king.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -91,12 +91,6 @@ impl<V: Clone + Eq + Ord + std::hash::Hash + std::fmt::Debug> PhaseKing<V> {
             *counts.entry(v).or_insert(0) += 1;
         }
         counts
-    }
-}
-
-impl<V: Clone + Eq + Ord + std::hash::Hash + std::fmt::Debug> Recoverable for PhaseKing<V> {
-    fn snapshot(&self) -> Self {
-        self.clone()
     }
 }
 

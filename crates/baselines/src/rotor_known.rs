@@ -7,7 +7,7 @@
 //! against which the cost of the id-only rotor-coordinator (Algorithm 2) is measured
 //! in experiment E3.
 
-use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, RoundContext};
 
 /// Wire message: the coordinator of the round distributes its opinion.
 pub type KnownRotorMessage = u64;
@@ -39,12 +39,6 @@ impl KnownRotor {
     /// The `(coordinator, accepted opinion)` pairs, one per round.
     pub fn accepted(&self) -> &[(NodeId, Option<u64>)] {
         &self.accepted
-    }
-}
-
-impl Recoverable for KnownRotor {
-    fn snapshot(&self) -> Self {
-        self.clone()
     }
 }
 

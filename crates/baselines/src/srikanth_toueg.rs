@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, RoundContext};
 
 /// Wire messages of the Srikanth–Toueg broadcast.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -61,12 +61,6 @@ impl<M: Clone + Ord + std::fmt::Debug> StBroadcast<M> {
     /// The values accepted so far, with the round each was accepted in.
     pub fn accepted(&self) -> &[(M, u64)] {
         &self.accepted
-    }
-}
-
-impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> Recoverable for StBroadcast<M> {
-    fn snapshot(&self) -> Self {
-        self.clone()
     }
 }
 

@@ -34,7 +34,7 @@ use uba_core::sim::{
 use uba_simnet::attack::{
     AdaptiveStrategy, AttackBehavior, AttackPlan, AttackStep, SemanticStrategy,
 };
-use uba_simnet::sim::{AdversaryKind, RunReport, ScenarioBuilder, ScenarioSpec};
+use uba_simnet::sim::{AdversaryKind, OracleVerdict, RunReport, ScenarioBuilder, ScenarioSpec};
 use uba_simnet::sweep::{CrashPlan, ScenarioGrid, SweepCase};
 use uba_simnet::{
     ChurnEvent, ChurnSchedule, EngineKind, IdSpace, NodeId, RestartPolicy, TimingSpec,
@@ -316,48 +316,15 @@ pub fn case_failures(case: &FuzzCase, report: &RunReport) -> Vec<String> {
     // satisfy are the recovery oracles — no cross-restart equivocation, a
     // replayed state consistent with the pre-crash prefix, no double-consumed
     // input — so those are the only properties asserted.
-    let crash_recovery = case.spec.churn.has_crash_events();
-    let mut failures = Vec::new();
-    for verdict in &report.verdicts {
-        if crash_recovery && verdict.oracle != "recovery" {
-            continue;
-        }
-        if !verdict.passed {
-            for violation in &verdict.violations {
-                failures.push(format!("oracle {}: {}", verdict.oracle, violation));
-            }
-        }
+    if case.spec.churn.has_crash_events() {
+        return report
+            .verdicts
+            .iter()
+            .filter(|verdict| verdict.oracle == "recovery")
+            .flat_map(oracle_violations)
+            .collect();
     }
-    if crash_recovery {
-        return failures;
-    }
-    if case.protocol.expects_termination() && !report.status.is_completed() {
-        failures.push(format!(
-            "liveness: run exhausted its {}-round budget",
-            case.spec.max_rounds
-        ));
-    }
-    if let Some(rotor) = &report.rotor {
-        if !rotor.good_round {
-            failures.push("rotor: no good round (all-correct coordinator) occurred".into());
-        }
-    }
-    if let Some(parallel) = &report.parallel {
-        if !parallel.agreement {
-            failures.push("parallel-consensus: decided pair sets differ".into());
-        }
-    }
-    if let Some(chain) = &report.chain {
-        if !chain.prefix_ok {
-            failures.push("total-order: chain prefixes disagree".into());
-        }
-    }
-    if let Some(broadcast) = &report.broadcast {
-        if !broadcast.consistent {
-            failures.push("broadcast: accept sets differ across correct nodes".into());
-        }
-    }
-    failures
+    property_violations(case, report)
 }
 
 /// The *expected-failure* properties of an **inadmissible** scenario (`n ≤ 3f`
@@ -371,14 +338,15 @@ pub fn boundary_violations(case: &FuzzCase, report: &RunReport) -> Vec<String> {
     if case.spec.admissible() {
         return Vec::new();
     }
-    let mut violations = Vec::new();
-    for verdict in &report.verdicts {
-        if !verdict.passed {
-            for violation in &verdict.violations {
-                violations.push(format!("oracle {}: {}", verdict.oracle, violation));
-            }
-        }
-    }
+    property_violations(case, report)
+}
+
+/// The property list [`case_failures`] and [`boundary_violations`] share, in
+/// order: every failed oracle verdict, then termination within the budget where
+/// the theorems promise it, a rotor good round, parallel agreement, chain-prefix
+/// consistency and broadcast consistency.
+fn property_violations(case: &FuzzCase, report: &RunReport) -> Vec<String> {
+    let mut violations: Vec<String> = report.verdicts.iter().flat_map(oracle_violations).collect();
     if case.protocol.expects_termination() && !report.status.is_completed() {
         violations.push(format!(
             "liveness: run exhausted its {}-round budget",
@@ -406,6 +374,18 @@ pub fn boundary_violations(case: &FuzzCase, report: &RunReport) -> Vec<String> {
         }
     }
     violations
+}
+
+/// A failed verdict's violations, each prefixed with its oracle.
+fn oracle_violations(verdict: &OracleVerdict) -> Vec<String> {
+    if verdict.passed {
+        return Vec::new();
+    }
+    verdict
+        .violations
+        .iter()
+        .map(|violation| format!("oracle {}: {}", verdict.oracle, violation))
+        .collect()
 }
 
 /// The attack-plan axis of the boundary grids: the legacy scripted presets plus

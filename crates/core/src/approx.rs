@@ -19,7 +19,7 @@
 //! notes (Section XI) that the same algorithm keeps working in dynamic networks —
 //! the iterated protocol accepts value injections between iterations to model that.
 
-use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, RoundContext};
 
 use crate::quorum::trim_count;
 use crate::value::Real;
@@ -72,12 +72,6 @@ impl ApproxAgreement {
     /// The number of distinct senders whose values were used (`n_v = |R_v|`).
     pub fn n_v(&self) -> usize {
         self.received.len()
-    }
-}
-
-impl Recoverable for ApproxAgreement {
-    fn snapshot(&self) -> Self {
-        self.clone()
     }
 }
 
@@ -159,12 +153,6 @@ impl IteratedApproxAgreement {
     /// as discussed in Section XI.
     pub fn inject_value(&mut self, value: Real) {
         self.value = value;
-    }
-}
-
-impl Recoverable for IteratedApproxAgreement {
-    fn snapshot(&self) -> Self {
-        self.clone()
     }
 }
 

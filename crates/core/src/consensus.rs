@@ -62,7 +62,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use uba_simnet::{CommonKey, Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{CommonKey, Inbox, NodeId, Outgoing, Protocol, RoundContext};
 
 /// Runtime mutation hooks for mutation-testing the fuzzing stack itself (see
 /// `uba_core::reliable_broadcast::mutation` for the pattern). Process-global:
@@ -131,9 +131,10 @@ pub struct Decision<V> {
     pub round: u64,
 }
 
-/// Where a node is inside the five-round phase structure.
+/// Where a node is inside the five-round phase structure (parallel consensus
+/// runs the same schedule).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PhaseStep {
+pub(crate) enum PhaseStep {
     /// Broadcast `input(x_v)`.
     Input,
     /// Receive inputs, broadcast `prefer`.
@@ -147,7 +148,7 @@ enum PhaseStep {
 }
 
 impl PhaseStep {
-    fn from_round(round: u64) -> Option<PhaseStep> {
+    pub(crate) fn from_round(round: u64) -> Option<PhaseStep> {
         if round < 3 {
             return None;
         }
@@ -530,12 +531,6 @@ impl<V: Opinion> Deliberation<V> {
                 }
             }
         }
-    }
-}
-
-impl<V: Opinion> Recoverable for Consensus<V> {
-    fn snapshot(&self) -> Self {
-        self.clone()
     }
 }
 

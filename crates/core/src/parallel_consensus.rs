@@ -29,8 +29,9 @@
 
 use std::collections::BTreeMap;
 
-use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, RoundContext};
 
+use crate::consensus::PhaseStep;
 use crate::early_consensus::{EarlyConsensus, InstanceId, InstanceVote, ParallelMessage};
 use crate::membership::{Rank, SenderTracker};
 use crate::rotor::{EchoVotes, RotorMessage, RotorState};
@@ -45,32 +46,6 @@ pub struct ParallelDecision<V> {
     pub phase: u64,
     /// The network round in which the node terminated.
     pub round: u64,
-}
-
-/// Where a node is inside the five-round phase structure (same schedule as
-/// [`crate::consensus::Consensus`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PhaseStep {
-    Input,
-    Prefer,
-    StrongPrefer,
-    Rotor,
-    Resolve,
-}
-
-impl PhaseStep {
-    fn from_round(round: u64) -> Option<PhaseStep> {
-        if round < 3 {
-            return None;
-        }
-        Some(match (round - 3) % 5 {
-            0 => PhaseStep::Input,
-            1 => PhaseStep::Prefer,
-            2 => PhaseStep::StrongPrefer,
-            3 => PhaseStep::Rotor,
-            _ => PhaseStep::Resolve,
-        })
-    }
 }
 
 /// One round's votes per instance, in arrival order.
@@ -329,12 +304,6 @@ impl<V: Opinion> ParallelConsensus<V> {
                 Vec::new()
             }
         }
-    }
-}
-
-impl<V: Opinion> Recoverable for ParallelConsensus<V> {
-    fn snapshot(&self) -> Self {
-        self.clone()
     }
 }
 

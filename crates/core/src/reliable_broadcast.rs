@@ -21,7 +21,7 @@
 //! uses [`SyncEngine::run_until_all_output`](uba_simnet::SyncEngine) or a fixed round
 //! budget.
 
-use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, RoundContext};
 
 use crate::membership::SenderTracker;
 use crate::quorum::{meets_one_third, meets_two_thirds};
@@ -152,12 +152,6 @@ impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> ReliableBroadcast<M> {
             }
         }
         tally
-    }
-}
-
-impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> Recoverable for ReliableBroadcast<M> {
-    fn snapshot(&self) -> Self {
-        self.clone()
     }
 }
 

@@ -39,7 +39,7 @@
 
 use std::collections::BTreeSet;
 
-use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
+use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, RoundContext};
 
 use crate::membership::{Rank, SenderTracker};
 use crate::quorum::{meets_one_third, meets_two_thirds};
@@ -363,12 +363,6 @@ impl<V: Opinion> RotorCoordinator<V> {
     /// The node's current `n_v`.
     pub fn n_v(&self) -> usize {
         self.senders.n_v()
-    }
-}
-
-impl<V: Opinion> Recoverable for RotorCoordinator<V> {
-    fn snapshot(&self) -> Self {
-        self.clone()
     }
 }
 

@@ -38,9 +38,7 @@ use std::collections::BTreeSet;
 use uba_simnet::adversary::SilentAdversary;
 use uba_simnet::sim::scripted_attack_behavior;
 use uba_simnet::vocab::{PayloadVocab, VocabScene};
-use uba_simnet::{
-    Adversary, AdversaryView, Directed, FnAdversary, NodeId, Protocol, Recoverable, Snapshotter,
-};
+use uba_simnet::{Adversary, AdversaryView, Directed, FnAdversary, NodeId, Protocol};
 
 pub use uba_simnet::attack::{
     ActorRange, AdaptiveStrategy, AttackBehavior, AttackPlan, AttackStep,
@@ -132,10 +130,6 @@ pub fn consensus_stream(
 
 impl ProtocolFactory for ConsensusFactory {
     type Node = Consensus<u64>;
-
-    fn snapshotter(&self) -> Option<Snapshotter<Self::Node>> {
-        Some(Box::new(|node| node.snapshot()))
-    }
 
     fn protocol_name(&self) -> String {
         "consensus".into()
@@ -338,10 +332,6 @@ impl BroadcastFactory {
 impl ProtocolFactory for BroadcastFactory {
     type Node = ReliableBroadcast<u64>;
 
-    fn snapshotter(&self) -> Option<Snapshotter<Self::Node>> {
-        Some(Box::new(|node| node.snapshot()))
-    }
-
     fn protocol_name(&self) -> String {
         "reliable-broadcast".into()
     }
@@ -492,10 +482,6 @@ pub struct RotorFactory;
 
 impl ProtocolFactory for RotorFactory {
     type Node = RotorCoordinator<u64>;
-
-    fn snapshotter(&self) -> Option<Snapshotter<Self::Node>> {
-        Some(Box::new(|node| node.snapshot()))
-    }
 
     fn protocol_name(&self) -> String {
         "rotor".into()
@@ -662,10 +648,6 @@ impl ApproxFactory {
 impl ProtocolFactory for ApproxFactory {
     type Node = ApproxAgreement;
 
-    fn snapshotter(&self) -> Option<Snapshotter<Self::Node>> {
-        Some(Box::new(|node| node.snapshot()))
-    }
-
     fn protocol_name(&self) -> String {
         "approx-agreement".into()
     }
@@ -773,10 +755,6 @@ impl IteratedApproxFactory {
 
 impl ProtocolFactory for IteratedApproxFactory {
     type Node = IteratedApproxAgreement;
-
-    fn snapshotter(&self) -> Option<Snapshotter<Self::Node>> {
-        Some(Box::new(|node| node.snapshot()))
-    }
 
     fn protocol_name(&self) -> String {
         "iterated-approx".into()
@@ -895,10 +873,6 @@ impl ParallelConsensusFactory {
 
 impl ProtocolFactory for ParallelConsensusFactory {
     type Node = ParallelConsensus<u64>;
-
-    fn snapshotter(&self) -> Option<Snapshotter<Self::Node>> {
-        Some(Box::new(|node| node.snapshot()))
-    }
 
     fn protocol_name(&self) -> String {
         "parallel-consensus".into()
@@ -1169,10 +1143,6 @@ impl<E: Opinion> TotalOrderFactory<E> {
 
 impl<E: Opinion + 'static> ProtocolFactory for TotalOrderFactory<E> {
     type Node = TotalOrderNode<E>;
-
-    fn snapshotter(&self) -> Option<Snapshotter<Self::Node>> {
-        Some(Box::new(|node| node.snapshot()))
-    }
 
     fn protocol_name(&self) -> String {
         "total-order".into()

@@ -40,8 +40,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use uba_simnet::{
-    Inbox, InstanceSlot, MuxWork, NodeId, Outgoing, Protocol, Recoverable, RoundContext, Slot,
-    Window,
+    Inbox, InstanceSlot, MuxWork, NodeId, Outgoing, Protocol, RoundContext, Slot, Window,
 };
 
 use crate::early_consensus::ParallelMessage;
@@ -315,12 +314,6 @@ fn untag<E>(message: &TotalOrderMessage<E>) -> Option<(u64, &ParallelMessage<E>)
     match message {
         TotalOrderMessage::Instance(round, inner) => Some((*round, inner)),
         _ => None,
-    }
-}
-
-impl<E: Opinion> Recoverable for TotalOrderNode<E> {
-    fn snapshot(&self) -> Self {
-        self.clone()
     }
 }
 

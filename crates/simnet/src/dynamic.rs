@@ -25,8 +25,8 @@ pub enum ChurnEvent {
     /// A Byzantine identity leaves.
     LeaveByzantine(NodeId),
     /// A node crashes: its volatile state is lost, its durable WAL survives.
-    /// Applying this event requires recovery to be enabled on the engine (see
-    /// [`SyncEngine::enable_recovery`](crate::SyncEngine::enable_recovery)).
+    /// A schedule holding this event enables recovery on the engine it is set
+    /// on (see [`Engine::set_churn`](crate::Engine::set_churn)).
     Crash(NodeId),
     /// A previously crashed node restarts, replaying its WAL (after the
     /// policy's fault, if any) and re-announcing through the membership path.

@@ -92,7 +92,7 @@ use crate::node::{Protocol, RoundContext};
 use crate::shared::Shared;
 use crate::trace::{TraceEvent, TraceLog};
 use crate::traffic::{RoundTraffic, TrafficItem};
-use crate::wal::{RecoveryManager, RestartPolicy, RestartRecord, Snapshotter, WalConfig};
+use crate::wal::{RecoveryManager, RestartPolicy, RestartRecord, WalConfig};
 
 /// Knobs controlling an engine run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -839,7 +839,8 @@ pub struct Engine<N: Protocol, A: Adversary<N::Payload>> {
     trace: Option<TraceLog<N::Payload>>,
     config: EngineConfig,
     churn: Option<ChurnDriver<N>>,
-    /// The crash-recovery subsystem; `None` until [`Engine::enable_recovery`].
+    /// The crash-recovery subsystem; `None` until [`Engine::enable_recovery`]
+    /// (which a crash-bearing [`Engine::set_churn`] calls).
     recovery: Option<RecoveryManager<N>>,
 }
 
@@ -937,11 +938,19 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
     /// constructed through `joiner`, leavers are removed, and Byzantine identities
     /// are handed to (or taken from) the adversary. This replaces the older pattern
     /// of drivers interleaving `add_node` / `remove_node` calls with `run_rounds`.
+    ///
+    /// A schedule with [`ChurnEvent::Crash`] / [`ChurnEvent::Restart`] events
+    /// needs the crash-recovery subsystem, so it enables recovery with the
+    /// default [`WalConfig`] unless [`Engine::enable_recovery`] already
+    /// installed one. A crash-free schedule leaves recovery off.
     pub fn set_churn(
         &mut self,
         schedule: ChurnSchedule,
         joiner: impl FnMut(NodeId) -> N + 'static,
     ) {
+        if schedule.has_crash_events() && self.recovery.is_none() {
+            self.enable_recovery(WalConfig::default());
+        }
         self.churn = Some(ChurnDriver {
             schedule,
             joiner: Box::new(joiner),
@@ -986,22 +995,13 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
     /// adversary's); a correct node is removed and its volatile state dropped,
     /// leaving the base snapshot plus write-ahead log as the only survivors.
     fn crash_node(&mut self, id: NodeId, round: u64) -> Result<(), SimError> {
-        if self.recovery.is_none() {
-            return Err(SimError::RecoveryDisabled(id));
-        }
         if self.byzantine_index.contains(&id) {
             self.remove_byzantine_id(id)?;
-            self.recovery
-                .as_mut()
-                .expect("checked above")
-                .crash_byzantine(id);
+            self.recovery_mut().crash_byzantine(id);
             return Ok(());
         }
         let node = self.remove_node(id)?;
-        self.recovery
-            .as_mut()
-            .expect("checked above")
-            .crash(node, round);
+        self.recovery_mut().crash(node, round);
         Ok(())
     }
 
@@ -1014,14 +1014,20 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         policy: RestartPolicy,
         round: u64,
     ) -> Result<(), SimError> {
-        let Some(recovery) = self.recovery.as_mut() else {
-            return Err(SimError::RecoveryDisabled(id));
-        };
+        let recovery = self.recovery_mut();
         if recovery.take_crashed_byzantine(id) {
             return self.add_byzantine_id(id);
         }
         let node = recovery.restart(id, policy, round)?;
         self.add_node(node)
+    }
+
+    /// The recovery manager a crash or restart event goes through; the
+    /// schedule that holds the event enabled it in [`Engine::set_churn`].
+    fn recovery_mut(&mut self) -> &mut RecoveryManager<N> {
+        self.recovery
+            .as_mut()
+            .expect("set_churn enables recovery for a crash schedule")
     }
 
     /// Validates that no identifier is used twice across correct and Byzantine nodes.
@@ -1126,21 +1132,18 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         self.trace.as_ref()
     }
 
-    /// Enables crash recovery with the default [`WalConfig`]: every correct
-    /// node's rounds are write-ahead logged (inbox consumed, message digests
-    /// sent, round committed) so [`ChurnEvent::Crash`] / [`ChurnEvent::Restart`]
-    /// events become applicable. `snapshot` clones protocol state (for a
-    /// [`Recoverable`](crate::node::Recoverable) node, `|n| n.snapshot()`).
-    /// On a crash-free run the logging is observationally silent: reports,
-    /// metrics and traces are byte-identical to a run without recovery.
-    pub fn enable_recovery(&mut self, snapshot: Snapshotter<N>) {
-        self.enable_recovery_with(snapshot, WalConfig::default());
-    }
-
-    /// Enables crash recovery with an explicit log configuration (tests use a
-    /// `sync_every > 1` cadence to open an unsynced suffix for fault injection).
-    pub fn enable_recovery_with(&mut self, snapshot: Snapshotter<N>, config: WalConfig) {
-        self.recovery = Some(RecoveryManager::with_config(snapshot, config));
+    /// Enables crash recovery under `config`: every correct node's rounds are
+    /// write-ahead logged (inbox consumed, message digests sent, round
+    /// committed) and a node's snapshot is its clone. [`Engine::set_churn`]
+    /// calls this with the default [`WalConfig`] for a schedule with crash
+    /// events; call it yourself to force recovery on a crash-free run or to
+    /// pick a configuration (tests use a `sync_every > 1` cadence to open an
+    /// unsynced suffix for fault injection). It replaces any manager already
+    /// installed, so call it before any round has run. On a crash-free run the
+    /// logging is observationally silent: reports, metrics and traces are
+    /// byte-identical to a run without recovery.
+    pub fn enable_recovery(&mut self, config: WalConfig) {
+        self.recovery = Some(RecoveryManager::new(config));
     }
 
     /// Whether crash recovery is enabled.
@@ -1754,42 +1757,60 @@ mod tests {
         });
     }
 
+    /// What a crash/restart run is compared on: metrics, restarts, outputs.
+    type CrashRun = (Metrics, Vec<RestartRecord>, Vec<(NodeId, Option<usize>)>);
+
+    /// Four nodes; `n10` crashes before round 2 and restarts cleanly before
+    /// round 3. `explicit` enables recovery before the schedule is set; without
+    /// it the crash-bearing schedule enables recovery itself.
+    fn crash_and_restart(timing: Option<EventTiming>, explicit: bool) -> CrashRun {
+        let crashed = NodeId::new(10);
+        let mut engine = engine(timing, nodes(4), SilentAdversary, vec![]);
+        if explicit {
+            engine.enable_recovery(WalConfig::default());
+        }
+        let schedule = ChurnSchedule::empty()
+            .with(2, ChurnEvent::Crash(crashed))
+            .with(
+                3,
+                ChurnEvent::Restart {
+                    id: crashed,
+                    policy: RestartPolicy::Clean,
+                },
+            );
+        engine.set_churn(schedule, |id| Counter::new(id, 3));
+        assert!(engine.recovery_enabled());
+        engine.run_rounds(3).unwrap();
+        (
+            engine.metrics().clone(),
+            engine.recovery_restarts().to_vec(),
+            engine.outputs(),
+        )
+    }
+
     #[test]
-    fn crash_without_recovery_is_an_error() {
+    fn a_crash_schedule_enables_recovery_on_a_bare_engine() {
+        let bare = both(|timing| crash_and_restart(timing, false));
+        assert_eq!(bare.1.len(), 1, "the crashed node restarted");
+        assert_eq!(bare.1[0].node, NodeId::new(10));
+        assert_eq!(bare, both(|timing| crash_and_restart(timing, true)));
+    }
+
+    #[test]
+    fn a_crash_free_schedule_leaves_recovery_off() {
         both(|timing| {
             let mut engine = engine(timing, nodes(3), SilentAdversary, vec![]);
-            let schedule = ChurnSchedule::empty().with(1, ChurnEvent::Crash(NodeId::new(10)));
-            engine.set_churn(schedule, |id| Counter::new(id, 100));
-            assert_eq!(
-                engine.run_rounds(1).unwrap_err(),
-                SimError::RecoveryDisabled(NodeId::new(10))
-            );
+            let schedule =
+                ChurnSchedule::empty().with(2, ChurnEvent::JoinCorrect(NodeId::new(500)));
+            engine.set_churn(schedule, |id| Counter::new(id, 3));
+            assert!(!engine.recovery_enabled());
         });
     }
 
     #[test]
     fn crash_and_restart_recover_a_correct_node_through_the_wal() {
         let crashed = NodeId::new(10);
-        let (metrics, restarts, outputs) = both(|timing| {
-            let mut engine = engine(timing, nodes(4), SilentAdversary, vec![]);
-            engine.enable_recovery(Box::new(Counter::clone));
-            let schedule = ChurnSchedule::empty()
-                .with(2, ChurnEvent::Crash(crashed))
-                .with(
-                    3,
-                    ChurnEvent::Restart {
-                        id: crashed,
-                        policy: RestartPolicy::Clean,
-                    },
-                );
-            engine.set_churn(schedule, |id| Counter::new(id, 3));
-            engine.run_rounds(3).unwrap();
-            (
-                engine.metrics().clone(),
-                engine.recovery_restarts().to_vec(),
-                engine.outputs(),
-            )
-        });
+        let (metrics, restarts, outputs) = both(|timing| crash_and_restart(timing, true));
         // Round 2 ran without the crashed node.
         assert_eq!(metrics.per_round[1].live_correct_nodes, 3);
         // The restart replayed the one committed pre-crash round faithfully.
@@ -1817,7 +1838,6 @@ mod tests {
         both(|timing| {
             let byz = NodeId::new(900);
             let mut engine = engine(timing, nodes(3), SilentAdversary, vec![byz]);
-            engine.enable_recovery(Box::new(Counter::clone));
             let schedule = ChurnSchedule::empty().with(1, ChurnEvent::Crash(byz)).with(
                 2,
                 ChurnEvent::Restart {
@@ -1841,7 +1861,6 @@ mod tests {
     fn restart_of_a_never_crashed_node_is_unknown() {
         both(|timing| {
             let mut engine = engine(timing, nodes(3), SilentAdversary, vec![]);
-            engine.enable_recovery(Box::new(Counter::clone));
             let schedule = ChurnSchedule::empty().with(
                 1,
                 ChurnEvent::Restart {
@@ -1862,7 +1881,7 @@ mod tests {
         let run = |timing: Option<EventTiming>, recover: bool| {
             let mut engine = engine(timing, nodes(5), SilentAdversary, vec![]);
             if recover {
-                engine.enable_recovery(Box::new(Counter::clone));
+                engine.enable_recovery(WalConfig::default());
             }
             engine.run_to_termination(10).unwrap();
             (engine.metrics().clone(), engine.outputs())

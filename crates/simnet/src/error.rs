@@ -23,10 +23,6 @@ pub enum SimError {
     },
     /// A node identifier referenced by the caller is not present in the system.
     UnknownNode(NodeId),
-    /// A crash/restart churn event was scheduled but the engine has no recovery
-    /// subsystem — enable it (or use a factory whose protocol is `Recoverable`)
-    /// before scheduling crashes.
-    RecoveryDisabled(NodeId),
 }
 
 impl fmt::Display for SimError {
@@ -40,9 +36,6 @@ impl fmt::Display for SimError {
                 write!(f, "execution exceeded the round limit of {limit}")
             }
             SimError::UnknownNode(id) => write!(f, "unknown node identifier {id}"),
-            SimError::RecoveryDisabled(id) => {
-                write!(f, "crash of {id} scheduled but recovery is not enabled")
-            }
         }
     }
 }
@@ -69,8 +62,5 @@ mod tests {
         assert!(SimError::UnknownNode(NodeId::new(1))
             .to_string()
             .contains("n1"));
-        assert!(SimError::RecoveryDisabled(NodeId::new(2))
-            .to_string()
-            .contains("recovery"));
     }
 }

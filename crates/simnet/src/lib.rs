@@ -59,6 +59,7 @@
 //!
 //! /// A toy protocol: every node broadcasts a greeting and outputs the number of
 //! /// distinct greetings it received.
+//! #[derive(Clone)]
 //! struct Greeter { id: NodeId, heard: usize, done: bool }
 //!
 //! impl Protocol for Greeter {
@@ -120,7 +121,7 @@ pub use event::{DelaySpec, EngineKind, EventTiming, LinkDelay, PartitionSpec, Ti
 pub use id::{IdSpace, NodeId};
 pub use message::{CommonKey, Destination, Directed, Envelope, Inbox, InboxIter, Outgoing};
 pub use metrics::{Metrics, RoundMetrics};
-pub use node::{Protocol, Recoverable, RoundContext};
+pub use node::{Protocol, RoundContext};
 pub use shared::Shared;
 pub use sim::{
     AdversaryKind, BoxedAdversary, BuildContext, Harness, NamedAdversary, ProtocolFactory,
@@ -136,6 +137,4 @@ pub use sweep::{CrashPlan, ScenarioGrid, SweepCase};
 pub use trace::{TraceEvent, TraceLog};
 pub use traffic::{RoundTraffic, SentRef, TrafficItem};
 pub use vocab::{input_extremes, AdaptiveAdversary, PayloadVocab, VocabAdversary, VocabScene};
-pub use wal::{
-    RecoveryManager, RestartPolicy, RestartRecord, Snapshotter, Wal, WalConfig, WalFault, WalRecord,
-};
+pub use wal::{RecoveryManager, RestartPolicy, RestartRecord, Wal, WalConfig, WalFault, WalRecord};

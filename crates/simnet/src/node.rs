@@ -34,7 +34,13 @@ impl RoundContext {
 /// The protocol **must not** assume anything about the number of participants: the
 /// only information available about the rest of the system is the set of sender
 /// identifiers observed in inboxes — exactly the id-only model.
-pub trait Protocol {
+///
+/// A node's whole recoverable state is the node itself, so `Clone` is a
+/// supertrait: the crash-recovery subsystem (see [`wal`](crate::wal))
+/// snapshots a node with `node.clone()`. A clone must therefore carry
+/// everything [`Protocol::step`] reads; state shared behind an `Rc` (a memo
+/// handle) stays shared between the node and its snapshot.
+pub trait Protocol: Clone {
     /// The wire payload exchanged by this protocol.
     ///
     /// The `Hash` bound is what lets the engine deduplicate deliveries through a
@@ -87,36 +93,12 @@ pub trait Protocol {
     }
 }
 
-/// A protocol whose state can be snapshotted and restored — the extension the
-/// crash-recovery subsystem requires (see [`wal`](crate::wal)).
-///
-/// The engine's [`RecoveryManager`](crate::wal::RecoveryManager) snapshots a
-/// node's state when its write-ahead log opens (and on compaction), and after a
-/// crash rebuilds the node by replaying the logged rounds over the snapshot.
-/// For the deterministic state machines of this workspace a snapshot is simply
-/// a clone, so implementations are one line:
-///
-/// ```ignore
-/// impl Recoverable for MyNode {
-///     fn snapshot(&self) -> Self { self.clone() }
-/// }
-/// ```
-pub trait Recoverable: Protocol + Sized {
-    /// A faithful copy of the node's current protocol state.
-    fn snapshot(&self) -> Self;
-
-    /// Reconstructs a node from a snapshot. The default is the identity —
-    /// WAL replay, not this hook, brings the state forward to the crash point.
-    fn restore(snapshot: Self) -> Self {
-        snapshot
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::{Destination, Envelope};
 
+    #[derive(Clone)]
     struct Echoer {
         id: NodeId,
         seen: Vec<NodeId>,

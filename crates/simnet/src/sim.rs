@@ -48,7 +48,7 @@ use crate::id::{IdSpace, NodeId};
 use crate::metrics::RoundMetrics;
 use crate::node::Protocol;
 use crate::vocab::{PayloadVocab, VocabAdversary};
-use crate::wal::{RestartRecord, Snapshotter, WalConfig};
+use crate::wal::{RestartRecord, WalConfig};
 
 /// A boxed, dynamically dispatched adversary — the form in which
 /// [`ProtocolFactory::adversary`] returns strategies so one harness type covers
@@ -471,18 +471,6 @@ pub trait ProtocolFactory {
         })
     }
 
-    /// Returns the snapshot constructor the crash-recovery subsystem uses for this
-    /// protocol's nodes, or `None` when the protocol does not support crash/restart
-    /// churn. When the scenario's churn schedule contains [`ChurnEvent::Crash`]
-    /// events and this returns `Some`, the harness enables recovery automatically;
-    /// for a [`Recoverable`](crate::node::Recoverable) node the override is one
-    /// line: `Some(Box::new(|node| node.snapshot()))`.
-    ///
-    /// [`ChurnEvent::Crash`]: crate::dynamic::ChurnEvent::Crash
-    fn snapshotter(&self) -> Option<Snapshotter<Self::Node>> {
-        None
-    }
-
     /// Hook invoked before every engine round — the place to inject external inputs
     /// (events to order, leave announcements) into the nodes.
     fn before_round(&mut self, _round: u64, _nodes: &mut [Self::Node]) {}
@@ -625,16 +613,6 @@ impl<F: ProtocolFactory> Harness<F> {
             let joiner = factory.joiner(&ctx);
             engine.set_churn(ctx.spec.churn.clone(), joiner);
         }
-        // Crash/restart churn needs the recovery subsystem; it is enabled
-        // automatically when the schedule contains crash events and the factory
-        // can snapshot its nodes. (A crash-free run with recovery enabled is
-        // byte-identical to one without, so over-enabling would also be safe —
-        // but keeping it off preserves the zero-cost default.)
-        if ctx.spec.churn.has_crash_events() {
-            if let Some(snapshot) = factory.snapshotter() {
-                engine.enable_recovery(snapshot);
-            }
-        }
         Harness {
             factory,
             ctx,
@@ -682,30 +660,19 @@ impl<F: ProtocolFactory> Harness<F> {
     /// Force-enables the crash-recovery subsystem even without crash events in
     /// the churn schedule. The recovery-equivalence suite uses this to pin that
     /// write-ahead logging is observationally silent on crash-free runs.
-    ///
-    /// # Panics
-    /// Panics if the factory provides no [`ProtocolFactory::snapshotter`].
     pub fn enable_recovery(self) -> Self {
         self.wal_config(WalConfig::default())
     }
 
     /// (Re-)enables crash-recovery under an explicit [`WalConfig`], replacing the
-    /// default-configured manager the harness installs for crash churn. The knob
-    /// that matters operationally is [`WalConfig::compact_after`]: a restart
-    /// replays every record since the last compaction, so on long horizons the
-    /// compaction period — not the horizon — must bound replay cost. Call before
-    /// any round has run; reconfiguring mid-run would discard logged state.
-    ///
-    /// # Panics
-    /// Panics if the factory provides no [`ProtocolFactory::snapshotter`].
+    /// default-configured manager the engine installs for crash churn (see
+    /// [`Engine::set_churn`]). The knob that matters operationally is
+    /// [`WalConfig::compact_after`]: a restart replays every record since the
+    /// last compaction, so on long horizons the compaction period — not the
+    /// horizon — must bound replay cost. Call before any round has run;
+    /// reconfiguring mid-run would discard logged state.
     pub fn wal_config(mut self, config: WalConfig) -> Self {
-        let snapshot = self.factory.snapshotter().unwrap_or_else(|| {
-            panic!(
-                "protocol `{}` has no snapshotter; it cannot enable recovery",
-                self.factory.protocol_name()
-            )
-        });
-        self.engine.enable_recovery_with(snapshot, config);
+        self.engine.enable_recovery(config);
         self
     }
 

@@ -444,20 +444,15 @@ pub mod mutation {
     }
 }
 
-/// The snapshot constructor the recovery subsystem uses to clone a node's
-/// protocol state (for a [`Recoverable`](crate::node::Recoverable) node:
-/// `Box::new(|node| node.snapshot())`).
-pub type Snapshotter<N> = Box<dyn Fn(&N) -> N>;
-
-/// The engine-side recovery subsystem: one [`Wal`] and one base snapshot per
-/// logged node, the crashed-node parking lot, and the restart/replay path.
+/// The engine-side recovery subsystem: one [`Wal`] and one base snapshot (a
+/// clone of the node) per logged node, the crashed-node parking lot, and the
+/// restart/replay path.
 /// The [`Engine`](crate::Engine) drives it, under either delivery policy,
 /// through three hooks —
 /// `begin_step` (before a node consumes its inbox), `log_sent` (per produced
 /// traffic item) and `commit_step` (after the round, before the adversary
 /// observes the traffic: a send becomes network-visible only once durable).
 pub struct RecoveryManager<N: Protocol> {
-    snapshot: Snapshotter<N>,
     config: WalConfig,
     // The maps are looked up per node per round and per traffic item, and
     // never observed through their iteration order (`wal_entries` is a sum),
@@ -472,16 +467,9 @@ pub struct RecoveryManager<N: Protocol> {
 }
 
 impl<N: Protocol> RecoveryManager<N> {
-    /// Creates a manager with the default [`WalConfig`]. `snapshot` clones a
-    /// node's protocol state (see `Recoverable::snapshot`).
-    pub fn new(snapshot: Snapshotter<N>) -> Self {
-        Self::with_config(snapshot, WalConfig::default())
-    }
-
-    /// Creates a manager with an explicit log configuration.
-    pub fn with_config(snapshot: Snapshotter<N>, config: WalConfig) -> Self {
+    /// Creates a manager whose logs follow `config`.
+    pub fn new(config: WalConfig) -> Self {
         RecoveryManager {
-            snapshot,
             config,
             wals: HashMap::default(),
             bases: HashMap::default(),
@@ -494,7 +482,7 @@ impl<N: Protocol> RecoveryManager<N> {
     fn ensure_logged(&mut self, node: &N, round: u64) {
         let id = node.id();
         if !self.wals.contains_key(&id) {
-            self.bases.insert(id, (self.snapshot)(node));
+            self.bases.insert(id, node.clone());
             self.wals
                 .insert(id, Wal::new(round.saturating_sub(1), self.config));
         }
@@ -554,7 +542,7 @@ impl<N: Protocol> RecoveryManager<N> {
         };
         wal.commit_open();
         if wal.is_fully_durable() && wal.len() >= self.config.compact_after {
-            let base = (self.snapshot)(node);
+            let base = node.clone();
             wal.compact(round);
             self.bases.insert(id, base);
         }
@@ -638,7 +626,7 @@ impl<N: Protocol> RecoveryManager<N> {
         });
         // The recovered state becomes the new base; the old log is spent.
         let new_base_round = log.rounds.last().map_or(log.base_round, |r| r.round);
-        self.bases.insert(id, (self.snapshot)(&node));
+        self.bases.insert(id, node.clone());
         self.wals.insert(id, Wal::new(new_base_round, self.config));
         Ok(node)
     }
@@ -868,8 +856,7 @@ mod tests {
 
     #[test]
     fn manager_recovers_a_node_exactly() {
-        let mut manager: RecoveryManager<Logger> =
-            RecoveryManager::new(Box::new(|n: &Logger| n.clone()));
+        let mut manager: RecoveryManager<Logger> = RecoveryManager::new(WalConfig::default());
         let mut live = Logger::new(NodeId::new(7), 10);
         // Drive three rounds through the hooks, mirroring the engine.
         for round in 1..=3u64 {
@@ -904,8 +891,7 @@ mod tests {
 
     #[test]
     fn restarting_an_unknown_node_is_an_error() {
-        let mut manager: RecoveryManager<Logger> =
-            RecoveryManager::new(Box::new(|n: &Logger| n.clone()));
+        let mut manager: RecoveryManager<Logger> = RecoveryManager::new(WalConfig::default());
         assert_eq!(
             manager
                 .restart(NodeId::new(3), RestartPolicy::Clean, 2)
@@ -916,8 +902,7 @@ mod tests {
 
     #[test]
     fn byzantine_crash_cycle_is_pure_bookkeeping() {
-        let mut manager: RecoveryManager<Logger> =
-            RecoveryManager::new(Box::new(|n: &Logger| n.clone()));
+        let mut manager: RecoveryManager<Logger> = RecoveryManager::new(WalConfig::default());
         manager.crash_byzantine(NodeId::new(42));
         assert!(manager.is_crashed(NodeId::new(42)));
         assert!(manager.take_crashed_byzantine(NodeId::new(42)));

@@ -28,8 +28,8 @@ use uba_core::sim::{AdversaryKind, ConsensusFactory, Simulation};
 use uba_simnet::sim::{BuildContext, NamedAdversary, ProtocolFactory, RunReport};
 use uba_simnet::{
     AttackBehavior, AttackPlan, ChurnEvent, ChurnSchedule, CommonKey, DelaySpec, EngineKind,
-    IdSpace, Inbox, NodeId, Outgoing, PayloadVocab, Protocol, Recoverable, RestartPolicy,
-    RoundContext, Snapshotter, SyncEngine, TimingSpec, WalConfig, WalFault,
+    IdSpace, Inbox, NodeId, Outgoing, PayloadVocab, Protocol, RestartPolicy, RoundContext,
+    SyncEngine, TimingSpec, WalConfig, WalFault,
 };
 
 // ---------------------------------------------------------------------------
@@ -95,10 +95,6 @@ impl ProtocolFactory for Holder {
         ctx: &BuildContext,
     ) -> Option<Box<dyn PayloadVocab<ConsensusMessage<u64>>>> {
         self.factory.payload_vocab(ctx)
-    }
-
-    fn snapshotter(&self) -> Option<Snapshotter<Consensus<u64>>> {
-        self.factory.snapshotter()
     }
 
     fn record(&self, ctx: &BuildContext, nodes: &[Consensus<u64>], report: &mut RunReport) {
@@ -186,13 +182,10 @@ fn run(
     });
     if let Churn::CrashRestart = churn {
         // Fsync every fourth round, so the crash leaves a tail to lose.
-        harness.engine_mut().enable_recovery_with(
-            Box::new(|node: &Consensus<u64>| node.snapshot()),
-            WalConfig {
-                sync_every: 4,
-                compact_after: 1024,
-            },
-        );
+        harness.engine_mut().enable_recovery(WalConfig {
+            sync_every: 4,
+            compact_after: 1024,
+        });
     }
     let report = harness.run().expect("nothing is forged");
     serde_json::to_string(&report).expect("reports serialise")
@@ -246,6 +239,7 @@ enum Corner {
 /// and its whole state — votes, echoes, who spoke, first opinions — so a
 /// merged summary that leaves any of it other than a walk would is caught
 /// where it happens, not only if it changes a decision.
+#[derive(Clone)]
 struct Cornered {
     node: Consensus<u64>,
     corner: Corner,
@@ -363,6 +357,7 @@ struct View {
 }
 
 /// A consensus node that logs every view its tally pass reads.
+#[derive(Clone)]
 struct Watched {
     node: Consensus<u64>,
     views: Rc<RefCell<Vec<View>>>,

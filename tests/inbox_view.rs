@@ -120,6 +120,7 @@ impl Plan {
 }
 
 /// One step of a scripted node, as the node saw it.
+#[derive(Clone)]
 struct Record {
     inbox: Vec<(NodeId, u64)>,
     sent: Vec<Outgoing<u64>>,
@@ -127,6 +128,7 @@ struct Record {
 
 /// A node that reads its inbox view into its record and sends what the plan
 /// says; it terminates after `stop_after` steps, if set.
+#[derive(Clone)]
 struct Scripted {
     id: NodeId,
     plan: Rc<Plan>,

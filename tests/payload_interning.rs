@@ -42,6 +42,7 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// Broadcasts `payload(round, index)` every round and remembers every inbox.
+#[derive(Clone)]
 struct Broadcaster<P> {
     id: NodeId,
     index: u64,

@@ -241,6 +241,7 @@ impl fmt::Debug for Counted {
 }
 
 /// A node that was born with its output (`None` for 0) and never speaks.
+#[derive(Clone)]
 struct Fixed {
     id: NodeId,
     value: u64,

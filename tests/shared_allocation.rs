@@ -17,6 +17,7 @@ use uba_simnet::{
 };
 
 /// Broadcasts one payload every round, forever (the engine's round cap stops it).
+#[derive(Clone)]
 struct Flooder {
     id: NodeId,
 }

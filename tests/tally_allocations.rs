@@ -61,6 +61,7 @@ fn allocations() -> u64 {
 }
 
 /// A consensus node that flags the allocator while it steps.
+#[derive(Clone)]
 struct Stepping(Consensus<u64>);
 
 impl Protocol for Stepping {

@@ -7,16 +7,13 @@
 //!
 //! Faults only ever touch the unsynced suffix of a log, so the default
 //! `sync_every = 1` cadence makes them no-ops; these tests raise the cadence
-//! through [`SyncEngine::enable_recovery_with`] to open a suffix worth
-//! damaging.
+//! through [`SyncEngine::enable_recovery`] to open a suffix worth damaging.
 //!
-//! [`SyncEngine::enable_recovery_with`]: uba_simnet::SyncEngine::enable_recovery_with
+//! [`SyncEngine::enable_recovery`]: uba_simnet::SyncEngine::enable_recovery
 
 use uba_checker::attach_verdicts;
-use uba_core::sim::{RunReport, ScenarioExt, Simulation};
-use uba_simnet::{
-    ChurnEvent, ChurnSchedule, Recoverable, RestartPolicy, RestartRecord, WalConfig, WalFault,
-};
+use uba_core::sim::{consensus_stream, RunReport, ScenarioExt, Simulation};
+use uba_simnet::{ChurnEvent, ChurnSchedule, RestartPolicy, RestartRecord, WalConfig, WalFault};
 
 const SEED: u64 = 0xFA_117;
 
@@ -36,13 +33,10 @@ fn faulted_run(policy: RestartPolicy, sync_every: u64) -> RunReport {
     let mut harness = builder.max_rounds(100).churn(churn).consensus(&inputs);
     // Replace the auto-enabled recovery manager (default config) with one that
     // syncs lazily enough to leave an unsynced suffix at the crash point.
-    harness.engine_mut().enable_recovery_with(
-        Box::new(|node: &_| node.snapshot()),
-        WalConfig {
-            sync_every,
-            compact_after: 1024,
-        },
-    );
+    harness.engine_mut().enable_recovery(WalConfig {
+        sync_every,
+        compact_after: 1024,
+    });
     let mut report = harness.run().expect("crash/restart run completes");
     attach_verdicts(&mut report);
     report
@@ -164,4 +158,37 @@ fn damaged_logs_still_replay_to_oracle_accepted_state() {
             );
         }
     }
+}
+
+#[test]
+fn a_crash_bearing_stream_restarts_its_victim_safely() {
+    // A pipelined stream crashes and restarts like any single-shot run: the
+    // crash-bearing schedule enables recovery in the engine, whatever the
+    // factory. Safety only — the victim's in-flight instance owes no answer
+    // here, so completion is not asserted.
+    let builder = Simulation::scenario().correct(7).byzantine(0).seed(SEED);
+    let victim = builder.spec().id_space.generate(7, SEED)[1];
+    let churn = ChurnSchedule::empty()
+        .with(6, ChurnEvent::Crash(victim))
+        .with(
+            9,
+            ChurnEvent::Restart {
+                id: victim,
+                policy: RestartPolicy::Clean,
+            },
+        );
+    let driver = consensus_stream(7, (0..6).map(|k| (1 + 3 * k, 1, k)));
+    let mut report = builder
+        .max_rounds(100)
+        .churn(churn)
+        .build(driver)
+        .run()
+        .expect("a crash-bearing stream runs");
+    attach_verdicts(&mut report);
+    assert_eq!(restart(&report).send_conflicts, 0);
+    assert!(recovery_oracle_passed(&report));
+    assert!(report
+        .verdicts
+        .iter()
+        .any(|verdict| verdict.oracle == "stream" && verdict.passed));
 }
