@@ -113,25 +113,6 @@ pub fn check_consensus<V: Clone + Eq + Debug>(
     report
 }
 
-/// Convenience constructor for observations from parallel slices of inputs and
-/// engine outputs (the shape `SyncEngine::outputs` produces).
-pub fn observations_from_outputs<V: Clone>(
-    inputs: &[(NodeId, V)],
-    outputs: &[(NodeId, Option<Decision<V>>)],
-) -> Vec<ConsensusObservation<V>> {
-    inputs
-        .iter()
-        .map(|(node, input)| ConsensusObservation {
-            node: *node,
-            input: input.clone(),
-            decision: outputs
-                .iter()
-                .find(|(id, _)| id == node)
-                .and_then(|(_, decision)| decision.clone()),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,25 +212,5 @@ mod tests {
         let report = check_consensus::<u64>(&[], ConsensusCheck::default());
         assert!(report.passed());
         assert_eq!(report.checks, 0);
-    }
-
-    #[test]
-    fn observations_from_outputs_joins_by_node_id() {
-        let inputs = vec![(NodeId::new(1), 0u64), (NodeId::new(2), 1u64)];
-        let outputs = vec![
-            (
-                NodeId::new(2),
-                Some(Decision {
-                    value: 0,
-                    phase: 1,
-                    round: 9,
-                }),
-            ),
-            (NodeId::new(1), None),
-        ];
-        let observations = observations_from_outputs(&inputs, &outputs);
-        assert_eq!(observations.len(), 2);
-        assert!(observations[0].decision.is_none());
-        assert_eq!(observations[1].decision.as_ref().unwrap().value, 0);
     }
 }

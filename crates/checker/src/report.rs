@@ -54,11 +54,6 @@ impl CheckReport {
         self.checks += 1;
     }
 
-    /// Records `count` property evaluations at once.
-    pub fn record_checks(&mut self, count: usize) {
-        self.checks += count;
-    }
-
     /// Records a violation.
     pub fn violate(&mut self, property: impl Into<String>, details: impl Into<String>) {
         self.violations.push(Violation::new(property, details));

@@ -16,7 +16,7 @@
 
 use std::collections::HashSet;
 
-use uba_simnet::{NodeId, TraceLog};
+use uba_simnet::TraceLog;
 
 use crate::report::{CheckReport, Violation};
 
@@ -60,20 +60,6 @@ pub fn attribute_trace<P>(trace: &TraceLog<P>) -> TraceAttribution {
     attribution
 }
 
-/// Deliveries to one recipient attributed by sender class: `(honest, byzantine)`.
-pub fn deliveries_to<P>(trace: &TraceLog<P>, to: NodeId) -> (u64, u64) {
-    let mut honest = 0;
-    let mut byzantine = 0;
-    for event in trace.to_node(to) {
-        if event.byzantine {
-            byzantine += 1;
-        } else {
-            honest += 1;
-        }
-    }
-    (honest, byzantine)
-}
-
 /// The zero-copy property of the shared-payload message plane: across a recorded
 /// trace, the number of distinct payload allocations must not exceed
 /// `produced_messages` — the count of compact message-production events (broadcasts
@@ -99,7 +85,7 @@ pub fn check_zero_copy<P>(trace: &TraceLog<P>, produced_messages: u64) -> CheckR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uba_simnet::{Shared, TraceEvent};
+    use uba_simnet::{NodeId, Shared, TraceEvent};
 
     fn event(from: u64, to: u64, byzantine: bool, payload: Shared<u32>) -> TraceEvent<u32> {
         TraceEvent {
@@ -128,7 +114,6 @@ mod tests {
         assert_eq!(attribution.byzantine, 1);
         assert_eq!(attribution.distinct_allocations, 2, "broadcast + injection");
         assert_eq!(attribution.distinct_values, 1, "equal payload value");
-        assert_eq!(deliveries_to(&trace, NodeId::new(1)), (1, 1));
     }
 
     #[test]

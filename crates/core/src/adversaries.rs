@@ -27,7 +27,7 @@ use std::hash::Hash;
 use uba_simnet::vocab::fabricate;
 use uba_simnet::{Adversary, AdversaryView, Directed, NodeId, Shared};
 
-use crate::consensus::ConsensusMessage;
+use crate::consensus::{ConsensusMessage, PhaseStep};
 use crate::early_consensus::{InstanceId, ParallelMessage};
 use crate::reliable_broadcast::RbMessage;
 use crate::rotor::RotorMessage;
@@ -165,16 +165,6 @@ impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> Adversary<RbMessage<M>>
     }
 }
 
-/// Phase step the correct nodes are executing in a given engine round, mirroring the
-/// five-round schedule of Algorithm 3 (rounds 1 and 2 are initialisation).
-fn consensus_step(round: u64) -> Option<u64> {
-    if round < 3 {
-        None
-    } else {
-        Some((round - 3) % 5)
-    }
-}
-
 /// Byzantine nodes that try to split a consensus execution: they participate in the
 /// initialisation and then, in every voting round, tell half of the correct nodes they
 /// support `low` and the other half that they support `high`, mirroring whichever
@@ -206,11 +196,11 @@ impl<V: Opinion> Adversary<ConsensusMessage<V>> for SplitVote<V> {
                 Shared::new(make(self.high.clone())),
             ))
         };
-        let pair = match consensus_step(view.round) {
-            Some(0) => split_pair(ConsensusMessage::Input),
-            Some(1) => split_pair(ConsensusMessage::Prefer),
-            Some(2) => split_pair(ConsensusMessage::StrongPrefer),
-            Some(3) => split_pair(ConsensusMessage::Opinion),
+        let pair = match PhaseStep::from_round(view.round) {
+            Some(PhaseStep::Input) => split_pair(ConsensusMessage::Input),
+            Some(PhaseStep::Prefer) => split_pair(ConsensusMessage::Prefer),
+            Some(PhaseStep::StrongPrefer) => split_pair(ConsensusMessage::StrongPrefer),
+            Some(PhaseStep::Rotor) => split_pair(ConsensusMessage::Opinion),
             _ => None,
         };
         let init = (view.round == 1).then(|| Shared::new(ConsensusMessage::Init));
@@ -377,11 +367,13 @@ impl<V: Opinion> Adversary<ConsensusMessage<V>> for MinorityBooster<V> {
                 let payload = match view.round {
                     1 => ConsensusMessage::Init,
                     2 => ConsensusMessage::Echo(from),
-                    _ => match consensus_step(view.round) {
-                        Some(0) => ConsensusMessage::Input(minority.clone()),
-                        Some(1) => ConsensusMessage::Prefer(minority.clone()),
-                        Some(2) => ConsensusMessage::StrongPrefer(minority.clone()),
-                        Some(3) => ConsensusMessage::Opinion(minority.clone()),
+                    _ => match PhaseStep::from_round(view.round) {
+                        Some(PhaseStep::Input) => ConsensusMessage::Input(minority.clone()),
+                        Some(PhaseStep::Prefer) => ConsensusMessage::Prefer(minority.clone()),
+                        Some(PhaseStep::StrongPrefer) => {
+                            ConsensusMessage::StrongPrefer(minority.clone())
+                        }
+                        Some(PhaseStep::Rotor) => ConsensusMessage::Opinion(minority.clone()),
                         _ => continue,
                     },
                 };
@@ -424,12 +416,12 @@ impl<V: Opinion> Adversary<ConsensusMessage<V>> for EquivocatingCoordinator<V> {
                     // candidate sets (it is a legitimate candidate — it announced).
                     1 => ConsensusMessage::Init,
                     2 => ConsensusMessage::Echo(from),
-                    _ => match consensus_step(view.round) {
+                    _ => match PhaseStep::from_round(view.round) {
                         // Participate honestly enough in the vote rounds to stay
                         // counted, parroting its own identity's echo.
-                        Some(0) => ConsensusMessage::Echo(from),
+                        Some(PhaseStep::Input) => ConsensusMessage::Echo(from),
                         // In the rotor round, equivocate as a would-be coordinator.
-                        Some(3) => {
+                        Some(PhaseStep::Rotor) => {
                             let value = if index % 2 == 0 {
                                 self.low.clone()
                             } else {

@@ -16,8 +16,11 @@
 //! [`ApproxAgreement`] is the single-shot protocol; [`IteratedApproxAgreement`] runs
 //! the same step repeatedly (each iteration halves the correct range again), which is
 //! what the convergence experiment E6 and the sensor-fusion example use. The paper
-//! notes (Section XI) that the same algorithm keeps working in dynamic networks —
-//! the iterated protocol accepts value injections between iterations to model that.
+//! notes (Section XI) that the same algorithm keeps working in dynamic networks, so
+//! the dynamic driver ([`crate::dynamic_approx::run_dynamic_approx`], experiment
+//! E11) runs this node unchanged, with no iteration bound, while nodes join and
+//! leave around it; [`IteratedApproxAgreement::inject_value`] models a node whose
+//! own value changes between iterations.
 
 use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, RoundContext};
 

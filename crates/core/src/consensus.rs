@@ -847,11 +847,13 @@ mod tests {
                     let payload = match view.round {
                         1 => ConsensusMessage::Init,
                         2 => ConsensusMessage::Echo(from),
-                        r if (r - 3) % 5 == 0 => ConsensusMessage::Input(value),
-                        r if (r - 3) % 5 == 1 => ConsensusMessage::Prefer(value),
-                        r if (r - 3) % 5 == 2 => ConsensusMessage::StrongPrefer(value),
-                        r if (r - 3) % 5 == 3 => ConsensusMessage::Opinion(value),
-                        _ => continue,
+                        r => match PhaseStep::from_round(r) {
+                            Some(PhaseStep::Input) => ConsensusMessage::Input(value),
+                            Some(PhaseStep::Prefer) => ConsensusMessage::Prefer(value),
+                            Some(PhaseStep::StrongPrefer) => ConsensusMessage::StrongPrefer(value),
+                            Some(PhaseStep::Rotor) => ConsensusMessage::Opinion(value),
+                            _ => continue,
+                        },
                     };
                     out.push(Directed::new(from, to, payload));
                 }

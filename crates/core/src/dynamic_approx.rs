@@ -7,94 +7,22 @@
 //! round. Whether the range shrinks over time then depends on the values the joining
 //! nodes bring. This module provides:
 //!
-//! * [`DynamicApproxNode`] — a non-terminating protocol node that re-runs one
-//!   iteration of Algorithm 4 every round on whatever membership currently exists;
 //! * [`ChurnPlan`] and [`run_dynamic_approx`] — a driver that executes a join/leave
 //!   schedule on the synchronous engine and records the correct-node spread after
-//!   every round (the measurement behind experiment E11);
+//!   every round (the measurement behind experiment E11). Its nodes are Algorithm
+//!   4's own [`IteratedApproxAgreement`] with no iteration bound: the dynamic
+//!   setting changes who is in the network, not the rule each node applies, so
+//!   every node re-runs one iteration per round on whatever membership currently
+//!   exists;
 //! * [`subset_join_value`] — the Section XII observation that a newly joining node
 //!   can run Algorithm 4 against only a *subset* of the existing nodes and still land
 //!   inside (the trimmed core of) their value range.
 
 use uba_simnet::adversary::SilentAdversary;
-use uba_simnet::{
-    ChurnEvent, ChurnSchedule, Inbox, NodeId, Outgoing, Protocol, RoundContext, SimError,
-    SyncEngine,
-};
+use uba_simnet::{ChurnEvent, ChurnSchedule, NodeId, Protocol, SimError, SyncEngine};
 
-use crate::approx::trimmed_midpoint;
+use crate::approx::{trimmed_midpoint, IteratedApproxAgreement};
 use crate::value::Real;
-
-/// A node that runs one iteration of Algorithm 4 per round, forever.
-///
-/// Unlike [`crate::approx::IteratedApproxAgreement`] it has no iteration budget: it is
-/// meant to be driven by an external scheduler (the dynamic-network driver below) that
-/// decides when to stop, and to keep participating while nodes join and leave around
-/// it. Its output is always its current value.
-#[derive(Clone, Debug)]
-pub struct DynamicApproxNode {
-    id: NodeId,
-    value: Real,
-    /// Value after each completed round, for convergence measurements.
-    history: Vec<Real>,
-}
-
-impl DynamicApproxNode {
-    /// Creates a node with the given starting value.
-    pub fn new(id: NodeId, input: Real) -> Self {
-        DynamicApproxNode {
-            id,
-            value: input,
-            history: Vec::new(),
-        }
-    }
-
-    /// The node's current value.
-    pub fn value(&self) -> Real {
-        self.value
-    }
-
-    /// The node's value after each completed iteration.
-    pub fn history(&self) -> &[Real] {
-        &self.history
-    }
-}
-
-impl Protocol for DynamicApproxNode {
-    type Payload = Real;
-    type Output = Real;
-
-    fn id(&self) -> NodeId {
-        self.id
-    }
-
-    fn step(&mut self, _ctx: &RoundContext, inbox: Inbox<'_, Real>) -> Vec<Outgoing<Real>> {
-        if !inbox.is_empty() {
-            // One value per distinct sender (a Byzantine sender's extra values are
-            // ignored beyond the first).
-            let mut received: Vec<(NodeId, Real)> = Vec::new();
-            for (sender, value) in inbox {
-                if !received.iter().any(|(from, _)| *from == sender) {
-                    received.push((sender, *value));
-                }
-            }
-            let values: Vec<Real> = received.iter().map(|(_, v)| *v).collect();
-            if let Some(next) = trimmed_midpoint(values) {
-                self.value = next;
-            }
-            self.history.push(self.value);
-        }
-        vec![Outgoing::broadcast(self.value)]
-    }
-
-    fn output(&self) -> Option<Real> {
-        Some(self.value)
-    }
-
-    fn terminated(&self) -> bool {
-        false
-    }
-}
 
 /// A join/leave schedule for the dynamic approximate-agreement driver. Rounds are the
 /// engine's 1-based round numbers; an event scheduled for round `r` is applied just
@@ -145,16 +73,6 @@ impl ChurnPlan {
         &self.schedule
     }
 
-    /// The starting value of the *earliest* scheduled join of `id` (a rejoining
-    /// identifier's later values are consumed in round order by the driver).
-    pub fn join_value(&self, id: NodeId) -> Option<Real> {
-        self.join_values
-            .iter()
-            .filter(|&&(_, jid, _)| jid == id)
-            .min_by_key(|&&(round, _, _)| round)
-            .map(|&(_, _, value)| value)
-    }
-
     /// `(round, id, starting value)` of every scheduled correct join, in insertion
     /// order.
     pub fn joins(&self) -> Vec<(u64, NodeId, Real)> {
@@ -168,18 +86,6 @@ impl ChurnPlan {
             .iter()
             .filter_map(|&(round, event)| match event {
                 ChurnEvent::LeaveCorrect(id) => Some((round, id)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// `(round, id)` of every scheduled Byzantine join, in insertion order.
-    pub fn byzantine_joins(&self) -> Vec<(u64, NodeId)> {
-        self.schedule
-            .events()
-            .iter()
-            .filter_map(|&(round, event)| match event {
-                ChurnEvent::JoinByzantine(id) => Some((round, id)),
                 _ => None,
             })
             .collect()
@@ -203,7 +109,7 @@ impl DynamicApproxReport {
     }
 }
 
-/// Runs [`DynamicApproxNode`]s for `rounds` rounds under the given churn plan and a
+/// Runs unbounded [`IteratedApproxAgreement`] nodes for `rounds` rounds under the given churn plan and a
 /// silent adversary, recording the correct-node spread after every round. The plan's
 /// [`ChurnSchedule`] is handed to the engine's own churn mechanism
 /// ([`SyncEngine::set_churn`]) unchanged; the driver only observes.
@@ -212,9 +118,9 @@ pub fn run_dynamic_approx(
     plan: &ChurnPlan,
     rounds: u64,
 ) -> Result<DynamicApproxReport, SimError> {
-    let nodes: Vec<DynamicApproxNode> = initial
+    let nodes: Vec<IteratedApproxAgreement> = initial
         .iter()
-        .map(|&(id, value)| DynamicApproxNode::new(id, value))
+        .map(|&(id, value)| IteratedApproxAgreement::new(id, value, u64::MAX))
         .collect();
     let mut engine = SyncEngine::new(nodes, SilentAdversary, Vec::new());
     engine.validate_ids()?;
@@ -230,7 +136,7 @@ pub fn run_dynamic_approx(
             .map(|(index, _)| index)
             .expect("every scheduled joiner has a starting value in the plan");
         let (_, _, value) = pending_joins.remove(position);
-        DynamicApproxNode::new(id, value)
+        IteratedApproxAgreement::new(id, value, u64::MAX)
     });
 
     let mut report = DynamicApproxReport::default();
@@ -352,11 +258,6 @@ mod tests {
             .leave(5, id)
             .join(8, id, real(200.0));
         assert_eq!(plan.joins().len(), 2, "both joins are preserved");
-        assert_eq!(
-            plan.join_value(id),
-            Some(real(100.0)),
-            "earliest value wins"
-        );
         let report = run_dynamic_approx(&start, &plan, 12).unwrap();
         // The round-2 join must bring 100 (spread ≈ 100), the round-8 rejoin 200
         // (spread ≈ 200 against the reconverged cluster) — an id-keyed overwrite
@@ -399,14 +300,5 @@ mod tests {
         // Degenerate subset: falls back to the joiner's own value only when trimming
         // would consume everything (empty subset).
         assert_eq!(subset_join_value(real(3.0), &[]), real(3.0));
-    }
-
-    #[test]
-    fn dynamic_node_reports_value_and_history() {
-        let node = DynamicApproxNode::new(NodeId::new(5), real(2.5));
-        assert_eq!(node.value(), real(2.5));
-        assert!(node.history().is_empty());
-        assert!(!node.terminated());
-        assert_eq!(node.output(), Some(real(2.5)));
     }
 }

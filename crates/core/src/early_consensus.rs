@@ -100,8 +100,6 @@ pub struct EarlyConsensus<V: Opinion> {
     instance: InstanceId,
     /// The node's current opinion for this instance (`None` = `⊥`).
     opinion: Option<V>,
-    /// The phase (1-based) in which this node started the instance.
-    started_phase: u64,
     /// Whether a message of each kind has been received during the first phase.
     seen_in_phase1: [bool; 3],
     /// The most recent message of each kind this node sent, tagged with the phase it
@@ -114,32 +112,28 @@ pub struct EarlyConsensus<V: Opinion> {
     stashed_strong: Option<(Option<V>, usize)>,
     /// The decision (`Some(None)` means "decided ⊥" — terminated with no output pair).
     decided: Option<Option<V>>,
-    /// Phase in which the decision happened.
-    decided_phase: Option<u64>,
 }
 
 impl<V: Opinion> EarlyConsensus<V> {
     /// Creates an instance for a pair this node has as input.
-    pub fn with_input(instance: InstanceId, opinion: V, phase: u64) -> Self {
-        Self::new_inner(instance, Some(opinion), phase)
+    pub fn with_input(instance: InstanceId, opinion: V) -> Self {
+        Self::new_inner(instance, Some(opinion))
     }
 
     /// Creates an instance this node first learned about from the network; it
     /// participates with opinion `⊥`.
-    pub fn without_input(instance: InstanceId, phase: u64) -> Self {
-        Self::new_inner(instance, None, phase)
+    pub fn without_input(instance: InstanceId) -> Self {
+        Self::new_inner(instance, None)
     }
 
-    fn new_inner(instance: InstanceId, opinion: Option<V>, phase: u64) -> Self {
+    fn new_inner(instance: InstanceId, opinion: Option<V>) -> Self {
         EarlyConsensus {
             instance,
             opinion,
-            started_phase: phase.max(1),
             seen_in_phase1: [false; 3],
             last_sent: [None, None, None],
             stashed_strong: None,
             decided: None,
-            decided_phase: None,
         }
     }
 
@@ -153,20 +147,10 @@ impl<V: Opinion> EarlyConsensus<V> {
         &self.opinion
     }
 
-    /// The phase in which the instance was started at this node.
-    pub fn started_phase(&self) -> u64 {
-        self.started_phase
-    }
-
     /// The decision: `None` = undecided, `Some(None)` = decided `⊥` (no output pair),
     /// `Some(Some(x))` = decided `x`.
     pub fn decision(&self) -> Option<&Option<V>> {
         self.decided.as_ref()
-    }
-
-    /// The phase in which the node decided, if it has.
-    pub fn decided_phase(&self) -> Option<u64> {
-        self.decided_phase
     }
 
     /// Whether the instance has decided.
@@ -341,20 +325,12 @@ impl<V: Opinion> EarlyConsensus<V> {
 
     /// Phase step 5: apply the strong-prefer rule, possibly adopting the coordinator's
     /// opinion or deciding (lines 20–27).
-    pub fn step_resolve(
-        &mut self,
-        coordinator_opinion: Option<Option<&V>>,
-        n_v: usize,
-        phase: u64,
-    ) {
+    pub fn step_resolve(&mut self, coordinator_opinion: Option<Option<&V>>, n_v: usize) {
         if self.decided.is_some() {
             return;
         }
         match self.stashed_strong.take() {
-            Some((value, count)) if meets_two_thirds(count, n_v) => {
-                self.decided = Some(value);
-                self.decided_phase = Some(phase);
-            }
+            Some((value, count)) if meets_two_thirds(count, n_v) => self.decided = Some(value),
             Some((_, count)) if meets_one_third(count, n_v) => {}
             // Strong support below `n_v/3` (or none at all): follow the coordinator.
             _ => {
@@ -404,7 +380,7 @@ mod tests {
     #[test]
     fn unanimous_instance_decides_its_value_in_one_phase() {
         let m = members(&[1, 2, 3, 4]);
-        let mut inst = EarlyConsensus::with_input(7, 9u32, 1);
+        let mut inst = EarlyConsensus::with_input(7, 9u32);
         assert_eq!(inst.step_input(1), Some(ParallelMessage::Input(7, 9)));
         // Everyone sent input(9).
         let prefer = inst.step_prefer(
@@ -435,13 +411,11 @@ mod tests {
             &m,
             1,
         );
-        inst.step_resolve(None, 4, 1);
+        inst.step_resolve(None, 4);
         assert_eq!(inst.decision(), Some(&Some(9)));
         assert_eq!(inst.output_pair(), Some((7, 9)));
-        assert_eq!(inst.decided_phase(), Some(1));
         assert!(inst.is_decided());
         assert_eq!(inst.instance(), 7);
-        assert_eq!(inst.started_phase(), 1);
     }
 
     #[test]
@@ -449,7 +423,7 @@ mod tests {
         // The node learned about the instance from a single (Byzantine) input message;
         // no correct node has the pair, so the ⊥ fills dominate and the instance dies.
         let m = members(&[1, 2, 3, 4, 5]);
-        let mut inst: EarlyConsensus<u32> = EarlyConsensus::without_input(3, 1);
+        let mut inst: EarlyConsensus<u32> = EarlyConsensus::without_input(3);
         assert_eq!(inst.step_input(1), None);
         // Only the Byzantine node 5 sent input(42); members 1–4 are filled with ⊥.
         let prefer = inst.step_prefer(&value_votes(&m, &[(5, Some(42))]), &m, 5, 1);
@@ -471,7 +445,7 @@ mod tests {
             &m,
             1,
         );
-        inst.step_resolve(None, 5, 1);
+        inst.step_resolve(None, 5);
         assert_eq!(inst.decision(), Some(&None));
         assert_eq!(
             inst.output_pair(),
@@ -483,7 +457,7 @@ mod tests {
     #[test]
     fn messages_first_heard_in_second_phase_are_discarded() {
         let m = members(&[1, 2, 3, 4]);
-        let mut inst: EarlyConsensus<u32> = EarlyConsensus::without_input(9, 2);
+        let mut inst: EarlyConsensus<u32> = EarlyConsensus::without_input(9);
         // Strong-prefer votes arrive, but this is phase 2 and the kind was never seen
         // in phase 1 → discarded, no decision.
         inst.step_rotor_stash(
@@ -494,14 +468,14 @@ mod tests {
             &m,
             2,
         );
-        inst.step_resolve(None, 4, 2);
+        inst.step_resolve(None, 4);
         assert!(inst.decision().is_none());
     }
 
     #[test]
     fn abstentions_suppress_substitution_for_their_sender() {
         let m = members(&[1, 2, 3, 4, 5, 6]);
-        let mut inst = EarlyConsensus::with_input(1, 7u32, 1);
+        let mut inst = EarlyConsensus::with_input(1, 7u32);
         inst.step_input(1);
         // Nodes 1–3 vote 7, nodes 4–5 abstain explicitly, node 6 is silent.
         // n_v = 6 → two thirds needs 4. Votes: 3 real + 1 substitution (node 6 silent,
@@ -520,7 +494,7 @@ mod tests {
         // silent — that manufactured a unanimous quorum for x at a single straggler
         // and broke agreement (found by the margin-guided search on total-order).
         let m = members(&[1, 2, 3, 4]);
-        let mut inst = EarlyConsensus::with_input(199, 1u32, 1);
+        let mut inst = EarlyConsensus::with_input(199, 1u32);
         inst.step_input(1);
         inst.step_prefer(&value_votes(&m, &[(1, Some(1))]), &m, 4, 1);
         inst.step_strong(&[], &m, 4, 1);
@@ -530,7 +504,7 @@ mod tests {
             .map(|id| (rank(&m, id), InstanceVote::Abstain))
             .collect();
         inst.step_rotor_stash(&abstentions, &m, 1);
-        inst.step_resolve(Some(None), 4, 1);
+        inst.step_resolve(Some(None), 4);
         assert_eq!(inst.opinion(), &None);
         assert!(inst.decision().is_none());
 
@@ -545,7 +519,7 @@ mod tests {
     #[test]
     fn a_sender_counts_once_per_value_but_may_support_two_values() {
         let m = members(&[1, 2, 3, 4, 5, 6]);
-        let mut inst: EarlyConsensus<u32> = EarlyConsensus::without_input(4, 1);
+        let mut inst: EarlyConsensus<u32> = EarlyConsensus::without_input(4);
         // Node 1 votes 7 twice and 8 once; nodes 2–4 vote 7; 5 and 6 abstain (so
         // nothing is substituted for them). 7 has four distinct supporters — the
         // duplicate adds none — which is exactly 2n_v/3 at n_v = 6.
@@ -586,7 +560,7 @@ mod tests {
             (3, Some(5)),
             (3, Some(3)),
         ];
-        let mut inst: EarlyConsensus<u32> = EarlyConsensus::without_input(2, 1);
+        let mut inst: EarlyConsensus<u32> = EarlyConsensus::without_input(2);
         assert_eq!(
             inst.step_prefer(&value_votes(&m, &both), &m, 3, 1),
             ParallelMessage::Prefer(2, Some(3))
@@ -605,14 +579,14 @@ mod tests {
             (3, None),
         ];
         inst.step_rotor_stash(&value_votes(&m, &with_bottom), &m, 1);
-        inst.step_resolve(None, 3, 1);
+        inst.step_resolve(None, 3);
         assert_eq!(inst.decision(), Some(&None), "a three-all tie breaks to ⊥");
     }
 
     #[test]
     fn coordinator_opinion_is_adopted_when_strong_support_is_low() {
         let m = members(&[1, 2, 3, 4, 5, 6]);
-        let mut inst = EarlyConsensus::with_input(2, 1u32, 1);
+        let mut inst = EarlyConsensus::with_input(2, 1u32);
         inst.step_input(1);
         inst.step_prefer(&value_votes(&m, &[(1, Some(1)), (2, Some(0))]), &m, 6, 1);
         inst.step_strong(&value_votes(&m, &[(1, Some(1))]), &m, 6, 1);
@@ -622,7 +596,7 @@ mod tests {
             .map(|id| (rank(&m, id), InstanceVote::Abstain))
             .collect();
         inst.step_rotor_stash(&abstentions, &m, 1);
-        inst.step_resolve(Some(Some(&5)), 6, 1);
+        inst.step_resolve(Some(Some(&5)), 6);
         assert_eq!(inst.opinion(), &Some(5));
         assert!(inst.decision().is_none());
     }

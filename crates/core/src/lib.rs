@@ -90,9 +90,7 @@ pub mod vote;
 
 pub use approx::{ApproxAgreement, IteratedApproxAgreement};
 pub use consensus::{Consensus, ConsensusMessage, Decision};
-pub use dynamic_approx::{
-    run_dynamic_approx, subset_join_value, ChurnPlan, DynamicApproxNode, DynamicApproxReport,
-};
+pub use dynamic_approx::{run_dynamic_approx, subset_join_value, ChurnPlan, DynamicApproxReport};
 pub use early_consensus::{EarlyConsensus, InstanceId, ParallelMessage};
 pub use parallel_consensus::{ParallelConsensus, ParallelDecision};
 pub use reliable_broadcast::{Accepted, RbMessage, ReliableBroadcast};

@@ -168,10 +168,8 @@ impl<V: Opinion> ParallelConsensus<V> {
             // vote (abstentions never introduce a new identifier).
             if !self.instances.contains_key(&instance) {
                 if self.phase == 1 && matches!(vote, InstanceVote::Value(_)) {
-                    self.instances.insert(
-                        instance,
-                        EarlyConsensus::without_input(instance, self.phase),
-                    );
+                    self.instances
+                        .insert(instance, EarlyConsensus::without_input(instance));
                 } else {
                     continue;
                 }
@@ -225,7 +223,7 @@ impl<V: Opinion> ParallelConsensus<V> {
                     for (&instance, value) in &self.inputs {
                         self.instances.insert(
                             instance,
-                            EarlyConsensus::with_input(instance, value.clone(), phase),
+                            EarlyConsensus::with_input(instance, value.clone()),
                         );
                     }
                 }
@@ -282,7 +280,7 @@ impl<V: Opinion> ParallelConsensus<V> {
             }
             PhaseStep::Resolve => {
                 for (instance, state) in self.instances.iter_mut() {
-                    state.step_resolve(opinions.get(instance).copied(), n_v, phase);
+                    state.step_resolve(opinions.get(instance).copied(), n_v);
                 }
                 // The instance set is final after the first phase's rotor round,
                 // so the node may terminate at any resolve step at which every
@@ -565,7 +563,7 @@ mod tests {
         instance: InstanceId,
         support: usize,
     ) -> EarlyConsensus<u64> {
-        let mut state = EarlyConsensus::with_input(instance, 10, 1);
+        let mut state = EarlyConsensus::with_input(instance, 10);
         let votes: Vec<(Rank, InstanceVote<'_, u64>)> = node
             .senders
             .ranks()
@@ -637,7 +635,7 @@ mod tests {
         };
         assert!(!with(stashed(node, 3, 4)));
         assert!(with(stashed(node, 3, 2)), "plurality below 2n_v/3");
-        assert!(with(EarlyConsensus::without_input(3, 1)), "nothing stashed");
+        assert!(with(EarlyConsensus::without_input(3)), "nothing stashed");
 
         // A node whose first step comes after round 3 never freezes its roster,
         // so its inbox can still grow n_v: it reads, although every instance it

@@ -61,7 +61,7 @@ pub use uba_simnet::wal::{RestartPolicy, RestartRecord, WalConfig, WalFault};
 
 use crate::adversaries::{AnnounceToSubset, EquivocatingSource, GhostPairInjector, SplitVote};
 use crate::approx::{ApproxAgreement, IteratedApproxAgreement};
-use crate::consensus::{CommonTally, Consensus, ConsensusMessage};
+use crate::consensus::{CommonTally, Consensus, ConsensusMessage, PhaseStep};
 use crate::parallel_consensus::ParallelConsensus;
 use crate::reliable_broadcast::{RbMessage, ReliableBroadcast};
 use crate::rotor::{RotorCoordinator, RotorMessage};
@@ -236,11 +236,11 @@ impl PayloadVocab<ConsensusMessage<u64>> for ConsensusFactory {
                 .take(2)
                 .map(|&b| ConsensusMessage::Echo(b))
                 .collect(),
-            r => match (r - 3) % 5 {
-                0 => vec![ConsensusMessage::Input(low)],
-                1 => vec![ConsensusMessage::Prefer(low)],
-                2 => vec![ConsensusMessage::StrongPrefer(low)],
-                3 => vec![ConsensusMessage::Opinion(low)],
+            r => match PhaseStep::from_round(r) {
+                Some(PhaseStep::Input) => vec![ConsensusMessage::Input(low)],
+                Some(PhaseStep::Prefer) => vec![ConsensusMessage::Prefer(low)],
+                Some(PhaseStep::StrongPrefer) => vec![ConsensusMessage::StrongPrefer(low)],
+                Some(PhaseStep::Rotor) => vec![ConsensusMessage::Opinion(low)],
                 _ => Vec::new(),
             },
         }
@@ -258,17 +258,19 @@ impl PayloadVocab<ConsensusMessage<u64>> for ConsensusFactory {
                 .take(2)
                 .map(|&b| ConsensusMessage::Echo(b))
                 .collect(),
-            r => match (r - 3) % 5 {
-                0 => vec![ConsensusMessage::Input(low), ConsensusMessage::Input(high)],
-                1 => vec![
+            r => match PhaseStep::from_round(r) {
+                Some(PhaseStep::Input) => {
+                    vec![ConsensusMessage::Input(low), ConsensusMessage::Input(high)]
+                }
+                Some(PhaseStep::Prefer) => vec![
                     ConsensusMessage::Prefer(low),
                     ConsensusMessage::Prefer(high),
                 ],
-                2 => vec![
+                Some(PhaseStep::StrongPrefer) => vec![
                     ConsensusMessage::StrongPrefer(low),
                     ConsensusMessage::StrongPrefer(high),
                 ],
-                3 => vec![
+                Some(PhaseStep::Rotor) => vec![
                     ConsensusMessage::Opinion(low),
                     ConsensusMessage::Opinion(high),
                 ],
@@ -959,8 +961,8 @@ impl ProtocolFactory for ParallelConsensusFactory {
 }
 
 /// The parallel-consensus vocabulary, following the five-round phase schedule
-/// the instances evaluate (inputs at `(r − 3) % 5 == 0`, prefers next, strong
-/// prefers after — the same cadence the consensus split-vote attack tracks, in
+/// the instances evaluate (`PhaseStep::from_round`: inputs first, prefers next,
+/// strong prefers after — the same cadence the consensus split-vote attack tracks, in
 /// *every* phase, not just the first). The boundary class equivocates between a
 /// partial pair's value and `⊥` on the same instance — the sharpest pressure on
 /// Theorem 5's "a partially submitted pair is output *consistently*" clause —
@@ -977,14 +979,16 @@ impl PayloadVocab<crate::early_consensus::ParallelMessage<u64>> for ParallelCons
                 .take(1)
                 .map(|&b| Pm::Echo(b))
                 .collect(),
-            r => match (r - 3) % 5 {
-                0 => self.pairs.iter().map(|&(id, v)| Pm::Input(id, v)).collect(),
-                1 => self
+            r => match PhaseStep::from_round(r) {
+                Some(PhaseStep::Input) => {
+                    self.pairs.iter().map(|&(id, v)| Pm::Input(id, v)).collect()
+                }
+                Some(PhaseStep::Prefer) => self
                     .pairs
                     .iter()
                     .map(|&(id, v)| Pm::Prefer(id, Some(v)))
                     .collect(),
-                2 => self
+                Some(PhaseStep::StrongPrefer) => self
                     .pairs
                     .iter()
                     .map(|&(id, v)| Pm::StrongPrefer(id, Some(v)))
@@ -1017,22 +1021,24 @@ impl PayloadVocab<crate::early_consensus::ParallelMessage<u64>> for ParallelCons
             return match scene.round {
                 1 => vec![Pm::Init],
                 2 => Vec::new(),
-                r => match (r - 3) % 5 {
+                r => match PhaseStep::from_round(r) {
                     // `NoPreference` is ignored at the input-counting step, so the
                     // odd half sees the adversary as silent on the instance and
                     // fills ⊥ for it.
-                    0 => vec![Pm::Input(instance, value), Pm::NoPreference(instance)],
-                    1 => vec![
+                    Some(PhaseStep::Input) => {
+                        vec![Pm::Input(instance, value), Pm::NoPreference(instance)]
+                    }
+                    Some(PhaseStep::Prefer) => vec![
                         Pm::Prefer(instance, Some(value)),
                         Pm::Prefer(instance, None),
                     ],
-                    2 => vec![
+                    Some(PhaseStep::StrongPrefer) => vec![
                         Pm::StrongPrefer(instance, Some(value)),
                         Pm::StrongPrefer(instance, None),
                     ],
                     // If the rotor happens to select a Byzantine coordinator, its
                     // opinion equivocates along the same partition.
-                    3 => vec![
+                    Some(PhaseStep::Rotor) => vec![
                         Pm::Opinion(instance, Some(value)),
                         Pm::Opinion(instance, None),
                     ],
@@ -1050,13 +1056,15 @@ impl PayloadVocab<crate::early_consensus::ParallelMessage<u64>> for ParallelCons
         match scene.round {
             1 => vec![Pm::Init],
             2 => Vec::new(),
-            r => match (r - 3) % 5 {
-                0 => vec![Pm::Input(GHOST_INSTANCE, 0), Pm::Input(GHOST_INSTANCE, 1)],
-                1 => vec![
+            r => match PhaseStep::from_round(r) {
+                Some(PhaseStep::Input) => {
+                    vec![Pm::Input(GHOST_INSTANCE, 0), Pm::Input(GHOST_INSTANCE, 1)]
+                }
+                Some(PhaseStep::Prefer) => vec![
                     Pm::Prefer(GHOST_INSTANCE, Some(0)),
                     Pm::Prefer(GHOST_INSTANCE, Some(1)),
                 ],
-                2 => vec![
+                Some(PhaseStep::StrongPrefer) => vec![
                     Pm::StrongPrefer(GHOST_INSTANCE, Some(0)),
                     Pm::StrongPrefer(GHOST_INSTANCE, Some(1)),
                 ],

@@ -188,48 +188,9 @@ impl ChurnSchedule {
     /// known-`f` protocol must be told, since a promise that covers only the
     /// initial adversaries is broken the moment a Byzantine identity joins.
     pub fn peak_byzantine(&self, initial: usize) -> usize {
-        let mut byz = initial as i64;
-        let mut peak = byz;
-        // Identity tracking for crash/restart: a Byzantine identity known from
-        // a `JoinByzantine` event that crashes leaves the system until its
-        // restart — the restart must restore it, not double-count it. Crashes
-        // of identifiers never seen joining as Byzantine are treated as
-        // correct-node crashes and do not move the count.
-        let mut known_byz: Vec<NodeId> = Vec::new();
-        let mut crashed_byz: Vec<NodeId> = Vec::new();
-        for round in 1..=self.horizon() {
-            for event in self.events_before_round(round) {
-                match event {
-                    ChurnEvent::JoinByzantine(id) => {
-                        byz += 1;
-                        if !known_byz.contains(&id) {
-                            known_byz.push(id);
-                        }
-                    }
-                    ChurnEvent::LeaveByzantine(id) => {
-                        byz -= 1;
-                        known_byz.retain(|&b| b != id);
-                    }
-                    ChurnEvent::Crash(id) => {
-                        if known_byz.contains(&id) {
-                            byz -= 1;
-                            known_byz.retain(|&b| b != id);
-                            crashed_byz.push(id);
-                        }
-                    }
-                    ChurnEvent::Restart { id, .. } => {
-                        if crashed_byz.contains(&id) {
-                            byz += 1;
-                            crashed_byz.retain(|&b| b != id);
-                            known_byz.push(id);
-                        }
-                    }
-                    ChurnEvent::JoinCorrect(_) | ChurnEvent::LeaveCorrect(_) => {}
-                }
-                peak = peak.max(byz);
-            }
-        }
-        peak.max(0) as usize
+        let mut population = Population::new(0, initial);
+        self.walk(&mut population, |_| false);
+        population.peak_byzantine.max(0) as usize
     }
 
     /// Checks that, assuming `initial_correct` correct and `initial_byzantine`
@@ -243,53 +204,84 @@ impl ChurnSchedule {
         initial_correct: usize,
         initial_byzantine: usize,
     ) -> Option<u64> {
-        let mut correct = initial_correct as i64;
-        let mut byz = initial_byzantine as i64;
-        // Same identity tracking as `peak_byzantine`: a crash removes the node
-        // from whichever population it belongs to, a restart restores it.
-        let mut known_byz: Vec<NodeId> = Vec::new();
-        let mut crashed_byz: Vec<NodeId> = Vec::new();
-        for round in 1..=self.horizon() {
+        let mut population = Population::new(initial_correct, initial_byzantine);
+        self.walk(&mut population, |p| {
+            p.correct + p.byzantine <= 3 * p.byzantine || p.correct < 0 || p.byzantine < 0
+        })
+    }
+
+    /// Applies the schedule to `population` round by round, through round
+    /// `horizon` or the first round whose starting population satisfies `stop`,
+    /// which is returned.
+    fn walk(&self, population: &mut Population, stop: impl Fn(&Population) -> bool) -> Option<u64> {
+        (1..=self.horizon()).find(|&round| {
             for event in self.events_before_round(round) {
-                match event {
-                    ChurnEvent::JoinCorrect(_) => correct += 1,
-                    ChurnEvent::LeaveCorrect(_) => correct -= 1,
-                    ChurnEvent::JoinByzantine(id) => {
-                        byz += 1;
-                        if !known_byz.contains(&id) {
-                            known_byz.push(id);
-                        }
-                    }
-                    ChurnEvent::LeaveByzantine(id) => {
-                        byz -= 1;
-                        known_byz.retain(|&b| b != id);
-                    }
-                    ChurnEvent::Crash(id) => {
-                        if known_byz.contains(&id) {
-                            byz -= 1;
-                            known_byz.retain(|&b| b != id);
-                            crashed_byz.push(id);
-                        } else {
-                            correct -= 1;
-                        }
-                    }
-                    ChurnEvent::Restart { id, .. } => {
-                        if crashed_byz.contains(&id) {
-                            byz += 1;
-                            crashed_byz.retain(|&b| b != id);
-                            known_byz.push(id);
-                        } else {
-                            correct += 1;
-                        }
-                    }
+                population.apply(event);
+            }
+            stop(population)
+        })
+    }
+}
+
+/// The membership a [`ChurnSchedule`] moves: the correct and Byzantine counts,
+/// plus the identities that tell a Byzantine crash/restart cycle from a correct
+/// one. A Byzantine identity known from a `JoinByzantine` event that crashes
+/// leaves the system until its restart, which restores it rather than counting
+/// a new join; a crash of any other identifier is a correct node's.
+struct Population {
+    correct: i64,
+    byzantine: i64,
+    /// The largest `byzantine` seen after any event.
+    peak_byzantine: i64,
+    known_byzantine: Vec<NodeId>,
+    crashed_byzantine: Vec<NodeId>,
+}
+
+impl Population {
+    fn new(correct: usize, byzantine: usize) -> Self {
+        Population {
+            correct: correct as i64,
+            byzantine: byzantine as i64,
+            peak_byzantine: byzantine as i64,
+            known_byzantine: Vec::new(),
+            crashed_byzantine: Vec::new(),
+        }
+    }
+
+    fn apply(&mut self, event: ChurnEvent) {
+        match event {
+            ChurnEvent::JoinCorrect(_) => self.correct += 1,
+            ChurnEvent::LeaveCorrect(_) => self.correct -= 1,
+            ChurnEvent::JoinByzantine(id) => {
+                self.byzantine += 1;
+                if !self.known_byzantine.contains(&id) {
+                    self.known_byzantine.push(id);
                 }
             }
-            let n = correct + byz;
-            if n <= 3 * byz || correct < 0 || byz < 0 {
-                return Some(round);
+            ChurnEvent::LeaveByzantine(id) => {
+                self.byzantine -= 1;
+                self.known_byzantine.retain(|&b| b != id);
+            }
+            ChurnEvent::Crash(id) => {
+                if self.known_byzantine.contains(&id) {
+                    self.byzantine -= 1;
+                    self.known_byzantine.retain(|&b| b != id);
+                    self.crashed_byzantine.push(id);
+                } else {
+                    self.correct -= 1;
+                }
+            }
+            ChurnEvent::Restart { id, .. } => {
+                if self.crashed_byzantine.contains(&id) {
+                    self.byzantine += 1;
+                    self.crashed_byzantine.retain(|&b| b != id);
+                    self.known_byzantine.push(id);
+                } else {
+                    self.correct += 1;
+                }
             }
         }
-        None
+        self.peak_byzantine = self.peak_byzantine.max(self.byzantine);
     }
 }
 
@@ -359,6 +351,32 @@ mod tests {
                 .peak_byzantine(1),
             2
         );
+    }
+
+    #[test]
+    fn resiliency_follows_a_byzantine_crash_restart_cycle() {
+        // 5 correct, 1 Byzantine; id 9 joins as Byzantine before round 2
+        // (n = 7, f = 2), crashes before round 3 and restarts before round 5.
+        // The crash removes a Byzantine identity, not a correct node: counted
+        // as a correct crash it would leave 4 correct against 2 Byzantine
+        // (6 ≤ 6) and violate at round 3.
+        let id9 = NodeId::new(9);
+        let schedule = ChurnSchedule::empty()
+            .with(2, ChurnEvent::JoinByzantine(id9))
+            .with(3, ChurnEvent::Crash(id9))
+            .with(
+                5,
+                ChurnEvent::Restart {
+                    id: id9,
+                    policy: RestartPolicy::Clean,
+                },
+            );
+        assert_eq!(schedule.first_resiliency_violation(5, 1), None);
+        // The restart brings the Byzantine identity back (n = 7, f = 2), so one
+        // correct crash afterwards violates (6 ≤ 6); had the restart been
+        // counted as a correct node's, the crash would leave 5 against 1.
+        let schedule = schedule.with(6, ChurnEvent::Crash(NodeId::new(1)));
+        assert_eq!(schedule.first_resiliency_violation(5, 1), Some(6));
     }
 
     #[test]

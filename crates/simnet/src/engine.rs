@@ -102,18 +102,20 @@ pub struct EngineConfig {
     /// protects experiments against livelock caused by a bug or by a too-strong
     /// adversary.
     pub max_rounds: u64,
-    /// Whether to keep a [`TraceLog`] of every delivery (memory-heavy; off by default).
+    /// Whether to keep a [`TraceLog`] of every delivery, up to 2^20 events
+    /// (memory-heavy; off by default).
     pub trace: bool,
-    /// Capacity of the trace log when tracing is enabled.
-    pub trace_capacity: usize,
 }
+
+/// The most delivery events an engine's trace keeps; later ones are counted as
+/// dropped.
+const TRACE_CAPACITY: usize = 1 << 20;
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             max_rounds: 10_000,
             trace: false,
-            trace_capacity: 1 << 20,
         }
     }
 }
@@ -905,7 +907,7 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
     ) -> Self {
         let trace = config
             .trace
-            .then(|| TraceLog::with_capacity(config.trace_capacity));
+            .then(|| TraceLog::with_capacity(TRACE_CAPACITY));
         let correct_index = nodes.iter().map(|n| n.id()).collect();
         let byzantine_index = byzantine_ids.iter().copied().collect();
         let delivery = match timing {
@@ -1428,12 +1430,6 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
     pub fn outputs(&self) -> Vec<(NodeId, Option<N::Output>)> {
         self.nodes.iter().map(|n| (n.id(), n.output())).collect()
     }
-
-    /// Consumes the engine and returns its parts (nodes, adversary, metrics) — used by
-    /// drivers that want to inspect adversary state after a run.
-    pub fn into_parts(self) -> (Vec<N>, A, Metrics) {
-        (self.nodes, self.adversary, self.metrics)
-    }
 }
 
 #[cfg(test)]
@@ -1898,7 +1894,6 @@ mod tests {
         let events = both(|timing| {
             let config = EngineConfig {
                 trace: true,
-                trace_capacity: 1000,
                 ..Default::default()
             };
             let mut engine = Engine::assemble(nodes(3), SilentAdversary, vec![], config, timing);

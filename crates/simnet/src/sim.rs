@@ -715,18 +715,14 @@ impl<F: ProtocolFactory> Harness<F> {
         self.engine.nodes()
     }
 
-    fn stop_satisfied(&self) -> bool {
+    /// Whether the stop condition currently holds (what [`Harness::run`] checks
+    /// before each round) — exposed for drivers that step rounds themselves.
+    pub fn stopped(&self) -> bool {
         match self.stop {
             StopCondition::AllTerminated => self.engine.nodes().iter().all(|n| n.terminated()),
             StopCondition::AllOutput => self.engine.nodes().iter().all(|n| n.output().is_some()),
             StopCondition::FixedRounds(rounds) => self.engine.round() >= rounds,
         }
-    }
-
-    /// Whether the stop condition currently holds (what [`Harness::run`] checks
-    /// before each round) — exposed for drivers that step rounds themselves.
-    pub fn stopped(&self) -> bool {
-        self.stop_satisfied()
     }
 
     /// The number of rounds executed so far.
@@ -747,7 +743,7 @@ impl<F: ProtocolFactory> Harness<F> {
     /// Assembles a [`RunReport`] of the run *so far* without driving the engine
     /// further (the status is `Completed` only if the stop condition holds).
     pub fn report_now(&self) -> RunReport {
-        let status = if self.stop_satisfied() {
+        let status = if self.stopped() {
             RunStatus::Completed {
                 rounds: self.engine.round(),
             }
@@ -769,25 +765,10 @@ impl<F: ProtocolFactory> Harness<F> {
     /// error; errors are reserved for model violations (forged senders,
     /// inapplicable churn events).
     pub fn run(&mut self) -> Result<RunReport, SimError> {
-        let status = loop {
-            if self.stop_satisfied() {
-                break RunStatus::Completed {
-                    rounds: self.engine.round(),
-                };
-            }
-            if self.engine.round() >= self.ctx.spec.max_rounds {
-                break RunStatus::MaxRoundsExceeded {
-                    limit: self.ctx.spec.max_rounds,
-                };
-            }
-            self.factory
-                .before_round(self.engine.round() + 1, self.engine.nodes_mut());
-            self.engine.run_round()?;
-        };
-        let mut report = self.base_report(status);
-        self.factory
-            .record(&self.ctx, self.engine.nodes(), &mut report);
-        Ok(report)
+        while !self.stopped() && self.engine.round() < self.ctx.spec.max_rounds {
+            self.step_round()?;
+        }
+        Ok(self.report_now())
     }
 
     /// Assembles the protocol-agnostic report skeleton from *borrowed* context.

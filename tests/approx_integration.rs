@@ -173,6 +173,41 @@ fn dynamic_network_without_churn_matches_the_static_iterated_protocol() {
     check_convergence(&report.spread_per_round[1..]).assert_passed("churn-free dynamic run");
 }
 
+/// Exact spreads and final values of one dynamic run with a join, a Byzantine
+/// join, two leaves, a rejoin and a second join. The values are a recording, not
+/// a derivation: a change to the per-round rule, to the per-sender dedup or to
+/// how the driver applies churn and hands joiners their values moves them.
+#[test]
+fn dynamic_run_reproduces_its_recorded_spreads_and_values() {
+    let ids = IdSpace::default().generate(10, 31);
+    let inputs = [3.5, 17.25, 4.0, 61.0, 29.75, 8.5, 44.0, 12.125, 90.0, 0.5];
+    let initial: Vec<(NodeId, Real)> = ids
+        .iter()
+        .zip(inputs)
+        .map(|(&id, x)| (id, Real::from_f64(x)))
+        .collect();
+    let joiner = NodeId::new(90_001);
+    let plan = ChurnPlan::none()
+        .join(2, joiner, Real::from_f64(100.0))
+        .byzantine_join(3, NodeId::new(90_002))
+        .leave(4, ids[0])
+        .leave(5, joiner)
+        .join(7, joiner, Real::from_f64(-40.0))
+        .join(8, NodeId::new(90_003), Real::from_f64(55.5));
+    let report = run_dynamic_approx(&initial, &plan, 10).expect("dynamic run completes");
+    assert_eq!(
+        report.spread_per_round,
+        [89.5, 80.875, 0.0, 0.0, 0.0, 0.0, 59.125, 36.375, 0.0, 0.0]
+    );
+    let finals: Vec<(u64, f64)> = report
+        .final_values
+        .iter()
+        .map(|&(id, value)| (id.raw(), value))
+        .collect();
+    let survivors = [117, 201, 250, 332, 341, 415, 442, 459, 463, 90_001, 90_003];
+    assert_eq!(finals, survivors.map(|id| (id, 19.125)));
+}
+
 #[test]
 fn subset_join_brings_a_newcomer_into_the_cluster() {
     // Section XII: nodes already agree around 42; a newcomer with a wild value runs

@@ -96,7 +96,6 @@ where
 {
     let config = EngineConfig {
         trace: true,
-        trace_capacity: 1 << 20,
         ..Default::default()
     };
     [

@@ -59,7 +59,6 @@ fn broadcast_round_at_n_128_allocates_per_broadcast_not_per_recipient() {
         .collect();
     let config = EngineConfig {
         trace: true,
-        trace_capacity: 1 << 20,
         ..Default::default()
     };
     let mut engine = SyncEngine::with_config(nodes, SilentAdversary, vec![], config);
