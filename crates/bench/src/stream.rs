@@ -20,12 +20,12 @@
 //!   check; per-request latency is the distance from arrival to the round the
 //!   batch entered the finalised chain.
 //!
-//! **Conservative extension:** a single-instance, batch-size-≤1 configuration
-//! takes the *single-shot path* — the consensus runner builds a plain
-//! [`ConsensusFactory`] (no mux, no tagging) and the total-order runner always
-//! uses the plain [`TotalOrderFactory`] — so the degenerate stream run is
-//! byte-identical to the existing single-shot `RunReport`
-//! (`tests/stream_equivalence.rs` pins this).
+//! **Conservative extension:** the consensus runner always multiplexes through
+//! [`consensus_stream`]'s mux nodes, and a one-instance stream decides in the
+//! same round with the same message and delivery counts as single-shot
+//! consensus; the total-order runner always uses the plain
+//! [`TotalOrderFactory`], so its degenerate run is byte-identical to the
+//! single-shot `RunReport` (`tests/stream_equivalence.rs` pins both).
 //!
 //! Determinism contract (same policy as `scaling`/`soak`): request counts,
 //! message counts, decisions and latency percentiles *in rounds* are exact
@@ -46,11 +46,11 @@ use serde::{Deserialize, Serialize};
 
 use uba_checker::attach_verdicts;
 use uba_core::sim::{
-    consensus_stream, ConsensusFactory, Harness, RunReport, Simulation, TotalOrderFactory,
-    TotalOrderPlan,
+    consensus_stream, Harness, RunReport, Simulation, TotalOrderFactory, TotalOrderPlan,
 };
 use uba_simnet::rng::derive_seed;
 use uba_simnet::shared::payload_digest;
+use uba_simnet::stats::quantile_sorted;
 use uba_simnet::{EngineKind, Histogram, MuxWork};
 
 use crate::artifact;
@@ -190,45 +190,27 @@ pub fn run_consensus_stream(config: &StreamConfig, engine: Option<EngineKind>) -
         let window = ((request.arrival_round - 1) / config.spacing) as usize;
         batches[window.min(config.instances - 1)].push(request.key);
     }
-    let degenerate = config.instances == 1 && requests.len() <= 1;
-    let last_start = if degenerate {
-        1
-    } else {
-        config.instances as u64 * config.spacing + 1
-    };
-    let scenario = |max_rounds: u64| {
-        let mut builder = Simulation::scenario()
-            .correct(config.nodes)
-            .byzantine(0)
-            .seed(config.seed)
-            .max_rounds(max_rounds);
-        if let Some(kind) = engine.clone() {
-            builder = builder.engine(kind);
-        }
-        builder
-    };
+    let mut builder = Simulation::scenario()
+        .correct(config.nodes)
+        .byzantine(0)
+        .seed(config.seed)
+        .max_rounds(config.instances as u64 * config.spacing + 1 + CONSENSUS_TAIL);
+    if let Some(kind) = engine {
+        builder = builder.engine(kind);
+    }
+    // Each instance starts the round after its batching window closes.
+    let driver = consensus_stream(
+        config.nodes,
+        batches.iter().enumerate().map(|(k, batch)| {
+            (
+                (k as u64 + 1) * config.spacing + 1,
+                batch.len(),
+                batch_value(batch),
+            )
+        }),
+    );
     let started = Instant::now();
-    let mut report = if degenerate {
-        // The single-shot path, untouched: this is the conservative-extension
-        // guarantee the stream_equivalence pin holds us to.
-        let factory = ConsensusFactory::new(vec![batch_value(&batches[0]); config.nodes]);
-        let mut harness = scenario(last_start + CONSENSUS_TAIL).build(factory);
-        harness.run().expect("consensus stream run")
-    } else {
-        // Each instance starts the round after its batching window closes.
-        let driver = consensus_stream(
-            config.nodes,
-            batches.iter().enumerate().map(|(k, batch)| {
-                (
-                    (k as u64 + 1) * config.spacing + 1,
-                    batch.len(),
-                    batch_value(batch),
-                )
-            }),
-        );
-        let mut harness = scenario(last_start + CONSENSUS_TAIL).build(driver);
-        harness.run().expect("consensus stream run")
-    };
+    let mut report = builder.build(driver).run().expect("consensus stream run");
     let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
     attach_verdicts(&mut report);
 
@@ -237,40 +219,27 @@ pub fn run_consensus_stream(config: &StreamConfig, engine: Option<EngineKind>) -
     let mut decided_requests = 0u64;
     let mut decisions = 0u64;
     let mut latencies = Vec::new();
-    if let Some(stream) = &report.stream {
-        for instance in &stream.instances {
-            if !instance.decided {
-                continue;
-            }
-            let commit = instance
-                .decide_rounds
-                .iter()
-                .filter_map(|(_, round)| *round)
-                .max()
-                .unwrap_or(instance.start_round);
-            decisions += 1;
-            let batch = &batches[instance.instance as usize];
-            decided_requests += batch.len() as u64;
-            for request in &requests {
-                let window = (request.arrival_round - 1) / config.spacing;
-                if window == instance.instance {
-                    latencies.push((commit - request.arrival_round) as f64);
-                }
-            }
+    let stream = report
+        .stream
+        .as_ref()
+        .expect("the mux reports a stream section");
+    for instance in &stream.instances {
+        if !instance.decided {
+            continue;
         }
-    } else if let Some(consensus) = &report.consensus {
-        // Degenerate single-shot path: one instance, decided iff all nodes did.
-        if !consensus.decisions.is_empty() && consensus.decisions.len() == config.nodes {
-            decisions = 1;
-            decided_requests = requests.len() as u64;
-            let commit = consensus
-                .decisions
-                .iter()
-                .map(|decision| decision.round)
-                .max()
-                .unwrap_or(1);
-            for request in &requests {
-                latencies.push(commit.saturating_sub(request.arrival_round) as f64);
+        let commit = instance
+            .decide_rounds
+            .iter()
+            .filter_map(|(_, round)| *round)
+            .max()
+            .unwrap_or(instance.start_round);
+        decisions += 1;
+        let batch = &batches[instance.instance as usize];
+        decided_requests += batch.len() as u64;
+        for request in &requests {
+            let window = (request.arrival_round - 1) / config.spacing;
+            if window == instance.instance {
+                latencies.push((commit - request.arrival_round) as f64);
             }
         }
     }
@@ -340,20 +309,6 @@ pub fn run_total_order_stream(config: &StreamConfig, engine: Option<EngineKind>)
         latencies_rounds: latencies,
         wall_ms,
     }
-}
-
-/// Nearest-rank percentile with linear interpolation (0.0 for an empty sample).
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let rank = (p / 100.0) * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let fraction = rank - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * fraction
 }
 
 fn batch_histogram(sizes: &[usize]) -> Vec<(f64, f64, u64)> {
@@ -594,6 +549,8 @@ fn outcome_row(
     instances: u64,
 ) -> StreamRow {
     let wall_secs = (outcome.wall_ms / 1_000.0).max(1e-9);
+    let mut latencies = outcome.latencies_rounds.clone();
+    latencies.sort_by(f64::total_cmp);
     StreamRow {
         preset: preset.to_string(),
         family: family.to_string(),
@@ -607,9 +564,9 @@ fn outcome_row(
         msgs: outcome.report.messages.correct,
         deliveries: outcome.report.messages.deliveries,
         batch_hist: batch_histogram(&outcome.batch_sizes),
-        lat_p50_rounds: percentile(&outcome.latencies_rounds, 50.0),
-        lat_p95_rounds: percentile(&outcome.latencies_rounds, 95.0),
-        lat_p99_rounds: percentile(&outcome.latencies_rounds, 99.0),
+        lat_p50_rounds: quantile_sorted(&latencies, 0.50),
+        lat_p95_rounds: quantile_sorted(&latencies, 0.95),
+        lat_p99_rounds: quantile_sorted(&latencies, 0.99),
         decisions_per_sec: outcome.decisions as f64 / wall_secs,
         msgs_per_sec: outcome.report.messages.correct as f64 / wall_secs,
         wall_ms: outcome.wall_ms,
@@ -868,13 +825,5 @@ mod tests {
         let violations = window_sweep_slope(&[flat(8, 800), flat(16, 3_200)]);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("window 2"));
-    }
-
-    #[test]
-    fn percentiles_interpolate() {
-        let samples = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&samples, 50.0), 2.5);
-        assert_eq!(percentile(&samples, 100.0), 4.0);
-        assert_eq!(percentile(&[], 99.0), 0.0);
     }
 }

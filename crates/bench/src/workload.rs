@@ -8,10 +8,8 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use uba_core::dynamic_approx::ChurnPlan;
-use uba_core::Real;
 use uba_simnet::rng::{derive_seed, seeded_rng};
-use uba_simnet::{IdSpace, NodeId};
+use uba_simnet::{ChurnEvent, ChurnSchedule, IdSpace, NodeId};
 
 /// Binary consensus inputs: `n` opinions of which a `ones_fraction` share are 1, the
 /// rest 0, in a seed-determined order.
@@ -55,10 +53,13 @@ pub fn clustered_with_outliers(
     values
 }
 
-/// A join/leave schedule for the dynamic approximate-agreement driver: every
-/// `period` rounds one node joins with a value drawn from `[lo, hi]` and (when the
-/// correct population allows it) one of the original nodes leaves, keeping the system
-/// size roughly constant.
+/// A join/leave schedule for dynamic approximate agreement: every `period` rounds
+/// one node joins with a value drawn from `[lo, hi]` and (when the correct
+/// population allows it) one of the original nodes leaves, keeping the system size
+/// roughly constant. Returns the schedule and the joiners' starting values in join
+/// order (what [`IteratedApproxFactory::joiners`] takes).
+///
+/// [`IteratedApproxFactory::joiners`]: uba_core::sim::IteratedApproxFactory::joiners
 pub fn rolling_churn_plan(
     initial_ids: &[NodeId],
     rounds: u64,
@@ -66,28 +67,28 @@ pub fn rolling_churn_plan(
     lo: f64,
     hi: f64,
     seed: u64,
-) -> ChurnPlan {
+) -> (ChurnSchedule, Vec<(NodeId, f64)>) {
     assert!(period > 0, "churn period must be positive");
     let mut rng = seeded_rng(derive_seed(seed, 0xD1));
-    let mut plan = ChurnPlan::none();
+    let mut schedule = ChurnSchedule::empty();
+    let mut joiners = Vec::new();
     let mut leavers: Vec<NodeId> = initial_ids.to_vec();
     leavers.shuffle(&mut rng);
     let mut next_fresh_id = initial_ids.iter().map(|id| id.raw()).max().unwrap_or(0) + 1_000;
-    let mut joined = 0usize;
     for round in (period..=rounds).step_by(period as usize) {
-        let value = Real::from_f64(rng.gen_range(lo..=hi));
-        plan = plan.join(round, NodeId::new(next_fresh_id), value);
+        let joiner = NodeId::new(next_fresh_id);
+        schedule.push(round, ChurnEvent::JoinCorrect(joiner));
+        joiners.push((joiner, rng.gen_range(lo..=hi)));
         next_fresh_id += 17;
-        joined += 1;
         // Only let an original node leave once a replacement has already joined, so
         // the correct population never dips below its starting size.
-        if joined > 1 {
+        if joiners.len() > 1 {
             if let Some(leaver) = leavers.pop() {
-                plan = plan.leave(round, leaver);
+                schedule.push(round, ChurnEvent::LeaveCorrect(leaver));
             }
         }
     }
-    plan
+    (schedule, joiners)
 }
 
 /// Sparse identifiers plus per-node event payloads for the total-ordering workload:
@@ -206,18 +207,34 @@ mod tests {
     #[test]
     fn rolling_churn_plan_alternates_joins_and_leaves() {
         let ids = IdSpace::default().generate(6, 3);
-        let plan = rolling_churn_plan(&ids, 20, 5, 0.0, 10.0, 7);
+        let (schedule, joiners) = rolling_churn_plan(&ids, 20, 5, 0.0, 10.0, 7);
+        let rounds_of = |wanted: fn(&ChurnEvent) -> bool| -> Vec<u64> {
+            schedule
+                .events()
+                .iter()
+                .filter(|(_, event)| wanted(event))
+                .map(|&(round, _)| round)
+                .collect()
+        };
+        let joins = rounds_of(|event| matches!(event, ChurnEvent::JoinCorrect(_)));
         assert_eq!(
-            plan.joins().len(),
-            4,
+            joins,
+            [5, 10, 15, 20],
             "one join every 5 rounds for 20 rounds"
         );
-        assert_eq!(plan.leaves().len(), 3, "leaves lag joins by one period");
-        assert!(plan.joins().iter().all(|(round, _, _)| *round % 5 == 0));
+        assert_eq!(joiners.len(), 4, "one starting value per join");
+        let leaves = rounds_of(|event| matches!(event, ChurnEvent::LeaveCorrect(_)));
+        assert_eq!(leaves, [10, 15, 20], "leaves lag joins by one period");
         // Fresh identifiers never collide with the initial ones.
-        assert!(plan.joins().iter().all(|(_, id, _)| !ids.contains(id)));
+        assert!(joiners.iter().all(|(id, _)| !ids.contains(id)));
+        assert!(joiners
+            .iter()
+            .all(|&(_, value)| (0.0..=10.0).contains(&value)));
         // Deterministic in the seed.
-        assert_eq!(plan, rolling_churn_plan(&ids, 20, 5, 0.0, 10.0, 7));
+        assert_eq!(
+            (schedule, joiners),
+            rolling_churn_plan(&ids, 20, 5, 0.0, 10.0, 7)
+        );
     }
 
     #[test]

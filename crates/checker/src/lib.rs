@@ -58,6 +58,6 @@ pub mod trace;
 pub use margin::margin_section;
 pub use recovery::check_recovery;
 pub use report::{CheckReport, Violation};
-pub use run_report::{attach_verdicts, check_run_report, report_verdicts};
+pub use run_report::{attach_verdicts, check_run_report};
 pub use stream::check_stream;
 pub use trace::{attribute_trace, check_zero_copy, TraceAttribution};

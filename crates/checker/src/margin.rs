@@ -1,6 +1,6 @@
 //! Quantitative distance-to-violation margins for every oracle family.
 //!
-//! Verdicts ([`crate::run_report::report_verdicts`]) are pass/fail; they say
+//! Verdicts ([`crate::run_report::attach_verdicts`]) are pass/fail; they say
 //! nothing about *how close* a run came to violating a theorem. This module
 //! pairs every applicable oracle with a [`OracleMargin`]: a non-negative
 //! integer that is `0` exactly when the paired verdict fails and grows with

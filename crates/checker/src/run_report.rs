@@ -34,23 +34,6 @@ pub fn check_run_report(report: &RunReport) -> CheckReport {
     merged
 }
 
-/// Runs every applicable oracle and renders one [`OracleVerdict`] per section.
-pub fn report_verdicts(report: &RunReport) -> Vec<OracleVerdict> {
-    section_reports(report)
-        .into_iter()
-        .map(|(oracle, section_report)| OracleVerdict {
-            oracle: oracle.to_string(),
-            passed: section_report.passed(),
-            checks: section_report.checks,
-            violations: section_report
-                .violations
-                .iter()
-                .map(|v| v.to_string())
-                .collect(),
-        })
-        .collect()
-}
-
 /// Runs every applicable oracle and stores both the verdicts and the paired
 /// distance-to-violation margins (see [`crate::margin`]) in the report itself.
 pub fn attach_verdicts(report: &mut RunReport) {

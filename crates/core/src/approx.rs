@@ -15,12 +15,18 @@
 //!
 //! [`ApproxAgreement`] is the single-shot protocol; [`IteratedApproxAgreement`] runs
 //! the same step repeatedly (each iteration halves the correct range again), which is
-//! what the convergence experiment E6 and the sensor-fusion example use. The paper
-//! notes (Section XI) that the same algorithm keeps working in dynamic networks, so
-//! the dynamic driver ([`crate::dynamic_approx::run_dynamic_approx`], experiment
-//! E11) runs this node unchanged, with no iteration bound, while nodes join and
-//! leave around it; [`IteratedApproxAgreement::inject_value`] models a node whose
-//! own value changes between iterations.
+//! what the convergence experiment E6 and the sensor-fusion example use.
+//!
+//! The paper notes (Section XI) that the same algorithm keeps its two guarantees
+//! *per round* while participants join and leave, subject to `n > 3f` in every
+//! round. So the dynamic setting needs no node of its own: experiment E11 runs
+//! [`IteratedApproxAgreement`] unchanged, with no iteration bound, through the
+//! ordinary scenario harness under a churn schedule
+//! ([`IteratedApproxFactory::joiners`](crate::sim::IteratedApproxFactory::joiners)
+//! hands each correct joiner its starting value) and records the spread after
+//! every round. [`IteratedApproxAgreement::inject_value`] models a node whose own
+//! value changes between iterations, and [`subset_join_value`] is the Section XII
+//! observation that a joiner can run one step against a subset of the members.
 
 use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, RoundContext};
 
@@ -45,6 +51,19 @@ pub fn trimmed_midpoint(mut values: Vec<Real>) -> Option<Real> {
     let min = *kept.first()?;
     let max = *kept.last()?;
     Some(min.midpoint(max))
+}
+
+/// The Section XII observation: a node joining a system whose members are already in
+/// (approximate) agreement can run a single Algorithm 4 step against only a subset of
+/// the members. The returned value is the trimmed midpoint of the subset's values
+/// together with the joiner's own input — by Lemma 12 it lies within the range spanned
+/// by those values, so the joiner lands inside the correct range without ever talking
+/// to the whole network.
+pub fn subset_join_value(joiner_input: Real, subset_values: &[Real]) -> Real {
+    let mut values = Vec::with_capacity(subset_values.len() + 1);
+    values.push(joiner_input);
+    values.extend_from_slice(subset_values);
+    trimmed_midpoint(values).unwrap_or(joiner_input)
 }
 
 /// A node running the single-shot Algorithm 4.
@@ -229,6 +248,25 @@ mod tests {
             trimmed_midpoint(vec![real(0.0), real(1.0)]),
             Some(real(0.5))
         );
+    }
+
+    #[test]
+    fn subset_join_lands_within_the_subset_range() {
+        let subset: Vec<Real> = [10.0, 11.0, 12.0, 13.0, 14.0]
+            .iter()
+            .map(|&x| real(x))
+            .collect();
+        let joined = subset_join_value(real(1_000.0), &subset);
+        assert!(joined >= real(10.0) && joined <= real(1_000.0));
+        // With five subset values + the joiner, the trim removes two from each end, so
+        // the outlier input itself is discarded and the result is inside the subset.
+        assert!(
+            joined <= real(14.0),
+            "joiner outlier must be trimmed away: {joined}"
+        );
+        // Degenerate subset: falls back to the joiner's own value only when trimming
+        // would consume everything (empty subset).
+        assert_eq!(subset_join_value(real(3.0), &[]), real(3.0));
     }
 
     #[test]

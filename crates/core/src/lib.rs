@@ -21,7 +21,7 @@
 //! | Algorithm 2 (§VI) | [`rotor`] | Rotor-coordinator (leader rotation) | [`sim::RotorFactory`] |
 //! | Algorithm 3 (§VII) | [`consensus`] | Consensus in `O(f)` rounds | [`sim::ConsensusFactory`] |
 //! | Algorithm 4 (§VIII) | [`approx`] | Approximate agreement | [`sim::ApproxFactory`], [`sim::IteratedApproxFactory`] |
-//! | §XI, §XII | [`dynamic_approx`] | Approximate agreement under churn, subset join | — |
+//! | §XI, §XII | [`approx`] | Approximate agreement under churn, subset join | [`sim::IteratedApproxFactory`] + a churn schedule |
 //! | Algorithm 5 (§X) | [`early_consensus`], [`parallel_consensus`] | Parallel consensus | [`sim::ParallelConsensusFactory`] |
 //! | Algorithm 6 (§XI) | [`total_order`] | Total ordering in dynamic networks | [`sim::TotalOrderFactory`] |
 //! | Lemmas 14–15 (§IX) | [`impossibility`] | Impossibility constructions | — (delay engine) |
@@ -75,7 +75,6 @@
 pub mod adversaries;
 pub mod approx;
 pub mod consensus;
-pub mod dynamic_approx;
 pub mod early_consensus;
 pub mod impossibility;
 pub mod membership;
@@ -88,9 +87,8 @@ pub mod total_order;
 pub mod value;
 pub mod vote;
 
-pub use approx::{ApproxAgreement, IteratedApproxAgreement};
+pub use approx::{subset_join_value, ApproxAgreement, IteratedApproxAgreement};
 pub use consensus::{Consensus, ConsensusMessage, Decision};
-pub use dynamic_approx::{run_dynamic_approx, subset_join_value, ChurnPlan, DynamicApproxReport};
 pub use early_consensus::{EarlyConsensus, InstanceId, ParallelMessage};
 pub use parallel_consensus::{ParallelConsensus, ParallelDecision};
 pub use reliable_broadcast::{Accepted, RbMessage, ReliableBroadcast};

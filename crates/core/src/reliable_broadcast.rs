@@ -18,8 +18,8 @@
 //!
 //! The primitive deliberately never terminates (the accepting loop runs forever); the
 //! algorithms that embed it implement their own termination. The driver therefore
-//! uses [`SyncEngine::run_until_all_output`](uba_simnet::SyncEngine) or a fixed round
-//! budget.
+//! stops at [`StopCondition::AllOutput`](uba_simnet::StopCondition) or after a fixed
+//! round budget.
 
 use uba_simnet::{Inbox, NodeId, Outgoing, Protocol, RoundContext};
 

@@ -738,11 +738,14 @@ impl PayloadVocab<Real> for ApproxVocab {
 }
 
 /// Factory for iterated approximate agreement: convergence over a fixed number of
-/// iterations, recorded as a per-iteration spread series.
+/// iterations, recorded as a per-iteration spread series. Under a churn schedule
+/// the same nodes run in a dynamic network (Section XI); [`Self::joiners`] gives
+/// the correct joiners their starting values.
 #[derive(Clone, Debug)]
 pub struct IteratedApproxFactory {
     inputs: Vec<f64>,
     iterations: u64,
+    joiners: Vec<(NodeId, f64)>,
 }
 
 impl IteratedApproxFactory {
@@ -751,7 +754,16 @@ impl IteratedApproxFactory {
         IteratedApproxFactory {
             inputs: inputs.into(),
             iterations,
+            joiners: Vec::new(),
         }
+    }
+
+    /// The starting values of the correct nodes the churn schedule joins, listed
+    /// in join order: each join takes the first value still listed for its id, so
+    /// an id that leaves and rejoins can bring a different value each time.
+    pub fn joiners(mut self, joiners: impl Into<Vec<(NodeId, f64)>>) -> Self {
+        self.joiners = joiners.into();
+        self
     }
 }
 
@@ -801,6 +813,19 @@ impl ProtocolFactory for IteratedApproxFactory {
         Some(Box::new(ApproxVocab {
             inputs: self.inputs.clone(),
         }))
+    }
+
+    fn joiner(&self, _ctx: &BuildContext) -> Box<dyn FnMut(NodeId) -> IteratedApproxAgreement> {
+        let mut pending = self.joiners.clone();
+        let iterations = self.iterations;
+        Box::new(move |id| {
+            let at = pending
+                .iter()
+                .position(|&(joiner, _)| joiner == id)
+                .unwrap_or_else(|| panic!("joiner {id} has no starting value"));
+            let (_, value) = pending.remove(at);
+            IteratedApproxAgreement::new(id, Real::from_f64(value), iterations)
+        })
     }
 
     fn record(

@@ -80,6 +80,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use serde::{Deserialize, Serialize};
+
 use crate::adversary::{Adversary, AdversaryView};
 use crate::dynamic::{ChurnEvent, ChurnSchedule};
 use crate::error::SimError;
@@ -94,74 +96,67 @@ use crate::trace::{TraceEvent, TraceLog};
 use crate::traffic::{RoundTraffic, TrafficItem};
 use crate::wal::{RecoveryManager, RestartPolicy, RestartRecord, WalConfig};
 
-/// Knobs controlling an engine run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Hard cap on the number of rounds executed by the `run_until*` helpers; a run
-    /// that reaches the cap stops with [`RunOutcome::MaxRoundsExceeded`]. This
-    /// protects experiments against livelock caused by a bug or by a too-strong
-    /// adversary.
-    pub max_rounds: u64,
-    /// Whether to keep a [`TraceLog`] of every delivery, up to 2^20 events
-    /// (memory-heavy; off by default).
-    pub trace: bool,
-}
-
 /// The most delivery events an engine's trace keeps; later ones are counted as
 /// dropped.
 const TRACE_CAPACITY: usize = 1 << 20;
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            max_rounds: 10_000,
-            trace: false,
+/// When a run is finished: the one stop rule behind [`Engine::run`] and
+/// [`Harness`](crate::sim::Harness).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum StopCondition {
+    /// Every correct node has terminated.
+    AllTerminated,
+    /// Every correct node has produced an output (it may keep participating).
+    AllOutput,
+    /// Exactly this many rounds have been executed.
+    FixedRounds(u64),
+}
+
+impl StopCondition {
+    /// Whether the condition holds for `nodes` after `round` rounds.
+    pub(crate) fn holds<N: Protocol>(self, round: u64, nodes: &[N]) -> bool {
+        match self {
+            StopCondition::AllTerminated => nodes.iter().all(|n| n.terminated()),
+            StopCondition::AllOutput => nodes.iter().all(|n| n.output().is_some()),
+            StopCondition::FixedRounds(rounds) => round >= rounds,
         }
     }
 }
 
-/// Why a `run_until*` helper stopped.
+/// Why a run stopped, serialisable for recorded results.
 ///
 /// Cap exhaustion is part of the *outcome*, not an error: outside the `n > 3f`
 /// resiliency bound a protocol may legitimately never meet its stop condition, and
 /// experiments record that as a result rather than aborting. Engine errors
 /// ([`SimError`]) remain reserved for genuine rule violations such as forged sender
 /// identities.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 #[must_use = "check whether the run completed or exhausted its round cap"]
-pub enum RunOutcome {
-    /// The stop condition was satisfied after the recorded number of rounds.
+pub enum RunStatus {
+    /// The stop condition was satisfied.
     Completed {
-        /// Rounds executed in total when the condition became true.
+        /// Rounds executed when the condition became true.
         rounds: u64,
     },
-    /// The configured round cap was reached before the stop condition was met.
+    /// The round cap was exhausted first.
     MaxRoundsExceeded {
-        /// The cap that was hit (also the number of rounds executed).
+        /// The cap that was hit.
         limit: u64,
     },
 }
 
-impl RunOutcome {
-    /// Whether the stop condition was met before the round cap.
+impl RunStatus {
+    /// Whether the run met its stop condition.
     pub fn is_completed(&self) -> bool {
-        matches!(self, RunOutcome::Completed { .. })
-    }
-
-    /// Rounds executed when the run stopped, regardless of why it stopped.
-    pub fn rounds(&self) -> u64 {
-        match *self {
-            RunOutcome::Completed { rounds } => rounds,
-            RunOutcome::MaxRoundsExceeded { limit } => limit,
-        }
+        matches!(self, RunStatus::Completed { .. })
     }
 
     /// Converts cap exhaustion into [`SimError::MaxRoundsExceeded`] for callers that
-    /// treat an unfinished run as a hard failure (the pre-redesign behaviour).
+    /// treat an unfinished run as a hard failure; returns the rounds executed.
     pub fn expect_completed(self) -> Result<u64, SimError> {
         match self {
-            RunOutcome::Completed { rounds } => Ok(rounds),
-            RunOutcome::MaxRoundsExceeded { limit } => Err(SimError::MaxRoundsExceeded { limit }),
+            RunStatus::Completed { rounds } => Ok(rounds),
+            RunStatus::MaxRoundsExceeded { limit } => Err(SimError::MaxRoundsExceeded { limit }),
         }
     }
 }
@@ -838,8 +833,8 @@ pub struct Engine<N: Protocol, A: Adversary<N::Payload>> {
     round: u64,
     metrics: Metrics,
     timings: PhaseTimings,
+    /// The delivery trace; `None` until [`Engine::enable_trace`].
     trace: Option<TraceLog<N::Payload>>,
-    config: EngineConfig,
     churn: Option<ChurnDriver<N>>,
     /// The crash-recovery subsystem; `None` until [`Engine::enable_recovery`]
     /// (which a crash-bearing [`Engine::set_churn`] calls).
@@ -851,23 +846,12 @@ pub struct Engine<N: Protocol, A: Adversary<N::Payload>> {
 pub type SyncEngine<N, A> = Engine<N, A>;
 
 impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
-    /// Creates a lock-step (`NextRound`) engine with the default
-    /// [`EngineConfig`].
+    /// Creates a lock-step (`NextRound`) engine.
     ///
     /// `byzantine_ids` are the identities controlled by `adversary`; they may overlap
     /// with nothing (a purely silent adversary may control zero identities).
     pub fn new(nodes: Vec<N>, adversary: A, byzantine_ids: Vec<NodeId>) -> Self {
-        Self::with_config(nodes, adversary, byzantine_ids, EngineConfig::default())
-    }
-
-    /// Creates a lock-step (`NextRound`) engine with an explicit configuration.
-    pub fn with_config(
-        nodes: Vec<N>,
-        adversary: A,
-        byzantine_ids: Vec<NodeId>,
-        config: EngineConfig,
-    ) -> Self {
-        Self::assemble(nodes, adversary, byzantine_ids, config, None)
+        Self::assemble(nodes, adversary, byzantine_ids, None)
     }
 
     /// Creates a `Timed` engine: deliveries follow `timing`'s link delays and
@@ -878,36 +862,15 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         byzantine_ids: Vec<NodeId>,
         timing: EventTiming,
     ) -> Self {
-        Self::with_timing_config(
-            nodes,
-            adversary,
-            byzantine_ids,
-            timing,
-            EngineConfig::default(),
-        )
-    }
-
-    /// Creates a `Timed` engine with an explicit configuration.
-    pub fn with_timing_config(
-        nodes: Vec<N>,
-        adversary: A,
-        byzantine_ids: Vec<NodeId>,
-        timing: EventTiming,
-        config: EngineConfig,
-    ) -> Self {
-        Self::assemble(nodes, adversary, byzantine_ids, config, Some(timing))
+        Self::assemble(nodes, adversary, byzantine_ids, Some(timing))
     }
 
     fn assemble(
         nodes: Vec<N>,
         adversary: A,
         byzantine_ids: Vec<NodeId>,
-        config: EngineConfig,
         timing: Option<EventTiming>,
     ) -> Self {
-        let trace = config
-            .trace
-            .then(|| TraceLog::with_capacity(TRACE_CAPACITY));
         let correct_index = nodes.iter().map(|n| n.id()).collect();
         let byzantine_index = byzantine_ids.iter().copied().collect();
         let delivery = match timing {
@@ -928,8 +891,7 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
             round: 0,
             metrics: Metrics::new(),
             timings: PhaseTimings::default(),
-            trace,
-            config,
+            trace: None,
             churn: None,
             recovery: None,
         }
@@ -1129,9 +1091,16 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         self.timings.clone()
     }
 
-    /// The trace log, if tracing was enabled in the configuration.
+    /// The trace log, if [`Engine::enable_trace`] was called.
     pub fn trace(&self) -> Option<&TraceLog<N::Payload>> {
         self.trace.as_ref()
+    }
+
+    /// Keeps a [`TraceLog`] of every delivery from now on, up to 2^20 events
+    /// (memory-heavy; off by default). Call before any round has run to trace
+    /// the whole run.
+    pub fn enable_trace(&mut self) {
+        self.trace = Some(TraceLog::with_capacity(TRACE_CAPACITY));
     }
 
     /// Enables crash recovery under `config`: every correct node's rounds are
@@ -1360,62 +1329,35 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         Ok(())
     }
 
-    /// Runs rounds until `stop` returns true (checked after every round) or the
-    /// configured round limit is hit.
+    /// Runs rounds until `stop` holds (checked before every round) or
+    /// `max_rounds` rounds have been executed in total.
     ///
-    /// Cap exhaustion is reported as [`RunOutcome::MaxRoundsExceeded`], not as an
-    /// error — use [`RunOutcome::expect_completed`] where an unfinished run should be
+    /// Cap exhaustion is reported as [`RunStatus::MaxRoundsExceeded`], not as an
+    /// error — use [`RunStatus::expect_completed`] where an unfinished run should be
     /// treated as a failure.
-    pub fn run_until<F>(&mut self, mut stop: F) -> Result<RunOutcome, SimError>
-    where
-        F: FnMut(&Self) -> bool,
-    {
-        if stop(self) {
-            return Ok(RunOutcome::Completed { rounds: self.round });
-        }
-        while self.round < self.config.max_rounds {
-            self.run_round()?;
-            if stop(self) {
-                return Ok(RunOutcome::Completed { rounds: self.round });
+    pub fn run(&mut self, stop: StopCondition, max_rounds: u64) -> Result<RunStatus, SimError> {
+        while !stop.holds(self.round, &self.nodes) {
+            if self.round >= max_rounds {
+                return Ok(RunStatus::MaxRoundsExceeded { limit: max_rounds });
             }
+            self.run_round()?;
         }
-        Ok(RunOutcome::MaxRoundsExceeded {
-            limit: self.config.max_rounds,
-        })
-    }
-
-    /// Runs rounds until every correct node has terminated, or at most `max_rounds`.
-    pub fn run_until_all_terminated(&mut self, max_rounds: u64) -> Result<RunOutcome, SimError> {
-        let previous = self.config.max_rounds;
-        self.config.max_rounds = max_rounds;
-        let result = self.run_until(|engine| engine.nodes.iter().all(|n| n.terminated()));
-        self.config.max_rounds = previous;
-        result
-    }
-
-    /// Runs rounds until every correct node has produced an output, or at most
-    /// `max_rounds`. Useful for primitives (like reliable broadcast) that produce an
-    /// output without terminating.
-    pub fn run_until_all_output(&mut self, max_rounds: u64) -> Result<RunOutcome, SimError> {
-        let previous = self.config.max_rounds;
-        self.config.max_rounds = max_rounds;
-        let result = self.run_until(|engine| engine.nodes.iter().all(|n| n.output().is_some()));
-        self.config.max_rounds = previous;
-        result
+        Ok(RunStatus::Completed { rounds: self.round })
     }
 
     /// Runs until every correct node has terminated, treating cap exhaustion as
     /// [`SimError::MaxRoundsExceeded`]; returns the rounds executed. Convenience for
     /// callers (mostly tests) for which an unfinished run *is* a failure.
     pub fn run_to_termination(&mut self, max_rounds: u64) -> Result<u64, SimError> {
-        self.run_until_all_terminated(max_rounds)?
+        self.run(StopCondition::AllTerminated, max_rounds)?
             .expect_completed()
     }
 
     /// Runs until every correct node has produced an output, treating cap exhaustion
     /// as [`SimError::MaxRoundsExceeded`]; returns the rounds executed.
     pub fn run_to_output(&mut self, max_rounds: u64) -> Result<u64, SimError> {
-        self.run_until_all_output(max_rounds)?.expect_completed()
+        self.run(StopCondition::AllOutput, max_rounds)?
+            .expect_completed()
     }
 
     /// Runs exactly `rounds` additional rounds.
@@ -1496,8 +1438,7 @@ mod tests {
         adversary: A,
         byzantine_ids: Vec<NodeId>,
     ) -> Engine<Counter, A> {
-        let config = EngineConfig::default();
-        Engine::assemble(nodes, adversary, byzantine_ids, config, timing)
+        Engine::assemble(nodes, adversary, byzantine_ids, timing)
     }
 
     /// Runs `scenario` under both delivery policies — `NextRound`, and `Timed`
@@ -1519,11 +1460,10 @@ mod tests {
         let (metrics, outputs) = both(|timing| {
             let mut engine = engine(timing, nodes(5), SilentAdversary, vec![]);
             engine.validate_ids().unwrap();
-            let outcome = engine.run_until_all_terminated(10).unwrap();
-            assert_eq!(outcome, RunOutcome::Completed { rounds: 3 });
-            assert!(outcome.is_completed());
-            assert_eq!(outcome.rounds(), 3);
-            assert_eq!(outcome.expect_completed().unwrap(), 3);
+            let status = engine.run(StopCondition::AllTerminated, 10).unwrap();
+            assert_eq!(status, RunStatus::Completed { rounds: 3 });
+            assert!(status.is_completed());
+            assert_eq!(status.expect_completed().unwrap(), 3);
             assert_eq!(engine.round(), engine.metrics().rounds);
             assert_eq!(engine.now(), 3, "one time unit per round");
             assert_eq!(engine.in_flight(), 0, "synchronous flights land at once");
@@ -1667,17 +1607,16 @@ mod tests {
     }
 
     #[test]
-    fn run_until_respects_max_rounds() {
+    fn run_respects_max_rounds() {
         both(|timing| {
             // Nodes decide at round 100, cap at 5 rounds.
             let ns: Vec<Counter> = (0..3).map(|i| Counter::new(NodeId::new(i), 100)).collect();
             let mut engine = engine(timing, ns, SilentAdversary, vec![]);
-            let outcome = engine.run_until_all_terminated(5).unwrap();
-            assert_eq!(outcome, RunOutcome::MaxRoundsExceeded { limit: 5 });
-            assert!(!outcome.is_completed());
-            assert_eq!(outcome.rounds(), 5);
+            let status = engine.run(StopCondition::AllTerminated, 5).unwrap();
+            assert_eq!(status, RunStatus::MaxRoundsExceeded { limit: 5 });
+            assert!(!status.is_completed());
             assert_eq!(
-                outcome.expect_completed().unwrap_err(),
+                status.expect_completed().unwrap_err(),
                 SimError::MaxRoundsExceeded { limit: 5 }
             );
             assert_eq!(engine.round(), 5);
@@ -1892,11 +1831,8 @@ mod tests {
     #[test]
     fn trace_records_deliveries_when_enabled() {
         let events = both(|timing| {
-            let config = EngineConfig {
-                trace: true,
-                ..Default::default()
-            };
-            let mut engine = Engine::assemble(nodes(3), SilentAdversary, vec![], config, timing);
+            let mut engine = engine(timing, nodes(3), SilentAdversary, vec![]);
+            engine.enable_trace();
             engine.run_rounds(2).unwrap();
             engine.trace().expect("tracing enabled").events().to_vec()
         });
@@ -1928,7 +1864,10 @@ mod tests {
             ..EventTiming::synchronous()
         };
         let mut engine = timed(4, timing);
-        assert!(engine.run_until_all_terminated(10).unwrap().is_completed());
+        assert!(engine
+            .run(StopCondition::AllTerminated, 10)
+            .unwrap()
+            .is_completed());
         for (_, output) in engine.outputs() {
             assert_eq!(output, Some(0), "messages arrived only after deciding");
         }
@@ -1974,7 +1913,10 @@ mod tests {
             let timing =
                 EventTiming::from_spec(&TimingSpec::synchronous().units(4).skew(3), 99, &[]);
             let mut engine = timed(6, timing);
-            assert!(engine.run_until_all_terminated(50).unwrap().is_completed());
+            assert!(engine
+                .run(StopCondition::AllTerminated, 50)
+                .unwrap()
+                .is_completed());
             (engine.round(), engine.metrics().clone(), engine.outputs())
         };
         let first = run();
@@ -1993,7 +1935,10 @@ mod tests {
                 ..EventTiming::synchronous()
             };
             let mut engine = timed(5, timing);
-            assert!(engine.run_until_all_terminated(10).unwrap().is_completed());
+            assert!(engine
+                .run(StopCondition::AllTerminated, 10)
+                .unwrap()
+                .is_completed());
             engine.metrics().clone()
         };
         assert_eq!(run(7), run(7), "same seed, same execution");
@@ -2088,7 +2033,10 @@ mod tests {
             &ids,
         );
         let mut engine = timed(4, timing);
-        assert!(engine.run_until_all_terminated(10).unwrap().is_completed());
+        assert!(engine
+            .run(StopCondition::AllTerminated, 10)
+            .unwrap()
+            .is_completed());
         for (_, output) in engine.outputs() {
             assert_eq!(output, Some(2), "each half hears only its own two members");
         }

@@ -79,7 +79,7 @@
 //!
 //! let nodes = (0..4).map(|i| Greeter { id: NodeId::new(10 * i + 7), heard: 0, done: false });
 //! let mut engine = SyncEngine::new(nodes.collect(), SilentAdversary::default(), vec![]);
-//! engine.run_until_all_terminated(10).unwrap();
+//! engine.run_to_termination(10).unwrap();
 //! for (_, out) in engine.outputs() {
 //!     assert_eq!(out, Some(4)); // every node heard all four greetings (self included)
 //! }
@@ -115,7 +115,7 @@ pub use attack::{
     SemanticStrategy,
 };
 pub use dynamic::{ChurnEvent, ChurnSchedule};
-pub use engine::{Engine, EngineConfig, PhaseTimings, RunOutcome, SyncEngine};
+pub use engine::{Engine, PhaseTimings, RunStatus, StopCondition, SyncEngine};
 pub use error::SimError;
 pub use event::{DelaySpec, EngineKind, EventTiming, LinkDelay, PartitionSpec, TimingSpec};
 pub use id::{IdSpace, NodeId};
@@ -125,8 +125,7 @@ pub use node::{Protocol, RoundContext};
 pub use shared::Shared;
 pub use sim::{
     AdversaryKind, BoxedAdversary, BuildContext, Harness, NamedAdversary, ProtocolFactory,
-    RecoverySection, RunReport, RunStatus, ScenarioBuilder, ScenarioSpec, Simulation,
-    StopCondition,
+    RecoverySection, RunReport, ScenarioBuilder, ScenarioSpec, Simulation,
 };
 pub use stats::{Histogram, RateEstimate, Summary};
 pub use stream::{

@@ -50,6 +50,8 @@ use crate::node::Protocol;
 use crate::vocab::{PayloadVocab, VocabAdversary};
 use crate::wal::{RestartRecord, WalConfig};
 
+pub use crate::engine::{RunStatus, StopCondition};
+
 /// A boxed, dynamically dispatched adversary — the form in which
 /// [`ProtocolFactory::adversary`] returns strategies so one harness type covers
 /// every adversary choice.
@@ -388,17 +390,6 @@ impl BuildContext {
     }
 }
 
-/// When a [`Harness`] run is finished.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StopCondition {
-    /// Every correct node has terminated.
-    AllTerminated,
-    /// Every correct node has produced an output (it may keep participating).
-    AllOutput,
-    /// Exactly this many rounds have been executed.
-    FixedRounds(u64),
-}
-
 /// How to instantiate a protocol (and everything around it) for a scenario.
 ///
 /// A factory encapsulates the protocol-specific choices the old `run_*` drivers
@@ -718,11 +709,7 @@ impl<F: ProtocolFactory> Harness<F> {
     /// Whether the stop condition currently holds (what [`Harness::run`] checks
     /// before each round) — exposed for drivers that step rounds themselves.
     pub fn stopped(&self) -> bool {
-        match self.stop {
-            StopCondition::AllTerminated => self.engine.nodes().iter().all(|n| n.terminated()),
-            StopCondition::AllOutput => self.engine.nodes().iter().all(|n| n.output().is_some()),
-            StopCondition::FixedRounds(rounds) => self.engine.round() >= rounds,
-        }
+        self.stop.holds(self.engine.round(), self.engine.nodes())
     }
 
     /// The number of rounds executed so far.
@@ -837,29 +824,6 @@ impl<F: ProtocolFactory> Harness<F> {
             verdicts: Vec::new(),
             margins: MarginSection::default(),
         }
-    }
-}
-
-/// Why a harness run stopped — the report-level mirror of
-/// [`RunOutcome`](crate::engine::RunOutcome), serialisable for recorded results.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RunStatus {
-    /// The factory's stop condition was satisfied.
-    Completed {
-        /// Rounds executed when the condition became true.
-        rounds: u64,
-    },
-    /// The scenario's round cap was exhausted first.
-    MaxRoundsExceeded {
-        /// The cap that was hit.
-        limit: u64,
-    },
-}
-
-impl RunStatus {
-    /// Whether the run met its stop condition.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, RunStatus::Completed { .. })
     }
 }
 

@@ -86,12 +86,12 @@ impl Summary {
     }
 }
 
-/// Linear-interpolation quantile of an already sorted, non-empty sample.
-fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
+/// Linear-interpolation quantile (`0 ≤ q ≤ 1`) of an already sorted sample;
+/// 0.0 for an empty one.
+pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     debug_assert!((0.0..=1.0).contains(&q));
-    if sorted.len() == 1 {
-        return sorted[0];
+    if sorted.len() <= 1 {
+        return sorted.first().copied().unwrap_or(0.0);
     }
     let rank = q * (sorted.len() - 1) as f64;
     let low = rank.floor() as usize;
@@ -277,6 +277,8 @@ mod tests {
         assert_eq!(quantile_sorted(&sorted, 0.0), 0.0);
         assert_eq!(quantile_sorted(&sorted, 0.5), 5.0);
         assert_eq!(quantile_sorted(&sorted, 1.0), 10.0);
+        assert_eq!(quantile_sorted(&[1.0, 2.0, 3.0, 4.0], 0.5), 2.5);
+        assert_eq!(quantile_sorted(&[], 0.99), 0.0);
         let s = Summary::of(&[
             0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0,
         ]);

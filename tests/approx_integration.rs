@@ -4,12 +4,14 @@
 
 use uba_bench::workload::{clustered_with_outliers, rolling_churn_plan, uniform_reals};
 use uba_checker::approx::{check_approx, check_approx_real, check_convergence};
-use uba_core::approx::{ApproxAgreement, IteratedApproxAgreement};
-use uba_core::dynamic_approx::{run_dynamic_approx, subset_join_value, ChurnPlan};
-use uba_core::sim::{AdversaryKind, ScenarioExt, Simulation};
+use uba_core::approx::{subset_join_value, ApproxAgreement, IteratedApproxAgreement};
+use uba_core::sim::{AdversaryKind, Harness, IteratedApproxFactory, ScenarioExt, Simulation};
 use uba_core::Real;
 use uba_simnet::adversary::SilentAdversary;
-use uba_simnet::{AdversaryView, Directed, FnAdversary, IdSpace, NodeId, SyncEngine};
+use uba_simnet::{
+    AdversaryView, ChurnEvent, ChurnSchedule, Directed, FnAdversary, IdSpace, NodeId, Protocol,
+    SyncEngine,
+};
 
 #[test]
 fn single_shot_satisfies_theorem_4_across_sizes_and_inputs() {
@@ -137,41 +139,83 @@ fn iterated_agreement_with_injected_values_recovers() {
     );
 }
 
+/// Algorithm 4 with no iteration bound: in a dynamic network every round is one
+/// more iteration over whatever membership the churn schedule has made.
+fn dynamic(inputs: &[f64], joiners: Vec<(NodeId, f64)>) -> IteratedApproxFactory {
+    IteratedApproxFactory::new(inputs, u64::MAX).joiners(joiners)
+}
+
+/// Spread (max − min) of the correct nodes' current values.
+fn spread(nodes: &[IteratedApproxAgreement]) -> f64 {
+    let values = nodes.iter().map(|node| node.value().to_f64());
+    let (lo, hi) = values.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+        (lo.min(v), hi.max(v))
+    });
+    hi - lo
+}
+
+/// Steps the harness to its round count, recording the correct spread after
+/// every round.
+fn spreads(harness: &mut Harness<IteratedApproxFactory>) -> Vec<f64> {
+    let mut spreads = Vec::new();
+    while !harness.stopped() {
+        harness.step_round().expect("dynamic run completes");
+        spreads.push(spread(harness.nodes()));
+    }
+    spreads
+}
+
 #[test]
 fn dynamic_network_reconverges_after_every_join() {
-    let ids = IdSpace::default().generate(10, 11);
+    let scenario = Simulation::scenario().correct(10).seed(11);
+    let ids = scenario.context().correct_ids;
     let inputs = uniform_reals(10, 0.0, 100.0, 13);
-    let initial: Vec<(NodeId, Real)> = ids
-        .iter()
-        .zip(&inputs)
-        .map(|(&id, &x)| (id, Real::from_f64(x)))
-        .collect();
     // Churn stops at round 24; the run continues to round 32 so the system has a
     // churn-free tail to reconverge in.
-    let plan = rolling_churn_plan(&ids, 24, 6, 0.0, 100.0, 17);
-    let report = run_dynamic_approx(&initial, &plan, 32).expect("dynamic run completes");
+    let (schedule, joiners) = rolling_churn_plan(&ids, 24, 6, 0.0, 100.0, 17);
+    let mut harness = scenario
+        .churn(schedule)
+        .build(dynamic(&inputs, joiners))
+        .rounds(32);
+    let spreads = spreads(&mut harness);
     // Joiner values come from the same [0, 100] range, so the spread can never exceed
     // the original range, and well after the last join it must have collapsed again.
-    assert!(report.spread_per_round.iter().all(|&s| s <= 100.0 + 1e-6));
-    assert!(
-        report.final_spread() < 5.0,
-        "final spread {}",
-        report.final_spread()
-    );
+    assert!(spreads.iter().all(|&s| s <= 100.0 + 1e-6));
+    let last = spreads[spreads.len() - 1];
+    assert!(last < 5.0, "final spread {last}");
 }
 
 #[test]
 fn dynamic_network_without_churn_matches_the_static_iterated_protocol() {
-    let ids = IdSpace::default().generate(8, 21);
     let inputs = uniform_reals(8, -10.0, 10.0, 22);
-    let initial: Vec<(NodeId, Real)> = ids
-        .iter()
-        .zip(&inputs)
-        .map(|(&id, &x)| (id, Real::from_f64(x)))
-        .collect();
-    let report = run_dynamic_approx(&initial, &ChurnPlan::none(), 6).expect("run completes");
-    check_convergence(&report.spread_per_round[1..]).assert_passed("churn-free dynamic run");
+    let mut harness = Simulation::scenario()
+        .correct(8)
+        .seed(21)
+        .build(dynamic(&inputs, Vec::new()))
+        .rounds(6);
+    check_convergence(&spreads(&mut harness)[1..]).assert_passed("churn-free dynamic run");
 }
+
+/// The churn schedule of the dynamic pins: a join, a Byzantine join, two leaves,
+/// a rejoin and a second join, with the correct joiners' starting values.
+fn pinned_churn(ids: &[NodeId]) -> (ChurnSchedule, Vec<(NodeId, f64)>) {
+    let joiner = NodeId::new(90_001);
+    let schedule = ChurnSchedule::empty()
+        .with(2, ChurnEvent::JoinCorrect(joiner))
+        .with(3, ChurnEvent::JoinByzantine(NodeId::new(90_002)))
+        .with(4, ChurnEvent::LeaveCorrect(ids[0]))
+        .with(5, ChurnEvent::LeaveCorrect(joiner))
+        .with(7, ChurnEvent::JoinCorrect(joiner))
+        .with(8, ChurnEvent::JoinCorrect(NodeId::new(90_003)));
+    let joiners = vec![
+        (joiner, 100.0),
+        (joiner, -40.0),
+        (NodeId::new(90_003), 55.5),
+    ];
+    (schedule, joiners)
+}
+
+const PINNED_INPUTS: [f64; 10] = [3.5, 17.25, 4.0, 61.0, 29.75, 8.5, 44.0, 12.125, 90.0, 0.5];
 
 /// Exact spreads and final values of one dynamic run with a join, a Byzantine
 /// join, two leaves, a rejoin and a second join. The values are a recording, not
@@ -179,33 +223,81 @@ fn dynamic_network_without_churn_matches_the_static_iterated_protocol() {
 /// how the driver applies churn and hands joiners their values moves them.
 #[test]
 fn dynamic_run_reproduces_its_recorded_spreads_and_values() {
-    let ids = IdSpace::default().generate(10, 31);
-    let inputs = [3.5, 17.25, 4.0, 61.0, 29.75, 8.5, 44.0, 12.125, 90.0, 0.5];
-    let initial: Vec<(NodeId, Real)> = ids
-        .iter()
-        .zip(inputs)
-        .map(|(&id, x)| (id, Real::from_f64(x)))
-        .collect();
-    let joiner = NodeId::new(90_001);
-    let plan = ChurnPlan::none()
-        .join(2, joiner, Real::from_f64(100.0))
-        .byzantine_join(3, NodeId::new(90_002))
-        .leave(4, ids[0])
-        .leave(5, joiner)
-        .join(7, joiner, Real::from_f64(-40.0))
-        .join(8, NodeId::new(90_003), Real::from_f64(55.5));
-    let report = run_dynamic_approx(&initial, &plan, 10).expect("dynamic run completes");
+    let scenario = Simulation::scenario().correct(10).seed(31);
+    let (schedule, joiners) = pinned_churn(&scenario.context().correct_ids);
+    let mut harness = scenario
+        .churn(schedule)
+        .build(dynamic(&PINNED_INPUTS, joiners))
+        .rounds(10);
     assert_eq!(
-        report.spread_per_round,
+        spreads(&mut harness),
         [89.5, 80.875, 0.0, 0.0, 0.0, 0.0, 59.125, 36.375, 0.0, 0.0]
     );
-    let finals: Vec<(u64, f64)> = report
-        .final_values
+    let finals: Vec<(u64, f64)> = harness
+        .nodes()
         .iter()
-        .map(|&(id, value)| (id.raw(), value))
+        .map(|node| (node.id().raw(), node.value().to_f64()))
         .collect();
     let survivors = [117, 201, 250, 332, 341, 415, 442, 459, 463, 90_001, 90_003];
     assert_eq!(finals, survivors.map(|id| (id, 19.125)));
+}
+
+/// The pinned churn schedule again, now with three more Byzantine identities
+/// sending the protocol's worst-case outliers every round (`n > 3f` holds in
+/// every round: at least 9 correct against at most 4 Byzantine). Per round,
+/// Algorithm 4 keeps every correct value inside the range of the values it
+/// was computed from, so the spread can only grow when a correct node joins,
+/// and no value ever leaves the hull of the inputs and the joiners' values.
+#[test]
+fn dynamic_run_under_byzantine_outliers_stays_in_the_hull() {
+    let scenario = Simulation::scenario()
+        .correct(10)
+        .byzantine(3)
+        .seed(31)
+        .adversary(AdversaryKind::Worst);
+    let (schedule, joiners) = pinned_churn(&scenario.context().correct_ids);
+    assert!(scenario.clone().churn(schedule.clone()).spec().admissible());
+    let correct_join_rounds: Vec<u64> = schedule
+        .events()
+        .iter()
+        .filter(|(_, event)| matches!(event, ChurnEvent::JoinCorrect(_)))
+        .map(|&(round, _)| round)
+        .collect();
+    let hull = PINNED_INPUTS
+        .iter()
+        .chain(joiners.iter().map(|(_, value)| value))
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+            (lo.min(v), hi.max(v))
+        });
+    let mut harness = scenario
+        .churn(schedule)
+        .build(dynamic(&PINNED_INPUTS, joiners))
+        .rounds(12);
+    let mut previous = spread(harness.nodes());
+    while !harness.stopped() {
+        harness.step_round().expect("nothing is forged");
+        let round = harness.rounds_executed();
+        for node in harness.nodes() {
+            let value = node.value().to_f64();
+            assert!(
+                (hull.0..=hull.1).contains(&value),
+                "round {round}: {} holds {value}, outside the hull {hull:?}",
+                node.id()
+            );
+        }
+        let now = spread(harness.nodes());
+        if !correct_join_rounds.contains(&round) {
+            assert!(
+                now <= previous,
+                "round {round}: the spread grew from {previous} to {now} with no correct join"
+            );
+        }
+        previous = now;
+    }
+    assert!(
+        harness.engine().metrics().byzantine_messages > 0,
+        "the adversary sent its outliers"
+    );
 }
 
 #[test]

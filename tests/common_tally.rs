@@ -29,7 +29,7 @@ use uba_simnet::sim::{BuildContext, NamedAdversary, ProtocolFactory, RunReport};
 use uba_simnet::{
     AttackBehavior, AttackPlan, ChurnEvent, ChurnSchedule, CommonKey, DelaySpec, EngineKind,
     IdSpace, Inbox, NodeId, Outgoing, PayloadVocab, Protocol, RestartPolicy, RoundContext,
-    SyncEngine, TimingSpec, WalConfig, WalFault,
+    StopCondition, SyncEngine, TimingSpec, WalConfig, WalFault,
 };
 
 // ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ fn cornered(corner: Corner, correct: usize, seed: u64, holding: Holding) -> Stri
         .collect();
     let mut engine = SyncEngine::new(nodes, SplitVote::new(0, 1), byzantine.to_vec());
     engine
-        .run_until_all_terminated(120)
+        .run(StopCondition::AllTerminated, 120)
         .expect("nothing is forged")
         .expect_completed()
         .expect("every node decides");

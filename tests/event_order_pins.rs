@@ -20,8 +20,8 @@ use uba_core::Consensus;
 use uba_simnet::adversary::SilentAdversary;
 use uba_simnet::sim::ScenarioBuilder;
 use uba_simnet::{
-    ChurnEvent, ChurnSchedule, DelaySpec, Engine, EngineConfig, EngineKind, EventTiming, IdSpace,
-    NodeId, RestartPolicy, TimingSpec,
+    ChurnEvent, ChurnSchedule, DelaySpec, Engine, EngineKind, EventTiming, IdSpace, NodeId,
+    RestartPolicy, TimingSpec,
 };
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -171,12 +171,9 @@ fn consensus_trace_digest() -> u64 {
         .enumerate()
         .map(|(i, &id)| Consensus::new(id, i as u64 % 2))
         .collect();
-    let config = EngineConfig {
-        trace: true,
-        ..EngineConfig::default()
-    };
     let timing = EventTiming::from_spec(&timings()[0].1, 42, &ids);
-    let mut engine = Engine::with_timing_config(nodes, SilentAdversary, vec![], timing, config);
+    let mut engine = Engine::with_timing(nodes, SilentAdversary, vec![], timing);
+    engine.enable_trace();
     engine.run_to_termination(80).unwrap();
     let trace = engine.trace().expect("tracing enabled");
     assert_eq!(trace.dropped(), 0, "the trace holds every delivery");

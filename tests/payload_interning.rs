@@ -28,9 +28,8 @@ use uba_simnet::adversary::SilentAdversary;
 use uba_simnet::shared::allocations;
 use uba_simnet::sim::compile_attack_plan;
 use uba_simnet::{
-    Adversary, AdversaryView, BoxedAdversary, Directed, Engine, EngineConfig, EngineKind,
-    EventTiming, IdSpace, Inbox, NodeId, Outgoing, Protocol, ProtocolFactory, RoundContext,
-    TrafficItem,
+    Adversary, AdversaryView, BoxedAdversary, Directed, Engine, EngineKind, EventTiming, IdSpace,
+    Inbox, NodeId, Outgoing, Protocol, ProtocolFactory, RoundContext, TrafficItem,
 };
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -94,20 +93,14 @@ fn engines<P>(
 where
     P: Clone + std::fmt::Debug + PartialEq + Hash,
 {
-    let config = EngineConfig {
-        trace: true,
-        ..Default::default()
-    };
-    [
-        Engine::with_config(nodes(), SilentAdversary, vec![], config),
-        Engine::with_timing_config(
-            nodes(),
-            SilentAdversary,
-            vec![],
-            EventTiming::synchronous(),
-            config,
-        ),
-    ]
+    let mut engines = [
+        Engine::new(nodes(), SilentAdversary, vec![]),
+        Engine::with_timing(nodes(), SilentAdversary, vec![], EventTiming::synchronous()),
+    ];
+    for engine in &mut engines {
+        engine.enable_trace();
+    }
+    engines
 }
 
 #[test]

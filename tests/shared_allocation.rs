@@ -12,9 +12,7 @@
 
 use uba_checker::{attribute_trace, check_zero_copy};
 use uba_simnet::adversary::SilentAdversary;
-use uba_simnet::{
-    shared, EngineConfig, Inbox, NodeId, Outgoing, Protocol, RoundContext, SyncEngine,
-};
+use uba_simnet::{shared, Inbox, NodeId, Outgoing, Protocol, RoundContext, SyncEngine};
 
 /// Broadcasts one payload every round, forever (the engine's round cap stops it).
 #[derive(Clone)]
@@ -57,11 +55,8 @@ fn broadcast_round_at_n_128_allocates_per_broadcast_not_per_recipient() {
             id: NodeId::new(10 + 7 * i as u64),
         })
         .collect();
-    let config = EngineConfig {
-        trace: true,
-        ..Default::default()
-    };
-    let mut engine = SyncEngine::with_config(nodes, SilentAdversary, vec![], config);
+    let mut engine = SyncEngine::new(nodes, SilentAdversary, vec![]);
+    engine.enable_trace();
 
     let before = shared::allocations();
     engine.run_rounds(ROUNDS).expect("flood rounds run");

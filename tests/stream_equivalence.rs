@@ -1,20 +1,22 @@
-//! Conservative-extension pin for the stream driver: a single-instance,
-//! batch-size-1 stream run is **byte-identical** (full `RunReport` equality,
-//! struct and JSON) to the existing single-shot path, for both covered
-//! families — consensus and total order — on the synchronous engine and on
-//! the event engine (the `tests/event_equivalence.rs` pattern). The streaming
-//! layer must be a pure extension: when there is nothing to pipeline and
-//! nothing to batch, it must not change a single byte of what the single-shot
-//! driver reports.
+//! Conservative-extension pins for the stream driver, on the synchronous
+//! engine and on the event engine (the `tests/event_equivalence.rs` pattern):
+//!
+//! * a one-instance consensus stream, multiplexed through `MuxNode`, decides
+//!   the same value in the same round with the same message and delivery
+//!   counts as single-shot consensus;
+//! * a single-instance, batch-size-1 total-order stream run is
+//!   **byte-identical** (full `RunReport` equality, struct and JSON) to the
+//!   existing single-shot path.
+//!
+//! The streaming layer must be a pure extension: when there is nothing to
+//! pipeline and nothing to batch, it must not change what the single-shot
+//! driver observes.
 
 use uba_bench::stream::{
-    batch_value, run_consensus_stream, run_total_order_stream, total_order_plan, total_order_tail,
-    StreamConfig, CONSENSUS_TAIL,
+    run_consensus_stream, run_total_order_stream, total_order_plan, total_order_tail, StreamConfig,
 };
-use uba_bench::workload::open_loop_requests;
 use uba_checker::attach_verdicts;
-use uba_core::sim::{RunReport, ScenarioExt, Simulation, TotalOrderFactory};
-use uba_simnet::rng::derive_seed;
+use uba_core::sim::{consensus_stream, RunReport, ScenarioExt, Simulation, TotalOrderFactory};
 use uba_simnet::EngineKind;
 
 /// One request over the whole horizon: instances = 1, rate = 1 over one round.
@@ -50,43 +52,59 @@ fn assert_byte_identical(name: &str, stream: &RunReport, single_shot: &RunReport
 }
 
 #[test]
-fn a_degenerate_consensus_stream_is_byte_identical_to_single_shot() {
-    let config = degenerate_config();
-    // The single request the open-loop generator produces for this config,
-    // re-derived exactly as the stream runner derives it.
-    let requests = open_loop_requests(
-        config.instances as u64 * config.spacing,
-        config.rate,
-        config.zipf_s,
-        config.key_space,
-        derive_seed(config.seed, 0xC5),
-    );
-    assert_eq!(requests.len(), 1, "the pin needs a batch of exactly one");
-    let value = batch_value(&[requests[0].key]);
-
+fn a_one_instance_consensus_stream_decides_like_single_shot() {
+    const NODES: usize = 5;
+    const VALUE: u64 = 12_345;
     for (name, engine) in modes() {
-        let outcome = run_consensus_stream(&config, engine.clone());
-        assert!(
-            outcome.report.stream.is_none(),
-            "{name}: the single-shot path must not carry a stream section"
-        );
-        assert_eq!(outcome.report.protocol, "consensus");
-        assert_eq!(outcome.decisions, 1);
-
-        // The existing single-shot path, written the way any user would.
-        let mut scenario = Simulation::scenario()
-            .correct(config.nodes)
-            .byzantine(0)
-            .seed(config.seed)
-            .max_rounds(1 + CONSENSUS_TAIL);
+        let mut scenario = Simulation::scenario().correct(NODES).seed(0x51EA);
         if let Some(kind) = engine {
             scenario = scenario.engine(kind);
         }
-        let mut harness = scenario.consensus(&vec![value; config.nodes]);
-        let mut single_shot = harness.run().unwrap();
-        attach_verdicts(&mut single_shot);
-        assert!(single_shot.completed(), "{name}: single shot hit its cap");
-        assert_byte_identical(name, &outcome.report, &single_shot);
+        // One instance of one request, started in round 1.
+        let driver = consensus_stream(NODES, [(1, 1, VALUE)]);
+        let stream = scenario.clone().build(driver).run().unwrap();
+        let single_shot = scenario.consensus(&[VALUE; NODES]).run().unwrap();
+        assert!(stream.completed() && single_shot.completed(), "{name}");
+        assert_eq!(stream.protocol, "stream(consensus)", "{name}: runs the mux");
+
+        let counts = |report: &RunReport| {
+            (
+                report.rounds,
+                report.messages.correct,
+                report.messages.deliveries,
+            )
+        };
+        assert_eq!(counts(&single_shot), (7, 355, 355), "{name}");
+        assert_eq!(counts(&stream), counts(&single_shot), "{name}");
+
+        // Every node decides the same value in the same round on both paths.
+        let consensus = single_shot.consensus.as_ref().expect("consensus section");
+        let single_decisions: Vec<_> = consensus
+            .decisions
+            .iter()
+            .map(|d| (d.node, d.value.to_string(), d.round))
+            .collect();
+        let section = stream.stream.as_ref().expect("stream section");
+        let [instance] = section.instances.as_slice() else {
+            panic!("{name}: one instance");
+        };
+        let stream_decisions: Vec<_> = instance
+            .outputs
+            .iter()
+            .zip(&instance.decide_rounds)
+            .map(|((node, output), (_, round))| {
+                (
+                    *node,
+                    output.clone().expect("decided"),
+                    round.expect("decided"),
+                )
+            })
+            .collect();
+        assert_eq!(single_decisions.len(), NODES, "{name}");
+        assert!(single_decisions
+            .iter()
+            .all(|(_, value, round)| *value == VALUE.to_string() && *round == 7));
+        assert_eq!(stream_decisions, single_decisions, "{name}");
     }
 }
 

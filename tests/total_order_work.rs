@@ -15,9 +15,7 @@ use uba_core::{Opinion, ParallelMessage, TotalOrderMessage, TotalOrderNode};
 use uba_simnet::adversary::SilentAdversary;
 use uba_simnet::shared::allocations;
 use uba_simnet::sim::Harness;
-use uba_simnet::{
-    EngineConfig, Envelope, IdSpace, Inbox, MuxWork, NodeId, Protocol, RoundContext, SyncEngine,
-};
+use uba_simnet::{Envelope, IdSpace, Inbox, MuxWork, NodeId, Protocol, RoundContext, SyncEngine};
 
 /// `shared::allocations()` is process-global and the tests of one binary run on
 /// sibling threads: every test here holds this lock.
@@ -133,11 +131,8 @@ fn a_joiner_counts_the_inboxes_of_its_handshake() {
         .into_iter()
         .map(TotalOrderNode::<u64>::founding)
         .collect();
-    let config = EngineConfig {
-        trace: true,
-        ..EngineConfig::default()
-    };
-    let mut engine = SyncEngine::with_config(founders, SilentAdversary, vec![], config);
+    let mut engine = SyncEngine::new(founders, SilentAdversary, vec![]);
+    engine.enable_trace();
     engine.run_rounds(10).unwrap();
     let joiner = NodeId::new(999_983);
     engine.add_node(TotalOrderNode::joining(joiner)).unwrap();
