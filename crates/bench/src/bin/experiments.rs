@@ -8,7 +8,7 @@
 //! cargo run -p uba-bench --release --bin experiments -- fuzz [--smoke] [--out path]
 //! cargo run -p uba-bench --release --bin experiments -- fuzz --boundary [--smoke]
 //! cargo run -p uba-bench --release --bin experiments -- fuzz --replay path
-//! cargo run -p uba-bench --release --bin experiments -- soak [--smoke] [--engine sync|event] [path]
+//! cargo run -p uba-bench --release --bin experiments -- soak [--engine sync|event] [path]
 //! cargo run -p uba-bench --release --bin experiments -- stream [--smoke] [--window-sweep] [path]
 //! ```
 //!
@@ -33,12 +33,10 @@
 //! is the expected outcome (it demonstrates the bound is tight).
 //!
 //! `soak` runs the long-horizon crash/restart soak (`uba_bench::soak`,
-//! `docs/RECOVERY.md`): thousands of rounds at `n = 128` (hundreds at `n = 64`
-//! with `--smoke`) under continuous crash/restart churn, on both engines,
-//! writing per-round latency percentiles and the live-allocation memory proxy
-//! to `BENCH_soak.json` (`BENCH_soak_smoke.json` for `--smoke`; a smoke run
-//! refuses to overwrite a full artifact). Fresh percentiles are compared
-//! against the committed file with a generous margin — drift is reported,
+//! `docs/RECOVERY.md`): 300 rounds at `n = 64` under continuous crash/restart
+//! churn, on both engines, writing per-round latency percentiles and the
+//! live-allocation memory proxy to `BENCH_soak_smoke.json`. Fresh percentiles
+//! are compared against the committed file with a generous margin — drift is reported,
 //! never hard-failed, since wall-clock numbers are machine-dependent. The
 //! exit code is 1 when a deterministic count column (`SoakRow::DETERMINISTIC`)
 //! drifts from the committed file, or when any row shows monotone memory
@@ -449,48 +447,25 @@ fn run_scaling(args: &[String]) {
 }
 
 fn run_soak(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
     let engines = match engine_flag(args) {
         None => vec![None, Some(EngineKind::event())],
         Some(engine) => vec![engine],
     };
-    // Smoke and full runs default to *different* files: the checked-in
-    // BENCH_soak.json is the full 2000-round artifact, and a smoke run must
-    // never silently replace it with the short shape (which is exactly what
-    // happened when both presets shared one default path).
-    let default_path = if smoke {
-        "BENCH_soak_smoke.json"
-    } else {
-        "BENCH_soak.json"
-    };
-    let path = path_arg(args, default_path);
-    // The committed file at the target path, when there is one: the refusal
-    // check and the latency-regression gate both read it, and both must do so
-    // before the fresh run overwrites it.
+    let path = path_arg(args, "BENCH_soak_smoke.json");
+    // The committed file at the target path, when there is one: the count and
+    // latency gates read it before the fresh run overwrites it.
     let committed: Option<uba_bench::SoakFile> = artifact::read(&path).ok();
-    if smoke && committed.as_ref().is_some_and(|existing| !existing.smoke) {
-        eprintln!(
-            "refusing to overwrite {} with a --smoke run: it holds a full \
-             (non-smoke) artifact; pass an explicit path to override",
-            path.display()
-        );
-        exit(2);
-    }
-    let config = if smoke {
-        uba_bench::SoakConfig::smoke()
-    } else {
-        uba_bench::SoakConfig::full()
-    };
+    let config = uba_bench::SoakConfig::smoke();
     eprintln!(
         "soaking n = {} for {} rounds under rotating clean/faulty crash/restart churn \
-         every {} rounds (smoke = {smoke}, {} engine(s))…",
+         every {} rounds ({} engine(s))…",
         config.nodes,
         config.rounds,
         config.crash_period,
         engines.len()
     );
     let started = Instant::now();
-    let file = uba_bench::soak::soak_file(smoke, &config, &engines);
+    let file = uba_bench::soak::soak_file(&config, &engines);
     println!("{}", uba_bench::soak_table(&file));
     // The counts are exact functions of the seed: any drift from the committed
     // artifact fails the run, before the fresh file overwrites it (remove the

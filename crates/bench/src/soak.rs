@@ -1,16 +1,16 @@
 //! Long-horizon soak runs under continuous crash/restart churn
-//! (`BENCH_soak.json`).
+//! (`BENCH_soak_smoke.json`).
 //!
 //! The crash-recovery subsystem (`uba_simnet::wal`, `docs/RECOVERY.md`) adds a
 //! per-node write-ahead log and a restart path to both engines; the failure
 //! mode such machinery invites is not a wrong answer on round 3 but a slow one
 //! on round 3000 — logs that never compact, inboxes that accumulate envelopes
 //! for nodes that keep leaving, restart bookkeeping that grows per cycle. The
-//! soak driver runs the dynamic total-ordering workload at `n = 128` for
-//! thousands of rounds (`n = 64` for hundreds of rounds in the CI smoke — the
-//! horizon, not the population, is the soak axis; see [`SoakConfig::full`])
-//! while a rotating set of correct nodes crashes and restarts every few
-//! rounds — the restart policy itself rotates through [`SOAK_POLICIES`]:
+//! soak driver runs the dynamic total-ordering workload in one shape,
+//! [`SoakConfig::smoke`] (`n = 64` for 300 rounds — the horizon, not the
+//! population, is the soak axis) while a rotating set of correct nodes
+//! crashes and restarts every few rounds — the restart policy itself rotates
+//! through [`SOAK_POLICIES`]:
 //! clean replays and all three write-ahead-log fault shapes (torn tail, lost
 //! unsynced suffix, corrupt record), with [`SoakConfig::sync_every`] raised
 //! above 1 so the faults have an unsynced suffix to bite. Each run samples two
@@ -49,7 +49,7 @@
 //! Regenerate with:
 //!
 //! ```text
-//! cargo run -p uba-bench --release --bin experiments -- soak [--smoke]
+//! cargo run -p uba-bench --release --bin experiments -- soak
 //! ```
 
 use std::time::Instant;
@@ -58,6 +58,7 @@ use serde::{Deserialize, Serialize};
 
 use uba_checker::attach_verdicts;
 use uba_core::sim::{TotalOrderFactory, TotalOrderPlan};
+use uba_simnet::stats::quantile_sorted;
 use uba_simnet::{
     ChurnEvent, ChurnSchedule, EngineKind, Harness, IdSpace, NodeId, RestartPolicy, Simulation,
     WalConfig, WalFault,
@@ -134,7 +135,8 @@ pub struct SoakConfig {
 }
 
 impl SoakConfig {
-    /// The CI smoke shape: hundreds of rounds at `n = 64`.
+    /// The soak shape, run by CI and committed as `BENCH_soak_smoke.json`:
+    /// 300 rounds at `n = 64`.
     pub fn smoke() -> Self {
         SoakConfig {
             nodes: 64,
@@ -145,30 +147,6 @@ impl SoakConfig {
             seed: SEED,
             compact_after: 64,
             sync_every: 2,
-        }
-    }
-
-    /// The full long-horizon shape: `n = 128` held for 2000 rounds under the
-    /// rotating clean/faulty restart churn (~12 write-ahead-log fill/compact
-    /// cycles per leak-gate window, hundreds of completed crash/restart
-    /// cycles, every fault shape exercised ~100 times).
-    ///
-    /// The horizon, not the population, is the primary soak axis: a leak or a
-    /// compaction failure accumulates per round, so stretching rounds is what
-    /// exposes it. `n = 128` doubles the previous frontier — affordable since
-    /// total order's borrowed demux removed the per-delivery payload clone
-    /// from its hot path; per-round cost still grows ~n³, which is what caps
-    /// the population here.
-    pub fn full() -> Self {
-        SoakConfig {
-            nodes: 128,
-            rounds: 2_000,
-            crash_period: 5,
-            downtime: 2,
-            victims: 16,
-            seed: SEED,
-            compact_after: 64,
-            sync_every: 4,
         }
     }
 
@@ -265,12 +243,12 @@ impl SoakRow {
     }
 }
 
-/// The serialised soak result (`BENCH_soak.json`).
+/// The serialised soak result (`BENCH_soak_smoke.json`).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SoakFile {
     /// Seed the runs derive from.
     pub seed: u64,
-    /// Whether this is the CI smoke shape.
+    /// Always `true`: the file holds the one soak shape, [`SoakConfig::smoke`].
     pub smoke: bool,
     /// One row per engine.
     pub rows: Vec<SoakRow>,
@@ -312,15 +290,6 @@ pub fn soak_churn(
         round += crash_period;
     }
     churn
-}
-
-/// Index of the `p`-th percentile (0.0 ≤ p ≤ 1.0) in an ascending-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// The floor of a window: its minimum, or 0 when empty. Sawtooth signals
@@ -422,7 +391,7 @@ pub fn run_soak(config: &SoakConfig, engine: Option<EngineKind>) -> SoakRow {
     let window_median = |window: &[f64]| -> f64 {
         let mut sorted = window.to_vec();
         sorted.sort_by(f64::total_cmp);
-        percentile(&sorted, 0.50)
+        quantile_sorted(&sorted, 0.50)
     };
     let lat_mid_third_us = window_median(&latencies_us[third..2 * third]);
     let lat_last_third_us = window_median(&latencies_us[latencies_us.len() - third..]);
@@ -444,9 +413,9 @@ pub fn run_soak(config: &SoakConfig, engine: Option<EngineKind>) -> SoakRow {
         nodes: config.nodes,
         rounds: harness.rounds_executed(),
         restarts,
-        p50_us: percentile(&sorted, 0.50),
-        p95_us: percentile(&sorted, 0.95),
-        p99_us: percentile(&sorted, 0.99),
+        p50_us: quantile_sorted(&sorted, 0.50),
+        p95_us: quantile_sorted(&sorted, 0.95),
+        p99_us: quantile_sorted(&sorted, 0.99),
         live_mid_third,
         live_last_third,
         live_peak,
@@ -525,10 +494,10 @@ pub fn count_drift(current: &SoakFile, committed: &SoakFile) -> Vec<String> {
 }
 
 /// Runs the soak shape on each engine and assembles the file.
-pub fn soak_file(smoke: bool, config: &SoakConfig, engines: &[Option<EngineKind>]) -> SoakFile {
+pub fn soak_file(config: &SoakConfig, engines: &[Option<EngineKind>]) -> SoakFile {
     SoakFile {
         seed: config.seed,
-        smoke,
+        smoke: true,
         rows: engines
             .iter()
             .map(|engine| run_soak(config, engine.clone()))
@@ -540,8 +509,8 @@ pub fn soak_file(smoke: bool, config: &SoakConfig, engines: &[Option<EngineKind>
 pub fn soak_table(file: &SoakFile) -> Table {
     let mut table = Table::new(
         format!(
-            "soak: long-horizon crash/restart churn (seed {:#x}, smoke = {})",
-            file.seed, file.smoke
+            "soak: long-horizon crash/restart churn (seed {:#x})",
+            file.seed
         ),
         &[
             "engine",
@@ -656,7 +625,7 @@ mod tests {
     #[test]
     fn the_slope_gate_fails_runs_that_age_into_slowness() {
         let config = SoakConfig::tiny();
-        let mut file = soak_file(true, &config, &[None]);
+        let mut file = soak_file(&config, &[None]);
         assert!(file.passed());
         let row = &mut file.rows[0];
         row.lat_last_third_us =
@@ -669,7 +638,7 @@ mod tests {
     #[test]
     fn soak_files_serialise_and_gate_on_their_rows() {
         let config = SoakConfig::tiny();
-        let file = soak_file(true, &config, &[None]);
+        let file = soak_file(&config, &[None]);
         assert_eq!(file.rows.len(), 1);
         assert_eq!(file.rows[0].engine, "sync");
         assert!(file.passed());
@@ -698,9 +667,7 @@ mod tests {
             !row.passed(),
             "too-short rows must fail, not pass vacuously"
         );
-        assert!(
-            format!("{}", soak_table(&soak_file(true, &config, &[None]))).contains("TOO SHORT")
-        );
+        assert!(format!("{}", soak_table(&soak_file(&config, &[None]))).contains("TOO SHORT"));
     }
 
     #[test]
@@ -739,7 +706,7 @@ mod tests {
     #[test]
     fn the_latency_gate_flags_only_percentiles_beyond_the_margin() {
         let config = SoakConfig::tiny();
-        let committed = soak_file(true, &config, &[None]);
+        let committed = soak_file(&config, &[None]);
         let mut current = committed.clone();
         assert_eq!(
             latency_drift(&current, &committed, 3.0, 2_000.0),
@@ -753,13 +720,5 @@ mod tests {
         current.rows[0].engine = "exotic".to_string();
         let missing = latency_drift(&current, &committed, 3.0, 2_000.0);
         assert!(missing[0].contains("no committed row"), "{missing:?}");
-    }
-
-    #[test]
-    fn percentiles_read_the_sorted_tail() {
-        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&sorted, 0.50), 51.0);
-        assert_eq!(percentile(&sorted, 0.99), 99.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 }

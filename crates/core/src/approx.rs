@@ -13,9 +13,11 @@
 //! extremes, and the median of the correct inputs always survives (Lemma 13), which is
 //! what makes the ranges of any two correct nodes overlap and the output range shrink.
 //!
-//! [`ApproxAgreement`] is the single-shot protocol; [`IteratedApproxAgreement`] runs
-//! the same step repeatedly (each iteration halves the correct range again), which is
-//! what the convergence experiment E6 and the sensor-fusion example use.
+//! [`IteratedApproxAgreement`] is the one node: it repeats that step for a given
+//! number of iterations, each halving the correct range again. The single-shot
+//! protocol of Theorem 4 is the node with one iteration
+//! ([`ApproxFactory`](crate::sim::ApproxFactory) builds it); the convergence
+//! experiment E6 and the sensor-fusion example run more.
 //!
 //! The paper notes (Section XI) that the same algorithm keeps its two guarantees
 //! *per round* while participants join and leave, subject to `n > 3f` in every
@@ -66,75 +68,13 @@ pub fn subset_join_value(joiner_input: Real, subset_values: &[Real]) -> Real {
     trimmed_midpoint(values).unwrap_or(joiner_input)
 }
 
-/// A node running the single-shot Algorithm 4.
-#[derive(Clone, Debug)]
-pub struct ApproxAgreement {
-    id: NodeId,
-    input: Real,
-    output: Option<Real>,
-    received: Vec<(NodeId, Real)>,
-}
-
-impl ApproxAgreement {
-    /// Creates a node with the given real-valued input.
-    pub fn new(id: NodeId, input: Real) -> Self {
-        ApproxAgreement {
-            id,
-            input,
-            output: None,
-            received: Vec::new(),
-        }
-    }
-
-    /// The node's input.
-    pub fn input(&self) -> Real {
-        self.input
-    }
-
-    /// The number of distinct senders whose values were used (`n_v = |R_v|`).
-    pub fn n_v(&self) -> usize {
-        self.received.len()
-    }
-}
-
-impl Protocol for ApproxAgreement {
-    type Payload = ApproxMessage;
-    type Output = Real;
-
-    fn id(&self) -> NodeId {
-        self.id
-    }
-
-    fn step(&mut self, ctx: &RoundContext, inbox: Inbox<'_, Real>) -> Vec<Outgoing<Real>> {
-        match ctx.round {
-            // Line 1: broadcast the input to everyone, including self.
-            1 => vec![Outgoing::broadcast(self.input)],
-            // Lines 2–4: collect one value per sender, trim, output the midpoint.
-            2 => {
-                for (sender, value) in inbox {
-                    // At most one value per sender counts (a Byzantine node may try to
-                    // stuff several distinct values; only its first is kept).
-                    if !self.received.iter().any(|(from, _)| *from == sender) {
-                        self.received.push((sender, *value));
-                    }
-                }
-                let values: Vec<Real> = self.received.iter().map(|(_, v)| *v).collect();
-                self.output = trimmed_midpoint(values);
-                Vec::new()
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    fn output(&self) -> Option<Real> {
-        self.output
-    }
-}
-
 /// A node that repeats Algorithm 4 for a fixed number of iterations, feeding each
 /// iteration's output into the next as its new value. Each iteration takes one round
 /// (broadcast, then compute at the start of the next round, which doubles as the next
-/// broadcast round).
+/// broadcast round). A round with an empty inbox completes no iteration: the node
+/// broadcasts its unchanged value again, so a node that missed a round (a crash
+/// victim, say) still finishes once traffic reaches it. After the last iteration the
+/// node ignores its inbox, so its output is final.
 #[derive(Clone, Debug)]
 pub struct IteratedApproxAgreement {
     id: NodeId,
@@ -170,6 +110,12 @@ impl IteratedApproxAgreement {
         &self.history
     }
 
+    /// The number of distinct senders whose values the last completed iteration
+    /// used (`n_v = |R_v|`); 0 before the first.
+    pub fn n_v(&self) -> usize {
+        self.received.len()
+    }
+
     /// Overrides the node's current value between iterations — models a dynamic
     /// network where a joining node brings a fresh (possibly range-expanding) value,
     /// as discussed in Section XI.
@@ -187,10 +133,16 @@ impl Protocol for IteratedApproxAgreement {
     }
 
     fn step(&mut self, _ctx: &RoundContext, inbox: Inbox<'_, Real>) -> Vec<Outgoing<Real>> {
+        // An output is final: traffic after the last iteration changes nothing.
+        if self.completed >= self.iterations {
+            return Vec::new();
+        }
         // Finish the previous iteration (if one was in flight).
         if !inbox.is_empty() {
             self.received.clear();
             for (sender, value) in inbox {
+                // At most one value per sender counts: a Byzantine node may stuff
+                // several distinct values, and only its first is kept.
                 if !self.received.iter().any(|(from, _)| *from == sender) {
                     self.received.push((sender, *value));
                 }
@@ -276,7 +228,7 @@ mod tests {
         let nodes: Vec<_> = ids
             .iter()
             .zip(&inputs)
-            .map(|(&id, &x)| ApproxAgreement::new(id, real(x)))
+            .map(|(&id, &x)| IteratedApproxAgreement::new(id, real(x), 1))
             .collect();
         let mut engine = SyncEngine::new(nodes, SilentAdversary, vec![]);
         engine.run_to_output(5).unwrap();
@@ -301,7 +253,7 @@ mod tests {
         let nodes: Vec<_> = ids[..7]
             .iter()
             .zip(&inputs)
-            .map(|(&id, &x)| ApproxAgreement::new(id, real(x)))
+            .map(|(&id, &x)| IteratedApproxAgreement::new(id, real(x), 1))
             .collect();
         let byz_clone = byz.clone();
         let adversary = FnAdversary::new(move |view: &AdversaryView<'_, Real>| {
@@ -373,13 +325,48 @@ mod tests {
 
     #[test]
     fn accessors_report_inputs_and_counts() {
-        let node = ApproxAgreement::new(NodeId::new(3), real(1.5));
-        assert_eq!(node.input(), real(1.5));
-        assert_eq!(node.n_v(), 0);
         let mut iterated = IteratedApproxAgreement::new(NodeId::new(4), real(2.0), 3);
+        assert_eq!(iterated.n_v(), 0);
         assert_eq!(iterated.value(), real(2.0));
         iterated.inject_value(real(5.0));
         assert_eq!(iterated.value(), real(5.0));
         assert!(iterated.history().is_empty());
+    }
+
+    #[test]
+    fn an_empty_inbox_completes_no_iteration() {
+        // A node whose first inbox is empty (a crash victim back after round 1's
+        // traffic went by) keeps its value on the wire until traffic reaches it.
+        let ids = IdSpace::default().generate(3, 11);
+        let mut node = IteratedApproxAgreement::new(ids[0], real(4.0), 1);
+        let sent = node.step(&RoundContext::new(2), Inbox::default());
+        assert!(node.history().is_empty());
+        assert_eq!(node.output(), None);
+        assert_eq!(sent, vec![Outgoing::broadcast(real(4.0))]);
+        let values = [real(4.0), real(6.0), real(8.0)];
+        let inbox: Vec<(NodeId, &Real)> = ids.iter().copied().zip(&values).collect();
+        let sent = node.step(&RoundContext::new(3), Inbox::from(inbox.as_slice()));
+        assert_eq!(node.history(), [real(6.0)]);
+        assert_eq!(node.output(), Some(real(6.0)));
+        assert!(sent.is_empty());
+    }
+
+    #[test]
+    fn an_output_is_final() {
+        // Traffic after the last iteration (a Byzantine straggler, a late
+        // joiner's broadcast) neither moves the output nor starts an iteration.
+        let ids = IdSpace::default().generate(3, 12);
+        let mut node = IteratedApproxAgreement::new(ids[0], real(4.0), 1);
+        let values = [real(4.0), real(6.0), real(8.0)];
+        let inbox: Vec<(NodeId, &Real)> = ids.iter().copied().zip(&values).collect();
+        node.step(&RoundContext::new(2), Inbox::from(inbox.as_slice()));
+        assert_eq!(node.output(), Some(real(6.0)));
+        let outlier = [real(1e9)];
+        let late: Vec<(NodeId, &Real)> = ids.iter().copied().zip(&outlier).collect();
+        let sent = node.step(&RoundContext::new(3), Inbox::from(late.as_slice()));
+        assert!(sent.is_empty());
+        assert_eq!(node.output(), Some(real(6.0)));
+        assert_eq!(node.history(), [real(6.0)]);
+        assert_eq!(node.n_v(), 3);
     }
 }

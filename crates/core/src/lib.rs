@@ -20,7 +20,7 @@
 //! | Algorithm 1 (§V) | [`reliable_broadcast`] | Reliable broadcast | [`sim::BroadcastFactory`] |
 //! | Algorithm 2 (§VI) | [`rotor`] | Rotor-coordinator (leader rotation) | [`sim::RotorFactory`] |
 //! | Algorithm 3 (§VII) | [`consensus`] | Consensus in `O(f)` rounds | [`sim::ConsensusFactory`] |
-//! | Algorithm 4 (§VIII) | [`approx`] | Approximate agreement | [`sim::ApproxFactory`], [`sim::IteratedApproxFactory`] |
+//! | Algorithm 4 (§VIII) | [`approx`] | Approximate agreement: one node, single-shot is one iteration | [`sim::ApproxFactory`], [`sim::IteratedApproxFactory`] |
 //! | §XI, §XII | [`approx`] | Approximate agreement under churn, subset join | [`sim::IteratedApproxFactory`] + a churn schedule |
 //! | Algorithm 5 (§X) | [`early_consensus`], [`parallel_consensus`] | Parallel consensus | [`sim::ParallelConsensusFactory`] |
 //! | Algorithm 6 (§XI) | [`total_order`] | Total ordering in dynamic networks | [`sim::TotalOrderFactory`] |
@@ -87,7 +87,7 @@ pub mod total_order;
 pub mod value;
 pub mod vote;
 
-pub use approx::{subset_join_value, ApproxAgreement, IteratedApproxAgreement};
+pub use approx::{subset_join_value, IteratedApproxAgreement};
 pub use consensus::{Consensus, ConsensusMessage, Decision};
 pub use early_consensus::{EarlyConsensus, InstanceId, ParallelMessage};
 pub use parallel_consensus::{ParallelConsensus, ParallelDecision};

@@ -11,8 +11,8 @@
 //! | [`ConsensusFactory`] | Algorithm 3 (`Consensus<u64>`) | `consensus` |
 //! | [`BroadcastFactory`] | Algorithm 1 (`ReliableBroadcast<u64>`) | `broadcast` |
 //! | [`RotorFactory`] | Algorithm 2 (`RotorCoordinator<u64>`) | `rotor` |
-//! | [`ApproxFactory`] | Algorithm 4 (`ApproxAgreement`) | `approx` |
-//! | [`IteratedApproxFactory`] | iterated Algorithm 4 | `spreads` + `approx` |
+//! | [`ApproxFactory`] | Algorithm 4 (`IteratedApproxAgreement`, one iteration) | `approx` |
+//! | [`IteratedApproxFactory`] | iterated Algorithm 4 (`IteratedApproxAgreement`) | `spreads` + `approx` |
 //! | [`ParallelConsensusFactory`] | Algorithm 5 (`ParallelConsensus<u64>`) | `parallel` |
 //! | [`TotalOrderFactory`] | Algorithm 6 (`TotalOrderNode<E>`) | `chain` |
 //!
@@ -60,7 +60,7 @@ pub use uba_simnet::sweep::{CrashPlan, ScenarioGrid, SweepCase};
 pub use uba_simnet::wal::{RestartPolicy, RestartRecord, WalConfig, WalFault};
 
 use crate::adversaries::{AnnounceToSubset, EquivocatingSource, GhostPairInjector, SplitVote};
-use crate::approx::{ApproxAgreement, IteratedApproxAgreement};
+use crate::approx::IteratedApproxAgreement;
 use crate::consensus::{CommonTally, Consensus, ConsensusMessage, PhaseStep};
 use crate::parallel_consensus::ParallelConsensus;
 use crate::reliable_broadcast::{RbMessage, ReliableBroadcast};
@@ -626,13 +626,38 @@ fn outliers_with(name: &str, magnitude: f64, every_round: bool) -> NamedAdversar
     )
 }
 
-/// The round-1 extreme-outlier adversary from the Theorem 4 experiments: Byzantine
-/// identities push `±10⁹` to alternating halves of the correct nodes.
-fn extreme_outliers() -> NamedAdversary<Real> {
-    outliers_with("extreme-outliers", 1e9, false)
+/// One Algorithm 4 node per correct identifier, in construction order, each
+/// running `iterations` trimmed-midpoint steps from its input.
+fn approx_nodes(
+    inputs: &[f64],
+    iterations: u64,
+    ctx: &BuildContext,
+) -> Vec<IteratedApproxAgreement> {
+    assert_eq!(
+        inputs.len(),
+        ctx.correct_ids.len(),
+        "one input per correct node"
+    );
+    ctx.correct_ids
+        .iter()
+        .zip(inputs)
+        .map(|(&id, &input)| IteratedApproxAgreement::new(id, Real::from_f64(input), iterations))
+        .collect()
 }
 
-/// Factory for single-shot approximate agreement on `f64` inputs.
+/// Records the `approx` section: the inputs against the outputs of the nodes
+/// that have one.
+fn record_approx(inputs: &[f64], nodes: &[IteratedApproxAgreement], report: &mut RunReport) {
+    let outputs: Vec<f64> = nodes
+        .iter()
+        .filter_map(|n| n.output())
+        .map(|real| real.to_f64())
+        .collect();
+    report.approx = Some(approx_section_from_values(inputs.to_vec(), outputs));
+}
+
+/// Factory for single-shot approximate agreement on `f64` inputs: Algorithm 4's
+/// node with one iteration.
 #[derive(Clone, Debug)]
 pub struct ApproxFactory {
     inputs: Vec<f64>,
@@ -648,31 +673,23 @@ impl ApproxFactory {
 }
 
 impl ProtocolFactory for ApproxFactory {
-    type Node = ApproxAgreement;
+    type Node = IteratedApproxAgreement;
 
     fn protocol_name(&self) -> String {
         "approx-agreement".into()
     }
 
-    fn build_nodes(&mut self, ctx: &BuildContext) -> Vec<ApproxAgreement> {
-        assert_eq!(
-            self.inputs.len(),
-            ctx.correct_ids.len(),
-            "one input per correct node"
-        );
-        ctx.correct_ids
-            .iter()
-            .zip(&self.inputs)
-            .map(|(&id, &input)| ApproxAgreement::new(id, Real::from_f64(input)))
-            .collect()
+    fn build_nodes(&mut self, ctx: &BuildContext) -> Vec<IteratedApproxAgreement> {
+        approx_nodes(&self.inputs, 1, ctx)
     }
 
     fn adversary(&self, kind: AdversaryKind, _ctx: &BuildContext) -> NamedAdversary<Real> {
         match kind {
             AdversaryKind::Silent => NamedAdversary::new(kind.name(), SilentAdversary),
             // Every active strategy maps to the proof's worst case: values have no
-            // votes to split and no announcements to withhold, only outliers.
-            _ => extreme_outliers(),
+            // votes to split and no announcements to withhold, only outliers:
+            // `±10⁹` to alternating halves of the correct nodes in round 1.
+            _ => outliers_with("extreme-outliers", 1e9, false),
         }
     }
 
@@ -697,13 +714,13 @@ impl ProtocolFactory for ApproxFactory {
         StopCondition::AllOutput
     }
 
-    fn record(&self, _ctx: &BuildContext, nodes: &[ApproxAgreement], report: &mut RunReport) {
-        let outputs: Vec<f64> = nodes
-            .iter()
-            .filter_map(|n| n.output())
-            .map(|real| real.to_f64())
-            .collect();
-        report.approx = Some(approx_section_from_values(self.inputs.clone(), outputs));
+    fn record(
+        &self,
+        _ctx: &BuildContext,
+        nodes: &[IteratedApproxAgreement],
+        report: &mut RunReport,
+    ) {
+        record_approx(&self.inputs, nodes, report);
     }
 }
 
@@ -775,18 +792,7 @@ impl ProtocolFactory for IteratedApproxFactory {
     }
 
     fn build_nodes(&mut self, ctx: &BuildContext) -> Vec<IteratedApproxAgreement> {
-        assert_eq!(
-            self.inputs.len(),
-            ctx.correct_ids.len(),
-            "one input per correct node"
-        );
-        ctx.correct_ids
-            .iter()
-            .zip(&self.inputs)
-            .map(|(&id, &input)| {
-                IteratedApproxAgreement::new(id, Real::from_f64(input), self.iterations)
-            })
-            .collect()
+        approx_nodes(&self.inputs, self.iterations, ctx)
     }
 
     fn adversary(&self, kind: AdversaryKind, _ctx: &BuildContext) -> NamedAdversary<Real> {
@@ -849,12 +855,7 @@ impl ProtocolFactory for IteratedApproxFactory {
             per_iteration.push(hi - lo);
         }
         report.spreads = Some(SpreadSection { per_iteration });
-        let outputs: Vec<f64> = nodes
-            .iter()
-            .filter_map(|n| n.output())
-            .map(|real| real.to_f64())
-            .collect();
-        report.approx = Some(approx_section_from_values(self.inputs.clone(), outputs));
+        record_approx(&self.inputs, nodes, report);
     }
 }
 

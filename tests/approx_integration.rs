@@ -4,7 +4,7 @@
 
 use uba_bench::workload::{clustered_with_outliers, rolling_churn_plan, uniform_reals};
 use uba_checker::approx::{check_approx, check_approx_real, check_convergence};
-use uba_core::approx::{subset_join_value, ApproxAgreement, IteratedApproxAgreement};
+use uba_core::approx::{subset_join_value, IteratedApproxAgreement};
 use uba_core::sim::{AdversaryKind, Harness, IteratedApproxFactory, ScenarioExt, Simulation};
 use uba_core::Real;
 use uba_simnet::adversary::SilentAdversary;
@@ -59,10 +59,10 @@ fn per_sender_deduplication_keeps_byzantine_stuffing_out() {
     let ids = IdSpace::default().generate(5, 17);
     let byz = NodeId::new(999_000);
     let inputs = [10.0, 11.0, 12.0, 13.0, 14.0];
-    let nodes: Vec<ApproxAgreement> = ids
+    let nodes: Vec<IteratedApproxAgreement> = ids
         .iter()
         .zip(&inputs)
-        .map(|(&id, &x)| ApproxAgreement::new(id, Real::from_f64(x)))
+        .map(|(&id, &x)| IteratedApproxAgreement::new(id, Real::from_f64(x), 1))
         .collect();
     let adversary = FnAdversary::new(move |view: &AdversaryView<'_, Real>| {
         if view.round != 1 {

@@ -109,12 +109,6 @@ fn the_soak_smoke_artifact_parses_under_its_schema() {
     });
 }
 
-/// Artifacts the docs name but deliberately do not commit.
-const NOT_COMMITTED: &[&str] = &[
-    // docs/RECOVERY.md: the full soak takes hours and is not committed.
-    "BENCH_soak.json",
-];
-
 fn text_files(dir: &Path, files: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -163,7 +157,6 @@ fn every_cited_artifact_exists() {
     );
     let missing: Vec<&String> = cited
         .iter()
-        .filter(|name| !NOT_COMMITTED.contains(&name.as_str()))
         .filter(|name| !root().join(name).is_file())
         .collect();
     assert!(missing.is_empty(), "cited but not committed: {missing:?}");
