@@ -17,12 +17,11 @@
 
 use uba_simnet::adversary::SilentAdversary;
 use uba_simnet::sim::{
-    approx_section_from_values, consensus_section_from_parts, AdversaryKind, BroadcastSection,
-    BuildContext, ConsensusDecision, NamedAdversary, NodeAcceptSet, ProtocolFactory, RotorSection,
-    RunReport, StopCondition,
+    approx_section_from_values, broadcast_section, consensus_section, AdversaryKind, BuildContext,
+    ConsensusDecision, NamedAdversary, ProtocolFactory, RotorSection, RunReport, StopCondition,
 };
 use uba_simnet::vocab::{PayloadVocab, VocabScene};
-use uba_simnet::{IdSpace, NodeId, Protocol};
+use uba_simnet::{IdSpace, Protocol};
 
 use crate::dolev_approx::{DolevApprox, Micro};
 use crate::phase_king::{PhaseKing, PhaseKingMessage};
@@ -97,26 +96,16 @@ impl ProtocolFactory for PhaseKingFactory {
     }
 
     fn record(&self, ctx: &BuildContext, nodes: &[PhaseKing<u64>], report: &mut RunReport) {
-        let inputs: Vec<(NodeId, u64)> = ctx
-            .correct_ids
-            .iter()
-            .copied()
-            .zip(self.inputs.iter().copied())
-            .collect();
-        let mut decisions = Vec::new();
-        let mut undecided = Vec::new();
-        for node in nodes {
-            match node.output() {
-                Some(value) => decisions.push(ConsensusDecision {
-                    node: node.id(),
-                    value,
-                    phase: 0,
-                    round: node.decided_round(),
-                }),
-                None => undecided.push(node.id()),
-            }
-        }
-        report.consensus = Some(consensus_section_from_parts(inputs, decisions, undecided));
+        let decisions = nodes.iter().map(|node| {
+            let decision = node.output().map(|value| ConsensusDecision {
+                node: node.id(),
+                value,
+                phase: 0,
+                round: node.decided_round(),
+            });
+            (node.id(), decision)
+        });
+        report.consensus = Some(consensus_section(ctx, &self.inputs, decisions));
     }
 }
 
@@ -208,32 +197,14 @@ impl ProtocolFactory for StBroadcastFactory {
     }
 
     fn record(&self, ctx: &BuildContext, nodes: &[StBroadcast<u64>], report: &mut RunReport) {
-        let accepted: Vec<NodeAcceptSet> = nodes
+        let source = *ctx
+            .correct_ids
+            .first()
+            .expect("a correct designated sender");
+        let accepted = nodes
             .iter()
-            .map(|node| {
-                let mut values: Vec<(u64, u64)> = node.accepted().to_vec();
-                values.sort_unstable();
-                NodeAcceptSet {
-                    node: node.id(),
-                    values,
-                }
-            })
-            .collect();
-        let sets: Vec<Vec<u64>> = accepted
-            .iter()
-            .map(|set| set.values.iter().map(|&(message, _)| message).collect())
-            .collect();
-        let consistent = sets.windows(2).all(|w| w[0] == w[1]);
-        report.broadcast = Some(BroadcastSection {
-            source: *ctx
-                .correct_ids
-                .first()
-                .expect("a correct designated sender"),
-            source_correct: true,
-            sent: Some(self.value),
-            accepted,
-            consistent,
-        });
+            .map(|node| (node.id(), node.accepted().to_vec()));
+        report.broadcast = Some(broadcast_section(source, true, Some(self.value), accepted));
     }
 }
 

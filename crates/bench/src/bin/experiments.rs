@@ -8,8 +8,8 @@
 //! cargo run -p uba-bench --release --bin experiments -- fuzz [--smoke] [--out path]
 //! cargo run -p uba-bench --release --bin experiments -- fuzz --boundary [--smoke]
 //! cargo run -p uba-bench --release --bin experiments -- fuzz --replay path
-//! cargo run -p uba-bench --release --bin experiments -- soak [--engine sync|event] [path]
-//! cargo run -p uba-bench --release --bin experiments -- stream [--smoke] [--window-sweep] [path]
+//! cargo run -p uba-bench --release --bin experiments -- soak [path]
+//! cargo run -p uba-bench --release --bin experiments -- stream [--smoke] [path]
 //! ```
 //!
 //! `baseline` regenerates `BENCH_baseline.json`: the fixed scenario grid run through
@@ -39,9 +39,9 @@
 //! are compared against the committed file with a generous margin — drift is reported,
 //! never hard-failed, since wall-clock numbers are machine-dependent. The
 //! exit code is 1 when a deterministic count column (`SoakRow::DETERMINISTIC`)
-//! drifts from the committed file, or when any row shows monotone memory
-//! growth, has too few samples for the leak gate, or fails the recovery
-//! oracles.
+//! drifts from the committed file or an engine's row is missing, or when any
+//! row shows monotone memory growth, has too few samples for the leak gate, or
+//! fails the recovery oracles.
 //!
 //! `stream` runs the pipelined multi-shot agreement stream (`uba_bench::stream`,
 //! `docs/STREAMING.md`): an open-loop Zipf-keyed request generator batched into
@@ -52,11 +52,10 @@
 //! committed artifact (count drift exits 1, the CI regression guard); the
 //! committed full rows are carried over unchanged. Wall-clock rates are
 //! recorded, never gated. The exit code is 1 when any row fails its oracles.
-//! Every non-`--window-sweep` run also regenerates the active-window sweep
-//! (per-round mux cost vs window size, `docs/STREAMING.md`); `--window-sweep`
-//! regenerates *only* that section, carrying the committed rows over. The
-//! sweep's slope gate — doubling the horizon at a fixed window must not grow
-//! per-round cost beyond 1.1× — is deterministic and hard-fails in any mode.
+//! Every run also regenerates the active-window sweep (per-round mux cost vs
+//! window size, `docs/STREAMING.md`). The sweep's slope gate — doubling the
+//! horizon at a fixed window must not grow per-round cost beyond 1.1× — is
+//! deterministic and hard-fails in either mode.
 //!
 //! `fuzz` runs the deterministic property-fuzz grid (`uba_bench::fuzz`,
 //! `docs/FUZZING.md`): every protocol/baseline family × attack plans × churn ×
@@ -90,12 +89,12 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     }
 }
 
-/// The `--engine` flag: `None` when absent, `Some(None)` for the sync engine,
-/// `Some(Some(..))` for the event engine.
-fn engine_flag(args: &[String]) -> Option<Option<EngineKind>> {
+/// The `--engine` flag: `None` (the sync engine) when absent or `sync`, the
+/// event engine for `event`.
+fn engine_flag(args: &[String]) -> Option<EngineKind> {
     match flag_value(args, "--engine")? {
-        "sync" => Some(None),
-        "event" => Some(Some(EngineKind::event())),
+        "sync" => None,
+        "event" => Some(EngineKind::event()),
         other => {
             eprintln!("--engine expects sync or event, got '{other}'");
             exit(2);
@@ -393,7 +392,7 @@ fn run_scaling(args: &[String]) {
     // `--engine event` forces the whole grid through the discrete-event
     // scheduler (zero-jitter timing) and writes the overhead rows to their own
     // file — the counts must match the sync grid's, the wall clock is the point.
-    let engine = engine_flag(args).flatten();
+    let engine = engine_flag(args);
     // Quick and event runs write to their own default files: the checked-in
     // BENCH_scaling.json holds the full sync grid, and a partial run must not
     // silently clobber the recorded trajectory.
@@ -447,10 +446,7 @@ fn run_scaling(args: &[String]) {
 }
 
 fn run_soak(args: &[String]) {
-    let engines = match engine_flag(args) {
-        None => vec![None, Some(EngineKind::event())],
-        Some(engine) => vec![engine],
-    };
+    let engines = [None, Some(EngineKind::event())];
     let path = path_arg(args, "BENCH_soak_smoke.json");
     // The committed file at the target path, when there is one: the count and
     // latency gates read it before the fresh run overwrites it.
@@ -458,11 +454,8 @@ fn run_soak(args: &[String]) {
     let config = uba_bench::SoakConfig::smoke();
     eprintln!(
         "soaking n = {} for {} rounds under rotating clean/faulty crash/restart churn \
-         every {} rounds ({} engine(s))…",
-        config.nodes,
-        config.rounds,
-        config.crash_period,
-        engines.len()
+         every {} rounds on both engines…",
+        config.nodes, config.rounds, config.crash_period,
     );
     let started = Instant::now();
     let file = uba_bench::soak::soak_file(&config, &engines);
@@ -534,39 +527,24 @@ fn run_soak(args: &[String]) {
 
 fn run_stream(args: &[String]) {
     let smoke = args.iter().any(|a| a == "--smoke");
-    let sweep_only = args.iter().any(|a| a == "--window-sweep");
     let path = path_arg(args, "BENCH_stream.json");
     let committed = artifact::read::<uba_bench::StreamFile>(&path);
     // A smoke run is the CI regression gate: it needs a committed, well-formed
     // artifact to compare against — a missing or unparseable BENCH_stream.json
-    // is itself a failure, not a free pass. A sweep-only run splices into the
-    // committed rows, so it needs them too.
-    if let (true, Err(error)) = (smoke || sweep_only, &committed) {
+    // is itself a failure, not a free pass.
+    if let (true, Err(error)) = (smoke, &committed) {
         eprintln!(
-            "stream {} needs a committed, well-formed {} to gate against ({error}; \
+            "stream --smoke needs a committed, well-formed {} to gate against ({error}; \
              regenerate it with `experiments -- stream`)",
-            if smoke { "--smoke" } else { "--window-sweep" },
             path.display()
         );
         exit(1);
     }
     let committed = committed.ok();
     let started = Instant::now();
-    let fresh = if sweep_only {
-        // Only the active-window sweep; the committed measurement rows ride
-        // along untouched.
-        eprintln!("sweeping per-round mux cost across active-window sizes…");
-        let mut file = committed.clone().expect("checked above");
-        file.window_sweep = uba_bench::stream::window_sweep_rows();
-        file
-    } else {
-        eprintln!(
-            "streaming pipelined agreement instances through both engines (smoke = {smoke})…"
-        );
-        let file = uba_bench::stream_file(smoke);
-        println!("{}", uba_bench::stream_table(&file));
-        file
-    };
+    eprintln!("streaming pipelined agreement instances through both engines (smoke = {smoke})…");
+    let fresh = uba_bench::stream_file(smoke);
+    println!("{}", uba_bench::stream_table(&fresh));
     println!(
         "{}",
         uba_bench::stream::window_sweep_table(&fresh.window_sweep)
@@ -582,7 +560,7 @@ fn run_stream(args: &[String]) {
     // any) are carried over so the artifact never loses its full shape to a CI
     // run — the failure mode the soak artifact had.
     let mut file = fresh;
-    if let (Some(committed), true) = (&committed, smoke && !sweep_only) {
+    if let (Some(committed), true) = (&committed, smoke) {
         gate(
             &uba_bench::stream_drift(&file, committed),
             &format!(

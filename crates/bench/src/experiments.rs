@@ -7,13 +7,13 @@
 //! its known-`(n, f)` baseline run the *same* scenario description head-to-head.
 
 use uba_baselines::{DolevApproxFactory, KnownRotorFactory, PhaseKingFactory, StBroadcastFactory};
-use uba_core::impossibility::{disagreement_rate, run_partition_experiment, TimingModel};
+use uba_core::impossibility::{disagreement_rate, run_partition_experiment};
 use uba_core::quorum::max_faults;
 use uba_core::sim::{
     AdversaryKind, ParallelConsensusFactory, RunReport, ScenarioBuilder, ScenarioExt, Simulation,
     TotalOrderFactory, TotalOrderPlan,
 };
-use uba_simnet::{ChurnEvent, ChurnSchedule, IdSpace, NodeId};
+use uba_simnet::{ChurnEvent, ChurnSchedule, DelaySpec, IdSpace, NodeId};
 
 use crate::table::Table;
 
@@ -367,12 +367,18 @@ pub fn e7_impossibility() -> Table {
     );
     for &(a, b) in &[(2usize, 2usize), (4, 4), (8, 8), (4, 12)] {
         for model in [
-            TimingModel::Synchronous,
-            TimingModel::SemiSynchronous { cross_delay: 1_000 },
-            TimingModel::Asynchronous,
+            DelaySpec::Synchronous,
+            DelaySpec::Partition {
+                first: a,
+                cross: Some(1_000),
+            },
+            DelaySpec::Partition {
+                first: a,
+                cross: None,
+            },
         ] {
-            let rate = disagreement_rate(a, b, model, 5, SEED);
-            let example = run_partition_experiment(a, b, model, SEED).expect("completes");
+            let rate = disagreement_rate(a, b, &model, 5, SEED);
+            let example = run_partition_experiment(a, b, model.clone(), SEED).expect("completes");
             table.push_row(vec![
                 a.to_string(),
                 b.to_string(),
@@ -575,5 +581,39 @@ mod tests {
         assert_eq!(e7.rows.len(), 12);
         let e2 = e2_resiliency_boundary();
         assert_eq!(e2.rows.len(), 5);
+    }
+
+    #[test]
+    fn e7_renders_its_recorded_rows() {
+        // A recording, not a derivation: a change to how a partition delay
+        // resolves, to the consensus rules or to the run budget moves a cell.
+        let table = e7_impossibility();
+        let rows: Vec<Vec<&str>> = table
+            .rows
+            .iter()
+            .map(|row| row.iter().map(String::as_str).collect())
+            .collect();
+        let semi = |first| format!("Partition {{ first: {first}, cross: Some(1000) }}");
+        let asynchronous = |first| format!("Partition {{ first: {first}, cross: None }}");
+        let (semi2, async2) = (semi(2), asynchronous(2));
+        let (semi4, async4) = (semi(4), asynchronous(4));
+        let (semi8, async8) = (semi(8), asynchronous(8));
+        assert_eq!(
+            rows,
+            [
+                ["2", "2", "Synchronous", "0.00", "12", "0"],
+                ["2", "2", &semi2, "1.00", "7", "68"],
+                ["2", "2", &async2, "1.00", "7", "0"],
+                ["4", "4", "Synchronous", "0.00", "12", "0"],
+                ["4", "4", &semi4, "1.00", "7", "392"],
+                ["4", "4", &async4, "1.00", "7", "0"],
+                ["8", "8", "Synchronous", "0.00", "12", "0"],
+                ["8", "8", &semi8, "1.00", "7", "2576"],
+                ["8", "8", &async8, "1.00", "7", "0"],
+                ["4", "12", "Synchronous", "0.00", "7", "0"],
+                ["4", "12", &semi4, "1.00", "7", "1936"],
+                ["4", "12", &async4, "1.00", "7", "0"],
+            ]
+        );
     }
 }

@@ -474,20 +474,15 @@ pub fn latency_drift(
     drift
 }
 
-/// Compares the deterministic columns of the engines `current` ran against
-/// the `committed` rows. Returns human-readable drift lines; empty means no
-/// drift. Wall-clock columns are never compared.
+/// Compares the deterministic columns of `current` against the `committed`
+/// rows; a committed engine row the run did not produce is drift too.
+/// Returns human-readable drift lines; empty means no drift. Wall-clock
+/// columns are never compared.
 pub fn count_drift(current: &SoakFile, committed: &SoakFile) -> Vec<String> {
-    let ran: Vec<SoakRow> = committed
-        .rows
-        .iter()
-        .filter(|row| current.rows.iter().any(|r| r.engine == row.engine))
-        .cloned()
-        .collect();
     artifact::drift(
         "soak",
         &current.rows,
-        &ran,
+        &committed.rows,
         SoakRow::KEY,
         SoakRow::DETERMINISTIC,
     )

@@ -185,10 +185,14 @@ pub fn run_consensus_stream(config: &StreamConfig, engine: Option<EngineKind>) -
     );
     // Instance k batches the arrivals of its window
     // ((k * spacing) .. (k + 1) * spacing] and starts once the window closes.
+    // The arrival rounds are bucketed alongside, for the latency accounting.
     let mut batches: Vec<Vec<u64>> = vec![Vec::new(); config.instances];
+    let mut arrivals: Vec<Vec<u64>> = vec![Vec::new(); config.instances];
     for request in &requests {
         let window = ((request.arrival_round - 1) / config.spacing) as usize;
-        batches[window.min(config.instances - 1)].push(request.key);
+        let window = window.min(config.instances - 1);
+        batches[window].push(request.key);
+        arrivals[window].push(request.arrival_round);
     }
     let mut builder = Simulation::scenario()
         .correct(config.nodes)
@@ -234,14 +238,9 @@ pub fn run_consensus_stream(config: &StreamConfig, engine: Option<EngineKind>) -
             .max()
             .unwrap_or(instance.start_round);
         decisions += 1;
-        let batch = &batches[instance.instance as usize];
-        decided_requests += batch.len() as u64;
-        for request in &requests {
-            let window = (request.arrival_round - 1) / config.spacing;
-            if window == instance.instance {
-                latencies.push((commit - request.arrival_round) as f64);
-            }
-        }
+        let window = &arrivals[instance.instance as usize];
+        decided_requests += window.len() as u64;
+        latencies.extend(window.iter().map(|&arrival| (commit - arrival) as f64));
     }
     StreamOutcome {
         report,

@@ -9,46 +9,20 @@
 //! has already decided on its own unanimous input.
 //!
 //! This module reproduces those executions *with the actual consensus algorithm of
-//! this crate* (Algorithm 3) running on `uba-simnet`'s engine under timed delivery:
-//! with the synchronous link delay the algorithm reaches agreement, with the
-//! partitioned (semi-synchronous or asynchronous) delays the two sides decide
-//! opposite values. Experiment E7 sweeps partition sizes and delay models over
-//! these constructions.
+//! this crate* (Algorithm 3): a [`ConsensusFactory`] scenario run through the
+//! [`Harness`] on the timed engine, its timing one serialisable [`DelaySpec`].
+//! Under [`DelaySpec::Synchronous`] the algorithm reaches agreement; under
+//! [`DelaySpec::Partition`] with `first = |A|` the two sides decide opposite
+//! values, whether cross-partition messages take a bounded delay the nodes do
+//! not know (`cross: Some(Δ)`, Lemma 15) or never arrive (`cross: None`,
+//! Lemma 14). [`DelaySpec::Gst`] is DLS partial synchrony: a stabilisation
+//! time later than the initialisation rounds silences the whole network while
+//! the member estimates freeze, and the run never terminates. Experiment E7
+//! sweeps partition sizes and delay models over these constructions.
 
-use uba_simnet::adversary::SilentAdversary;
-use uba_simnet::{Engine, EventTiming, IdSpace, LinkDelay, NodeId, PartitionSpec, SimError};
+use uba_simnet::{DelaySpec, EngineKind, NodeId, SimError, TimingSpec};
 
-use crate::consensus::Consensus;
-
-/// The timing model under which the partition experiment runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TimingModel {
-    /// Every message is delivered in the next round — the control arm, where the
-    /// synchronous algorithm is guaranteed to agree.
-    Synchronous,
-    /// Cross-partition messages take `cross_delay` ticks (Lemma 15: the bound exists
-    /// but is unknown to the nodes, so they decide before it elapses).
-    SemiSynchronous {
-        /// Delay, in ticks, of every message crossing the partition.
-        cross_delay: u64,
-    },
-    /// Cross-partition messages are never delivered (Lemma 14).
-    Asynchronous,
-    /// Partial synchrony in the DLS sense: **every** message sent before the
-    /// global stabilisation time `gst` arrives at `gst + bound`; afterwards
-    /// the network is synchronous with delay `bound`. Unlike the partitioned
-    /// models this delays traffic uniformly — the adversary needs no knowledge
-    /// of the partition, only control of the clock. A `gst` later than the
-    /// algorithm's decision point silences the whole network long enough that
-    /// each side decides on its own unanimous input, and the late GST traffic
-    /// cannot take the decisions back.
-    PartialSynchrony {
-        /// Global stabilisation time, in ticks.
-        gst: u64,
-        /// Post-stabilisation delivery bound, in ticks.
-        bound: u64,
-    },
-}
+use crate::sim::{ConsensusFactory, Harness, Simulation};
 
 /// The outcome of one partition experiment.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,85 +38,79 @@ pub struct PartitionOutcome {
     pub undelivered: usize,
 }
 
-/// Runs the Lemma 14 / 15 construction: `size_a` nodes with input 1 and `size_b`
-/// nodes with input 0, under the given timing model.
+/// The Lemma 14 / 15 construction as a scenario: `size_a` correct nodes with
+/// input 1, then `size_b` with input 0, running Algorithm 3 under `delay` with
+/// one time unit per tick and a 2,000-tick budget. `A` is group 0 of a
+/// [`DelaySpec::Partition`], so a partition's `first` must equal `size_a`.
 ///
 /// All nodes are correct; the only adversarial power used is message timing, which is
 /// exactly what makes the result an impossibility argument rather than a resiliency
-/// bound.
-pub fn run_partition_experiment(
+/// bound. The report's `scenario` replays the run through
+/// [`ScenarioBuilder::from_spec`](crate::sim::ScenarioBuilder::from_spec).
+pub fn partition_harness(
     size_a: usize,
     size_b: usize,
-    model: TimingModel,
+    delay: DelaySpec,
     seed: u64,
-) -> Result<PartitionOutcome, SimError> {
+) -> Harness<ConsensusFactory> {
     assert!(
         size_a > 0 && size_b > 0,
         "both partitions must be non-empty"
     );
-    let ids = IdSpace::default().generate(size_a + size_b, seed);
-    let (a_ids, b_ids) = ids.split_at(size_a);
+    if let DelaySpec::Partition { first, .. } = delay {
+        assert_eq!(first, size_a, "partition A is the delay's first group");
+    }
+    let inputs = [vec![1; size_a], vec![0; size_b]].concat();
+    Simulation::scenario()
+        .correct(size_a + size_b)
+        .byzantine(0)
+        .seed(seed)
+        .max_rounds(2_000)
+        .engine(EngineKind::Event(
+            TimingSpec::synchronous().with_delay(delay),
+        ))
+        .build(ConsensusFactory::new(inputs))
+}
 
-    let nodes: Vec<Consensus<u64>> = a_ids
-        .iter()
-        .map(|&id| Consensus::new(id, 1u64))
-        .chain(b_ids.iter().map(|&id| Consensus::new(id, 0u64)))
-        .collect();
-
-    let partitioned = |cross: Option<u64>| LinkDelay::Partitioned {
-        spec: PartitionSpec::new()
-            .with_group(0, a_ids.iter().copied())
-            .with_group(1, b_ids.iter().copied()),
-        same: 1,
-        cross,
-    };
-    let delay = match model {
-        TimingModel::Synchronous => LinkDelay::Constant(1),
-        TimingModel::SemiSynchronous { cross_delay } => partitioned(Some(cross_delay)),
-        TimingModel::Asynchronous => partitioned(None),
-        TimingModel::PartialSynchrony { gst, bound } => LinkDelay::Gst {
-            gst,
-            bound: bound.max(1),
-        },
-    };
-
-    // One time unit per tick, zero timer skew: every live node steps every
-    // tick, and the link delay alone decides when (or whether) each message
-    // arrives. All nodes are correct, so the adversary is silent.
-    let timing = EventTiming {
-        delay,
-        ..EventTiming::synchronous()
-    };
-    let mut engine = Engine::with_timing(nodes, SilentAdversary, Vec::new(), timing);
-    let ticks = engine.run_to_termination(2_000)?;
-    let decisions: Vec<(NodeId, u64)> = engine
-        .outputs()
-        .into_iter()
-        .map(|(id, decision)| (id, decision.expect("all nodes decided").value))
-        .collect();
-    let first = decisions[0].1;
-    let agreement = decisions.iter().all(|&(_, value)| value == first);
+/// Runs [`partition_harness`] to termination. A run that does not terminate
+/// within its budget (a late GST) is [`SimError::MaxRoundsExceeded`].
+pub fn run_partition_experiment(
+    size_a: usize,
+    size_b: usize,
+    delay: DelaySpec,
+    seed: u64,
+) -> Result<PartitionOutcome, SimError> {
+    let mut harness = partition_harness(size_a, size_b, delay, seed);
+    let report = harness.run()?;
+    let ticks = report.status.expect_completed()?;
+    let section = report
+        .consensus
+        .expect("the consensus factory records a section");
     Ok(PartitionOutcome {
-        decisions,
-        agreement,
+        decisions: section
+            .decisions
+            .iter()
+            .map(|d| (d.node, d.value))
+            .collect(),
+        agreement: section.agreement,
         ticks,
-        undelivered: engine.in_flight(),
+        undelivered: harness.engine().in_flight(),
     })
 }
 
 /// Runs `trials` independent partition experiments (different identifier seeds) and
 /// returns the fraction that ended in disagreement. Used by experiment E7 to report a
-/// disagreement *probability* per timing model, as the lemmas are phrased.
+/// disagreement *probability* per delay model, as the lemmas are phrased.
 pub fn disagreement_rate(
     size_a: usize,
     size_b: usize,
-    model: TimingModel,
+    delay: &DelaySpec,
     trials: u64,
     seed: u64,
 ) -> f64 {
     let mut disagreements = 0u64;
     for trial in 0..trials {
-        let outcome = run_partition_experiment(size_a, size_b, model, seed ^ (trial + 1))
+        let outcome = run_partition_experiment(size_a, size_b, delay.clone(), seed ^ (trial + 1))
             .expect("partition experiment completes");
         if !outcome.agreement {
             disagreements += 1;
@@ -158,7 +126,7 @@ mod tests {
     #[test]
     fn synchronous_control_always_agrees() {
         for seed in 0..3 {
-            let outcome = run_partition_experiment(3, 3, TimingModel::Synchronous, seed).unwrap();
+            let outcome = run_partition_experiment(3, 3, DelaySpec::Synchronous, seed).unwrap();
             assert!(
                 outcome.agreement,
                 "synchronous execution must agree: {outcome:?}"
@@ -168,7 +136,11 @@ mod tests {
 
     #[test]
     fn asynchronous_partition_disagrees() {
-        let outcome = run_partition_experiment(3, 4, TimingModel::Asynchronous, 7).unwrap();
+        let asynchronous = DelaySpec::Partition {
+            first: 3,
+            cross: None,
+        };
+        let outcome = run_partition_experiment(3, 4, asynchronous, 7).unwrap();
         assert!(
             !outcome.agreement,
             "Lemma 14: the partitions decide their own inputs"
@@ -180,9 +152,11 @@ mod tests {
 
     #[test]
     fn semi_synchronous_partition_disagrees_despite_bounded_delay() {
-        let outcome =
-            run_partition_experiment(4, 4, TimingModel::SemiSynchronous { cross_delay: 500 }, 11)
-                .unwrap();
+        let semi_synchronous = DelaySpec::Partition {
+            first: 4,
+            cross: Some(500),
+        };
+        let outcome = run_partition_experiment(4, 4, semi_synchronous, 11).unwrap();
         assert!(
             !outcome.agreement,
             "Lemma 15: a finite but unknown delay is enough"
@@ -204,8 +178,7 @@ mod tests {
         // fully synchronous after GST. This is behaviour the synchronous
         // engine cannot express — there, round-1 traffic always arrives.
         let err =
-            run_partition_experiment(3, 3, TimingModel::PartialSynchrony { gst: 5, bound: 1 }, 13)
-                .unwrap_err();
+            run_partition_experiment(3, 3, DelaySpec::Gst { gst: 5, bound: 1 }, 13).unwrap_err();
         assert!(
             matches!(err, SimError::MaxRoundsExceeded { .. }),
             "a late GST starves the round-driven algorithm forever: {err:?}"
@@ -214,23 +187,33 @@ mod tests {
         // GST at time zero is the synchronous control: same model, same code
         // path, agreement as usual.
         let control =
-            run_partition_experiment(3, 3, TimingModel::PartialSynchrony { gst: 0, bound: 1 }, 13)
-                .unwrap();
+            run_partition_experiment(3, 3, DelaySpec::Gst { gst: 0, bound: 1 }, 13).unwrap();
         assert!(control.agreement, "gst = 0 is synchrony: {control:?}");
     }
 
     #[test]
     fn disagreement_rate_is_zero_iff_synchronous() {
-        assert_eq!(disagreement_rate(2, 2, TimingModel::Synchronous, 3, 1), 0.0);
-        assert_eq!(
-            disagreement_rate(2, 2, TimingModel::Asynchronous, 3, 1),
-            1.0
-        );
+        assert_eq!(disagreement_rate(2, 2, &DelaySpec::Synchronous, 3, 1), 0.0);
+        let asynchronous = DelaySpec::Partition {
+            first: 2,
+            cross: None,
+        };
+        assert_eq!(disagreement_rate(2, 2, &asynchronous, 3, 1), 1.0);
     }
 
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_partitions_are_rejected() {
-        let _ = run_partition_experiment(0, 3, TimingModel::Synchronous, 1);
+        let _ = run_partition_experiment(0, 3, DelaySpec::Synchronous, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "first group")]
+    fn a_partition_that_is_not_a_and_b_is_rejected() {
+        let smaller_a = DelaySpec::Partition {
+            first: 2,
+            cross: None,
+        };
+        let _ = run_partition_experiment(3, 3, smaller_a, 1);
     }
 }

@@ -24,7 +24,7 @@
 //! | §XI, §XII | [`approx`] | Approximate agreement under churn, subset join | [`sim::IteratedApproxFactory`] + a churn schedule |
 //! | Algorithm 5 (§X) | [`early_consensus`], [`parallel_consensus`] | Parallel consensus | [`sim::ParallelConsensusFactory`] |
 //! | Algorithm 6 (§XI) | [`total_order`] | Total ordering in dynamic networks | [`sim::TotalOrderFactory`] |
-//! | Lemmas 14–15 (§IX) | [`impossibility`] | Impossibility constructions | — (delay engine) |
+//! | Lemmas 14–15 (§IX) | [`impossibility`] | Impossibility constructions | [`sim::ConsensusFactory`] under a partition `DelaySpec` |
 //!
 //! Supporting modules: [`quorum`] (exact threshold arithmetic), [`membership`]
 //! (`n_v` tracking), [`vote`] (distinct-sender tallies), [`value`] (opinion types),

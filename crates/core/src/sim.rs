@@ -44,10 +44,10 @@ pub use uba_simnet::attack::{
     ActorRange, AdaptiveStrategy, AttackBehavior, AttackPlan, AttackStep,
 };
 pub use uba_simnet::sim::{
-    approx_section_from_values, consensus_section_from_parts, ApproxSection, BroadcastSection,
-    ChainSection, ConsensusDecision, ConsensusSection, MarginMetric, MarginSection, MessageStats,
-    NodeAcceptSet, NodePairs, NodeReport, OracleMargin, OracleVerdict, ParallelSection,
-    RecoverySection, RotorSection, SpreadSection,
+    approx_section_from_values, broadcast_section, consensus_section, ApproxSection,
+    BroadcastSection, ChainSection, ConsensusDecision, ConsensusSection, MarginMetric,
+    MarginSection, MessageStats, NodeAcceptSet, NodePairs, NodeReport, OracleMargin, OracleVerdict,
+    ParallelSection, RecoverySection, RotorSection, SpreadSection,
 };
 pub use uba_simnet::sim::{
     AdversaryKind, BoxedAdversary, BuildContext, Harness, NamedAdversary, ProtocolFactory,
@@ -198,26 +198,16 @@ impl ProtocolFactory for ConsensusFactory {
     }
 
     fn record(&self, ctx: &BuildContext, nodes: &[Consensus<u64>], report: &mut RunReport) {
-        let inputs: Vec<(NodeId, u64)> = ctx
-            .correct_ids
-            .iter()
-            .copied()
-            .zip(self.inputs.iter().copied())
-            .collect();
-        let mut decisions = Vec::new();
-        let mut undecided = Vec::new();
-        for node in nodes {
-            match node.decision() {
-                Some(decision) => decisions.push(ConsensusDecision {
-                    node: node.id(),
-                    value: decision.value,
-                    phase: decision.phase,
-                    round: decision.round,
-                }),
-                None => undecided.push(node.id()),
-            }
-        }
-        report.consensus = Some(consensus_section_from_parts(inputs, decisions, undecided));
+        let decisions = nodes.iter().map(|node| {
+            let decision = node.decision().map(|d| ConsensusDecision {
+                node: node.id(),
+                value: d.value,
+                phase: d.phase,
+                round: d.round,
+            });
+            (node.id(), decision)
+        });
+        report.consensus = Some(consensus_section(ctx, &self.inputs, decisions));
     }
 }
 
@@ -411,33 +401,17 @@ impl ProtocolFactory for BroadcastFactory {
     }
 
     fn record(&self, ctx: &BuildContext, nodes: &[ReliableBroadcast<u64>], report: &mut RunReport) {
-        let accepted: Vec<NodeAcceptSet> = nodes
-            .iter()
-            .map(|node| {
-                let mut values: Vec<(u64, u64)> = node
-                    .accepted()
-                    .iter()
-                    .map(|a| (a.message, a.round))
-                    .collect();
-                values.sort_unstable();
-                NodeAcceptSet {
-                    node: node.id(),
-                    values,
-                }
-            })
-            .collect();
-        let sets: Vec<Vec<u64>> = accepted
-            .iter()
-            .map(|set| set.values.iter().map(|&(message, _)| message).collect())
-            .collect();
-        let consistent = sets.windows(2).all(|w| w[0] == w[1]);
-        report.broadcast = Some(BroadcastSection {
-            source: self.source(ctx),
-            source_correct: self.equivocate.is_none(),
-            sent: self.equivocate.is_none().then_some(self.value),
-            accepted,
-            consistent,
+        let accepted = nodes.iter().map(|node| {
+            let values = node.accepted().iter().map(|a| (a.message, a.round));
+            (node.id(), values.collect())
         });
+        let correct = self.equivocate.is_none();
+        report.broadcast = Some(broadcast_section(
+            self.source(ctx),
+            correct,
+            correct.then_some(self.value),
+            accepted,
+        ));
     }
 }
 

@@ -15,9 +15,9 @@
 //!   `r + 1`. Every node steps every round.
 //! * **`Timed`** ([`Engine::with_timing`]) — a virtual clock, per-node round
 //!   timers and a deterministic queue of timestamped flights (see
-//!   [`event`](crate::event)): a message lands when its [`LinkDelay`] says so,
+//!   [`event`](crate::event)): a message lands when its link delay says so,
 //!   and a node steps when its own timer fires. Under
-//!   [`EventTiming::synchronous`] this is byte-identical to `NextRound`.
+//!   [`TimingSpec::synchronous`] this is byte-identical to `NextRound`.
 //!
 //! [`Engine::run_round`] asks the policy exactly three questions — *which
 //! nodes are due, and under which round number*; *what to do when a node joins
@@ -71,8 +71,6 @@
 //! [`Engine::remove_node`], [`Engine::add_byzantine_id`] and
 //! [`Engine::remove_byzantine_id`]; the membership indices are maintained
 //! incrementally, so none of these paths rescans the node vectors.
-//!
-//! [`LinkDelay`]: crate::event::LinkDelay
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -86,7 +84,7 @@ use crate::adversary::{Adversary, AdversaryView};
 use crate::dynamic::{ChurnEvent, ChurnSchedule};
 use crate::error::SimError;
 use crate::event::timed::Timed;
-use crate::event::EventTiming;
+use crate::event::TimingSpec;
 use crate::id::NodeId;
 use crate::message::{Destination, Directed, Envelope, Inbox};
 use crate::metrics::{Metrics, RoundMetrics};
@@ -856,28 +854,34 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
 
     /// Creates a `Timed` engine: deliveries follow `timing`'s link delays and
     /// nodes step on their own round timers (see [`event`](crate::event)).
+    /// The spec is resolved against `nodes` in order (a
+    /// [`DelaySpec::Partition`](crate::DelaySpec::Partition)'s first group is
+    /// its first nodes); `seed` feeds the jitter and skew streams.
     pub fn with_timing(
         nodes: Vec<N>,
         adversary: A,
         byzantine_ids: Vec<NodeId>,
-        timing: EventTiming,
+        timing: &TimingSpec,
+        seed: u64,
     ) -> Self {
-        Self::assemble(nodes, adversary, byzantine_ids, Some(timing))
+        Self::assemble(nodes, adversary, byzantine_ids, Some((timing, seed)))
     }
 
     fn assemble(
         nodes: Vec<N>,
         adversary: A,
         byzantine_ids: Vec<NodeId>,
-        timing: Option<EventTiming>,
+        timing: Option<(&TimingSpec, u64)>,
     ) -> Self {
         let correct_index = nodes.iter().map(|n| n.id()).collect();
         let byzantine_index = byzantine_ids.iter().copied().collect();
         let delivery = match timing {
             None => Delivery::NextRound,
-            Some(timing) => {
-                Delivery::Timed(Box::new(Timed::new(timing, nodes.iter().map(|n| n.id()))))
-            }
+            Some((timing, seed)) => Delivery::Timed(Box::new(Timed::new(
+                timing,
+                seed,
+                nodes.iter().map(|n| n.id()),
+            ))),
         };
         Engine {
             nodes,
@@ -1378,7 +1382,7 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
 mod tests {
     use super::*;
     use crate::adversary::{FnAdversary, SilentAdversary};
-    use crate::event::{DelaySpec, LinkDelay, TimingSpec};
+    use crate::event::DelaySpec;
     use crate::message::Outgoing;
 
     /// A node that broadcasts its id until `decide_round`, when it outputs the
@@ -1433,26 +1437,29 @@ mod tests {
 
     /// A default-configured engine: `NextRound` without a timing, `Timed` with.
     fn engine<A: Adversary<u64>>(
-        timing: Option<EventTiming>,
+        timing: Option<TimingSpec>,
         nodes: Vec<Counter>,
         adversary: A,
         byzantine_ids: Vec<NodeId>,
     ) -> Engine<Counter, A> {
-        Engine::assemble(nodes, adversary, byzantine_ids, timing)
+        match timing {
+            None => Engine::new(nodes, adversary, byzantine_ids),
+            Some(timing) => Engine::with_timing(nodes, adversary, byzantine_ids, &timing, 0),
+        }
     }
 
     /// Runs `scenario` under both delivery policies — `NextRound`, and `Timed`
-    /// at [`EventTiming::synchronous`], the corner pinned identical to it — and
+    /// at [`TimingSpec::synchronous`], the corner pinned identical to it — and
     /// checks that the two observe exactly the same thing.
-    fn both<T: PartialEq + std::fmt::Debug>(scenario: impl Fn(Option<EventTiming>) -> T) -> T {
+    fn both<T: PartialEq + std::fmt::Debug>(scenario: impl Fn(Option<TimingSpec>) -> T) -> T {
         let next_round = scenario(None);
-        let timed = scenario(Some(EventTiming::synchronous()));
+        let timed = scenario(Some(TimingSpec::synchronous()));
         assert_eq!(next_round, timed, "Timed(synchronous) ≡ NextRound");
         next_round
     }
 
-    fn timed(n: usize, timing: EventTiming) -> Engine<Counter, SilentAdversary> {
-        Engine::with_timing(nodes(n), SilentAdversary, vec![], timing)
+    fn timed(n: usize, timing: TimingSpec, seed: u64) -> Engine<Counter, SilentAdversary> {
+        Engine::with_timing(nodes(n), SilentAdversary, vec![], &timing, seed)
     }
 
     #[test]
@@ -1698,7 +1705,7 @@ mod tests {
     /// Four nodes; `n10` crashes before round 2 and restarts cleanly before
     /// round 3. `explicit` enables recovery before the schedule is set; without
     /// it the crash-bearing schedule enables recovery itself.
-    fn crash_and_restart(timing: Option<EventTiming>, explicit: bool) -> CrashRun {
+    fn crash_and_restart(timing: Option<TimingSpec>, explicit: bool) -> CrashRun {
         let crashed = NodeId::new(10);
         let mut engine = engine(timing, nodes(4), SilentAdversary, vec![]);
         if explicit {
@@ -1813,7 +1820,7 @@ mod tests {
 
     #[test]
     fn recovery_on_a_crash_free_run_is_observationally_silent() {
-        let run = |timing: Option<EventTiming>, recover: bool| {
+        let run = |timing: Option<TimingSpec>, recover: bool| {
             let mut engine = engine(timing, nodes(5), SilentAdversary, vec![]);
             if recover {
                 engine.enable_recovery(WalConfig::default());
@@ -1859,11 +1866,8 @@ mod tests {
         // With a 3-unit link delay and 1-unit rounds, round-1 broadcasts arrive
         // for the round-4 step — after everyone decided in round 3 having heard
         // nobody.
-        let timing = EventTiming {
-            delay: LinkDelay::Constant(3),
-            ..EventTiming::synchronous()
-        };
-        let mut engine = timed(4, timing);
+        let timing = TimingSpec::synchronous().with_delay(DelaySpec::Constant { units: 3 });
+        let mut engine = timed(4, timing, 0);
         assert!(engine
             .run(StopCondition::AllTerminated, 10)
             .unwrap()
@@ -1875,18 +1879,15 @@ mod tests {
 
     #[test]
     fn gst_stalls_deliveries_until_stabilisation() {
-        let gst = |gst: u64| EventTiming {
-            delay: LinkDelay::Gst { gst, bound: 1 },
-            ..EventTiming::synchronous()
-        };
+        let gst = |gst: u64| TimingSpec::synchronous().with_delay(DelaySpec::Gst { gst, bound: 1 });
         // With gst = 0 the model is synchronous-with-bound-1 from the start:
         // everything arrives within its round.
-        let mut engine = timed(3, gst(0));
+        let mut engine = timed(3, gst(0), 0);
         engine.run_rounds(2).unwrap();
         assert_eq!(engine.in_flight(), 0);
         assert_eq!(engine.metrics().deliveries, 2 * 3 * 3);
 
-        let mut engine = timed(3, gst(50));
+        let mut engine = timed(3, gst(50), 0);
         engine.run_rounds(2).unwrap();
         // Two broadcast rounds before deciding, 3 × 3 flights each.
         assert_eq!(
@@ -1910,9 +1911,7 @@ mod tests {
     #[test]
     fn skewed_timers_still_terminate_and_stay_deterministic() {
         let run = || {
-            let timing =
-                EventTiming::from_spec(&TimingSpec::synchronous().units(4).skew(3), 99, &[]);
-            let mut engine = timed(6, timing);
+            let mut engine = timed(6, TimingSpec::synchronous().units(4).skew(3), 99);
             assert!(engine
                 .run(StopCondition::AllTerminated, 50)
                 .unwrap()
@@ -1930,11 +1929,7 @@ mod tests {
     #[test]
     fn reordering_is_seeded_and_reproducible() {
         let run = |seed: u64| {
-            let timing = EventTiming {
-                reorder_seed: Some(seed),
-                ..EventTiming::synchronous()
-            };
-            let mut engine = timed(5, timing);
+            let mut engine = timed(5, TimingSpec::synchronous().reorder(seed), 0);
             assert!(engine
                 .run(StopCondition::AllTerminated, 10)
                 .unwrap()
@@ -1947,12 +1942,9 @@ mod tests {
     #[test]
     fn a_flight_lands_iff_its_recipient_was_correct_at_send_and_is_at_arrival() {
         // Two-unit links: what batch r sends lands at the end of batch r + 1.
-        let timing = EventTiming {
-            delay: LinkDelay::Constant(2),
-            ..EventTiming::synchronous()
-        };
+        let timing = TimingSpec::synchronous().with_delay(DelaySpec::Constant { units: 2 });
         let ns = (0..3).map(|i| Counter::new(NodeId::new(10 + i), 100));
-        let mut engine = Engine::with_timing(ns.collect(), SilentAdversary, vec![], timing);
+        let mut engine = Engine::with_timing(ns.collect(), SilentAdversary, vec![], &timing, 0);
         let schedule = ChurnSchedule::empty()
             .with(2, ChurnEvent::JoinCorrect(NodeId::new(500)))
             .with(3, ChurnEvent::LeaveCorrect(NodeId::new(10)));
@@ -1979,7 +1971,7 @@ mod tests {
         // fans out to.
         let byz = NodeId::new(999);
         let stranger = NodeId::new(31_337);
-        let run = |timing: Option<EventTiming>| {
+        let run = |timing: Option<TimingSpec>| {
             let adv = FnAdversary::new(move |v: &AdversaryView<'_, u64>| {
                 let mut out: Vec<_> = v
                     .correct_ids
@@ -1998,7 +1990,7 @@ mod tests {
             }
             (engine.metrics().clone(), entries)
         };
-        let (metrics, entries) = run(Some(EventTiming::synchronous()));
+        let (metrics, entries) = run(Some(TimingSpec::synchronous()));
         // Rounds 1 and 2: six broadcasts and six Byzantine messages to correct
         // nodes; round 3 (everyone decides): the six Byzantine messages alone.
         assert_eq!(entries, vec![12, 24, 30]);
@@ -2014,7 +2006,7 @@ mod tests {
             .units(8)
             .with_delay(DelaySpec::Jitter { min: 1, max: 8 });
         for spec in [jitter.clone(), jitter.reorder(5)] {
-            let mut engine = timed(24, EventTiming::from_spec(&spec, 3, &[]));
+            let mut engine = timed(24, spec, 3);
             engine.run_rounds(2).unwrap();
             let items = 2 * 24;
             assert_eq!(engine.in_flight(), 0, "in-round jitter lands in its round");
@@ -2026,13 +2018,8 @@ mod tests {
     }
 
     fn partitioned_halves(cross: Option<u64>) -> Engine<Counter, SilentAdversary> {
-        let ids: Vec<NodeId> = nodes(4).iter().map(|n| n.id()).collect();
-        let timing = EventTiming::from_spec(
-            &TimingSpec::synchronous().with_delay(DelaySpec::PartitionHalves { cross }),
-            0,
-            &ids,
-        );
-        let mut engine = timed(4, timing);
+        let timing = TimingSpec::synchronous().with_delay(DelaySpec::PartitionHalves { cross });
+        let mut engine = timed(4, timing, 0);
         assert!(engine
             .run(StopCondition::AllTerminated, 10)
             .unwrap()
@@ -2179,7 +2166,7 @@ mod tests {
     fn two_engines_in_one_process_never_share_a_generation() {
         let mut first = engine(None, nodes(3), SilentAdversary, vec![]);
         let mut second = engine(
-            Some(EventTiming::synchronous()),
+            Some(TimingSpec::synchronous()),
             nodes(3),
             SilentAdversary,
             vec![],

@@ -17,7 +17,7 @@ use crate::rng::derive_seed;
 
 /// A monotone virtual clock measured in abstract time units. One synchronous
 /// round corresponds to `round_units` of virtual time (see
-/// [`EventTiming`](super::EventTiming)).
+/// [`TimingSpec::round_units`](super::TimingSpec::round_units)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VirtualClock {
     now: u64,

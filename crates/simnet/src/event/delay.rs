@@ -5,26 +5,24 @@
 //! * the **serde layer** — [`DelaySpec`], [`TimingSpec`] and [`EngineKind`] —
 //!   the declarative, replayable description stored on a
 //!   [`ScenarioSpec`](crate::sim::ScenarioSpec) and enumerated by sweep grids;
-//! * the **runtime layer** — [`LinkDelay`], [`PartitionSpec`] and
-//!   [`EventTiming`] — the resolved form the engine's `Timed` delivery policy
-//!   actually consults per message, produced by [`EventTiming::from_spec`]
-//!   once the scenario's node set and seed are known (a partition spec needs
-//!   concrete identifiers; a jitter model needs a derived seed stream).
+//! * the crate-private **runtime layer** — `LinkDelay`, the resolved form
+//!   the engine's `Timed` delivery policy consults per message, produced by
+//!   [`Engine::with_timing`](crate::Engine::with_timing) once the run's nodes
+//!   and seed are known (a partition needs concrete identifiers; a jitter
+//!   model needs a derived seed stream).
 //!
 //! All models are pure functions of `(from, to, send time, sequence number)`,
 //! so executions stay bit-for-bit deterministic for a fixed scenario seed.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
 use crate::id::NodeId;
 use crate::rng::derive_seed;
 
-/// Seed stream tag for the jitter delay model (see [`EventTiming::from_spec`]).
+/// Seed stream tag for the jitter delay model (see `LinkDelay::resolve`).
 const JITTER_STREAM: u64 = 0x6a69_7474; // "jitt"
-/// Seed stream tag for the per-node round skew.
-const SKEW_STREAM: u64 = 0x736b_6577; // "skew"
 
 /// Declarative per-link delay model (the serialisable scenario axis).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,10 +44,19 @@ pub enum DelaySpec {
         /// Largest possible delay in units.
         max: u64,
     },
-    /// The Lemma 14/15 construction as a declarative axis: the correct nodes
-    /// are split into two halves (first half = group 0), intra-half messages
-    /// take one round, cross-half messages take `cross` units — or are never
-    /// delivered when `cross` is `None` (the asynchronous case).
+    /// The Lemma 14/15 construction: the first `first` correct nodes (in
+    /// construction order) are group 0, the others group 1; identities in
+    /// neither, such as Byzantine ones, count as group 0. Intra-group
+    /// messages take one round, cross-group messages take `cross` units — or
+    /// are never delivered when `cross` is `None` (the asynchronous case).
+    Partition {
+        /// Size of group 0.
+        first: usize,
+        /// Cross-partition delay (`None` = dropped, the Lemma 14 omission).
+        cross: Option<u64>,
+    },
+    /// [`DelaySpec::Partition`] with `first` = half the correct nodes, rounded
+    /// down.
     PartitionHalves {
         /// Cross-partition delay (`None` = dropped, the Lemma 14 omission).
         cross: Option<u64>,
@@ -154,46 +161,9 @@ impl EngineKind {
     }
 }
 
-/// Assignment of nodes to partition groups — the two sides `A` and `B` of the
-/// Lemma 14/15 constructions, generalised to any number of groups.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PartitionSpec {
-    groups: HashMap<NodeId, u32>,
-}
-
-impl PartitionSpec {
-    /// Creates an empty spec (every node defaults to group 0).
-    pub fn new() -> Self {
-        PartitionSpec::default()
-    }
-
-    /// Assigns a node to a group.
-    pub fn assign(&mut self, id: NodeId, group: u32) {
-        self.groups.insert(id, group);
-    }
-
-    /// Builder-style variant of [`PartitionSpec::assign`] for a whole group.
-    pub fn with_group(mut self, group: u32, ids: impl IntoIterator<Item = NodeId>) -> Self {
-        for id in ids {
-            self.assign(id, group);
-        }
-        self
-    }
-
-    /// The group of a node (0 if unassigned).
-    pub fn group_of(&self, id: NodeId) -> u32 {
-        self.groups.get(&id).copied().unwrap_or(0)
-    }
-
-    /// Whether two nodes are in the same group.
-    pub fn same_group(&self, a: NodeId, b: NodeId) -> bool {
-        self.group_of(a) == self.group_of(b)
-    }
-}
-
 /// The resolved per-link delay function the engine consults per message.
 #[derive(Clone, Debug)]
-pub enum LinkDelay {
+pub(crate) enum LinkDelay {
     /// Fixed delay in units.
     Constant(u64),
     /// Seeded uniform delay in `min..=max`.
@@ -205,11 +175,12 @@ pub enum LinkDelay {
         /// Derived seed for the per-message draw.
         seed: u64,
     },
-    /// Partitioned links: `same` units within a group, `cross` across groups
-    /// (`None` = never delivered).
+    /// Two groups: `same` units within a group, `cross` across them (`None` =
+    /// never delivered). `second` is group 1; every other identity is in
+    /// group 0, Byzantine and joining ones included.
     Partitioned {
-        /// Node-to-group assignment.
-        spec: PartitionSpec,
+        /// The members of group 1.
+        second: HashSet<NodeId>,
         /// Intra-group delay.
         same: u64,
         /// Cross-group delay (`None` = dropped).
@@ -225,17 +196,58 @@ pub enum LinkDelay {
 }
 
 impl LinkDelay {
+    /// Resolves `timing`'s delay model against a concrete run: the seed feeds
+    /// the jitter stream, and `ids` — the correct nodes in construction order —
+    /// anchor a partition (its first `first` are group 0, the rest group 1).
+    /// Only a partition reads `ids`.
+    pub(crate) fn resolve(
+        timing: &TimingSpec,
+        seed: u64,
+        ids: impl ExactSizeIterator<Item = NodeId>,
+    ) -> Self {
+        let round_units = timing.round_units.max(1);
+        let (first, cross) = match &timing.delay {
+            DelaySpec::Partition { first, cross } => (*first, *cross),
+            DelaySpec::PartitionHalves { cross } => (ids.len() / 2, *cross),
+            DelaySpec::Synchronous => return LinkDelay::Constant(round_units),
+            DelaySpec::Constant { units } => return LinkDelay::Constant((*units).max(1)),
+            DelaySpec::Jitter { min, max } => {
+                let min = (*min).max(1);
+                return LinkDelay::Jitter {
+                    min,
+                    max: (*max).max(min),
+                    seed: derive_seed(seed, JITTER_STREAM),
+                };
+            }
+            DelaySpec::Gst { gst, bound } => {
+                return LinkDelay::Gst {
+                    gst: *gst,
+                    bound: (*bound).max(1),
+                }
+            }
+        };
+        LinkDelay::Partitioned {
+            second: ids.skip(first).collect(),
+            same: round_units,
+            cross,
+        }
+    }
+
     /// Arrival time of a message sent `from → to` at time `now` with global
     /// sequence number `seq`, or `None` if the message is never delivered.
-    pub fn arrival(&self, from: NodeId, to: NodeId, now: u64, seq: u64) -> Option<u64> {
+    pub(crate) fn arrival(&self, from: NodeId, to: NodeId, now: u64, seq: u64) -> Option<u64> {
         match self {
             LinkDelay::Constant(_) | LinkDelay::Gst { .. } => self.broadcast_arrival(now),
             LinkDelay::Jitter { min, max, seed } => {
                 let span = max.saturating_sub(*min) + 1;
                 Some(now + min + derive_seed(*seed, seq) % span)
             }
-            LinkDelay::Partitioned { spec, same, cross } => {
-                if spec.same_group(from, to) {
+            LinkDelay::Partitioned {
+                second,
+                same,
+                cross,
+            } => {
+                if second.contains(&from) == second.contains(&to) {
                     Some(now + same)
                 } else {
                     cross.map(|units| now + units)
@@ -265,78 +277,6 @@ impl LinkDelay {
     }
 }
 
-/// The fully resolved timing configuration of the engine's `Timed` delivery
-/// policy (see [`Engine::with_timing`](crate::Engine::with_timing)).
-#[derive(Clone, Debug)]
-pub struct EventTiming {
-    /// Virtual units per node round (the timer period).
-    pub round_units: u64,
-    /// Resolved per-link delay function.
-    pub delay: LinkDelay,
-    /// Seeded same-instant reordering (see [`TimingSpec::reorder_seed`]).
-    pub reorder_seed: Option<u64>,
-    /// Per-node timer skew budget.
-    pub max_skew: u64,
-    /// Derived seed for the per-node skew draw.
-    pub skew_seed: u64,
-}
-
-impl EventTiming {
-    /// The zero-jitter timing under which `Timed` is byte-identical to
-    /// `NextRound`.
-    pub fn synchronous() -> Self {
-        EventTiming {
-            round_units: 1,
-            delay: LinkDelay::Constant(1),
-            reorder_seed: None,
-            max_skew: 0,
-            skew_seed: 0,
-        }
-    }
-
-    /// Resolves a declarative [`TimingSpec`] against a concrete scenario: the
-    /// seed feeds the jitter and skew streams, and the correct-node list
-    /// anchors the `PartitionHalves` group assignment (first half = group 0),
-    /// mirroring the Lemma 14/15 constructions.
-    pub fn from_spec(spec: &TimingSpec, seed: u64, correct_ids: &[NodeId]) -> Self {
-        let round_units = spec.round_units.max(1);
-        let delay = match &spec.delay {
-            DelaySpec::Synchronous => LinkDelay::Constant(round_units),
-            DelaySpec::Constant { units } => LinkDelay::Constant((*units).max(1)),
-            DelaySpec::Jitter { min, max } => {
-                let min = (*min).max(1);
-                LinkDelay::Jitter {
-                    min,
-                    max: (*max).max(min),
-                    seed: derive_seed(seed, JITTER_STREAM),
-                }
-            }
-            DelaySpec::PartitionHalves { cross } => {
-                let half = correct_ids.len() / 2;
-                let partition = PartitionSpec::new()
-                    .with_group(0, correct_ids.iter().take(half).copied())
-                    .with_group(1, correct_ids.iter().skip(half).copied());
-                LinkDelay::Partitioned {
-                    spec: partition,
-                    same: round_units,
-                    cross: *cross,
-                }
-            }
-            DelaySpec::Gst { gst, bound } => LinkDelay::Gst {
-                gst: *gst,
-                bound: (*bound).max(1),
-            },
-        };
-        EventTiming {
-            round_units,
-            delay,
-            reorder_seed: spec.reorder_seed,
-            max_skew: spec.max_skew,
-            skew_seed: derive_seed(seed, SKEW_STREAM),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,6 +291,10 @@ mod tests {
                 .skew(2),
             TimingSpec::synchronous().with_delay(DelaySpec::Gst { gst: 40, bound: 2 }),
             TimingSpec::synchronous().with_delay(DelaySpec::PartitionHalves { cross: None }),
+            TimingSpec::synchronous().with_delay(DelaySpec::Partition {
+                first: 3,
+                cross: Some(9),
+            }),
         ];
         for spec in specs {
             let kind = EngineKind::Event(spec);
@@ -403,26 +347,49 @@ mod tests {
         assert_eq!(post, 153, "post-GST messages respect the bound");
     }
 
+    fn partitioned(delay: DelaySpec, ids: &[NodeId]) -> HashSet<NodeId> {
+        let timing = TimingSpec::synchronous().with_delay(delay);
+        let LinkDelay::Partitioned { second, .. } =
+            LinkDelay::resolve(&timing, 0, ids.iter().copied())
+        else {
+            panic!("expected a partitioned link delay");
+        };
+        second
+    }
+
     #[test]
-    fn partition_spec_defaults_to_group_zero() {
-        let spec = PartitionSpec::new();
-        assert_eq!(spec.group_of(NodeId::new(42)), 0);
-        assert!(spec.same_group(NodeId::new(1), NodeId::new(2)));
+    fn identities_in_no_group_are_in_group_zero() {
+        let ids: Vec<NodeId> = (1..=4).map(NodeId::new).collect();
+        let timing = TimingSpec::synchronous().with_delay(DelaySpec::Partition {
+            first: 1,
+            cross: None,
+        });
+        let delay = LinkDelay::resolve(&timing, 0, ids.iter().copied());
+        let stranger = NodeId::new(42);
+        assert_eq!(delay.arrival(stranger, ids[0], 5, 0), Some(6));
+        assert_eq!(delay.arrival(stranger, ids[1], 5, 0), None);
     }
 
     #[test]
     fn partition_halves_split_the_correct_ids() {
         let ids: Vec<NodeId> = (1..=6).map(NodeId::new).collect();
-        let timing = EventTiming::from_spec(
-            &TimingSpec::synchronous().with_delay(DelaySpec::PartitionHalves { cross: None }),
-            0,
+        let halves = partitioned(DelaySpec::PartitionHalves { cross: None }, &ids);
+        assert_eq!(halves, ids[3..].iter().copied().collect());
+        let first = partitioned(
+            DelaySpec::Partition {
+                first: 3,
+                cross: None,
+            },
             &ids,
         );
-        let LinkDelay::Partitioned { spec, .. } = &timing.delay else {
-            panic!("expected a partitioned link delay");
-        };
-        assert!(spec.same_group(ids[0], ids[2]));
-        assert!(spec.same_group(ids[3], ids[5]));
-        assert!(!spec.same_group(ids[0], ids[3]));
+        assert_eq!(first, halves, "halves are the partition at correct / 2");
+        let uneven = partitioned(
+            DelaySpec::Partition {
+                first: 1,
+                cross: None,
+            },
+            &ids,
+        );
+        assert_eq!(uneven, ids[1..].iter().copied().collect());
     }
 }

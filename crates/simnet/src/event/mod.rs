@@ -13,15 +13,17 @@
 //! * `queue` — the calendar of arrival instants: messages in flight wait in
 //!   one bucket per instant, a broadcast as one entry, and land in
 //!   `(arrival, reorder key, sequence)` order;
-//! * [`DelaySpec`] / [`TimingSpec`] / [`EngineKind`] — the serialisable
-//!   timing axis carried by [`ScenarioSpec`](crate::sim::ScenarioSpec);
-//! * [`LinkDelay`] / [`PartitionSpec`] / [`EventTiming`] — the resolved
-//!   runtime delay models (constant, seeded jitter, partitioned, GST partial
-//!   synchrony);
+//! * [`DelaySpec`] / [`TimingSpec`] / [`EngineKind`] — the one public,
+//!   serialisable timing language, carried by
+//!   [`ScenarioSpec`](crate::sim::ScenarioSpec) and taken by
+//!   [`Engine::with_timing`](crate::Engine::with_timing);
+//! * `LinkDelay` — the crate-private runtime delay model a spec resolves to
+//!   against a run's nodes and seed (constant, seeded jitter, two-group
+//!   partition, GST partial synchrony);
 //! * `timed` — the policy itself (schedule into the calendar, dispatch what
 //!   is due through the engine's staged fan-out), selected by
 //!   [`Engine::with_timing`](crate::Engine::with_timing) and byte-identical to
-//!   lock-step rounds under [`EventTiming::synchronous`].
+//!   lock-step rounds under [`TimingSpec::synchronous`].
 
 pub mod clock;
 pub mod delay;
@@ -29,4 +31,4 @@ pub(crate) mod queue;
 pub(crate) mod timed;
 
 pub use clock::{NodeTimers, VirtualClock};
-pub use delay::{DelaySpec, EngineKind, EventTiming, LinkDelay, PartitionSpec, TimingSpec};
+pub use delay::{DelaySpec, EngineKind, TimingSpec};

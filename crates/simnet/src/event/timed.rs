@@ -18,7 +18,7 @@
 //!   path. A message is delivered iff its recipient was correct when it was
 //!   sent *and* is correct when it arrives.
 //!
-//! With [`EventTiming::synchronous`] dispatch pops exactly the messages just
+//! With [`TimingSpec::synchronous`] dispatch pops exactly the messages just
 //! scheduled, in scheduling order, so metrics, traces and reports are
 //! **byte-identical** to `NextRound`'s (pinned by `tests/event_equivalence.rs`).
 //! Every other timing opens scenario space the round barrier cannot express;
@@ -30,11 +30,15 @@ use std::time::Instant;
 use crate::engine::{elapsed_ns, FanOut, Routing};
 use crate::id::NodeId;
 use crate::message::Directed;
+use crate::rng::derive_seed;
 use crate::traffic::TrafficItem;
 
 use super::clock::{NodeTimers, VirtualClock};
-use super::delay::{EventTiming, LinkDelay};
+use super::delay::{LinkDelay, TimingSpec};
 use super::queue::{Calendar, Run};
+
+/// Seed stream tag for the per-node round skew.
+const SKEW_STREAM: u64 = 0x736b_6577; // "skew"
 
 /// The state of the `Timed` delivery policy (see module docs).
 pub(crate) struct Timed<P> {
@@ -54,11 +58,17 @@ pub(crate) struct Timed<P> {
 }
 
 impl<P: PartialEq> Timed<P> {
-    /// A policy under `timing`, with the initial members on the initial timer
-    /// schedule.
-    pub(crate) fn new(timing: EventTiming, members: impl Iterator<Item = NodeId>) -> Self {
-        let mut timers = NodeTimers::new(timing.round_units, timing.max_skew, timing.skew_seed);
-        for id in members {
+    /// A policy under `timing`, with the initial members (in construction
+    /// order) on the initial timer schedule. The seed feeds the skew and
+    /// jitter streams.
+    pub(crate) fn new(
+        timing: &TimingSpec,
+        seed: u64,
+        members: impl ExactSizeIterator<Item = NodeId> + Clone,
+    ) -> Self {
+        let skew_seed = derive_seed(seed, SKEW_STREAM);
+        let mut timers = NodeTimers::new(timing.round_units, timing.max_skew, skew_seed);
+        for id in members.clone() {
             timers.register(id);
         }
         Timed {
@@ -66,7 +76,7 @@ impl<P: PartialEq> Timed<P> {
             batch: Arc::from([]),
             clock: VirtualClock::new(),
             timers,
-            delay: timing.delay,
+            delay: LinkDelay::resolve(timing, seed, members),
             seq: 0,
         }
     }

@@ -31,8 +31,8 @@
 //!   produced message becomes an inbox entry is a delivery policy the engine
 //!   holds as a value: lock-step next-round delivery ([`Engine::new`], also
 //!   reachable under its historical name [`SyncEngine`]) or timed delivery
-//!   under an [`EventTiming`] ([`Engine::with_timing`]), whose per-link
-//!   [`LinkDelay`]s reproduce the semi-synchronous / asynchronous
+//!   under a [`TimingSpec`] ([`Engine::with_timing`]), whose per-link
+//!   [`DelaySpec`]s reproduce the semi-synchronous / asynchronous
 //!   impossibility constructions of Section IX;
 //! * [`Metrics`] and [`TraceLog`] — round, message and delivery accounting;
 //! * [`ChurnSchedule`] — declarative join/leave schedules for dynamic networks,
@@ -117,7 +117,7 @@ pub use attack::{
 pub use dynamic::{ChurnEvent, ChurnSchedule};
 pub use engine::{Engine, PhaseTimings, RunStatus, StopCondition, SyncEngine};
 pub use error::SimError;
-pub use event::{DelaySpec, EngineKind, EventTiming, LinkDelay, PartitionSpec, TimingSpec};
+pub use event::{DelaySpec, EngineKind, TimingSpec};
 pub use id::{IdSpace, NodeId};
 pub use message::{CommonKey, Destination, Directed, Envelope, Inbox, InboxIter, Outgoing};
 pub use metrics::{Metrics, RoundMetrics};

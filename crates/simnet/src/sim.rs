@@ -43,7 +43,7 @@ use crate::attack::{AttackBehavior, AttackPlan, CompiledStep, PlanAdversary};
 use crate::dynamic::ChurnSchedule;
 use crate::engine::{Engine, PhaseTimings};
 use crate::error::SimError;
-use crate::event::{EngineKind, EventTiming};
+use crate::event::EngineKind;
 use crate::id::{IdSpace, NodeId};
 use crate::metrics::RoundMetrics;
 use crate::node::Protocol;
@@ -592,7 +592,8 @@ impl<F: ProtocolFactory> Harness<F> {
                 nodes,
                 adversary,
                 ctx.byzantine_ids.clone(),
-                EventTiming::from_spec(timing, ctx.spec.seed, &ctx.correct_ids),
+                timing,
+                ctx.spec.seed,
             ),
         };
         let stop = factory.stop_condition();
@@ -884,15 +885,30 @@ pub struct ConsensusSection {
     pub validity: bool,
 }
 
-/// Builds a [`ConsensusSection`], computing agreement and validity the same way for
-/// every implementation (the id-only consensus and the known-`(n, f)` baselines must
-/// be judged by one definition, or head-to-head comparisons compare different
-/// properties).
-pub fn consensus_section_from_parts(
-    inputs: Vec<(NodeId, u64)>,
-    decisions: Vec<ConsensusDecision>,
-    undecided: Vec<NodeId>,
+/// Builds a [`ConsensusSection`] from the correct nodes' inputs (in construction
+/// order) and each node's `(id, decision)`, computing agreement and validity the
+/// same way for every implementation (the id-only consensus and the known-`(n, f)`
+/// baselines must be judged by one definition, or head-to-head comparisons compare
+/// different properties).
+pub fn consensus_section(
+    ctx: &BuildContext,
+    inputs: &[u64],
+    nodes: impl IntoIterator<Item = (NodeId, Option<ConsensusDecision>)>,
 ) -> ConsensusSection {
+    let inputs: Vec<(NodeId, u64)> = ctx
+        .correct_ids
+        .iter()
+        .copied()
+        .zip(inputs.iter().copied())
+        .collect();
+    let mut decisions = Vec::new();
+    let mut undecided = Vec::new();
+    for (id, decision) in nodes {
+        match decision {
+            Some(decision) => decisions.push(decision),
+            None => undecided.push(id),
+        }
+    }
     let agreement = decisions.windows(2).all(|w| w[0].value == w[1].value);
     let validity = match decisions.first() {
         None => false,
@@ -937,6 +953,36 @@ pub struct BroadcastSection {
     pub accepted: Vec<NodeAcceptSet>,
     /// Whether all correct nodes accepted exactly the same set of values.
     pub consistent: bool,
+}
+
+/// Builds a [`BroadcastSection`] from each correct node's accepted `(message,
+/// round)` pairs, in any order: every accept set is sorted, and consistency is
+/// judged the same way for the id-only broadcast and the known-`f` baseline.
+pub fn broadcast_section(
+    source: NodeId,
+    source_correct: bool,
+    sent: Option<u64>,
+    nodes: impl IntoIterator<Item = (NodeId, Vec<(u64, u64)>)>,
+) -> BroadcastSection {
+    let accepted: Vec<NodeAcceptSet> = nodes
+        .into_iter()
+        .map(|(node, mut values)| {
+            values.sort_unstable();
+            NodeAcceptSet { node, values }
+        })
+        .collect();
+    // Consistent: every node accepted the same messages (rounds may differ).
+    let consistent = accepted.windows(2).all(|w| {
+        let (a, b) = (&w[0].values, &w[1].values);
+        a.iter().map(|v| v.0).eq(b.iter().map(|v| v.0))
+    });
+    BroadcastSection {
+        source,
+        source_correct,
+        sent,
+        accepted,
+        consistent,
+    }
 }
 
 /// Rotor-coordinator section of a report.

@@ -5,7 +5,8 @@
 //! unless the system is synchronous. This example makes the argument tangible by
 //! first running the same split-input population through the synchronous
 //! `Simulation` driver (where Theorem 3 guarantees agreement), then re-running the
-//! constructions of Lemmas 14 and 15 on the delay engine:
+//! constructions of Lemmas 14 and 15 through the same driver on the timed engine,
+//! each timing model one `DelaySpec`:
 //!
 //! * a synchronous control run, which always agrees;
 //! * a semi-synchronous run where the (unknown) delay bound exceeds the time both
@@ -14,19 +15,21 @@
 //!
 //! Run with `cargo run --example asynchrony_pitfall`.
 
-use uba_core::impossibility::{disagreement_rate, run_partition_experiment, TimingModel};
+use uba_core::impossibility::{disagreement_rate, run_partition_experiment};
 use uba_core::sim::{ScenarioExt, Simulation};
+use uba_simnet::DelaySpec;
 
-fn describe(model: TimingModel) -> String {
-    match model {
-        TimingModel::Synchronous => "synchronous (control)".to_string(),
-        TimingModel::SemiSynchronous { cross_delay } => {
-            format!("semi-synchronous (unknown Δ = {cross_delay} ticks)")
-        }
-        TimingModel::Asynchronous => "asynchronous (unbounded delays)".to_string(),
-        TimingModel::PartialSynchrony { gst, bound } => {
+fn describe(delay: &DelaySpec) -> String {
+    match delay {
+        DelaySpec::Synchronous => "synchronous (control)".to_string(),
+        DelaySpec::Partition {
+            cross: Some(delta), ..
+        } => format!("semi-synchronous (unknown Δ = {delta} ticks)"),
+        DelaySpec::Partition { cross: None, .. } => "asynchronous (unbounded delays)".to_string(),
+        DelaySpec::Gst { gst, bound } => {
             format!("partially synchronous (GST = {gst}, δ = {bound})")
         }
+        other => format!("{other:?}"),
     }
 }
 
@@ -55,9 +58,15 @@ fn main() {
     );
 
     let models = [
-        TimingModel::Synchronous,
-        TimingModel::SemiSynchronous { cross_delay: 400 },
-        TimingModel::Asynchronous,
+        DelaySpec::Synchronous,
+        DelaySpec::Partition {
+            first: partitions.0,
+            cross: Some(400),
+        },
+        DelaySpec::Partition {
+            first: partitions.0,
+            cross: None,
+        },
     ];
 
     println!(
@@ -66,12 +75,12 @@ fn main() {
     );
     println!("{}", "-".repeat(78));
     for model in models {
-        let outcome = run_partition_experiment(partitions.0, partitions.1, model, 7)
+        let rate = disagreement_rate(partitions.0, partitions.1, &model, 8, 100);
+        let outcome = run_partition_experiment(partitions.0, partitions.1, model.clone(), 7)
             .expect("experiment completes");
-        let rate = disagreement_rate(partitions.0, partitions.1, model, 8, 100);
         println!(
             "{:<42} {:>10} {:>8} {:>11.0}%",
-            describe(model),
+            describe(&model),
             outcome.agreement,
             outcome.ticks,
             rate * 100.0
@@ -90,16 +99,16 @@ fn main() {
     // time later than the algorithm's initialisation rounds silences the whole
     // network long enough that the member estimates freeze empty, and the late
     // traffic cannot restore liveness — the run never terminates at all.
-    let late_gst = TimingModel::PartialSynchrony { gst: 5, bound: 1 };
-    match run_partition_experiment(partitions.0, partitions.1, late_gst, 7) {
+    let late_gst = DelaySpec::Gst { gst: 5, bound: 1 };
+    match run_partition_experiment(partitions.0, partitions.1, late_gst.clone(), 7) {
         Err(error) => println!(
             "\n{}: no node ever decides ({error})\n    -> the silent prologue freezes every \
              member estimate; even a fully synchronous network after GST cannot revive the run",
-            describe(late_gst)
+            describe(&late_gst)
         ),
         Ok(outcome) => println!(
             "\n{}: unexpectedly terminated ({outcome:?})",
-            describe(late_gst)
+            describe(&late_gst)
         ),
     }
 

@@ -20,8 +20,8 @@ use uba_core::Consensus;
 use uba_simnet::adversary::SilentAdversary;
 use uba_simnet::sim::ScenarioBuilder;
 use uba_simnet::{
-    ChurnEvent, ChurnSchedule, DelaySpec, Engine, EngineKind, EventTiming, IdSpace, NodeId,
-    RestartPolicy, TimingSpec,
+    ChurnEvent, ChurnSchedule, DelaySpec, Engine, EngineKind, IdSpace, NodeId, RestartPolicy,
+    TimingSpec,
 };
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -171,8 +171,7 @@ fn consensus_trace_digest() -> u64 {
         .enumerate()
         .map(|(i, &id)| Consensus::new(id, i as u64 % 2))
         .collect();
-    let timing = EventTiming::from_spec(&timings()[0].1, 42, &ids);
-    let mut engine = Engine::with_timing(nodes, SilentAdversary, vec![], timing);
+    let mut engine = Engine::with_timing(nodes, SilentAdversary, vec![], &timings()[0].1, 42);
     engine.enable_trace();
     engine.run_to_termination(80).unwrap();
     let trace = engine.trace().expect("tracing enabled");

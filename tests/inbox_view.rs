@@ -26,8 +26,8 @@ use uba_core::sim::{AdversaryKind, ConsensusFactory, Simulation};
 use uba_simnet::rng::{derive_seed, seeded_rng};
 use uba_simnet::{
     AdversaryView, ChurnEvent, ChurnSchedule, DelaySpec, Destination, Directed, Engine, EngineKind,
-    EventTiming, FnAdversary, Inbox, Metrics, NodeId, Outgoing, Protocol, RoundContext,
-    RoundMetrics, TimingSpec,
+    FnAdversary, Inbox, Metrics, NodeId, Outgoing, Protocol, RoundContext, RoundMetrics,
+    TimingSpec,
 };
 
 // ---------------------------------------------------------------------------
@@ -379,8 +379,7 @@ fn check(seed: u64, timing: Option<TimingSpec>) -> Coverage {
                 DelaySpec::Constant { units } => units,
                 _ => panic!("the model knows link-independent delays only"),
             };
-            let timing = EventTiming::from_spec(spec, seed, &initial);
-            let engine = Engine::with_timing(nodes, adversary, byzantine.clone(), timing);
+            let engine = Engine::with_timing(nodes, adversary, byzantine.clone(), spec, seed);
             (engine, delay)
         }
     };

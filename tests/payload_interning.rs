@@ -28,8 +28,8 @@ use uba_simnet::adversary::SilentAdversary;
 use uba_simnet::shared::allocations;
 use uba_simnet::sim::compile_attack_plan;
 use uba_simnet::{
-    Adversary, AdversaryView, BoxedAdversary, Directed, Engine, EngineKind, EventTiming, IdSpace,
-    Inbox, NodeId, Outgoing, Protocol, ProtocolFactory, RoundContext, TrafficItem,
+    Adversary, AdversaryView, BoxedAdversary, Directed, Engine, EngineKind, IdSpace, Inbox, NodeId,
+    Outgoing, Protocol, ProtocolFactory, RoundContext, TimingSpec, TrafficItem,
 };
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -95,7 +95,13 @@ where
 {
     let mut engines = [
         Engine::new(nodes(), SilentAdversary, vec![]),
-        Engine::with_timing(nodes(), SilentAdversary, vec![], EventTiming::synchronous()),
+        Engine::with_timing(
+            nodes(),
+            SilentAdversary,
+            vec![],
+            &TimingSpec::synchronous(),
+            0,
+        ),
     ];
     for engine in &mut engines {
         engine.enable_trace();
