@@ -9,11 +9,18 @@
 //! The only permitted difference is the scenario's own `attack` field (the plan run
 //! records the plan it ran; the kind run records none) — the test checks it
 //! explicitly and then normalises it away before the full-report comparison.
+//!
+//! A second pin records what every family resolves every fuzzed plan to: the
+//! adversary name the report carries and the Byzantine traffic it sent
+//! (`adversary_mapping.txt`).
+
+use std::fmt::Write as _;
 
 use uba_baselines::{DolevApproxFactory, KnownRotorFactory, PhaseKingFactory, StBroadcastFactory};
+use uba_bench::fuzz::{boundary_plans, default_plans};
 use uba_core::sim::{
-    AdversaryKind, AttackPlan, ParallelConsensusFactory, RunReport, ScenarioBuilder, ScenarioExt,
-    Simulation, TotalOrderPlan,
+    AdversaryKind, AttackPlan, BroadcastFactory, IteratedApproxFactory, ParallelConsensusFactory,
+    RunReport, ScenarioBuilder, ScenarioExt, Simulation, TotalOrderPlan,
 };
 use uba_simnet::IdSpace;
 
@@ -184,4 +191,79 @@ fn windowed_plans_differ_from_their_whole_run_preset() {
     );
     let section = windowed.consensus.expect("consensus section");
     assert!(section.agreement && section.validity);
+}
+
+/// [`families`] plus the two factories whose own arms no family above reaches:
+/// the equivocating broadcast source and iterated approximate agreement.
+fn mapped_families() -> Vec<(&'static str, ScenarioBuilder, Runner)> {
+    let mut all = families();
+    all.push((
+        "equivocating-source",
+        Simulation::scenario().correct(7).byzantine(2).seed(43),
+        Box::new(|b: ScenarioBuilder| {
+            b.build(BroadcastFactory::equivocating_source(42, 43))
+                .run()
+                .unwrap()
+        }),
+    ));
+    all.push((
+        "iterated-approx",
+        Simulation::scenario().correct(7).byzantine(2).seed(47),
+        Box::new(|b: ScenarioBuilder| {
+            let inputs: Vec<f64> = (0..7).map(|i| i as f64 * 5.0).collect();
+            b.build(IteratedApproxFactory::new(inputs, 4))
+                .run()
+                .unwrap()
+        }),
+    ));
+    all
+}
+
+/// Every plan of the fuzz grid and of the boundary sweep, plus the five
+/// presets, each once.
+fn mapped_plans() -> Vec<AttackPlan> {
+    let mut plans: Vec<AttackPlan> = Vec::new();
+    let every = default_plans(false)
+        .into_iter()
+        .chain(boundary_plans())
+        .chain(KINDS.map(AttackPlan::preset));
+    for plan in every {
+        if !plans.contains(&plan) {
+            plans.push(plan);
+        }
+    }
+    plans
+}
+
+/// `family | plan | recorded adversary | Byzantine messages`, one line per
+/// pair.
+const MAPPING: &str = include_str!("adversary_mapping.txt");
+
+#[test]
+fn every_family_resolves_every_plan_to_its_recorded_adversary() {
+    let mut table = String::new();
+    for (family, base, run) in mapped_families() {
+        for plan in mapped_plans() {
+            let report = run(base.clone().attack(plan.clone()));
+            writeln!(
+                table,
+                "{family} | {} | {} | {}",
+                plan.label(),
+                report.adversary,
+                report.messages.byzantine
+            )
+            .unwrap();
+        }
+    }
+    let drift: Vec<String> = table
+        .lines()
+        .zip(MAPPING.lines())
+        .filter(|(fresh, recorded)| fresh != recorded)
+        .map(|(fresh, recorded)| format!("  recorded {recorded}\n  now      {fresh}"))
+        .collect();
+    assert!(
+        drift.is_empty() && table.lines().count() == MAPPING.lines().count(),
+        "the adversary mapping drifted:\n{}\nthe whole table now:\n{table}",
+        drift.join("\n")
+    );
 }
