@@ -11,29 +11,40 @@
 //! `IdSpace::Consecutive` (they assert it where the protocol depends on it).
 //!
 //! Scripted [`AdversaryKind`]s beyond [`AdversaryKind::Silent`] craft id-only
-//! protocol payloads that do not exist for the baseline wire formats, so every kind
-//! maps to silent faults here — the comparison experiments have always measured the
-//! baselines under fail-silent behaviour.
+//! protocol payloads that do not exist for the baseline wire formats, so every
+//! preset maps to silent faults here — the comparison experiments have always
+//! measured the baselines under fail-silent behaviour. The other plan behaviours
+//! follow [`scripted_attack_behavior`]: replay runs as is, the payload-vocabulary
+//! behaviours speak each baseline's own wire format, and the value-shaped ones
+//! substitute the silent preset.
 
 use uba_simnet::adversary::SilentAdversary;
 use uba_simnet::sim::{
-    approx_section_from_values, broadcast_section, consensus_section, AdversaryKind, BuildContext,
-    ConsensusDecision, NamedAdversary, ProtocolFactory, RotorSection, RunReport, StopCondition,
+    approx_section_from_values, broadcast_section, consensus_section, scripted_attack_behavior,
+    AdversaryKind, BuildContext, ConsensusDecision, NamedAdversary, ProtocolFactory, RotorSection,
+    RunReport, StopCondition,
 };
 use uba_simnet::vocab::{PayloadVocab, VocabScene};
-use uba_simnet::{IdSpace, Protocol};
+use uba_simnet::{AttackBehavior, IdSpace, Protocol};
 
 use crate::dolev_approx::{DolevApprox, Micro};
 use crate::phase_king::{PhaseKing, PhaseKingMessage};
 use crate::rotor_known::{KnownRotor, KnownRotorMessage};
 use crate::srikanth_toueg::{StBroadcast, StMessage};
 
-fn silent<P>(kind: AdversaryKind) -> NamedAdversary<P> {
-    let name = match kind {
-        AdversaryKind::Silent => "silent",
+/// The baselines' one attack mapping: every preset fails silent, and every other
+/// behaviour follows [`scripted_attack_behavior`].
+fn silent<F: ProtocolFactory>(
+    factory: &F,
+    behavior: &AttackBehavior,
+    ctx: &BuildContext,
+) -> NamedAdversary<<F::Node as Protocol>::Payload> {
+    let name = match behavior {
+        AttackBehavior::Preset(AdversaryKind::Silent) => "silent",
         // The scripted strategies speak id-only wire formats; for the baselines the
         // Byzantine nodes simply fail silent (see module docs).
-        _ => "silent (baseline substitution)",
+        AttackBehavior::Preset(_) => "silent (baseline substitution)",
+        other => return scripted_attack_behavior(factory, other, ctx),
     };
     NamedAdversary::new(name, SilentAdversary)
 }
@@ -80,12 +91,12 @@ impl ProtocolFactory for PhaseKingFactory {
             .collect()
     }
 
-    fn adversary(
+    fn attack_behavior(
         &self,
-        kind: AdversaryKind,
-        _ctx: &BuildContext,
+        behavior: &AttackBehavior,
+        ctx: &BuildContext,
     ) -> NamedAdversary<crate::phase_king::PhaseKingMessage<u64>> {
-        silent(kind)
+        silent(self, behavior, ctx)
     }
 
     fn payload_vocab(
@@ -180,12 +191,12 @@ impl ProtocolFactory for StBroadcastFactory {
             .collect()
     }
 
-    fn adversary(
+    fn attack_behavior(
         &self,
-        kind: AdversaryKind,
-        _ctx: &BuildContext,
+        behavior: &AttackBehavior,
+        ctx: &BuildContext,
     ) -> NamedAdversary<crate::srikanth_toueg::StMessage<u64>> {
-        silent(kind)
+        silent(self, behavior, ctx)
     }
 
     fn payload_vocab(&self, _ctx: &BuildContext) -> Option<Box<dyn PayloadVocab<StMessage<u64>>>> {
@@ -272,12 +283,12 @@ impl ProtocolFactory for DolevApproxFactory {
             .collect()
     }
 
-    fn adversary(
+    fn attack_behavior(
         &self,
-        kind: AdversaryKind,
-        _ctx: &BuildContext,
+        behavior: &AttackBehavior,
+        ctx: &BuildContext,
     ) -> NamedAdversary<crate::dolev_approx::Micro> {
-        silent(kind)
+        silent(self, behavior, ctx)
     }
 
     fn payload_vocab(&self, _ctx: &BuildContext) -> Option<Box<dyn PayloadVocab<Micro>>> {
@@ -346,12 +357,12 @@ impl ProtocolFactory for KnownRotorFactory {
             .collect()
     }
 
-    fn adversary(
+    fn attack_behavior(
         &self,
-        kind: AdversaryKind,
-        _ctx: &BuildContext,
+        behavior: &AttackBehavior,
+        ctx: &BuildContext,
     ) -> NamedAdversary<crate::rotor_known::KnownRotorMessage> {
-        silent(kind)
+        silent(self, behavior, ctx)
     }
 
     fn payload_vocab(

@@ -4,13 +4,17 @@
 //! cargo run -p uba-bench --release --bin experiments -- all
 //! cargo run -p uba-bench --release --bin experiments -- e4 e7
 //! cargo run -p uba-bench --release --bin experiments -- baseline [path]
-//! cargo run -p uba-bench --release --bin experiments -- scaling [--quick] [--engine sync|event] [path]
+//! cargo run -p uba-bench --release --bin experiments -- scaling [--quick] [path]
 //! cargo run -p uba-bench --release --bin experiments -- fuzz [--smoke] [--out path]
-//! cargo run -p uba-bench --release --bin experiments -- fuzz --boundary [--smoke]
+//! cargo run -p uba-bench --release --bin experiments -- fuzz --boundary [--smoke] [--ids dense|sparse|adversary]
+//! cargo run -p uba-bench --release --bin experiments -- fuzz --search [--smoke]
 //! cargo run -p uba-bench --release --bin experiments -- fuzz --replay path
 //! cargo run -p uba-bench --release --bin experiments -- soak [path]
-//! cargo run -p uba-bench --release --bin experiments -- stream [--smoke] [path]
+//! cargo run -p uba-bench --release --bin experiments -- stream [path]
 //! ```
+//!
+//! Each mode takes only the flags and the number of paths shown; any other
+//! argument exits 2, naming it, before anything runs or is written.
 //!
 //! `baseline` regenerates `BENCH_baseline.json`: the fixed scenario grid run through
 //! the `Simulation` driver, serialised as verdict-annotated `RunReport`s plus an
@@ -21,12 +25,8 @@
 //! `docs/ENGINE.md`). With `--quick` it runs the small-`n` prefix and one gate:
 //! the deterministic baseline grid is compared against the recorded
 //! `BENCH_baseline.json` — **any count drift exits non-zero**. This is the CI
-//! regression guard for engine rewrites. `--engine event` runs the grid through
-//! the discrete-event engine under zero-jitter timing, writes it to
-//! `scaling-event.json` by default, and exits non-zero unless its rows
-//! reproduce the sync grid's rounds, messages, deliveries and completion.
-//! Every artifact is read, written and drift-checked through
-//! `uba_bench::artifact`.
+//! regression guard for engine rewrites. Every artifact is read, written and
+//! drift-checked through `uba_bench::artifact`.
 //!
 //! `fuzz --boundary` sweeps scenarios pinned *at* `n = 3f` and **fails if no
 //! case violates a theorem property**: outside the resiliency bound a violation
@@ -47,15 +47,14 @@
 //! `docs/STREAMING.md`): an open-loop Zipf-keyed request generator batched into
 //! overlapping consensus instances and batched total-order events, on both
 //! engines, recording decisions/sec, msgs/sec, batch-size histograms and
-//! request-latency percentiles to `BENCH_stream.json`. With `--smoke` only the
-//! smoke rows are re-run and their deterministic columns are gated against the
-//! committed artifact (count drift exits 1, the CI regression guard); the
-//! committed full rows are carried over unchanged. Wall-clock rates are
+//! request-latency percentiles to `BENCH_stream.json`, and regenerates the
+//! active-window sweep (per-round mux cost vs window size, `docs/STREAMING.md`).
+//! The deterministic columns of every row and of the sweep are gated against
+//! the committed artifact (count drift exits 1, the CI regression guard); when
+//! the file is missing, the run records a fresh one. Wall-clock rates are
 //! recorded, never gated. The exit code is 1 when any row fails its oracles.
-//! Every run also regenerates the active-window sweep (per-round mux cost vs
-//! window size, `docs/STREAMING.md`). The sweep's slope gate — doubling the
-//! horizon at a fixed window must not grow per-round cost beyond 1.1× — is
-//! deterministic and hard-fails in either mode.
+//! The sweep's slope gate — doubling the horizon at a fixed window must not
+//! grow per-round cost beyond 1.1× — is deterministic and hard-fails.
 //!
 //! `fuzz` runs the deterministic property-fuzz grid (`uba_bench::fuzz`,
 //! `docs/FUZZING.md`): every protocol/baseline family × attack plans × churn ×
@@ -71,48 +70,101 @@ use std::time::Instant;
 
 use uba_bench::artifact;
 use uba_bench::baseline::BaselineSummaryRow;
-use uba_bench::scaling::ScalingRow;
 use uba_bench::{all_experiments, experiment_by_name, BaselineFile};
 use uba_simnet::EngineKind;
 
-/// The value following `flag`, exiting with a usage error when the flag is
-/// present but followed by nothing or by another flag (so `--out --smoke` cannot
-/// silently write to a file named `--smoke`).
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    let pos = args.iter().position(|a| a == flag)?;
-    match args.get(pos + 1).map(String::as_str) {
-        Some(value) if !value.starts_with("--") => Some(value),
-        _ => {
-            eprintln!("{flag} requires a value");
-            exit(2);
+/// What one mode accepts: its bare flags, its flags that take a value, and at
+/// most how many positional arguments.
+struct Usage {
+    switches: &'static [&'static str],
+    valued: &'static [&'static str],
+    positional: usize,
+}
+
+/// One mode's arguments, sorted by its [`Usage`].
+#[derive(Debug, Default, PartialEq)]
+struct Args<'a> {
+    switches: Vec<&'a str>,
+    values: Vec<(&'a str, &'a str)>,
+    positional: Vec<&'a str>,
+}
+
+impl Usage {
+    /// Sorts `args`; an undeclared flag, a surplus positional argument, or a
+    /// valued flag followed by nothing or by another flag (so `--out --smoke`
+    /// cannot write to a file named `--smoke`) is an error naming it.
+    fn parse<'a>(&self, args: &'a [String]) -> Result<Args<'a>, String> {
+        let mut parsed = Args::default();
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            if self.switches.contains(&arg) {
+                parsed.switches.push(arg);
+            } else if self.valued.contains(&arg) {
+                match args.next() {
+                    Some(value) if !value.starts_with("--") => parsed.values.push((arg, value)),
+                    _ => return Err(format!("{arg} requires a value")),
+                }
+            } else if !arg.starts_with("--") && parsed.positional.len() < self.positional {
+                parsed.positional.push(arg);
+            } else {
+                return Err(format!("unexpected argument '{arg}'"));
+            }
         }
+        Ok(parsed)
     }
 }
 
-/// The `--engine` flag: `None` (the sync engine) when absent or `sync`, the
-/// event engine for `event`.
-fn engine_flag(args: &[String]) -> Option<EngineKind> {
-    match flag_value(args, "--engine")? {
-        "sync" => None,
-        "event" => Some(EngineKind::event()),
-        other => {
-            eprintln!("--engine expects sync or event, got '{other}'");
-            exit(2);
-        }
+impl Args<'_> {
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|&&(name, _)| name == flag)
+            .map(|&(_, value)| value)
+    }
+
+    /// The positional path, or `default` when there is none.
+    fn path(&self, default: &str) -> PathBuf {
+        PathBuf::from(self.positional.first().copied().unwrap_or(default))
     }
 }
 
-/// The first positional argument — neither a flag nor the value of
-/// `--engine` — or `default` when there is none.
-fn path_arg(args: &[String], default: &str) -> PathBuf {
-    let engine_value = args.iter().position(|a| a == "--engine").map(|p| p + 1);
-    PathBuf::from(
-        args.iter()
-            .enumerate()
-            .find(|&(i, a)| !a.starts_with("--") && Some(i) != engine_value)
-            .map_or(default, |(_, a)| a.as_str()),
-    )
-}
+/// A mode that takes no flag and at most one path.
+const ONE_PATH: Usage = Usage {
+    switches: &[],
+    valued: &[],
+    positional: 1,
+};
+
+/// What runs a mode, given its sorted arguments.
+type Run = fn(&Args);
+
+/// Every mode besides the experiment tables, with what it accepts.
+const MODES: [(&str, Usage, Run); 5] = [
+    ("baseline", ONE_PATH, run_baseline),
+    (
+        "scaling",
+        Usage {
+            switches: &["--quick"],
+            ..ONE_PATH
+        },
+        run_scaling,
+    ),
+    ("soak", ONE_PATH, run_soak),
+    ("stream", ONE_PATH, run_stream),
+    (
+        "fuzz",
+        Usage {
+            switches: &["--smoke", "--boundary", "--search"],
+            valued: &["--out", "--replay", "--ids"],
+            positional: 0,
+        },
+        run_fuzz,
+    ),
+];
 
 /// Writes an artifact and reports its size and the time since `started`;
 /// exits 1 when the file cannot be written.
@@ -192,8 +244,8 @@ fn replay_case(path: &str) -> ! {
 }
 
 /// Maps the `--ids` flag onto the boundary grid's identifier-layout axis.
-fn boundary_ids(args: &[String]) -> Vec<uba_simnet::IdSpace> {
-    match flag_value(args, "--ids") {
+fn boundary_ids(args: &Args) -> Vec<uba_simnet::IdSpace> {
+    match args.value("--ids") {
         None => uba_bench::boundary_id_spaces(),
         Some("dense") => vec![uba_simnet::IdSpace::Consecutive],
         Some("sparse") => vec![uba_simnet::IdSpace::default()],
@@ -272,23 +324,25 @@ fn run_boundary(smoke: bool, workers: usize, id_spaces: Vec<uba_simnet::IdSpace>
     }
 }
 
-fn run_fuzz(args: &[String]) {
-    if let Some(path) = flag_value(args, "--replay") {
+fn run_fuzz(args: &Args) {
+    if let Some(path) = args.value("--replay") {
         replay_case(path);
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = flag_value(args, "--out").unwrap_or("FUZZ_counterexample.json");
+    let smoke = args.has("--smoke");
+    let out = args.value("--out").unwrap_or("FUZZ_counterexample.json");
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
         .min(8);
-    if args.iter().any(|a| a == "--boundary") {
-        let out = flag_value(args, "--out").unwrap_or("BOUNDARY_counterexample.json");
+    if args.has("--boundary") {
+        let out = args
+            .value("--out")
+            .unwrap_or("BOUNDARY_counterexample.json");
         run_boundary(smoke, workers, boundary_ids(args), out);
         return;
     }
-    if args.iter().any(|a| a == "--search") {
-        let out = flag_value(args, "--out").unwrap_or("SEARCH_counterexample.json");
+    if args.has("--search") {
+        let out = args.value("--out").unwrap_or("SEARCH_counterexample.json");
         run_search(smoke, workers, out);
         return;
     }
@@ -387,22 +441,17 @@ fn run_search(smoke: bool, workers: usize, out: &str) {
     );
 }
 
-fn run_scaling(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    // `--engine event` forces the whole grid through the discrete-event
-    // scheduler (zero-jitter timing) and writes the overhead rows to their own
-    // file — the counts must match the sync grid's, the wall clock is the point.
-    let engine = engine_flag(args);
-    // Quick and event runs write to their own default files: the checked-in
-    // BENCH_scaling.json holds the full sync grid, and a partial run must not
+fn run_scaling(args: &Args) {
+    let quick = args.has("--quick");
+    // A quick run writes to its own default file: the checked-in
+    // BENCH_scaling.json holds the full grid, and a partial run must not
     // silently clobber the recorded trajectory.
-    let default_path = match (&engine, quick) {
-        (Some(_), _) => "scaling-event.json",
-        (None, true) => "scaling-quick.json",
-        (None, false) => "BENCH_scaling.json",
-    };
-    let path = path_arg(args, default_path);
-    if quick && engine.is_none() {
+    let path = args.path(if quick {
+        "scaling-quick.json"
+    } else {
+        "BENCH_scaling.json"
+    });
+    if quick {
         eprintln!("checking the engine against BENCH_baseline.json…");
         let recorded: BaselineFile = artifact::read(Path::new("BENCH_baseline.json"))
             .unwrap_or_else(|error| {
@@ -421,33 +470,14 @@ fn run_scaling(args: &[String]) {
             "baseline counts unchanged",
         );
     }
-    let event = engine.is_some();
-    eprintln!("running the scaling grid (quick = {quick}, event engine = {event})…");
+    eprintln!("running the scaling grid (quick = {quick})…");
     let started = Instant::now();
-    let file = uba_bench::scaling_file(quick, engine.clone());
-    write_artifact(&path, &file, started);
-    if engine.is_some() {
-        let sync: Vec<ScalingRow> = uba_bench::scaling::scaling_rows(quick, None)
-            .into_iter()
-            .filter(|row| row.engine == "sync")
-            .collect();
-        gate(
-            &artifact::drift(
-                "event scaling",
-                &file.rows,
-                &sync,
-                ScalingRow::KEY,
-                ScalingRow::DETERMINISTIC,
-            ),
-            "event-engine rows drifted from the sync grid",
-            "event-engine counts match the sync grid",
-        );
-    }
+    write_artifact(&path, &uba_bench::scaling_file(quick), started);
 }
 
-fn run_soak(args: &[String]) {
+fn run_soak(args: &Args) {
     let engines = [None, Some(EngineKind::event())];
-    let path = path_arg(args, "BENCH_soak_smoke.json");
+    let path = args.path("BENCH_soak_smoke.json");
     // The committed file at the target path, when there is one: the count and
     // latency gates read it before the fresh run overwrites it.
     let committed: Option<uba_bench::SoakFile> = artifact::read(&path).ok();
@@ -525,52 +555,42 @@ fn run_soak(args: &[String]) {
     eprintln!("memory flat, step latency flat and recovery oracles clean on every engine ✓");
 }
 
-fn run_stream(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let path = path_arg(args, "BENCH_stream.json");
-    let committed = artifact::read::<uba_bench::StreamFile>(&path);
-    // A smoke run is the CI regression gate: it needs a committed, well-formed
-    // artifact to compare against — a missing or unparseable BENCH_stream.json
-    // is itself a failure, not a free pass.
-    if let (true, Err(error)) = (smoke, &committed) {
-        eprintln!(
-            "stream --smoke needs a committed, well-formed {} to gate against ({error}; \
-             regenerate it with `experiments -- stream`)",
-            path.display()
-        );
-        exit(1);
-    }
-    let committed = committed.ok();
+fn run_stream(args: &Args) {
+    let path = args.path("BENCH_stream.json");
+    // The committed file at the target path, when there is one: the count gate
+    // reads it before the fresh run overwrites it.
+    let committed: Option<uba_bench::StreamFile> = artifact::read(&path).ok();
     let started = Instant::now();
-    eprintln!("streaming pipelined agreement instances through both engines (smoke = {smoke})…");
-    let fresh = uba_bench::stream_file(smoke);
-    println!("{}", uba_bench::stream_table(&fresh));
+    eprintln!("streaming pipelined agreement instances through both engines…");
+    let file = uba_bench::stream_file();
+    println!("{}", uba_bench::stream_table(&file));
     println!(
         "{}",
-        uba_bench::stream::window_sweep_table(&fresh.window_sweep)
+        uba_bench::stream::window_sweep_table(&file.window_sweep)
     );
     // The active-window property is deterministic (pure step counters), so it
-    // hard-gates in every mode: per-round cost must not grow with the horizon.
+    // hard-gates: per-round cost must not grow with the horizon.
     gate(
-        &uba_bench::stream::window_sweep_slope(&fresh.window_sweep),
+        &uba_bench::stream::window_sweep_slope(&file.window_sweep),
         "active-window sweep slope gate FAILED",
         "per-round cost flat in the horizon at every window size",
     );
-    // A smoke run regenerates only the smoke rows; the committed full rows (if
-    // any) are carried over so the artifact never loses its full shape to a CI
-    // run — the failure mode the soak artifact had.
-    let mut file = fresh;
-    if let (Some(committed), true) = (&committed, smoke) {
-        gate(
+    // The counts are exact functions of the seed: any drift from the committed
+    // artifact fails the run, before the fresh file overwrites it (remove the
+    // file to re-record it).
+    match &committed {
+        Some(committed) => gate(
             &uba_bench::stream_drift(&file, committed),
             &format!(
                 "stream counts drifted from the committed {}",
                 path.display()
             ),
             "deterministic stream counts unchanged",
-        );
-        let full = committed.rows.iter().filter(|row| row.preset != "smoke");
-        file.rows.extend(full.cloned());
+        ),
+        None => eprintln!(
+            "no committed {} to compare stream counts against; recording a fresh one",
+            path.display()
+        ),
     }
     write_artifact(&path, &file, started);
     let failed: Vec<String> = file
@@ -586,8 +606,8 @@ fn run_stream(args: &[String]) {
     );
 }
 
-fn run_baseline(args: &[String]) {
-    let path = path_arg(args, "BENCH_baseline.json");
+fn run_baseline(args: &Args) {
+    let path = args.path("BENCH_baseline.json");
     eprintln!("running the baseline grid…");
     let started = Instant::now();
     write_artifact(&path, &uba_bench::baseline_file(), started);
@@ -624,12 +644,83 @@ fn run_experiments(args: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("baseline") => run_baseline(&args[1..]),
-        Some("scaling") => run_scaling(&args[1..]),
-        Some("soak") => run_soak(&args[1..]),
-        Some("stream") => run_stream(&args[1..]),
-        Some("fuzz") => run_fuzz(&args[1..]),
-        _ => run_experiments(&args),
+    let mode = args
+        .first()
+        .and_then(|first| MODES.iter().find(|(name, ..)| name == first));
+    let Some((name, usage, run)) = mode else {
+        return run_experiments(&args);
+    };
+    match usage.parse(&args[1..]) {
+        Ok(parsed) => run(&parsed),
+        Err(error) => {
+            eprintln!("{name}: {error}");
+            exit(2);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(mode: &str, args: &[&str]) -> Result<Vec<String>, String> {
+        let (_, usage, _) = MODES.iter().find(|(name, ..)| *name == mode).unwrap();
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        usage.parse(&args).map(|parsed| {
+            let values = parsed.values.iter().map(|(f, v)| format!("{f}={v}"));
+            let positional = parsed.positional.iter().map(|p| format!("path={p}"));
+            let switches = parsed.switches.iter().map(|s| s.to_string());
+            switches.chain(values).chain(positional).collect()
+        })
+    }
+
+    #[test]
+    fn each_mode_rejects_what_it_does_not_declare() {
+        for (mode, args, error) in [
+            ("soak", &["--smoke"][..], "unexpected argument '--smoke'"),
+            ("stream", &["--smoke"], "unexpected argument '--smoke'"),
+            (
+                "stream",
+                &["--window-sweep", "x.json"],
+                "unexpected argument '--window-sweep'",
+            ),
+            (
+                "baseline",
+                &["--bogus", "x.json"],
+                "unexpected argument '--bogus'",
+            ),
+            (
+                "baseline",
+                &["a.json", "b.json"],
+                "unexpected argument 'b.json'",
+            ),
+            (
+                "scaling",
+                &["--quick", "--engine", "event"],
+                "unexpected argument '--engine'",
+            ),
+            ("fuzz", &["x.json"], "unexpected argument 'x.json'"),
+            ("fuzz", &["--out", "--smoke"], "--out requires a value"),
+            ("fuzz", &["--boundary", "--ids"], "--ids requires a value"),
+        ] {
+            assert_eq!(parse(mode, args), Err(error.to_string()), "{mode} {args:?}");
+        }
+    }
+
+    #[test]
+    fn each_mode_sorts_what_it_declares() {
+        assert_eq!(parse("stream", &[]), Ok(vec![]));
+        assert_eq!(
+            parse("scaling", &["--quick", "q.json"]),
+            Ok(vec!["--quick".to_string(), "path=q.json".to_string()])
+        );
+        assert_eq!(
+            parse("fuzz", &["--boundary", "--smoke", "--ids", "dense"]),
+            Ok(vec![
+                "--boundary".to_string(),
+                "--smoke".to_string(),
+                "--ids=dense".to_string()
+            ])
+        );
     }
 }

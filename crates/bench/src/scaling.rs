@@ -29,9 +29,10 @@
 //!   prefix of the grid plus the full `BENCH_baseline.json` grid and **fails on
 //!   any drift in rounds, message or delivery counts** — the deterministic part
 //!   of the result. This is the regression guard that keeps engine rewrites
-//!   behaviour-preserving. `scaling --quick --engine event` runs the prefix
-//!   through the discrete-event engine and fails unless its rows reproduce the
-//!   sync rows' [`ScalingRow::DETERMINISTIC`] columns.
+//!   behaviour-preserving. The unit test
+//!   `the_event_engine_reproduces_the_sync_grid_counts` runs the prefix through
+//!   the discrete-event engine and fails unless its rows reproduce the sync
+//!   rows' [`ScalingRow::DETERMINISTIC`] columns.
 
 use std::time::Instant;
 
@@ -235,7 +236,7 @@ fn row(report: &RunReport, wall_ms: f64, phases: PhaseSplit) -> ScalingRow {
 /// returns one measured row per scenario. `engine = None` runs the recorded
 /// sync-engine grid (with the event overhead re-runs at `n = 128` on the full
 /// grid); `engine = Some(..)` forces every run through that engine instead,
-/// for the `experiments -- scaling --engine event` overhead sweep.
+/// which is how the unit tests check the event engine against the sync grid.
 pub fn scaling_rows(quick: bool, engine: Option<EngineKind>) -> Vec<ScalingRow> {
     let sizes = if quick { QUICK_SIZES } else { FULL_SIZES };
     let mut rows = Vec::new();
@@ -317,8 +318,8 @@ pub fn scaling_rows(quick: bool, engine: Option<EngineKind>) -> Vec<ScalingRow> 
 
 /// Assembles the scaling file: the rows of [`scaling_rows`] plus speedups of
 /// the sync rows against the recorded pre-rewrite reference.
-pub fn scaling_file(quick: bool, engine: Option<EngineKind>) -> ScalingFile {
-    let rows = scaling_rows(quick, engine);
+pub fn scaling_file(quick: bool) -> ScalingFile {
+    let rows = scaling_rows(quick, None);
     let speedups = rows
         .iter()
         // Event rows measure the discrete-event scheduler's overhead, not the
@@ -407,7 +408,7 @@ mod tests {
 
     #[test]
     fn scaling_file_round_trips_through_serde() {
-        let file = scaling_file(true, None);
+        let file = scaling_file(true);
         let json = serde_json::to_string(&file).unwrap();
         let back: ScalingFile = serde_json::from_str(&json).unwrap();
         // Wall-clock survives serialisation; equality is over the whole struct.

@@ -87,7 +87,7 @@ pub struct StreamConfig {
 }
 
 impl StreamConfig {
-    /// CI smoke shape: small and fast, same code paths.
+    /// The small shape (the `smoke` rows): fast, same code paths.
     pub fn smoke() -> Self {
         StreamConfig {
             nodes: 6,
@@ -601,13 +601,11 @@ pub fn stream_rows(preset: &str, config: &StreamConfig) -> Vec<StreamRow> {
     rows
 }
 
-/// Builds the artifact: smoke rows always, full rows unless `smoke_only`, and
-/// the (cheap, deterministic) active-window sweep in both shapes.
-pub fn stream_file(smoke_only: bool) -> StreamFile {
+/// Builds the artifact: the smoke and full rows, and the (cheap,
+/// deterministic) active-window sweep.
+pub fn stream_file() -> StreamFile {
     let mut rows = stream_rows("smoke", &StreamConfig::smoke());
-    if !smoke_only {
-        rows.extend(stream_rows("full", &StreamConfig::full()));
-    }
+    rows.extend(stream_rows("full", &StreamConfig::full()));
     StreamFile {
         seed: STREAM_SEED,
         rows,
@@ -615,21 +613,14 @@ pub fn stream_file(smoke_only: bool) -> StreamFile {
     }
 }
 
-/// Compares the deterministic columns of two stream files: the rows of the
-/// presets `current` ran, and the active-window sweep. Returns human-readable
-/// drift lines; empty means no drift. Wall-clock columns are never compared.
+/// Compares the deterministic columns of two stream files: every row and the
+/// active-window sweep. Returns human-readable drift lines; empty means no
+/// drift. Wall-clock columns are never compared.
 pub fn stream_drift(current: &StreamFile, committed: &StreamFile) -> Vec<String> {
-    // A smoke run re-runs only the smoke preset; the full rows ride along.
-    let ran: Vec<StreamRow> = committed
-        .rows
-        .iter()
-        .filter(|row| current.rows.iter().any(|r| r.preset == row.preset))
-        .cloned()
-        .collect();
     let mut drift = artifact::drift(
         "stream",
         &current.rows,
-        &ran,
+        &committed.rows,
         StreamRow::KEY,
         StreamRow::DETERMINISTIC,
     );

@@ -59,7 +59,9 @@ pub use uba_simnet::stream::{
 pub use uba_simnet::sweep::{CrashPlan, ScenarioGrid, SweepCase};
 pub use uba_simnet::wal::{RestartPolicy, RestartRecord, WalConfig, WalFault};
 
-use crate::adversaries::{AnnounceToSubset, EquivocatingSource, GhostPairInjector, SplitVote};
+use crate::adversaries::{
+    Announce, AnnounceToSubset, EquivocatingSource, GhostPairInjector, SplitVote,
+};
 use crate::approx::IteratedApproxAgreement;
 use crate::consensus::{CommonTally, Consensus, ConsensusMessage, PhaseStep};
 use crate::parallel_consensus::ParallelConsensus;
@@ -67,6 +69,40 @@ use crate::reliable_broadcast::{RbMessage, ReliableBroadcast};
 use crate::rotor::{RotorCoordinator, RotorMessage};
 use crate::total_order::{chains_agree, TotalOrderNode};
 use crate::value::{Opinion, Real};
+
+/// The attack mapping the announcing families share (consensus, broadcast,
+/// rotor, parallel consensus): silence, announcing to every correct node and
+/// then going silent, and announcing to a subset — the `partial-announce`
+/// preset's even half, or a plan's chosen residue class. The presets with
+/// nothing of their own to run (`split-vote`, `worst-case`) announce and go
+/// silent; every other behaviour follows [`scripted_attack_behavior`]. A
+/// factory matches its own arms first and hands the rest here.
+fn announcement_attack<F>(
+    factory: &F,
+    behavior: &AttackBehavior,
+    ctx: &BuildContext,
+) -> NamedAdversary<<F::Node as Protocol>::Payload>
+where
+    F: ProtocolFactory,
+    <F::Node as Protocol>::Payload: Announce + std::hash::Hash,
+{
+    match *behavior {
+        AttackBehavior::Preset(kind @ AdversaryKind::Silent) => {
+            NamedAdversary::new(kind.name(), SilentAdversary)
+        }
+        AttackBehavior::Preset(kind @ AdversaryKind::PartialAnnounce) => {
+            NamedAdversary::new(kind.name(), AnnounceToSubset::every_other())
+        }
+        AttackBehavior::Preset(_) => {
+            NamedAdversary::new("announce-then-silent", AnnounceToSubset::everyone())
+        }
+        AttackBehavior::AnnounceToSubset { modulus, remainder } => NamedAdversary::new(
+            "announce-to-subset",
+            AnnounceToSubset::new(modulus, remainder),
+        ),
+        ref other => scripted_attack_behavior(factory, other, ctx),
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Consensus (Algorithm 3)
@@ -151,42 +187,22 @@ impl ProtocolFactory for ConsensusFactory {
             .collect()
     }
 
-    fn adversary(
-        &self,
-        kind: AdversaryKind,
-        _ctx: &BuildContext,
-    ) -> NamedAdversary<crate::consensus::ConsensusMessage<u64>> {
-        match kind {
-            AdversaryKind::Silent => NamedAdversary::new(kind.name(), SilentAdversary),
-            AdversaryKind::AnnounceThenSilent => {
-                NamedAdversary::new(kind.name(), AnnounceToSubset::everyone())
-            }
-            AdversaryKind::PartialAnnounce => {
-                NamedAdversary::new(kind.name(), AnnounceToSubset::every_other())
-            }
-            AdversaryKind::SplitVote | AdversaryKind::Worst => {
-                let (low, high) = self.split_values();
-                NamedAdversary::new("split-vote", SplitVote::new(low, high))
-            }
-        }
-    }
-
     fn attack_behavior(
         &self,
         behavior: &AttackBehavior,
         ctx: &BuildContext,
-    ) -> NamedAdversary<crate::consensus::ConsensusMessage<u64>> {
+    ) -> NamedAdversary<ConsensusMessage<u64>> {
         match *behavior {
+            AttackBehavior::Preset(AdversaryKind::SplitVote | AdversaryKind::Worst) => {
+                let (low, high) = self.split_values();
+                NamedAdversary::new("split-vote", SplitVote::new(low, high))
+            }
             // Vote equivocation *is* the split-vote attack, with the plan choosing
             // the pushed values instead of the input histogram.
             AttackBehavior::Equivocate { low, high } => {
                 NamedAdversary::new("split-vote", SplitVote::new(low, high))
             }
-            AttackBehavior::AnnounceToSubset { modulus, remainder } => NamedAdversary::new(
-                "announce-to-subset",
-                AnnounceToSubset::new(modulus, remainder),
-            ),
-            ref other => scripted_attack_behavior(self, other, ctx),
+            ref other => announcement_attack(self, other, ctx),
         }
     }
 
@@ -342,48 +358,20 @@ impl ProtocolFactory for BroadcastFactory {
             .collect()
     }
 
-    fn adversary(
-        &self,
-        kind: AdversaryKind,
-        ctx: &BuildContext,
-    ) -> NamedAdversary<crate::reliable_broadcast::RbMessage<u64>> {
-        if let Some((value_a, value_b)) = self.equivocate {
-            // The equivocating source *is* the attack; the kind is irrelevant.
-            return NamedAdversary::new(
-                "equivocating-source",
-                EquivocatingSource::new(self.source(ctx), value_a, value_b),
-            );
-        }
-        match kind {
-            AdversaryKind::Silent => NamedAdversary::new(kind.name(), SilentAdversary),
-            AdversaryKind::PartialAnnounce => {
-                NamedAdversary::new(kind.name(), AnnounceToSubset::every_other())
-            }
-            AdversaryKind::AnnounceThenSilent | AdversaryKind::SplitVote | AdversaryKind::Worst => {
-                NamedAdversary::new("announce-then-silent", AnnounceToSubset::everyone())
-            }
-        }
-    }
-
     fn attack_behavior(
         &self,
         behavior: &AttackBehavior,
         ctx: &BuildContext,
-    ) -> NamedAdversary<crate::reliable_broadcast::RbMessage<u64>> {
-        match *behavior {
-            // Sender equivocation needs a Byzantine designated sender; with one
-            // configured, the plan chooses the two conflicting values.
-            AttackBehavior::Equivocate { low, high } if self.equivocate.is_some() => {
-                NamedAdversary::new(
-                    "equivocating-source",
-                    EquivocatingSource::new(self.source(ctx), low, high),
-                )
-            }
-            AttackBehavior::AnnounceToSubset { modulus, remainder } => NamedAdversary::new(
-                "announce-to-subset",
-                AnnounceToSubset::new(modulus, remainder),
+    ) -> NamedAdversary<RbMessage<u64>> {
+        match (behavior, self.equivocate) {
+            // The equivocating source *is* the attack, whatever the preset; a
+            // plan's sender equivocation chooses its two conflicting values.
+            (AttackBehavior::Preset(_), Some((low, high)))
+            | (&AttackBehavior::Equivocate { low, high }, Some(_)) => NamedAdversary::new(
+                "equivocating-source",
+                EquivocatingSource::new(self.source(ctx), low, high),
             ),
-            ref other => scripted_attack_behavior(self, other, ctx),
+            _ => announcement_attack(self, behavior, ctx),
         }
     }
 
@@ -470,34 +458,12 @@ impl ProtocolFactory for RotorFactory {
             .collect()
     }
 
-    fn adversary(
-        &self,
-        kind: AdversaryKind,
-        _ctx: &BuildContext,
-    ) -> NamedAdversary<crate::rotor::RotorMessage<u64>> {
-        match kind {
-            AdversaryKind::Silent => NamedAdversary::new(kind.name(), SilentAdversary),
-            AdversaryKind::PartialAnnounce => {
-                NamedAdversary::new(kind.name(), AnnounceToSubset::every_other())
-            }
-            AdversaryKind::AnnounceThenSilent | AdversaryKind::SplitVote | AdversaryKind::Worst => {
-                NamedAdversary::new("announce-then-silent", AnnounceToSubset::everyone())
-            }
-        }
-    }
-
     fn attack_behavior(
         &self,
         behavior: &AttackBehavior,
         ctx: &BuildContext,
-    ) -> NamedAdversary<crate::rotor::RotorMessage<u64>> {
-        match *behavior {
-            AttackBehavior::AnnounceToSubset { modulus, remainder } => NamedAdversary::new(
-                "announce-to-subset",
-                AnnounceToSubset::new(modulus, remainder),
-            ),
-            ref other => scripted_attack_behavior(self, other, ctx),
-        }
+    ) -> NamedAdversary<RotorMessage<u64>> {
+        announcement_attack(self, behavior, ctx)
     }
 
     fn payload_vocab(
@@ -657,22 +623,19 @@ impl ProtocolFactory for ApproxFactory {
         approx_nodes(&self.inputs, 1, ctx)
     }
 
-    fn adversary(&self, kind: AdversaryKind, _ctx: &BuildContext) -> NamedAdversary<Real> {
-        match kind {
-            AdversaryKind::Silent => NamedAdversary::new(kind.name(), SilentAdversary),
-            // Every active strategy maps to the proof's worst case: values have no
-            // votes to split and no announcements to withhold, only outliers:
-            // `±10⁹` to alternating halves of the correct nodes in round 1.
-            _ => outliers_with("extreme-outliers", 1e9, false),
-        }
-    }
-
     fn attack_behavior(
         &self,
         behavior: &AttackBehavior,
         ctx: &BuildContext,
     ) -> NamedAdversary<Real> {
         match *behavior {
+            AttackBehavior::Preset(kind @ AdversaryKind::Silent) => {
+                NamedAdversary::new(kind.name(), SilentAdversary)
+            }
+            // Every active preset maps to the proof's worst case: values have no
+            // votes to split and no announcements to withhold, only outliers:
+            // `±10⁹` to alternating halves of the correct nodes in round 1.
+            AttackBehavior::Preset(_) => outliers_with("extreme-outliers", 1e9, false),
             AttackBehavior::Outliers { magnitude } => outliers_with("outliers", magnitude, false),
             ref other => scripted_attack_behavior(self, other, ctx),
         }
@@ -769,19 +732,16 @@ impl ProtocolFactory for IteratedApproxFactory {
         approx_nodes(&self.inputs, self.iterations, ctx)
     }
 
-    fn adversary(&self, kind: AdversaryKind, _ctx: &BuildContext) -> NamedAdversary<Real> {
-        match kind {
-            AdversaryKind::Silent => NamedAdversary::new(kind.name(), SilentAdversary),
-            _ => outliers_with("per-round-outliers", 1e9, true),
-        }
-    }
-
     fn attack_behavior(
         &self,
         behavior: &AttackBehavior,
         ctx: &BuildContext,
     ) -> NamedAdversary<Real> {
         match *behavior {
+            AttackBehavior::Preset(kind @ AdversaryKind::Silent) => {
+                NamedAdversary::new(kind.name(), SilentAdversary)
+            }
+            AttackBehavior::Preset(_) => outliers_with("per-round-outliers", 1e9, true),
             AttackBehavior::Outliers { magnitude } => {
                 outliers_with("per-round-outliers", magnitude, true)
             }
@@ -896,37 +856,19 @@ impl ProtocolFactory for ParallelConsensusFactory {
             .collect()
     }
 
-    fn adversary(
-        &self,
-        kind: AdversaryKind,
-        _ctx: &BuildContext,
-    ) -> NamedAdversary<crate::early_consensus::ParallelMessage<u64>> {
-        match kind {
-            AdversaryKind::Silent => NamedAdversary::new(kind.name(), SilentAdversary),
-            AdversaryKind::PartialAnnounce => {
-                NamedAdversary::new(kind.name(), AnnounceToSubset::every_other())
-            }
-            AdversaryKind::Worst if !self.ghosts.is_empty() => NamedAdversary::new(
-                "ghost-pair-injector",
-                GhostPairInjector::new(self.ghosts.clone()),
-            ),
-            AdversaryKind::AnnounceThenSilent | AdversaryKind::SplitVote | AdversaryKind::Worst => {
-                NamedAdversary::new("announce-then-silent", AnnounceToSubset::everyone())
-            }
-        }
-    }
-
     fn attack_behavior(
         &self,
         behavior: &AttackBehavior,
         ctx: &BuildContext,
     ) -> NamedAdversary<crate::early_consensus::ParallelMessage<u64>> {
         match *behavior {
-            AttackBehavior::AnnounceToSubset { modulus, remainder } => NamedAdversary::new(
-                "announce-to-subset",
-                AnnounceToSubset::new(modulus, remainder),
-            ),
-            ref other => scripted_attack_behavior(self, other, ctx),
+            AttackBehavior::Preset(AdversaryKind::Worst) if !self.ghosts.is_empty() => {
+                NamedAdversary::new(
+                    "ghost-pair-injector",
+                    GhostPairInjector::new(self.ghosts.clone()),
+                )
+            }
+            ref other => announcement_attack(self, other, ctx),
         }
     }
 
@@ -1164,26 +1106,28 @@ impl<E: Opinion + 'static> ProtocolFactory for TotalOrderFactory<E> {
             .collect()
     }
 
-    fn adversary(
+    fn attack_behavior(
         &self,
-        kind: AdversaryKind,
-        _ctx: &BuildContext,
+        behavior: &AttackBehavior,
+        ctx: &BuildContext,
     ) -> NamedAdversary<crate::total_order::TotalOrderMessage<E>> {
-        match kind {
-            AdversaryKind::Silent => NamedAdversary::new(kind.name(), SilentAdversary),
+        match *behavior {
             // The strongest attack the family's message language admits: a
             // split-brain schedule equivocating the embedded consensus votes of a
             // Byzantine-witnessed event between the two halves of the correct
             // nodes (see [`total_order_split_brain`]). At `n = 3f` it splits the
             // chain; inside the bound the correct majority heals the split.
-            AdversaryKind::SplitVote | AdversaryKind::Worst => NamedAdversary::new(
-                "split-brain",
-                total_order_split_brain(self.plan.events.first().map(|(_, _, e)| e.clone())),
-            ),
-            // The remaining scripted strategies cannot fabricate arbitrary event
-            // payloads; protocol-specific attacks (e.g.
-            // `adversaries::MembershipFlapper`) go through `build_with_adversary`.
-            _ => NamedAdversary::new("silent", SilentAdversary),
+            AttackBehavior::Preset(AdversaryKind::SplitVote | AdversaryKind::Worst) => {
+                NamedAdversary::new(
+                    "split-brain",
+                    total_order_split_brain(self.plan.events.first().map(|(_, _, e)| e.clone())),
+                )
+            }
+            // The other presets cannot fabricate arbitrary event payloads;
+            // protocol-specific attacks (e.g. `adversaries::MembershipFlapper`) go
+            // through `build_with_adversary`.
+            AttackBehavior::Preset(_) => NamedAdversary::new("silent", SilentAdversary),
+            ref other => scripted_attack_behavior(self, other, ctx),
         }
     }
 

@@ -94,12 +94,12 @@ impl ActorRange {
 
 /// One abstract Byzantine behaviour, interpreted per protocol by the factory.
 ///
-/// [`AttackBehavior::Preset`] resolves through the factory's existing
-/// [`AdversaryKind`] mapping, so the legacy scripted strategies are a strict subset
-/// of what plans can express. The remaining variants are the behaviours the scripted
-/// enum could not parameterise; factories whose payloads support them map them
-/// exactly and everything else substitutes the closest applicable kind (the same
-/// substitution rule `ProtocolFactory::adversary` already follows).
+/// Every factory maps each [`AttackBehavior::Preset`], so the legacy scripted
+/// strategies are a strict subset of what plans can express. The remaining
+/// variants are the behaviours the scripted enum could not parameterise; factories
+/// whose payloads support them map them exactly and everything else substitutes the
+/// factory's mapping of the closest applicable kind (see
+/// [`scripted_attack_behavior`](crate::sim::scripted_attack_behavior)).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum AttackBehavior {
     /// Exactly the named legacy strategy.

@@ -53,8 +53,8 @@ use crate::wal::{RestartRecord, WalConfig};
 pub use crate::engine::{RunStatus, StopCondition};
 
 /// A boxed, dynamically dispatched adversary — the form in which
-/// [`ProtocolFactory::adversary`] returns strategies so one harness type covers
-/// every adversary choice.
+/// [`ProtocolFactory::attack_behavior`] returns strategies so one harness type
+/// covers every adversary choice.
 pub type BoxedAdversary<P> = Box<dyn Adversary<P>>;
 
 impl<P> Adversary<P> for BoxedAdversary<P> {
@@ -65,9 +65,9 @@ impl<P> Adversary<P> for BoxedAdversary<P> {
 
 /// An adversary strategy together with the name recorded in the [`RunReport`].
 ///
-/// Factories return this from [`ProtocolFactory::adversary`] so a substituted
-/// strategy (a kind that does not apply to the protocol) is reported under the name
-/// of what actually ran, not what was requested.
+/// Factories return this from [`ProtocolFactory::attack_behavior`] so a
+/// substituted strategy (a behaviour that does not apply to the protocol) is
+/// reported under the name of what actually ran, not what was requested.
 pub struct NamedAdversary<P> {
     /// Name recorded in [`RunReport::adversary`].
     pub name: String,
@@ -87,10 +87,11 @@ impl<P> NamedAdversary<P> {
 
 /// Adversary strategies selectable by name in experiment sweeps.
 ///
-/// This is plain *data* (serialisable, comparable); each [`ProtocolFactory`] maps a
-/// kind onto a concrete strategy for its payload type, falling back to the closest
-/// applicable strategy when a kind does not exist for the protocol (e.g. there is no
-/// vote to split in a rotor execution).
+/// This is plain *data* (serialisable, comparable). A scenario runs a kind as its
+/// preset plan ([`AttackPlan::preset`]), and each [`ProtocolFactory`] maps the
+/// plan's [`AttackBehavior::Preset`] onto a concrete strategy for its payload type,
+/// falling back to the closest applicable strategy when a kind does not exist for
+/// the protocol (e.g. there is no vote to split in a rotor execution).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AdversaryKind {
     /// Byzantine nodes never speak (they are invisible).
@@ -394,7 +395,7 @@ impl BuildContext {
 ///
 /// A factory encapsulates the protocol-specific choices the old `run_*` drivers
 /// hard-wired: node construction from the identifier split, the mapping from an
-/// [`AdversaryKind`] to a concrete strategy for the protocol's payload, the stop
+/// [`AttackBehavior`] to a concrete strategy for the protocol's payload, the stop
 /// condition, optional per-round input injection, and the extraction of
 /// protocol-specific [`RunReport`] sections after the run.
 pub trait ProtocolFactory {
@@ -410,29 +411,18 @@ pub trait ProtocolFactory {
     /// can cache build-time data (e.g. the founding identifier set) for later hooks.
     fn build_nodes(&mut self, ctx: &BuildContext) -> Vec<Self::Node>;
 
-    /// Maps the selected [`AdversaryKind`] onto a concrete, named strategy for this
-    /// protocol's payload. Factories should substitute (and report) the closest
-    /// applicable strategy for kinds that make no sense for the protocol.
-    fn adversary(
-        &self,
-        kind: AdversaryKind,
-        ctx: &BuildContext,
-    ) -> NamedAdversary<<Self::Node as Protocol>::Payload>;
-
-    /// Maps one abstract [`AttackBehavior`] of a composed [`AttackPlan`] onto a
-    /// concrete, named strategy for this protocol's payload. The default resolves
-    /// presets through [`ProtocolFactory::adversary`], runs [`AttackBehavior::Replay`]
-    /// generically, and substitutes the closest scripted kind for the value-shaped
-    /// behaviours; factories whose payloads can express a behaviour exactly
-    /// (outliers for approximate agreement, vote equivocation for consensus, …)
-    /// override it.
+    /// Maps one [`AttackBehavior`] of an [`AttackPlan`] onto a concrete, named
+    /// strategy for this protocol's payload — the one adversary hook. Every
+    /// factory maps each [`AttackBehavior::Preset`], substituting (and reporting)
+    /// the closest applicable strategy for kinds that make no sense for the
+    /// protocol, and the behaviours its payloads express exactly (outliers for
+    /// approximate agreement, vote equivocation for consensus, …); it hands the
+    /// rest to [`scripted_attack_behavior`].
     fn attack_behavior(
         &self,
         behavior: &AttackBehavior,
         ctx: &BuildContext,
-    ) -> NamedAdversary<<Self::Node as Protocol>::Payload> {
-        scripted_attack_behavior(self, behavior, ctx)
-    }
+    ) -> NamedAdversary<<Self::Node as Protocol>::Payload>;
 
     /// The protocol's payload vocabulary (see [`PayloadVocab`]): how to fabricate
     /// semantically valid, threshold-probing and garbage payloads for this
@@ -470,27 +460,35 @@ pub trait ProtocolFactory {
     fn record(&self, ctx: &BuildContext, nodes: &[Self::Node], report: &mut RunReport);
 }
 
-/// The default [`AttackBehavior`] → strategy mapping (see
-/// [`ProtocolFactory::attack_behavior`]). Kept as a free function so factory
-/// overrides can fall back to it for the behaviours they do not specialise.
+/// The generic [`AttackBehavior`] → strategy mapping a factory's
+/// [`ProtocolFactory::attack_behavior`] falls back to for the behaviours it
+/// does not map itself: [`AttackBehavior::Replay`] and the payload-vocabulary
+/// behaviours run generically, and the rest substitute the factory's own
+/// mapping of the closest preset.
+///
+/// # Panics
+///
+/// On an [`AttackBehavior::Preset`]: mapping every preset is the factory's job.
 pub fn scripted_attack_behavior<F: ProtocolFactory + ?Sized>(
     factory: &F,
     behavior: &AttackBehavior,
     ctx: &BuildContext,
 ) -> NamedAdversary<<F::Node as Protocol>::Payload> {
+    let substitute = |kind| factory.attack_behavior(&AttackBehavior::Preset(kind), ctx);
     match behavior {
-        AttackBehavior::Preset(kind) => factory.adversary(*kind, ctx),
+        AttackBehavior::Preset(kind) => panic!(
+            "protocol `{}` maps no `{}` preset",
+            factory.protocol_name(),
+            kind.name()
+        ),
         AttackBehavior::Replay {
             visible_to_even_raw_ids,
         } => NamedAdversary::new("replay", ReplayAdversary::new(*visible_to_even_raw_ids)),
-        // The value-shaped behaviours need payload vocabularies the generic layer
-        // does not have; substitute the protocol's closest scripted kind, exactly
-        // like `adversary` substitutes inapplicable kinds.
-        AttackBehavior::AnnounceToSubset { .. } => {
-            factory.adversary(AdversaryKind::PartialAnnounce, ctx)
-        }
+        // The value-shaped behaviours need payload shapes the generic layer does
+        // not have; substitute the protocol's closest preset.
+        AttackBehavior::AnnounceToSubset { .. } => substitute(AdversaryKind::PartialAnnounce),
         AttackBehavior::Equivocate { .. } | AttackBehavior::Outliers { .. } => {
-            factory.adversary(AdversaryKind::Worst, ctx)
+            substitute(AdversaryKind::Worst)
         }
         // The vocabulary-driven behaviours: resolved through the factory's
         // payload vocabulary when it provides one, substituted by the worst
@@ -499,21 +497,21 @@ pub fn scripted_attack_behavior<F: ProtocolFactory + ?Sized>(
             Some(vocab) => {
                 NamedAdversary::new("noise", VocabAdversary::noise(vocab, ctx.spec.seed))
             }
-            None => factory.adversary(AdversaryKind::Worst, ctx),
+            None => substitute(AdversaryKind::Worst),
         },
         AttackBehavior::Semantic { strategy } => match factory.payload_vocab(ctx) {
             Some(vocab) => NamedAdversary::new(
                 format!("semantic-{}", strategy.name()),
                 VocabAdversary::semantic(vocab, *strategy, ctx.spec.seed),
             ),
-            None => factory.adversary(AdversaryKind::Worst, ctx),
+            None => substitute(AdversaryKind::Worst),
         },
         AttackBehavior::Adaptive { strategy } => match factory.payload_vocab(ctx) {
             Some(vocab) => NamedAdversary::new(
                 format!("adaptive-{}", strategy.name()),
                 crate::vocab::AdaptiveAdversary::new(vocab, *strategy, ctx.spec.seed),
             ),
-            None => factory.adversary(AdversaryKind::Worst, ctx),
+            None => substitute(AdversaryKind::Worst),
         },
     }
 }
@@ -1240,6 +1238,75 @@ mod tests {
         assert_eq!(a.n(), 7);
         assert_eq!(a.f(), 2);
         assert_eq!(a.all_ids().len(), 7);
+    }
+
+    /// A node that never speaks.
+    #[derive(Clone)]
+    struct Mute(NodeId);
+
+    impl Protocol for Mute {
+        type Payload = u64;
+        type Output = ();
+
+        fn id(&self) -> NodeId {
+            self.0
+        }
+
+        fn step(
+            &mut self,
+            _ctx: &crate::node::RoundContext,
+            _inbox: crate::message::Inbox<'_, u64>,
+        ) -> Vec<crate::message::Outgoing<u64>> {
+            Vec::new()
+        }
+
+        fn output(&self) -> Option<()> {
+            None
+        }
+    }
+
+    /// A factory that maps no preset: every behaviour goes to the generic rule.
+    struct Unmapped;
+
+    impl ProtocolFactory for Unmapped {
+        type Node = Mute;
+
+        fn protocol_name(&self) -> String {
+            "unmapped".into()
+        }
+
+        fn build_nodes(&mut self, ctx: &BuildContext) -> Vec<Mute> {
+            ctx.correct_ids.iter().map(|&id| Mute(id)).collect()
+        }
+
+        fn attack_behavior(
+            &self,
+            behavior: &AttackBehavior,
+            ctx: &BuildContext,
+        ) -> NamedAdversary<u64> {
+            scripted_attack_behavior(self, behavior, ctx)
+        }
+
+        fn record(&self, _ctx: &BuildContext, _nodes: &[Mute], _report: &mut RunReport) {}
+    }
+
+    #[test]
+    fn a_substitute_runs_the_factory_mapping_of_its_preset() {
+        let replay = Simulation::scenario()
+            .attack(AttackPlan::new().behavior(AttackBehavior::Replay {
+                visible_to_even_raw_ids: true,
+            }))
+            .build(Unmapped);
+        assert_eq!(replay.report_now().adversary, "replay");
+        // `Outliers` substitutes the `worst-case` preset, which only the factory
+        // can map: an unmapped preset names the factory instead of recursing.
+        let outliers = std::panic::catch_unwind(|| {
+            Simulation::scenario()
+                .attack(AttackPlan::new().behavior(AttackBehavior::Outliers { magnitude: 1.0 }))
+                .build(Unmapped)
+        });
+        let message = *outliers.err().unwrap().downcast::<String>().unwrap();
+        assert_eq!(message, "protocol `unmapped` maps no `worst-case` preset");
     }
 
     #[test]

@@ -47,10 +47,13 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::adversary::SilentAdversary;
+use crate::attack::AttackBehavior;
 use crate::id::NodeId;
 use crate::message::{Inbox, Outgoing};
 use crate::node::{Protocol, RoundContext};
-use crate::sim::{AdversaryKind, BuildContext, NamedAdversary, ProtocolFactory, RunReport};
+use crate::sim::{
+    scripted_attack_behavior, BuildContext, NamedAdversary, ProtocolFactory, RunReport,
+};
 
 /// One inner-protocol instance inside a [`MuxNode`].
 #[derive(Clone, Debug)]
@@ -492,13 +495,16 @@ impl<F: ProtocolFactory> ProtocolFactory for StreamDriver<F> {
             .collect()
     }
 
-    fn adversary(
+    fn attack_behavior(
         &self,
-        _kind: AdversaryKind,
-        _ctx: &BuildContext,
+        behavior: &AttackBehavior,
+        ctx: &BuildContext,
     ) -> NamedAdversary<<Self::Node as Protocol>::Payload> {
-        // Streams measure the fault-free serving path; see the module docs.
-        NamedAdversary::new("silent", SilentAdversary)
+        match behavior {
+            // Streams measure the fault-free serving path; see the module docs.
+            AttackBehavior::Preset(_) => NamedAdversary::new("silent", SilentAdversary),
+            other => scripted_attack_behavior(self, other, ctx),
+        }
     }
 
     fn record(&self, _ctx: &BuildContext, nodes: &[Self::Node], report: &mut RunReport) {

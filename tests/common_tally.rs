@@ -74,14 +74,6 @@ impl ProtocolFactory for Holder {
         }
     }
 
-    fn adversary(
-        &self,
-        kind: AdversaryKind,
-        ctx: &BuildContext,
-    ) -> NamedAdversary<ConsensusMessage<u64>> {
-        self.factory.adversary(kind, ctx)
-    }
-
     fn attack_behavior(
         &self,
         behavior: &AttackBehavior,
@@ -422,12 +414,12 @@ impl ProtocolFactory for Watching {
             .collect()
     }
 
-    fn adversary(
+    fn attack_behavior(
         &self,
-        kind: AdversaryKind,
+        behavior: &AttackBehavior,
         ctx: &BuildContext,
     ) -> NamedAdversary<ConsensusMessage<u64>> {
-        self.factory.adversary(kind, ctx)
+        self.factory.attack_behavior(behavior, ctx)
     }
 
     fn record(&self, _ctx: &BuildContext, _nodes: &[Watched], _report: &mut RunReport) {}

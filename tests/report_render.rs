@@ -282,16 +282,12 @@ impl ProtocolFactory for FixedFactory {
             .collect()
     }
 
-    fn adversary(&self, _kind: AdversaryKind, _ctx: &BuildContext) -> NamedAdversary<u64> {
-        NamedAdversary::new("silent", uba_simnet::adversary::SilentAdversary)
-    }
-
     fn attack_behavior(
         &self,
         _behavior: &AttackBehavior,
-        ctx: &BuildContext,
+        _ctx: &BuildContext,
     ) -> NamedAdversary<u64> {
-        self.adversary(AdversaryKind::Silent, ctx)
+        NamedAdversary::new("silent", uba_simnet::adversary::SilentAdversary)
     }
 
     fn stop_condition(&self) -> StopCondition {

@@ -102,14 +102,6 @@ impl ProtocolFactory for SteppingFactory {
         self.0.build_nodes(ctx).into_iter().map(Stepping).collect()
     }
 
-    fn adversary(
-        &self,
-        kind: AdversaryKind,
-        ctx: &BuildContext,
-    ) -> NamedAdversary<ConsensusMessage<u64>> {
-        self.0.adversary(kind, ctx)
-    }
-
     fn attack_behavior(
         &self,
         behavior: &AttackBehavior,
