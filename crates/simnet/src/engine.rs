@@ -12,22 +12,21 @@
 //!
 //! * **`NextRound`** ([`Engine::new`]) — the lock-step rounds of the id-only
 //!   model: everything sent in round `r` is in its recipient's inbox for round
-//!   `r + 1`. Every node steps every round.
-//! * **`Timed`** ([`Engine::with_timing`]) — a virtual clock, per-node round
-//!   timers and a deterministic queue of timestamped flights (see
-//!   [`event`](crate::event)): a message lands when its link delay says so,
-//!   and a node steps when its own timer fires. Under
-//!   [`TimingSpec::synchronous`] this is byte-identical to `NextRound`.
+//!   `r + 1`.
+//! * **`Timed`** ([`Engine::with_timing`]) — virtual time (round `r` is the
+//!   instant `r × round_units`) and a deterministic queue of timestamped
+//!   flights (see [`event`](crate::event)): a message lands when its link
+//!   delay says so. Under [`TimingSpec::synchronous`] this is byte-identical
+//!   to `NextRound`.
 //!
-//! [`Engine::run_round`] asks the policy exactly three questions — *which
-//! nodes are due, and under which round number*; *what to do when a node joins
-//! or leaves* (arm or disarm a timer); and *how to route the round's traffic
-//! into inboxes* — and does everything else itself. One call performs one
-//! round (one *batch* under `Timed`), with the following phases and per-round
-//! costs (for `n` nodes, `m` compact traffic items produced this round, and `d`
-//! point-to-point deliveries to correct nodes):
+//! Under both, every live correct node steps in every round, under the
+//! engine's round number. [`Engine::run_round`] asks the policy one question
+//! — *how to route the round's traffic into inboxes* — and does everything
+//! else itself. One call performs one round, with the following phases and
+//! per-round costs (for `n` nodes, `m` compact traffic items produced this
+//! round, and `d` point-to-point deliveries to correct nodes):
 //!
-//! 1. **Produce — O(n + m).** Every due, live correct node is handed a **view**
+//! 1. **Produce — O(n + m).** Every live correct node is handed a **view**
 //!    of the inbox accumulated for it ([`Inbox`]: the round's common list, then
 //!    its own entries — read in place, nothing is copied per recipient) and
 //!    produces its outgoing messages. Broadcasts are *not* expanded: a
@@ -263,8 +262,8 @@ impl<P> Mailbox<P> {
 /// consuming inboxes and producing traffic), `adversary` (phase 2) and `step`
 /// (the per-round bookkeeping around them: churn application, inbox staging
 /// and recycling, membership maintenance, metrics); the delivery policy names
-/// the rest — `deliver` under `NextRound`, `schedule` (clock advance plus
-/// delay-model expansion into the delivery queue) and `dispatch` (popping due
+/// the rest — `deliver` under `NextRound`, `schedule` (the delay-model
+/// expansion into the delivery queue) and `dispatch` (popping due
 /// deliveries into inboxes) under `Timed`. Timings are measurement-only: they
 /// never influence execution, and reports never contain them, so runs stay
 /// bit-for-bit reproducible.
@@ -340,8 +339,8 @@ fn step_node<N: Protocol>(
     }
 }
 
-/// Steps a full batch: every live node under the same round context, in node
-/// order. Returns the live-node count.
+/// Steps every live node under the round's context, in node order. Returns
+/// the live-node count.
 fn step_serial<N: Protocol>(
     nodes: &mut [N],
     ctx: &RoundContext,
@@ -355,30 +354,6 @@ fn step_serial<N: Protocol>(
         }
         live += 1;
         step_node(node, ctx, inboxes.view(index), traffic);
-    }
-    live
-}
-
-/// Steps a skewed partial batch: only the nodes with a `due` entry, each under
-/// its own local round number. Kept apart from [`step_serial`] so the
-/// full-batch path pays nothing for the mask.
-fn step_due<N: Protocol>(
-    nodes: &mut [N],
-    due: &[Option<u64>],
-    inboxes: &Inboxes<N::Payload>,
-    traffic: &mut RoundTraffic<N::Payload>,
-) -> u64 {
-    let mut live = 0u64;
-    for (index, (node, local_round)) in nodes.iter_mut().zip(due).enumerate() {
-        let Some(local_round) = *local_round else {
-            continue;
-        };
-        if node.terminated() {
-            continue;
-        }
-        live += 1;
-        let ctx = RoundContext::new(local_round);
-        step_node(node, &ctx, inboxes.view(index), traffic);
     }
     live
 }
@@ -425,7 +400,7 @@ pub(crate) struct Routing<'a, P> {
 /// key, and a recycled buffer never passes for last round's list. The next
 /// [`Inboxes::open_round`] consumes it: a
 /// node that steps reads its view and both parts are recycled; a member that
-/// does not step (terminated, or not due under skewed timers) gets its prefix
+/// does not step (it terminated) gets its prefix
 /// *materialised* into its own list and dedup set before the common list is
 /// cleared, and is from then on a frozen recipient with `k = 0` — its dedup
 /// state persists across rounds, per recipient, exactly as before.
@@ -478,7 +453,7 @@ impl<P> Default for Inboxes<P> {
 
 impl<P> Inboxes<P> {
     /// Opens a round over the engine's nodes, in node order (`steps`: the node
-    /// is due and live): a stepping node's view is set aside for
+    /// is live): a stepping node's view is set aside for
     /// [`Inboxes::view`]; a member of the common list's batch that does not
     /// step has its prefix materialised, so the list can be cleared when the
     /// round [closes](Inboxes::close_round).
@@ -802,14 +777,11 @@ fn route_next_round<P: PartialEq>(routing: Routing<'_, P>) {
 }
 
 /// When a produced message becomes an inbox entry — the one decision an
-/// engine can legitimately vary (see module docs). [`Engine::run_round`],
-/// [`Engine::add_node`] and [`Engine::remove_node`] are the only places that
-/// look inside.
+/// engine can legitimately vary (see module docs).
 enum Delivery<P> {
     /// Lock-step rounds: sent in round `r`, consumed in round `r + 1`.
     NextRound,
-    /// Virtual time: a message lands when its link delay says so, a node steps
-    /// when its own timer fires.
+    /// Virtual time: a message lands when its link delay says so.
     Timed(Box<Timed<P>>),
 }
 
@@ -852,11 +824,10 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         Self::assemble(nodes, adversary, byzantine_ids, None)
     }
 
-    /// Creates a `Timed` engine: deliveries follow `timing`'s link delays and
-    /// nodes step on their own round timers (see [`event`](crate::event)).
-    /// The spec is resolved against `nodes` in order (a
-    /// [`DelaySpec::Partition`](crate::DelaySpec::Partition)'s first group is
-    /// its first nodes); `seed` feeds the jitter and skew streams.
+    /// Creates a `Timed` engine: deliveries follow `timing`'s link delays (see
+    /// [`event`](crate::event)). The spec is resolved against `nodes` in order
+    /// (a [`DelaySpec::Partition`](crate::DelaySpec::Partition)'s first group
+    /// is its first nodes); `seed` feeds the jitter stream.
     pub fn with_timing(
         nodes: Vec<N>,
         adversary: A,
@@ -1014,16 +985,18 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         Ok(())
     }
 
-    /// The number of rounds (batches, under `Timed`) executed so far.
+    /// The number of rounds executed so far.
     pub fn round(&self) -> u64 {
         self.round
     }
 
-    /// The current virtual time; under `NextRound` time is the round count.
+    /// The current virtual time: the instant the latest round opened at
+    /// (`round × round_units` under `Timed`, the round count under
+    /// `NextRound`).
     pub fn now(&self) -> u64 {
         match &self.delivery {
             Delivery::NextRound => self.round,
-            Delivery::Timed(timed) => timed.now(),
+            Delivery::Timed(timed) => timed.instant(self.round),
         }
     }
 
@@ -1145,16 +1118,13 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         self.recovery.as_ref().map_or(0, |r| r.wal_entries())
     }
 
-    /// Adds a correct node between rounds (dynamic join). The node starts executing
-    /// from its own round 1 in the next engine round; its inbox starts empty.
+    /// Adds a correct node between rounds (dynamic join). The node steps in the
+    /// next engine round, under that round's number, like every other node;
+    /// its inbox starts empty.
     pub fn add_node(&mut self, node: N) -> Result<(), SimError> {
         let id = node.id();
         if self.correct_index.contains(&id) || self.byzantine_index.contains(&id) {
             return Err(SimError::DuplicateId(id));
-        }
-        // Policy question 2 — what happens when a node joins or leaves?
-        if let Delivery::Timed(timed) = &mut self.delivery {
-            timed.arm(id, self.round > 0);
         }
         self.inboxes.admit(id);
         self.correct_index.insert(id);
@@ -1171,9 +1141,6 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
             .position(|n| n.id() == id)
             .ok_or(SimError::UnknownNode(id))?;
         self.correct_index.remove(&id);
-        if let Delivery::Timed(timed) = &mut self.delivery {
-            timed.disarm(id);
-        }
         self.inboxes.remove(id);
         Ok(self.nodes.remove(idx))
     }
@@ -1200,23 +1167,15 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         Ok(())
     }
 
-    /// Executes one round (one batch, under `Timed`). Returns an error only if
-    /// the adversary tried to forge a sender identity or a registered churn
-    /// event was inapplicable.
+    /// Executes one round. Returns an error only if the adversary tried to
+    /// forge a sender identity or a registered churn event was inapplicable.
     pub fn run_round(&mut self) -> Result<(), SimError> {
-        // Policy question 1 — which nodes are due, and under which round
-        // number? `Timed` first advances its clock to the earliest due timer.
-        if let Delivery::Timed(timed) = &mut self.delivery {
-            let schedule_started = Instant::now();
-            timed.advance();
-            self.timings.add("schedule", elapsed_ns(schedule_started));
-        }
         let step_started = Instant::now();
         self.apply_churn(self.round + 1)?;
         self.round += 1;
         let correct_ids = self.correct_ids();
 
-        // Phase 1 (produce): the due correct nodes consume their inboxes and
+        // Phase 1 (produce): the live correct nodes consume their inboxes and
         // produce outgoing messages, kept compact (broadcasts unexpanded,
         // payloads allocated once into shared handles) in the round traffic.
         self.traffic.begin_round(
@@ -1225,48 +1184,34 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
                 .copied()
                 .chain(self.byzantine_ids.iter().copied()),
         );
-        // `None`: every node steps under the engine's round number (always,
-        // under `NextRound`); otherwise one `Some(local round)` per due node.
-        let due = match &mut self.delivery {
-            Delivery::NextRound => None,
-            Delivery::Timed(timed) => timed.fire_due(&correct_ids),
-        };
-        // The round number node `index` steps under this batch, if it is due.
-        let round = self.round;
-        let round_of = |index: usize| due.as_ref().map_or(Some(round), |due| due[index]);
         self.inboxes.open_round(
             self.nodes
                 .iter()
-                .enumerate()
-                .map(|(index, node)| (node.id(), round_of(index).is_some() && !node.terminated())),
+                .map(|node| (node.id(), !node.terminated())),
         );
         // Write-ahead: the inbox a node is about to consume is logged, under
         // the round number its step context will carry, before the node steps,
         // so a crash mid-round loses the step, never tears it.
         if let Some(recovery) = &mut self.recovery {
             for (index, node) in self.nodes.iter().enumerate() {
-                let Some(node_round) = round_of(index).filter(|_| !node.terminated()) else {
-                    continue;
-                };
-                recovery.begin_step(node, node_round, self.inboxes.view(index));
+                if !node.terminated() {
+                    recovery.begin_step(node, self.round, self.inboxes.view(index));
+                }
             }
         }
         self.timings.add("step", elapsed_ns(step_started));
         let produce_started = Instant::now();
-        let live = match &due {
-            None => step_serial(
-                &mut self.nodes,
-                &RoundContext::new(self.round),
-                &self.inboxes,
-                &mut self.traffic,
-            ),
-            Some(due) => step_due(&mut self.nodes, due, &self.inboxes, &mut self.traffic),
-        };
+        let live = step_serial(
+            &mut self.nodes,
+            &RoundContext::new(self.round),
+            &self.inboxes,
+            &mut self.traffic,
+        );
         self.timings.add("produce", elapsed_ns(produce_started));
         let step_started = Instant::now();
         // Every view has been consumed; what was left unconsumed belongs to
         // nodes that did not step (terminated ones, whose dedup state must
-        // persist, or not yet due) and sits in their own parts.
+        // persist) and sits in their own parts.
         self.inboxes.close_round();
         // Log the digests of every produced message and commit the round —
         // *before* the adversary phase: a send becomes network-visible only
@@ -1301,7 +1246,7 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
 
         // The round's metrics row opens before routing so deliveries can be
         // credited to the *sending* round as they land — within the round under
-        // `NextRound`, possibly batches later under `Timed`.
+        // `NextRound`, possibly rounds later under `Timed`.
         let step_started = Instant::now();
         self.metrics.record_round(RoundMetrics {
             round: self.round,
@@ -1312,7 +1257,7 @@ impl<N: Protocol, A: Adversary<N::Payload>> Engine<N, A> {
         });
         self.timings.add("step", elapsed_ns(step_started));
 
-        // Phase 3, policy question 3 — how does the round's traffic reach
+        // Phase 3, the policy's question — how does the round's traffic reach
         // inboxes? The policy lands what is due, credits it to the sending
         // round's metrics row and records its own phase timings.
         let routing = Routing {
@@ -1436,12 +1381,12 @@ mod tests {
     }
 
     /// A default-configured engine: `NextRound` without a timing, `Timed` with.
-    fn engine<A: Adversary<u64>>(
+    fn engine<N: Protocol, A: Adversary<N::Payload>>(
         timing: Option<TimingSpec>,
-        nodes: Vec<Counter>,
+        nodes: Vec<N>,
         adversary: A,
         byzantine_ids: Vec<NodeId>,
-    ) -> Engine<Counter, A> {
+    ) -> Engine<N, A> {
         match timing {
             None => Engine::new(nodes, adversary, byzantine_ids),
             Some(timing) => Engine::with_timing(nodes, adversary, byzantine_ids, &timing, 0),
@@ -1699,6 +1644,66 @@ mod tests {
         });
     }
 
+    /// A node that broadcasts its id every round and records, per step, the
+    /// round number it stepped under and the size of the inbox it read.
+    #[derive(Clone, Debug)]
+    struct Recorder {
+        id: NodeId,
+        steps: Vec<(u64, usize)>,
+    }
+
+    impl Protocol for Recorder {
+        type Payload = u64;
+        type Output = ();
+
+        fn id(&self) -> NodeId {
+            self.id
+        }
+
+        fn step(&mut self, ctx: &RoundContext, inbox: Inbox<'_, u64>) -> Vec<Outgoing<u64>> {
+            self.steps.push((ctx.round, inbox.len()));
+            vec![Outgoing::broadcast(self.id.raw())]
+        }
+
+        fn output(&self) -> Option<()> {
+            None
+        }
+    }
+
+    #[test]
+    fn a_node_added_between_rounds_steps_in_the_next_round() {
+        let recorder = |raw: u64| Recorder {
+            id: NodeId::new(raw),
+            steps: Vec::new(),
+        };
+        let (metrics, steps) = both(|timing| {
+            let founders = (10..14).map(recorder).collect();
+            let mut engine = engine(timing, founders, SilentAdversary, vec![]);
+            engine.run_rounds(3).unwrap();
+            engine.add_node(recorder(99)).unwrap();
+            engine.run_rounds(3).unwrap();
+            assert_eq!(engine.round(), 6);
+            let steps: Vec<Vec<(u64, usize)>> = engine
+                .nodes()
+                .iter()
+                .map(|node| node.steps.clone())
+                .collect();
+            let rounds = |node: &[(u64, usize)]| -> Vec<u64> {
+                node.iter().map(|&(round, _)| round).collect()
+            };
+            for founder in &steps[..4] {
+                assert_eq!(rounds(founder), Vec::from_iter(1..=6), "a founder");
+            }
+            assert_eq!(rounds(&steps[4]), Vec::from_iter(4..=6), "the joiner");
+            (engine.metrics().clone(), steps)
+        });
+        // Round 4's inboxes hold the four founders' round-3 broadcasts, the
+        // joiner's first one empty; from round 5 everybody hears all five.
+        assert_eq!(steps[0], [(1, 0), (2, 4), (3, 4), (4, 4), (5, 5), (6, 5)]);
+        assert_eq!(steps[4], [(4, 0), (5, 5), (6, 5)]);
+        assert_eq!(metrics.deliveries, 4 * 4 * 3 + 5 * 5 * 3);
+    }
+
     /// What a crash/restart run is compared on: metrics, restarts, outputs.
     type CrashRun = (Metrics, Vec<RestartRecord>, Vec<(NodeId, Option<usize>)>);
 
@@ -1859,7 +1864,7 @@ mod tests {
         });
     }
 
-    // What only `Timed` can express: delays, partitions, GST, skew, reordering.
+    // What only `Timed` can express: delays, partitions, GST, reordering.
 
     #[test]
     fn constant_delay_postpones_hearing_from_peers() {
@@ -1909,24 +1914,6 @@ mod tests {
     }
 
     #[test]
-    fn skewed_timers_still_terminate_and_stay_deterministic() {
-        let run = || {
-            let mut engine = timed(6, TimingSpec::synchronous().units(4).skew(3), 99);
-            assert!(engine
-                .run(StopCondition::AllTerminated, 50)
-                .unwrap()
-                .is_completed());
-            (engine.round(), engine.metrics().clone(), engine.outputs())
-        };
-        let first = run();
-        assert!(
-            first.0 > 3,
-            "skewed timers split the three rounds into partial batches"
-        );
-        assert_eq!(first, run());
-    }
-
-    #[test]
     fn reordering_is_seeded_and_reproducible() {
         let run = |seed: u64| {
             let mut engine = timed(5, TimingSpec::synchronous().reorder(seed), 0);
@@ -1941,7 +1928,7 @@ mod tests {
 
     #[test]
     fn a_flight_lands_iff_its_recipient_was_correct_at_send_and_is_at_arrival() {
-        // Two-unit links: what batch r sends lands at the end of batch r + 1.
+        // Two-unit links: what round r sends lands at the end of round r + 1.
         let timing = TimingSpec::synchronous().with_delay(DelaySpec::Constant { units: 2 });
         let ns = (0..3).map(|i| Counter::new(NodeId::new(10 + i), 100));
         let mut engine = Engine::with_timing(ns.collect(), SilentAdversary, vec![], &timing, 0);
@@ -1951,12 +1938,12 @@ mod tests {
         engine.set_churn(schedule, |id| Counter::new(id, 100));
         engine.run_rounds(1).unwrap();
         assert_eq!(engine.in_flight(), 3 * 3);
-        // The joiner was not a member when batch 1 sent: none of those nine
+        // The joiner was not a member when round 1 sent: none of those nine
         // flights is for it, though it is staged when they land.
         engine.run_rounds(1).unwrap();
         assert_eq!(engine.metrics().per_round[0].deliveries, 3 * 3);
-        assert_eq!(engine.in_flight(), 4 * 4, "batch 2 sent to the joiner too");
-        // The leaver is gone when batch 2's flights arrive: its four are
+        assert_eq!(engine.in_flight(), 4 * 4, "round 2 sent to the joiner too");
+        // The leaver is gone when round 2's flights arrive: its four are
         // discarded, the joiner's four land.
         engine.run_rounds(1).unwrap();
         assert_eq!(engine.metrics().per_round[1].deliveries, 4 * 3);

@@ -16,7 +16,7 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::id::NodeId;
 use crate::rng::derive_seed;
@@ -77,28 +77,56 @@ pub enum DelaySpec {
 /// The full timing axis of an event-engine scenario.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimingSpec {
-    /// Virtual time units per node round (the timer period). Purely a scale
-    /// factor; 1 keeps virtual time equal to round numbers.
+    /// Virtual time units per round. Purely a scale factor; 1 keeps virtual
+    /// time equal to round numbers.
     pub round_units: u64,
     /// Per-link delay model.
     pub delay: DelaySpec,
     /// When set, deliveries due at the same instant are shuffled by a seeded
     /// key derived from this seed (same seed ⇒ same order, always).
     pub reorder_seed: Option<u64>,
-    /// Per-node round-timer skew budget in units (0 = lock-step timers).
-    pub max_skew: u64,
+    /// Serialised as `"max_skew":0`, so recorded scenarios and reports keep
+    /// their bytes; every node steps every round, so no other value exists.
+    max_skew: NoSkew,
+}
+
+/// The wire form of per-node timer skew, which the engine does not have: it
+/// writes `0` and reads nothing else. It keeps the `u64`'s layout, so every
+/// struct that embeds a `TimingSpec` keeps its size and the allocation
+/// pattern of a run stays as it was.
+#[derive(Clone, Debug, PartialEq, Eq)]
+#[repr(u64)]
+enum NoSkew {
+    Zero = 0,
+}
+
+impl Serialize for NoSkew {
+    fn to_value(&self) -> Value {
+        Value::U64(0)
+    }
+}
+
+impl Deserialize for NoSkew {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        match value.as_u64() {
+            Some(0) => Ok(NoSkew::Zero),
+            _ => Err(serde::Error::msg(format!(
+                "max_skew must be 0 (every node steps every round), found {value:?}"
+            ))),
+        }
+    }
 }
 
 impl TimingSpec {
     /// The timing under which the event engine is byte-identical to the
     /// synchronous engine: one unit per round, synchronous delays, no
-    /// reordering, no skew.
+    /// reordering.
     pub fn synchronous() -> Self {
         TimingSpec {
             round_units: 1,
             delay: DelaySpec::Synchronous,
             reorder_seed: None,
-            max_skew: 0,
+            max_skew: NoSkew::Zero,
         }
     }
 
@@ -114,12 +142,6 @@ impl TimingSpec {
         self
     }
 
-    /// Sets the per-node timer skew budget.
-    pub fn skew(mut self, max_skew: u64) -> Self {
-        self.max_skew = max_skew;
-        self
-    }
-
     /// Sets the virtual units per round.
     pub fn units(mut self, round_units: u64) -> Self {
         self.round_units = round_units;
@@ -129,7 +151,7 @@ impl TimingSpec {
     /// Whether this timing is the zero-jitter special case (equivalent to the
     /// synchronous engine, and admissible under the paper's theorems).
     pub fn is_synchronous(&self) -> bool {
-        self.delay == DelaySpec::Synchronous && self.max_skew == 0 && self.reorder_seed.is_none()
+        self.delay == DelaySpec::Synchronous && self.reorder_seed.is_none()
     }
 }
 
@@ -287,8 +309,7 @@ mod tests {
             TimingSpec::synchronous(),
             TimingSpec::synchronous()
                 .with_delay(DelaySpec::Jitter { min: 1, max: 4 })
-                .reorder(9)
-                .skew(2),
+                .reorder(9),
             TimingSpec::synchronous().with_delay(DelaySpec::Gst { gst: 40, bound: 2 }),
             TimingSpec::synchronous().with_delay(DelaySpec::PartitionHalves { cross: None }),
             TimingSpec::synchronous().with_delay(DelaySpec::Partition {
@@ -305,13 +326,32 @@ mod tests {
         let sync: EngineKind =
             Deserialize::from_value(&Serialize::to_value(&EngineKind::Sync)).unwrap();
         assert_eq!(sync, EngineKind::Sync);
+
+        // The wire format of every recorded scenario and report: the
+        // `max_skew` key stays, at 0, and no other value reads back.
+        let json = |spec: &TimingSpec| serde_json::to_string(spec).expect("specs serialise");
+        let synchronous = json(&TimingSpec::synchronous());
+        assert_eq!(
+            synchronous,
+            r#"{"round_units":1,"delay":"Synchronous","reorder_seed":null,"max_skew":0}"#
+        );
+        let jitter = TimingSpec::synchronous()
+            .units(8)
+            .with_delay(DelaySpec::Jitter { min: 1, max: 8 })
+            .reorder(0x5EED);
+        assert_eq!(
+            json(&jitter),
+            r#"{"round_units":8,"delay":{"Jitter":{"min":1,"max":8}},"reorder_seed":24301,"max_skew":0}"#
+        );
+        let skewed = synchronous.replace(r#""max_skew":0"#, r#""max_skew":3"#);
+        let error = serde_json::from_str::<TimingSpec>(&skewed).expect_err("only 0 reads back");
+        assert!(error.to_string().contains("max_skew"), "{error}");
     }
 
     #[test]
     fn synchronous_timing_is_flagged_as_such() {
         assert!(TimingSpec::synchronous().is_synchronous());
         assert!(!TimingSpec::synchronous().reorder(1).is_synchronous());
-        assert!(!TimingSpec::synchronous().skew(1).is_synchronous());
         assert!(!TimingSpec::synchronous()
             .with_delay(DelaySpec::Constant { units: 3 })
             .is_synchronous());

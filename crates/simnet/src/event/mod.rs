@@ -8,8 +8,6 @@
 //! delay schedules. This module generalises the repository's scenario space
 //! from "synchronous rounds only" to arbitrary deterministic timing:
 //!
-//! * [`VirtualClock`] / [`NodeTimers`] — virtual time and seeded per-node
-//!   round timers (zero skew degenerates to lock-step rounds);
 //! * `queue` — the calendar of arrival instants: messages in flight wait in
 //!   one bucket per instant, a broadcast as one entry, and land in
 //!   `(arrival, reorder key, sequence)` order;
@@ -20,15 +18,14 @@
 //! * `LinkDelay` — the crate-private runtime delay model a spec resolves to
 //!   against a run's nodes and seed (constant, seeded jitter, two-group
 //!   partition, GST partial synchrony);
-//! * `timed` — the policy itself (schedule into the calendar, dispatch what
-//!   is due through the engine's staged fan-out), selected by
+//! * `timed` — the policy itself (one round clock: round `r` opens at virtual
+//!   instant `r × round_units`; schedule into the calendar, dispatch what is
+//!   due through the engine's staged fan-out), selected by
 //!   [`Engine::with_timing`](crate::Engine::with_timing) and byte-identical to
 //!   lock-step rounds under [`TimingSpec::synchronous`].
 
-pub mod clock;
 pub mod delay;
 pub(crate) mod queue;
 pub(crate) mod timed;
 
-pub use clock::{NodeTimers, VirtualClock};
 pub use delay::{DelaySpec, EngineKind, TimingSpec};

@@ -163,7 +163,7 @@ impl ScenarioSpec {
 
     /// Whether the scenario's timing is within the paper's synchronous model:
     /// either lock-step rounds, or timed delivery under zero-jitter timing
-    /// (which is byte-identical to them). Delayed, skewed or reordered
+    /// (which is byte-identical to them). Delayed or reordered
     /// timings reproduce the Section IX constructions, under which the
     /// theorems explicitly do *not* hold.
     pub fn timing_admissible(&self) -> bool {

@@ -66,9 +66,7 @@ fn timings() -> Vec<(&'static str, TimingSpec)> {
             "partition-cross-3",
             sync().with_delay(DelaySpec::PartitionHalves { cross: Some(3) }),
         ),
-        // (e) skewed timers: partial batches under local round numbers.
-        ("skew-2", sync().units(4).skew(2)),
-        // (f) jitter across round boundaries in scheduling order (no reorder
+        // (e) jitter across round boundaries in scheduling order (no reorder
         // key): a broadcast splits into one run per arrival instant.
         (
             "jitter-cross-round",
@@ -199,9 +197,6 @@ const PINS: &[(&str, u64)] = &[
     ("consensus/partition-cross-3", 0xc0a9d047e051d09b),
     ("reliable-broadcast/partition-cross-3", 0x6b43b5daf85c18bf),
     ("total-order/partition-cross-3", 0x4b21cf6a04b4134e),
-    ("consensus/skew-2", 0x71ebf15f7f9e8f7e),
-    ("reliable-broadcast/skew-2", 0xad3873fb457df776),
-    ("total-order/skew-2", 0xfe54a9491781a78f),
     ("consensus/jitter-cross-round", 0x38b1b0d72ef002bc),
     ("reliable-broadcast/jitter-cross-round", 0xf9954381ef466b0e),
     ("total-order/jitter-cross-round", 0x3348b4d193396c30),
