@@ -26,7 +26,7 @@ use std::collections::BTreeSet;
 use serde::{Deserialize, Serialize};
 
 use uba_baselines::{DolevApproxFactory, KnownRotorFactory, PhaseKingFactory, StBroadcastFactory};
-use uba_checker::attach_verdicts;
+use uba_checker::{attach_verdicts, margin};
 use uba_core::sim::{
     ApproxFactory, BroadcastFactory, ConsensusFactory, ParallelConsensusFactory, RotorFactory,
     TotalOrderFactory, TotalOrderPlan,
@@ -34,7 +34,7 @@ use uba_core::sim::{
 use uba_simnet::attack::{
     AdaptiveStrategy, AttackBehavior, AttackPlan, AttackStep, SemanticStrategy,
 };
-use uba_simnet::sim::{AdversaryKind, OracleVerdict, RunReport, ScenarioBuilder, ScenarioSpec};
+use uba_simnet::sim::{AdversaryKind, RunReport, ScenarioBuilder, ScenarioSpec};
 use uba_simnet::sweep::{CrashPlan, ScenarioGrid, SweepCase};
 use uba_simnet::{
     ChurnEvent, ChurnSchedule, EngineKind, IdSpace, NodeId, RestartPolicy, TimingSpec,
@@ -103,29 +103,6 @@ impl ProtocolId {
     /// Whether the family's factories assume consecutive identifiers.
     pub(crate) fn needs_consecutive_ids(self) -> bool {
         matches!(self, ProtocolId::PhaseKing | ProtocolId::KnownRotor)
-    }
-
-    /// Whether an admissible run must meet its stop condition before the round
-    /// budget (the fixed-round primitives always "complete"; this marks the
-    /// families whose completion is itself a theorem).
-    fn expects_termination(self) -> bool {
-        matches!(
-            self,
-            ProtocolId::Consensus
-                | ProtocolId::Rotor
-                | ProtocolId::Approx
-                | ProtocolId::ParallelConsensus
-                | ProtocolId::PhaseKing
-                | ProtocolId::DolevApprox
-                | ProtocolId::KnownRotor
-        )
-    }
-
-    /// The smallest correct-node count a family's factory can be built with (the
-    /// broadcast families need a correct designated sender; everything degrades
-    /// gracefully to a single node).
-    pub(crate) fn min_correct(self) -> usize {
-        1
     }
 
     /// For families whose theorem oracle **cannot** fail at `n = 3f`, the
@@ -300,92 +277,33 @@ pub fn run_case(case: &FuzzCase) -> RunReport {
     report
 }
 
-/// Evaluates the properties over a finished case: every attached oracle verdict
-/// plus the structural guarantees the report sections encode (termination within
-/// the budget where the theorems promise it, rotor good rounds, parallel
-/// agreement, chain-prefix consistency). Returns the violated properties;
-/// non-admissible scenarios vacuously pass.
-pub fn case_failures(case: &FuzzCase, report: &RunReport) -> Vec<String> {
-    if !case.spec.admissible() {
+/// The violated properties of an **admissible** case, as the margin judge
+/// ([`uba_checker::margin::violations`]) reads them from the report: failed
+/// oracle verdicts plus the structural guarantees (termination within the
+/// budget, rotor good rounds, parallel agreement, chain-prefix consistency),
+/// narrowed to the recovery oracles on crash-bearing cases. Non-admissible
+/// scenarios vacuously pass. Admissibility is read from the report, as the
+/// judge reads it; `case` only keeps the signature the callers name.
+pub fn case_failures(_case: &FuzzCase, report: &RunReport) -> Vec<String> {
+    if !report.scenario.admissible() {
         return Vec::new();
     }
-    // A crash/restart schedule suspends the theorem properties: the victim's
-    // volatile state is lost mid-run and the messages addressed to it while it
-    // was down are gone, so the paper's guarantees (which assume a correct node
-    // participates in every round) make no promise. What such a run *must*
-    // satisfy are the recovery oracles — no cross-restart equivocation, a
-    // replayed state consistent with the pre-crash prefix, no double-consumed
-    // input — so those are the only properties asserted.
-    if case.spec.churn.has_crash_events() {
-        return report
-            .verdicts
-            .iter()
-            .filter(|verdict| verdict.oracle == "recovery")
-            .flat_map(oracle_violations)
-            .collect();
-    }
-    property_violations(case, report)
+    margin::violations(report)
 }
 
 /// The *expected-failure* properties of an **inadmissible** scenario (`n ≤ 3f`
 /// somewhere along the churn horizon): outside the resiliency bound the paper
 /// makes no promise, so a violated theorem-property is not a bug — it is the
 /// demonstration that the `n > 3f` bound is *tight*. This returns the violations
-/// such a case exhibits (the same oracle and structural checks as
-/// [`case_failures`], without the admissibility gate); admissible cases return
-/// nothing, because for them a violation belongs to [`case_failures`].
-pub fn boundary_violations(case: &FuzzCase, report: &RunReport) -> Vec<String> {
-    if case.spec.admissible() {
+/// such a case exhibits (the same judge as [`case_failures`], without the
+/// admissibility gate); admissible cases return nothing, because for them a
+/// violation belongs to [`case_failures`]. Like [`case_failures`], it reads
+/// admissibility from the report and ignores `case`.
+pub fn boundary_violations(_case: &FuzzCase, report: &RunReport) -> Vec<String> {
+    if report.scenario.admissible() {
         return Vec::new();
     }
-    property_violations(case, report)
-}
-
-/// The property list [`case_failures`] and [`boundary_violations`] share, in
-/// order: every failed oracle verdict, then termination within the budget where
-/// the theorems promise it, a rotor good round, parallel agreement, chain-prefix
-/// consistency and broadcast consistency.
-fn property_violations(case: &FuzzCase, report: &RunReport) -> Vec<String> {
-    let mut violations: Vec<String> = report.verdicts.iter().flat_map(oracle_violations).collect();
-    if case.protocol.expects_termination() && !report.status.is_completed() {
-        violations.push(format!(
-            "liveness: run exhausted its {}-round budget",
-            case.spec.max_rounds
-        ));
-    }
-    if let Some(rotor) = &report.rotor {
-        if !rotor.good_round {
-            violations.push("rotor: no good round (all-correct coordinator) occurred".into());
-        }
-    }
-    if let Some(parallel) = &report.parallel {
-        if !parallel.agreement {
-            violations.push("parallel-consensus: decided pair sets differ".into());
-        }
-    }
-    if let Some(chain) = &report.chain {
-        if !chain.prefix_ok {
-            violations.push("total-order: chain prefixes disagree".into());
-        }
-    }
-    if let Some(broadcast) = &report.broadcast {
-        if !broadcast.consistent {
-            violations.push("broadcast: accept sets differ across correct nodes".into());
-        }
-    }
-    violations
-}
-
-/// A failed verdict's violations, each prefixed with its oracle.
-fn oracle_violations(verdict: &OracleVerdict) -> Vec<String> {
-    if verdict.passed {
-        return Vec::new();
-    }
-    verdict
-        .violations
-        .iter()
-        .map(|violation| format!("oracle {}: {}", verdict.oracle, violation))
-        .collect()
+    margin::violations(report)
 }
 
 /// The attack-plan axis of the boundary grids: the legacy scripted presets plus
@@ -562,18 +480,14 @@ pub fn boundary_matrix(
         .collect()
 }
 
-/// The failing properties of a *replayed* case, judged by the oracle that found
-/// it: admissible cases are judged by the theorem properties
-/// ([`case_failures`]), inadmissible ones by the expected-failure boundary
-/// properties ([`boundary_violations`]). This is what makes a boundary
+/// The failing properties of a *replayed* case, on either side of the bound:
+/// [`case_failures`] for an admissible case, [`boundary_violations`] for an
+/// inadmissible one — both the margin judge. This is what makes a boundary
 /// counterexample JSON replayable — judging it by the admissible-only property
 /// set would wave every `n = 3f` reproducer through as vacuously green.
-pub fn replay_failures(case: &FuzzCase, report: &RunReport) -> Vec<String> {
-    if case.spec.admissible() {
-        case_failures(case, report)
-    } else {
-        boundary_violations(case, report)
-    }
+/// `case` only keeps the signature the callers name.
+pub fn replay_failures(_case: &FuzzCase, report: &RunReport) -> Vec<String> {
+    margin::violations(report)
 }
 
 /// The attack-plan axis of the default grids: the five legacy presets plus the
@@ -632,8 +546,9 @@ pub fn default_churns() -> Vec<ChurnSchedule> {
 /// The crash/restart axis of the default grids: alongside the implicit
 /// crash-free point, one mid-agreement crash of a correct node with a clean
 /// restart two rounds later — enough to drive the WAL replay path and the
-/// recovery oracles through every family, engine and attack plan. Crash-bearing
-/// cases assert *only* the recovery properties (see [`case_failures`]).
+/// recovery oracles through every family, engine and attack plan. Admissible
+/// crash-bearing cases assert *only* the recovery properties (the crash
+/// suspension of [`uba_checker::margin::asserted`]).
 pub fn default_crash_plans() -> Vec<CrashPlan> {
     vec![CrashPlan {
         victim: 1,
@@ -746,9 +661,8 @@ fn shrink_candidates(case: &FuzzCase) -> Vec<FuzzCase> {
         rebind_crash_victims(&mut candidate.spec);
         out.push(candidate);
     };
-    let min_correct = case.protocol.min_correct();
     for correct in [spec.correct / 2, spec.correct.saturating_sub(1)] {
-        if correct >= min_correct && correct < spec.correct {
+        if correct >= 1 && correct < spec.correct {
             with_spec(&|s: &mut ScenarioSpec| s.correct = correct);
         }
     }

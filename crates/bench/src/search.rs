@@ -5,7 +5,7 @@
 //! population sizes, seeds, identifier layouts and attack-plan steps, including
 //! the stateful [`AttackBehavior::Adaptive`] behaviours — using the checker
 //! margins ([`uba_checker::margin`]) as the fitness signal. A run whose
-//! smallest relevant margin shrinks moved *toward* the violation surface even
+//! smallest asserted margin shrinks moved *toward* the violation surface even
 //! though every verdict still passes; the climb keeps the mutation and tries
 //! again from there. A run with a violated property is a found counterexample:
 //! it is minimised through the same property-id-preserving shrinker the grid
@@ -27,6 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use uba_checker::margin;
 use uba_simnet::attack::{
     ActorRange, AdaptiveStrategy, AttackBehavior, AttackStep, SemanticStrategy,
 };
@@ -89,9 +90,9 @@ pub struct SearchStep {
     pub step: u64,
     /// One-line description of the evaluated case.
     pub case: String,
-    /// Smallest relevant margin of the evaluated run (0 on a violation).
+    /// Smallest asserted margin of the evaluated run (0 on a violation).
     pub min_margin: u64,
-    /// Sum of the relevant margins (the hill-climb tie-breaker).
+    /// Sum of the asserted margins (the hill-climb tie-breaker).
     pub margin_sum: u64,
     /// Whether the case violated an asserted property.
     pub violation: bool,
@@ -126,29 +127,12 @@ fn next_rand(state: &mut u64) -> u64 {
 }
 
 /// The fitness of an evaluated case, ordered lexicographically (lower is
-/// better): violations first, then the smallest relevant margin, then the sum
-/// of relevant margins as the gradient tie-breaker.
-fn fitness(case: &FuzzCase, violation: bool, margins: &[u64]) -> (u64, u64, u64) {
-    let _ = case;
+/// better): violations first, then the smallest asserted margin, then the sum
+/// of asserted margins as the gradient tie-breaker.
+fn fitness(violation: bool, margins: &[u64]) -> (u64, u64, u64) {
     let min = margins.iter().copied().min().unwrap_or(u64::MAX);
     let sum = margins.iter().fold(0u64, |a, &m| a.saturating_add(m));
     (u64::from(!violation), min, sum)
-}
-
-/// The margins the judge actually asserts for this case: everything except the
-/// contextual `resiliency` entry — narrowed to the recovery oracle for
-/// admissible crash-bearing cases, whose other oracles are legitimately
-/// unasserted (a mid-run crash may cost liveness without breaking any theorem).
-fn relevant_margins(case: &FuzzCase, report: &uba_simnet::sim::RunReport) -> Vec<u64> {
-    let crash_only = case.spec.admissible() && case.spec.churn.has_crash_events();
-    report
-        .margins
-        .oracles
-        .iter()
-        .filter(|m| m.oracle != "resiliency")
-        .filter(|m| !crash_only || m.oracle == "recovery")
-        .map(|m| m.margin)
-        .collect()
 }
 
 /// Applies the mutation selected by `roll` to the case, if applicable. The
@@ -161,8 +145,7 @@ fn mutate(case: &FuzzCase, roll: u64, rng: &mut u64) -> Option<FuzzCase> {
         // Population moves: the reverse of the shrinker's halve/decrement.
         0 => spec.correct = (spec.correct + 1).min(13),
         1 => {
-            let floor = case.protocol.min_correct().max(2);
-            if spec.correct <= floor {
+            if spec.correct <= 2 {
                 return None;
             }
             spec.correct -= 1;
@@ -251,10 +234,15 @@ struct RestartResult {
     evaluations: u64,
 }
 
+/// Runs a case and reads the judge's verdict and asserted margins
+/// ([`uba_checker::margin`]) off its report.
 fn evaluate(case: &FuzzCase) -> (bool, Vec<u64>) {
     let report = run_case(case);
     let violation = !replay_failures(case, &report).is_empty();
-    (violation, relevant_margins(case, &report))
+    let margins = margin::asserted(&report)
+        .map(|entry| entry.margin)
+        .collect();
+    (violation, margins)
 }
 
 /// The restart's starting point: the first grid case (scanning from a
@@ -286,13 +274,13 @@ fn run_restart(
 
     let (violation, margins) = evaluate(&current);
     evaluations += 1;
-    let mut current_fitness = fitness(&current, violation, &margins);
+    let mut current_fitness = fitness(violation, &margins);
     trajectory.push(SearchStep {
         restart,
         step: 0,
         case: current.describe(),
-        min_margin: margins.iter().copied().min().unwrap_or(u64::MAX),
-        margin_sum: margins.iter().fold(0u64, |a, &m| a.saturating_add(m)),
+        min_margin: current_fitness.1,
+        margin_sum: current_fitness.2,
         violation,
         accepted: true,
     });
@@ -328,7 +316,7 @@ fn run_restart(
         };
         let (violation, margins) = evaluate(&candidate);
         evaluations += 1;
-        let candidate_fitness = fitness(&candidate, violation, &margins);
+        let candidate_fitness = fitness(violation, &margins);
         // A violated *admissible* candidate ends the restart; a violated
         // boundary candidate is recorded but never climbed onto (its margins
         // are vacuous — the theorems are not asserted out there). The same
@@ -343,8 +331,8 @@ fn run_restart(
             restart,
             step,
             case: candidate.describe(),
-            min_margin: margins.iter().copied().min().unwrap_or(u64::MAX),
-            margin_sum: margins.iter().fold(0u64, |a, &m| a.saturating_add(m)),
+            min_margin: candidate_fitness.1,
+            margin_sum: candidate_fitness.2,
             violation,
             accepted,
         });

@@ -30,6 +30,10 @@
 //!   and `convergence` (the [`crate::approx::check_convergence`] oracle over
 //!   the spread section).
 //!
+//! The same section is what the fuzzer, the boundary sweep and the search
+//! judge a run by: [`asserted`] picks the entries a run must keep above 0 and
+//! [`violations`] renders the ones at 0.
+//!
 //! [`OracleMargin`]: uba_core::sim::OracleMargin
 //! [`OracleVerdict`]: uba_core::sim::OracleVerdict
 //! [`ScenarioSpec::admissible`]: uba_simnet::sim::ScenarioSpec::admissible
@@ -42,6 +46,33 @@ use crate::report::CheckReport;
 /// truncating to the integer margin domain: one margin unit per `10^-6` of
 /// slack, matching the fixed-point resolution of `uba_core::Real`.
 const REAL_SCALE: f64 = 1e6;
+
+/// Renders a failed structural entry's line from its report.
+type Line = fn(&RunReport) -> String;
+
+/// The structural entries, in the order [`margin_section`] appends them, each
+/// with the line [`violations`] prints when it is asserted and at 0. Both read
+/// this table, so an entry cannot be built without its line.
+const STRUCTURAL: [(&str, Line); 5] = [
+    ("liveness", |report| {
+        format!(
+            "liveness: run exhausted its {}-round budget",
+            report.scenario.max_rounds
+        )
+    }),
+    ("rotor", |_| {
+        "rotor: no good round (all-correct coordinator) occurred".into()
+    }),
+    ("parallel-consensus", |_| {
+        "parallel-consensus: decided pair sets differ".into()
+    }),
+    ("total-order", |_| {
+        "total-order: chain prefixes disagree".into()
+    }),
+    ("convergence", |_| {
+        "convergence: an iteration failed to halve the spread".into()
+    }),
+];
 
 /// Computes the full margin section for a report, given the per-section oracle
 /// outcomes already produced by the verdict pass. `section_outcomes` must be
@@ -72,7 +103,7 @@ pub fn margin_section(
         .scenario
         .n()
         .saturating_sub(3 * report.scenario.byzantine) as u64;
-    oracles.push(structural(
+    oracles.push(clamped(
         "resiliency",
         report.scenario.admissible(),
         vec![metric("headroom-above-3f", headroom)],
@@ -124,7 +155,7 @@ pub fn margin_section(
     }
     if let Some(spreads) = &report.spreads {
         let outcome = crate::approx::check_convergence(&spreads.per_iteration);
-        oracles.push(clamped(
+        oracles.push(structural(
             "convergence",
             outcome.passed(),
             convergence_metrics(&spreads.per_iteration),
@@ -134,6 +165,52 @@ pub fn margin_section(
     MarginSection { oracles }
 }
 
+/// The margin entries a run asserts: every entry except `resiliency`, which
+/// records where the scenario sits relative to `n = 3f` rather than a property
+/// of the run. Admissibility does not narrow the list — callers that assert
+/// only inside (or only outside) the bound gate on it themselves.
+///
+/// The one narrowing is the crash suspension. On an admissible scenario with a
+/// crash/restart event only `recovery` is asserted: the victim loses its
+/// volatile state and the messages sent to it while it was down, and the
+/// paper's theorems assume a correct node takes part in every round, so they
+/// make no promise there. What such a run must still satisfy are the recovery
+/// oracles — no cross-restart equivocation, a replay consistent with the
+/// pre-crash prefix, no double-consumed input.
+pub fn asserted(report: &RunReport) -> impl Iterator<Item = &OracleMargin> {
+    let scenario = &report.scenario;
+    let crash_suspended = scenario.admissible() && scenario.churn.has_crash_events();
+    report.margins.oracles.iter().filter(move |entry| {
+        entry.oracle != "resiliency" && (!crash_suspended || entry.oracle == "recovery")
+    })
+}
+
+/// The violated properties of a run: for every [`asserted`] entry at 0, a
+/// failed verdict's violations as `oracle {name}: …` (in verdict order), then
+/// one line per structural entry (a section boolean with no verdict), in
+/// section order, such as `liveness: run exhausted its 60-round budget`. A
+/// report with no margin section was never judged by
+/// [`crate::attach_verdicts`], and says so rather than passing.
+pub fn violations(report: &RunReport) -> Vec<String> {
+    if report.margins.oracles.is_empty() {
+        return vec!["judge: the report has no margin section (attach_verdicts never ran)".into()];
+    }
+    let (mut lines, mut structural) = (Vec::new(), Vec::new());
+    for entry in asserted(report).filter(|entry| entry.margin == 0) {
+        match report.verdicts.iter().find(|v| v.oracle == entry.oracle) {
+            Some(verdict) => lines.extend(
+                verdict
+                    .violations
+                    .iter()
+                    .map(|violation| format!("oracle {}: {violation}", verdict.oracle)),
+            ),
+            None => structural.push(structural_line(&entry.oracle)(report)),
+        }
+    }
+    lines.extend(structural);
+    lines
+}
+
 fn metric(name: &str, value: u64) -> MarginMetric {
     MarginMetric {
         name: name.to_string(),
@@ -141,9 +218,28 @@ fn metric(name: &str, value: u64) -> MarginMetric {
     }
 }
 
-/// Builds a verdict-paired entry: margin 0 when the oracle failed, otherwise
-/// the smallest gradient metric clamped to ≥ 1 (so a passing oracle never
-/// reports 0 even when no metric yields a useful gradient).
+/// The [`STRUCTURAL`] line of `oracle`. An entry with neither a verdict nor a
+/// row is a fault of this module, so it panics rather than print a made-up
+/// line.
+fn structural_line(oracle: &str) -> Line {
+    match STRUCTURAL.iter().find(|&&(name, _)| name == oracle) {
+        Some(&(_, line)) => line,
+        None => panic!("margin entry `{oracle}` has neither a verdict nor a structural line"),
+    }
+}
+
+/// [`clamped`] for a structural entry; a debug build panics when `oracle` has
+/// no [`STRUCTURAL`] row, so every test that builds the entry catches it.
+fn structural(oracle: &str, passed: bool, metrics: Vec<MarginMetric>) -> OracleMargin {
+    if cfg!(debug_assertions) {
+        structural_line(oracle);
+    }
+    clamped(oracle, passed, metrics)
+}
+
+/// Builds an entry from a verdict or a section boolean: margin 0 when it
+/// failed, otherwise the smallest gradient metric clamped to ≥ 1 (so a passing
+/// oracle never reports 0 even when no metric yields a useful gradient).
 fn clamped(oracle: &str, passed: bool, metrics: Vec<MarginMetric>) -> OracleMargin {
     let margin = if passed {
         metrics.iter().map(|m| m.value).min().unwrap_or(1).max(1)
@@ -155,11 +251,6 @@ fn clamped(oracle: &str, passed: bool, metrics: Vec<MarginMetric>) -> OracleMarg
         margin,
         metrics,
     }
-}
-
-/// Builds a structural entry from a section boolean, same clamp discipline.
-fn structural(oracle: &str, holds: bool, metrics: Vec<MarginMetric>) -> OracleMargin {
-    clamped(oracle, holds, metrics)
 }
 
 fn consensus_metrics(report: &RunReport) -> Vec<MarginMetric> {
@@ -336,6 +427,7 @@ mod tests {
     use super::*;
     use crate::run_report::attach_verdicts;
     use uba_core::sim::{AdversaryKind, ScenarioExt, Simulation};
+    use uba_simnet::{ChurnEvent, ChurnSchedule, RestartPolicy};
 
     #[test]
     fn margins_pair_with_verdicts_and_respect_the_invariant() {
@@ -401,6 +493,146 @@ mod tests {
         attach_verdicts(&mut report);
         assert!(!report.scenario.admissible());
         assert_eq!(report.margins.margin_for("resiliency"), Some(0));
+    }
+
+    /// A consensus report over `correct` nodes plus one Byzantine, with the
+    /// second correct node crashed at round 2 and restarted clean at round 4.
+    fn crash_bearing_report(correct: usize) -> RunReport {
+        let seed = 11;
+        let base = Simulation::scenario()
+            .correct(correct)
+            .byzantine(1)
+            .seed(seed)
+            .spec()
+            .clone();
+        let victim = base.id_space.generate(correct + 1, seed)[1];
+        let inputs: Vec<u64> = (0..correct as u64).map(|i| i % 2).collect();
+        let mut report = Simulation::scenario()
+            .correct(correct)
+            .byzantine(1)
+            .seed(seed)
+            .churn(
+                ChurnSchedule::empty()
+                    .with(2, ChurnEvent::Crash(victim))
+                    .with(
+                        4,
+                        ChurnEvent::Restart {
+                            id: victim,
+                            policy: RestartPolicy::Clean,
+                        },
+                    ),
+            )
+            .consensus(&inputs)
+            .run()
+            .unwrap();
+        attach_verdicts(&mut report);
+        assert!(report.scenario.churn.has_crash_events());
+        assert!(report.recovery.is_some(), "the victim restarted");
+        report
+    }
+
+    fn asserted_names(report: &RunReport) -> Vec<&str> {
+        asserted(report)
+            .map(|entry| entry.oracle.as_str())
+            .collect()
+    }
+
+    #[test]
+    fn an_admissible_crash_bearing_run_asserts_only_recovery() {
+        let report = crash_bearing_report(4);
+        assert!(report.scenario.admissible());
+        assert_eq!(asserted_names(&report), ["recovery"]);
+    }
+
+    #[test]
+    fn an_inadmissible_crash_bearing_run_asserts_everything_but_resiliency() {
+        let report = crash_bearing_report(2);
+        assert!(!report.scenario.admissible());
+        let expected: Vec<&str> = report
+            .margins
+            .oracles
+            .iter()
+            .map(|entry| entry.oracle.as_str())
+            .filter(|&oracle| oracle != "resiliency")
+            .collect();
+        assert!(expected.contains(&"liveness") && expected.contains(&"recovery"));
+        assert_eq!(asserted_names(&report), expected);
+    }
+
+    #[test]
+    fn a_fixed_round_family_asserts_liveness_and_meets_it() {
+        let mut report = Simulation::scenario()
+            .correct(4)
+            .byzantine(1)
+            .seed(43)
+            .adversary(AdversaryKind::AnnounceThenSilent)
+            .broadcast(42)
+            .run()
+            .unwrap();
+        attach_verdicts(&mut report);
+        let liveness = asserted(&report)
+            .find(|entry| entry.oracle == "liveness")
+            .expect("liveness is asserted for every family");
+        assert!(liveness.margin >= 1);
+        assert_eq!(violations(&report), Vec::<String>::new());
+    }
+
+    #[test]
+    fn each_structural_entry_at_zero_yields_its_line_after_the_verdicts() {
+        let mut report = Simulation::scenario()
+            .correct(5)
+            .byzantine(1)
+            .seed(45)
+            .max_rounds(60)
+            .adversary(AdversaryKind::SplitVote)
+            .consensus(&[0, 1, 0, 1, 0])
+            .run()
+            .unwrap();
+        let section = report.consensus.as_mut().unwrap();
+        section.decisions[0].value = 1 - section.decisions[0].value;
+        attach_verdicts(&mut report);
+        for entry in &mut report.margins.oracles {
+            if matches!(entry.oracle.as_str(), "liveness" | "resiliency") {
+                entry.margin = 0;
+            }
+        }
+        for (oracle, _) in &STRUCTURAL[1..] {
+            report
+                .margins
+                .oracles
+                .push(structural(oracle, false, Vec::new()));
+        }
+        let lines = violations(&report);
+        let (verdict_lines, structural) = lines.split_at(lines.len() - 5);
+        assert!(!verdict_lines.is_empty());
+        assert!(verdict_lines
+            .iter()
+            .all(|line| line.starts_with("oracle consensus: [consensus/")));
+        assert_eq!(
+            structural,
+            [
+                "liveness: run exhausted its 60-round budget",
+                "rotor: no good round (all-correct coordinator) occurred",
+                "parallel-consensus: decided pair sets differ",
+                "total-order: chain prefixes disagree",
+                "convergence: an iteration failed to halve the spread",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_report_without_margins_is_a_judge_violation() {
+        let report = Simulation::scenario()
+            .correct(4)
+            .byzantine(1)
+            .seed(7)
+            .consensus(&[0, 1, 0, 1])
+            .run()
+            .unwrap();
+        assert!(report.margins.oracles.is_empty());
+        let lines = violations(&report);
+        assert_eq!(lines.len(), 1);
+        assert!(lines[0].starts_with("judge: "), "{lines:?}");
     }
 
     #[test]
